@@ -273,6 +273,21 @@ def graph_subgroup(H: FinGroup, phi: dict, G: FinGroup) -> GraphSubgroup:
     return GraphSubgroup(H, G, dict(phi), ambient, grp)
 
 
+def subgroup_key(H: FinGroup) -> str:
+    """Report key of a subgroup: its elements, as '{e1,e2,...}'."""
+    return "{" + ",".join(H.elements) + "}"
+
+
+def phi_key(phi: dict) -> str:
+    """Report key of a homomorphism φ: 'h1:g1,h2:g2,...' in element order."""
+    return ",".join(f"{h}:{g}" for h, g in sorted(phi.items()))
+
+
+def pair_key(H: FinGroup, phi: dict) -> str:
+    """Report key of an (H, φ) pair: '{h1,...}->h1:g1,...'."""
+    return f"{subgroup_key(H)}->{phi_key(phi)}"
+
+
 # ---------------------------------------------------------------------------
 # chaotic categories and deloopings
 
@@ -351,11 +366,6 @@ def trivial_action(M: FinMonoid, C: FinCat) -> MonoidActionCat:
     return MonoidActionCat(M, C, {m: ident for m in M.elements}).validate()
 
 
-def action_from_object_maps(M: FinMonoid, C: FinCat, object_maps: dict, morphism_maps: dict) -> MonoidActionCat:
-    act = {m: Functor(C, C, object_maps[m], morphism_maps[m]) for m in M.elements}
-    return MonoidActionCat(M, C, act).validate()
-
-
 def chaotic_action(M: FinMonoid, element_action: dict) -> MonoidActionCat:
     """Action on E(X) induced by a monoid action on the set X.
 
@@ -387,12 +397,6 @@ def product_action(A: MonoidActionCat, B: MonoidActionCat, caps: SizeCaps = DEFA
 def restrict_action(A: MonoidActionCat, H: FinMonoid) -> MonoidActionCat:
     """Restrict along a submonoid (elements must be elements of A.monoid)."""
     return MonoidActionCat(H, A.carrier, {h: A.act[h] for h in H.elements}).validate()
-
-
-def pullback_action(A: MonoidActionCat, H: FinMonoid, phi: dict) -> MonoidActionCat:
-    """φ*A: H acts through φ: H -> A.monoid."""
-    check_homomorphism(H, A.monoid, phi)
-    return MonoidActionCat(H, A.carrier, {h: A.act[phi[h]] for h in H.elements}).validate()
 
 
 def check_equivariant(F: Functor, A: MonoidActionCat, B: MonoidActionCat):

@@ -164,9 +164,8 @@ def cmd_pushout(args):
     A = category_from_doc(doc["A"], caps)
     B = category_from_doc(doc["B"], caps)
     C = category_from_doc(doc["C"], caps)
-    from .fincat import Functor
-    i = Functor(A, B, dict(doc["i"]["object_map"]), dict(doc["i"]["morphism_map"])).validate()
-    c = Functor(A, C, dict(doc["c"]["object_map"]), dict(doc["c"]["morphism_map"])).validate()
+    i = ser.functor_from_maps(doc["i"], A, B)
+    c = ser.functor_from_maps(doc["c"], A, C)
     try:
         w = find_dwyer_witness(i, None, caps)
     except GcatError:
@@ -200,20 +199,20 @@ def cmd_pushout(args):
 
 
 def cmd_fixed(args):
-    from .actions import fixed_category
+    from .actions import fixed_category, subgroup_key
     doc = _read_json(args.input)
     A = ser.action_from_doc(doc, _caps(args))
     fam_doc = _read_json(args.family)
     _, family = ser.load_family(fam_doc)
     out = {}
     for H in family:
-        key = "{" + ",".join(H.elements) + "}"
-        out[key] = fixed_category(A, H).to_doc()
+        out[subgroup_key(H)] = fixed_category(A, H).to_doc()
     body = {"fixed": out}
     return _emit(ser.report("fixed", {"action": doc, "family": fam_doc}, body), args)
 
 
 def cmd_hofix(args):
+    from .actions import pair_key
     from .weq import homotopy_fixed_points
     doc = _read_json(args.input)
     A = ser.action_from_doc(doc, _caps(args))
@@ -222,8 +221,7 @@ def cmd_hofix(args):
     out = {}
     for H, phi in pairs:
         hd = homotopy_fixed_points(A, H, phi, _caps(args))
-        key = "{" + ",".join(H.elements) + "}->" + ",".join(f"{h}:{g}" for h, g in sorted(phi.items()))
-        out[key] = hd.category.to_doc()
+        out[pair_key(H, phi)] = hd.category.to_doc()
     body = {"homotopy_fixed_points": out}
     return _emit(ser.report("hofix", {"action": doc, "pairs": pairs_doc}, body), args)
 
@@ -256,9 +254,7 @@ def cmd_gglobal_weq(args):
     caps = _caps(args)
     act_C = ser.action_from_doc(doc["source_action"], caps)
     act_D = ser.action_from_doc(doc["target_action"], caps)
-    from .fincat import Functor
-    F = Functor(act_C.carrier, act_D.carrier,
-                dict(doc["functor"]["object_map"]), dict(doc["functor"]["morphism_map"])).validate()
+    F = ser.functor_from_maps(doc["functor"], act_C.carrier, act_D.carrier)
     pairs_doc = _read_json(args.pairs)
     _, _, pairs = ser.load_pairs(pairs_doc)
     cert = g_global_we(F, act_C, act_D, pairs, args.cap, caps)
@@ -318,8 +314,7 @@ def cmd_gens(args):
         w = find_dwyer_witness(gm.functor, None, caps)
     body = {"name": gm.name, "sieve": sieve, "dwyer_witness": w is not None,
             "source": gm.functor.source.to_doc(), "target": gm.functor.target.to_doc(),
-            "object_map": dict(sorted(gm.functor.object_map.items())),
-            "morphism_map": dict(sorted(gm.functor.morphism_map.items()))}
+            **ser.maps_doc(gm.functor)}
     code = EXIT_OK if sieve and w is not None else EXIT_VIOLATED
     return _emit(ser.report("gens", {"spec": {"model": args.model, "n": args.n,
                                               "k": args.k, "acyclic": args.acyclic,
@@ -365,14 +360,20 @@ def cmd_corpus(args):
             "index": idx,
             "label": s.label,
             "A": s.A.to_doc(), "B": s.B.to_doc(), "C": s.C.to_doc(),
-            "i": {"object_map": dict(sorted(s.i.object_map.items())),
-                  "morphism_map": dict(sorted(s.i.morphism_map.items()))},
-            "c": {"object_map": dict(sorted(s.c.object_map.items())),
-                  "morphism_map": dict(sorted(s.c.morphism_map.items()))},
+            "i": ser.maps_doc(s.i),
+            "c": ser.maps_doc(s.c),
             "witness": ser.witness_doc(s.witness),
         })
     body = {"count": len(out), "group": args.group or "1", "spans": out}
     return _emit(ser.report("corpus", {}, body, seed=args.seed), args)
+
+
+def non_negative_int(text):
+    """argparse type for caps: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def build_parser():
@@ -386,7 +387,7 @@ def build_parser():
 
     def common(sp, cap=True, word_cap=False, seed=False):
         if cap:
-            sp.add_argument("--cap", type=int, default=3)
+            sp.add_argument("--cap", type=non_negative_int, default=3)
         if word_cap:
             sp.add_argument("--word-cap", dest="word_cap", type=int, default=16)
         if seed:

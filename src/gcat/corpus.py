@@ -8,7 +8,6 @@ identical seeds give identical corpora.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -19,6 +18,7 @@ from .fincat import (
     FinCat,
     Functor,
     Poset,
+    constant_functor,
     identity_functor,
     poset_from_relation,
     terminal_category,
@@ -188,8 +188,7 @@ def seeded_dwyer_span(rng: random.Random, G: Optional[FinGroup] = None,
     if style == "collapse":
         C = terminal_category()
         act_C = trivial_action(group, C)
-        c = Functor(A, C, {x: "*" for x in A.objects},
-                    {m: "id*" for m in A.morphism_ids}).validate()
+        c = constant_functor(A, C, "*").validate()
     elif style == "identity":
         C, act_C = A, act_A
         c = identity_functor(A)

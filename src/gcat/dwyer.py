@@ -26,7 +26,6 @@ from .errors import (
 from .fincat import (
     FinCat,
     Functor,
-    FunctorCategoryData,
     NatTrans,
     functor_category_data,
     identity_functor,
@@ -182,10 +181,6 @@ class DwyerWitness:
             for x in self.X.objects:
                 if aB.mor(g, self.counit.components[x]) != self.counit.components[aB.ob(g, x)]:
                     raise EquivarianceViolation("counit not equivariant", witness=(g, x))
-
-
-def _full_subcategory_action(B: FinCat, objs):
-    return B.full_subcategory(objs)
 
 
 def find_dwyer_witness(i: Functor, equivariance=None,
@@ -562,7 +557,7 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
 def equivariant_dwyer_pushout(act_A: MonoidActionCat, act_B: MonoidActionCat,
                               act_C: MonoidActionCat, i: Functor, c: Functor,
                               w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS):
-    """dwyer_pushout with the induced G-action; returns (action, j, d).
+    """dwyer_pushout with the induced G-action; returns (action, pushout).
 
     All inputs must be equivariant and the witness equivariant and normalized.
     """

@@ -206,10 +206,6 @@ def terminal_category():
     return validate_category(["*"], [("id*", "*", "*")], {"*": "id*"}, {("id*", "id*"): "id*"})
 
 
-def empty_category():
-    return FinCat((), (), {}, {})
-
-
 def discrete_category(elements):
     elements = sorted(str(e) for e in elements)
     mors = [(f"id:{x}", x, x) for x in elements]
@@ -285,16 +281,6 @@ def chain_poset(n):
 
 def arrow_category():
     return chain_poset(1).to_fincat()
-
-
-def fincat_as_poset(cat: FinCat) -> Poset:
-    """Inverse of Poset.to_fincat when the category is a poset; raises otherwise."""
-    leq = set()
-    for (x, y), ms in cat._hom.items():
-        if len(ms) > 1:
-            raise GcatError("not a poset: parallel morphisms")
-        leq.add((x, y))
-    return Poset(cat.objects, frozenset(leq))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +394,6 @@ class NatTrans:
         return all(c in isos for c in self.components.values())
 
 
-def identity_nat(F: Functor) -> NatTrans:
-    return NatTrans(F, F, {x: F.target.identity[F.object_map[x]] for x in F.source.objects})
-
-
 # ---------------------------------------------------------------------------
 # products
 
@@ -443,16 +425,6 @@ def product_category(S: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> Fin
         for (g2, g1), g in C.compose.items():
             compose[(pair_mor(f2, g2), pair_mor(f1, g1))] = pair_mor(f, g)
     return validate_category(objects, morphisms, identity, compose, caps)
-
-
-def product_projections(S: FinCat, C: FinCat, prod: FinCat):
-    p1 = Functor(prod, S,
-                 {pair_obj(a, b): a for a in S.objects for b in C.objects},
-                 {pair_mor(f, g): f for f in S.morphism_ids for g in C.morphism_ids})
-    p2 = Functor(prod, C,
-                 {pair_obj(a, b): b for a in S.objects for b in C.objects},
-                 {pair_mor(f, g): g for f in S.morphism_ids for g in C.morphism_ids})
-    return p1, p2
 
 
 def product_functor(F: Functor, G: Functor, prod_src: FinCat, prod_tgt: FinCat) -> Functor:
@@ -492,9 +464,6 @@ class FunctorCategoryData:
     def trans_id(self, src_idx, dst_idx, components):
         key = tuple(sorted(components.items()))
         return self._trans_lookup[(src_idx, dst_idx, key)]
-
-    def components_of(self, mor_id):
-        return self.trans[mor_id][2]
 
 
 def enumerate_functors(T: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS):
@@ -641,10 +610,6 @@ def functor_category_data(T: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS) -
     data = FunctorCategoryData(cat, T, C, functors, index_of, trans)
     data._trans_lookup = lookup
     return data
-
-
-def functor_category(T: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> FinCat:
-    return functor_category_data(T, C, caps).cat
 
 
 def postcompose_on_fun(data_src: FunctorCategoryData, data_dst: FunctorCategoryData, g: Functor) -> Functor:

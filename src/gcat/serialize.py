@@ -30,23 +30,25 @@ def content_hash(doc) -> str:
     return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
-def category_doc(cat: FinCat) -> dict:
-    return cat.to_doc()
+def maps_doc(F: Functor) -> dict:
+    """The object and morphism maps of a functor, keys sorted."""
+    return {"object_map": dict(sorted(F.object_map.items())),
+            "morphism_map": dict(sorted(F.morphism_map.items()))}
+
+
+def functor_from_maps(doc, source: FinCat, target: FinCat) -> Functor:
+    """The validated functor source -> target with the maps of `doc` (see maps_doc)."""
+    return Functor(source, target, dict(doc["object_map"]), dict(doc["morphism_map"])).validate()
 
 
 def functor_doc(F: Functor) -> dict:
-    return {
-        "source": F.source.to_doc(),
-        "target": F.target.to_doc(),
-        "object_map": dict(sorted(F.object_map.items())),
-        "morphism_map": dict(sorted(F.morphism_map.items())),
-    }
+    return {"source": F.source.to_doc(), "target": F.target.to_doc(), **maps_doc(F)}
 
 
 def functor_from_doc(doc, caps: SizeCaps = DEFAULT_CAPS) -> Functor:
     src = category_from_doc(doc["source"], caps)
     dst = category_from_doc(doc["target"], caps)
-    return Functor(src, dst, dict(doc["object_map"]), dict(doc["morphism_map"])).validate()
+    return functor_from_maps(doc, src, dst)
 
 
 def action_doc(A: MonoidActionCat) -> dict:
@@ -99,10 +101,8 @@ def witness_doc(w) -> dict:
     return {
         "i": functor_doc(w.i),
         "cosieve_objects": list(w.cosieve_objects),
-        "f": {"object_map": dict(sorted(w.f.object_map.items())),
-              "morphism_map": dict(sorted(w.f.morphism_map.items()))},
-        "r": {"object_map": dict(sorted(w.r.object_map.items())),
-              "morphism_map": dict(sorted(w.r.morphism_map.items()))},
+        "f": maps_doc(w.f),
+        "r": maps_doc(w.r),
         "unit": dict(sorted(w.unit.components.items())),
         "counit": dict(sorted(w.counit.components.items())),
         "equivariant": w.group is not None,

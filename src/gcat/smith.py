@@ -192,7 +192,3 @@ def smith_invariants(n_rows: int, n_cols: int, entries: dict) -> list:
                     diagonal[a], diagonal[b] = g, x * y // g
                     changed = True
     return [1] * units + sorted(diagonal)
-
-
-def matrix_rank(n_rows: int, n_cols: int, entries: dict) -> int:
-    return len(smith_invariants(n_rows, n_cols, entries))

@@ -187,10 +187,6 @@ def sset_from_doc(doc) -> FinSSet:
     return FinSSet(int(doc["cap"]), cells, faces).validate()
 
 
-def empty_sset(cap=3):
-    return FinSSet(cap, {}, {})
-
-
 def point_sset(cap=3):
     return FinSSet(cap, {0: ("*",)}, {})
 
@@ -242,14 +238,6 @@ class SSetMap:
             if len(set(vals)) != len(vals):
                 return False
             if any(not is_identity_alpha(a) for _, a in vals):
-                return False
-        return True
-
-    def is_isomorphism(self):
-        if not self.is_injective():
-            return False
-        for n in set(self.source.dims()) | set(self.target.dims()):
-            if self.source.n_nondeg(n) != self.target.n_nondeg(n):
                 return False
         return True
 
@@ -498,10 +486,6 @@ def _normalize_chain(C: FinCat, chain, base=None):
     return (cid, tuple(alpha))
 
 
-def nerve_vertex_object(C: FinCat, sid):
-    return sid
-
-
 def nerve_functor(F: Functor, NX: FinSSet, NY: FinSSet, cap=3) -> SSetMap:
     """N(F) on already-built nerves."""
     C, D = F.source, F.target
@@ -543,69 +527,65 @@ def h_poset_nerve(X: FinSSet) -> FinCat:
 # products, pushouts, subobjects
 
 
+def _product_nf(nx, ny):
+    """The normal form of the product simplex (nx, ny): the id of its
+    nondegenerate core and the degeneracy common to both factors."""
+    ax, ay = nx[1], ny[1]
+    n = len(ax) - 1
+    keep = [0] + [t for t in range(1, n + 1) if ax[t] != ax[t - 1] or ay[t] != ay[t - 1]]
+    beta = []
+    v = 0
+    for t in range(n + 1):
+        if t in keep[1:]:
+            v += 1
+        beta.append(v)
+    sub = tuple(keep)
+    cx = (nx[0], compose_tuples(ax, sub))
+    cy = (ny[0], compose_tuples(ay, sub))
+    pid = f"{cx[0]}[{','.join(map(str, cx[1]))}]*{cy[0]}[{','.join(map(str, cy[1]))}]"
+    return pid, tuple(beta)
+
+
+def _parse_product_id(pid):
+    """The two factor normal forms named by a product simplex id."""
+    left, right = pid.split("]*")
+    cx, ax = left.rsplit("[", 1)
+    cy, ay = right[:-1].rsplit("[", 1)
+    return (cx, tuple(int(v) for v in ax.split(","))), (cy, tuple(int(v) for v in ay.split(",")))
+
+
 def product_sset(X: FinSSet, Y: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
     """X × Y; nondegenerate simplices are pairs of normal forms sharing no
     common degeneracy position (Eilenberg-Zilber)."""
     if cap is None:
         cap = min(X.cap, Y.cap)
-
-    def pair_id(nx, ny):
-        return f"{nx[0]}[{','.join(map(str, nx[1]))}]*{ny[0]}[{','.join(map(str, ny[1]))}]"
-
-    def joint_normalize(nx, ny):
-        ax, ay = nx[1], ny[1]
-        n = len(ax) - 1
-        keep = [0] + [t for t in range(1, n + 1) if ax[t] != ax[t - 1] or ay[t] != ay[t - 1]]
-        beta = []
-        v = 0
-        for t in range(n + 1):
-            if t in keep[1:]:
-                v += 1
-            beta.append(v)
-        sub = tuple(keep)
-        cx = (nx[0], compose_tuples(ax, sub))
-        cy = (ny[0], compose_tuples(ay, sub))
-        return cx, cy, tuple(beta)
-
     cells = {}
     faces = {}
     pairs_at = {}
     for n in range(cap + 1):
-        pairs = []
+        pairs = {}
         for nx in X.all_simplices(n):
             for ny in Y.all_simplices(n):
-                cx, cy, beta = joint_normalize(nx, ny)
+                pid, beta = _product_nf(nx, ny)
                 if is_identity_alpha(beta):
-                    pairs.append((nx, ny))
+                    pairs[pid] = (nx, ny)
         if len(pairs) > caps.max_simplices:
             raise SizeCapExceeded("product simplices", len(pairs), caps.max_simplices)
-        pairs_at[n] = {pair_id(nx, ny): (nx, ny) for nx, ny in pairs}
-        cells[n] = tuple(sorted(pairs_at[n]))
+        pairs_at[n] = pairs
+        cells[n] = tuple(sorted(pairs))
     for n in range(1, cap + 1):
         for pid, (nx, ny) in pairs_at[n].items():
-            fs = []
-            for i in range(n + 1):
-                fx = X.face(nx, i)
-                fy = Y.face(ny, i)
-                cx, cy, beta = joint_normalize(fx, fy)
-                fs.append((pair_id(cx, cy), beta))
-            faces[(n, pid)] = tuple(fs)
+            faces[(n, pid)] = tuple(_product_nf(X.face(nx, i), Y.face(ny, i)) for i in range(n + 1))
     Z = FinSSet(cap, {n: v for n, v in cells.items() if v}, faces)
     Z.validate(caps)
     return Z
 
 
 def product_projections_sset(X: FinSSet, Y: FinSSet, P: FinSSet):
-    def parse(pid):
-        left, right = pid.split("]*")
-        cx, ax = left.rsplit("[", 1)
-        cy, ay = right[:-1].rsplit("[", 1)
-        return (cx, tuple(int(v) for v in ax.split(","))), (cy, tuple(int(v) for v in ay.split(",")))
-
     vx, vy = {}, {}
     for n in P.dims():
         for pid in P.cells[n]:
-            nx, ny = parse(pid)
+            nx, ny = _parse_product_id(pid)
             vx[(n, pid)] = nx
             vy[(n, pid)] = ny
     return SSetMap(P, X, vx), SSetMap(P, Y, vy)
@@ -613,27 +593,9 @@ def product_projections_sset(X: FinSSet, Y: FinSSet, P: FinSSet):
 
 def pair_into_product(f: SSetMap, g: SSetMap, P: FinSSet) -> SSetMap:
     """(f, g): W -> X × Y for maps with common source."""
-    def pid(nx, ny):
-        return f"{nx[0]}[{','.join(map(str, nx[1]))}]*{ny[0]}[{','.join(map(str, ny[1]))}]"
-
-    vals = {}
     W = f.source
-    for n in W.dims():
-        for s in W.cells[n]:
-            nx = f.values[(n, s)]
-            ny = g.values[(n, s)]
-            ax, ay = nx[1], ny[1]
-            keep = [0] + [t for t in range(1, n + 1) if ax[t] != ax[t - 1] or ay[t] != ay[t - 1]]
-            beta = []
-            v = 0
-            for t in range(n + 1):
-                if t in keep[1:]:
-                    v += 1
-                beta.append(v)
-            sub = tuple(keep)
-            cx = (nx[0], compose_tuples(ax, sub))
-            cy = (ny[0], compose_tuples(ay, sub))
-            vals[(n, s)] = (pid(cx, cy), tuple(beta))
+    vals = {(n, s): _product_nf(f.values[(n, s)], g.values[(n, s)])
+            for n in W.dims() for s in W.cells[n]}
     return SSetMap(W, P, vals)
 
 
@@ -651,9 +613,6 @@ def pushout_sset(f: SSetMap, g: SSetMap, caps: SizeCaps = DEFAULT_CAPS):
     for n in A.dims():
         for s in A.cells[n]:
             image[(n, f.values[(n, s)][0])] = (n, s)
-
-    def tag_b(n, sid):
-        return (n, f"B:{sid}")
 
     cells = {}
     rename = {}

@@ -16,7 +16,6 @@ list of (H, φ) pairs and each report says so.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,6 +26,7 @@ from .fincat import (
     Functor,
     NatTrans,
     EquivalenceWitness,
+    constant_functor,
     enumerate_functors,
     find_equivalence,
     functor_category_data,
@@ -34,6 +34,7 @@ from .fincat import (
     is_ff_eso,
     is_isomorphism_functor,
     pair_obj,
+    postcompose_on_fun,
     precompose_on_fun,
     product_category,
     product_functor,
@@ -53,11 +54,16 @@ from .actions import (
     delooping,
     equivariant_retraction,
     fixed_category,
+    fixed_functor,
     graph_subgroup,
+    pair_key,
+    phi_key,
     product_action,
     product_monoid,
     restrict_action,
+    right_translation_functor,
     subgroup_from_elements,
+    subgroup_key,
     trivial_action,
     units_group,
 )
@@ -65,7 +71,6 @@ from .sset import (
     boundary_complex,
     horn_complex,
     standard_simplex_complex,
-    h_sd2,
     h_sd2_map,
     homology,
     nerve,
@@ -232,11 +237,8 @@ def f_weak_equivalence(F: Functor, act_C: MonoidActionCat, act_D: MonoidActionCa
     for H in family:
         if not set(H.elements) <= set(units.elements):
             raise SubgroupNotInUnits(f"{H.elements} not inside units of the acting monoid")
-        CH = fixed_category(act_C, H)
-        DH = fixed_category(act_D, H)
-        FH = Functor(CH, DH, {x: F.object_map[x] for x in CH.objects},
-                     {m: F.morphism_map[m] for m in CH.morphism_ids}).validate()
-        table["{" + ",".join(H.elements) + "}"] = homology_certificate(FH, cap, caps)
+        FH = fixed_functor(F, act_C, act_D, H)
+        table[subgroup_key(H)] = homology_certificate(FH, cap, caps)
     passed = all(c.passed for c in table.values())
     return WeakEqCertificate("necessary", passed, cap, {"family_size": len(table)},
                              per_subgroup=table)
@@ -287,11 +289,8 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
     base = min(K.elements)
     iso = _iso_homs(C)
 
-    def act_ob(g, x):
-        return g_action[g].object_map[x] if g_action else x
-
     def act_mor(g, m):
-        return g_action[g].morphism_map[m] if g_action else m
+        return g_action[g].morphism_map[m]
 
     # object assignments: F(x·h) forced from F(x) by act(φh)⁻¹ — enumerate on
     # orbit representatives of the right H-action on K
@@ -304,7 +303,6 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
         orbits.append(x)
         seen.update(orb)
 
-    phi_inv = {h: None for h in H.elements}
     G_inv = {}
 
     def inv_act_ob(g, x):
@@ -327,7 +325,7 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
             for h in H.elements:
                 xh = K.mul(x0, h)
                 # act(φh)(F(xh)) = F(x0)  =>  F(xh) = act(φh)⁻¹ F(x0)
-                v = inv_act_ob(phi[h], cx) if g_action else cx
+                v = inv_act_ob(phi[h], cx)
                 if local.get(xh, v) != v or ob.get(xh, v) != v:
                     good = False
                     break
@@ -360,9 +358,7 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
             for h in H.elements:
                 for x in K.elements:
                     for y in K.elements:
-                        lhs = act_mor(phi[h], full[(K.mul(x, h), K.mul(y, h))]) if g_action else \
-                            full[(K.mul(x, h), K.mul(y, h))]
-                        if lhs != full[(x, y)]:
+                        if act_mor(phi[h], full[(K.mul(x, h), K.mul(y, h))]) != full[(x, y)]:
                             return False
             return True
 
@@ -399,8 +395,7 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
     def eta_fixed(comp):
         for h in H.elements:
             for x in K.elements:
-                lhs = act_mor(phi[h], comp[K.mul(x, h)]) if g_action else comp[K.mul(x, h)]
-                if lhs != comp[x]:
+                if act_mor(phi[h], comp[K.mul(x, h)]) != comp[x]:
                     return False
         return True
 
@@ -467,28 +462,21 @@ def hofix_functor(F: Functor, src: HoFixData, dst: HoFixData) -> Functor:
     return Functor(src.category, dst.category, om, mm).validate()
 
 
+def _act_on_fun(data, K: FinGroup, h, post: Functor) -> Functor:
+    """The endofunctor of Fun(E(K), C) by which (h, g) acts: precompose with
+    the right translation x ↦ x·h of E(K), postcompose with `post`, the
+    action of g on C."""
+    translate = right_translation_functor(data.source, K, h)
+    return precompose_on_fun(data, data, translate).then(postcompose_on_fun(data, data, post))
+
+
 def materialized_hofix(act_C: MonoidActionCat, H: FinGroup, phi: dict,
                        caps: SizeCaps = DEFAULT_CAPS) -> FinCat:
     """Cross-check route: materialize Fun(EH, C) and take Γ-fixed points."""
     EH = chaotic_category(H.elements)
     data = functor_category_data(EH, act_C.carrier, caps)
     gamma = graph_subgroup(H, phi, act_C.monoid)
-
-    def act_on_fun(h):
-        rho = chaotic_functor(EH, EH, {x: H.mul(x, h) for x in H.elements})
-        om, mm = {}, {}
-        g = phi[h]
-        for i, F in enumerate(data.functors):
-            img = rho.then(F).then(act_C.act[g])
-            om[f"F{i:03d}"] = data.object_id(img)
-        for mid, (i, j, comp) in data.trans.items():
-            icomp = {x: act_C.act[g].morphism_map[comp[H.mul(x, h)]] for x in H.elements}
-            si = data.index_of[rho.then(data.functors[i]).then(act_C.act[g]).signature()]
-            ti = data.index_of[rho.then(data.functors[j]).then(act_C.act[g]).signature()]
-            mm[mid] = data.trans_id(si, ti, icomp)
-        return Functor(data.cat, data.cat, om, mm)
-
-    act = {gamma.pair(h): act_on_fun(h) for h in H.elements}
+    act = {gamma.pair(h): _act_on_fun(data, H, h, act_C.act[phi[h]]) for h in H.elements}
     action = MonoidActionCat(gamma.group, data.cat, act).validate()
     return fixed_category(action, gamma.group)
 
@@ -507,8 +495,7 @@ def g_global_we(F: Functor, act_C: MonoidActionCat, act_D: MonoidActionCat,
         src = homotopy_fixed_points(act_C, H, phi, caps)
         dst = homotopy_fixed_points(act_D, H, phi, caps)
         FH = hofix_functor(F, src, dst)
-        key = "{" + ",".join(H.elements) + "}->" + ",".join(f"{h}:{g}" for h, g in sorted(phi.items()))
-        table[key] = homology_certificate(FH, cap, caps)
+        table[pair_key(H, phi)] = homology_certificate(FH, cap, caps)
     passed = all(c.passed for c in table.values())
     return WeakEqCertificate("necessary", passed, cap,
                              {"scope": "supplied (H, phi) pairs only",
@@ -579,28 +566,16 @@ def restriction_comparison(C: FinCat, H: FinGroup, Hp: FinGroup,
     G = g_act.monoid if g_act is not None else None
     HxG = product_monoid(H, G) if G is not None else H
 
-    def fun_action(data, K, Kgrp):
-        def act_pair(h, g):
-            rho_h = chaotic_functor(K, K, {x: Kgrp.mul(x, h) for x in Kgrp.elements})
-            om, mm = {}, {}
-            post = g_act.act[g] if g_act is not None else identity_functor(C)
-            for i, F in enumerate(data.functors):
-                om[f"F{i:03d}"] = data.object_id(rho_h.then(F).then(post))
-            for mid, (i, j, comp) in data.trans.items():
-                icomp = {x: post.morphism_map[comp[Kgrp.mul(x, h)]] for x in Kgrp.elements}
-                si = data.index_of[rho_h.then(data.functors[i]).then(post).signature()]
-                ti = data.index_of[rho_h.then(data.functors[j]).then(post).signature()]
-                mm[mid] = data.trans_id(si, ti, icomp)
-            return Functor(data.cat, data.cat, om, mm)
-
+    def fun_action(data, K):
         if G is None:
-            acts = {h: act_pair(h, None) for h in H.elements}
+            acts = {h: _act_on_fun(data, K, h, identity_functor(C)) for h in H.elements}
             return MonoidActionCat(H, data.cat, acts).validate()
-        acts = {pair_obj(h, g): act_pair(h, g) for h in H.elements for g in G.elements}
+        acts = {pair_obj(h, g): _act_on_fun(data, K, h, g_act.act[g])
+                for h in H.elements for g in G.elements}
         return MonoidActionCat(HxG, data.cat, acts).validate()
 
-    act_big = fun_action(dBig, EHp, Hp)
-    act_small = fun_action(dSmall, EH, H)
+    act_big = fun_action(dBig, Hp)
+    act_small = fun_action(dSmall, H)
     check_equivariant(rho, act_big, act_small)
     check_equivariant(Q, act_small, act_big)
     cert = WeakEqCertificate("sufficient", True, None,
@@ -610,13 +585,8 @@ def restriction_comparison(C: FinCat, H: FinGroup, Hp: FinGroup,
     if phis:
         for phi in phis:
             gamma = graph_subgroup(H, phi, G)
-            big_fixed = fixed_category(act_big, gamma.group)
-            small_fixed = fixed_category(act_small, gamma.group)
-            rho_fixed = Functor(big_fixed, small_fixed,
-                                {x: rho.object_map[x] for x in big_fixed.objects},
-                                {m: rho.morphism_map[m] for m in big_fixed.morphism_ids}).validate()
-            key = ",".join(f"{h}:{g}" for h, g in sorted(phi.items()))
-            per_phi[key] = equivalence_certificate(rho_fixed, caps=caps)
+            rho_fixed = fixed_functor(rho, act_big, act_small, gamma.group)
+            per_phi[phi_key(phi)] = equivalence_certificate(rho_fixed, caps=caps)
     return RestrictionComparison(rho, cert, dBig, dSmall, per_phi)
 
 
@@ -699,7 +669,7 @@ def saturation_check(avatar: SaturationAvatar, pairs, caps: SizeCaps = DEFAULT_C
         gamma = graph_subgroup(H, phi, G)
         c_fixed = fixed_category(avatar.action, gamma.group)
         fun_fixed = twisted_fun_fixed(Hp, g_action, H, phi, C, caps)
-        key = "{" + ",".join(H.elements) + "}->" + ",".join(f"{h}:{g}" for h, g in sorted(phi.items()))
+        key = pair_key(H, phi)
         if avatar.coherence is None:
             equivalent = _find_any_equivalence(c_fixed, fun_fixed.category, caps)
             per_pair[key] = {"mode": "abstract-comparison", "passed": equivalent,
@@ -858,50 +828,62 @@ def _nerve_homology_pair(C1: FinCat, C2: FinCat, cap, caps):
 
 
 def check_transfer_conditions(gens_I, gens_J, U, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> dict:
-    """Desk-scale checks of the three transfer hypotheses for a right adjoint
+    """Desk-scale checks of the transfer hypotheses for a right adjoint
     avatar U.
 
     U is a tag: ("identity",), ("fun_e", H') for Fun(E(H′), −),
     ("fixed", H) for H-fixed points, or ("ex2_nerve",).  gens_I / gens_J are
     GeneratedMap lists (cofibrations / acyclic cofibrations).
+
+    Condition 1 (U of each acyclic generator is a weak equivalence) is
+    certified by homology.  Condition 2 (pushouts along generators go to
+    homotopy pushouts) needs a Dwyer witness for each generator and compares
+    the homology of U(pushout) with that of the pushout of the U-images.
+    Comparisons that cannot fail are not run; `not_checked` names them with
+    the reason: condition 3 (filtered colimits) always, so `condition3` is an
+    empty list, and condition 2's homology comparison when U is the identity,
+    which leaves the Dwyer-witness verdict.
     """
+    not_checked = {"condition3": "a finite ascending chain has its colimit at its top, "
+                                 "so the comparison map is an identity and cannot fail"}
+    if U[0] == "identity":
+        not_checked["condition2"] = ("U is the identity, so U(pushout) is the pushout of the "
+                                     "U-images; only the Dwyer-witness verdict is reported")
     report = {"U": U[0], "condition1": [], "condition2": [], "condition3": [],
-              "scope": "supplied generators only"}
+              "not_checked": not_checked, "scope": "supplied generators only"}
+    ex_cap = min(cap, 2)
+
+    def ex2_nerve(cat):
+        """N(cat), Ex N(cat) and Ex² N(cat), at ex_cap."""
+        N = nerve(cat, ex_cap, caps)
+        e1 = ex(N, ex_cap, caps)
+        return N, e1, ex(e1.sset, ex_cap, caps)
+
+    def ex2_nerve_map(F: Functor):
+        NX, e1s, e2s = ex2_nerve(F.source)
+        NY, e1t, e2t = ex2_nerve(F.target)
+        return ex_map(ex_map(nerve_functor(F, NX, NY, ex_cap), e1s, e1t), e2s, e2t)
 
     def apply_U_functor(gm: GeneratedMap):
         F = gm.functor
         if U[0] == "identity":
-            return F, None
+            return F
         if U[0] == "fun_e":
-            Hp = U[1]
-            EHp = chaotic_category(Hp.elements)
+            EHp = chaotic_category(U[1].elements)
             dS = functor_category_data(EHp, F.source, caps)
             dT = functor_category_data(EHp, F.target, caps)
-            from .fincat import postcompose_on_fun
-            return postcompose_on_fun(dS, dT, F).validate(), (dS, dT)
+            return postcompose_on_fun(dS, dT, F).validate()
         if U[0] == "fixed":
             H = U[1]
-            aS = restrict_action(gm.act_src, H)
-            aT = restrict_action(gm.act_dst, H)
-            CH = fixed_category(aS, H)
-            DH = fixed_category(aT, H)
-            return Functor(CH, DH, {x: F.object_map[x] for x in CH.objects},
-                           {m: F.morphism_map[m] for m in CH.morphism_ids}).validate(), None
+            return fixed_functor(F, restrict_action(gm.act_src, H), restrict_action(gm.act_dst, H), H)
         if U[0] == "ex2_nerve":
-            NX = nerve(F.source, cap, caps)
-            NY = nerve(F.target, cap, caps)
-            nf = nerve_functor(F, NX, NY, cap).validate()
-            ex1s, ex1t = ex(NX, min(cap, 2), caps), ex(NY, min(cap, 2), caps)
-            m1 = ex_map(nf, ex1s, ex1t)
-            ex2s, ex2t = ex(ex1s.sset, min(cap, 2), caps), ex(ex1t.sset, min(cap, 2), caps)
-            return ex_map(m1, ex2s, ex2t).validate(), None
+            return ex2_nerve_map(F).validate()
         raise GcatError(f"unknown U tag {U[0]!r}")
 
     # (1) UFj is a weak equivalence, certified by homology
     for gm in gens_J:
-        Uj, _ = apply_U_functor(gm)
-        cert = homology_certificate(Uj, cap, caps) if isinstance(Uj, Functor) \
-            else homology_certificate(Uj, min(cap, 2), caps)
+        Uj = apply_U_functor(gm)
+        cert = homology_certificate(Uj, cap if isinstance(Uj, Functor) else ex_cap, caps)
         report["condition1"].append({"generator": gm.name, "passed": cert.passed,
                                      "certificate": cert.to_doc()})
 
@@ -911,10 +893,9 @@ def check_transfer_conditions(gens_I, gens_J, U, cap=3, caps: SizeCaps = DEFAULT
     for gm in gens_I:
         F = gm.functor
         A, B = F.source, F.target
+        collapse = constant_functor(A, one, "*").validate()
         if gm.group is not None:
             triv = trivial_action(gm.group, one)
-            collapse = Functor(A, one, {x: "*" for x in A.objects},
-                               {mm: "id*" for mm in A.morphism_ids}).validate()
             w = find_dwyer_witness(F, (gm.group, gm.act_src, gm.act_dst), caps)
             if w is None:
                 report["condition2"].append({"generator": gm.name, "passed": False,
@@ -922,8 +903,6 @@ def check_transfer_conditions(gens_I, gens_J, U, cap=3, caps: SizeCaps = DEFAULT
                 continue
             act_D, po = equivariant_dwyer_pushout(gm.act_src, gm.act_dst, triv, F, collapse, w, caps)
         else:
-            collapse = Functor(A, one, {x: "*" for x in A.objects},
-                               {mm: "id*" for mm in A.morphism_ids}).validate()
             w = find_dwyer_witness(F, None, caps)
             if w is None:
                 report["condition2"].append({"generator": gm.name, "passed": False,
@@ -931,19 +910,13 @@ def check_transfer_conditions(gens_I, gens_J, U, cap=3, caps: SizeCaps = DEFAULT
                 continue
             po = dwyer_pushout(A, B, one, F, collapse, w, caps)
             act_D = None
-        D = po.category if not isinstance(po, tuple) else po[1].category
+        D = po.category
         if U[0] == "identity":
-            h1, h2 = _nerve_homology_pair(D, D, cap, caps)
-            report["condition2"].append({"generator": gm.name, "passed": h1 == h2})
+            report["condition2"].append({"generator": gm.name, "passed": True})
         elif U[0] == "fun_e":
-            Hp = U[1]
-            EHp = chaotic_category(Hp.elements)
+            EHp = chaotic_category(U[1].elements)
             w2, data = fun_witness(EHp, w, caps)
             dC = functor_category_data(EHp, one, caps)
-            collapse2 = Functor(data["A"].cat, dC.cat,
-                                {o: dC.object_id(data["A"].functor_of(o).then(collapse))
-                                 for o in data["A"].cat.objects}, {})
-            from .fincat import postcompose_on_fun
             collapse2 = postcompose_on_fun(data["A"], dC, collapse)
             po2 = dwyer_pushout(data["A"].cat, data["B"].cat, dC.cat, w2.i, collapse2, w2, caps)
             dD = functor_category_data(EHp, D, caps)
@@ -956,52 +929,16 @@ def check_transfer_conditions(gens_I, gens_J, U, cap=3, caps: SizeCaps = DEFAULT
             wH = restrict_witness_to_fixed(w, H)
             DH = fixed_category(restrict_action(act_D, H), H)
             CH = fixed_category(restrict_action(trivial_action(gm.group, one), H), H)
-            cH = Functor(wH.i.source, CH, {x: "*" for x in wH.i.source.objects},
-                         {mm: "id*" for mm in wH.i.source.morphism_ids}).validate()
+            cH = constant_functor(wH.i.source, CH, "*").validate()
             poH = dwyer_pushout(wH.i.source, wH.i.target, CH, wH.i, cH, wH, caps)
             h1, h2 = _nerve_homology_pair(DH, poH.category, cap, caps)
             report["condition2"].append({"generator": gm.name, "passed": h1 == h2})
         elif U[0] == "ex2_nerve":
-            ex_cap = min(cap, 2)
-
-            def ex2_of(cat):
-                N = nerve(cat, ex_cap, caps)
-                e1 = ex(N, ex_cap, caps)
-                return ex(e1.sset, ex_cap, caps)
-
-            def ex2_map_of(fun, srccat, dstcat):
-                NX, NY = nerve(srccat, ex_cap, caps), nerve(dstcat, ex_cap, caps)
-                nf = nerve_functor(fun, NX, NY, ex_cap)
-                e1s, e1t = ex(NX, ex_cap, caps), ex(NY, ex_cap, caps)
-                m1 = ex_map(nf, e1s, e1t)
-                e2s, e2t = ex(e1s.sset, ex_cap, caps), ex(e1t.sset, ex_cap, caps)
-                return ex_map(m1, e2s, e2t)
-
-            ui = ex2_map_of(F, A, B)
-            uc = ex2_map_of(collapse, A, one)
-            P, _, _ = pushout_sset(ui, uc, caps)
-            UD = ex2_of(D)
-            h1 = homology(UD.sset, ex_cap)
+            P, _, _ = pushout_sset(ex2_nerve_map(F), ex2_nerve_map(collapse), caps)
+            h1 = homology(ex2_nerve(D)[2].sset, ex_cap)
             h2 = homology(P, ex_cap)
             report["condition2"].append({"generator": gm.name, "passed": h1 == h2})
 
-    # (3) filtered colimits: finite ascending chains have their colimit at the
-    # top, so the comparison functor must be an exact isomorphism
-    chain = [h_sd2(boundary_complex(1)), h_sd2(standard_simplex_complex(1))]
-    top = chain[-1]
-    for gm_idx, gm in enumerate(gens_I[:1]):
-        if U[0] == "fun_e":
-            Hp = U[1]
-            EHp = chaotic_category(Hp.elements)
-            d_top = functor_category_data(EHp, top, caps)
-            d_again = functor_category_data(EHp, top, caps)
-            comparison = identity_functor(d_top.cat)
-            ok = is_isomorphism_functor(comparison) and d_again.cat.objects == d_top.cat.objects
-        else:
-            comparison = identity_functor(top)
-            ok = is_isomorphism_functor(comparison)
-        report["condition3"].append({"chain_length": len(chain), "passed": ok,
-                                     "note": "finite chain colimit taken at the top"})
     report["all_passed"] = all(e["passed"] for key in ("condition1", "condition2", "condition3")
                                for e in report[key])
     return report

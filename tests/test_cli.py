@@ -48,6 +48,17 @@ def test_validate_rejects_bad_table(tmp_path):
     run_cli(["validate", "--input", path], expect=1)
 
 
+def test_negative_cap_is_a_usage_error(tmp_path):
+    path = write(tmp_path, "arrow.json", arrow_category().to_doc())
+    for cap in ("-1", "x"):
+        proc = subprocess.run([sys.executable, "-m", "gcat.cli", "nerve", "--input", path,
+                               "--cap", cap], capture_output=True, text=True)
+        assert proc.returncode == 64 and proc.stdout == ""
+        assert "--cap" in proc.stderr
+    out = json.loads(run_cli(["nerve", "--input", path, "--cap", "0"]))
+    assert out["nondegenerate"] == {"0": 2}
+
+
 def test_homology_of_sphere(tmp_path):
     path = write(tmp_path, "bd2.json", ser.complex_doc(boundary_complex(2)))
     out = json.loads(run_cli(["homology", "--input", path, "--kind", "complex"]))

@@ -9,7 +9,9 @@ from gcat.fincat import (
     discrete_category,
     find_isomorphism,
     identity_functor,
+    inclusion_functor,
     pair_obj,
+    poset_from_relation,
     product_category,
     terminal_category,
 )
@@ -34,6 +36,7 @@ from gcat.sset import (
 )
 from gcat.dwyer import find_dwyer_witness, is_sieve, monoid_dwyer_check
 from gcat.weq import (
+    GeneratedMap,
     GeneratorSpec,
     cell_avatar,
     check_transfer_conditions,
@@ -371,6 +374,26 @@ def test_transfer_identity_trivial():
     I = [generating_maps(GeneratorSpec("thomason", n)) for n in (0, 1)]
     J = [generating_maps(GeneratorSpec("thomason", 1, k=k, acyclic=True)) for k in (0, 1)]
     rep = check_transfer_conditions(I, J, ("identity",), 3)
+    assert rep["all_passed"]
+
+
+def test_transfer_report_names_unchecked_conditions():
+    # condition 3, and condition 2's homology comparison when U is the
+    # identity, cannot fail: the report lists them under not_checked.  The
+    # Dwyer-witness verdict of condition 2 still fails on a sieve with no witness
+    V = poset_from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")]).to_fincat()
+    ab = V.full_subcategory(["a", "b"])
+    I = [generating_maps(GeneratorSpec("thomason", 0)),
+         GeneratedMap("ab->V", inclusion_functor(ab, V))]
+    J = [generating_maps(GeneratorSpec("thomason", 1, k=0, acyclic=True))]
+    rep = check_transfer_conditions(I, J, ("identity",), 3)
+    assert rep["condition3"] == []
+    assert sorted(rep["not_checked"]) == ["condition2", "condition3"]
+    assert [(e["generator"], e["passed"]) for e in rep["condition2"]] == \
+        [(I[0].name, True), ("ab->V", False)]
+    assert not rep["all_passed"]
+    rep = check_transfer_conditions(I[:1], J, ("ex2_nerve",), 1, WIDE_CAPS)
+    assert rep["condition3"] == [] and sorted(rep["not_checked"]) == ["condition3"]
     assert rep["all_passed"]
 
 
