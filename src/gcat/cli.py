@@ -1,13 +1,16 @@
 """gcat command line: document IO, checks, and report emission.
 
 Exit codes: 0 all properties hold, 1 a property is violated (the report names
-it), 2 inconclusive (a cap was hit), 64 usage error, 74 IO error.
+it), 2 inconclusive (a cap was hit), 64 usage error (a bad argument, or a
+malformed document: a JSON error on stdout), 74 IO error (an unreadable file or
+invalid JSON: a JSON error on stderr).
 Identical invocation + seed gives a byte-identical report.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -27,15 +30,30 @@ EXIT_USAGE = 64
 EXIT_IO = 74
 
 
+class MalformedDocument(Exception):
+    """An input document lacks a key or has a value of the wrong shape."""
+
+
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
+        print(json.dumps({"error": f"cannot read {path}: {exc.strerror}"}), file=sys.stderr)
         raise SystemExit(EXIT_IO) from exc
     except json.JSONDecodeError:
         print(json.dumps({"error": f"invalid JSON in {path}"}), file=sys.stderr)
         raise SystemExit(EXIT_IO)
+
+
+@contextlib.contextmanager
+def _parsing(path):
+    """Turn the document read from `path` into objects; a missing key or a
+    value of the wrong shape becomes MalformedDocument, a usage error."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise MalformedDocument(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _emit(doc, args, code=EXIT_OK):
@@ -79,7 +97,8 @@ def _caps(args):
 
 def cmd_validate(args):
     doc = _read_json(args.input)
-    cat = category_from_doc(doc, _caps(args))
+    with _parsing(args.input):
+        cat = category_from_doc(doc, _caps(args))
     body = {"valid": True, "objects": cat.n_objects(), "morphisms": cat.n_morphisms()}
     return _emit(ser.report("validate", {"category": doc}, body), args)
 
@@ -87,7 +106,8 @@ def cmd_validate(args):
 def cmd_nerve(args):
     from .sset import nerve
     doc = _read_json(args.input)
-    cat = category_from_doc(doc, _caps(args))
+    with _parsing(args.input):
+        cat = category_from_doc(doc, _caps(args))
     N = nerve(cat, args.cap, _caps(args))
     body = {"cap": args.cap, "nondegenerate": {str(n): N.n_nondeg(n) for n in range(args.cap + 1)},
             "sset": N.to_doc()}
@@ -97,12 +117,17 @@ def cmd_nerve(args):
 def cmd_homology(args):
     from .sset import complex_to_sset, homology, nerve, sset_from_doc
     doc = _read_json(args.input)
-    if args.kind == "sset":
-        X = sset_from_doc(doc)
-    elif args.kind == "complex":
-        X = complex_to_sset(ser.complex_from_doc(doc), args.cap)
-    else:
-        X = nerve(category_from_doc(doc, _caps(args)), args.cap, _caps(args))
+    with _parsing(args.input):
+        if args.kind == "sset":
+            X = sset_from_doc(doc)
+        elif args.kind == "complex":
+            K = ser.complex_from_doc(doc)
+        else:
+            C = category_from_doc(doc, _caps(args))
+    if args.kind == "complex":
+        X = complex_to_sset(K, args.cap)
+    elif args.kind == "category":
+        X = nerve(C, args.cap, _caps(args))
     h = homology(X, args.cap)
     body = {"cap": args.cap,
             "homology": [{"degree": k, "betti": b, "torsion": list(t)}
@@ -113,7 +138,8 @@ def cmd_homology(args):
 def cmd_sd(args):
     from .sset import sd, sd_complex
     doc = _read_json(args.input)
-    K = ser.complex_from_doc(doc)
+    with _parsing(args.input):
+        K = ser.complex_from_doc(doc)
     P = sd(K)
     SK = sd_complex(K)
     body = {"face_poset": P.to_fincat().to_doc(), "sd_complex": ser.complex_doc(SK)}
@@ -123,7 +149,8 @@ def cmd_sd(args):
 def cmd_ex(args):
     from .sset import ex, sset_from_doc, e_map
     doc = _read_json(args.input)
-    X = sset_from_doc(doc)
+    with _parsing(args.input):
+        X = sset_from_doc(doc)
     try:
         exd = ex(X, args.cap, _caps(args))
     except SizeCapExceeded as exc:
@@ -141,7 +168,8 @@ def cmd_ex(args):
 def cmd_check_dwyer(args):
     from .dwyer import find_dwyer_witness, is_cosieve, is_sieve
     doc = _read_json(args.input)
-    F = ser.functor_from_doc(doc, _caps(args))
+    with _parsing(args.input):
+        F = ser.functor_from_doc(doc, _caps(args))
     sieve = is_sieve(F)
     body = {"sieve": sieve, "cosieve": is_cosieve(F)}
     if not sieve:
@@ -161,11 +189,12 @@ def cmd_pushout(args):
     from .dwyer import dwyer_pushout, find_dwyer_witness, pushout_cross_check
     doc = _read_json(args.input)
     caps = _caps(args)
-    A = category_from_doc(doc["A"], caps)
-    B = category_from_doc(doc["B"], caps)
-    C = category_from_doc(doc["C"], caps)
-    i = ser.functor_from_maps(doc["i"], A, B)
-    c = ser.functor_from_maps(doc["c"], A, C)
+    with _parsing(args.input):
+        A = category_from_doc(doc["A"], caps)
+        B = category_from_doc(doc["B"], caps)
+        C = category_from_doc(doc["C"], caps)
+        i = ser.functor_from_maps(doc["i"], A, B)
+        c = ser.functor_from_maps(doc["c"], A, C)
     try:
         w = find_dwyer_witness(i, None, caps)
     except GcatError:
@@ -201,9 +230,11 @@ def cmd_pushout(args):
 def cmd_fixed(args):
     from .actions import fixed_category, subgroup_key
     doc = _read_json(args.input)
-    A = ser.action_from_doc(doc, _caps(args))
+    with _parsing(args.input):
+        A = ser.action_from_doc(doc, _caps(args))
     fam_doc = _read_json(args.family)
-    _, family = ser.load_family(fam_doc)
+    with _parsing(args.family):
+        _, family = ser.load_family(fam_doc)
     out = {}
     for H in family:
         out[subgroup_key(H)] = fixed_category(A, H).to_doc()
@@ -215,9 +246,11 @@ def cmd_hofix(args):
     from .actions import pair_key
     from .weq import homotopy_fixed_points
     doc = _read_json(args.input)
-    A = ser.action_from_doc(doc, _caps(args))
+    with _parsing(args.input):
+        A = ser.action_from_doc(doc, _caps(args))
     pairs_doc = _read_json(args.pairs)
-    _, _, pairs = ser.load_pairs(pairs_doc)
+    with _parsing(args.pairs):
+        _, _, pairs = ser.load_pairs(pairs_doc)
     out = {}
     for H, phi in pairs:
         hd = homotopy_fixed_points(A, H, phi, _caps(args))
@@ -229,17 +262,18 @@ def cmd_hofix(args):
 def cmd_weq(args):
     from .weq import equivalence_certificate, homology_certificate
     doc = _read_json(args.input)
-    if "values" in doc:
-        f = ser.sset_map_from_doc(doc)
+    with _parsing(args.input):
+        is_sset_map = "values" in doc
+        f = ser.sset_map_from_doc(doc) if is_sset_map else ser.functor_from_doc(doc, _caps(args))
+    if is_sset_map:
         nec = homology_certificate(f, args.cap, _caps(args))
         body = {"sufficient": None, "necessary": nec.to_doc()}
         code = EXIT_OK if nec.passed else EXIT_VIOLATED
         if not nec.passed:
             body["violated"] = "homology/pi0 mismatch"
         return _emit(ser.report("weq", {"map": doc}, body), args, code)
-    F = ser.functor_from_doc(doc, _caps(args))
-    suff = equivalence_certificate(F, caps=_caps(args))
-    nec = homology_certificate(F, args.cap, _caps(args))
+    suff = equivalence_certificate(f, caps=_caps(args))
+    nec = homology_certificate(f, args.cap, _caps(args))
     body = {"sufficient": suff.to_doc() if suff else None, "necessary": nec.to_doc()}
     code = EXIT_OK if (suff is not None or nec.passed) else EXIT_VIOLATED
     if not nec.passed:
@@ -252,11 +286,13 @@ def cmd_gglobal_weq(args):
     from .weq import g_global_we
     doc = _read_json(args.input)
     caps = _caps(args)
-    act_C = ser.action_from_doc(doc["source_action"], caps)
-    act_D = ser.action_from_doc(doc["target_action"], caps)
-    F = ser.functor_from_maps(doc["functor"], act_C.carrier, act_D.carrier)
+    with _parsing(args.input):
+        act_C = ser.action_from_doc(doc["source_action"], caps)
+        act_D = ser.action_from_doc(doc["target_action"], caps)
+        F = ser.functor_from_maps(doc["functor"], act_C.carrier, act_D.carrier)
     pairs_doc = _read_json(args.pairs)
-    _, _, pairs = ser.load_pairs(pairs_doc)
+    with _parsing(args.pairs):
+        _, _, pairs = ser.load_pairs(pairs_doc)
     cert = g_global_we(F, act_C, act_D, pairs, args.cap, caps)
     body = {"certificate": cert.to_doc(),
             "scope": "supplied (H, phi) pairs only"}
@@ -265,21 +301,25 @@ def cmd_gglobal_weq(args):
 
 
 def cmd_saturate(args):
-    from .actions import cell_category
+    from .actions import cell_category, subgroup_from_elements
     from .weq import cell_avatar, poset_avatar, saturation_check
     spec = _read_json(args.input)
     pairs_doc = _read_json(args.pairs)
-    G, Hg, pairs = ser.load_pairs(pairs_doc)
+    with _parsing(args.pairs):
+        G, Hg, pairs = ser.load_pairs(pairs_doc)
     caps = _caps(args)
-    if spec["kind"] == "poset":
-        P = category_from_doc(spec["category"], caps)
+    with _parsing(args.input):
+        kind = spec["kind"]
+        if kind == "poset":
+            P = category_from_doc(spec["category"], caps)
+        elif kind == "cell":
+            K = named_group(spec["K"])
+            H = subgroup_from_elements(K, spec["H"])
+            phi = dict(spec["phi"])
+    if kind == "poset":
         avatar = poset_avatar(P, Hg, G)
-    elif spec["kind"] == "cell":
-        from .actions import subgroup_from_elements
-        K = named_group(spec["K"])
-        H = subgroup_from_elements(K, spec["H"])
-        cell = cell_category(K, G, H, dict(spec["phi"]), caps)
-        avatar = cell_avatar(cell)
+    elif kind == "cell":
+        avatar = cell_avatar(cell_category(K, G, H, phi, caps))
     else:
         print("unknown avatar kind", file=sys.stderr)
         return EXIT_USAGE
@@ -368,12 +408,21 @@ def cmd_corpus(args):
     return _emit(ser.report("corpus", {}, body, seed=args.seed), args)
 
 
-def non_negative_int(text):
-    """argparse type for caps: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
+def _int_at_least(low):
+    """argparse type: an integer >= low."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
+
+
+non_negative_int = _int_at_least(0)
+positive_int = _int_at_least(1)
 
 
 def build_parser():
@@ -389,7 +438,7 @@ def build_parser():
         if cap:
             sp.add_argument("--cap", type=non_negative_int, default=3)
         if word_cap:
-            sp.add_argument("--word-cap", dest="word_cap", type=int, default=16)
+            sp.add_argument("--word-cap", dest="word_cap", type=positive_int, default=16)
         if seed:
             sp.add_argument("--seed", type=int, default=None)
 
@@ -452,6 +501,9 @@ def main(argv=None):
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except MalformedDocument as exc:
+        print(ser.canonical_json({"error": "malformed document", "detail": str(exc)}))
+        return EXIT_USAGE
     except Inconclusive as exc:
         print(ser.canonical_json({"verdict": "inconclusive", "detail": str(exc)}))
         return EXIT_INCONCLUSIVE

@@ -74,10 +74,6 @@ class FinCat:
     def is_identity(self, m):
         return self.identity.get(self.src[m]) == m and self.src[m] == self.dst[m]
 
-    def comp(self, g, f):
-        """g∘f for composable f, g."""
-        return self.compose[(g, f)]
-
     def n_objects(self):
         return len(self.objects)
 

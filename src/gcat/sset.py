@@ -10,12 +10,17 @@ Also here: ordered simplicial complexes with barycentric subdivision and the
 poset-level hSd², nerves of categories (equivariant when an action is
 present), Kan's Ex with its unit, integer homology via Smith normal form,
 and capped Kan-fibration verdicts.
+
+An n-simplex of Ex(X) is an Sd-map Sd Δⁿ -> X, stored as a tuple of normal
+forms of X indexed by the chain order of `_SdData(n).chains`.  Restricting an
+Sd-map along a monotone map goes through `_restrict` and its cached table, and
+both Kan checkers enumerate horns with `_horns`.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_CAPS, SizeCaps
 from .errors import GcatError, NotAPosetNerve, SizeCapExceeded
@@ -71,13 +76,14 @@ def surjections(n, m):
 # finite simplicial sets
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FinSSet:
     """Nondegenerate simplices per dimension with faces in normal form."""
 
     cap: int
     cells: dict   # dim -> tuple of nondegenerate simplex ids (sorted)
     faces: dict   # (dim, id) -> tuple of normal forms (length dim+1)
+    _face_memo: dict = field(default_factory=dict, init=False, repr=False)  # dim -> face_index
 
     def n_nondeg(self, n):
         return len(self.cells.get(n, ()))
@@ -117,10 +123,6 @@ class FinSSet:
     def face(self, nf, i):
         return self.pull(nf, delta(i, self.dim_of_nf(nf)))
 
-    def degeneracy(self, nf, i):
-        core, alpha = nf
-        return (core, compose_tuples(alpha, sigma(i, self.dim_of_nf(nf))))
-
     def all_simplices(self, n):
         """All n-simplices (including degenerate) as normal forms."""
         out = []
@@ -129,6 +131,19 @@ class FinSSet:
                 for alpha in surjections(n, m):
                     out.append((cid, alpha))
         return out
+
+    def face_index(self, n):
+        """The n-simplices in `all_simplices` order, each with its face tuple,
+        and the same simplices grouped by face tuple; memoized per dimension.
+        A 0-simplex has the empty face tuple."""
+        if n not in self._face_memo:
+            faces_of = {v: tuple(self.face(v, j) for j in range(n + 1)) if n else ()
+                        for v in self.all_simplices(n)}
+            by_faces = {}
+            for v, fs in faces_of.items():
+                by_faces.setdefault(fs, []).append(v)
+            self._face_memo[n] = faces_of, by_faces
+        return self._face_memo[n]
 
     def total_count(self, n):
         from math import comb
@@ -809,7 +824,10 @@ def pi0_map(f: SSetMap):
 
 class _SdData:
     """Combinatorics of Sd Δⁿ: nondegenerate simplices are strict chains in
-    the face poset of Δⁿ."""
+    the face poset of Δⁿ.
+
+    `chains` fixes the chain order (by dimension, then lexicographic) in which
+    every Sd-map Sd Δⁿ -> X is stored, as a tuple of normal forms."""
 
     _cache = {}
 
@@ -817,46 +835,45 @@ class _SdData:
         if n in cls._cache:
             return cls._cache[n]
         self = super().__new__(cls)
-        self.n = n
         faces = []
         for k in range(1, n + 2):
             faces.extend(itertools.combinations(range(n + 1), k))
         faces.sort(key=lambda f: (len(f), f))
-        self.faces = faces
-        self.chains = {}
-        self.chain_index = {}
+        chains = []
 
         def grow(chain):
-            d = len(chain) - 1
-            self.chains.setdefault(d, []).append(tuple(chain))
+            chains.append(tuple(chain))
             for f in faces:
                 if set(chain[-1]) < set(f):
                     grow(chain + [f])
 
         for f in faces:
             grow([f])
-        for d in self.chains:
-            self.chains[d].sort()
-            for i, c in enumerate(self.chains[d]):
-                self.chain_index[c] = (d, i)
-        self.max_dim = max(self.chains)
-        # search order groups chains by their top face so constraints bind early
+        chains.sort(key=lambda c: (len(c), c))
+        self.chains = tuple(chains)
+        self.position = {c: i for i, c in enumerate(chains)}
+        # search order groups chains by their top face so constraints bind
+        # early; each step is (position, dimension, positions of its faces)
         face_pos = {f: i for i, f in enumerate(faces)}
-        self.search_order = sorted(
-            (c for d in self.chains for c in self.chains[d]),
-            key=lambda c: (face_pos[c[-1]], len(c), c),
-        )
+        self.search_steps = tuple(
+            (self.position[c], len(c) - 1,
+             tuple(self.position[c[:j] + c[j + 1:]] for j in range(len(c))) if len(c) > 1 else ())
+            for c in sorted(chains, key=lambda c: (face_pos[c[-1]], len(c), c)))
+        self._restrictions = {}
         cls._cache[n] = self
         return self
 
-    def chain_face(self, chain, j):
-        return chain[:j] + chain[j + 1:]
-
-    def ordered_chains(self, up_to):
-        out = []
-        for d in range(up_to + 1):
-            out.extend(self.chains.get(d, []))
-        return out
+    def restriction(self, f):
+        """The table of Sd(f) for a monotone f: [m] -> [n]: for each chain of
+        Sd Δᵐ, the position of its strictified image here and the collapsing
+        surjection (None when nothing collapses)."""
+        if f not in self._restrictions:
+            table = []
+            for chain in _SdData(len(f) - 1).chains:
+                strict, beta = _strictify(tuple(tuple(sorted({f[v] for v in F})) for F in chain))
+                table.append((self.position[strict], None if is_identity_alpha(beta) else beta))
+            self._restrictions[f] = tuple(table)
+        return self._restrictions[f]
 
 
 def _strictify(seq):
@@ -870,50 +887,40 @@ def _strictify(seq):
     return tuple(strict), tuple(beta)
 
 
-def _enumerate_sd_maps(n, X: FinSSet, caps: SizeCaps, prescribed=None, first_only=False,
-                       counter=None):
-    """All simplicial maps Sd Δⁿ -> X as assignments chain -> normal form.
+def _restrict(X: FinSSet, n, psi, f):
+    """ψ∘Sd(f): the Sd-map ψ: Sd Δⁿ -> X restricted along a monotone f: [m] -> [n]."""
+    return tuple(psi[pos] if beta is None else X.pull(psi[pos], beta)
+                 for pos, beta in _SdData(n).restriction(f))
 
-    `prescribed` pins values on some chains; yields dicts.
+
+def _enumerate_sd_maps(n, X: FinSSet, caps: SizeCaps, prescribed=None, first_only=False):
+    """All simplicial maps Sd Δⁿ -> X, as tuples of normal forms in chain order.
+
+    `prescribed` pins the values at some chain positions.
     """
-    sdd = _SdData(n)
-    order = sdd.search_order
-    # candidates per dimension, indexed by their full face tuple
-    pool0 = [(v, (0,)) for v in X.cells.get(0, ())]
-    by_faces = {}
-    for d in range(1, sdd.max_dim + 1):
-        index = {}
-        for v in X.all_simplices(d):
-            key = tuple(X.face(v, j) for j in range(d + 1))
-            index.setdefault(key, []).append(v)
-        by_faces[d] = index
-    if counter is None:
-        counter = [0]
-    assignment = {}
+    steps = _SdData(n).search_steps
+    by_faces = [X.face_index(d)[1] for d in range(n + 1)]
+    counter = 0
+    assignment = [None] * len(steps)
     out = []
 
     def backtrack(idx):
-        counter[0] += 1
-        if counter[0] > caps.max_candidates:
-            raise SizeCapExceeded("Sd-map enumeration", counter[0], caps.max_candidates)
-        if idx == len(order):
-            out.append(dict(assignment))
+        nonlocal counter
+        counter += 1
+        if counter > caps.max_candidates:
+            raise SizeCapExceeded("Sd-map enumeration", counter, caps.max_candidates)
+        if idx == len(steps):
+            out.append(tuple(assignment))
             return not first_only
-        chain = order[idx]
-        d = len(chain) - 1
-        if d == 0:
-            cands = pool0
-        else:
-            key = tuple(assignment[sdd.chain_face(chain, j)] for j in range(d + 1))
-            cands = by_faces[d].get(key, ())
-        if prescribed and chain in prescribed:
-            want = prescribed[chain]
-            cands = [v for v in cands if v == want]
+        pos, d, face_pos = steps[idx]
+        cands = by_faces[d].get(tuple(assignment[p] for p in face_pos), ())
+        if prescribed and pos in prescribed:
+            want = prescribed[pos]
+            cands = [want] if want in cands else ()
         for v in cands:
-            assignment[chain] = v
+            assignment[pos] = v
             if not backtrack(idx + 1):
                 return False
-            del assignment[chain]
         return True
 
     backtrack(0)
@@ -922,26 +929,12 @@ def _enumerate_sd_maps(n, X: FinSSet, caps: SizeCaps, prescribed=None, first_onl
 
 @dataclass(eq=False)
 class ExSSet:
-    """Materialized Ex(X) with the assignment dictionaries kept around."""
+    """Materialized Ex(X) with the Sd-maps behind its simplices kept around."""
 
     base: FinSSet
     sset: FinSSet
-    level_nf: dict      # n -> {assignment key: normal form}
-    level_assign: dict  # n -> {nondeg id: assignment dict}
-
-    def assignment_key(self, n, assignment):
-        sdd = _SdData(n)
-        return tuple(assignment[c] for c in sdd.ordered_chains(sdd.max_dim))
-
-    def nf_of_assignment(self, n, assignment):
-        return self.level_nf[n][self.assignment_key(n, assignment)]
-
-
-def _sd_sigma_chain_value(X: FinSSet, psi, chain, j, n):
-    """Value of psi∘Sd(σ_j) at a strict chain of Sd Δⁿ (psi at level n-1)."""
-    image = [tuple(sorted({v if v <= j else v - 1 for v in F})) for F in chain]
-    strict, beta = _strictify(image)
-    return X.pull(psi[strict], beta)
+    level_nf: dict      # n -> {Sd-map: normal form}
+    level_assign: dict  # n -> {nondeg id: Sd-map}
 
 
 def ex(X: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
@@ -952,55 +945,28 @@ def ex(X: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
     level_assign = {}
     cells = {}
     faces = {}
-    prev_maps = None
     for n in range(cap + 1):
         maps_n = _enumerate_sd_maps(n, X, caps)
-        sdd = _SdData(n)
-        order = sdd.ordered_chains(sdd.max_dim)
-
-        def key_of(assignment, _order=order):
-            return tuple(assignment[c] for c in _order)
-
         nf_table = {}
         if n > 0:
             # mark degenerate maps: s_j of level-(n-1) maps
-            for pk, psi in prev_maps.items():
-                pc, pa = level_nf[n - 1][pk]
+            for psi, (pc, pa) in level_nf[n - 1].items():
                 for j in range(n):
-                    im = {}
-                    for chain in order:
-                        im[chain] = _sd_sigma_chain_value(X, psi, chain, j, n)
-                    nf_table.setdefault(key_of(im), (pc, compose_tuples(pa, sigma(j, n - 1))))
-        nondeg = sorted(k for k in map(key_of, maps_n) if k not in nf_table)
-        ids = {}
-        for i, k in enumerate(nondeg):
-            sid = f"x{n}.{i:05d}"
-            ids[k] = sid
-            nf_table[k] = (sid, tuple(range(n + 1)))
+                    s = sigma(j, n - 1)
+                    nf_table.setdefault(_restrict(X, n - 1, psi, s), (pc, compose_tuples(pa, s)))
+        nondeg = sorted(m for m in maps_n if m not in nf_table)
+        ids = {m: f"x{n}.{i:05d}" for i, m in enumerate(nondeg)}
+        for m, sid in ids.items():
+            nf_table[m] = (sid, tuple(range(n + 1)))
         if len(nondeg) > caps.max_simplices:
             raise SizeCapExceeded("Ex simplices", len(nondeg), caps.max_simplices)
-        level_nf[n] = {key_of(m): nf_table[key_of(m)] for m in maps_n}
-        level_assign[n] = {}
-        for m in maps_n:
-            k = key_of(m)
-            if k in ids:
-                level_assign[n][ids[k]] = m
+        level_nf[n] = {m: nf_table[m] for m in maps_n}
+        level_assign[n] = {sid: m for m, sid in ids.items()}
         cells[n] = tuple(sorted(ids.values()))
         if n > 0:
-            sdd_prev = _SdData(n - 1)
-            order_prev = sdd_prev.ordered_chains(sdd_prev.max_dim)
-            for k, sid in ids.items():
-                assignment = level_assign[n][sid]
-                fs = []
-                for i in range(n + 1):
-                    dl = delta(i, n)
-                    restricted = {}
-                    for chain in order_prev:
-                        image = tuple(tuple(sorted(dl[v] for v in F)) for F in chain)
-                        restricted[chain] = assignment[image]
-                    fs.append(level_nf[n - 1][tuple(restricted[c] for c in order_prev)])
-                faces[(n, sid)] = tuple(fs)
-        prev_maps = {key_of(m): m for m in maps_n}
+            for m, sid in ids.items():
+                faces[(n, sid)] = tuple(level_nf[n - 1][_restrict(X, n, m, delta(i, n))]
+                                        for i in range(n + 1))
     S = FinSSet(cap, {n: v for n, v in cells.items() if v}, faces)
     S.validate(caps)
     return ExSSet(X, S, level_nf, level_assign)
@@ -1012,25 +978,21 @@ def e_map(X: FinSSet, exd: ExSSet) -> SSetMap:
     for n in X.dims():
         if n > exd.sset.cap:
             break
-        sdd = _SdData(n)
+        chains = _SdData(n).chains
         for sid in X.cells[n]:
             nf = X.nf_of(n, sid)
-            assignment = {}
-            for chain in sdd.ordered_chains(sdd.max_dim):
-                lv = tuple(max(F) for F in chain)
-                assignment[chain] = X.pull(nf, lv)
-            vals[(n, sid)] = exd.nf_of_assignment(n, assignment)
+            psi = tuple(X.pull(nf, tuple(max(F) for F in chain)) for chain in chains)
+            vals[(n, sid)] = exd.level_nf[n][psi]
     return SSetMap(X, exd.sset, vals).validate()
 
 
 def ex_map(f: SSetMap, exd_src: ExSSet, exd_dst: ExSSet) -> SSetMap:
-    """Ex(f) by postcomposition of assignments."""
+    """Ex(f) by postcomposition of Sd-maps."""
     vals = {}
     for n in exd_src.sset.dims():
         for sid in exd_src.sset.cells[n]:
-            assignment = exd_src.level_assign[n][sid]
-            image = {c: f.apply(v) for c, v in assignment.items()}
-            vals[(n, sid)] = exd_dst.nf_of_assignment(n, image)
+            psi = exd_src.level_assign[n][sid]
+            vals[(n, sid)] = exd_dst.level_nf[n][tuple(f.apply(v) for v in psi)]
     return SSetMap(exd_src.sset, exd_dst.sset, vals)
 
 
@@ -1054,65 +1016,66 @@ class KanVerdict:
         return self.passed
 
 
-def _horns(X: FinSSet, n, k, caps: SizeCaps):
-    """All horn data: tuples x_j (j != k) of (n-1)-simplices with matching faces."""
-    idx = [j for j in range(n + 1) if j != k]
-    simplices = X.all_simplices(n - 1)
-    out = []
-    counter = [0]
+def _horns(candidates: dict, n, k, caps: SizeCaps):
+    """All horns Λⁿ_k: dicts j -> x_j (j != k) of (n-1)-simplices with
+    d_i x_j = d_{j-1} x_i for i < j.
 
-    def backtrack(pos, chosen):
-        counter[0] += 1
-        if counter[0] > caps.max_candidates:
-            raise SizeCapExceeded("horn enumeration", counter[0], caps.max_candidates)
+    `candidates` maps each (n-1)-simplex to its face tuple, in enumeration
+    order; horns come out in the lexicographic order this induces.  Every
+    search node counts against `caps.max_candidates`.
+    """
+    idx = [j for j in range(n + 1) if j != k]
+    # at step pos, the candidates grouped by the faces the earlier x_i pin
+    by_pos = []
+    for pos in range(len(idx)):
+        group = {}
+        for v, fs in candidates.items():
+            group.setdefault(tuple(fs[i] for i in idx[:pos]), []).append(v)
+        by_pos.append(group)
+    out = []
+    chosen = {}
+    counter = 0
+
+    def backtrack(pos):
+        nonlocal counter
+        counter += 1
+        if counter > caps.max_candidates:
+            raise SizeCapExceeded("horn enumeration", counter, caps.max_candidates)
         if pos == len(idx):
             out.append(dict(chosen))
             return
         j = idx[pos]
-        for v in simplices:
-            ok = True
-            for i in idx[:pos]:
-                if i < j:
-                    # d_i x_j = d_{j-1} x_i
-                    if n >= 2 and X.face(v, i) != X.face(chosen[i], j - 1):
-                        ok = False
-                        break
-                else:
-                    if n >= 2 and X.face(v, j) != X.face(chosen[i], j):
-                        ok = False
-                        break
-            if ok:
-                chosen[j] = v
-                backtrack(pos + 1, chosen)
-                del chosen[j]
+        for v in by_pos[pos].get(tuple(candidates[chosen[i]][j - 1] for i in idx[:pos]), ()):
+            chosen[j] = v
+            backtrack(pos + 1)
+        chosen.pop(j, None)
 
-    backtrack(0, {})
+    backtrack(0)
     return out
 
 
 def is_kan_fibration(f: SSetMap, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdict:
-    """Exhaustive horn-lifting check for n <= cap; the verdict carries its cap."""
+    """Exhaustive horn-lifting check for n <= cap; the verdict carries its cap.
+
+    `problems_checked` counts lifting problems: pairs of a horn in X and an
+    n-simplex y of Y with d_j y = f(x_j) for every j != k.
+    """
     X, Y = f.source, f.target
     checked = 0
     for n in range(1, cap + 1):
-        x_simplices = X.all_simplices(n)
-        y_simplices = Y.all_simplices(n)
+        horn_cands = X.face_index(n - 1)[0]
+        x_faces, y_faces = X.face_index(n)[0], Y.face_index(n)[0]
         for k in range(n + 1):
-            for horn in _horns(X, n, k, caps):
-                fimage = {j: f.apply(v) for j, v in horn.items()}
-                for y in y_simplices:
-                    if any(Y.face(y, j) != fimage[j] for j in horn):
-                        continue
+            idx = [j for j in range(n + 1) if j != k]
+            ys = {}
+            for y, fs in y_faces.items():
+                ys.setdefault(tuple(fs[j] for j in idx), []).append(y)
+            lifts = {(f.apply(z), tuple(fs[j] for j in idx)) for z, fs in x_faces.items()}
+            for horn in _horns(horn_cands, n, k, caps):
+                xs = tuple(horn[j] for j in idx)
+                for y in ys.get(tuple(f.apply(x) for x in xs), ()):
                     checked += 1
-                    lift = None
-                    for z in x_simplices:
-                        if f.apply(z) != y:
-                            continue
-                        if any(X.face(z, j) != horn[j] for j in horn):
-                            continue
-                        lift = z
-                        break
-                    if lift is None:
+                    if (y, xs) not in lifts:
                         return KanVerdict(False, cap, checked, (n, k, sorted(horn.items()), y))
     return KanVerdict(True, cap, checked)
 
@@ -1128,69 +1091,25 @@ def is_kan_complex(X: FinSSet, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdi
 def is_kan_complex_lazy_ex(base: FinSSet, cap=2, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdict:
     """Kan check of Ex(base) without materializing it.
 
-    Simplices of Ex(base) are handled as raw Sd-map assignments; fillers are
-    found by constrained backtracking.  `base` must be materialized to `cap`.
+    Simplices of Ex(base) are handled as raw Sd-maps; fillers are found by
+    constrained backtracking.  `problems_checked` counts horns (over a point
+    each horn is one lifting problem).  `base` must be materialized to `cap`.
     """
     checked = 0
     for n in range(1, cap + 1):
-        maps_prev = _enumerate_sd_maps(n - 1, base, caps)
+        cands = {psi: tuple(_restrict(base, n - 1, psi, delta(i, n - 1)) for i in range(n)) if n > 1 else ()
+                 for psi in _enumerate_sd_maps(n - 1, base, caps)}
         sdd = _SdData(n)
-        sdd_prev = _SdData(n - 1)
-        chains_prev = sdd_prev.ordered_chains(sdd_prev.max_dim)
         for k in range(n + 1):
-            idx = [j for j in range(n + 1) if j != k]
-            # horn data: assignments psi_j with matching restrictions
-            restr = {}
-            for j in range(n + 1):
-                dl = delta(j, n)
-                restr[j] = {c: tuple(tuple(sorted(dl[v] for v in F)) for F in c) for c in chains_prev}
-
-            def compatible(chosen, j, psi):
-                for i in chosen:
-                    a, b = (i, j) if i < j else (j, i)
-                    # shared face: d_a of the b-th face equals d_{b-1} of the a-th
-                    da = delta(a, n - 1)
-                    db1 = delta(b - 1, n - 1)
-                    prev_chains = _SdData(n - 2).ordered_chains(_SdData(n - 2).max_dim) if n >= 2 else []
-                    for c in prev_chains:
-                        ca = tuple(tuple(sorted(da[v] for v in F)) for F in c)
-                        cb = tuple(tuple(sorted(db1[v] for v in F)) for F in c)
-                        left = psi[ca] if j > i else chosen[i][ca]
-                        right = chosen[i][cb] if j > i else psi[cb]
-                        if left != right:
-                            return False
-                return True
-
-            horns = []
-            def grow(pos, chosen):
-                if pos == len(idx):
-                    horns.append(dict(chosen))
-                    return
-                j = idx[pos]
-                for psi in maps_prev:
-                    if compatible(chosen, j, psi):
-                        chosen[j] = psi
-                        grow(pos + 1, chosen)
-                        del chosen[j]
-            grow(0, {})
-            for horn in horns:
+            for horn in _horns(cands, n, k, caps):
                 checked += 1
+                # the filler's values on the chains of each horn face
                 prescribed = {}
-                consistent = True
                 for j, psi in horn.items():
-                    for c in chains_prev:
-                        target_chain = restr[j][c]
-                        v = psi[c]
-                        if prescribed.get(target_chain, v) != v:
-                            consistent = False
-                            break
-                        prescribed[target_chain] = v
-                    if not consistent:
-                        break
-                if not consistent:
-                    return KanVerdict(False, cap, checked, (n, k, "inconsistent horn"))
-                found = _enumerate_sd_maps(n, base, caps, prescribed=prescribed, first_only=True)
-                if not found:
+                    for (pos, _), v in zip(sdd.restriction(delta(j, n)), psi):
+                        if prescribed.setdefault(pos, v) != v:
+                            return KanVerdict(False, cap, checked, (n, k, "inconsistent horn"))
+                if not _enumerate_sd_maps(n, base, caps, prescribed, first_only=True):
                     return KanVerdict(False, cap, checked, (n, k, "no filler"))
     return KanVerdict(True, cap, checked)
 

@@ -268,7 +268,9 @@ class HoFixData:
     def object_id(self, idx):
         return f"P{idx:03d}"
 
-    def encoding(self, ob, u):
+    @staticmethod
+    def encoding(ob, u):
+        """The canonical key of an object (ob, u) in `index_of`."""
         return (tuple(sorted(ob.items())), tuple(sorted(u.items())))
 
 
@@ -378,12 +380,12 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
 
         assign_u(0, dict(u))
 
-    functors.sort(key=lambda fu: (tuple(sorted(fu[0].items())), tuple(sorted(fu[1].items()))))
+    functors.sort(key=lambda fu: HoFixData.encoding(*fu))
     if len(functors) > caps.max_objects:
         raise SizeCapExceeded("homotopy-fixed-point objects", len(functors), caps.max_objects)
     index_of = {}
     for idx, (ob, u) in enumerate(functors):
-        index_of[(tuple(sorted(ob.items())), tuple(sorted(u.items())))] = idx
+        index_of[HoFixData.encoding(ob, u)] = idx
 
     # morphisms: base components with naturality-derived components, fixed
     def derived_components(src, dst, eta0):
@@ -451,8 +453,7 @@ def hofix_functor(F: Functor, src: HoFixData, dst: HoFixData) -> Functor:
     for idx, (ob, u) in enumerate(src.functors):
         ob2 = {x: F.object_map[v] for x, v in ob.items()}
         u2 = {k: F.morphism_map[v] for k, v in u.items()}
-        om[f"P{idx:03d}"] = dst.object_id(dst.index_of[(tuple(sorted(ob2.items())),
-                                                        tuple(sorted(u2.items())))])
+        om[f"P{idx:03d}"] = dst.object_id(dst.index_of[dst.encoding(ob2, u2)])
     mm = {}
     for mid, (s, t) in ((m, (s, t)) for m, s, t in src.category.morphisms):
         eta0 = src.mor_component[mid]
@@ -680,8 +681,7 @@ def saturation_check(avatar: SaturationAvatar, pairs, caps: SizeCaps = DEFAULT_C
         for x in c_fixed.objects:
             ob = {k: avatar.action.ob(pair_obj(k, G.unit), x) for k in Hp.elements}
             u = {(base, k): avatar.coherence[(base, k)][x] for k in Hp.elements}
-            om[x] = fun_fixed.object_id(fun_fixed.index_of[(tuple(sorted(ob.items())),
-                                                            tuple(sorted(u.items())))])
+            om[x] = fun_fixed.object_id(fun_fixed.index_of[fun_fixed.encoding(ob, u)])
         mm = {}
         for m in c_fixed.morphism_ids:
             a2 = int(om[c_fixed.src[m]][1:])

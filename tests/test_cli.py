@@ -50,13 +50,37 @@ def test_validate_rejects_bad_table(tmp_path):
 
 def test_negative_cap_is_a_usage_error(tmp_path):
     path = write(tmp_path, "arrow.json", arrow_category().to_doc())
-    for cap in ("-1", "x"):
-        proc = subprocess.run([sys.executable, "-m", "gcat.cli", "nerve", "--input", path,
-                               "--cap", cap], capture_output=True, text=True)
+    span = write(tmp_path, "span.json", span_doc())
+    for command, flag, value in [("nerve", "--cap", "-1"), ("nerve", "--cap", "x"),
+                                 ("pushout", "--word-cap", "-3"), ("pushout", "--word-cap", "x")]:
+        doc = span if command == "pushout" else path
+        proc = subprocess.run([sys.executable, "-m", "gcat.cli", command, "--input", doc,
+                               flag, value], capture_output=True, text=True)
         assert proc.returncode == 64 and proc.stdout == ""
-        assert "--cap" in proc.stderr
+        assert flag in proc.stderr
     out = json.loads(run_cli(["nerve", "--input", path, "--cap", "0"]))
     assert out["nondegenerate"] == {"0": 2}
+
+
+@pytest.mark.parametrize("command,text", [("validate", "{}"), ("validate", "[1, 2]"),
+                                          ("pushout", "{}")])
+def test_malformed_document_is_a_usage_error(tmp_path, command, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    proc = subprocess.run([sys.executable, "-m", "gcat.cli", command, "--input", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 64, (proc.stdout, proc.stderr)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "malformed document"
+    assert "Traceback" not in proc.stderr
+
+
+def test_missing_input_file_is_an_io_error(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    proc = subprocess.run([sys.executable, "-m", "gcat.cli", "validate", "--input", missing],
+                          capture_output=True, text=True)
+    assert proc.returncode == 74 and proc.stdout == ""
+    assert missing in json.loads(proc.stderr)["error"]
 
 
 def test_homology_of_sphere(tmp_path):

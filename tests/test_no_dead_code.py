@@ -1,8 +1,10 @@
-"""Every top-level function in src/gcat/ is used somewhere.
+"""Every top-level function, and every method of a top-level class, in
+src/gcat/ is used somewhere.
 
-A function counts as used when its name is loaded (as a name or an
+A function or method counts as used when its name is loaded (as a name or an
 attribute) anywhere in src/, scripts/, tests/ or perfbench/ outside its own
-definition.  Importing a name does not count as using it.
+definition.  Importing a name does not count as using it.  Dunder methods are
+called by the language and are not checked.
 """
 
 import ast
@@ -15,30 +17,49 @@ SEARCHED = [ROOT / d for d in ("src", "scripts", "tests", "perfbench")]
 
 
 def used_names(tree):
-    """Multiset of names loaded by `tree`, as bare names or attributes."""
-    names = Counter()
+    """Multisets of the names `tree` loads as bare names and as attributes."""
+    names, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
-    return names
+            attributes[node.attr] += 1
+    return names, attributes
+
+
+def definitions(tree):
+    """Top-level functions and the non-dunder methods of top-level classes,
+    as (qualified name, node, whether bare-name loads count as uses).  A
+    method is reached only through an attribute, so only attributes count."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions):
+            yield node.name, node, True
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, functions) and not (
+                        item.name.startswith("__") and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item, False
 
 
 def unreferenced_functions(package=PACKAGE, searched=SEARCHED):
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
              for root in searched if root.is_dir() for path in sorted(root.rglob("*.py"))}
-    everywhere = Counter()
+    names, attributes = Counter(), Counter()
     for tree in trees.values():
-        everywhere.update(used_names(tree))
+        tree_names, tree_attributes = used_names(tree)
+        names.update(tree_names)
+        attributes.update(tree_attributes)
     dead = []
     for path in sorted(package.glob("*.py")):
         tree = trees.get(path) or ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                inside = used_names(node)[node.name]
-                if everywhere[node.name] - inside <= 0:
-                    dead.append(f"{path.name}:{node.lineno} {node.name}")
+        for qualified, node, bare in definitions(tree):
+            inside_names, inside_attributes = used_names(node)
+            uses = attributes[node.name] - inside_attributes[node.name]
+            if bare:
+                uses += names[node.name] - inside_names[node.name]
+            if uses <= 0:
+                dead.append(f"{path.name}:{node.lineno} {qualified}")
     return dead
 
 
@@ -51,10 +72,14 @@ def test_planted_unused_function_is_reported(tmp_path):
     package.mkdir(parents=True)
     (package / "mod.py").write_text(
         "def used():\n    return 1\n\n\n"
-        "def recursive(n):\n    return recursive(n - 1) if n else used()\n",
+        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.v = used()\n\n"
+        "    def get(self):\n        return self.v\n\n"
+        "    def unused(self, n):\n        return self.unused(n - 1) if n else self.get()\n",
         encoding="utf-8")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_mod.py").write_text(
-        "from gcat.mod import recursive, used\n\nused()\n", encoding="utf-8")
+        "from gcat.mod import Box, recursive, used\n\nused()\nBox().get()\n", encoding="utf-8")
     dead = unreferenced_functions(package, [tmp_path / "src", tmp_path / "tests"])
-    assert dead == ["mod.py:5 recursive"]
+    assert dead == ["mod.py:5 recursive", "mod.py:16 Box.unused"]

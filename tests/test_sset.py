@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from gcat.errors import NotAPosetNerve
-from gcat.config import SizeCaps
+from gcat.errors import NotAPosetNerve, SizeCapExceeded
+from gcat.config import DEFAULT_CAPS, SizeCaps
 from gcat.fincat import (
     Functor,
     arrow_category,
@@ -317,6 +317,32 @@ def test_nerve_of_arrow_not_kan():
 
 def test_nerve_of_groupoid_is_kan():
     assert is_kan_complex(nerve(chaotic_category(["a", "b"]), 2), 2).passed
+
+
+@pytest.mark.parametrize("C,horns", [(chaotic_category(["a", "b"]), 100),
+                                     (delooping(cyclic_group(2)), 50)])
+def test_lazy_and_materialized_ex_kan_checks_agree(C, horns):
+    # the lazy checker counts one problem per horn of Ex N; the same horns,
+    # enumerated by the shared _horns on the materialized Ex N, must agree
+    from gcat.sset import _horns
+    N = nerve(C, 2)
+    lazy = is_kan_complex_lazy_ex(N, 2)
+    S = ex(N, 2).sset
+    enumerated = sum(len(_horns(S.face_index(n - 1)[0], n, k, DEFAULT_CAPS))
+                     for n in (1, 2) for k in range(n + 1))
+    assert lazy.passed and lazy.problems_checked == enumerated == horns
+    materialized = is_kan_complex(S, 2)
+    assert materialized.passed and materialized.problems_checked == horns
+
+
+def test_horn_search_counts_against_max_candidates():
+    # both checkers share _horns, whose search nodes count against the cap
+    N = nerve(chaotic_category(["a", "b"]), 2)
+    with pytest.raises(SizeCapExceeded, match="horn enumeration: 41 exceeds cap 40"):
+        is_kan_complex_lazy_ex(N, 2, caps=SizeCaps(max_candidates=40))
+    assert is_kan_complex_lazy_ex(N, 2, caps=SizeCaps(max_candidates=41)).passed
+    with pytest.raises(SizeCapExceeded, match="horn enumeration: 51 exceeds cap 50"):
+        is_kan_complex(nerve(chaotic_category(["a", "b", "c"]), 3), 3, SizeCaps(max_candidates=50))
 
 
 def test_ex2_of_contractible_groupoid_is_kan_cap2():
