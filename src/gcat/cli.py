@@ -1,16 +1,28 @@
 """gcat command line: document IO, checks, and report emission.
 
+Every subcommand is one entry of COMMANDS: its handler and its own flags
+(each also takes --cap). A handler reads its documents with `_load`, runs
+its check and returns (inputs, body, exit code); `main` wraps that in
+`serialize.report`, emits it, and turns every error into an exit code.
+
 Exit codes: 0 all properties hold, 1 a property is violated (the report names
-it), 2 inconclusive (a cap was hit), 64 usage error (a bad argument, or a
-malformed document: a JSON error on stdout), 74 IO error (an unreadable file or
-invalid JSON: a JSON error on stderr).
+it), 2 inconclusive (a cap was hit), 64 usage error, 74 IO error. Where the
+errors go:
+
+- a bad argument: argparse's usage text on stderr, exit 64;
+- a malformed document (a missing key or a value of the wrong shape, in a file
+  or in the inline JSON of `gens --params` and `transfer-check --phi`): one
+  `{"error": "malformed document", ...}` object on stdout, exit 64;
+- an input file that cannot be read or holds invalid JSON, or an `--output`
+  that cannot be written (the report is still on stdout): one
+  `{"error": ...}` object on stderr, exit 74.
+
 Identical invocation + seed gives a byte-identical report.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 
@@ -34,29 +46,36 @@ class MalformedDocument(Exception):
     """An input document lacks a key or has a value of the wrong shape."""
 
 
+class FileFailure(Exception):
+    """A file cannot be read or written, or does not hold JSON."""
+
+
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        print(json.dumps({"error": f"cannot read {path}: {exc.strerror}"}), file=sys.stderr)
-        raise SystemExit(EXIT_IO) from exc
-    except json.JSONDecodeError:
-        print(json.dumps({"error": f"invalid JSON in {path}"}), file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        raise FileFailure(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise FileFailure(f"invalid JSON in {path}") from exc
 
 
-@contextlib.contextmanager
-def _parsing(path):
-    """Turn the document read from `path` into objects; a missing key or a
-    value of the wrong shape becomes MalformedDocument, a usage error."""
+def _parse(source, parse, value):
+    """parse(value); a missing key or a value of the wrong shape in `value`,
+    which came from `source`, becomes MalformedDocument, a usage error."""
     try:
-        yield
+        return parse(value)
     except (KeyError, TypeError, ValueError, AttributeError, IndexError) as exc:
-        raise MalformedDocument(f"{path}: {type(exc).__name__}: {exc}") from exc
+        raise MalformedDocument(f"{source}: {type(exc).__name__}: {exc}") from exc
 
 
-def _emit(doc, args, code=EXIT_OK):
+def _load(path, parse):
+    """(doc, parse(doc)) for the JSON document at `path`."""
+    doc = _read_json(path)
+    return doc, _parse(path, parse, doc)
+
+
+def _emit(doc, args):
     if args.format == "text":
         for line in _render_text(doc):
             print(line)
@@ -66,9 +85,8 @@ def _emit(doc, args, code=EXIT_OK):
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(ser.canonical_json(doc))
-        except OSError:
-            return EXIT_IO
-    return code
+        except OSError as exc:
+            raise FileFailure(f"cannot write {args.output}: {exc.strerror}") from exc
 
 
 def _render_text(doc, indent=0):
@@ -91,251 +109,199 @@ def _render_text(doc, indent=0):
         yield f"{pad}{doc}"
 
 
-def _caps(args):
-    return WIDE_CAPS if getattr(args, "wide_caps", False) else DEFAULT_CAPS
-
-
 def cmd_validate(args):
-    doc = _read_json(args.input)
-    with _parsing(args.input):
-        cat = category_from_doc(doc, _caps(args))
+    doc, cat = _load(args.input, lambda d: category_from_doc(d, args.caps))
     body = {"valid": True, "objects": cat.n_objects(), "morphisms": cat.n_morphisms()}
-    return _emit(ser.report("validate", {"category": doc}, body), args)
+    return {"category": doc}, body, EXIT_OK
 
 
 def cmd_nerve(args):
     from .sset import nerve
-    doc = _read_json(args.input)
-    with _parsing(args.input):
-        cat = category_from_doc(doc, _caps(args))
-    N = nerve(cat, args.cap, _caps(args))
+    doc, cat = _load(args.input, lambda d: category_from_doc(d, args.caps))
+    N = nerve(cat, args.cap, args.caps)
     body = {"cap": args.cap, "nondegenerate": {str(n): N.n_nondeg(n) for n in range(args.cap + 1)},
             "sset": N.to_doc()}
-    return _emit(ser.report("nerve", {"category": doc}, body), args)
+    return {"category": doc}, body, EXIT_OK
 
 
 def cmd_homology(args):
     from .sset import complex_to_sset, homology, nerve, sset_from_doc
-    doc = _read_json(args.input)
-    with _parsing(args.input):
-        if args.kind == "sset":
-            X = sset_from_doc(doc)
-        elif args.kind == "complex":
-            K = ser.complex_from_doc(doc)
-        else:
-            C = category_from_doc(doc, _caps(args))
+    parse = {"sset": sset_from_doc, "complex": ser.complex_from_doc,
+             "category": lambda d: category_from_doc(d, args.caps)}[args.kind]
+    doc, X = _load(args.input, parse)
     if args.kind == "complex":
-        X = complex_to_sset(K, args.cap)
+        X = complex_to_sset(X, args.cap)
     elif args.kind == "category":
-        X = nerve(C, args.cap, _caps(args))
+        X = nerve(X, args.cap, args.caps)
     h = homology(X, args.cap)
     body = {"cap": args.cap,
             "homology": [{"degree": k, "betti": b, "torsion": list(t)}
                          for k, (b, t) in enumerate(h)]}
-    return _emit(ser.report("homology", {"input": doc}, body), args)
+    return {"input": doc}, body, EXIT_OK
 
 
 def cmd_sd(args):
     from .sset import sd, sd_complex
-    doc = _read_json(args.input)
-    with _parsing(args.input):
-        K = ser.complex_from_doc(doc)
-    P = sd(K)
-    SK = sd_complex(K)
-    body = {"face_poset": P.to_fincat().to_doc(), "sd_complex": ser.complex_doc(SK)}
-    return _emit(ser.report("sd", {"complex": doc}, body), args)
+    doc, K = _load(args.input, ser.complex_from_doc)
+    body = {"face_poset": sd(K).to_fincat().to_doc(), "sd_complex": ser.complex_doc(sd_complex(K))}
+    return {"complex": doc}, body, EXIT_OK
 
 
 def cmd_ex(args):
     from .sset import ex, sset_from_doc, e_map
-    doc = _read_json(args.input)
-    with _parsing(args.input):
-        X = sset_from_doc(doc)
+    doc, X = _load(args.input, sset_from_doc)
     try:
-        exd = ex(X, args.cap, _caps(args))
+        exd = ex(X, args.cap, args.caps)
     except SizeCapExceeded as exc:
-        body = {"inconclusive": str(exc)}
-        return _emit(ser.report("ex", {"sset": doc}, body), args, EXIT_INCONCLUSIVE)
+        return {"sset": doc}, {"inconclusive": str(exc)}, EXIT_INCONCLUSIVE
     em = e_map(X, exd)
     body = {"cap": args.cap,
             "nondegenerate": {str(n): exd.sset.n_nondeg(n) for n in range(args.cap + 1)},
             "total": {str(n): exd.sset.total_count(n) for n in range(args.cap + 1)},
             "unit_injective": em.is_injective(),
             "sset": exd.sset.to_doc()}
-    return _emit(ser.report("ex", {"sset": doc}, body), args)
+    return {"sset": doc}, body, EXIT_OK
 
 
 def cmd_check_dwyer(args):
     from .dwyer import find_dwyer_witness, is_cosieve, is_sieve
-    doc = _read_json(args.input)
-    with _parsing(args.input):
-        F = ser.functor_from_doc(doc, _caps(args))
+    doc, F = _load(args.input, lambda d: ser.functor_from_doc(d, args.caps))
     sieve = is_sieve(F)
-    body = {"sieve": sieve, "cosieve": is_cosieve(F)}
-    if not sieve:
-        body["witness"] = None
-        body["refusal"] = "not a sieve"
-        return _emit(ser.report("check-dwyer", {"functor": doc}, body), args, EXIT_VIOLATED)
-    w = find_dwyer_witness(F, None, _caps(args))
-    if w is None:
-        body["witness"] = None
-        body["refusal"] = "exhaustive search found no witness"
-        return _emit(ser.report("check-dwyer", {"functor": doc}, body), args, EXIT_VIOLATED)
-    body["witness"] = ser.witness_doc(w)
-    return _emit(ser.report("check-dwyer", {"functor": doc}, body), args)
+    body = {"sieve": sieve, "cosieve": is_cosieve(F), "witness": None}
+    w = find_dwyer_witness(F, None, args.caps) if sieve else None
+    if w is not None:
+        body["witness"] = ser.witness_doc(w)
+    else:
+        body["refusal"] = "exhaustive search found no witness" if sieve else "not a sieve"
+    return {"functor": doc}, body, EXIT_VIOLATED if w is None else EXIT_OK
 
 
 def cmd_pushout(args):
     from .dwyer import dwyer_pushout, find_dwyer_witness, pushout_cross_check
-    doc = _read_json(args.input)
-    caps = _caps(args)
-    with _parsing(args.input):
-        A = category_from_doc(doc["A"], caps)
-        B = category_from_doc(doc["B"], caps)
-        C = category_from_doc(doc["C"], caps)
-        i = ser.functor_from_maps(doc["i"], A, B)
-        c = ser.functor_from_maps(doc["c"], A, C)
+    caps = args.caps
+
+    def parse(doc):
+        A, B, C = (category_from_doc(doc[k], caps) for k in "ABC")
+        return A, B, C, ser.functor_from_maps(doc["i"], A, B), ser.functor_from_maps(doc["c"], A, C)
+
+    doc, (A, B, C, i, c) = _load(args.input, parse)
     try:
         w = find_dwyer_witness(i, None, caps)
     except GcatError:
         w = None
+    code = EXIT_OK
     if w is None:
         # not a Dwyer map; the presentation oracle still applies
+        body = {"dwyer": "not applicable"}
         try:
             res = presented_pushout(A, B, C, i, c, args.word_cap, caps)
         except Inconclusive as exc:
-            body = {"pushout": None, "dwyer": "not applicable",
-                    "oracle": "inconclusive", "non_closing_word_length": len(exc.word)}
-            return _emit(ser.report("pushout", {"span": doc}, body), args, EXIT_INCONCLUSIVE)
-        body = {"pushout": res.category.to_doc(), "dwyer": "not applicable",
-                "oracle": "closed"}
-        return _emit(ser.report("pushout", {"span": doc}, body), args)
-    if args.cross_check:
+            body.update(pushout=None, oracle="inconclusive", non_closing_word_length=len(exc.word))
+            code = EXIT_INCONCLUSIVE
+        else:
+            body.update(pushout=res.category.to_doc(), oracle="closed")
+    elif args.cross_check:
         try:
             agree, po, res = pushout_cross_check(A, B, C, i, c, w, args.word_cap, caps)
         except Inconclusive as exc:
             po = dwyer_pushout(A, B, C, i, c, w, caps)
             body = {"pushout": po.category.to_doc(), "cross_check": "inconclusive",
                     "non_closing_word_length": len(exc.word)}
-            return _emit(ser.report("pushout", {"span": doc}, body), args, EXIT_INCONCLUSIVE)
-        body = {"pushout": po.category.to_doc(), "cross_check": bool(agree),
-                "oracle_morphisms": res.category.n_morphisms()}
-        return _emit(ser.report("pushout", {"span": doc}, body), args,
-                     EXIT_OK if agree else EXIT_VIOLATED)
-    po = dwyer_pushout(A, B, C, i, c, w, caps)
-    body = {"pushout": po.category.to_doc(), "cross_check": None}
-    return _emit(ser.report("pushout", {"span": doc}, body), args)
+            code = EXIT_INCONCLUSIVE
+        else:
+            body = {"pushout": po.category.to_doc(), "cross_check": bool(agree),
+                    "oracle_morphisms": res.category.n_morphisms()}
+            code = EXIT_OK if agree else EXIT_VIOLATED
+    else:
+        po = dwyer_pushout(A, B, C, i, c, w, caps)
+        body = {"pushout": po.category.to_doc(), "cross_check": None}
+    return {"span": doc}, body, code
 
 
 def cmd_fixed(args):
     from .actions import fixed_category, subgroup_key
-    doc = _read_json(args.input)
-    with _parsing(args.input):
-        A = ser.action_from_doc(doc, _caps(args))
-    fam_doc = _read_json(args.family)
-    with _parsing(args.family):
-        _, family = ser.load_family(fam_doc)
-    out = {}
-    for H in family:
-        out[subgroup_key(H)] = fixed_category(A, H).to_doc()
-    body = {"fixed": out}
-    return _emit(ser.report("fixed", {"action": doc, "family": fam_doc}, body), args)
+    doc, A = _load(args.input, lambda d: ser.action_from_doc(d, args.caps))
+    fam_doc, (_, family) = _load(args.family, ser.load_family)
+    body = {"fixed": {subgroup_key(H): fixed_category(A, H).to_doc() for H in family}}
+    return {"action": doc, "family": fam_doc}, body, EXIT_OK
 
 
 def cmd_hofix(args):
     from .actions import pair_key
     from .weq import homotopy_fixed_points
-    doc = _read_json(args.input)
-    with _parsing(args.input):
-        A = ser.action_from_doc(doc, _caps(args))
-    pairs_doc = _read_json(args.pairs)
-    with _parsing(args.pairs):
-        _, _, pairs = ser.load_pairs(pairs_doc)
-    out = {}
-    for H, phi in pairs:
-        hd = homotopy_fixed_points(A, H, phi, _caps(args))
-        out[pair_key(H, phi)] = hd.category.to_doc()
-    body = {"homotopy_fixed_points": out}
-    return _emit(ser.report("hofix", {"action": doc, "pairs": pairs_doc}, body), args)
+    doc, A = _load(args.input, lambda d: ser.action_from_doc(d, args.caps))
+    pairs_doc, (_, _, pairs) = _load(args.pairs, ser.load_pairs)
+    body = {"homotopy_fixed_points": {
+        pair_key(H, phi): homotopy_fixed_points(A, H, phi, args.caps).category.to_doc()
+        for H, phi in pairs}}
+    return {"action": doc, "pairs": pairs_doc}, body, EXIT_OK
 
 
 def cmd_weq(args):
     from .weq import equivalence_certificate, homology_certificate
-    doc = _read_json(args.input)
-    with _parsing(args.input):
-        is_sset_map = "values" in doc
-        f = ser.sset_map_from_doc(doc) if is_sset_map else ser.functor_from_doc(doc, _caps(args))
-    if is_sset_map:
-        nec = homology_certificate(f, args.cap, _caps(args))
-        body = {"sufficient": None, "necessary": nec.to_doc()}
-        code = EXIT_OK if nec.passed else EXIT_VIOLATED
-        if not nec.passed:
-            body["violated"] = "homology/pi0 mismatch"
-        return _emit(ser.report("weq", {"map": doc}, body), args, code)
-    suff = equivalence_certificate(f, caps=_caps(args))
-    nec = homology_certificate(f, args.cap, _caps(args))
+    doc, f = _load(args.input, lambda d: ser.sset_map_from_doc(d) if "values" in d
+                   else ser.functor_from_doc(d, args.caps))
+    is_sset_map = "values" in doc
+    suff = None if is_sset_map else equivalence_certificate(f, args.caps)
+    nec = homology_certificate(f, args.cap, args.caps)
     body = {"sufficient": suff.to_doc() if suff else None, "necessary": nec.to_doc()}
-    code = EXIT_OK if (suff is not None or nec.passed) else EXIT_VIOLATED
     if not nec.passed:
-        code = EXIT_VIOLATED
         body["violated"] = "homology/pi0 mismatch"
-    return _emit(ser.report("weq", {"functor": doc}, body), args, code)
+    inputs = {"map" if is_sset_map else "functor": doc}
+    return inputs, body, EXIT_OK if nec.passed else EXIT_VIOLATED
 
 
 def cmd_gglobal_weq(args):
     from .weq import g_global_we
-    doc = _read_json(args.input)
-    caps = _caps(args)
-    with _parsing(args.input):
+    caps = args.caps
+
+    def parse(doc):
         act_C = ser.action_from_doc(doc["source_action"], caps)
         act_D = ser.action_from_doc(doc["target_action"], caps)
-        F = ser.functor_from_maps(doc["functor"], act_C.carrier, act_D.carrier)
-    pairs_doc = _read_json(args.pairs)
-    with _parsing(args.pairs):
-        _, _, pairs = ser.load_pairs(pairs_doc)
+        return act_C, act_D, ser.functor_from_maps(doc["functor"], act_C.carrier, act_D.carrier)
+
+    doc, (act_C, act_D, F) = _load(args.input, parse)
+    pairs_doc, (_, _, pairs) = _load(args.pairs, ser.load_pairs)
     cert = g_global_we(F, act_C, act_D, pairs, args.cap, caps)
     body = {"certificate": cert.to_doc(),
             "scope": "supplied (H, phi) pairs only"}
-    return _emit(ser.report("gglobal-weq", {"map": doc, "pairs": pairs_doc}, body), args,
-                 EXIT_OK if cert.passed else EXIT_VIOLATED)
+    return {"map": doc, "pairs": pairs_doc}, body, EXIT_OK if cert.passed else EXIT_VIOLATED
 
 
 def cmd_saturate(args):
     from .actions import cell_category, subgroup_from_elements
     from .weq import cell_avatar, poset_avatar, saturation_check
-    spec = _read_json(args.input)
-    pairs_doc = _read_json(args.pairs)
-    with _parsing(args.pairs):
-        G, Hg, pairs = ser.load_pairs(pairs_doc)
-    caps = _caps(args)
-    with _parsing(args.input):
+    caps = args.caps
+
+    def parse(spec):
+        """The avatar, as a function of the pairs document's G and H_group."""
         kind = spec["kind"]
         if kind == "poset":
             P = category_from_doc(spec["category"], caps)
-        elif kind == "cell":
+            return lambda G, Hg: poset_avatar(P, Hg, G)
+        if kind == "cell":
             K = named_group(spec["K"])
             H = subgroup_from_elements(K, spec["H"])
             phi = dict(spec["phi"])
-    if kind == "poset":
-        avatar = poset_avatar(P, Hg, G)
-    elif kind == "cell":
-        avatar = cell_avatar(cell_category(K, G, H, phi, caps))
-    else:
-        print("unknown avatar kind", file=sys.stderr)
-        return EXIT_USAGE
+            return lambda G, Hg: cell_avatar(cell_category(K, G, H, phi, caps))
+        raise ValueError(f"unknown avatar kind {kind!r}")
+
+    spec, avatar_over = _load(args.input, parse)
+    pairs_doc, (G, Hg, pairs) = _load(args.pairs, ser.load_pairs)
+    avatar = avatar_over(G, Hg)
     rep = saturation_check(avatar, pairs, caps)
     body = {"report": rep, "avatar": avatar.label}
-    return _emit(ser.report("saturate", {"avatar": spec, "pairs": pairs_doc}, body), args,
-                 EXIT_OK if rep["all_passed"] else EXIT_VIOLATED)
+    return ({"avatar": spec, "pairs": pairs_doc}, body,
+            EXIT_OK if rep["all_passed"] else EXIT_VIOLATED)
 
 
 def cmd_gens(args):
     from .dwyer import find_dwyer_witness, is_sieve
     from .weq import GeneratorSpec, generating_maps
-    params = {}
-    if args.params:
-        raw = json.loads(args.params)
-        for key, val in raw.items():
+
+    def parse(text):
+        params = {}
+        for key, val in json.loads(text).items():
             if key in ("H", "G", "Hp"):
                 params[key] = named_group(val)
             elif key == "phi":
@@ -344,21 +310,20 @@ def cmd_gens(args):
                 params[key] = ser.monoid_from_doc(val) if isinstance(val, dict) else named_group(val)
             else:
                 params[key] = val
+        return params
+
+    params = _parse("--params", parse, args.params) if args.params else {}
     spec = GeneratorSpec(args.model, args.n, args.k, args.acyclic, params)
-    caps = _caps(args)
-    gm = generating_maps(spec, caps)
+    gm = generating_maps(spec, args.caps)
     sieve = is_sieve(gm.functor)
-    if gm.group is not None:
-        w = find_dwyer_witness(gm.functor, (gm.group, gm.act_src, gm.act_dst), caps)
-    else:
-        w = find_dwyer_witness(gm.functor, None, caps)
+    equivariance = None if gm.group is None else (gm.group, gm.act_src, gm.act_dst)
+    w = find_dwyer_witness(gm.functor, equivariance, args.caps)
     body = {"name": gm.name, "sieve": sieve, "dwyer_witness": w is not None,
             "source": gm.functor.source.to_doc(), "target": gm.functor.target.to_doc(),
             **ser.maps_doc(gm.functor)}
-    code = EXIT_OK if sieve and w is not None else EXIT_VIOLATED
-    return _emit(ser.report("gens", {"spec": {"model": args.model, "n": args.n,
-                                              "k": args.k, "acyclic": args.acyclic,
-                                              "params": args.params or ""}}, body), args, code)
+    inputs = {"spec": {"model": args.model, "n": args.n, "k": args.k, "acyclic": args.acyclic,
+                       "params": args.params or ""}}
+    return inputs, body, EXIT_OK if sieve and w is not None else EXIT_VIOLATED
 
 
 def cmd_transfer_check(args):
@@ -366,7 +331,10 @@ def cmd_transfer_check(args):
     caps = WIDE_CAPS
     G = named_group(args.G)
     H = named_group(args.H)
-    phi = json.loads(args.phi) if args.phi else {h: h for h in H.elements}
+    if args.phi:
+        phi = _parse("--phi", lambda text: dict(json.loads(text)), args.phi)
+    else:
+        phi = {h: h for h in H.elements}
     I = [generating_maps(GeneratorSpec("g_global_thin", n,
                                        params={"H": H, "G": G, "phi": phi}), caps)
          for n in range(0, args.n_max + 1)]
@@ -382,30 +350,21 @@ def cmd_transfer_check(args):
     else:
         U = ("identity",)
     rep = check_transfer_conditions(I, J, U, args.cap, caps)
-    body = {"report": rep}
-    return _emit(ser.report("transfer-check",
-                            {"spec": {"U": args.U, "G": args.G, "H": args.H,
-                                      "n_max": args.n_max}}, body), args,
-                 EXIT_OK if rep["all_passed"] else EXIT_VIOLATED)
+    inputs = {"spec": {"U": args.U, "G": args.G, "H": args.H, "n_max": args.n_max}}
+    return inputs, {"report": rep}, EXIT_OK if rep["all_passed"] else EXIT_VIOLATED
 
 
 def cmd_corpus(args):
-    if args.seed is None:
-        print("corpus generation requires --seed", file=sys.stderr)
-        return EXIT_USAGE
-    spans = dwyer_span_corpus(args.seed, args.count, args.group, _caps(args))
-    out = []
-    for idx, s in enumerate(spans):
-        out.append({
-            "index": idx,
+    spans = dwyer_span_corpus(args.seed, args.count, args.group, args.caps)
+    out = [{"index": idx,
             "label": s.label,
             "A": s.A.to_doc(), "B": s.B.to_doc(), "C": s.C.to_doc(),
             "i": ser.maps_doc(s.i),
             "c": ser.maps_doc(s.c),
-            "witness": ser.witness_doc(s.witness),
-        })
-    body = {"count": len(out), "group": args.group or "1", "spans": out}
-    return _emit(ser.report("corpus", {}, body, seed=args.seed), args)
+            "witness": ser.witness_doc(s.witness)}
+           for idx, s in enumerate(spans)]
+    body = {"seed": args.seed, "count": len(out), "group": args.group or "1", "spans": out}
+    return {}, body, EXIT_OK
 
 
 def _int_at_least(low):
@@ -424,6 +383,41 @@ def _int_at_least(low):
 non_negative_int = _int_at_least(0)
 positive_int = _int_at_least(1)
 
+_INPUT = {"--input": {"required": True}}
+_PAIRS = {**_INPUT, "--pairs": {"required": True}}
+_CAP = {"--cap": {"type": non_negative_int, "default": 3}}
+
+#: subcommand -> (handler, its own flags as {flag: add_argument options})
+COMMANDS = {
+    "validate": (cmd_validate, _INPUT),
+    "nerve": (cmd_nerve, _INPUT),
+    "homology": (cmd_homology, {**_INPUT, "--kind": {"choices": ["category", "sset", "complex"],
+                                                     "default": "category"}}),
+    "sd": (cmd_sd, _INPUT),
+    "ex": (cmd_ex, _INPUT),
+    "check-dwyer": (cmd_check_dwyer, _INPUT),
+    "pushout": (cmd_pushout, {**_INPUT, "--cross-check": {"action": "store_true"},
+                              "--word-cap": {"type": positive_int, "default": 16}}),
+    "fixed": (cmd_fixed, {**_INPUT, "--family": {"required": True}}),
+    "hofix": (cmd_hofix, _PAIRS),
+    "weq": (cmd_weq, _INPUT),
+    "gglobal-weq": (cmd_gglobal_weq, _PAIRS),
+    "saturate": (cmd_saturate, _PAIRS),
+    "gens": (cmd_gens, {"--model": {"required": True},
+                        "--n": {"type": int, "required": True},
+                        "--k": {"type": int},
+                        "--acyclic": {"action": "store_true"},
+                        "--params": {"help": "JSON object; groups by name (Z2, S3, ...)"}}),
+    "transfer-check": (cmd_transfer_check, {"--U": {"default": "fun_e:Z2"},
+                                            "--G": {"default": "Z2"},
+                                            "--H": {"default": "Z2"},
+                                            "--phi": {"help": "JSON dict H element -> G element"},
+                                            "--n-max": {"type": int, "default": 1}}),
+    "corpus": (cmd_corpus, {"--seed": {"type": int, "required": True},
+                            "--count": {"type": int, "default": 10},
+                            "--group": {}}),
+}
+
 
 def build_parser():
     p = argparse.ArgumentParser(prog="gcat",
@@ -431,89 +425,40 @@ def build_parser():
                                             "(Dwyer pushouts, nerves, Ex, certificates)")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--output", help="also write the report to this path")
-    p.add_argument("--wide-caps", action="store_true", help="use roomier enumeration caps")
+    p.add_argument("--wide-caps", dest="caps", action="store_const", const=WIDE_CAPS,
+                   default=DEFAULT_CAPS, help="use roomier enumeration caps")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, cap=True, word_cap=False, seed=False):
-        if cap:
-            sp.add_argument("--cap", type=non_negative_int, default=3)
-        if word_cap:
-            sp.add_argument("--word-cap", dest="word_cap", type=positive_int, default=16)
-        if seed:
-            sp.add_argument("--seed", type=int, default=None)
-
-    sp = sub.add_parser("validate"); sp.add_argument("--input", required=True)
-    common(sp); sp.set_defaults(func=cmd_validate)
-    sp = sub.add_parser("nerve"); sp.add_argument("--input", required=True)
-    common(sp); sp.set_defaults(func=cmd_nerve)
-    sp = sub.add_parser("homology"); sp.add_argument("--input", required=True)
-    sp.add_argument("--kind", choices=["category", "sset", "complex"], default="category")
-    common(sp); sp.set_defaults(func=cmd_homology)
-    sp = sub.add_parser("sd"); sp.add_argument("--input", required=True)
-    common(sp); sp.set_defaults(func=cmd_sd)
-    sp = sub.add_parser("ex"); sp.add_argument("--input", required=True)
-    common(sp); sp.set_defaults(func=cmd_ex)
-    sp = sub.add_parser("check-dwyer"); sp.add_argument("--input", required=True)
-    common(sp); sp.set_defaults(func=cmd_check_dwyer)
-    sp = sub.add_parser("pushout"); sp.add_argument("--input", required=True)
-    sp.add_argument("--cross-check", dest="cross_check", action="store_true")
-    common(sp, word_cap=True); sp.set_defaults(func=cmd_pushout)
-    sp = sub.add_parser("fixed"); sp.add_argument("--input", required=True)
-    sp.add_argument("--family", required=True)
-    common(sp); sp.set_defaults(func=cmd_fixed)
-    sp = sub.add_parser("hofix"); sp.add_argument("--input", required=True)
-    sp.add_argument("--pairs", required=True)
-    common(sp); sp.set_defaults(func=cmd_hofix)
-    sp = sub.add_parser("weq"); sp.add_argument("--input", required=True)
-    common(sp); sp.set_defaults(func=cmd_weq)
-    sp = sub.add_parser("gglobal-weq"); sp.add_argument("--input", required=True)
-    sp.add_argument("--pairs", required=True)
-    common(sp); sp.set_defaults(func=cmd_gglobal_weq)
-    sp = sub.add_parser("saturate"); sp.add_argument("--input", required=True)
-    sp.add_argument("--pairs", required=True)
-    common(sp); sp.set_defaults(func=cmd_saturate)
-    sp = sub.add_parser("gens")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--acyclic", action="store_true")
-    sp.add_argument("--params", help="JSON object; groups by name (Z2, S3, ...)")
-    common(sp); sp.set_defaults(func=cmd_gens)
-    sp = sub.add_parser("transfer-check")
-    sp.add_argument("--U", default="fun_e:Z2")
-    sp.add_argument("--G", default="Z2")
-    sp.add_argument("--H", default="Z2")
-    sp.add_argument("--phi", default=None, help="JSON dict H element -> G element")
-    sp.add_argument("--n-max", dest="n_max", type=int, default=1)
-    common(sp); sp.set_defaults(func=cmd_transfer_check)
-    sp = sub.add_parser("corpus")
-    sp.add_argument("--count", type=int, default=10)
-    sp.add_argument("--group", default=None)
-    common(sp, seed=True); sp.set_defaults(func=cmd_corpus)
+    for name, (_, flags) in COMMANDS.items():
+        sp = sub.add_parser(name)
+        for flag, options in {**flags, **_CAP}.items():
+            sp.add_argument(flag, **options)
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
+    """Run one gcat invocation and return its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        inputs, body, code = COMMANDS[args.command][0](args)
+        _emit(ser.report(args.command, inputs, body), args)
+        return code
+    except FileFailure as exc:
+        print(json.dumps({"error": str(exc)}), file=sys.stderr)
+        return EXIT_IO
     except MalformedDocument as exc:
-        print(ser.canonical_json({"error": "malformed document", "detail": str(exc)}))
-        return EXIT_USAGE
+        error, code = {"error": "malformed document", "detail": str(exc)}, EXIT_USAGE
     except Inconclusive as exc:
-        print(ser.canonical_json({"verdict": "inconclusive", "detail": str(exc)}))
-        return EXIT_INCONCLUSIVE
+        error, code = {"verdict": "inconclusive", "detail": str(exc)}, EXIT_INCONCLUSIVE
     except SizeCapExceeded as exc:
-        print(ser.canonical_json({"verdict": "inconclusive", "cap": exc.cap,
-                                  "count": exc.count, "detail": str(exc)}))
-        return EXIT_INCONCLUSIVE
+        error, code = ({"verdict": "inconclusive", "cap": exc.cap, "count": exc.count,
+                        "detail": str(exc)}, EXIT_INCONCLUSIVE)
     except GcatError as exc:
-        print(ser.canonical_json({"verdict": "violated", "detail": str(exc)}))
-        return EXIT_VIOLATED
+        error, code = {"verdict": "violated", "detail": str(exc)}, EXIT_VIOLATED
+    print(ser.canonical_json(error))
+    return code
 
 
 if __name__ == "__main__":

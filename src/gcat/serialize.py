@@ -128,13 +128,10 @@ def load_family(doc):
     return G, [subgroup_from_elements(G, els) for els in doc["subgroups"]]
 
 
-def report(command: str, inputs: dict, body: dict, seed=None) -> dict:
-    doc = {
+def report(command: str, inputs: dict, body: dict) -> dict:
+    return {
         "command": command,
         "library_version": __version__,
         "input_hashes": {k: content_hash(v) for k, v in sorted(inputs.items())},
+        **body,
     }
-    if seed is not None:
-        doc["seed"] = seed
-    doc.update(body)
-    return doc

@@ -145,83 +145,10 @@ def homology_certificate(f, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> WeakEqCerti
          "target_homology": _invariants_doc(hy)})
 
 
-def find_equivariant_equivalence(F: Functor, group: FinGroup, act_C: MonoidActionCat,
-                                 act_D: MonoidActionCat,
-                                 caps: SizeCaps = DEFAULT_CAPS) -> Optional[EquivalenceWitness]:
-    """Exhaustive search for an equivariant quasi-inverse with equivariant
-    natural isomorphisms."""
-    check_equivariant(F, act_C, act_D)
-    C, D = F.source, F.target
-    isosC, isosD = C.isos(), D.isos()
-
-    def equivariant_functors(src_act, dst_act):
-        for Q in enumerate_functors(src_act.carrier, dst_act.carrier, caps):
-            if all(src_act.act[g].then(Q).same_maps(Q.then(dst_act.act[g]))
-                   for g in group.elements):
-                yield Q
-
-    def equivariant_nat_isos(P, Q, act_src_carrier, isos):
-        """Natural isos P => Q commuting with the action."""
-        T = P.source
-        tgt = P.target
-        comps_list = []
-
-        def backtrack(objs, comp):
-            if not objs:
-                comps_list.append(dict(comp))
-                return
-            x = objs[0]
-            for m in tgt.hom(P.object_map[x], Q.object_map[x]):
-                if m not in isos:
-                    continue
-                comp[x] = m
-                ok = True
-                for g in group.elements:
-                    gx = act_src_carrier.ob(g, x)
-                    if gx in comp and comp[gx] != _act_mor(g, m):
-                        ok = False
-                        break
-                if ok:
-                    for mm, s, t in T.morphisms:
-                        if s in comp and t in comp:
-                            if tgt.compose[(comp[t], P.morphism_map[mm])] != \
-                               tgt.compose[(Q.morphism_map[mm], comp[s])]:
-                                ok = False
-                                break
-                if ok:
-                    backtrack(objs[1:], comp)
-                del comp[x]
-
-        def _act_mor(g, m):
-            return (act_C if tgt is C else act_D).mor(g, m)
-
-        backtrack(list(T.objects), {})
-        return comps_list
-
-    for Q in equivariant_functors(act_D, act_C):
-        units = equivariant_nat_isos(identity_functor(C), F.then(Q), act_C, isosC)
-        if not units:
-            continue
-        counits = equivariant_nat_isos(Q.then(F), identity_functor(D), act_D, isosD)
-        if not counits:
-            continue
-        unit = NatTrans(identity_functor(C), F.then(Q), units[0])
-        counit = NatTrans(Q.then(F), identity_functor(D), counits[0])
-        try:
-            return EquivalenceWitness(F, Q, unit, counit).validate()
-        except GcatError:
-            continue
-    return None
-
-
-def equivalence_certificate(F: Functor, equivariance=None,
+def equivalence_certificate(F: Functor,
                             caps: SizeCaps = DEFAULT_CAPS) -> Optional[WeakEqCertificate]:
-    """Sufficient certificate from exhaustive (equivariant) equivalence search."""
-    if equivariance is None:
-        w = find_equivalence(F, caps)
-    else:
-        group, act_C, act_D = equivariance
-        w = find_equivariant_equivalence(F, group, act_C, act_D, caps)
+    """Sufficient certificate from exhaustive equivalence search."""
+    w = find_equivalence(F, caps)
     if w is None:
         return None
     details = {"isomorphism": is_isomorphism_functor(F)}

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from gcat import serialize as ser
+from gcat import cli, serialize as ser
 from gcat.fincat import Functor, arrow_category, terminal_category
 from gcat.sset import boundary_complex, complex_to_sset, standard_simplex_complex
 
@@ -62,12 +62,32 @@ def test_negative_cap_is_a_usage_error(tmp_path):
     assert out["nondegenerate"] == {"0": 2}
 
 
-@pytest.mark.parametrize("command,text", [("validate", "{}"), ("validate", "[1, 2]"),
-                                          ("pushout", "{}")])
-def test_malformed_document_is_a_usage_error(tmp_path, command, text):
+Z2_PAIRS = {"G": "Z2", "H_group": "Z2",
+            "pairs": [{"H": ["c0", "c1"], "phi": {"c0": "c0", "c1": "c1"}}]}
+
+
+def malformed_argv(tmp_path, command, text):
+    """argv that hands `command` the malformed `text`: inline as `gens --params`
+    or `transfer-check --phi`, else as its --input document."""
+    if command == "gens":
+        return ["gens", "--model", "g_global_thin", "--n", "0", "--params", text]
+    if command == "transfer-check":
+        return ["transfer-check", "--phi", text]
     path = tmp_path / "doc.json"
     path.write_text(text, encoding="utf-8")
-    proc = subprocess.run([sys.executable, "-m", "gcat.cli", command, "--input", str(path)],
+    argv = [command, "--input", str(path)]
+    if command == "saturate":
+        argv += ["--pairs", write(tmp_path, "pairs.json", Z2_PAIRS)]
+    return argv
+
+
+@pytest.mark.parametrize("command,text", [("validate", "{}"), ("validate", "[1, 2]"),
+                                          ("pushout", "{}"), ("saturate", '{"kind": "other"}'),
+                                          ("gens", "{bad"), ("gens", "[1]"),
+                                          ("transfer-check", "{bad")])
+def test_malformed_document_is_a_usage_error(tmp_path, command, text):
+    proc = subprocess.run([sys.executable, "-m", "gcat.cli",
+                           *malformed_argv(tmp_path, command, text)],
                           capture_output=True, text=True)
     assert proc.returncode == 64, (proc.stdout, proc.stderr)
     lines = proc.stdout.splitlines()
@@ -81,6 +101,24 @@ def test_missing_input_file_is_an_io_error(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 74 and proc.stdout == ""
     assert missing in json.loads(proc.stderr)["error"]
+
+
+def test_io_error_is_returned_in_process(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert cli.main(["validate", "--input", missing]) == 74
+    out, err = capsys.readouterr()
+    assert out == "" and missing in json.loads(err)["error"]
+
+
+def test_unwritable_output_is_an_io_error(tmp_path):
+    path = write(tmp_path, "arrow.json", arrow_category().to_doc())
+    target = str(tmp_path / "no-such-dir" / "x.json")
+    proc = subprocess.run([sys.executable, "-m", "gcat.cli", "--output", target,
+                           "validate", "--input", path], capture_output=True, text=True)
+    assert proc.returncode == 74
+    assert proc.stdout == run_cli(["validate", "--input", path])
+    error = json.loads(proc.stderr)["error"]
+    assert error.startswith(f"cannot write {target}: ")
 
 
 def test_homology_of_sphere(tmp_path):
@@ -161,7 +199,37 @@ def test_corpus_reports_byte_identical(tmp_path):
 
 
 def test_corpus_requires_seed():
-    run_cli(["corpus", "--count", "1"], expect=64)
+    proc = subprocess.run([sys.executable, "-m", "gcat.cli", "corpus", "--count", "1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert "--seed" in proc.stderr
+
+
+def test_sd_of_simplex(tmp_path):
+    path = write(tmp_path, "d2.json", ser.complex_doc(standard_simplex_complex(2)))
+    out = json.loads(run_cli(["sd", "--input", path]))
+    # the 7 nonempty faces of Δ²; Sd Δ² has 7 vertices, 12 edges and 6 triangles
+    assert len(out["face_poset"]["objects"]) == 7
+    assert len(out["sd_complex"]["faces"]) == 25
+
+
+def test_gglobal_weq_of_contractible_groupoid(tmp_path):
+    from gcat.actions import cyclic_group, translation_action, trivial_action
+    Z2 = cyclic_group(2)
+    src = translation_action(Z2)
+    doc = {"source_action": ser.action_doc(src),
+           "target_action": ser.action_doc(trivial_action(Z2, terminal_category())),
+           "functor": {"object_map": {x: "*" for x in src.carrier.objects},
+                       "morphism_map": {m: "id*" for m in src.carrier.morphism_ids}}}
+    pairs = dict(Z2_PAIRS, pairs=Z2_PAIRS["pairs"] + [{"H": ["c0"], "phi": {"c0": "c0"}}])
+    out = json.loads(run_cli(["gglobal-weq", "--input", write(tmp_path, "gg.json", doc),
+                              "--pairs", write(tmp_path, "pairs.json", pairs)]))
+    assert out["certificate"]["passed"] is True
+
+
+def test_transfer_check_names_unchecked_condition():
+    out = json.loads(run_cli(["transfer-check", "--U", "identity", "--n-max", "0"]))
+    assert "condition2" in out["report"]["not_checked"]
 
 
 def test_gens_and_saturate(tmp_path):
