@@ -9,12 +9,13 @@ Exit codes: 0 all properties hold, 1 a property is violated (the report names
 it), 2 inconclusive (a cap was hit), 64 usage error, 74 IO error. Where the
 errors go:
 
-- a bad argument: argparse's usage text on stderr, exit 64;
+- a bad argument (an out-of-range number, an unknown group name, `gens
+  --model` or `transfer-check --U`): argparse's usage text on stderr, exit 64;
 - a malformed document (a missing key or a value of the wrong shape, in a file
   or in the inline JSON of `gens --params` and `transfer-check --phi`): one
   `{"error": "malformed document", ...}` object on stdout, exit 64;
-- an input file that cannot be read or holds invalid JSON, or an `--output`
-  that cannot be written (the report is still on stdout): one
+- an input file that cannot be read, is not UTF-8 or holds invalid JSON, or
+  an `--output` that cannot be written (the report is still on stdout): one
   `{"error": ...}` object on stderr, exit 74.
 
 Identical invocation + seed gives a byte-identical report.
@@ -56,7 +57,7 @@ def _read_json(path):
             return json.load(fh)
     except OSError as exc:
         raise FileFailure(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # JSONDecodeError; UnicodeDecodeError if not UTF-8
         raise FileFailure(f"invalid JSON in {path}") from exc
 
 
@@ -326,6 +327,17 @@ def cmd_gens(args):
     return inputs, body, EXIT_OK if sieve and w is not None else EXIT_VIOLATED
 
 
+def _transfer_u(text):
+    """The U tag of `check_transfer_conditions` named by `--U` text."""
+    kind, colon, group = text.partition(":")
+    if colon and kind in ("fun_e", "fixed"):
+        return (kind, named_group(group))
+    if text in ("identity", "ex2_nerve"):
+        return (text,)
+    raise ValueError(f"unknown U {text!r}: expected identity, ex2_nerve, "
+                     f"fun_e:<group> or fixed:<group>")
+
+
 def cmd_transfer_check(args):
     from .weq import GeneratorSpec, check_transfer_conditions, generating_maps
     caps = WIDE_CAPS
@@ -341,15 +353,7 @@ def cmd_transfer_check(args):
     J = [generating_maps(GeneratorSpec("g_global_thin", n, k=k, acyclic=True,
                                        params={"H": H, "G": G, "phi": phi}), caps)
          for n in range(1, args.n_max + 1) for k in range(n + 1)]
-    if args.U.startswith("fun_e:"):
-        U = ("fun_e", named_group(args.U.split(":", 1)[1]))
-    elif args.U.startswith("fixed:"):
-        U = ("fixed", named_group(args.U.split(":", 1)[1]))
-    elif args.U == "ex2_nerve":
-        U = ("ex2_nerve",)
-    else:
-        U = ("identity",)
-    rep = check_transfer_conditions(I, J, U, args.cap, caps)
+    rep = check_transfer_conditions(I, J, _transfer_u(args.U), args.cap, caps)
     inputs = {"spec": {"U": args.U, "G": args.G, "H": args.H, "n_max": args.n_max}}
     return inputs, {"report": rep}, EXIT_OK if rep["all_passed"] else EXIT_VIOLATED
 
@@ -383,6 +387,26 @@ def _int_at_least(low):
 non_negative_int = _int_at_least(0)
 positive_int = _int_at_least(1)
 
+
+def _accepted_by(parse):
+    """argparse type: the text itself, once parse(text) raises no ValueError."""
+    def check(text):
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+    return check
+
+
+def _generator_model(text):
+    from .weq import GENERATOR_MODELS
+    if text not in GENERATOR_MODELS:
+        raise ValueError(f"unknown model {text!r}: expected one of {', '.join(GENERATOR_MODELS)}")
+
+
+group_name = _accepted_by(named_group)
+
 _INPUT = {"--input": {"required": True}}
 _PAIRS = {**_INPUT, "--pairs": {"required": True}}
 _CAP = {"--cap": {"type": non_negative_int, "default": 3}}
@@ -403,19 +427,20 @@ COMMANDS = {
     "weq": (cmd_weq, _INPUT),
     "gglobal-weq": (cmd_gglobal_weq, _PAIRS),
     "saturate": (cmd_saturate, _PAIRS),
-    "gens": (cmd_gens, {"--model": {"required": True},
-                        "--n": {"type": int, "required": True},
+    "gens": (cmd_gens, {"--model": {"type": _accepted_by(_generator_model), "required": True},
+                        "--n": {"type": non_negative_int, "required": True},
                         "--k": {"type": int},
                         "--acyclic": {"action": "store_true"},
                         "--params": {"help": "JSON object; groups by name (Z2, S3, ...)"}}),
-    "transfer-check": (cmd_transfer_check, {"--U": {"default": "fun_e:Z2"},
-                                            "--G": {"default": "Z2"},
-                                            "--H": {"default": "Z2"},
+    "transfer-check": (cmd_transfer_check, {"--U": {"type": _accepted_by(_transfer_u),
+                                                    "default": "fun_e:Z2"},
+                                            "--G": {"type": group_name, "default": "Z2"},
+                                            "--H": {"type": group_name, "default": "Z2"},
                                             "--phi": {"help": "JSON dict H element -> G element"},
-                                            "--n-max": {"type": int, "default": 1}}),
+                                            "--n-max": {"type": non_negative_int, "default": 1}}),
     "corpus": (cmd_corpus, {"--seed": {"type": int, "required": True},
-                            "--count": {"type": int, "default": 10},
-                            "--group": {}}),
+                            "--count": {"type": non_negative_int, "default": 10},
+                            "--group": {"type": group_name}}),
 }
 
 

@@ -56,13 +56,14 @@ class DwyerSpan:
 
 
 def named_group(name: str) -> FinGroup:
+    """The group called `name`: 1 or triv, Zn (cyclic) or Sn (symmetric) for
+    n >= 1; any other name raises ValueError."""
     if name in ("1", "triv"):
         return trivial_group()
-    if name.startswith("Z"):
-        return cyclic_group(int(name[1:]))
-    if name.startswith("S"):
-        return symmetric_group(int(name[1:]))
-    raise GcatError(f"unknown group name {name!r}")
+    order = name[1:]
+    if name[:1] in ("Z", "S") and order.isdecimal() and int(order) >= 1:
+        return (cyclic_group if name[0] == "Z" else symmetric_group)(int(order))
+    raise ValueError(f"unknown group name {name!r}")
 
 
 def seeded_poset(rng: random.Random, max_elems=5) -> Poset:

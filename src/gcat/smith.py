@@ -1,14 +1,16 @@
 """Sparse integer Smith normal form.
 
-Exact arithmetic on Python ints, deterministic pivoting.  Tuned for the
-boundary matrices of normalized chain complexes: a first phase eliminates
-unit pivots lying in singleton rows/columns (no fill-in, cascades through
-most of a nerve), then unit pivots with minimal Markowitz cost, and only the
-small remainder sees the general gcd elimination.
+Exact arithmetic on Python ints, deterministic pivoting.  One loop pops
+pivots from a lazy heap keyed by (|v|, Markowitz cost, row, col), so unit
+pivots of least fill-in come first (Dumas-Saunders-Villard, J. Symb. Comput.
+2001) and the gcd elimination sees only what no unit pivot cleared.  A popped
+key is revalidated against the entry's current key; only the positions that
+an elimination changed are pushed again.
 """
 
 from __future__ import annotations
 
+import heapq
 from math import gcd
 
 
@@ -16,6 +18,7 @@ class _Sparse:
     def __init__(self, entries):
         self.rows = {}
         self.cols = {}
+        self.changed = set()   # positions set to a nonzero value since the last clear
         for (r, c), v in entries.items():
             if v:
                 self.rows.setdefault(r, {})[c] = v
@@ -28,6 +31,7 @@ class _Sparse:
         if v:
             self.rows.setdefault(r, {})[c] = v
             self.cols.setdefault(c, {})[r] = v
+            self.changed.add((r, c))
         else:
             if r in self.rows and c in self.rows[r]:
                 del self.rows[r][c]
@@ -49,138 +53,69 @@ class _Sparse:
         for r, v in list(self.cols.get(src, {}).items()):
             self.set(r, dst, self.get(r, dst) + k * v)
 
-    def drop_pivot(self, r, c):
-        for cc in list(self.rows.get(r, {})):
-            self.set(r, cc, 0)
-        for rr in list(self.cols.get(c, {})):
-            self.set(rr, c, 0)
-
 
 def smith_invariants(n_rows: int, n_cols: int, entries: dict) -> list:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    entries: {(row, col): value}; zero values are ignored.
+    entries: {(row, col): value} with 0 <= row < n_rows and 0 <= col < n_cols;
+    zero values are ignored.
     """
-    import heapq
-
+    if not all(0 <= r < n_rows and 0 <= c < n_cols for r, c in entries):
+        raise ValueError("an entry lies outside the n_rows x n_cols matrix")
     m = _Sparse(entries)
+    # A key is one int that orders as the tuple (|v|, Markowitz cost, r, c)
+    # does, in a third of a tuple's memory: a cost and r * n_cols + c are
+    # both below span.
+    span = n_rows * n_cols
+
+    def key(r, c):
+        cost = (len(m.rows[r]) - 1) * (len(m.cols[c]) - 1)
+        return (abs(m.rows[r][c]) * span + cost) * span + r * n_cols + c
+
+    heap = [key(r, c) for r, row in m.rows.items() for c in row]
+    heapq.heapify(heap)
     units = 0
-
-    # phase 1: unit pivots in singleton rows/columns -- no fill-in, cascades;
-    # candidates kept in a lazy heap, revalidated on pop
-    heap = []
-
-    def consider_row(r):
-        row = m.rows.get(r)
-        if row and len(row) == 1:
-            c, v = next(iter(row.items()))
-            if abs(v) == 1:
-                heapq.heappush(heap, (r, c))
-
-    def consider_col(c):
-        col = m.cols.get(c)
-        if col and len(col) == 1:
-            r, v = next(iter(col.items()))
-            if abs(v) == 1:
-                heapq.heappush(heap, (r, c))
-
-    for r in list(m.rows):
-        consider_row(r)
-    for c in list(m.cols):
-        consider_col(c)
-    while heap:
-        r, c = heapq.heappop(heap)
-        v = m.get(r, c)
-        if abs(v) != 1 or not (len(m.rows.get(r, ())) == 1 or len(m.cols.get(c, ())) == 1):
-            continue
-        touched_rows = set(m.cols.get(c, {})) - {r}
-        touched_cols = set(m.rows.get(r, {})) - {c}
-        for rr in list(m.cols.get(c, {})):
-            if rr != r:
-                m.add_row(rr, r, -m.get(rr, c) // v)
-        for cc in list(m.rows.get(r, {})):
-            if cc != c:
-                m.add_col(cc, c, -m.get(r, cc) // v)
-        m.drop_pivot(r, c)
-        units += 1
-        for rr in touched_rows:
-            consider_row(rr)
-        for cc in touched_cols:
-            consider_col(cc)
-
-    # phase 2: unit pivots, minimal fill (Markowitz cost), deterministic ties
-    while True:
-        pivot = None
-        best = None
-        for r, row in m.rows.items():
-            lr = len(row) - 1
-            for c, v in row.items():
-                if abs(v) != 1:
-                    continue
-                cost = lr * (len(m.cols[c]) - 1)
-                key = (cost, r, c)
-                if best is None or key < best:
-                    best = key
-                    pivot = (r, c)
-        if pivot is None:
-            break
-        r, c = pivot
-        p = m.get(r, c)
-        for rr in list(m.cols.get(c, {})):
-            if rr != r:
-                m.add_row(rr, r, -m.get(rr, c) // p)
-        for cc in list(m.rows.get(r, {})):
-            if cc != c:
-                m.add_col(cc, c, -m.get(r, cc) // p)
-        m.drop_pivot(r, c)
-        units += 1
-
-    # phase 3: general elimination with the gcd dance on the remainder
     diagonal = []
-    while m.rows:
-        best = None
-        pivot = None
-        for r, row in m.rows.items():
-            for c, v in row.items():
-                key = (abs(v), r, c)
-                if best is None or key < best:
-                    best = key
-                    pivot = (r, c)
-        r0, c0 = pivot
+    while heap:
+        popped = heapq.heappop(heap)
+        r0, c0 = divmod(popped % span, n_cols)
+        if not m.get(r0, c0):
+            continue
+        now = key(r0, c0)
+        if now > popped:
+            heapq.heappush(heap, now)
+            continue
+        # the gcd dance: clear column c0, then row r0, with the pivot at
+        # (r0, c0); a nonzero remainder is a smaller entry and becomes the
+        # pivot.  A unit pivot leaves no remainder: one pass over each.
         while True:
-            changed = False
-            for r in sorted(m.cols.get(c0, {})):
-                if r == r0:
-                    continue
-                p = m.get(r0, c0)
-                q = m.get(r, c0) // p
-                if q:
-                    m.add_row(r, r0, -q)
-                    changed = True
-                if m.get(r, c0):
-                    r0 = r
-                    changed = True
+            p = m.get(r0, c0)
+            for r in list(m.cols[c0]):
+                if r != r0:
+                    m.add_row(r, r0, -(m.get(r, c0) // p))
+                    if m.get(r, c0):
+                        r0 = r
+                        break
+            else:
+                for c in list(m.rows[r0]):
+                    if c != c0:
+                        m.add_col(c, c0, -(m.get(r0, c) // p))
+                        if m.get(r0, c):
+                            c0 = c
+                            break
+                else:
                     break
-            if changed:
-                continue
-            for c in sorted(m.rows.get(r0, {})):
-                if c == c0:
-                    continue
-                p = m.get(r0, c0)
-                q = m.get(r0, c) // p
-                if q:
-                    m.add_col(c, c0, -q)
-                    changed = True
-                if m.get(r0, c):
-                    c0 = c
-                    changed = True
-                    break
-            if not changed:
-                break
-        diagonal.append(abs(m.get(r0, c0)))
-        m.drop_pivot(r0, c0)
+        d = abs(m.get(r0, c0))
+        if d == 1:
+            units += 1
+        else:
+            diagonal.append(d)
+        m.set(r0, c0, 0)
+        for r, c in m.changed:
+            if m.get(r, c):
+                heapq.heappush(heap, key(r, c))
+        m.changed.clear()
 
-    diagonal = [d for d in diagonal if d]
     changed = True
     while changed:
         changed = False

@@ -100,25 +100,22 @@ class FinSSet:
     def pull(self, nf, f):
         """f*(simplex): pull a normal form back along a monotone map f.
 
-        f is a tuple [k] -> [dim(nf)], not necessarily surjective.
+        f is a tuple [k] -> [dim(nf)], not necessarily surjective.  While
+        g = alpha∘f misses a vertex s of the core, g factors through δ_s, so
+        the core is replaced by its stored face d_s = (c', beta) and g by
+        beta∘δ_s⁻¹∘g; a g onto the core's vertices is the normal form's alpha.
         """
         core, alpha = nf
         g = compose_tuples(alpha, f)
-        mdim = alpha[-1] if alpha else -1
-        img = sorted(set(g))
-        cur = (core, tuple(range(mdim + 1)))
-        img_set = set(img)
-        for s in range(mdim, -1, -1):
-            if s in img_set:
-                continue
-            ccore, calpha = cur
-            cdim = len(calpha) - 1
-            if is_identity_alpha(calpha):
-                cur = self.faces[(cdim, ccore)][s]
-            else:
-                cur = self.pull(cur, delta(s, cdim))
-        ccore, calpha = cur
-        return (ccore, tuple(calpha[img.index(v)] for v in g))
+        dim = alpha[-1]
+        while True:
+            missed = set(range(dim + 1)).difference(g)
+            if not missed:
+                return (core, g)
+            s = max(missed)
+            core, beta = self.faces[(dim, core)][s]
+            g = tuple(beta[v - (v > s)] for v in g)
+            dim = beta[-1]
 
     def face(self, nf, i):
         return self.pull(nf, delta(i, self.dim_of_nf(nf)))
@@ -451,6 +448,7 @@ def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
         by_src.setdefault(C.src[m], []).append(m)
     cells = {0: tuple(sorted(C.objects))}
     faces = {}
+    shared = {}   # each distinct face normal form once, however many simplices have it
     prev = [(x,) for x in C.objects] if C.objects else []
     level = [(m,) for m in sorted(nonid)]
     n = 1
@@ -460,7 +458,8 @@ def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
             raise SizeCapExceeded("nerve simplices", len(ids), caps.max_simplices)
         cells[n] = tuple(ids)
         for ch in level:
-            faces[(n, chain_id(ch))] = tuple(_nerve_face(C, ch, i) for i in range(n + 1))
+            fs = (_nerve_face(C, ch, i) for i in range(n + 1))
+            faces[(n, chain_id(ch))] = tuple(shared.setdefault(nf, nf) for nf in fs)
         nxt = []
         for ch in level:
             for m in by_src.get(C.dst[ch[-1]], ()):

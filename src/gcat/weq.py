@@ -635,10 +635,14 @@ def saturation_check(avatar: SaturationAvatar, pairs, caps: SizeCaps = DEFAULT_C
 # generating-cofibration families
 
 
+#: the model tags `generating_maps` knows
+GENERATOR_MODELS = ("thomason", "global", "f_model", "g_global_thin", "g_global_thick_avatar",
+                    "g_homotopy_fp", "g_homotopy_fp_thick")
+
+
 @dataclass
 class GeneratorSpec:
-    model: str               # thomason | global | f_model | g_global_thin |
-                             # g_global_thick_avatar | g_homotopy_fp | g_homotopy_fp_thick
+    model: str               # one of GENERATOR_MODELS
     n: int
     k: Optional[int] = None  # horn index; None means boundary inclusion
     acyclic: bool = False

@@ -51,12 +51,22 @@ def test_validate_rejects_bad_table(tmp_path):
 def test_negative_cap_is_a_usage_error(tmp_path):
     path = write(tmp_path, "arrow.json", arrow_category().to_doc())
     span = write(tmp_path, "span.json", span_doc())
-    for command, flag, value in [("nerve", "--cap", "-1"), ("nerve", "--cap", "x"),
-                                 ("pushout", "--word-cap", "-3"), ("pushout", "--word-cap", "x")]:
-        doc = span if command == "pushout" else path
-        proc = subprocess.run([sys.executable, "-m", "gcat.cli", command, "--input", doc,
-                               flag, value], capture_output=True, text=True)
-        assert proc.returncode == 64 and proc.stdout == ""
+    for argv, flag, value in [(["nerve", "--input", path], "--cap", "-1"),
+                              (["nerve", "--input", path], "--cap", "x"),
+                              (["pushout", "--input", span], "--word-cap", "-3"),
+                              (["pushout", "--input", span], "--word-cap", "x"),
+                              (["transfer-check", "--n-max", "0"], "--U", "bogus"),
+                              (["transfer-check", "--n-max", "0"], "--U", "fun_e:Q"),
+                              (["transfer-check"], "--G", "Q"),
+                              (["transfer-check"], "--H", "Z0"),
+                              (["transfer-check"], "--n-max", "-1"),
+                              (["corpus", "--seed", "1"], "--group", "Zx"),
+                              (["corpus", "--seed", "1"], "--count", "-2"),
+                              (["gens", "--n", "0"], "--model", "nosuch"),
+                              (["gens", "--model", "g_global_thin"], "--n", "-1")]:
+        proc = subprocess.run([sys.executable, "-m", "gcat.cli", *argv, flag, value],
+                              capture_output=True, text=True)
+        assert proc.returncode == 64 and proc.stdout == "", (argv, flag, value)
         assert flag in proc.stderr
     out = json.loads(run_cli(["nerve", "--input", path, "--cap", "0"]))
     assert out["nondegenerate"] == {"0": 2}
@@ -84,6 +94,7 @@ def malformed_argv(tmp_path, command, text):
 @pytest.mark.parametrize("command,text", [("validate", "{}"), ("validate", "[1, 2]"),
                                           ("pushout", "{}"), ("saturate", '{"kind": "other"}'),
                                           ("gens", "{bad"), ("gens", "[1]"),
+                                          ("gens", '{"H": "Q"}'),
                                           ("transfer-check", "{bad")])
 def test_malformed_document_is_a_usage_error(tmp_path, command, text):
     proc = subprocess.run([sys.executable, "-m", "gcat.cli",
@@ -101,6 +112,15 @@ def test_missing_input_file_is_an_io_error(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 74 and proc.stdout == ""
     assert missing in json.loads(proc.stderr)["error"]
+
+
+def test_input_that_is_not_utf8_is_an_io_error(tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b"\xff\xfe\x7b")
+    proc = subprocess.run([sys.executable, "-m", "gcat.cli", "validate", "--input", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 74 and proc.stdout == ""
+    assert str(path) in json.loads(proc.stderr)["error"]
 
 
 def test_io_error_is_returned_in_process(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Simplicial sets: normal forms, nerves, subdivision, Ex, homology, Kan."""
 
 import itertools
+import random
 
 import pytest
 
@@ -127,6 +128,35 @@ def test_simplicial_identities_hold_everywhere():
         X.validate()  # includes the exhaustive d_i d_j check
 
 
+def test_pull_against_composite_chains():
+    """pull along every monotone f: [k] -> [n] gives the chain of composites
+    of the simplex's arrows between f's vertices, identities dropped."""
+    for cat in [arrow_category(), chain_poset(3).to_fincat(),
+                chaotic_category(["a", "b", "c"]), delooping(cyclic_group(2))]:
+        N = nerve(cat, 3)
+        cores = {"|".join(ch): ch for n in range(1, 4) for ch in brute_force_chains(cat, n)}
+        for n in range(4):
+            for cid, alpha in N.all_simplices(n):
+                core = cores[cid] if alpha[-1] else ()
+                objects = [cat.src[core[0]]] + [cat.dst[m] for m in core] if core else [cid]
+                vertices = [objects[a] for a in alpha]
+                arrows = [core[alpha[t]] if alpha[t + 1] > alpha[t] else cat.identity[vertices[t]]
+                          for t in range(n)]
+                for k in range(4):
+                    for f in itertools.combinations_with_replacement(range(n + 1), k + 1):
+                        composites = []
+                        for a, b in zip(f, f[1:]):
+                            m = cat.identity[vertices[a]]
+                            for arrow in arrows[a:b]:
+                                m = cat.compose[(arrow, m)]
+                            composites.append(m)
+                        kept = [not cat.is_identity(m) for m in composites]
+                        nonid = [m for m, keep in zip(composites, kept) if keep]
+                        expect = ("|".join(nonid) if nonid else vertices[f[0]],
+                                  tuple(itertools.accumulate(kept, initial=0)))
+                        assert N.pull((cid, alpha), f) == expect, (cid, alpha, f)
+
+
 # -- complexes, subdivision, hSd² -------------------------------------------
 
 
@@ -217,6 +247,19 @@ def test_smith_against_sympy_on_boundaries():
         for n in range(1, 4):
             r, c, entries = boundary_matrix(X, n)
             assert smith_invariants(r, c, entries) == sympy_invariants(r, c, entries)
+
+
+def test_smith_against_sympy_on_random_matrices():
+    rng = random.Random(11)
+    for _ in range(150):
+        r, c, density = rng.randint(1, 8), rng.randint(1, 8), rng.random()
+        entries = {(i, j): rng.choice((0, 1, -1, 2, -2, 3, 4, 6))
+                   for i in range(r) for j in range(c) if rng.random() < density}
+        assert smith_invariants(r, c, entries) == sympy_invariants(r, c, entries), entries
+    assert smith_invariants(2, 2, {(0, 0): 2, (1, 1): 3}) == [1, 6]
+    assert smith_invariants(2, 2, {(0, 0): 4, (1, 1): 6}) == [2, 12]
+    with pytest.raises(ValueError):
+        smith_invariants(2, 2, {(2, 0): 1})
 
 
 def test_pi0():
