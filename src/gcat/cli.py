@@ -313,8 +313,12 @@ def cmd_gens(args):
                 params[key] = val
         return params
 
-    params = _parse("--params", parse, args.params) if args.params else {}
-    spec = GeneratorSpec(args.model, args.n, args.k, args.acyclic, params)
+    spec = GeneratorSpec(args.model, args.n, args.k, args.acyclic)
+    try:
+        spec.validate()
+    except GcatError as exc:   # a flag combination argparse cannot check alone
+        args.usage_error(f"--n/--k/--acyclic: {exc}")
+    spec.params = _parse("--params", parse, args.params) if args.params else {}
     gm = generating_maps(spec, args.caps)
     sieve = is_sieve(gm.functor)
     equivariance = None if gm.group is None else (gm.group, gm.act_src, gm.act_dst)
@@ -457,6 +461,7 @@ def build_parser():
         sp = sub.add_parser(name)
         for flag, options in {**flags, **_CAP}.items():
             sp.add_argument(flag, **options)
+        sp.set_defaults(usage_error=sp.error)
     return p
 
 
@@ -464,12 +469,11 @@ def main(argv=None):
     """Run one gcat invocation and return its exit code."""
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         inputs, body, code = COMMANDS[args.command][0](args)
         _emit(ser.report(args.command, inputs, body), args)
         return code
+    except SystemExit as exc:   # argparse's --help, or its usage text on stderr
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except FileFailure as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_IO

@@ -826,6 +826,7 @@ class PresentedPushout:
     leg_from_b: Functor   # d : B -> D
     leg_from_c: Functor   # j : C -> D
     word_of: dict         # morphism id -> canonical generator word
+    relation_scans: int   # relation instances walked (lhs and rhs) by the closure
 
 
 def _uf_find(parent, x):
@@ -841,11 +842,16 @@ def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
 
     Generators are the non-identity morphisms of B and C with i(a) ~ c(a)
     identified; relations are the two composition tables.  Saturation runs a
-    Todd-Coxeter-style closure: morphism classes are states, each generator
-    acts by postcomposition, and every relation instance is scanned over every
-    state, merging coincidences.  States are named by composite words; a state
-    that would need a word longer than word_cap raises Inconclusive with that
-    word.  On closure the quotient is assembled and validated as a category.
+    Todd-Coxeter-style closure in HLT order: morphism classes are states, each
+    generator acts by postcomposition, relation instances are scanned until no
+    coincidence is left, then the first missing action is defined.  Each
+    relation keeps a cursor into the append-only state list and is scanned
+    only at states created since its last pass; this is exact because classes
+    only coarsen, so a scanned instance stays satisfied and a merged-away state
+    never needs one.  relation_scans counts the instances walked.  States are
+    named by composite words; a state that would need a word longer than
+    word_cap raises Inconclusive with that word.  On closure the quotient is
+    assembled and validated as a category.
     """
     if not i.is_injective_on_objects():
         raise GcatError("presented_pushout requires i injective on objects")
@@ -916,11 +922,11 @@ def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
         return oclass((tag, cat.src[m])), oclass((tag, cat.dst[m]))
 
     letters = sorted({gclass(n) for n in gen_nodes()} - {None})
-    letter_src = {}
+    out_letters = {}   # object class -> the letters out of it, in letter order
     letter_dst = {}
     for letter in letters:
         s, d = gen_endpoints(letter)
-        letter_src[letter] = s
+        out_letters.setdefault(s, []).append(letter)
         letter_dst[letter] = d
 
     # relations: (lhs word, rhs word) scanned at states with matching dst;
@@ -941,13 +947,14 @@ def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
 
     # Todd-Coxeter states ---------------------------------------------------
     class State:
-        __slots__ = ("word", "src", "dst", "parent")
+        __slots__ = ("word", "src", "dst", "parent", "act")
 
         def __init__(self, word, src, dst):
             self.word = word
             self.src = src
             self.dst = dst
             self.parent = self
+            self.act = {}      # letter -> state, kept on representatives
 
     def find(s):
         while s.parent is not s:
@@ -959,8 +966,6 @@ def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
         return (len(w), w)
 
     states = []
-    act = {}       # (letter, id(rep)) -> state
-    pending = []
 
     obj_classes = sorted({oclass(n) for n in onodes})
     id_state = {}
@@ -982,36 +987,31 @@ def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
         return s
 
     def merge(s1, s2):
-        r1, r2 = find(s1), find(s2)
-        if r1 is r2:
-            return
-        lo, hi = sorted((r1, r2), key=lambda s: word_key(s.word))
-        if lo.src != hi.src or lo.dst != hi.dst:
-            raise GcatError("pushout oracle merged states with different endpoints")
-        hi.parent = lo
-        moved = [(k, v) for k, v in act.items() if k[1] == id(hi)]
-        for k, v in moved:
-            del act[k]
-            k2 = (k[0], id(lo))
-            if k2 in act:
-                pending.append((act[k2], v))
-            else:
-                act[k2] = v
-
-    def settle():
+        """Identify two states and every coincidence that follows."""
+        pending = [(s1, s2)]
         while pending:
-            a, b = pending.pop()
-            merge(a, b)
+            r1, r2 = (find(s) for s in pending.pop())
+            if r1 is r2:
+                continue
+            lo, hi = sorted((r1, r2), key=lambda s: word_key(s.word))
+            if lo.src != hi.src or lo.dst != hi.dst:
+                raise GcatError("pushout oracle merged states with different endpoints")
+            hi.parent = lo
+            for letter, v in hi.act.items():
+                if letter in lo.act:
+                    pending.append((lo.act[letter], v))
+                else:
+                    lo.act[letter] = v
 
     def get_act(letter, state, create=True):
         state = find(state)
-        key = (letter, id(state))
-        if key in act:
-            return find(act[key])
+        nxt = state.act.get(letter)
+        if nxt is not None:
+            return find(nxt)
         if not create:
             return None
         s = new_state(state.word + (letter,), state.src, letter_dst[letter])
-        act[key] = s
+        state.act[letter] = s
         return s
 
     def walk(word, state, create=True):
@@ -1020,45 +1020,43 @@ def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
             cur = get_act(letter, cur, create)
             if cur is None:
                 return None
-            cur = find(cur)
         return cur
 
-    # closure, HLT style: scan relations (filling entries) until stable, then
-    # define one missing action at a time and re-stabilize
-    def scan_relations():
-        while True:
-            settle()
+    # closure, HLT style: scan relation instances (filling entries) until a
+    # pass merges nothing, then define the first missing entry in state and
+    # letter order, and repeat.  Both scans resume where they stopped, which
+    # is exact because classes only coarsen: a scanned instance stays
+    # satisfied, a state merged away never becomes a representative again, a
+    # state's dst never changes, and a complete representative stays complete.
+    scanned = [0] * len(relations)   # relation r has been scanned at states[:scanned[r]]
+    complete = 0                     # states[:complete] are merged away or complete
+    relation_scans = 0
+    while True:
+        changed = True
+        while changed:
             changed = False
-            for lhs, rhs, src_cond in relations:
-                for s in list(states):
+            for r, (lhs, rhs, src_cond) in enumerate(relations):
+                end = len(states)
+                for s in states[scanned[r]:end]:
                     if find(s) is not s or s.dst != src_cond:
                         continue
-                    left = walk(lhs, s)
-                    right = walk(rhs, s)
-                    settle()
+                    relation_scans += 1
+                    left, right = walk(lhs, s), walk(rhs, s)
                     if find(left) is not find(right):
                         merge(left, right)
-                        settle()
                         changed = True
-            if not changed:
-                return
-
-    while True:
-        scan_relations()
+                scanned[r] = end
         missing = None
-        for s in states:
-            if find(s) is not s:
-                continue
-            for letter in letters:
-                if letter_src[letter] == s.dst and (letter, id(s)) not in act:
-                    missing = (letter, s)
+        while complete < len(states):
+            s = states[complete]
+            if find(s) is s:
+                missing = next((x for x in out_letters.get(s.dst, ()) if x not in s.act), None)
+                if missing is not None:
                     break
-            if missing:
-                break
+            complete += 1
         if missing is None:
             break
-        get_act(missing[0], missing[1])
-        settle()
+        get_act(missing, s)
 
     # assemble the quotient category ----------------------------------------
     def obj_id(oc):
@@ -1083,12 +1081,13 @@ def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
     objects = [obj_id(oc) for oc in obj_classes]
     morphisms = [(mor_id(r), obj_id(r.src), obj_id(r.dst)) for r in reps]
     identity = {obj_id(oc): f"id:{obj_id(oc)}" for oc in obj_classes}
+    reps_by_dst = {}
+    for f in reps:
+        reps_by_dst.setdefault(f.dst, []).append(f)
     compose = {}
     for g in reps:
-        for f in reps:
-            if find(f).dst != find(g).src:
-                continue
-            res = walk(find(g).word, find(f), create=False)
+        for f in reps_by_dst.get(g.src, ()):
+            res = walk(g.word, f, create=False)
             if res is None:
                 raise GcatError("pushout oracle closure left an undefined composite")
             compose[(mor_id(g), mor_id(f))] = mor_id(res)
@@ -1121,5 +1120,5 @@ def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
                 changed = True
     if generated != set(D.morphism_ids):
         raise GcatError("pushout oracle produced non-generated morphisms")
-    word_of = {mor_id(r): find(r).word for r in reps}
-    return PresentedPushout(D, d_leg, j_leg, word_of)
+    word_of = {mor_id(r): r.word for r in reps}
+    return PresentedPushout(D, d_leg, j_leg, word_of, relation_scans)

@@ -48,7 +48,7 @@ def test_validate_rejects_bad_table(tmp_path):
     run_cli(["validate", "--input", path], expect=1)
 
 
-def test_negative_cap_is_a_usage_error(tmp_path):
+def test_negative_cap_is_a_usage_error(tmp_path, capsys):
     path = write(tmp_path, "arrow.json", arrow_category().to_doc())
     span = write(tmp_path, "span.json", span_doc())
     for argv, flag, value in [(["nerve", "--input", path], "--cap", "-1"),
@@ -63,11 +63,17 @@ def test_negative_cap_is_a_usage_error(tmp_path):
                               (["corpus", "--seed", "1"], "--group", "Zx"),
                               (["corpus", "--seed", "1"], "--count", "-2"),
                               (["gens", "--n", "0"], "--model", "nosuch"),
-                              (["gens", "--model", "g_global_thin"], "--n", "-1")]:
-        proc = subprocess.run([sys.executable, "-m", "gcat.cli", *argv, flag, value],
-                              capture_output=True, text=True)
-        assert proc.returncode == 64 and proc.stdout == "", (argv, flag, value)
-        assert flag in proc.stderr
+                              (["gens", "--model", "g_global_thin"], "--n", "-1"),
+                              (["gens", "--model", "thomason", "--n", "1", "--acyclic"], "--k", "5"),
+                              (["gens", "--model", "thomason", "--n", "1", "--acyclic"], "--k", "-1"),
+                              (["gens", "--model", "thomason", "--acyclic", "--k", "0"], "--n", "0")]:
+        code = cli.main([*argv, flag, value])
+        out, err = capsys.readouterr()
+        assert code == 64 and out == "", (argv, flag, value)
+        assert flag in err
+    proc = subprocess.run([sys.executable, "-m", "gcat.cli", "nerve", "--input", path, "--cap", "-1"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 64 and proc.stdout == "" and "--cap" in proc.stderr
     out = json.loads(run_cli(["nerve", "--input", path, "--cap", "0"]))
     assert out["nondegenerate"] == {"0": 2}
 

@@ -1,6 +1,7 @@
 """Tables, functors, products, functor categories, equivalences, and the
 presentation oracle."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -31,6 +32,8 @@ from gcat.fincat import (
     validate_category,
 )
 from gcat.actions import chaotic_category, cyclic_group, delooping
+from gcat.corpus import dwyer_span_corpus
+from gcat.serialize import canonical_json
 
 
 def test_validate_terminal():
@@ -178,6 +181,30 @@ def test_presented_pushout_glue_is_two():
     res = presented_pushout(one, arrow, arrow, i, c)
     assert res.category.n_objects() == 3 and res.category.n_morphisms() == 6
     assert find_isomorphism(res.category, chain_poset(2).to_fincat()) is not None
+    B, C = ("B", "0<=1"), ("C", "0<=1")
+    assert res.category.morphisms == (
+        ("id:0", "0", "0"), ("id:1", "1", "1"), ("id:B:1", "B:1", "B:1"),
+        ("w:B:0<=1", "1", "B:1"), ("w:C:0<=1", "0", "1"), ("w:C:0<=1.B:0<=1", "0", "B:1"))
+    assert res.word_of == {"id:0": (), "id:1": (), "id:B:1": (), "w:B:0<=1": (B,),
+                           "w:C:0<=1": (C,), "w:C:0<=1.B:0<=1": (C, B)}
+    # an arrow has no composite of two non-identities, so no relation to scan
+    assert res.relation_scans == 0
+
+
+def test_presented_pushout_scans_each_relation_instance_once():
+    """[2] glued end to start onto [2] is [4]. The closure has 2 relations,
+    (1<=2)(0<=1) = 0<=2 in each copy, and 19 states: 5 identities and 14
+    definitions. The B relation applies at id:B:0 and the C relation at the
+    3 states ending at the glued object, so 4 instances are walked; rescanning
+    every relation at every state after each definition walked 18."""
+    one = terminal_category()
+    chain = chain_poset(2).to_fincat()
+    i = Functor(one, chain, {"*": "2"}, {"id*": "2<=2"})
+    c = Functor(one, chain, {"*": "0"}, {"id*": "0<=0"})
+    res = presented_pushout(one, chain, chain, i, c)
+    assert find_isomorphism(res.category, chain_poset(4).to_fincat()) is not None
+    assert res.relation_scans == 4
+    assert res.relation_scans <= 2 * 19
 
 
 def test_presented_pushout_loop_inconclusive():
@@ -186,8 +213,34 @@ def test_presented_pushout_loop_inconclusive():
     two_pts = discrete_category(["a", "b"])
     i = Functor(two_pts, arrow, {"a": "0", "b": "1"}, {"id:a": "0<=0", "id:b": "1<=1"})
     c = Functor(two_pts, one, {"a": "*", "b": "*"}, {"id:a": "id*", "id:b": "id*"})
-    with pytest.raises(Inconclusive):
+    with pytest.raises(Inconclusive) as exc:
         presented_pushout(two_pts, arrow, one, i, c, word_cap=4)
+    assert exc.value.word == (("B", "0<=1"),) * 5
+
+
+def test_presented_pushout_names_are_pinned():
+    """The oracle's quotient, state names and non-closing words over seeded
+    Dwyer spans (groups 1, Z2, Z3; word caps 1, 2, 3, 16; 108 calls, 14 of
+    them Inconclusive) hash as they did at commit 3cc4a1b, before the closure
+    resumed its scans instead of rescanning every state."""
+    h = hashlib.sha256()
+    inconclusive = 0
+    for seed, group in ((1, "1"), (2, "Z2"), (3, "Z3")):
+        for span in dwyer_span_corpus(seed, 9, group):
+            for cap in (1, 2, 3, 16):
+                try:
+                    res = presented_pushout(span.A, span.B, span.C, span.i, span.c, cap)
+                except Inconclusive as exc:
+                    inconclusive += 1
+                    doc = {"inconclusive": exc.word}
+                else:
+                    doc = {"category": res.category.to_doc(),
+                           "b": [res.leg_from_b.object_map, res.leg_from_b.morphism_map],
+                           "c": [res.leg_from_c.object_map, res.leg_from_c.morphism_map],
+                           "word_of": res.word_of}
+                h.update(canonical_json(doc).encode())
+    assert inconclusive == 14
+    assert h.hexdigest() == "6d4b236a6754ded442e7bf994549cb1dcf6cfbfd647142c41092eb74990fc791"
 
 
 def test_find_equivalence_identity():
