@@ -237,8 +237,9 @@ def homomorphisms(H: FinGroup, G: FinGroup):
 
 
 def check_homomorphism(H: FinMonoid, G: FinMonoid, phi: dict):
+    g_elements = set(G.elements)
     for a in H.elements:
-        if a not in phi or phi[a] not in set(G.elements):
+        if a not in phi or phi[a] not in g_elements:
             raise NotAHomomorphism(f"phi undefined/invalid at {a!r}")
     if phi[H.unit] != G.unit:
         raise NotAHomomorphism("phi does not preserve the unit")

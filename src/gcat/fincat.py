@@ -297,8 +297,9 @@ class Functor:
         return self.morphism_map[m]
 
     def validate(self):
+        target_objects = set(self.target.objects)
         for x in self.source.objects:
-            if x not in self.object_map or self.object_map[x] not in set(self.target.objects):
+            if x not in self.object_map or self.object_map[x] not in target_objects:
                 raise DanglingReference(f"object map undefined/invalid at {x!r}")
         for m, s, t in self.source.morphisms:
             fm = self.morphism_map.get(m)

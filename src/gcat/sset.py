@@ -19,6 +19,7 @@ both Kan checkers enumerate horns with `_horns`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -37,13 +38,15 @@ from . import actions as _actions
 # monotone maps on finite ordinals, as tuples
 
 
+@functools.cache
 def delta(i, n):
-    """Coface δ_i: [n-1] -> [n] (skips i), as a tuple of length n."""
+    """Coface δ_i: [n-1] -> [n] (skips i), as a tuple of length n; memoized."""
     return tuple(t if t < i else t + 1 for t in range(n))
 
 
+@functools.cache
 def sigma(i, n):
-    """Codegeneracy σ_i: [n+1] -> [n] (repeats i), as a tuple of length n+2."""
+    """Codegeneracy σ_i: [n+1] -> [n] (repeats i), as a tuple of length n+2; memoized."""
     return tuple(t if t <= i else t - 1 for t in range(n + 2))
 
 
@@ -147,36 +150,56 @@ class FinSSet:
         return sum(comb(n, m) * self.n_nondeg(m) for m in range(n + 1))
 
     def validate(self, caps: SizeCaps = DEFAULT_CAPS):
+        """Check the ids, the shape of every stored face and every simplicial
+        identity d_i d_j = d_{j-1} d_i (i < j) of every stored simplex.
+
+        Once the faces are well formed, face j of a stored n-simplex is its
+        stored face, so the identities compare faces of stored face normal
+        forms; each distinct one has its faces pulled once.
+        """
+        cores = {}   # dim -> set of nondegenerate ids
         for n in self.dims():
             ids = self.cells[n]
-            if list(ids) != sorted(set(ids)):
+            cores[n] = set(ids)
+            if list(ids) != sorted(cores[n]):
                 raise GcatError(f"simplex ids at dim {n} not sorted/unique")
             if len(ids) > caps.max_simplices:
                 raise SizeCapExceeded("simplices", len(ids), caps.max_simplices)
             if n == 0:
                 continue
+            well_formed = set()   # the (n-1)-dimensional face normal forms checked so far
             for sid in ids:
                 fs = self.faces.get((n, sid))
                 if fs is None or len(fs) != n + 1:
                     raise GcatError(f"faces missing for ({n},{sid})")
                 for nf in fs:
+                    if nf in well_formed:
+                        continue
                     core, alpha = nf
-                    if len(alpha) != n or not all(alpha[i] <= alpha[i + 1] for i in range(len(alpha) - 1)):
+                    if len(alpha) != n or not all(alpha[i] <= alpha[i + 1] for i in range(n - 1)):
                         raise GcatError(f"bad face normal form on ({n},{sid})")
                     cdim = alpha[-1]
                     if set(alpha) != set(range(cdim + 1)):
                         raise GcatError(f"face alpha not surjective on ({n},{sid})")
-                    if core not in set(self.cells.get(cdim, ())):
+                    if core not in cores.get(cdim, ()):
                         raise GcatError(f"face core {core!r} unknown at dim {cdim}")
+                    well_formed.add(nf)
         # simplicial identities d_i d_j = d_{j-1} d_i for i < j
         for n in self.dims():
             if n < 2:
                 continue
+            cofaces = [delta(i, n - 1) for i in range(n)]
+            faces_of = {}   # (n-1)-dimensional face normal form -> its faces
             for sid in self.cells[n]:
-                nf = self.nf_of(n, sid)
+                second = []
+                for f in self.faces[(n, sid)]:
+                    ff = faces_of.get(f)
+                    if ff is None:
+                        ff = faces_of[f] = tuple(self.pull(f, d) for d in cofaces)
+                    second.append(ff)
                 for j in range(n + 1):
                     for i in range(j):
-                        if self.face(self.face(nf, j), i) != self.face(self.face(nf, i), j - 1):
+                        if second[j][i] != second[i][j - 1]:
                             raise GcatError(f"simplicial identity fails at ({n},{sid},d{i},d{j})")
         return self
 
@@ -219,6 +242,11 @@ class SSetMap:
         return (tc, compose_tuples(ta, alpha))
 
     def validate(self):
+        """Check that the map is defined on every nondegenerate simplex,
+        keeps dimensions, lands on known cores and commutes with every face;
+        each distinct value has its faces pulled once."""
+        cores = {n: set(ids) for n, ids in self.target.cells.items()}
+        faces_of = {}   # value in the target -> its faces
         for n in self.source.dims():
             for sid in self.source.cells[n]:
                 v = self.values.get((n, sid))
@@ -227,13 +255,15 @@ class SSetMap:
                 if self.target.dim_of_nf(v) != n:
                     raise GcatError(f"map changes dimension on ({n},{sid})")
                 core, alpha = v
-                if core not in set(self.target.cells.get(alpha[-1], ())):
+                if core not in cores.get(alpha[-1], ()):
                     raise GcatError(f"map value core unknown on ({n},{sid})")
                 if n >= 1:
+                    rhs = faces_of.get(v)
+                    if rhs is None:
+                        rhs = faces_of[v] = tuple(self.target.face(v, i) for i in range(n + 1))
+                    fs = self.source.faces[(n, sid)]
                     for i in range(n + 1):
-                        lhs = self.apply(self.source.faces[(n, sid)][i])
-                        rhs = self.target.face(v, i)
-                        if lhs != rhs:
+                        if self.apply(fs[i]) != rhs[i]:
                             raise GcatError(f"map breaks face d{i} on ({n},{sid})")
         return self
 

@@ -652,9 +652,10 @@ class GeneratorSpec:
         if self.acyclic:
             if self.k is None or not (0 <= self.k <= self.n) or self.n < 1:
                 raise GcatError("acyclic generators need 1 <= n and 0 <= k <= n")
-        else:
-            if self.n < 0:
-                raise GcatError("n must be >= 0")
+        elif self.k is not None:
+            raise GcatError("a horn index k needs acyclic generators")
+        elif self.n < 0:
+            raise GcatError("n must be >= 0")
         return self
 
 

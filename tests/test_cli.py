@@ -1,8 +1,10 @@
 """CLI surface: document round-trips, exit codes, deterministic reports."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,9 +13,19 @@ from gcat.fincat import Functor, arrow_category, terminal_category
 from gcat.sset import boundary_complex, complex_to_sset, standard_simplex_complex
 
 
+# the directory gcat was imported from, so a subprocess imports the same tree
+GCAT_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
+
+def gcat_process(args):
+    """`python -m gcat.cli *args` in a subprocess, with its output captured."""
+    path = os.pathsep.join(p for p in (GCAT_ROOT, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "gcat.cli", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def run_cli(args, expect=0):
-    proc = subprocess.run([sys.executable, "-m", "gcat.cli", *args],
-                          capture_output=True, text=True)
+    proc = gcat_process(args)
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc.stdout
 
@@ -66,13 +78,13 @@ def test_negative_cap_is_a_usage_error(tmp_path, capsys):
                               (["gens", "--model", "g_global_thin"], "--n", "-1"),
                               (["gens", "--model", "thomason", "--n", "1", "--acyclic"], "--k", "5"),
                               (["gens", "--model", "thomason", "--n", "1", "--acyclic"], "--k", "-1"),
+                              (["gens", "--model", "thomason", "--n", "1"], "--k", "5"),
                               (["gens", "--model", "thomason", "--acyclic", "--k", "0"], "--n", "0")]:
         code = cli.main([*argv, flag, value])
         out, err = capsys.readouterr()
         assert code == 64 and out == "", (argv, flag, value)
         assert flag in err
-    proc = subprocess.run([sys.executable, "-m", "gcat.cli", "nerve", "--input", path, "--cap", "-1"],
-                          capture_output=True, text=True)
+    proc = gcat_process(["nerve", "--input", path, "--cap", "-1"])
     assert proc.returncode == 64 and proc.stdout == "" and "--cap" in proc.stderr
     out = json.loads(run_cli(["nerve", "--input", path, "--cap", "0"]))
     assert out["nondegenerate"] == {"0": 2}
@@ -103,9 +115,7 @@ def malformed_argv(tmp_path, command, text):
                                           ("gens", '{"H": "Q"}'),
                                           ("transfer-check", "{bad")])
 def test_malformed_document_is_a_usage_error(tmp_path, command, text):
-    proc = subprocess.run([sys.executable, "-m", "gcat.cli",
-                           *malformed_argv(tmp_path, command, text)],
-                          capture_output=True, text=True)
+    proc = gcat_process(malformed_argv(tmp_path, command, text))
     assert proc.returncode == 64, (proc.stdout, proc.stderr)
     lines = proc.stdout.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["error"] == "malformed document"
@@ -114,8 +124,7 @@ def test_malformed_document_is_a_usage_error(tmp_path, command, text):
 
 def test_missing_input_file_is_an_io_error(tmp_path):
     missing = str(tmp_path / "missing.json")
-    proc = subprocess.run([sys.executable, "-m", "gcat.cli", "validate", "--input", missing],
-                          capture_output=True, text=True)
+    proc = gcat_process(["validate", "--input", missing])
     assert proc.returncode == 74 and proc.stdout == ""
     assert missing in json.loads(proc.stderr)["error"]
 
@@ -123,8 +132,7 @@ def test_missing_input_file_is_an_io_error(tmp_path):
 def test_input_that_is_not_utf8_is_an_io_error(tmp_path):
     path = tmp_path / "bytes.json"
     path.write_bytes(b"\xff\xfe\x7b")
-    proc = subprocess.run([sys.executable, "-m", "gcat.cli", "validate", "--input", str(path)],
-                          capture_output=True, text=True)
+    proc = gcat_process(["validate", "--input", str(path)])
     assert proc.returncode == 74 and proc.stdout == ""
     assert str(path) in json.loads(proc.stderr)["error"]
 
@@ -139,8 +147,7 @@ def test_io_error_is_returned_in_process(tmp_path, capsys):
 def test_unwritable_output_is_an_io_error(tmp_path):
     path = write(tmp_path, "arrow.json", arrow_category().to_doc())
     target = str(tmp_path / "no-such-dir" / "x.json")
-    proc = subprocess.run([sys.executable, "-m", "gcat.cli", "--output", target,
-                           "validate", "--input", path], capture_output=True, text=True)
+    proc = gcat_process(["--output", target, "validate", "--input", path])
     assert proc.returncode == 74
     assert proc.stdout == run_cli(["validate", "--input", path])
     error = json.loads(proc.stderr)["error"]
@@ -225,8 +232,7 @@ def test_corpus_reports_byte_identical(tmp_path):
 
 
 def test_corpus_requires_seed():
-    proc = subprocess.run([sys.executable, "-m", "gcat.cli", "corpus", "--count", "1"],
-                          capture_output=True, text=True)
+    proc = gcat_process(["corpus", "--count", "1"])
     assert proc.returncode == 64 and proc.stdout == ""
     assert "--seed" in proc.stderr
 

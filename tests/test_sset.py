@@ -5,12 +5,13 @@ import random
 
 import pytest
 
-from gcat.errors import NotAPosetNerve, SizeCapExceeded
-from gcat.config import DEFAULT_CAPS, SizeCaps
+from gcat.errors import GcatError, NotAPosetNerve, SizeCapExceeded
+from gcat.config import DEFAULT_CAPS, WIDE_CAPS, SizeCaps
 from gcat.fincat import (
     Functor,
     arrow_category,
     chain_poset,
+    functor_category_data,
     identity_functor,
     product_category,
     terminal_category,
@@ -22,9 +23,12 @@ from gcat.actions import (
     cyclic_group,
     delooping,
     subgroup_from_elements,
+    symmetric_group,
     translation_action,
 )
 from gcat.sset import (
+    FinSSet,
+    SSetMap,
     boundary_complex,
     complex_inclusion,
     complex_to_sset,
@@ -54,7 +58,9 @@ from gcat.sset import (
     standard_simplex_complex,
     boundary_matrix,
     identity_sset_map,
+    sset_from_doc,
 )
+from gcat.weq import GeneratorSpec, generating_maps
 from gcat.smith import smith_invariants
 
 
@@ -126,6 +132,93 @@ def test_simplicial_identities_hold_everywhere():
     ]
     for X in builds:
         X.validate()  # includes the exhaustive d_i d_j check
+
+
+def simplex_doc():
+    """The document of Δ², faces listed as [dim, id, [[core, alpha], ...]]."""
+    return complex_to_sset(standard_simplex_complex(2), 2).to_doc()
+
+
+def corrupt_face(doc, sid, i, nf):
+    """`doc` with face d_i of the simplex `sid` replaced by the normal form `nf`."""
+    for entry in doc["faces"]:
+        if entry[1] == sid:
+            entry[2][i] = nf
+    return doc
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    pytest.param(lambda d: d["cells"]["0"].reverse(),
+                 "simplex ids at dim 0 not sorted/unique", id="unsorted-ids"),
+    pytest.param(lambda d: d["faces"][-1][2].pop(),
+                 "faces missing for (2,0,1,2)", id="missing-face"),
+    pytest.param(lambda d: corrupt_face(d, "0,1,2", 0, ["0", [1, 0]]),
+                 "bad face normal form on (2,0,1,2)", id="non-monotone-alpha"),
+    pytest.param(lambda d: corrupt_face(d, "0,1,2", 0, ["0", [0, 2]]),
+                 "face alpha not surjective on (2,0,1,2)", id="non-surjective-alpha"),
+    pytest.param(lambda d: corrupt_face(d, "0,1", 1, ["9", [0]]),
+                 "face core '9' unknown at dim 0", id="unknown-core"),
+    # d_0 and d_1 swapped: d_0 d_2 = 1 but d_1 d_0 = 0
+    pytest.param(lambda d: corrupt_face(corrupt_face(d, "0,1,2", 0, ["0,2", [0, 1]]),
+                                        "0,1,2", 1, ["1,2", [0, 1]]),
+                 "simplicial identity fails at (2,0,1,2,d0,d2)", id="broken-identity"),
+])
+def test_validate_rejects_each_malformed_document(corrupt, message):
+    doc = simplex_doc()
+    assert sset_from_doc(doc).to_doc() == doc
+    corrupt(doc)
+    with pytest.raises(GcatError) as info:
+        sset_from_doc(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("change, message", [
+    pytest.param(lambda v: v.pop((1, "0,2")), "map undefined on (1,0,2)", id="undefined"),
+    pytest.param(lambda v: v.update({(1, "0,2"): ("0,2", (0, 1, 2))}),
+                 "map changes dimension on (1,0,2)", id="changes-dimension"),
+    pytest.param(lambda v: v.update({(1, "0,2"): ("0,3", (0, 1))}),
+                 "map value core unknown on (1,0,2)", id="unknown-core"),
+    pytest.param(lambda v: v.update({(1, "0,1"): ("1,2", (0, 1))}),
+                 "map breaks face d0 on (1,0,1)", id="breaks-edge-face"),
+    pytest.param(lambda v: v.update({(2, "0,1,2"): ("0", (0, 0, 0))}),
+                 "map breaks face d0 on (2,0,1,2)", id="breaks-triangle-face"),
+])
+def test_sset_map_validate_rejects_each_broken_map(change, message):
+    X = complex_to_sset(standard_simplex_complex(2), 2)
+    values = dict(identity_sset_map(X).values)
+    SSetMap(X, X, values).validate()
+    change(values)
+    with pytest.raises(GcatError) as info:
+        SSetMap(X, X, values).validate()
+    assert str(info.value) == message
+
+
+def test_validate_pulls_each_distinct_face_once(monkeypatch):
+    """`validate` pulls the n faces of each distinct stored (n-1)-dimensional
+    face normal form once, and nothing else."""
+    Z2 = cyclic_group(2)
+    gm = generating_maps(GeneratorSpec("g_global_thin", 1, params={
+        "H": Z2, "G": Z2, "phi": {h: h for h in Z2.elements}}))
+    fun = functor_category_data(chaotic_category(Z2.elements), gm.functor.source, WIDE_CAPS).cat
+    builds = [nerve(delooping(symmetric_group(3)), 4), nerve(fun, 3, WIDE_CAPS)]
+    calls = 0
+    pull = FinSSet.pull
+
+    def counting_pull(self, nf, f):
+        nonlocal calls
+        calls += 1
+        return pull(self, nf, f)
+
+    monkeypatch.setattr(FinSSet, "pull", counting_pull)
+    counts = []
+    for X in builds:
+        calls = 0
+        X.validate(WIDE_CAPS)
+        distinct = {n: {nf for sid in X.cells[n] for nf in X.faces[(n, sid)]}
+                    for n in X.dims() if n >= 2}
+        assert calls == sum(n * len(faces) for n, faces in distinct.items())
+        counts.append(calls)
+    assert counts == [917, 424]
 
 
 def test_pull_against_composite_chains():
