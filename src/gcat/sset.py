@@ -11,10 +11,12 @@ poset-level hSd², nerves of categories (equivariant when an action is
 present), Kan's Ex with its unit, integer homology via Smith normal form,
 and capped Kan-fibration verdicts.
 
-An n-simplex of Ex(X) is an Sd-map Sd Δⁿ -> X, stored as a tuple of normal
-forms of X indexed by the chain order of `_SdData(n).chains`.  Restricting an
-Sd-map along a monotone map goes through `_restrict` and its cached table, and
-both Kan checkers enumerate horns with `_horns`.
+`FinSSet.face_index(d)` numbers the d-simplices, degenerate ones included,
+0, 1, ... in sorted normal-form order.  An n-simplex of Ex(X) is an Sd-map
+Sd Δⁿ -> X, stored as a tuple of these ints in the chain order of
+`_SdData(n).chains` (a d-chain holds a d-simplex), so int Sd-maps sort as
+their normal forms do.  The Sd-map search, Ex, Ex(f) and both Kan checkers
+run on these tables, and both Kan checkers enumerate horns with `_horns`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import NamedTuple
 
 from .config import DEFAULT_CAPS, SizeCaps
 from .errors import GcatError, NotAPosetNerve, SizeCapExceeded
@@ -59,24 +63,25 @@ def compose_tuples(outer, inner):
     return tuple(outer[v] for v in inner)
 
 
+@functools.cache
 def surjections(n, m):
-    """All monotone surjections [n] ->> [m], lexicographically ordered."""
-    if m > n or m < 0:
-        return
-    # choose the m positions (out of n steps) where the value increases
-    for incr in itertools.combinations(range(1, n + 1), m):
-        alpha = []
-        v = 0
-        s = set(incr)
-        for t in range(n + 1):
-            if t in s:
-                v += 1
-            alpha.append(v)
-        yield tuple(alpha)
+    """All monotone surjections [n] ->> [m], lexicographically ordered, as a
+    tuple; memoized.  Each is chosen by the m of n steps where it increases."""
+    return tuple(tuple(sum(1 for i in incr if i <= t) for t in range(n + 1))
+                 for incr in itertools.combinations(range(1, n + 1), m)) if 0 <= m <= n else ()
 
 
 # ---------------------------------------------------------------------------
 # finite simplicial sets
+
+
+class _SimplexTable(NamedTuple):
+    """A FinSSet's n-simplices, degenerate ones included, as 0, 1, ... in sorted normal-form order."""
+
+    faces: dict    # int -> int face tuple, in `all_simplices` order
+    groups: dict   # int face tuple -> the ints with those faces, in `all_simplices` order
+    nfs: tuple     # int -> normal form
+    number: dict   # normal form -> int
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +91,7 @@ class FinSSet:
     cap: int
     cells: dict   # dim -> tuple of nondegenerate simplex ids (sorted)
     faces: dict   # (dim, id) -> tuple of normal forms (length dim+1)
-    _face_memo: dict = field(default_factory=dict, init=False, repr=False)  # dim -> face_index
+    _face_memo: dict = field(default_factory=dict, init=False, repr=False)  # dim -> _SimplexTable
 
     def n_nondeg(self, n):
         return len(self.cells.get(n, ()))
@@ -133,30 +138,41 @@ class FinSSet:
         return out
 
     def face_index(self, n):
-        """The n-simplices in `all_simplices` order, each with its face tuple,
-        and the same simplices grouped by face tuple; memoized per dimension.
-        A 0-simplex has the empty face tuple."""
-        if n not in self._face_memo:
-            faces_of = {v: tuple(self.face(v, j) for j in range(n + 1)) if n else ()
-                        for v in self.all_simplices(n)}
-            by_faces = {}
-            for v, fs in faces_of.items():
-                by_faces.setdefault(fs, []).append(v)
-            self._face_memo[n] = faces_of, by_faces
-        return self._face_memo[n]
+        """The `_SimplexTable` of the n-simplices, memoized; face tuples hold
+        ints of the (n-1)-table (a 0-simplex has the empty one).  `faces` and
+        `groups` follow `all_simplices` order, every search's candidate order."""
+        table = self._face_memo.get(n)
+        if table is None:
+            simplices = self.all_simplices(n)
+            try:
+                nfs = tuple(sorted(simplices))
+            except TypeError:   # a document's ids of types that do not compare
+                nfs = tuple(sorted(simplices, key=lambda v: (type(v[0]).__name__, v)))
+            number = {v: i for i, v in enumerate(nfs)}
+            below = self.face_index(n - 1).number if n else None
+            faces = {number[v]: tuple(below[self.face(v, j)] for j in range(n + 1)) if n else ()
+                     for v in simplices}
+            groups = {}
+            for i, fs in faces.items():
+                groups.setdefault(fs, []).append(i)
+            table = self._face_memo[n] = _SimplexTable(faces, groups, nfs, number)
+        return table
 
     def total_count(self, n):
         from math import comb
         return sum(comb(n, m) * self.n_nondeg(m) for m in range(n + 1))
 
     def validate(self, caps: SizeCaps = DEFAULT_CAPS):
-        """Check the ids, the shape of every stored face and every simplicial
-        identity d_i d_j = d_{j-1} d_i (i < j) of every stored simplex.
+        """Check that nothing is stored above the cap, the ids, the shape of
+        every stored face and every simplicial identity d_i d_j = d_{j-1} d_i
+        (i < j) of every stored simplex.
 
         Once the faces are well formed, face j of a stored n-simplex is its
         stored face, so the identities compare faces of stored face normal
         forms; each distinct one has its faces pulled once.
         """
+        if any(n > self.cap for n in self.cells) or any(n > self.cap for n, _ in self.faces):
+            raise GcatError(f"simplices stored above cap {self.cap}")
         cores = {}   # dim -> set of nondegenerate ids
         for n in self.dims():
             ids = self.cells[n]
@@ -856,7 +872,7 @@ class _SdData:
     the face poset of Δⁿ.
 
     `chains` fixes the chain order (by dimension, then lexicographic) in which
-    every Sd-map Sd Δⁿ -> X is stored, as a tuple of normal forms."""
+    every Sd-map Sd Δⁿ -> X is stored, as a tuple of ints of X's tables."""
 
     _cache = {}
 
@@ -904,6 +920,10 @@ class _SdData:
             self._restrictions[f] = tuple(table)
         return self._restrictions[f]
 
+    def face_positions(self, i):
+        """Face i of an Sd-map is the Sd-map at these positions: Sd(δ_i) collapses no chain."""
+        return tuple(pos for pos, _ in self.restriction(delta(i, len(self.chains[-1]) - 1)))
+
 
 def _strictify(seq):
     """Collapse equal consecutive entries; returns (strict tuple, surjection)."""
@@ -916,44 +936,37 @@ def _strictify(seq):
     return tuple(strict), tuple(beta)
 
 
-def _restrict(X: FinSSet, n, psi, f):
-    """ψ∘Sd(f): the Sd-map ψ: Sd Δⁿ -> X restricted along a monotone f: [m] -> [n]."""
-    return tuple(psi[pos] if beta is None else X.pull(psi[pos], beta)
-                 for pos, beta in _SdData(n).restriction(f))
-
-
 def _enumerate_sd_maps(n, X: FinSSet, caps: SizeCaps, prescribed=None, first_only=False):
-    """All simplicial maps Sd Δⁿ -> X, as tuples of normal forms in chain order.
+    """All simplicial maps Sd Δⁿ -> X, as int tuples in chain order.
 
-    `prescribed` pins the values at some chain positions.
+    `prescribed` pins the ints at some chain positions.  Depth first over
+    `search_steps`, candidates in `all_simplices` order; every node, the root
+    included, counts against `caps.max_candidates`.
     """
-    steps = _SdData(n).search_steps
-    by_faces = [X.face_index(d)[1] for d in range(n + 1)]
-    counter = 0
-    assignment = [None] * len(steps)
-    out = []
-
-    def backtrack(idx):
-        nonlocal counter
+    steps = [(pos, X.face_index(d).groups, itemgetter(*face_pos) if d else None,
+              prescribed.get(pos) if prescribed else None)
+             for pos, d, face_pos in _SdData(n).search_steps]
+    assignment, last = [None] * len(steps), len(steps)
+    out, stack, counter, depth = [], [], 0, 0   # stack: a candidate iterator per step reached
+    while True:
         counter += 1
         if counter > caps.max_candidates:
             raise SizeCapExceeded("Sd-map enumeration", counter, caps.max_candidates)
-        if idx == len(steps):
+        if depth == last:
             out.append(tuple(assignment))
-            return not first_only
-        pos, d, face_pos = steps[idx]
-        cands = by_faces[d].get(tuple(assignment[p] for p in face_pos), ())
-        if prescribed and pos in prescribed:
-            want = prescribed[pos]
-            cands = [want] if want in cands else ()
-        for v in cands:
-            assignment[pos] = v
-            if not backtrack(idx + 1):
-                return False
-        return True
-
-    backtrack(0)
-    return out
+            if first_only:
+                return out
+        else:
+            _, groups, key, want = steps[depth]
+            cands = groups.get(key(assignment) if key else (), ())
+            stack.append(iter(cands if want is None else [want] if want in cands else ()))
+            depth += 1
+        while depth and (v := next(stack[-1], None)) is None:
+            stack.pop()
+            depth -= 1
+        if not depth:
+            return out
+        assignment[steps[depth - 1][0]] = v
 
 
 @dataclass(eq=False)
@@ -962,66 +975,90 @@ class ExSSet:
 
     base: FinSSet
     sset: FinSSet
-    level_nf: dict      # n -> {Sd-map: normal form}
-    level_assign: dict  # n -> {nondeg id: Sd-map}
+    level_nf: dict      # n -> {int Sd-map: normal form}, in search order
+    level_assign: dict  # n -> {nondeg id: int Sd-map}
 
 
 def ex(X: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
-    """Ex(X): n-simplices are simplicial maps Sd Δⁿ -> X, enumerated exhaustively."""
+    """Ex(X): n-simplices are simplicial maps Sd Δⁿ -> X, enumerated exhaustively.
+
+    m = s_j y forces y = d_j m, so an Sd-map m is degenerate exactly when
+    m = s_j d_j m for some j, and its normal form is then d_j m's with alpha∘σ_j.
+    """
     if cap is None:
         cap = min(X.cap, 3)
-    level_nf = {}
-    level_assign = {}
-    cells = {}
-    faces = {}
+
+    @functools.cache
+    def pulled(beta):   # X's pull along a collapsing surjection beta, on ints
+        number = X.face_index(len(beta) - 1).number
+        return [number[(c, compose_tuples(a, beta))] for c, a in X.face_index(beta[-1]).nfs]
+
+    level_nf, level_assign, cells, faces = {}, {}, {}, {}
     for n in range(cap + 1):
-        maps_n = _enumerate_sd_maps(n, X, caps)
-        nf_table = {}
-        if n > 0:
-            # mark degenerate maps: s_j of level-(n-1) maps
-            for psi, (pc, pa) in level_nf[n - 1].items():
-                for j in range(n):
-                    s = sigma(j, n - 1)
-                    nf_table.setdefault(_restrict(X, n - 1, psi, s), (pc, compose_tuples(pa, s)))
-        nondeg = sorted(m for m in maps_n if m not in nf_table)
-        ids = {m: f"x{n}.{i:05d}" for i, m in enumerate(nondeg)}
-        for m, sid in ids.items():
-            nf_table[m] = (sid, tuple(range(n + 1)))
+        sdd = _SdData(n)
+        picks = [sdd.face_positions(i) for i in range(n + 1)] if n else []
+        # per j, the (p, q, table) with (s_j d_j m)[p] = table[m[q]], or m[q]
+        # for no table, leaving out the positions where it is m[p] itself
+        checks = [[(p, q, beta and pulled(beta))
+                   for p, (q, beta) in enumerate(sdd.restriction(compose_tuples(delta(j, n), sigma(j, n - 1))))
+                   if q != p or beta] for j in range(n)]
+        level = dict.fromkeys(_enumerate_sd_maps(n, X, caps))   # Sd-map -> normal form
+        for m in level:
+            for j, check in enumerate(checks):
+                if all(m[p] == (m[q] if t is None else t[m[q]]) for p, q, t in check):
+                    pc, pa = level_nf[n - 1][tuple(m[p] for p in picks[j])]
+                    level[m] = (pc, compose_tuples(pa, sigma(j, n - 1)))
+                    break
+        nondeg = sorted(m for m, nf in level.items() if nf is None)
         if len(nondeg) > caps.max_simplices:
             raise SizeCapExceeded("Ex simplices", len(nondeg), caps.max_simplices)
-        level_nf[n] = {m: nf_table[m] for m in maps_n}
+        ids = {m: f"x{n}.{i:05d}" for i, m in enumerate(nondeg)}
+        for m, sid in ids.items():
+            level[m] = (sid, tuple(range(n + 1)))
+            if n > 0:
+                faces[(n, sid)] = tuple(level_nf[n - 1][tuple(m[p] for p in pick)] for pick in picks)
+        level_nf[n] = level
         level_assign[n] = {sid: m for m, sid in ids.items()}
         cells[n] = tuple(sorted(ids.values()))
-        if n > 0:
-            for m, sid in ids.items():
-                faces[(n, sid)] = tuple(level_nf[n - 1][_restrict(X, n, m, delta(i, n))]
-                                        for i in range(n + 1))
     S = FinSSet(cap, {n: v for n, v in cells.items() if v}, faces)
     S.validate(caps)
     return ExSSet(X, S, level_nf, level_assign)
 
 
+def _int_values(f: SSetMap, d, X: FinSSet, Y: FinSSet):
+    """f on the d-simplices as a list from X's int table into Y's."""
+    number = Y.face_index(d).number
+    return [number[f.apply(v)] for v in X.face_index(d).nfs]
+
+
 def e_map(X: FinSSet, exd: ExSSet) -> SSetMap:
-    """The last-vertex unit e: X -> Ex(X); natural and injective."""
+    """The last-vertex unit e: X -> Ex(X); natural and injective.  Its source
+    is X, or X's skeleton at Ex's cap when X has simplices above that cap."""
+    cap = exd.sset.cap
+    if any(n > cap for n in X.dims()):
+        X = FinSSet(cap, {n: X.cells[n] for n in X.dims() if n <= cap},
+                    {key: fs for key, fs in X.faces.items() if key[0] <= cap})
     vals = {}
     for n in X.dims():
-        if n > exd.sset.cap:
-            break
         chains = _SdData(n).chains
+        lasts = [tuple(max(F) for F in chain) for chain in chains]
+        numbers = [exd.base.face_index(len(chain) - 1).number for chain in chains]
         for sid in X.cells[n]:
-            nf = X.nf_of(n, sid)
-            psi = tuple(X.pull(nf, tuple(max(F) for F in chain)) for chain in chains)
+            psi = tuple(number[X.pull(X.nf_of(n, sid), last)] for number, last in zip(numbers, lasts))
             vals[(n, sid)] = exd.level_nf[n][psi]
     return SSetMap(X, exd.sset, vals).validate()
 
 
 def ex_map(f: SSetMap, exd_src: ExSSet, exd_dst: ExSSet) -> SSetMap:
-    """Ex(f) by postcomposition of Sd-maps."""
+    """Ex(f) by postcomposition of Sd-maps, with f as one int table per dimension."""
+    f_at = [_int_values(f, d, exd_src.base, exd_dst.base) for d in range(exd_src.sset.cap + 1)]
     vals = {}
     for n in exd_src.sset.dims():
+        tables = [f_at[len(chain) - 1] for chain in _SdData(n).chains]
+        level = exd_dst.level_nf[n]
         for sid in exd_src.sset.cells[n]:
             psi = exd_src.level_assign[n][sid]
-            vals[(n, sid)] = exd_dst.level_nf[n][tuple(f.apply(v) for v in psi)]
+            vals[(n, sid)] = level[tuple(t[v] for t, v in zip(tables, psi))]
     return SSetMap(exd_src.sset, exd_dst.sset, vals)
 
 
@@ -1092,20 +1129,21 @@ def is_kan_fibration(f: SSetMap, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVer
     X, Y = f.source, f.target
     checked = 0
     for n in range(1, cap + 1):
-        horn_cands = X.face_index(n - 1)[0]
-        x_faces, y_faces = X.face_index(n)[0], Y.face_index(n)[0]
+        horn_t, x_t, y_t = X.face_index(n - 1), X.face_index(n), Y.face_index(n)
+        f_horn, f_top = _int_values(f, n - 1, X, Y), _int_values(f, n, X, Y)
         for k in range(n + 1):
             idx = [j for j in range(n + 1) if j != k]
             ys = {}
-            for y, fs in y_faces.items():
+            for y, fs in y_t.faces.items():
                 ys.setdefault(tuple(fs[j] for j in idx), []).append(y)
-            lifts = {(f.apply(z), tuple(fs[j] for j in idx)) for z, fs in x_faces.items()}
-            for horn in _horns(horn_cands, n, k, caps):
+            lifts = {(f_top[z], tuple(fs[j] for j in idx)) for z, fs in x_t.faces.items()}
+            for horn in _horns(horn_t.faces, n, k, caps):
                 xs = tuple(horn[j] for j in idx)
-                for y in ys.get(tuple(f.apply(x) for x in xs), ()):
+                for y in ys.get(tuple(f_horn[x] for x in xs), ()):
                     checked += 1
                     if (y, xs) not in lifts:
-                        return KanVerdict(False, cap, checked, (n, k, sorted(horn.items()), y))
+                        horn_nfs = sorted((j, horn_t.nfs[x]) for j, x in horn.items())
+                        return KanVerdict(False, cap, checked, (n, k, horn_nfs, y_t.nfs[y]))
     return KanVerdict(True, cap, checked)
 
 
@@ -1120,22 +1158,23 @@ def is_kan_complex(X: FinSSet, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdi
 def is_kan_complex_lazy_ex(base: FinSSet, cap=2, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdict:
     """Kan check of Ex(base) without materializing it.
 
-    Simplices of Ex(base) are handled as raw Sd-maps; fillers are found by
+    Simplices of Ex(base) are handled as int Sd-maps; fillers are found by
     constrained backtracking.  `problems_checked` counts horns (over a point
     each horn is one lifting problem).  `base` must be materialized to `cap`.
     """
     checked = 0
     for n in range(1, cap + 1):
-        cands = {psi: tuple(_restrict(base, n - 1, psi, delta(i, n - 1)) for i in range(n)) if n > 1 else ()
+        picks = [_SdData(n - 1).face_positions(i) for i in range(n)] if n > 1 else []
+        cands = {psi: tuple(tuple(psi[p] for p in pick) for pick in picks)
                  for psi in _enumerate_sd_maps(n - 1, base, caps)}
-        sdd = _SdData(n)
+        into = [_SdData(n).face_positions(j) for j in range(n + 1)]
         for k in range(n + 1):
             for horn in _horns(cands, n, k, caps):
                 checked += 1
                 # the filler's values on the chains of each horn face
                 prescribed = {}
                 for j, psi in horn.items():
-                    for (pos, _), v in zip(sdd.restriction(delta(j, n)), psi):
+                    for pos, v in zip(into[j], psi):
                         if prescribed.setdefault(pos, v) != v:
                             return KanVerdict(False, cap, checked, (n, k, "inconsistent horn"))
                 if not _enumerate_sd_maps(n, base, caps, prescribed, first_only=True):

@@ -223,6 +223,24 @@ def test_ex_counts(tmp_path):
     assert out["unit_injective"] is True
 
 
+def test_ex_below_the_input_cap(tmp_path, capsys):
+    # Ex at cap 2 of Δ³ at cap 3: e's source is the 2-skeleton of Δ³
+    path = write(tmp_path, "d3.json", complex_to_sset(standard_simplex_complex(3), 3).to_doc())
+    assert cli.main(["ex", "--input", path, "--cap", "2"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["unit_injective"] and out["nondegenerate"] == {"0": 4, "1": 26, "2": 663}
+
+
+def test_sset_stored_above_its_cap_is_violated(tmp_path, capsys):
+    doc = complex_to_sset(standard_simplex_complex(2), 2).to_doc()
+    doc["cap"] = 1
+    doc["faces"][-1][2][0] = ["nope", [0, 1]]
+    path = write(tmp_path, "d2.json", doc)
+    assert cli.main(["homology", "--kind", "sset", "--input", path]) == 1
+    assert json.loads(capsys.readouterr().out) == {"detail": "simplices stored above cap 1",
+                                                   "verdict": "violated"}
+
+
 def test_corpus_reports_byte_identical(tmp_path):
     a = run_cli(["corpus", "--seed", "5", "--count", "3"])
     b = run_cli(["corpus", "--seed", "5", "--count", "3"])

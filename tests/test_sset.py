@@ -1,9 +1,17 @@
 """Simplicial sets: normal forms, nerves, subdivision, Ex, homology, Kan."""
 
+import hashlib
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import gcat
 
 from gcat.errors import GcatError, NotAPosetNerve, SizeCapExceeded
 from gcat.config import DEFAULT_CAPS, WIDE_CAPS, SizeCaps
@@ -26,6 +34,7 @@ from gcat.actions import (
     symmetric_group,
     translation_action,
 )
+from gcat.corpus import emap_corpus, emap_equivariant_corpus
 from gcat.sset import (
     FinSSet,
     SSetMap,
@@ -59,6 +68,8 @@ from gcat.sset import (
     boundary_matrix,
     identity_sset_map,
     sset_from_doc,
+    _SdData,
+    _enumerate_sd_maps,
 )
 from gcat.weq import GeneratorSpec, generating_maps
 from gcat.smith import smith_invariants
@@ -162,6 +173,10 @@ def corrupt_face(doc, sid, i, nf):
     pytest.param(lambda d: corrupt_face(corrupt_face(d, "0,1,2", 0, ["0,2", [0, 1]]),
                                         "0,1,2", 1, ["1,2", [0, 1]]),
                  "simplicial identity fails at (2,0,1,2,d0,d2)", id="broken-identity"),
+    pytest.param(lambda d: corrupt_face(d.update(cap=1) or d, "0,1,2", 0, ["nope", [0, 1]]),
+                 "simplices stored above cap 1", id="above-cap"),
+    pytest.param(lambda d: (d.update(cap=1), d["cells"].pop("2")),
+                 "simplices stored above cap 1", id="face-above-cap"),
 ])
 def test_validate_rejects_each_malformed_document(corrupt, message):
     doc = simplex_doc()
@@ -391,6 +406,13 @@ def test_ex_point():
     assert [exd.sset.n_nondeg(n) for n in range(4)] == [1, 0, 0, 0]
 
 
+def test_ex_of_ids_that_do_not_compare():
+    # int vertex ids and a str edge id: the simplex table sorts by type name first
+    X = sset_from_doc({"cap": 2, "cells": {"0": [0, 1], "1": ["e"]},
+                       "faces": [[1, "e", [[1, [0]], [0, [0]]]]]})
+    assert [ex(X, 2).sset.n_nondeg(n) for n in range(3)] == [2, 3, 11]
+
+
 def test_e_map_on_interval():
     d1 = complex_to_sset(standard_simplex_complex(1), 2)
     exd = ex(d1, 2)
@@ -432,6 +454,64 @@ def test_e_map_equivariant():
     em = e_map(ens.carrier, exd)
     for g in Z2.elements:
         assert ens.act[g].then(em).same_values(em.then(exact.act[g]))
+
+
+def test_sd_map_search_on_boundary_of_triangle():
+    """Sd Δ³ -> ∂Δ²: 654 maps, in the order (hashed as normal forms) of the
+    normal-form search the int tables replaced; Ex keeps 477 nondegenerate."""
+    X = complex_to_sset(boundary_complex(2), 3)
+    maps = _enumerate_sd_maps(3, X, DEFAULT_CAPS)
+    assert len(maps) == 654
+    nfs = [X.face_index(len(c) - 1).nfs for c in _SdData(3).chains]
+    as_nfs = [[list(table[v]) for table, v in zip(nfs, m)] for m in maps]
+    assert hashlib.sha256(json.dumps(as_nfs).encode()).hexdigest() == (
+        "32422407dd55f0418ac7c0fff5d540bd8b8dddab57608541b728123b2b7495bf")
+    assert [ex(X, 3).sset.n_nondeg(n) for n in range(4)] == [3, 11, 47, 477]
+
+
+def test_sd_map_search_and_ex_count_against_their_caps():
+    # every node of the Sd Δ³ -> ∂Δ² search, the root included, counts; a
+    # first-only search pinned at its last step to the last map's value
+    # backtracks through 74,296 nodes; Ex ∂Δ² has 477 nondegenerate 3-simplices
+    X = complex_to_sset(boundary_complex(2), 3)
+    with pytest.raises(SizeCapExceeded, match="Sd-map enumeration: 186474 exceeds cap 186473"):
+        _enumerate_sd_maps(3, X, SizeCaps(max_candidates=186473))
+    maps = _enumerate_sd_maps(3, X, SizeCaps(max_candidates=186474))
+    pos = _SdData(3).search_steps[-1][0]
+    with pytest.raises(SizeCapExceeded, match="Sd-map enumeration: 74296 exceeds cap 74295"):
+        _enumerate_sd_maps(3, X, SizeCaps(max_candidates=74295), {pos: maps[-1][pos]}, True)
+    assert _enumerate_sd_maps(3, X, SizeCaps(max_candidates=74296), {pos: maps[-1][pos]}, True)
+    with pytest.raises(SizeCapExceeded, match="Ex simplices: 477 exceeds cap 476"):
+        ex(X, 3, SizeCaps(max_simplices=476))
+
+
+def ex_digest(cap=3):
+    """sha256, over both emap corpora, of Ex's document, the normal forms of
+    its Sd-maps in search order, e's values and Ex's action."""
+    def values(f):
+        return sorted([n, s, c, list(a)] for (n, s), (c, a) in f.values.items())
+
+    h = hashlib.sha256()
+    cases = [(name, X, None) for name, X in emap_corpus(cap)]
+    cases += [(name, ens.carrier, ens) for name, ens in emap_equivariant_corpus(cap)]
+    for name, X, ens in cases:
+        exd = ex(X, cap, WIDE_CAPS)
+        searched = [[[c, list(a)] for c, a in exd.level_nf[n].values()] for n in range(cap + 1)]
+        act = ex_action(ens, exd).act if ens else {}
+        h.update(json.dumps([name, exd.sset.to_doc(), searched, values(e_map(X, exd)),
+                             [[m, values(act[m])] for m in sorted(act)]]).encode())
+    return h.hexdigest()
+
+
+def test_ex_reports_match_the_normal_form_search():
+    # the digest the normal-form Ex gave, under three hash seeds
+    path = os.pathsep.join([str(Path(gcat.__file__).resolve().parents[1]), str(Path(__file__).parent)])
+    code = "import test_sset; print(test_sset.ex_digest())"
+    procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+             for seed in ("0", "1", "2")]
+    digests = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+    assert digests == ["3ae46c7282365f0e86086029716c55a99803c742364b4392268784afd6cb8438"] * 3
 
 
 # -- Kan --------------------------------------------------------------------
