@@ -400,6 +400,15 @@ def restrict_action(A: MonoidActionCat, H: FinMonoid) -> MonoidActionCat:
     return MonoidActionCat(H, A.carrier, {h: A.act[h] for h in H.elements}).validate()
 
 
+def full_subcategory_action(A: MonoidActionCat, sub: FinCat) -> MonoidActionCat:
+    """A restricted to `sub`, a full subcategory of its carrier that every
+    element maps into itself; validation raises unless it is one."""
+    return MonoidActionCat(A.monoid, sub, {
+        m: Functor(sub, sub, {x: A.ob(m, x) for x in sub.objects},
+                   {f: A.mor(m, f) for f in sub.morphism_ids})
+        for m in A.monoid.elements}).validate()
+
+
 def check_equivariant(F: Functor, A: MonoidActionCat, B: MonoidActionCat):
     """F: A.carrier -> B.carrier commuting with both actions (same monoid)."""
     for m in A.monoid.elements:

@@ -169,7 +169,7 @@ def cmd_check_dwyer(args):
     doc, F = _load(args.input, lambda d: ser.functor_from_doc(d, args.caps))
     sieve = is_sieve(F)
     body = {"sieve": sieve, "cosieve": is_cosieve(F), "witness": None}
-    w = find_dwyer_witness(F, None, args.caps) if sieve else None
+    w = find_dwyer_witness(F) if sieve else None
     if w is not None:
         body["witness"] = ser.witness_doc(w)
     else:
@@ -187,7 +187,7 @@ def cmd_pushout(args):
 
     doc, (A, B, C, i, c) = _load(args.input, parse)
     try:
-        w = find_dwyer_witness(i, None, caps)
+        w = find_dwyer_witness(i)
     except GcatError:
         w = None
     code = EXIT_OK
@@ -322,7 +322,7 @@ def cmd_gens(args):
     gm = generating_maps(spec, args.caps)
     sieve = is_sieve(gm.functor)
     equivariance = None if gm.group is None else (gm.group, gm.act_src, gm.act_dst)
-    w = find_dwyer_witness(gm.functor, equivariance, args.caps)
+    w = find_dwyer_witness(gm.functor, equivariance)
     body = {"name": gm.name, "sieve": sieve, "dwyer_witness": w is not None,
             "source": gm.functor.source.to_doc(), "target": gm.functor.target.to_doc(),
             **ser.maps_doc(gm.functor)}
@@ -363,7 +363,7 @@ def cmd_transfer_check(args):
 
 
 def cmd_corpus(args):
-    spans = dwyer_span_corpus(args.seed, args.count, args.group, args.caps)
+    spans = dwyer_span_corpus(args.seed, args.count, args.group)
     out = [{"index": idx,
             "label": s.label,
             "A": s.A.to_doc(), "B": s.B.to_doc(), "C": s.C.to_doc(),

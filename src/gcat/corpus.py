@@ -30,6 +30,7 @@ from .actions import (
     chaotic_category,
     chaotic_mor,
     cyclic_group,
+    full_subcategory_action,
     subgroups,
     symmetric_group,
     trivial_action,
@@ -156,29 +157,18 @@ def _downward_g_stable(rng, act: MonoidActionCat):
     return sorted(chosen)
 
 
-def _sub_action(act: MonoidActionCat, objs):
-    sub = act.carrier.full_subcategory(objs)
-    G = act.monoid
-    funs = {g: Functor(sub, sub,
-                       {x: act.ob(g, x) for x in sub.objects},
-                       {m: act.mor(g, m) for m in sub.morphism_ids})
-            for g in G.elements}
-    return MonoidActionCat(G, sub, funs).validate()
-
-
-def seeded_dwyer_span(rng: random.Random, G: Optional[FinGroup] = None,
-                      caps: SizeCaps = DEFAULT_CAPS) -> Optional[DwyerSpan]:
-    """Propose a random span and keep it only when the witness search succeeds."""
+def seeded_dwyer_span(rng: random.Random, G: Optional[FinGroup] = None) -> Optional[DwyerSpan]:
+    """Propose a random span and keep it only when i has a Dwyer witness."""
     group = G if G is not None else trivial_group()
     act_B = seeded_g_poset(rng, group)
     B = act_B.carrier
     a_objs = _downward_g_stable(rng, act_B)
     if not a_objs or len(a_objs) == len(B.objects):
         return None
-    act_A = _sub_action(act_B, a_objs)
+    act_A = full_subcategory_action(act_B, B.full_subcategory(a_objs))
     A = act_A.carrier
     i = Functor(A, B, {x: x for x in A.objects}, {m: m for m in A.morphism_ids}).validate()
-    w = find_dwyer_witness(i, (group, act_A, act_B), caps)
+    w = find_dwyer_witness(i, (group, act_A, act_B))
     if w is None:
         return None
 
@@ -219,8 +209,7 @@ def seeded_dwyer_span(rng: random.Random, G: Optional[FinGroup] = None,
     return DwyerSpan(A, B, C, i, c, w, group, act_A, act_B, act_C, label=style)
 
 
-def dwyer_span_corpus(seed: int, count: int, group_name: Optional[str] = None,
-                      caps: SizeCaps = DEFAULT_CAPS):
+def dwyer_span_corpus(seed: int, count: int, group_name: Optional[str] = None):
     """Deterministic list of `count` verified spans for the given group."""
     rng = random.Random(seed)
     G = named_group(group_name) if group_name else None
@@ -230,7 +219,7 @@ def dwyer_span_corpus(seed: int, count: int, group_name: Optional[str] = None,
         attempts += 1
         if attempts > 200 * count:
             raise GcatError(f"span generation stalled after {attempts} attempts")
-        span = seeded_dwyer_span(rng, G, caps)
+        span = seeded_dwyer_span(rng, G)
         if span is not None:
             out.append(span)
     return out

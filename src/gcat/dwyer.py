@@ -1,16 +1,23 @@
-"""Dwyer maps: sieve/cosieve predicates, witness search, normalization, the
-explicit pushout construction, and closure under fixed points, products, and
-functor categories.
+"""Dwyer maps: sieve/cosieve predicates, the witness construction,
+normalization, the explicit pushout construction, and closure under fixed
+points, products, and functor categories.
 
 A DwyerWitness packages the factorization i = (X ↪ B) ∘ f together with the
 right adjoint r of f and the adjunction transformations.  The pushout
 construction requires the unit to be the identity (so ε·f = id); witnesses
 with invertible units are repaired by `normalize_unit`, never silently.
+
+A witness with identity unit says that A is coreflective in the cosieve X
+(Thomason, "Cat as a closed model category", 1980): every x in X has a
+universal arrow ε_x: f(r x) -> x from f, and these arrows fix r (Mac Lane,
+Categories for the Working Mathematician, IV.1 Thm 2).  Whether x has one
+does not depend on X, so `find_dwyer_witness` builds the witness from the
+first universal arrow of each object and the largest cosieve of objects that
+have one, rather than searching; its None is a proof that none exists.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,7 +26,6 @@ from .errors import (
     EquivarianceViolation,
     GcatError,
     NotASubcategoryInclusion,
-    SizeCapExceeded,
     UnitNotInvertible,
     WitnessNotNormalized,
 )
@@ -42,6 +48,7 @@ from .actions import (
     MonoidActionCat,
     check_equivariant,
     fixed_category,
+    full_subcategory_action,
     restrict_action,
     units_group,
 )
@@ -82,23 +89,6 @@ def is_cosieve(j: Functor) -> bool:
         if s in im_obj and (t not in im_obj or m not in im_mor):
             return False
     return True
-
-
-def _upward_closed(cat: FinCat, objs) -> bool:
-    objs = set(objs)
-    return all(t in objs for m, s, t in cat.morphisms if s in objs)
-
-
-def upward_closure(cat: FinCat, objs):
-    out = set(objs)
-    changed = True
-    while changed:
-        changed = False
-        for m, s, t in cat.morphisms:
-            if s in out and t not in out:
-                out.add(t)
-                changed = True
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +157,7 @@ class DwyerWitness:
         for g in G.elements:
             if {aB.ob(g, x) for x in xset} != xset:
                 raise EquivarianceViolation("cosieve not stable under the action", witness=g)
-        actX = {g: Functor(self.X, self.X,
-                           {x: aB.ob(g, x) for x in self.X.objects},
-                           {m: aB.mor(g, m) for m in self.X.morphism_ids})
-                for g in G.elements}
-        aX = MonoidActionCat(G, self.X, actX).validate()
+        aX = full_subcategory_action(aB, self.X)
         check_equivariant(self.f, aA, aX)
         check_equivariant(self.r, aX, aA)
         for g in G.elements:
@@ -183,15 +169,21 @@ class DwyerWitness:
                     raise EquivarianceViolation("counit not equivariant", witness=(g, x))
 
 
-def find_dwyer_witness(i: Functor, equivariance=None,
-                       caps: SizeCaps = DEFAULT_CAPS) -> Optional[DwyerWitness]:
-    """Exhaustive search for a Dwyer witness with identity unit.
+def find_dwyer_witness(i: Functor, equivariance=None) -> Optional[DwyerWitness]:
+    """The Dwyer witness of i with identity unit, built from universal arrows;
+    None is a proof that i has none.
 
-    equivariance: optional (group, act_A, act_B).  Cosieves are enumerated in
-    decreasing size (lexicographic ties), retractions lexicographically;
-    returns the first success, or None as a proof of failure at these sizes.
+    equivariance: optional (group, act_A, act_B).  Walking B's objects in
+    order, each x outside i(A) that is the first of its orbit gets the first
+    a in `A.objects` order and the first e: i(a) -> x in hom order such that
+    h ↦ e∘i(h) is a bijection A(a', a) -> B(i a', x) for every a', with a and
+    e fixed by the stabilizer of x; the rest of the orbit gets the
+    translates, and i(A) gets identities.  X is the set of objects all of
+    whose successors have such an arrow.  Cosieves with a witness are closed
+    under union, so X is the largest one, and a witness exists exactly when
+    X contains i(A).  r(m) for m: s -> t is the unique h with
+    ε_t∘i(h) = m∘ε_s.  The witness is validated, and a failure raises.
     """
-    check_subcategory_inclusion(i)
     if not is_sieve(i):
         return None
     A, B = i.source, i.target
@@ -199,205 +191,55 @@ def find_dwyer_witness(i: Functor, equivariance=None,
     if equivariance is not None:
         group, act_A, act_B = equivariance
         check_equivariant(i, act_A, act_B)
-    image = set(i.object_map.values())
-    min_cosieve = upward_closure(B, image)
-    rest = sorted(set(B.objects) - min_cosieve)
-    if len(rest) > 20:
-        raise SizeCapExceeded("cosieve candidates", 2 ** len(rest), 2 ** 20)
-    preimage_obj = {i.object_map[a]: a for a in A.objects}
-    preimage_mor = {i.morphism_map[m]: m for m in A.morphism_ids}
+    into = {a: [h for a2 in A.objects for h in A.hom(a2, a)] for a in A.objects}
 
-    candidates = []
-    for k in range(len(rest), -1, -1):
-        for extra in itertools.combinations(rest, k):
-            objs = min_cosieve | set(extra)
-            if not _upward_closed(B, objs):
+    def universal_arrow(x, stabilizer):
+        """(a, e, {e∘i(h): h}) for the first universal e: i(a) -> x fixed by
+        `stabilizer`, or None."""
+        for a in A.objects:
+            if any(act_A.ob(g, a) != a for g in stabilizer) or any(
+                    len(A.hom(a2, a)) != len(B.hom(i.object_map[a2], x)) for a2 in A.objects):
                 continue
-            if group is not None and any(
-                {act_B.ob(g, x) for x in objs} != objs for g in group.elements
-            ):
-                continue
-            candidates.append(tuple(sorted(objs)))
-    for objs in candidates:
-        w = _witness_search_on_cosieve(i, objs, group, act_A, act_B, caps,
-                                       preimage_obj, preimage_mor)
-        if w is not None:
-            return w
-    return None
-
-
-def _witness_search_on_cosieve(i, cos_objs, group, act_A, act_B, caps,
-                               preimage_obj, preimage_mor):
-    A, B = i.source, i.target
-    X = B.full_subcategory(cos_objs)
-    f = Functor(A, X, dict(i.object_map), dict(i.morphism_map)).validate()
-    image = set(i.object_map.values())
-    free_objs = sorted(set(cos_objs) - image)
-
-    # orbit representatives first, the rest forced by equivariance
-    if group is not None:
-        seen = set()
-        order = []
-        orbit_of = {}
-        for x in free_objs:
-            if x in seen:
-                continue
-            orb = sorted({act_B.ob(g, x) for g in group.elements})
-            order.append(x)
-            for y in orb:
-                seen.add(y)
-                orbit_of[y] = x
-    else:
-        order = free_objs
-
-    def hom_profile_ok(x, rx):
-        return all(len(X.hom(f.object_map[a], x)) == len(A.hom(a, rx)) for a in A.objects)
-
-    r_ob = {i.object_map[a]: a for a in A.objects}
-    budget = [0]
-
-    def assign_objects(k):
-        budget[0] += 1
-        if budget[0] > caps.max_candidates:
-            raise SizeCapExceeded("witness search", budget[0], caps.max_candidates)
-        if k == len(order):
-            return search_morphisms()
-        x = order[k]
-        for rx in A.objects:
-            if not hom_profile_ok(x, rx):
-                continue
-            propagated = {}
-            ok = True
-            if group is not None:
-                for g in group.elements:
-                    gx = act_B.ob(g, x)
-                    grx = act_A.ob(g, rx)
-                    if gx in r_ob or gx in propagated:
-                        if propagated.get(gx, r_ob.get(gx)) != grx:
-                            ok = False
-                            break
-                    else:
-                        propagated[gx] = grx
-                if ok:
-                    for y, ry in propagated.items():
-                        if y not in image and not hom_profile_ok(y, ry):
-                            ok = False
-                            break
-            else:
-                propagated[x] = rx
-            if not ok:
-                continue
-            for y, ry in propagated.items():
-                r_ob[y] = ry
-            res = assign_objects(k + 1)
-            if res is not None:
-                return res
-            for y in propagated:
-                del r_ob[y]
+            for e in B.hom(i.object_map[a], x):
+                if any(act_B.mor(g, e) != e for g in stabilizer):
+                    continue
+                lift = {B.compose[(e, i.morphism_map[h])]: h for h in into[a]}
+                if len(lift) == len(into[a]):
+                    return a, e, lift
         return None
 
-    def search_morphisms():
-        r_mor = {}
-        for m in X.morphism_ids:
-            if m in preimage_mor:
-                r_mor[m] = preimage_mor[m]
-        free_mors = sorted(m for m in X.morphism_ids if m not in r_mor)
-
-        def assign_mors(k):
-            budget[0] += 1
-            if budget[0] > caps.max_candidates:
-                raise SizeCapExceeded("witness search", budget[0], caps.max_candidates)
-            if k == len(free_mors):
-                return finish_r(dict(r_mor))
-            m = free_mors[k]
-            for cand in A.hom(r_ob[X.src[m]], r_ob[X.dst[m]]):
-                r_mor[m] = cand
-                ok = True
-                if group is not None:
-                    for g in group.elements:
-                        gm = act_B.mor(g, m)
-                        if gm in r_mor and r_mor[gm] != act_A.mor(g, cand):
-                            ok = False
-                            break
-                if ok:
-                    for (g2, f2), h2 in X.compose.items():
-                        if g2 in r_mor and f2 in r_mor and h2 in r_mor:
-                            if A.compose[(r_mor[g2], r_mor[f2])] != r_mor[h2]:
-                                ok = False
-                                break
-                if ok:
-                    res = assign_mors(k + 1)
-                    if res is not None:
-                        return res
-                del r_mor[m]
-            return None
-
-        return assign_mors(0)
-
-    def finish_r(r_mor):
-        # identities must be preserved
-        for x in X.objects:
-            if r_mor[X.identity[x]] != A.identity[r_ob[x]]:
-                return None
-        try:
-            r = Functor(X, A, dict(r_ob), r_mor).validate()
-        except GcatError:
-            return None
-        return search_counit(r)
-
-    def search_counit(r):
-        eps = {}
-        for a in A.objects:
-            eps[i.object_map[a]] = X.identity[i.object_map[a]]
-        free = sorted(x for x in X.objects if x not in eps)
-
-        def assign_eps(k):
-            budget[0] += 1
-            if budget[0] > caps.max_candidates:
-                raise SizeCapExceeded("witness search", budget[0], caps.max_candidates)
-            if k == len(free):
-                return finish(dict(eps))
-            x = free[k]
-            for cand in X.hom(f.object_map[r.object_map[x]], x):
-                if r.morphism_map[cand] != A.identity[r.object_map[x]]:
-                    continue
-                eps[x] = cand
-                ok = True
-                if group is not None:
-                    for g in group.elements:
-                        gx = act_B.ob(g, x)
-                        if gx in eps and eps[gx] != act_B.mor(g, cand):
-                            ok = False
-                            break
-                if ok:
-                    for m in X.morphism_ids:
-                        s, t = X.src[m], X.dst[m]
-                        if s in eps and t in eps:
-                            frm = f.morphism_map[r.morphism_map[m]]
-                            if X.compose[(m, eps[s])] != X.compose[(eps[t], frm)]:
-                                ok = False
-                                break
-                if ok:
-                    res = assign_eps(k + 1)
-                    if res is not None:
-                        return res
-                del eps[x]
-            return None
-
-        def finish(eps):
-            unit = NatTrans(identity_functor(A), f.then(r),
-                            {a: A.identity[a] for a in A.objects})
-            counit = NatTrans(r.then(f), identity_functor(X), eps)
-            w = DwyerWitness(i, tuple(sorted(X.objects)), X, f, r, unit, counit,
-                             group, act_A, act_B)
-            try:
-                return w.validate()
-            except GcatError:
-                return None
-
-        return assign_eps(0)
-
-    return assign_objects(0)
+    arrow = {i.object_map[a]: (a, B.identity[i.object_map[a]],
+                               {i.morphism_map[h]: h for h in into[a]}) for a in A.objects}
+    seen = set(arrow)
+    for x in B.objects:
+        if x in seen:
+            continue
+        if group is None:
+            seen.add(x)
+            found = universal_arrow(x, ())
+            if found is not None:
+                arrow[x] = found
+            continue
+        moves = {}
+        for g in group.elements:
+            moves.setdefault(act_B.ob(g, x), g)
+        seen.update(moves)
+        found = universal_arrow(x, [g for g in group.elements if act_B.ob(g, x) == x])
+        if found is not None:
+            a, e, lift = found
+            for y, g in moves.items():
+                arrow[y] = (act_A.ob(g, a), act_B.mor(g, e),
+                            {act_B.mor(g, m): act_A.mor(g, h) for m, h in lift.items()})
+    lacking = {s for m, s, t in B.morphisms if t not in arrow}
+    if any(i.object_map[a] in lacking for a in A.objects):
+        return None
+    X = B.full_subcategory([x for x in B.objects if x not in lacking])
+    f = Functor(A, X, dict(i.object_map), dict(i.morphism_map))
+    r = Functor(X, A, {x: arrow[x][0] for x in X.objects},
+                {m: arrow[t][2][B.compose[(m, arrow[s][1])]] for m, s, t in X.morphisms})
+    unit = NatTrans(identity_functor(A), f.then(r), {a: A.identity[a] for a in A.objects})
+    counit = NatTrans(r.then(f), identity_functor(X), {x: arrow[x][1] for x in X.objects})
+    return DwyerWitness(i, X.objects, X, f, r, unit, counit, group, act_A, act_B).validate()
 
 
 def normalize_unit(w: DwyerWitness) -> DwyerWitness:
@@ -604,12 +446,9 @@ def restrict_witness_to_fixed(w: DwyerWitness, H: FinGroup) -> DwyerWitness:
     if w.group is None:
         raise EquivarianceViolation("witness carries no equivariance data")
     AH = fixed_category(restrict_action(w.act_A, H), H)
-    BH = fixed_category(restrict_action(w.act_B, H), H)
-    actX = {g: Functor(w.X, w.X,
-                       {x: w.act_B.ob(g, x) for x in w.X.objects},
-                       {m: w.act_B.mor(g, m) for m in w.X.morphism_ids})
-            for g in H.elements}
-    XH = fixed_category(MonoidActionCat(H, w.X, actX).validate(), H)
+    act_BH = restrict_action(w.act_B, H)
+    BH = fixed_category(act_BH, H)
+    XH = fixed_category(full_subcategory_action(act_BH, w.X), H)
     iH = Functor(AH, BH, {a: w.i.object_map[a] for a in AH.objects},
                  {m: w.i.morphism_map[m] for m in AH.morphism_ids}).validate()
     fH = Functor(AH, XH, {a: w.f.object_map[a] for a in AH.objects},
@@ -692,24 +531,20 @@ def fun_witness(T: FinCat, w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS,
         src_idx = dX.index_of[F.then(w.r).then(w.f).signature()]
         dst_idx = dX.index_of[F.signature()]
         mid = dX.trans_id(src_idx, dst_idx, comp)
-        eps[x2] = rename_mor_inv(inc2, mid)
+        eps[x2] = inc2.morphism_map[mid]
     counit = NatTrans(r2X.then(f2X), identity_functor(X2), eps)
     w2 = DwyerWitness(i2, tuple(x_objs), X2, f2X, r2X, unit, counit).validate()
     return w2, data
 
 
-def rename_mor_inv(inc2: Functor, mid):
-    return inc2.morphism_map[mid]
-
-
-def monoid_dwyer_check(i: Functor, act_A: MonoidActionCat, act_B: MonoidActionCat,
-                       caps: SizeCaps = DEFAULT_CAPS) -> Optional[DwyerWitness]:
+def monoid_dwyer_check(i: Functor, act_A: MonoidActionCat,
+                       act_B: MonoidActionCat) -> Optional[DwyerWitness]:
     """Dwyer witness equivariant for the maximal subgroup of the acting monoid."""
     M = act_A.monoid
     core = units_group(M)
     rA = restrict_action(act_A, core)
     rB = restrict_action(act_B, core)
-    return find_dwyer_witness(i, (core, rA, rB), caps)
+    return find_dwyer_witness(i, (core, rA, rB))
 
 
 # ---------------------------------------------------------------------------

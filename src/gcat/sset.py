@@ -163,8 +163,9 @@ class FinSSet:
         return sum(comb(n, m) * self.n_nondeg(m) for m in range(n + 1))
 
     def validate(self, caps: SizeCaps = DEFAULT_CAPS):
-        """Check that nothing is stored above the cap, the ids, the shape of
-        every stored face and every simplicial identity d_i d_j = d_{j-1} d_i
+        """Check that nothing is stored above the cap or below 0, the ids, that
+        faces are stored for the stored simplices only, the shape of every
+        stored face and every simplicial identity d_i d_j = d_{j-1} d_i
         (i < j) of every stored simplex.
 
         Once the faces are well formed, face j of a stored n-simplex is its
@@ -173,6 +174,8 @@ class FinSSet:
         """
         if any(n > self.cap for n in self.cells) or any(n > self.cap for n, _ in self.faces):
             raise GcatError(f"simplices stored above cap {self.cap}")
+        if any(n < 0 for n in self.cells):
+            raise GcatError(f"cells stored at negative dimension {min(self.cells)}")
         cores = {}   # dim -> set of nondegenerate ids
         for n in self.dims():
             ids = self.cells[n]
@@ -200,6 +203,11 @@ class FinSSet:
                     if core not in cores.get(cdim, ()):
                         raise GcatError(f"face core {core!r} unknown at dim {cdim}")
                     well_formed.add(nf)
+        # every stored simplex above dimension 0 has its faces, so any more are extra
+        if len(self.faces) != sum(len(self.cells[n]) for n in self.dims() if n):
+            n, sid = next((n, sid) for n, sid in self.faces
+                          if n < 1 or sid not in cores.get(n, ()))
+            raise GcatError(f"faces stored for unknown simplex ({n},{sid})")
         # simplicial identities d_i d_j = d_{j-1} d_i for i < j
         for n in self.dims():
             if n < 2:

@@ -828,14 +828,14 @@ def check_transfer_conditions(gens_I, gens_J, U, cap=3, caps: SizeCaps = DEFAULT
         collapse = constant_functor(A, one, "*").validate()
         if gm.group is not None:
             triv = trivial_action(gm.group, one)
-            w = find_dwyer_witness(F, (gm.group, gm.act_src, gm.act_dst), caps)
+            w = find_dwyer_witness(F, (gm.group, gm.act_src, gm.act_dst))
             if w is None:
                 report["condition2"].append({"generator": gm.name, "passed": False,
                                              "reason": "no equivariant Dwyer witness"})
                 continue
             act_D, po = equivariant_dwyer_pushout(gm.act_src, gm.act_dst, triv, F, collapse, w, caps)
         else:
-            w = find_dwyer_witness(F, None, caps)
+            w = find_dwyer_witness(F)
             if w is None:
                 report["condition2"].append({"generator": gm.name, "passed": False,
                                              "reason": "no Dwyer witness"})

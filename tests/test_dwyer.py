@@ -1,7 +1,11 @@
 """Sieves, witnesses, normalization, explicit pushouts, closure transports."""
 
+import hashlib
+
 import pytest
 
+from gcat import serialize as ser
+from gcat.config import WIDE_CAPS
 from gcat.errors import WitnessNotNormalized
 from gcat.fincat import (
     Functor,
@@ -11,6 +15,7 @@ from gcat.fincat import (
     discrete_category,
     find_isomorphism,
     identity_functor,
+    poset_from_relation,
     terminal_category,
     validate_category,
 )
@@ -48,6 +53,7 @@ from gcat.dwyer import (
     restrict_witness_to_fixed,
 )
 from gcat.corpus import dwyer_span_corpus
+from gcat.weq import GeneratorSpec, generating_maps
 
 
 def embed_at(obj):
@@ -285,3 +291,112 @@ def test_nerve_comparison_small():
     nc = nerve_functor(c, NA, NC, 3)
     P, from_b, from_c = pushout_sset(ni, nc)
     assert homology(P, 3) == homology(ND, 3)
+
+
+def swapped_cone():
+    """Z/2 swapping a and b in E({a,b}) and fixing the cone point x."""
+    Z2 = cyclic_group(2)
+    E2 = chaotic_category(["a", "b"])
+    objs = ["a", "b", "x"]
+    mors = list(E2.morphisms) + [("ax", "a", "x"), ("bx", "b", "x"), ("idx", "x", "x")]
+    ident = {"a": "a>a", "b": "b>b", "x": "idx"}
+    to_x = {"a": "ax", "b": "bx"}
+    comp = dict(E2.compose)
+    for m, s, t in E2.morphisms:
+        comp[(to_x[t], m)] = to_x[s]
+    for m in ("ax", "bx", "idx"):
+        comp[("idx", m)] = m
+    B = validate_category(objs, mors, ident, comp)
+    i = Functor(E2, B, {"a": "a", "b": "b"}, {m: m for m in E2.morphism_ids}).validate()
+    swap = {"a": "b", "b": "a", "x": "x", "ax": "bx", "bx": "ax", "idx": "idx",
+            "a>a": "b>b", "a>b": "b>a", "b>a": "a>b", "b>b": "a>a"}
+    swapB = Functor(B, B, {x: swap[x] for x in objs}, {m: swap[m] for m in B.morphism_ids})
+    swapA = Functor(E2, E2, {x: swap[x] for x in E2.objects},
+                    {m: swap[m] for m in E2.morphism_ids})
+    actB = MonoidActionCat(Z2, B, {"c0": identity_functor(B), "c1": swapB}).validate()
+    actA = MonoidActionCat(Z2, E2, {"c0": identity_functor(E2), "c1": swapA}).validate()
+    return Z2, i, actA, actB
+
+
+def test_stabilizer_must_fix_the_universal_arrow():
+    """Both a -> x and b -> x are universal, and the swap fixing x moves
+    each: no equivariant witness, but a plain one with r(x) = a."""
+    Z2, i, actA, actB = swapped_cone()
+    assert find_dwyer_witness(i, (Z2, actA, actB)) is None
+    w = find_dwyer_witness(i)
+    assert w.cosieve_objects == ("a", "b", "x")
+    assert w.r.object_map["x"] == "a" and w.counit.components["x"] == "ax"
+    assert w.r.morphism_map["bx"] == "b>a"
+
+
+def test_witness_beyond_any_cosieve_count():
+    """[1] beside 21 isolated points: 2^21 cosieves contain the image, and
+    the witness needs none of them to be listed."""
+    B = poset_from_relation([f"a{k}" for k in range(23)], [("a0", "a1")]).to_fincat()
+    A = B.full_subcategory(["a0"])
+    i = Functor(A, B, {"a0": "a0"}, {m: m for m in A.morphism_ids}).validate()
+    w = find_dwyer_witness(i)
+    assert w.cosieve_objects == ("a0", "a1")
+    assert w.r.object_map == {"a0": "a0", "a1": "a0"}
+    w.validate()
+
+
+def test_witness_of_empty_source():
+    """Nothing is universal into any object from an empty A, so X is empty."""
+    empty = discrete_category([])
+    for B in (arrow_category(), discrete_category(["p", "q"])):
+        w = find_dwyer_witness(Functor(empty, B, {}, {}).validate())
+        assert w.cosieve_objects == () and w.X.n_objects() == 0
+        assert w.r.object_map == {} and w.counit.components == {}
+
+
+#: sha256 of the witness documents (None for a refutation) of `witness_inputs`
+WITNESS_DIGEST = "55629b6e284787fbb99989576936b41fa26df08058def7a878afe9a3f879cdb1"
+
+
+def witness_inputs():
+    """Spans of four groups, the generating maps of six models, and small
+    cases with and without witnesses."""
+    Z2, Z3 = cyclic_group(2), cyclic_group(3)
+    out = [span.witness for group, count in ((None, 10), ("Z2", 10), ("Z3", 10), ("S3", 3))
+           for seed in range(1, 6) for span in dwyer_span_corpus(seed, count, group)]
+    M = make_monoid(
+        ["1", "g", "z"],
+        {("1", "1"): "1", ("1", "g"): "g", ("1", "z"): "z",
+         ("g", "1"): "g", ("g", "g"): "1", ("g", "z"): "z",
+         ("z", "1"): "z", ("z", "g"): "z", ("z", "z"): "z"}, "1")
+    models = [("thomason", {}, 2), ("global", {"H": Z2}, 2), ("global", {"H": Z3}, 2),
+              ("g_global_thin", {"H": Z2, "G": Z2, "phi": {h: h for h in Z2.elements}}, 1),
+              ("g_homotopy_fp", {"H": Z2, "G": Z2}, 1),
+              ("f_model", {"M": M, "H": subgroup_from_elements(M, ["1"])}, 1)]
+    for model, params, n_max in models:
+        shapes = [(n, None) for n in range(n_max + 1)]
+        shapes += [(n, k) for n in range(1, n_max + 1) for k in range(n + 1)]
+        for n, k in shapes:
+            gm = generating_maps(GeneratorSpec(model, n, k, k is not None, dict(params)),
+                                 WIDE_CAPS)
+            if gm.monoid is not None:
+                out.append(monoid_dwyer_check(gm.functor, gm.act_src_monoid, gm.act_dst_monoid))
+            elif gm.group is not None:
+                out.append(find_dwyer_witness(gm.functor, (gm.group, gm.act_src, gm.act_dst)))
+            else:
+                out.append(find_dwyer_witness(gm.functor))
+    V = poset_from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")]).to_fincat()
+    ab = V.full_subcategory(["a", "b"])
+    Z2c, i, actA, actB = swapped_cone()
+    G, _, _, i2, actA2, actB2 = two_swapped_arrows()
+    out += [find_dwyer_witness(embed_at("1")),
+            find_dwyer_witness(Functor(ab, V, {x: x for x in ab.objects},
+                                       {m: m for m in ab.morphism_ids}).validate()),
+            find_dwyer_witness(i, (Z2c, actA, actB)), find_dwyer_witness(i),
+            find_dwyer_witness(i2, (G, actA2, actB2)),
+            find_dwyer_witness(disjoint_union_with_point().i)]
+    return out
+
+
+def test_witnesses_match_the_pinned_digest():
+    """The same witness or None, object for object, as the enumeration of
+    cosieves and backtracking over r and ε that the construction replaced."""
+    docs = [None if w is None else ser.witness_doc(w) for w in witness_inputs()]
+    assert sum(d is None for d in docs) == 3
+    assert hashlib.sha256(ser.canonical_json(docs).encode()).hexdigest() == WITNESS_DIGEST

@@ -158,6 +158,13 @@ def corrupt_face(doc, sid, i, nf):
     return doc
 
 
+def as_edge_doc(doc):
+    """`doc` replaced in place by the document of Δ¹ at cap 2."""
+    doc.clear()
+    doc.update(complex_to_sset(standard_simplex_complex(1), 2).to_doc())
+    return doc
+
+
 @pytest.mark.parametrize("corrupt, message", [
     pytest.param(lambda d: d["cells"]["0"].reverse(),
                  "simplex ids at dim 0 not sorted/unique", id="unsorted-ids"),
@@ -177,6 +184,10 @@ def corrupt_face(doc, sid, i, nf):
                  "simplices stored above cap 1", id="above-cap"),
     pytest.param(lambda d: (d.update(cap=1), d["cells"].pop("2")),
                  "simplices stored above cap 1", id="face-above-cap"),
+    pytest.param(lambda d: as_edge_doc(d)["faces"].append([1, "ghost", [["nope", [0]], ["0", [0]]]]),
+                 "faces stored for unknown simplex (1,ghost)", id="faces-of-unknown-simplex"),
+    pytest.param(lambda d: as_edge_doc(d)["cells"].update({"-1": ["q"]}),
+                 "cells stored at negative dimension -1", id="negative-dimension"),
 ])
 def test_validate_rejects_each_malformed_document(corrupt, message):
     doc = simplex_doc()

@@ -341,9 +341,9 @@ def test_every_emitted_generator_is_equivariant_dwyer():
         gm = generating_maps(spec, WIDE_CAPS)
         assert is_sieve(gm.functor), gm.name
         if gm.group is not None:
-            w = find_dwyer_witness(gm.functor, (gm.group, gm.act_src, gm.act_dst), WIDE_CAPS)
+            w = find_dwyer_witness(gm.functor, (gm.group, gm.act_src, gm.act_dst))
         else:
-            w = find_dwyer_witness(gm.functor, None, WIDE_CAPS)
+            w = find_dwyer_witness(gm.functor)
         assert w is not None, gm.name
 
 
