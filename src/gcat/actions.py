@@ -24,6 +24,7 @@ from .fincat import (
     FinCat,
     Functor,
     discrete_category,
+    enumerate_functors,
     identity_functor,
     pair_mor,
     pair_obj,
@@ -86,9 +87,6 @@ class FinGroup(FinMonoid):
         if not self.is_group():
             raise GcatError("not a group: some element has no inverse")
         return self
-
-    def inv(self, a):
-        return self.inverse(a)
 
 
 def make_monoid(elements, table, unit) -> FinMonoid:
@@ -202,38 +200,8 @@ def subgroups(G: FinGroup):
 
 
 def homomorphisms(H: FinGroup, G: FinGroup):
-    """All homomorphisms H -> G as dicts (brute force with early pruning)."""
-    els = list(H.elements)
-    out = []
-
-    def backtrack(k, phi):
-        if k == len(els):
-            out.append(dict(phi))
-            return
-        a = els[k]
-        if a == H.unit:
-            phi[a] = G.unit
-            backtrack(k + 1, phi)
-            del phi[a]
-            return
-        for g in G.elements:
-            phi[a] = g
-            ok = True
-            for b in list(phi):
-                for x, y in ((a, b), (b, a)):
-                    v = H.mul(x, y)
-                    if v in phi and G.mul(phi[x], phi[y]) != phi[v]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                backtrack(k + 1, phi)
-            del phi[a]
-
-    backtrack(0, {})
-    out.sort(key=lambda d: tuple(sorted(d.items())))
-    return out
+    """All homomorphisms H -> G as dicts: the functors B(H) -> B(G)."""
+    return [F.morphism_map for F in enumerate_functors(delooping(H), delooping(G))]
 
 
 def check_homomorphism(H: FinMonoid, G: FinMonoid, phi: dict):
@@ -526,7 +494,7 @@ def cell_category(K: FinGroup, G: FinGroup, H: FinGroup, phi: dict,
 
     def translate(h):
         """Left-action functor of Γ-element for h (descends the right action by h⁻¹)."""
-        hinv = H.inv(h)
+        hinv = H.inverse(h)
         om = {pair_obj(m, g): pair_obj(K.mul(m, hinv), G.mul(g, phi[hinv]))
               for m in K.elements for g in G.elements}
         mm = {}

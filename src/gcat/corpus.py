@@ -233,7 +233,6 @@ def curated_spans():
     arrow = arrow_category()
     i0 = Functor(one, arrow, {"*": "0"}, {"id*": "0<=0"}).validate()
     w = find_dwyer_witness(i0)
-    triv = trivial_group()
     spans = []
     c_at1 = Functor(one, arrow, {"*": "1"}, {"id*": "1<=1"}).validate()
     spans.append(("glue-[2]", DwyerSpan(one, arrow, arrow, i0, c_at1, w), chain_poset(2).to_fincat()))
@@ -289,7 +288,6 @@ def emap_equivariant_corpus(cap=3):
     swap = Functor(cat, cat, om, {m: f"{om[s]}<={om[t]}" for m, s, t in cat.morphisms})
     actV = MonoidActionCat(Z2, cat, {"c0": identity_functor(cat), "c1": swap}).validate()
     out.append(("N(V)-swap", equivariant_nerve(actV, cap)))
-    disc = chaotic_action(Z2, {"c0": {"a": "a", "b": "b"}, "c1": {"a": "b", "b": "a"}})
     # free swap on the discrete two-point set (nerve of the discrete category)
     from .fincat import discrete_category
     dc = discrete_category(["a", "b"])

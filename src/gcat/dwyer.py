@@ -95,9 +95,10 @@ def is_cosieve(j: Functor) -> bool:
 # witnesses
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DwyerWitness:
-    """Certificate that i: A -> B is a (G-equivariant) Dwyer map."""
+    """Certificate that i: A -> B is a (G-equivariant) Dwyer map, validated
+    once, when it is built."""
 
     i: Functor
     cosieve_objects: tuple     # objects of the cosieve X inside B
@@ -109,6 +110,9 @@ class DwyerWitness:
     group: Optional[FinGroup] = None
     act_A: Optional[MonoidActionCat] = None
     act_B: Optional[MonoidActionCat] = None
+
+    def __post_init__(self):
+        self.validate()
 
     def is_normalized(self):
         A = self.i.source
@@ -239,7 +243,7 @@ def find_dwyer_witness(i: Functor, equivariance=None) -> Optional[DwyerWitness]:
                 {m: arrow[t][2][B.compose[(m, arrow[s][1])]] for m, s, t in X.morphisms})
     unit = NatTrans(identity_functor(A), f.then(r), {a: A.identity[a] for a in A.objects})
     counit = NatTrans(r.then(f), identity_functor(X), {x: arrow[x][1] for x in X.objects})
-    return DwyerWitness(i, X.objects, X, f, r, unit, counit, group, act_A, act_B).validate()
+    return DwyerWitness(i, X.objects, X, f, r, unit, counit, group, act_A, act_B)
 
 
 def normalize_unit(w: DwyerWitness) -> DwyerWitness:
@@ -250,7 +254,6 @@ def normalize_unit(w: DwyerWitness) -> DwyerWitness:
     equivariance when tagged).
     """
     if w.is_normalized():
-        w.validate()
         return w
     A, X = w.i.source, w.X
     isos = A.isos()
@@ -271,14 +274,13 @@ def normalize_unit(w: DwyerWitness) -> DwyerWitness:
     for m in X.morphism_ids:
         x, y = X.src[m], X.dst[m]
         r_mor[m] = A.compose[(A.compose[(A.inverse(phi[y]), w.r.morphism_map[m])], phi[x])]
-    r = Functor(X, A, r_ob, r_mor).validate()
+    r = Functor(X, A, r_ob, r_mor)
     eps = {x: X.compose[(w.counit.components[x], w.f.morphism_map[phi[x]])]
            for x in X.objects}
     unit = NatTrans(identity_functor(A), w.f.then(r), {a: A.identity[a] for a in A.objects})
     counit = NatTrans(r.then(w.f), identity_functor(X), eps)
-    out = DwyerWitness(w.i, w.cosieve_objects, X, w.f, r, unit, counit,
-                       w.group, w.act_A, w.act_B)
-    return out.validate()
+    return DwyerWitness(w.i, w.cosieve_objects, X, w.f, r, unit, counit,
+                        w.group, w.act_A, w.act_B)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +317,6 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
     if w.i is not i:
         w = DwyerWitness(i, w.cosieve_objects, w.X, w.f, w.r, w.unit, w.counit,
                          w.group, w.act_A, w.act_B)
-    w.validate()
     if not w.is_normalized():
         raise WitnessNotNormalized("dwyer_pushout requires a unit-identity witness")
     c.validate()
@@ -408,7 +409,6 @@ def equivariant_dwyer_pushout(act_A: MonoidActionCat, act_B: MonoidActionCat,
     G = w.group
     check_equivariant(i, act_A, act_B)
     check_equivariant(c, act_A, act_C)
-    w.validate()
     po = dwyer_pushout(act_A.carrier, act_B.carrier, act_C.carrier, i, c, w, caps)
     D = po.category
     B, C = act_B.carrier, act_C.carrier
@@ -450,17 +450,16 @@ def restrict_witness_to_fixed(w: DwyerWitness, H: FinGroup) -> DwyerWitness:
     BH = fixed_category(act_BH, H)
     XH = fixed_category(full_subcategory_action(act_BH, w.X), H)
     iH = Functor(AH, BH, {a: w.i.object_map[a] for a in AH.objects},
-                 {m: w.i.morphism_map[m] for m in AH.morphism_ids}).validate()
+                 {m: w.i.morphism_map[m] for m in AH.morphism_ids})
     fH = Functor(AH, XH, {a: w.f.object_map[a] for a in AH.objects},
-                 {m: w.f.morphism_map[m] for m in AH.morphism_ids}).validate()
+                 {m: w.f.morphism_map[m] for m in AH.morphism_ids})
     rH = Functor(XH, AH, {x: w.r.object_map[x] for x in XH.objects},
-                 {m: w.r.morphism_map[m] for m in XH.morphism_ids}).validate()
+                 {m: w.r.morphism_map[m] for m in XH.morphism_ids})
     unit = NatTrans(identity_functor(AH), fH.then(rH),
                     {a: w.unit.components[a] for a in AH.objects})
     counit = NatTrans(rH.then(fH), identity_functor(XH),
                       {x: w.counit.components[x] for x in XH.objects})
-    return DwyerWitness(iH, tuple(sorted(XH.objects)), XH, fH, rH,
-                        unit, counit).validate()
+    return DwyerWitness(iH, tuple(sorted(XH.objects)), XH, fH, rH, unit, counit)
 
 
 def product_witness(S: FinCat, w: DwyerWitness, act_S: Optional[MonoidActionCat] = None,
@@ -492,7 +491,7 @@ def product_witness(S: FinCat, w: DwyerWitness, act_S: Optional[MonoidActionCat]
         act_A2 = MonoidActionCat(group, SA, actA2).validate()
         act_B2 = MonoidActionCat(group, SB, actB2).validate()
     return DwyerWitness(i2, tuple(sorted(SX.objects)), SX, f2, r2, unit, counit,
-                        group, act_A2, act_B2).validate()
+                        group, act_A2, act_B2)
 
 
 def fun_witness(T: FinCat, w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS,
@@ -533,8 +532,7 @@ def fun_witness(T: FinCat, w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS,
         mid = dX.trans_id(src_idx, dst_idx, comp)
         eps[x2] = inc2.morphism_map[mid]
     counit = NatTrans(r2X.then(f2X), identity_functor(X2), eps)
-    w2 = DwyerWitness(i2, tuple(x_objs), X2, f2X, r2X, unit, counit).validate()
-    return w2, data
+    return DwyerWitness(i2, tuple(x_objs), X2, f2X, r2X, unit, counit), data
 
 
 def monoid_dwyer_check(i: Functor, act_A: MonoidActionCat,

@@ -82,16 +82,7 @@ class FinCat:
 
     def isos(self):
         """Set of invertible morphism ids."""
-        out = set()
-        for m, s, t in self.morphisms:
-            for w in self.hom(t, s):
-                if (
-                    self.compose[(w, m)] == self.identity[s]
-                    and self.compose[(m, w)] == self.identity[t]
-                ):
-                    out.add(m)
-                    break
-        return out
+        return {m for m in self.morphism_ids if self.inverse(m) is not None}
 
     def inverse(self, m):
         s, t = self.src[m], self.dst[m]

@@ -503,7 +503,6 @@ def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
     cells = {0: tuple(sorted(C.objects))}
     faces = {}
     shared = {}   # each distinct face normal form once, however many simplices have it
-    prev = [(x,) for x in C.objects] if C.objects else []
     level = [(m,) for m in sorted(nonid)]
     n = 1
     while n <= cap and level:
@@ -556,7 +555,7 @@ def _normalize_chain(C: FinCat, chain, base=None):
 
 def nerve_functor(F: Functor, NX: FinSSet, NY: FinSSet, cap=3) -> SSetMap:
     """N(F) on already-built nerves."""
-    C, D = F.source, F.target
+    D = F.target
     vals = {}
     for sid in NX.cells.get(0, ()):
         vals[(0, sid)] = (F.object_map[sid], (0,))
@@ -944,16 +943,22 @@ def _strictify(seq):
     return tuple(strict), tuple(beta)
 
 
-def _enumerate_sd_maps(n, X: FinSSet, caps: SizeCaps, prescribed=None, first_only=False):
-    """All simplicial maps Sd Δⁿ -> X, as int tuples in chain order.
+def _sd_steps(n, X: FinSSet):
+    """The search steps of Sd-maps Sd Δⁿ -> X: per step of `search_steps`,
+    its chain position, X's candidates grouped by faces, and the key that
+    reads the faces off an assignment."""
+    return [(pos, X.face_index(d).groups, itemgetter(*face_pos) if d else None)
+            for pos, d, face_pos in _SdData(n).search_steps]
+
+
+def _enumerate_sd_maps(steps, caps: SizeCaps, prescribed=None, first_only=False):
+    """All simplicial maps Sd Δⁿ -> X, as int tuples in chain order, for
+    `steps` = `_sd_steps(n, X)`.
 
     `prescribed` pins the ints at some chain positions.  Depth first over
     `search_steps`, candidates in `all_simplices` order; every node, the root
     included, counts against `caps.max_candidates`.
     """
-    steps = [(pos, X.face_index(d).groups, itemgetter(*face_pos) if d else None,
-              prescribed.get(pos) if prescribed else None)
-             for pos, d, face_pos in _SdData(n).search_steps]
     assignment, last = [None] * len(steps), len(steps)
     out, stack, counter, depth = [], [], 0, 0   # stack: a candidate iterator per step reached
     while True:
@@ -965,8 +970,9 @@ def _enumerate_sd_maps(n, X: FinSSet, caps: SizeCaps, prescribed=None, first_onl
             if first_only:
                 return out
         else:
-            _, groups, key, want = steps[depth]
+            pos, groups, key = steps[depth]
             cands = groups.get(key(assignment) if key else (), ())
+            want = prescribed.get(pos) if prescribed else None
             stack.append(iter(cands if want is None else [want] if want in cands else ()))
             depth += 1
         while depth and (v := next(stack[-1], None)) is None:
@@ -1010,7 +1016,7 @@ def ex(X: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
         checks = [[(p, q, beta and pulled(beta))
                    for p, (q, beta) in enumerate(sdd.restriction(compose_tuples(delta(j, n), sigma(j, n - 1))))
                    if q != p or beta] for j in range(n)]
-        level = dict.fromkeys(_enumerate_sd_maps(n, X, caps))   # Sd-map -> normal form
+        level = dict.fromkeys(_enumerate_sd_maps(_sd_steps(n, X), caps))   # Sd-map -> normal form
         for m in level:
             for j, check in enumerate(checks):
                 if all(m[p] == (m[q] if t is None else t[m[q]]) for p, q, t in check):
@@ -1174,8 +1180,9 @@ def is_kan_complex_lazy_ex(base: FinSSet, cap=2, caps: SizeCaps = DEFAULT_CAPS) 
     for n in range(1, cap + 1):
         picks = [_SdData(n - 1).face_positions(i) for i in range(n)] if n > 1 else []
         cands = {psi: tuple(tuple(psi[p] for p in pick) for pick in picks)
-                 for psi in _enumerate_sd_maps(n - 1, base, caps)}
+                 for psi in _enumerate_sd_maps(_sd_steps(n - 1, base), caps)}
         into = [_SdData(n).face_positions(j) for j in range(n + 1)]
+        steps = _sd_steps(n, base)
         for k in range(n + 1):
             for horn in _horns(cands, n, k, caps):
                 checked += 1
@@ -1185,7 +1192,7 @@ def is_kan_complex_lazy_ex(base: FinSSet, cap=2, caps: SizeCaps = DEFAULT_CAPS) 
                     for pos, v in zip(into[j], psi):
                         if prescribed.setdefault(pos, v) != v:
                             return KanVerdict(False, cap, checked, (n, k, "inconsistent horn"))
-                if not _enumerate_sd_maps(n, base, caps, prescribed, first_only=True):
+                if not _enumerate_sd_maps(steps, caps, prescribed, first_only=True):
                     return KanVerdict(False, cap, checked, (n, k, "no filler"))
     return KanVerdict(True, cap, checked)
 

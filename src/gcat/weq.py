@@ -6,8 +6,11 @@ Smith-invariant agreement up to its dimension cap.
 
 Homotopy fixed points Fun(EH, φ*C)^H are enumerated directly as twisted
 equivariant functors (objects determined on orbit representatives), so the
-ambient functor category is never materialized; the materialized route is
-kept for cross-checks on small inputs.
+ambient functor category is never materialized.  The arrows from the base
+point generate the chaotic E(K), so a functor is tested for fixedness on
+them alone, and a transformation between fixed functors on its base
+component alone; `materialized_hofix`, which builds Fun(EH, C) and takes
+its fixed subcategory, is kept to cross-check this on small inputs.
 
 The infinite monoid of injections never appears: everything that would
 quantify over its universal subgroups is exposed here as an explicit finite
@@ -16,6 +19,7 @@ list of (H, φ) pairs and each report says so.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -201,167 +205,80 @@ class HoFixData:
         return (tuple(sorted(ob.items())), tuple(sorted(u.items())))
 
 
-def _iso_homs(C: FinCat):
-    isos = C.isos()
-    return {(x, y): [m for m in C.hom(x, y) if m in isos]
-            for x in C.objects for y in C.objects}
-
-
 def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
                       C: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> HoFixData:
     """Fixed points of Fun(E(K), C) under Γ_{H,φ} ⊂ K × G.
 
     g_action: G-element -> endofunctor of C (the action through which φ acts);
     H must be a subgroup of K, φ: H -> G a homomorphism (as a dict).
+
+    (h, φh) sends F to act(φh)∘F∘(− · h), so a fixed F has
+    F(x·h) = act(φh)⁻¹ F(x) and is chosen on the first element of each right
+    H-orbit; then F(b -> y) is chosen among the isos for the base b and each
+    other y.  Those arrows generate E(K), so F is fixed once
+    act(φh) F(b·h -> y·h) = F(b -> y) for every h and y.  A transformation η
+    between fixed functors is determined by η_b, so it is fixed once
+    act(φh) η_{b·h} = η_b for every h.  The cap counts the nodes of a
+    depth-first search over the isos, 1 + n₁ + n₁n₂ + … per object choice.
     """
     subgroup_from_elements(K, H.elements)
     base = min(K.elements)
-    iso = _iso_homs(C)
-
-    def act_mor(g, m):
-        return g_action[g].morphism_map[m]
-
-    # object assignments: F(x·h) forced from F(x) by act(φh)⁻¹ — enumerate on
-    # orbit representatives of the right H-action on K
-    orbits = []
-    seen = set()
+    inv = {m: C.inverse(m) for m in C.isos()}
+    act = {h: g_action[phi[h]].morphism_map for h in H.elements}
+    undo = {h: {g_action[phi[h]].object_map[o]: o for o in C.objects}    # act(φh)⁻¹
+            for h in H.elements}
+    shift = [(h, K.mul(base, h), [(y, K.mul(y, h)) for y in K.elements]) for h in H.elements]
+    reps, seen = [], set()
     for x in K.elements:
-        if x in seen:
-            continue
-        orb = sorted(K.mul(x, h) for h in H.elements)
-        orbits.append(x)
-        seen.update(orb)
-
-    G_inv = {}
-
-    def inv_act_ob(g, x):
-        # act(g)⁻¹ on objects: search once per g
-        if g not in G_inv:
-            F = g_action[g]
-            G_inv[g] = {F.object_map[o]: o for o in C.objects}
-        return G_inv[g][x]
-
-    object_choices = []
-
-    def assign_obj(k, ob):
-        if k == len(orbits):
-            object_choices.append(dict(ob))
-            return
-        x0 = orbits[k]
-        for cx in C.objects:
-            good = True
-            local = {}
-            for h in H.elements:
-                xh = K.mul(x0, h)
-                # act(φh)(F(xh)) = F(x0)  =>  F(xh) = act(φh)⁻¹ F(x0)
-                v = inv_act_ob(phi[h], cx)
-                if local.get(xh, v) != v or ob.get(xh, v) != v:
-                    good = False
-                    break
-                local[xh] = v
-            if good:
-                ob.update(local)
-                assign_obj(k + 1, ob)
-                for y in local:
-                    del ob[y]
-
-    assign_obj(0, {})
-
-    functors = []
-    budget = [0]
-    for ob in object_choices:
-        free = [x for x in K.elements if x != base]
-        u = {(base, base): C.identity[ob[base]]}
-
-        def full_u(uu):
-            """All u_{x,y} from the base components (all iso)."""
-            out = {}
-            inv = {x: C.inverse(uu[(base, x)]) for x in K.elements}
-            for x in K.elements:
-                for y in K.elements:
-                    out[(x, y)] = C.compose[(uu[(base, y)], inv[x])]
-            return out
-
-        def fixed_ok(uu):
-            full = full_u(uu)
-            for h in H.elements:
-                for x in K.elements:
-                    for y in K.elements:
-                        if act_mor(phi[h], full[(K.mul(x, h), K.mul(y, h))]) != full[(x, y)]:
-                            return False
-            return True
-
-        def assign_u(k, uu):
-            budget[0] += 1
-            if budget[0] > caps.max_candidates:
-                raise SizeCapExceeded("twisted functor enumeration", budget[0], caps.max_candidates)
-            if k == len(free):
-                if fixed_ok(uu):
-                    functors.append((dict(ob), {kk: v for kk, v in uu.items() if kk[0] == base}))
-                return
-            x = free[k]
-            for m in iso[(ob[base], ob[x])]:
-                uu[(base, x)] = m
-                assign_u(k + 1, uu)
-                del uu[(base, x)]
-
-        assign_u(0, dict(u))
+        if x not in seen:
+            reps.append(x)
+            seen.update(K.mul(x, h) for h in H.elements)
+    free = [x for x in K.elements if x != base]
+    functors, nodes = [], 0
+    for choice in itertools.product(C.objects, repeat=len(reps)):
+        ob = {K.mul(x, h): undo[h][c] for x, c in zip(reps, choice) for h in H.elements}
+        homs = [[m for m in C.hom(ob[base], ob[x]) if m in inv] for x in free]
+        width = 1
+        nodes += 1
+        for hom in homs:
+            width *= len(hom)
+            nodes += width
+        if nodes > caps.max_candidates:
+            raise SizeCapExceeded("twisted functor enumeration", caps.max_candidates + 1,
+                                  caps.max_candidates)
+        for ms in itertools.product(*homs):
+            u = dict(zip([(base, x) for x in (base, *free)], (C.identity[ob[base]], *ms)))
+            if all(act[h][C.compose[(u[(base, yh)], inv[u[(base, bh)]])]] == u[(base, y)]
+                   for h, bh, ys in shift for y, yh in ys):
+                functors.append((dict(ob), u))
 
     functors.sort(key=lambda fu: HoFixData.encoding(*fu))
     if len(functors) > caps.max_objects:
         raise SizeCapExceeded("homotopy-fixed-point objects", len(functors), caps.max_objects)
-    index_of = {}
-    for idx, (ob, u) in enumerate(functors):
-        index_of[HoFixData.encoding(ob, u)] = idx
-
-    # morphisms: base components with naturality-derived components, fixed
-    def derived_components(src, dst, eta0):
-        obS, uS = src
-        obD, uD = dst
-        invS = {x: C.inverse(uS[(base, x)]) for x in K.elements}
-        return {x: C.compose[(C.compose[(uD[(base, x)], eta0)], invS[x])] for x in K.elements}
-
-    def eta_fixed(comp):
-        for h in H.elements:
-            for x in K.elements:
-                if act_mor(phi[h], comp[K.mul(x, h)]) != comp[x]:
-                    return False
-        return True
-
-    objects = [f"P{i:03d}" for i in range(len(functors))]
-    morphisms = []
-    mor_component = {}
-    identity = {}
-    hom_table = {}
-    n_mor = 0
-    for a, src in enumerate(functors):
-        for b, dst in enumerate(functors):
-            good = []
-            for eta0 in C.hom(src[0][base], dst[0][base]):
-                comp = derived_components(src, dst, eta0)
-                if eta_fixed(comp):
-                    good.append(eta0)
-            n_mor += len(good)
-            if n_mor > caps.max_morphisms:
-                raise SizeCapExceeded("homotopy-fixed-point morphisms", n_mor, caps.max_morphisms)
-            hom_table[(a, b)] = good
-            for eta0 in good:
-                mid = f"t{a:03d}>{b:03d}:{eta0}"
-                morphisms.append((mid, f"P{a:03d}", f"P{b:03d}"))
-                mor_component[mid] = eta0
-    for a, src in enumerate(functors):
-        identity[f"P{a:03d}"] = f"t{a:03d}>{a:03d}:{C.identity[src[0][base]]}"
+    index_of = {HoFixData.encoding(ob, u): idx for idx, (ob, u) in enumerate(functors)}
+    hom_table, morphisms, mor_component = {}, [], {}
+    for a, (obS, uS) in enumerate(functors):
+        for b, (obD, uD) in enumerate(functors):
+            hom_table[(a, b)] = []
+            for eta0 in C.hom(obS[base], obD[base]):
+                if all(act[h][C.compose[(C.compose[(uD[(base, bh)], eta0)], inv[uS[(base, bh)]])]]
+                       == eta0 for h, bh, _ in shift):
+                    mid = f"t{a:03d}>{b:03d}:{eta0}"
+                    hom_table[(a, b)].append(mid)
+                    morphisms.append((mid, f"P{a:03d}", f"P{b:03d}"))
+                    mor_component[mid] = eta0
+            if len(morphisms) > caps.max_morphisms:
+                raise SizeCapExceeded("homotopy-fixed-point morphisms", len(morphisms),
+                                      caps.max_morphisms)
+    identity = {f"P{a:03d}": f"t{a:03d}>{a:03d}:{C.identity[ob[base]]}"
+                for a, (ob, _) in enumerate(functors)}
     compose = {}
-    for (b, c2), betas in hom_table.items():
-        for (a, b2), alphas in hom_table.items():
-            if b2 != b:
-                continue
-            for beta in betas:
-                for alpha in alphas:
-                    comp = C.compose[(beta, alpha)]
-                    compose[(f"t{b:03d}>{c2:03d}:{beta}", f"t{a:03d}>{b2:03d}:{alpha}")] = \
-                        f"t{a:03d}>{c2:03d}:{comp}"
-    cat = validate_category(objects, morphisms, identity, compose, caps)
+    for b, c, a in itertools.product(range(len(functors)), repeat=3):
+        for beta in hom_table[(b, c)]:
+            for alpha in hom_table[(a, b)]:
+                eta0 = C.compose[(mor_component[beta], mor_component[alpha])]
+                compose[(beta, alpha)] = f"t{a:03d}>{c:03d}:{eta0}"
+    cat = validate_category(list(identity), morphisms, identity, compose, caps)
     return HoFixData(cat, K, C, base, functors, index_of, mor_component)
 
 
@@ -433,7 +350,7 @@ def g_global_we(F: Functor, act_C: MonoidActionCat, act_D: MonoidActionCat,
 
 def conjugate_pair(H: FinGroup, phi: dict, G: FinGroup, g):
     """(H, c_g ∘ φ): the conjugate pair for invariance checks."""
-    ginv = G.inv(g)
+    ginv = G.inverse(g)
     return {h: G.mul(G.mul(g, phi[h]), ginv) for h in H.elements}
 
 

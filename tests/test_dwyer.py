@@ -1,5 +1,6 @@
 """Sieves, witnesses, normalization, explicit pushouts, closure transports."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -25,7 +26,9 @@ from gcat.actions import (
     cyclic_group,
     fixed_category,
     make_monoid,
+    restrict_action,
     subgroup_from_elements,
+    subgroups,
     trivial_action,
 )
 from gcat.sset import (
@@ -276,6 +279,34 @@ def test_witness_revalidates_from_raw_data():
         rebuilt = DwyerWitness(w.i, w.cosieve_objects, w.X, w.f, w.r, w.unit,
                                w.counit, w.group, w.act_A, w.act_B)
         rebuilt.validate()
+
+
+def test_each_witness_is_validated_once(monkeypatch):
+    """The pipeline of the spans benchmark validates every witness it builds
+    once, when it is built, and no witness can change after that."""
+    validated = []
+    validate = DwyerWitness.validate
+
+    def counted(self):
+        validated.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(DwyerWitness, "validate", counted)
+    for span in dwyer_span_corpus(3, 3, "Z2"):
+        w = find_dwyer_witness(span.i, (span.group, span.act_A, span.act_B))
+        equivariant_dwyer_pushout(span.act_A, span.act_B, span.act_C, span.i, span.c, w)
+        pushout_cross_check(span.A, span.B, span.C, span.i, span.c, w)
+        for H in subgroups(span.group):
+            wH = restrict_witness_to_fixed(w, H)
+            CH = fixed_category(restrict_action(span.act_C, H), H)
+            cH = Functor(wH.i.source, CH, {x: span.c.object_map[x] for x in wH.i.source.objects},
+                         {m: span.c.morphism_map[m] for m in wH.i.source.morphism_ids})
+            dwyer_pushout(wH.i.source, wH.i.target, CH, wH.i, cH, wH)
+    # three spans, each witness built twice (corpus and search), two subgroups
+    assert len(validated) == 3 * (2 + 2)
+    assert len({id(w) for w in validated}) == len(validated)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.r = w.r
 
 
 def test_nerve_comparison_small():

@@ -1,10 +1,14 @@
 """Every top-level function, and every method of a top-level class, in
-src/gcat/ is used somewhere.
+src/gcat/ is used somewhere, and every local a function there assigns is read.
 
 A function or method counts as used when its name is loaded (as a name or an
 attribute) anywhere in src/, scripts/, tests/ or perfbench/ outside its own
 definition.  Importing a name does not count as using it.  Dunder methods are
 called by the language and are not checked.
+
+A local is dead when a function assigns it with a plain `name = ...` and
+never loads it, nested functions included.  Tuple unpacking and loop targets
+are not checked, and neither are names declared global or nonlocal.
 """
 
 import ast
@@ -63,6 +67,37 @@ def unreferenced_functions(package=PACKAGE, searched=SEARCHED):
     return dead
 
 
+def own_nodes(function):
+    """The nodes of `function` outside the functions, lambdas and classes
+    nested in it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(package=PACKAGE):
+    dead = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loaded = {node.id for node in ast.walk(function)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            assigned, declared = [], set()
+            for node in own_nodes(function):
+                if isinstance(node, (ast.Global, ast.Nonlocal)):
+                    declared.update(node.names)
+                elif isinstance(node, ast.Assign):
+                    assigned += [t for t in node.targets if isinstance(t, ast.Name)]
+            dead += [(path.name, t.lineno, function.name, t.id) for t in assigned
+                     if t.id not in loaded and t.id not in declared]
+    return [f"{name}:{line} {function}: {local}" for name, line, function, local in sorted(dead)]
+
+
 def test_every_top_level_function_is_referenced():
     assert unreferenced_functions() == []
 
@@ -83,3 +118,30 @@ def test_planted_unused_function_is_reported(tmp_path):
         "from gcat.mod import Box, recursive, used\n\nused()\nBox().get()\n", encoding="utf-8")
     dead = unreferenced_functions(package, [tmp_path / "src", tmp_path / "tests"])
     assert dead == ["mod.py:5 recursive", "mod.py:16 Box.unused"]
+
+
+def test_every_assigned_local_is_read():
+    assert unread_locals() == []
+
+
+def test_planted_unread_local_is_reported(tmp_path):
+    package = tmp_path / "gcat"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "def f(xs):\n"
+        "    total = 0\n"
+        "    unread = len(xs)\n"
+        "    first, rest = xs[0], xs[1:]\n"
+        "    for x in rest:\n"
+        "        total += x\n"
+        "\n"
+        "    def g():\n"
+        "        nonlocal total\n"
+        "        total = 1\n"
+        "        closure = 2\n"
+        "        return unread_by_f\n"
+        "\n"
+        "    unread_by_f = total\n"
+        "    return g\n",
+        encoding="utf-8")
+    assert unread_locals(package) == ["mod.py:3 f: unread", "mod.py:11 g: closure"]

@@ -70,6 +70,7 @@ from gcat.sset import (
     sset_from_doc,
     _SdData,
     _enumerate_sd_maps,
+    _sd_steps,
 )
 from gcat.weq import GeneratorSpec, generating_maps
 from gcat.smith import smith_invariants
@@ -471,7 +472,7 @@ def test_sd_map_search_on_boundary_of_triangle():
     """Sd Δ³ -> ∂Δ²: 654 maps, in the order (hashed as normal forms) of the
     normal-form search the int tables replaced; Ex keeps 477 nondegenerate."""
     X = complex_to_sset(boundary_complex(2), 3)
-    maps = _enumerate_sd_maps(3, X, DEFAULT_CAPS)
+    maps = _enumerate_sd_maps(_sd_steps(3, X), DEFAULT_CAPS)
     assert len(maps) == 654
     nfs = [X.face_index(len(c) - 1).nfs for c in _SdData(3).chains]
     as_nfs = [[list(table[v]) for table, v in zip(nfs, m)] for m in maps]
@@ -486,12 +487,12 @@ def test_sd_map_search_and_ex_count_against_their_caps():
     # backtracks through 74,296 nodes; Ex ∂Δ² has 477 nondegenerate 3-simplices
     X = complex_to_sset(boundary_complex(2), 3)
     with pytest.raises(SizeCapExceeded, match="Sd-map enumeration: 186474 exceeds cap 186473"):
-        _enumerate_sd_maps(3, X, SizeCaps(max_candidates=186473))
-    maps = _enumerate_sd_maps(3, X, SizeCaps(max_candidates=186474))
+        _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=186473))
+    maps = _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=186474))
     pos = _SdData(3).search_steps[-1][0]
     with pytest.raises(SizeCapExceeded, match="Sd-map enumeration: 74296 exceeds cap 74295"):
-        _enumerate_sd_maps(3, X, SizeCaps(max_candidates=74295), {pos: maps[-1][pos]}, True)
-    assert _enumerate_sd_maps(3, X, SizeCaps(max_candidates=74296), {pos: maps[-1][pos]}, True)
+        _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=74295), {pos: maps[-1][pos]}, True)
+    assert _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=74296), {pos: maps[-1][pos]}, True)
     with pytest.raises(SizeCapExceeded, match="Ex simplices: 477 exceeds cap 476"):
         ex(X, 3, SizeCaps(max_simplices=476))
 

@@ -1,8 +1,19 @@
 """Certificates, homotopy fixed points, saturation, generators, transfer."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from gcat.config import WIDE_CAPS
+import gcat
+
+from gcat.config import WIDE_CAPS, SizeCaps
+from gcat.corpus import dwyer_span_corpus, named_group
+from gcat.errors import GcatError, SizeCapExceeded
 from gcat.fincat import (
     Functor,
     arrow_category,
@@ -21,6 +32,9 @@ from gcat.actions import (
     chaotic_action,
     chaotic_category,
     cyclic_group,
+    delooping,
+    homomorphisms,
+    product_action,
     product_monoid,
     subgroup_from_elements,
     subgroups,
@@ -34,7 +48,12 @@ from gcat.sset import (
     complex_inclusion,
     standard_simplex_complex,
 )
-from gcat.dwyer import find_dwyer_witness, is_sieve, monoid_dwyer_check
+from gcat.dwyer import (
+    equivariant_dwyer_pushout,
+    find_dwyer_witness,
+    is_sieve,
+    monoid_dwyer_check,
+)
 from gcat.weq import (
     GeneratedMap,
     GeneratorSpec,
@@ -60,6 +79,10 @@ Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
 PHI_ID = {g: g for g in Z2.elements}
+
+#: `hofix_digest` as the enumeration that tested every arrow of E(K) and
+#: every component of a transformation computed it
+HOFIX_DIGEST = "9ea92a32b4721837c3de67161c901e2bfcdba274950cad75f882c6eab1406d50"
 
 
 def collapse_to_point(C):
@@ -158,6 +181,89 @@ def test_hofix_matches_materialized_route():
         assert (a.n_objects(), a.n_morphisms()) == (b.n_objects(), b.n_morphisms())
         if a.n_objects():
             assert find_isomorphism(a, b) is not None
+
+
+def hofix_carriers(G):
+    """G-actions on carriers with nontrivial automorphism groups: trivial on
+    BZ2 and BZ3; for |G| <= 3 by translation on E(G) × BZ2; for G = Z2 also
+    by inversion on BZ3."""
+    BZ2, BZ3 = delooping(Z2), delooping(Z3)
+    out = [trivial_action(G, BZ2), trivial_action(G, BZ3)]
+    if len(G.elements) <= 3:
+        out.append(product_action(translation_action(G), trivial_action(G, BZ2)))
+    if G.elements == Z2.elements:
+        flip = Functor(BZ3, BZ3, {"*": "*"}, {"c0": "c0", "c1": "c2", "c2": "c1"})
+        out.append(MonoidActionCat(Z2, BZ3, {"c0": identity_functor(BZ3), "c1": flip}).validate())
+    return out
+
+
+def hofix_computations():
+    """Every (H, φ) over both actions of a few Dwyer spans (the pushout's and
+    B's) and over `hofix_carriers`, for four groups G, then twisted fixed
+    points of Fun(E(K), C) for K larger than H."""
+    carriers = {}
+    for group, count in (("1", 4), ("Z2", 4), ("Z3", 3), ("S3", 1)):
+        G = named_group(group)
+        pairs = [(H, phi) for H in subgroups(G) for phi in homomorphisms(H, G)]
+        acts = []
+        for seed in (10, 20, 30):
+            for span in dwyer_span_corpus(seed, count, group):
+                actD, _ = equivariant_dwyer_pushout(span.act_A, span.act_B, span.act_C,
+                                                    span.i, span.c, span.witness)
+                acts += [actD, span.act_B]
+        carriers[group] = acts[:2] + hofix_carriers(G)
+        for act in acts + hofix_carriers(G):
+            for H, phi in pairs:
+                yield lambda act=act, H=H, phi=phi: homotopy_fixed_points(act, H, phi)
+    for K, order in ((symmetric_group(3), 2), (Z4, 2), (symmetric_group(3), 3)):
+        H = next(S for S in subgroups(K) if len(S.elements) == order)
+        for group in ("Z2", "Z3"):
+            for act in carriers[group]:
+                g_action = {g: act.act[g] for g in act.monoid.elements}
+                for phi in homomorphisms(H, act.monoid):
+                    yield lambda K=K, H=H, phi=phi, g_action=g_action, C=act.carrier: \
+                        twisted_fun_fixed(K, g_action, H, phi, C)
+
+
+def hofix_digest():
+    """sha256 over `hofix_computations` of each category's document, its
+    compose order, `functors`, `index_of` and `mor_component`, or the text of
+    the error raised."""
+    h = hashlib.sha256()
+    for compute in hofix_computations():
+        try:
+            d = compute()
+        except GcatError as exc:
+            h.update(json.dumps([type(exc).__name__, str(exc)]).encode())
+            continue
+        h.update(json.dumps([d.category.to_doc(), list(d.category.compose.items()),
+                             [[list(ob.items()), list(u.items())] for ob, u in d.functors],
+                             list(d.index_of.items()), list(d.mor_component.items())]).encode())
+    return h.hexdigest()
+
+
+def test_hofix_reports_match_the_pinned_digest():
+    # the same categories, functors and errors, under three hash seeds
+    path = os.pathsep.join([str(Path(gcat.__file__).resolve().parents[1]), str(Path(__file__).parent)])
+    code = "import test_weq; print(test_weq.hofix_digest())"
+    procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
+             for seed in ("0", "1", "2")]
+    digests = [proc.communicate(timeout=120)[0].strip() for proc in procs]
+    assert digests == [HOFIX_DIGEST] * 3
+
+
+def test_twisted_node_cap_counts_a_depth_first_search():
+    """The cap counts 1 + n₁ + n₁n₂ + … nodes per object assignment, n_k the
+    number of isos from the base to the k-th other element of K: here 8
+    assignments of E(S3) into two copies of BZ2, with n_k 0 or 2."""
+    C = product_category(discrete_category(["p", "q"]), delooping(Z2))
+    S3 = symmetric_group(3)
+    H = subgroup_from_elements(S3, ["s012", "s102"])
+    args = (S3, trivial_action(Z2, C).act, H, {"s012": "c0", "s102": "c1"}, C)
+    with pytest.raises(SizeCapExceeded, match=r"^twisted functor enumeration: 144 exceeds cap 143$"):
+        twisted_fun_fixed(*args, SizeCaps(max_candidates=143))
+    assert len(twisted_fun_fixed(*args, SizeCaps(max_candidates=144)).functors) == 16
 
 
 def test_hofix_preserves_products_and_terminal():
