@@ -392,10 +392,11 @@ def fixed_category(A: MonoidActionCat, H: FinGroup) -> FinCat:
 
     H must be a subgroup of the units of the acting monoid.
     """
-    units = units_group(A.monoid)
-    if not set(H.elements) <= set(units.elements):
-        raise SubgroupNotInUnits(f"{H.elements} not inside units {units.elements}")
-    subgroup_from_elements(A.monoid, H.elements)
+    M = A.monoid
+    units = tuple(sorted(a for a in M.elements if M.inverse(a) is not None))
+    if not set(H.elements) <= set(units):
+        raise SubgroupNotInUnits(f"{H.elements} not inside units {units}")
+    subgroup_from_elements(M, H.elements)
     C = A.carrier
     objs = [x for x in C.objects if all(A.ob(h, x) == x for h in H.elements)]
     oset = set(objs)

@@ -12,7 +12,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import DEFAULT_CAPS, SizeCaps
 from .errors import GcatError
 from .fincat import (
     FinCat,
@@ -241,7 +240,7 @@ def curated_spans():
     return spans
 
 
-def seeded_category(rng: random.Random, caps: SizeCaps = DEFAULT_CAPS) -> FinCat:
+def seeded_category(rng: random.Random) -> FinCat:
     """A random small category: poset, chaotic, or a delooping."""
     kind = rng.choice(["poset", "poset", "chaotic", "delooping"])
     if kind == "poset":

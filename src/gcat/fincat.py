@@ -5,11 +5,16 @@ composition table.  Everything is validated exhaustively: associativity over
 all composable triples, identity laws for every morphism.  On top of that
 this module provides functors, natural transformations, products, functor
 categories, exhaustive equivalence search, and a presentation-based pushout
-oracle (congruence closure on composite words) that is independent of the
-explicit Dwyer-pushout construction.
+oracle that is independent of the explicit Dwyer-pushout construction.  The
+oracle is coset enumeration (Holt, Eick & O'Brien, Handbook of Computational
+Group Theory, 2005, ch. 5): a coset table of morphism classes named by
+composite words, filled in HLT order by relation scans, coincidences and
+definitions, with one union-find for object classes, generator classes and
+states, and at most 4 * max_morphisms live states, checked every 128 states.
 
-Ids are strings ordered lexicographically; all constructions are
-deterministic functions of their inputs.
+Ids are strings ordered lexicographically; `category_from_doc` refuses any
+other object or morphism id.  All constructions are deterministic functions
+of their inputs.
 """
 
 from __future__ import annotations
@@ -177,9 +182,16 @@ def validate_category(objects, morphisms, identity, compose, caps: SizeCaps = DE
 
 
 def category_from_doc(doc, caps: SizeCaps = DEFAULT_CAPS):
+    """Validate a category document.  An object or morphism id that is not a
+    string makes the document malformed: TypeError."""
+    morphisms = [tuple(m) for m in doc["morphisms"]]
+    for kind, ids in (("object", doc["objects"]), ("morphism", [m[0] for m in morphisms])):
+        for x in ids:
+            if not isinstance(x, str):
+                raise TypeError(f"{kind} id {x!r} is not a string")
     return validate_category(
         doc["objects"],
-        [tuple(m) for m in doc["morphisms"]],
+        morphisms,
         doc["identity"],
         {(g, f): h for g, f, h in doc["compose"]},
         caps,
@@ -828,281 +840,240 @@ def _uf_find(parent, x):
     return x
 
 
+def _tagged_union(parent, a, b):
+    """Join the classes of the tagged nodes a and b under the lesser root,
+    ordering nodes C's first, then by id."""
+    ra, rb = _uf_find(parent, a), _uf_find(parent, b)
+    if ra != rb:
+        lo, hi = sorted((ra, rb), key=lambda n: (n[0] != "C", n[1]))
+        parent[hi] = lo
+
+
+class _CosetTable:
+    """The coset table of a presented category (Holt-Eick-O'Brien, ch. 5).
+
+    States are ints indexing parallel lists: word[s], the composite word that
+    named s when it was defined (letters applied first to last); its object
+    classes src[s] and dst[s]; parent[s], for `_uf_find`; and act[s], the
+    table row letter -> state, kept on representatives.  The first states are
+    the identities of `objects`, in order.  A definition whose word would be
+    longer than word_cap raises Inconclusive; when the state count reaches a
+    multiple of 128, more than max_live live states raise SizeCapExceeded.
+    """
+
+    def __init__(self, objects, letter_dst, word_cap, max_live):
+        self.identity = {x: s for s, x in enumerate(objects)}
+        self.word = [()] * len(objects)
+        self.src = list(objects)
+        self.dst = list(objects)
+        self.parent = list(range(len(objects)))
+        self.act = [{} for _ in objects]
+        self.live = len(objects)
+        self.letter_dst, self.word_cap, self.max_live = letter_dst, word_cap, max_live
+
+    def new(self, word, src, dst):
+        """Define a state named `word`."""
+        if len(word) > self.word_cap:
+            raise Inconclusive(word)
+        s = len(self.parent)
+        self.word.append(word)
+        self.src.append(src)
+        self.dst.append(dst)
+        self.parent.append(s)
+        self.act.append({})
+        self.live += 1
+        if len(self.parent) % 128 == 0 and self.live > self.max_live:
+            raise SizeCapExceeded("pushout oracle states", self.live, self.max_live)
+        return s
+
+    def merge(self, s1, s2):
+        """Coincidence: identify two states and every pair that follows,
+        keeping the shorter (then lesser) word as representative."""
+        parent, act, word = self.parent, self.act, self.word
+        pending = [(s1, s2)]
+        while pending:
+            r1, r2 = (_uf_find(parent, s) for s in pending.pop())
+            if r1 == r2:
+                continue
+            lo, hi = sorted((r1, r2), key=lambda s: (len(word[s]), word[s]))
+            if self.src[lo] != self.src[hi] or self.dst[lo] != self.dst[hi]:
+                raise GcatError("pushout oracle merged states with different endpoints")
+            parent[hi] = lo
+            self.live -= 1
+            for letter, v in act[hi].items():
+                if letter in act[lo]:
+                    pending.append((act[lo][letter], v))
+                else:
+                    act[lo][letter] = v
+
+    def walk(self, word, s, create=True):
+        """The representative reached from s along `word`.  A missing entry
+        is defined if `create`, and otherwise makes the result None."""
+        parent, act = self.parent, self.act
+        s = _uf_find(parent, s)
+        for letter in word:
+            nxt = act[s].get(letter)
+            if nxt is None:
+                if not create:
+                    return None
+                nxt = act[s][letter] = self.new(self.word[s] + (letter,), self.src[s],
+                                                self.letter_dst[letter])
+            s = _uf_find(parent, nxt)
+        return s
+
+    def close(self, relations, out_letters):
+        """HLT enumeration: scan relation instances (lhs, rhs, object) at the
+        representatives ending at that object, merging where the two walks
+        part, until a pass merges nothing; then define the first missing
+        entry in state and letter order, and repeat.  Returns the number of
+        relation instances walked.
+
+        Each relation's scan, and the search for a missing entry, resumes
+        where it stopped.  That is exact because classes only coarsen: a
+        scanned instance stays satisfied, a state merged away never becomes
+        a representative again, dst never changes, and a complete
+        representative stays complete.
+        """
+        parent, dst, act = self.parent, self.dst, self.act
+        scanned = [0] * len(relations)   # relation r has been scanned at states below scanned[r]
+        complete = 0                     # states below it are merged away or complete
+        scans = 0
+        while True:
+            changed = True
+            while changed:
+                changed = False
+                for r, (lhs, rhs, at) in enumerate(relations):
+                    end = len(parent)
+                    for s in range(scanned[r], end):
+                        if parent[s] != s or dst[s] != at:
+                            continue
+                        scans += 1
+                        left, right = self.walk(lhs, s), self.walk(rhs, s)
+                        if _uf_find(parent, left) != _uf_find(parent, right):
+                            self.merge(left, right)
+                            changed = True
+                    scanned[r] = end
+            while complete < len(parent):
+                if parent[complete] == complete:
+                    missing = next((x for x in out_letters.get(dst[complete], ())
+                                    if x not in act[complete]), None)
+                    if missing is not None:
+                        break
+                complete += 1
+            else:
+                return scans
+            self.walk((missing,), complete)
+
+
 def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
                       word_cap: int = 16, caps: SizeCaps = DEFAULT_CAPS) -> PresentedPushout:
     """Pushout of B <-i- A -c-> C presented by generators and relations.
 
-    Generators are the non-identity morphisms of B and C with i(a) ~ c(a)
-    identified; relations are the two composition tables.  Saturation runs a
-    Todd-Coxeter-style closure in HLT order: morphism classes are states, each
-    generator acts by postcomposition, relation instances are scanned until no
-    coincidence is left, then the first missing action is defined.  Each
-    relation keeps a cursor into the append-only state list and is scanned
-    only at states created since its last pass; this is exact because classes
-    only coarsen, so a scanned instance stays satisfied and a merged-away state
-    never needs one.  relation_scans counts the instances walked.  States are
-    named by composite words; a state that would need a word longer than
-    word_cap raises Inconclusive with that word.  On closure the quotient is
-    assembled and validated as a category.
+    Objects are the classes of B's and C's objects under i(x) ~ c(x);
+    letters are the classes of their morphisms under i(a) ~ c(a), the class
+    of the identities being the empty word; relations are the two
+    composition tables.  One union-find, `_uf_find`, holds the object
+    classes, the letter classes and the states.  The closure is HLT coset
+    enumeration on a `_CosetTable` (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, ch. 5): states are morphism classes,
+    letters act by postcomposition, relation scans merge coincidences and
+    definitions fill missing entries.  A word longer than word_cap raises
+    Inconclusive with that word; more than 4 * caps.max_morphisms live
+    states, checked each time the state count reaches a multiple of 128,
+    raise SizeCapExceeded.  The closed table is assembled into a validated
+    category with its two legs.
     """
     if not i.is_injective_on_objects():
         raise GcatError("presented_pushout requires i injective on objects")
     if word_cap < 1:
         raise GcatError("word_cap must be >= 1")
+    tagged = (("B", B), ("C", C))
 
-    # object classes ------------------------------------------------------
-    onodes = [("B", x) for x in B.objects] + [("C", x) for x in C.objects]
-    oparent = {x: x for x in onodes}
-
-    def ounion(a, b):
-        ra, rb = _uf_find(oparent, a), _uf_find(oparent, b)
-        if ra != rb:
-            lo, hi = sorted((ra, rb), key=lambda n: (n[0] != "C", n[1]))
-            oparent[hi] = lo
-
+    oparent = {(tag, x): (tag, x) for tag, cat in tagged for x in cat.objects}
     for a in A.objects:
-        ounion(("B", i.object_map[a]), ("C", c.object_map[a]))
+        _tagged_union(oparent, ("B", i.object_map[a]), ("C", c.object_map[a]))
+    oclass = {n: _uf_find(oparent, n) for n in oparent}
 
-    def oclass(node):
-        return _uf_find(oparent, node)
-
-    # generator letters ----------------------------------------------------
-    def gen_nodes():
-        out = []
-        for m in B.morphism_ids:
-            if not B.is_identity(m):
-                out.append(("B", m))
-        for m in C.morphism_ids:
-            if not C.is_identity(m):
-                out.append(("C", m))
-        return out
-
-    gparent = {x: x for x in gen_nodes()}
-    eps = set()
-
-    def gunion(a, b):
-        ra, rb = _uf_find(gparent, a), _uf_find(gparent, b)
-        if ra != rb:
-            lo, hi = sorted((ra, rb), key=lambda n: (n[0] != "C", n[1]))
-            gparent[hi] = lo
-            if ra in eps or rb in eps:
-                eps.add(lo)
-
+    eps = ("", "eps")   # the class of the empty word
+    gparent = {(tag, m): (tag, m) for tag, cat in tagged for m in cat.morphism_ids}
+    gparent[eps] = eps
+    for tag, cat in tagged:
+        for x in cat.objects:
+            _tagged_union(gparent, (tag, cat.identity[x]), eps)
     for a in A.morphism_ids:
-        if A.is_identity(a):
-            continue
-        bm = i.morphism_map[a]
-        cm = c.morphism_map[a]
-        b_is_id = B.is_identity(bm)
-        c_is_id = C.is_identity(cm)
-        if b_is_id and c_is_id:
-            continue
-        if b_is_id:
-            eps.add(_uf_find(gparent, ("C", cm)))
-        elif c_is_id:
-            eps.add(_uf_find(gparent, ("B", bm)))
-        else:
-            gunion(("B", bm), ("C", cm))
+        if not A.is_identity(a):
+            _tagged_union(gparent, ("B", i.morphism_map[a]), ("C", c.morphism_map[a]))
+    empty = _uf_find(gparent, eps)
+    letter_of = {n: r for n in gparent if (r := _uf_find(gparent, n)) != empty}
 
-    def gclass(node):
-        r = _uf_find(gparent, node)
-        return None if r in eps else r
-
-    def gen_endpoints(letter):
-        tag, m = letter
-        cat = B if tag == "B" else C
-        return oclass((tag, cat.src[m])), oclass((tag, cat.dst[m]))
-
-    letters = sorted({gclass(n) for n in gen_nodes()} - {None})
+    ends = {(tag, m): (oclass[(tag, s)], oclass[(tag, t)])
+            for tag, cat in tagged for m, s, t in cat.morphisms}
     out_letters = {}   # object class -> the letters out of it, in letter order
-    letter_dst = {}
-    for letter in letters:
-        s, d = gen_endpoints(letter)
-        out_letters.setdefault(s, []).append(letter)
-        letter_dst[letter] = d
+    for letter in sorted(set(letter_of.values())):
+        out_letters.setdefault(ends[letter][0], []).append(letter)
 
-    # relations: (lhs word, rhs word) scanned at states with matching dst;
-    # words are tuples of letters, first applied first; empty = identity
-    relations = []
-    for cat, tag in ((B, "B"), (C, "C")):
+    # (lhs word, rhs word, object class where both start)
+    relations = set()
+    for tag, cat in tagged:
         for (g, f), h in cat.compose.items():
             if cat.is_identity(g) or cat.is_identity(f):
                 continue
-            gc, fc = gclass((tag, g)), gclass((tag, f))
-            hc = None if cat.is_identity(h) else gclass((tag, h))
-            lhs = tuple(x for x in (fc, gc) if x is not None)
-            rhs = tuple(x for x in (hc,) if x is not None)
-            src_cond = oclass((tag, cat.src[f]))
+            lhs = tuple(letter_of[(tag, m)] for m in (f, g) if (tag, m) in letter_of)
+            rhs = tuple(letter_of[(tag, m)] for m in (h,) if (tag, m) in letter_of)
             if lhs != rhs:
-                relations.append((lhs, rhs, src_cond))
-    relations = sorted(set(relations))
+                relations.add((lhs, rhs, ends[(tag, f)][0]))
 
-    # Todd-Coxeter states ---------------------------------------------------
-    class State:
-        __slots__ = ("word", "src", "dst", "parent", "act")
+    table = _CosetTable(sorted(set(oclass.values())), {x: ends[x][1] for x in letter_of.values()},
+                        word_cap, caps.max_morphisms * 4)
+    scans = table.close(sorted(relations), out_letters)
+    return _assemble_pushout(table, oclass, letter_of, (A, B, C, i, c), caps, scans)
 
-        def __init__(self, word, src, dst):
-            self.word = word
-            self.src = src
-            self.dst = dst
-            self.parent = self
-            self.act = {}      # letter -> state, kept on representatives
 
-    def find(s):
-        while s.parent is not s:
-            s.parent = s.parent.parent
-            s = s.parent
-        return s
+def _assemble_pushout(table, oclass, letter_of, span, caps, relation_scans):
+    """The quotient category of a closed table with its legs from B and C,
+    checked to be a cocone on the span that the legs generate."""
+    A, B, C, i, c = span
+    parent, word = table.parent, table.word
 
-    def word_key(w):
-        return (len(w), w)
-
-    states = []
-
-    obj_classes = sorted({oclass(n) for n in onodes})
-    id_state = {}
-    for oc in obj_classes:
-        s = State((), oc, oc)
-        states.append(s)
-        id_state[oc] = s
-
-    def live_count():
-        return len({id(find(s)) for s in states})
-
-    def new_state(word, src, dst):
-        if len(word) > word_cap:
-            raise Inconclusive(word)
-        s = State(word, src, dst)
-        states.append(s)
-        if len(states) % 128 == 0 and live_count() > caps.max_morphisms * 4:
-            raise SizeCapExceeded("pushout oracle states", live_count(), caps.max_morphisms * 4)
-        return s
-
-    def merge(s1, s2):
-        """Identify two states and every coincidence that follows."""
-        pending = [(s1, s2)]
-        while pending:
-            r1, r2 = (find(s) for s in pending.pop())
-            if r1 is r2:
-                continue
-            lo, hi = sorted((r1, r2), key=lambda s: word_key(s.word))
-            if lo.src != hi.src or lo.dst != hi.dst:
-                raise GcatError("pushout oracle merged states with different endpoints")
-            hi.parent = lo
-            for letter, v in hi.act.items():
-                if letter in lo.act:
-                    pending.append((lo.act[letter], v))
-                else:
-                    lo.act[letter] = v
-
-    def get_act(letter, state, create=True):
-        state = find(state)
-        nxt = state.act.get(letter)
-        if nxt is not None:
-            return find(nxt)
-        if not create:
-            return None
-        s = new_state(state.word + (letter,), state.src, letter_dst[letter])
-        state.act[letter] = s
-        return s
-
-    def walk(word, state, create=True):
-        cur = find(state)
-        for letter in word:
-            cur = get_act(letter, cur, create)
-            if cur is None:
-                return None
-        return cur
-
-    # closure, HLT style: scan relation instances (filling entries) until a
-    # pass merges nothing, then define the first missing entry in state and
-    # letter order, and repeat.  Both scans resume where they stopped, which
-    # is exact because classes only coarsen: a scanned instance stays
-    # satisfied, a state merged away never becomes a representative again, a
-    # state's dst never changes, and a complete representative stays complete.
-    scanned = [0] * len(relations)   # relation r has been scanned at states[:scanned[r]]
-    complete = 0                     # states[:complete] are merged away or complete
-    relation_scans = 0
-    while True:
-        changed = True
-        while changed:
-            changed = False
-            for r, (lhs, rhs, src_cond) in enumerate(relations):
-                end = len(states)
-                for s in states[scanned[r]:end]:
-                    if find(s) is not s or s.dst != src_cond:
-                        continue
-                    relation_scans += 1
-                    left, right = walk(lhs, s), walk(rhs, s)
-                    if find(left) is not find(right):
-                        merge(left, right)
-                        changed = True
-                scanned[r] = end
-        missing = None
-        while complete < len(states):
-            s = states[complete]
-            if find(s) is s:
-                missing = next((x for x in out_letters.get(s.dst, ()) if x not in s.act), None)
-                if missing is not None:
-                    break
-            complete += 1
-        if missing is None:
-            break
-        get_act(missing, s)
-
-    # assemble the quotient category ----------------------------------------
     def obj_id(oc):
         tag, x = oc
         return x if tag == "C" else f"B:{x}"
 
-    reps = []
-    seen = set()
-    for s in states:
-        r = find(s)
-        if id(r) not in seen:
-            seen.add(id(r))
-            reps.append(r)
-    reps.sort(key=lambda s: word_key(s.word))
-
-    def mor_id(state):
-        r = find(state)
-        if not r.word:
-            return f"id:{obj_id(r.src)}"
-        return "w:" + ".".join(f"{t}:{m}" for t, m in r.word)
-
-    objects = [obj_id(oc) for oc in obj_classes]
-    morphisms = [(mor_id(r), obj_id(r.src), obj_id(r.dst)) for r in reps]
-    identity = {obj_id(oc): f"id:{obj_id(oc)}" for oc in obj_classes}
+    reps = sorted((s for s in range(len(parent)) if parent[s] == s),
+                  key=lambda s: (len(word[s]), word[s]))
+    name = {r: "w:" + ".".join(f"{t}:{m}" for t, m in word[r]) if word[r]
+            else f"id:{obj_id(table.src[r])}" for r in reps}
+    objects = [obj_id(oc) for oc in table.identity]
+    morphisms = [(name[r], obj_id(table.src[r]), obj_id(table.dst[r])) for r in reps]
+    identity = {x: f"id:{x}" for x in objects}
     reps_by_dst = {}
     for f in reps:
-        reps_by_dst.setdefault(f.dst, []).append(f)
+        reps_by_dst.setdefault(table.dst[f], []).append(f)
     compose = {}
     for g in reps:
-        for f in reps_by_dst.get(g.src, ()):
-            res = walk(g.word, f, create=False)
-            if res is None:
+        for f in reps_by_dst.get(table.src[g], ()):
+            gf = table.walk(word[g], f, create=False)
+            if gf is None:
                 raise GcatError("pushout oracle closure left an undefined composite")
-            compose[(mor_id(g), mor_id(f))] = mor_id(res)
+            compose[(name[g], name[f])] = name[gf]
     D = validate_category(objects, morphisms, identity, compose, caps)
 
     def leg(cat, tag):
-        om = {x: obj_id(oclass((tag, x))) for x in cat.objects}
+        om = {x: obj_id(oclass[(tag, x)]) for x in cat.objects}
         mm = {}
-        for m in cat.morphism_ids:
-            gc = None if cat.is_identity(m) else gclass((tag, m))
-            if gc is None:
-                mm[m] = identity[om[cat.src[m]]]
+        for m, s, _ in cat.morphisms:
+            if (tag, m) in letter_of:
+                start = table.identity[oclass[(tag, s)]]
+                mm[m] = name[table.walk((letter_of[(tag, m)],), start, create=False)]
             else:
-                mm[m] = mor_id(get_act(gc, id_state[oclass((tag, cat.src[m]))], create=False))
+                mm[m] = identity[om[s]]
         return Functor(cat, D, om, mm).validate()
 
-    d_leg = leg(B, "B")
-    j_leg = leg(C, "C")
+    d_leg, j_leg = leg(B, "B"), leg(C, "C")
     for a in A.morphism_ids:
         if d_leg.morphism_map[i.morphism_map[a]] != j_leg.morphism_map[c.morphism_map[a]]:
             raise GcatError("pushout cocone does not commute")
-    hit = set(d_leg.morphism_map.values()) | set(j_leg.morphism_map.values())
-    generated = set(hit)
+    generated = set(d_leg.morphism_map.values()) | set(j_leg.morphism_map.values())
     changed = True
     while changed:
         changed = False
@@ -1112,5 +1083,4 @@ def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
                 changed = True
     if generated != set(D.morphism_ids):
         raise GcatError("pushout oracle produced non-generated morphisms")
-    word_of = {mor_id(r): r.word for r in reps}
-    return PresentedPushout(D, d_leg, j_leg, word_of, relation_scans)
+    return PresentedPushout(D, d_leg, j_leg, {name[r]: word[r] for r in reps}, relation_scans)

@@ -22,6 +22,7 @@ from gcat.actions import (
     fixed_category,
     graph_subgroup,
     is_good_subgroup,
+    make_group,
     make_monoid,
     product_action,
     quotient_by_free_action,
@@ -97,6 +98,22 @@ def test_fixed_requires_units():
     A = trivial_action(M, one)
     with pytest.raises((SubgroupNotInUnits, NotASubgroup)):
         fixed_category(A, subgroup_from_elements(M, ["1", "z"]))
+
+
+def z2_on(unit, other):
+    return make_group([unit, other], {(unit, unit): unit, (unit, other): other,
+                                      (other, unit): other, (other, other): unit}, unit)
+
+
+def test_fixed_category_checks_units_then_subgroup():
+    """A group H whose elements are not all units of the acting monoid, and
+    one inside the units that is not a subgroup of them, are both refused
+    by fixed_category itself."""
+    one = terminal_category()
+    with pytest.raises(SubgroupNotInUnits, match=r"^\('1', 'z'\) not inside units \('1', 'g'\)$"):
+        fixed_category(trivial_action(zero_monoid(), one), z2_on("1", "z"))
+    with pytest.raises(NotASubgroup, match=r"^\('c0', 'c1'\) is not closed / missing unit$"):
+        fixed_category(trivial_action(cyclic_group(3), one), z2_on("c0", "c1"))
 
 
 def test_chaotic_category_counts():

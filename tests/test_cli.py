@@ -122,6 +122,30 @@ def test_malformed_document_is_a_usage_error(tmp_path, command, text):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["--cross-check"]])
+def test_pushout_with_integer_morphism_ids_is_a_usage_error(tmp_path, flags):
+    """C's morphism ids are JSON integers and B's are strings.  C's table is
+    consistent on its own; ids must be strings, so the span is malformed
+    (it used to end in a TypeError traceback from sorting mixed ids)."""
+    doc = span_doc()
+    number = {m: n for n, (m, _, _) in enumerate(arrow_category().morphisms)}
+    C = doc["C"]
+    doc["C"] = {"objects": C["objects"],
+                "morphisms": [[number[m], s, t] for m, s, t in C["morphisms"]],
+                "identity": {x: number[m] for x, m in C["identity"].items()},
+                "compose": [[number[g], number[f], number[h]] for g, f, h in C["compose"]]}
+    doc["c"]["morphism_map"] = {"id*": number["1<=1"]}
+    for argv in (["pushout", "--input", write(tmp_path, "span.json", doc), *flags],
+                 ["validate", "--input", write(tmp_path, "C.json", doc["C"])]):
+        proc = gcat_process(argv)
+        assert proc.returncode == 64, (argv, proc.stdout, proc.stderr)
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0]) == {
+            "detail": f"{argv[2]}: TypeError: morphism id 0 is not a string",
+            "error": "malformed document"}
+        assert "Traceback" not in proc.stderr
+
+
 def test_missing_input_file_is_an_io_error(tmp_path):
     missing = str(tmp_path / "missing.json")
     proc = gcat_process(["validate", "--input", missing])

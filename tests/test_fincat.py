@@ -7,11 +7,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gcat.config import SizeCaps
 from gcat.errors import (
     AssociativityViolation,
     DanglingReference,
+    GcatError,
     IdentityViolation,
     Inconclusive,
+    SizeCapExceeded,
 )
 from gcat.fincat import (
     Functor,
@@ -218,13 +221,39 @@ def test_presented_pushout_loop_inconclusive():
     assert exc.value.word == (("B", "0<=1"),) * 5
 
 
+def test_presented_pushout_state_cap():
+    """[10] glued end to start onto [10] closes at the default caps; at
+    max_morphisms 20 the live states are counted when the table reaches 128
+    states, and 86 of them exceed 4 * 20."""
+    one = terminal_category()
+    chain = chain_poset(10).to_fincat()
+    i = Functor(one, chain, {"*": "10"}, {"id*": "10<=10"})
+    c = Functor(one, chain, {"*": "0"}, {"id*": "0<=0"})
+    assert presented_pushout(one, chain, chain, i, c).category.n_morphisms() == 231
+    with pytest.raises(SizeCapExceeded, match=r"^pushout oracle states: 86 exceeds cap 80$"):
+        presented_pushout(one, chain, chain, i, c, caps=SizeCaps(max_morphisms=20))
+
+
+def test_presented_pushout_guards():
+    one = terminal_category()
+    arrow = arrow_category()
+    two_pts = discrete_category(["a", "b"])
+    i = Functor(two_pts, arrow, {"a": "0", "b": "0"}, {"id:a": "0<=0", "id:b": "0<=0"})
+    c = Functor(two_pts, arrow, {"a": "0", "b": "1"}, {"id:a": "0<=0", "id:b": "1<=1"})
+    with pytest.raises(GcatError, match=r"^presented_pushout requires i injective on objects$"):
+        presented_pushout(two_pts, arrow, arrow, i, c)
+    j = Functor(one, arrow, {"*": "0"}, {"id*": "0<=0"})
+    with pytest.raises(GcatError, match=r"^word_cap must be >= 1$"):
+        presented_pushout(one, arrow, arrow, j, j, word_cap=0)
+
+
 def test_presented_pushout_names_are_pinned():
     """The oracle's quotient, state names and non-closing words over seeded
     Dwyer spans (groups 1, Z2, Z3; word caps 1, 2, 3, 16; 108 calls, 14 of
     them Inconclusive) hash as they did at commit 3cc4a1b, before the closure
     resumed its scans instead of rescanning every state."""
     h = hashlib.sha256()
-    inconclusive = 0
+    inconclusive = scans = 0
     for seed, group in ((1, "1"), (2, "Z2"), (3, "Z3")):
         for span in dwyer_span_corpus(seed, 9, group):
             for cap in (1, 2, 3, 16):
@@ -234,12 +263,14 @@ def test_presented_pushout_names_are_pinned():
                     inconclusive += 1
                     doc = {"inconclusive": exc.word}
                 else:
+                    scans += res.relation_scans
                     doc = {"category": res.category.to_doc(),
                            "b": [res.leg_from_b.object_map, res.leg_from_b.morphism_map],
                            "c": [res.leg_from_c.object_map, res.leg_from_c.morphism_map],
                            "word_of": res.word_of}
                 h.update(canonical_json(doc).encode())
     assert inconclusive == 14
+    assert scans == 840   # over the 94 calls that close
     assert h.hexdigest() == "6d4b236a6754ded442e7bf994549cb1dcf6cfbfd647142c41092eb74990fc791"
 
 

@@ -1,5 +1,6 @@
 """Every top-level function, and every method of a top-level class, in
-src/gcat/ is used somewhere, and every local a function there assigns is read.
+src/gcat/ is used somewhere, and every local a function there assigns, and
+every parameter it takes, is read.
 
 A function or method counts as used when its name is loaded (as a name or an
 attribute) anywhere in src/, scripts/, tests/ or perfbench/ outside its own
@@ -9,6 +10,10 @@ called by the language and are not checked.
 A local is dead when a function assigns it with a plain `name = ...` and
 never loads it, nested functions included.  Tuple unpacking and loop targets
 are not checked, and neither are names declared global or nonlocal.
+
+A parameter is unread when the body of the function that takes it, nested
+functions included, never loads it.  `self`, `cls` and the parameters of
+dunder methods are not checked.
 """
 
 import ast
@@ -98,6 +103,24 @@ def unread_locals(package=PACKAGE):
     return [f"{name}:{line} {function}: {local}" for name, line, function, local in sorted(dead)]
 
 
+def unread_parameters(package=PACKAGE):
+    dead = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
+                    function.name.startswith("__") and function.name.endswith("__")):
+                continue
+            loaded = {node.id for statement in function.body for node in ast.walk(statement)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            args = function.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(a for a in (args.vararg, args.kwarg) if a is not None)]
+            dead += [(path.name, a.lineno, function.name, a.arg) for a in params
+                     if a.arg not in loaded and a.arg not in ("self", "cls")]
+    return [f"{name}:{line} {function}: {param}" for name, line, function, param in sorted(dead)]
+
+
 def test_every_top_level_function_is_referenced():
     assert unreferenced_functions() == []
 
@@ -145,3 +168,28 @@ def test_planted_unread_local_is_reported(tmp_path):
         "    return g\n",
         encoding="utf-8")
     assert unread_locals(package) == ["mod.py:3 f: unread", "mod.py:11 g: closure"]
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_planted_unread_parameter_is_reported(tmp_path):
+    package = tmp_path / "gcat"
+    package.mkdir()
+    (package / "mod.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, v, unused_by_dunder):\n"
+        "        self.v = v\n"
+        "\n"
+        "    def get(self, default, *args, flag=False, **options):\n"
+        "        def inner(x, y):\n"
+        "            return x + default\n"
+        "\n"
+        "        return inner(self.v, flag) if options else args\n"
+        "\n"
+        "    @classmethod\n"
+        "    def make(cls, caps):\n"
+        "        return cls(1, 2)\n",
+        encoding="utf-8")
+    assert unread_parameters(package) == ["mod.py:6 inner: y", "mod.py:12 make: caps"]
