@@ -1,11 +1,21 @@
-"""Sparse integer Smith normal form.
+"""Sparse integer Smith normal form: exact Python ints, deterministic
+pivots, and two phases over one structure, rows as {col: value} plus the set
+of row indices of each column.
 
-Exact arithmetic on Python ints, deterministic pivoting.  One loop pops
-pivots from a lazy heap keyed by (|v|, Markowitz cost, row, col), so unit
-pivots of least fill-in come first (Dumas-Saunders-Villard, J. Symb. Comput.
-2001) and the gcd elimination sees only what no unit pivot cleared.  A popped
-key is revalidated against the entry's current key; only the positions that
-an elimination changed are pushed again.
+Phase 1 takes unit pivots with row operations only (Dumas, Heckenbach,
+Saunders & Welker, "Computing simplicial homology based on efficient Smith
+normal form algorithms", 2003); boundaries of nerves have few others.  Of
+the columns holding a +-1, least entries first, one pivots on its unit row
+of fewest entries.  As p = +-1 is its own inverse, row -= (row[c] * p) *
+pivot_row clears column c exactly.  Clearing the pivot row by column
+operations would then change nothing else, so the pivot's row and column
+are deleted.  A lazy heap keyed by (entry count, col) takes again each
+column the pivot row touched, so units an elimination creates are found.
+
+Phase 2, the gcd stage on what is left, pops pivots of least |v|, then
+Markowitz cost, from a lazy heap (Dumas-Saunders-Villard, J. Symb. Comput.
+2001) that takes again only the positions an elimination changed.  A fix-up
+makes the diagonal a divisibility chain.
 """
 
 from __future__ import annotations
@@ -22,7 +32,7 @@ class _Sparse:
         for (r, c), v in entries.items():
             if v:
                 self.rows.setdefault(r, {})[c] = v
-                self.cols.setdefault(c, {})[r] = v
+                self.cols.setdefault(c, set()).add(r)
 
     def get(self, r, c):
         return self.rows.get(r, {}).get(c, 0)
@@ -30,16 +40,15 @@ class _Sparse:
     def set(self, r, c, v):
         if v:
             self.rows.setdefault(r, {})[c] = v
-            self.cols.setdefault(c, {})[r] = v
+            self.cols.setdefault(c, set()).add(r)
             self.changed.add((r, c))
-        else:
-            if r in self.rows and c in self.rows[r]:
-                del self.rows[r][c]
-                if not self.rows[r]:
-                    del self.rows[r]
-                del self.cols[c][r]
-                if not self.cols[c]:
-                    del self.cols[c]
+        elif r in self.rows and c in self.rows[r]:
+            del self.rows[r][c]
+            if not self.rows[r]:
+                del self.rows[r]
+            self.cols[c].discard(r)
+            if not self.cols[c]:
+                del self.cols[c]
 
     def add_row(self, dst, src, k):
         if not k:
@@ -50,19 +59,64 @@ class _Sparse:
     def add_col(self, dst, src, k):
         if not k:
             return
-        for r, v in list(self.cols.get(src, {}).items()):
-            self.set(r, dst, self.get(r, dst) + k * v)
+        for r in list(self.cols.get(src, ())):
+            self.set(r, dst, self.get(r, dst) + k * self.rows[r][src])
+
+    def eliminate_units(self, n_cols):
+        """Phase 1, until no column holds a +-1: the number of unit pivots."""
+        rows, cols = self.rows, self.cols
+        heap = [len(rs) * n_cols + c for c, rs in cols.items()]
+        heapq.heapify(heap)
+        units = 0
+        while heap:
+            count, c = divmod(heapq.heappop(heap), n_cols)
+            rs = cols.get(c, ())
+            if len(rs) != count:
+                continue   # stale: the column was pushed again with its new count
+            unit_rows = [(len(rows[r]), r) for r in rs if rows[r][c] in (1, -1)]
+            if not unit_rows:
+                continue   # pushed again if a later pivot changes the column
+            r0 = min(unit_rows)[1]
+            pivot = rows.pop(r0)
+            p = pivot[c]
+            for r in rs - {r0}:
+                row = rows[r]
+                f = row[c] * p
+                for c2, v in pivot.items():
+                    new = row.get(c2, 0) - f * v
+                    if new:
+                        if c2 not in row:
+                            cols[c2].add(r)
+                        row[c2] = new
+                    else:
+                        del row[c2]
+                        cols[c2].discard(r)
+                if not row:
+                    del rows[r]
+            for c2 in pivot:
+                rs2 = cols[c2]
+                rs2.discard(r0)
+                if rs2:
+                    heapq.heappush(heap, len(rs2) * n_cols + c2)
+                else:
+                    del cols[c2]
+            units += 1
+        return units
 
 
 def smith_invariants(n_rows: int, n_cols: int, entries: dict) -> list:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
     entries: {(row, col): value} with 0 <= row < n_rows and 0 <= col < n_cols;
-    zero values are ignored.
+    zero values are ignored.  entries is left unchanged and let go once the
+    rows are built, so a caller that hands over its only reference, as
+    `homology` does, has the dict freed before elimination starts.
     """
     if not all(0 <= r < n_rows and 0 <= c < n_cols for r, c in entries):
         raise ValueError("an entry lies outside the n_rows x n_cols matrix")
     m = _Sparse(entries)
+    del entries
+    units = m.eliminate_units(n_cols)
     # A key is one int that orders as the tuple (|v|, Markowitz cost, r, c)
     # does, in a third of a tuple's memory: a cost and r * n_cols + c are
     # both below span.
@@ -74,7 +128,6 @@ def smith_invariants(n_rows: int, n_cols: int, entries: dict) -> list:
 
     heap = [key(r, c) for r, row in m.rows.items() for c in row]
     heapq.heapify(heap)
-    units = 0
     diagonal = []
     while heap:
         popped = heapq.heappop(heap)
@@ -87,7 +140,7 @@ def smith_invariants(n_rows: int, n_cols: int, entries: dict) -> list:
             continue
         # the gcd dance: clear column c0, then row r0, with the pivot at
         # (r0, c0); a nonzero remainder is a smaller entry and becomes the
-        # pivot.  A unit pivot leaves no remainder: one pass over each.
+        # pivot.
         while True:
             p = m.get(r0, c0)
             for r in list(m.cols[c0]):

@@ -496,7 +496,8 @@ def chain_id(chain):
 def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
     """N(C): n-simplices are length-n composable chains; nondegenerate ones
     contain no identities."""
-    nonid = [m for m in C.morphism_ids if not C.is_identity(m)]
+    identities = {m for m in C.morphism_ids if C.is_identity(m)}
+    nonid = [m for m in C.morphism_ids if m not in identities]
     by_src = {}
     for m in nonid:
         by_src.setdefault(C.src[m], []).append(m)
@@ -511,7 +512,7 @@ def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
             raise SizeCapExceeded("nerve simplices", len(ids), caps.max_simplices)
         cells[n] = tuple(ids)
         for ch in level:
-            fs = (_nerve_face(C, ch, i) for i in range(n + 1))
+            fs = (_nerve_face(C, ch, i, identities) for i in range(n + 1))
             faces[(n, chain_id(ch))] = tuple(shared.setdefault(nf, nf) for nf in fs)
         nxt = []
         for ch in level:
@@ -524,7 +525,7 @@ def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
     return X
 
 
-def _nerve_face(C: FinCat, chain, i):
+def _nerve_face(C: FinCat, chain, i, identities):
     n = len(chain)
     if i == 0:
         new = chain[1:]
@@ -535,15 +536,19 @@ def _nerve_face(C: FinCat, chain, i):
     else:
         new = chain[:i - 1] + (C.compose[(chain[i], chain[i - 1])],) + chain[i + 1:]
         base = C.src[chain[0]]
-    return _normalize_chain(C, new, base)
+    return _normalize_chain(C, new, base, identities)
 
 
-def _normalize_chain(C: FinCat, chain, base=None):
-    core = tuple(m for m in chain if not C.is_identity(m))
+def _normalize_chain(C: FinCat, chain, base=None, identities=None):
+    """identities: a set holding every identity of C in `chain`; `nerve`
+    passes the set of all of them, built once."""
+    if identities is None:
+        identities = {m for m in chain if C.is_identity(m)}
+    core = tuple(m for m in chain if m not in identities)
     alpha = [0]
     v = 0
     for m in chain:
-        if not C.is_identity(m):
+        if m not in identities:
             v += 1
         alpha.append(v)
     if core:
@@ -818,9 +823,10 @@ def homology(X: FinSSet, cap=None):
         cap = X.cap
     ranks = {}
     invs = {}
-    for n in range(cap + 1):
-        r, c, entries = boundary_matrix(X, n)
-        inv = smith_invariants(r, c, entries) if n >= 1 else []
+    for n in range(1, cap + 1):
+        # no reference to the boundary dict is kept here, so it is freed
+        # once smith_invariants has built its rows from it
+        inv = smith_invariants(X.n_nondeg(n - 1), X.n_nondeg(n), boundary_matrix(X, n)[2])
         ranks[n] = len(inv)
         invs[n] = inv
     out = []

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gcat
 
@@ -72,8 +73,9 @@ from gcat.sset import (
     _enumerate_sd_maps,
     _sd_steps,
 )
+from gcat.dwyer import dwyer_pushout, find_dwyer_witness
 from gcat.weq import GeneratorSpec, generating_maps
-from gcat.smith import smith_invariants
+from gcat.smith import _Sparse, smith_invariants
 
 
 # -- oracles ---------------------------------------------------------------
@@ -380,6 +382,100 @@ def test_smith_against_sympy_on_random_matrices():
     assert smith_invariants(2, 2, {(0, 0): 4, (1, 1): 6}) == [2, 12]
     with pytest.raises(ValueError):
         smith_invariants(2, 2, {(2, 0): 1})
+
+
+def test_smith_against_sympy_on_mostly_unit_matrices():
+    """Sparse matrices of mostly +-1, like the boundaries of nerves: the unit
+    pivots, -1 ones among them, go through the row-only phase."""
+    rng = random.Random(12)
+    negative_pivots = 0
+    for _ in range(120):
+        r, c, density = rng.randint(1, 9), rng.randint(1, 9), rng.uniform(0.15, 0.6)
+        entries = {(i, j): rng.choice((1, -1, 1, -1, 1, -1, 2, -3))
+                   for i in range(r) for j in range(c) if rng.random() < density}
+        negative_pivots += -1 in entries.values()
+        assert smith_invariants(r, c, entries) == sympy_invariants(r, c, entries), entries
+    assert negative_pivots >= 90
+    # every entry is -1
+    minus = {(0, 0): -1, (0, 1): -1, (1, 1): -1, (1, 2): -1, (2, 0): -1, (2, 2): -1}
+    assert smith_invariants(3, 3, minus) == sympy_invariants(3, 3, minus) == [1, 1, 2]
+
+
+def test_smith_finds_units_that_elimination_creates():
+    """Column 1 holds no unit until column 0 is cleared (3 - 2 = 1), and in
+    the second matrix column 2 none until column 1 is (-7 + 4 * 2 = 1): the
+    unit phase takes them too and leaves nothing for the gcd stage."""
+    for entries in ({(0, 0): 1, (0, 1): 2, (1, 0): 1, (1, 1): 3},
+                    {(0, 0): -1, (0, 1): 2, (1, 0): 1, (1, 1): -3, (1, 2): 2, (2, 1): 4, (2, 2): -7}):
+        n = 1 + max(max(k) for k in entries)
+        assert smith_invariants(n, n, entries) == sympy_invariants(n, n, entries)
+        m = _Sparse(entries)
+        assert m.eliminate_units(n) == n and not m.rows and not m.cols
+
+
+def test_smith_on_empty_and_zero_lines():
+    assert smith_invariants(0, 0, {}) == []
+    assert smith_invariants(3, 4, {}) == sympy_invariants(3, 4, {}) == []
+    assert smith_invariants(2, 2, {(0, 0): 0, (1, 1): 0}) == []
+    zero_row = {(0, 0): 1, (0, 1): -1, (2, 0): 2, (2, 1): 2}
+    zero_col = {(0, 0): -1, (1, 0): 1, (0, 2): 3, (1, 2): 3}
+    for r, c, entries, factors in ((3, 2, zero_row, [1, 4]), (2, 3, zero_col, [1, 6])):
+        assert smith_invariants(r, c, entries) == sympy_invariants(r, c, entries) == factors
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_smith_against_sympy_property(data):
+    r, c = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    entries = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, r - 1), st.integers(0, c - 1)),
+        st.sampled_from((1, -1, 0, 2, -2, 3, -4, 6))))
+    assert smith_invariants(r, c, entries) == sympy_invariants(r, c, entries)
+
+
+#: sha256 of the shape, nonzero count and invariant factors of every boundary
+#: of `smith_digest_nerves`, computed at commit 1655916 with its one-phase gcd
+#: elimination
+SMITH_DIGEST = "59b387db9b48a07def6dc16a0e54931096674801eb1a8a47e912ddea3a98435f"
+
+
+def smith_digest_nerves():
+    """BZ2-BZ5, BS3 and E(2)-E(4) at cap 4; Fun(E(Z2), D) at cap 3 for D the
+    source and target of g_global_thin n = 0, 1; and the S1 and S2 pushouts
+    (hSd2(D^n) with hSd2(bD^n) collapsed) at caps 3 and 4."""
+    out = [(f"BZ{n}", nerve(delooping(cyclic_group(n)), 4)) for n in range(2, 6)]
+    out.append(("BS3", nerve(delooping(symmetric_group(3)), 4)))
+    out += [(f"E({k})", nerve(chaotic_category([f"x{i}" for i in range(k)]), 4))
+            for k in range(2, 5)]
+    Z2 = cyclic_group(2)
+    EH = chaotic_category(Z2.elements)
+    for n in (0, 1):
+        gm = generating_maps(GeneratorSpec("g_global_thin", n, params={
+            "H": Z2, "G": Z2, "phi": {h: h for h in Z2.elements}}), WIDE_CAPS)
+        for side, D in (("source", gm.functor.source), ("target", gm.functor.target)):
+            C = functor_category_data(EH, D, WIDE_CAPS).cat
+            out.append((f"Fun(E(Z2),{side} n={n})", nerve(C, 3, WIDE_CAPS)))
+    one = terminal_category()
+    for n in (1, 2):
+        i = h_sd2_map(boundary_complex(n), standard_simplex_complex(n))
+        A = i.source
+        c = Functor(A, one, {x: "*" for x in A.objects},
+                    {m: "id*" for m in A.morphism_ids}).validate()
+        po = dwyer_pushout(A, i.target, one, i, c, find_dwyer_witness(i))
+        out.append((f"S{n}", nerve(po.category, n + 2)))
+    return out
+
+
+def test_smith_invariants_match_the_pinned_digest():
+    """The same invariant factors, boundary for boundary, as the one-phase
+    gcd elimination that the unit phase was put in front of."""
+    rows = []
+    for name, X in smith_digest_nerves():
+        for n in range(1, X.cap + 1):
+            r, c, entries = boundary_matrix(X, n)
+            rows.append([name, n, r, c, len(entries), smith_invariants(r, c, entries)])
+    assert len(rows) == 51 and max(row[4] for row in rows) == 8328
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SMITH_DIGEST
 
 
 def test_pi0():
