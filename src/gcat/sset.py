@@ -536,14 +536,11 @@ def _nerve_face(C: FinCat, chain, i, identities):
     else:
         new = chain[:i - 1] + (C.compose[(chain[i], chain[i - 1])],) + chain[i + 1:]
         base = C.src[chain[0]]
-    return _normalize_chain(C, new, base, identities)
+    return _normalize_chain(C, new, identities, base)
 
 
-def _normalize_chain(C: FinCat, chain, base=None, identities=None):
-    """identities: a set holding every identity of C in `chain`; `nerve`
-    passes the set of all of them, built once."""
-    if identities is None:
-        identities = {m for m in chain if C.is_identity(m)}
+def _normalize_chain(C: FinCat, chain, identities, base=None):
+    """identities: the identities of C, a set built once per nerve or map."""
     core = tuple(m for m in chain if m not in identities)
     alpha = [0]
     v = 0
@@ -561,6 +558,7 @@ def _normalize_chain(C: FinCat, chain, base=None, identities=None):
 def nerve_functor(F: Functor, NX: FinSSet, NY: FinSSet, cap=3) -> SSetMap:
     """N(F) on already-built nerves."""
     D = F.target
+    identities = {m for m in D.morphism_ids if D.is_identity(m)}
     vals = {}
     for sid in NX.cells.get(0, ()):
         vals[(0, sid)] = (F.object_map[sid], (0,))
@@ -568,7 +566,7 @@ def nerve_functor(F: Functor, NX: FinSSet, NY: FinSSet, cap=3) -> SSetMap:
         for sid in NX.cells.get(n, ()):
             chain = tuple(sid.split("|"))
             image = tuple(F.morphism_map[m] for m in chain)
-            vals[(n, sid)] = _normalize_chain(D, image)
+            vals[(n, sid)] = _normalize_chain(D, image, identities)
     return SSetMap(NX, NY, vals)
 
 
