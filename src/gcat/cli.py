@@ -151,6 +151,8 @@ def cmd_sd(args):
 def cmd_ex(args):
     from .sset import ex, sset_from_doc, e_map
     doc, X = _load(args.input, sset_from_doc)
+    if args.cap > X.cap:
+        args.usage_error(f"--cap {args.cap} exceeds the cap {X.cap} of the input document")
     try:
         exd = ex(X, args.cap, args.caps)
     except SizeCapExceeded as exc:

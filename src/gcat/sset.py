@@ -17,6 +17,13 @@ Sd Δⁿ -> X, stored as a tuple of these ints in the chain order of
 `_SdData(n).chains` (a d-chain holds a d-simplex), so int Sd-maps sort as
 their normal forms do.  The Sd-map search, Ex, Ex(f) and both Kan checkers
 run on these tables, and both Kan checkers enumerate horns with `_horns`.
+
+The Sd-map search is depth first, with the chains that share a top face F
+as one block.  A block's candidates depend only on the values on Sd ∂F, so
+when those values recur, the block's recorded extensions and node counts
+are replayed instead of searched again (`_enumerate_sd_maps`).  The maps,
+their order, the node counts and so every cap error are those of the plain
+search.  Ex and the lazy Ex Kan check refuse a cap above their input's.
 """
 
 from __future__ import annotations
@@ -911,10 +918,41 @@ class _SdData:
         # search order groups chains by their top face so constraints bind
         # early; each step is (position, dimension, positions of its faces)
         face_pos = {f: i for i, f in enumerate(faces)}
+        order = sorted(chains, key=lambda c: (face_pos[c[-1]], len(c), c))
         self.search_steps = tuple(
             (self.position[c], len(c) - 1,
              tuple(self.position[c[:j] + c[j + 1:]] for j in range(len(c))) if len(c) > 1 else ())
-            for c in sorted(chains, key=lambda c: (face_pos[c[-1]], len(c), c)))
+            for c in order)
+        # the search runs on an assignment indexed by step: `step_of` maps a
+        # chain position to its step, `face_keys` read a step's faces off it
+        step = {c: i for i, c in enumerate(order)}
+        self.step_of = tuple(step[c] for c in chains)
+        self.chain_order = itemgetter(*self.step_of) if n else tuple
+        self.face_keys = tuple(itemgetter(*(self.step_of[f] for f in faces)) if faces else None
+                               for _, _, faces in self.search_steps)
+        # the block plan: the steps sharing a top face F are one block
+        # (start, end, boundary), steps start..end-1, whose candidates read
+        # only earlier steps of the block and the boundary steps, which hold
+        # the chains of Sd ∂F
+        self.blocks = []
+        for _, block in itertools.groupby(range(len(order)), key=lambda i: order[i][-1]):
+            block = list(block)
+            self.blocks.append((block[0], block[-1] + 1, tuple(sorted(
+                {step[order[i][:-1]] for i in block if len(order[i]) > 1}))))
+        # the segments of `_enumerate_sd_maps`: (start, end, key of the
+        # boundary) per replayed block, (start, end, None) per run of other
+        # blocks.  A block is replayed when its face has dimension 2 or more
+        # and its boundary is not all of the steps before it, whose values
+        # do not recur.  A vertex's or an edge's block has 1 or 3 steps: a
+        # replay saves too few nodes to pay for the visit around it.
+        self.segments = []
+        for start, end, boundary in self.blocks:
+            if end - start > 3 and len(boundary) < start:
+                self.segments.append((start, end, itemgetter(*boundary)))
+            elif self.segments and self.segments[-1][2] is None:
+                self.segments[-1] = (self.segments[-1][0], end, None)
+            else:
+                self.segments.append((start, end, None))
         self._restrictions = {}
         cls._cache[n] = self
         return self
@@ -947,12 +985,22 @@ def _strictify(seq):
     return tuple(strict), tuple(beta)
 
 
+class _SdSearch(NamedTuple):
+    """The Sd-map search of Sd Δⁿ -> X, on an assignment indexed by step."""
+
+    steps: list       # (chain position, X's candidates grouped by faces, key of the face steps)
+    segments: list    # `_SdData(n).segments`
+    chain_order: object   # assignment -> int Sd-map in chain order
+
+
 def _sd_steps(n, X: FinSSet):
-    """The search steps of Sd-maps Sd Δⁿ -> X: per step of `search_steps`,
-    its chain position, X's candidates grouped by faces, and the key that
-    reads the faces off an assignment."""
-    return [(pos, X.face_index(d).groups, itemgetter(*face_pos) if d else None)
-            for pos, d, face_pos in _SdData(n).search_steps]
+    """The search `_enumerate_sd_maps` runs for Sd-maps Sd Δⁿ -> X: per step
+    of `_SdData(n).search_steps`, its chain position, X's candidates grouped
+    by faces, and the key that reads the faces off an assignment."""
+    sdd = _SdData(n)
+    return _SdSearch([(pos, X.face_index(d).groups, key)
+                      for (pos, d, _), key in zip(sdd.search_steps, sdd.face_keys)],
+                     sdd.segments, sdd.chain_order)
 
 
 def _enumerate_sd_maps(steps, caps: SizeCaps, prescribed=None, first_only=False):
@@ -962,29 +1010,84 @@ def _enumerate_sd_maps(steps, caps: SizeCaps, prescribed=None, first_only=False)
     `prescribed` pins the ints at some chain positions.  Depth first over
     `search_steps`, candidates in `all_simplices` order; every node, the root
     included, counts against `caps.max_candidates`.
+
+    The block of steps sharing a top face F has the same extensions, in the
+    same order and after the same nodes, wherever the values on its boundary
+    Sd ∂F recur (good recording: Dechter, *Constraint Processing*, 2003).
+    So the first visit of a replayed block (see `_SdData.segments`) runs the
+    search and records each extension with the block's nodes since the one
+    before, then the nodes after the last.  A block is entered again only
+    once its visit has run out of extensions, and a later visit with the
+    same boundary values replays the record, counting its nodes.  The maps,
+    their order and the node count at each of them, hence every cap error,
+    are those of the plain search.  The record lives for one call, in which
+    `prescribed` is fixed.
     """
-    assignment, last = [None] * len(steps), len(steps)
-    out, stack, counter, depth = [], [], 0, 0   # stack: a candidate iterator per step reached
+    search, segments, chain_order = steps
+    cap, last = caps.max_candidates, len(segments)
+    assignment, memo, out = [None] * len(search), {}, []
+    entered = []   # per segment entered before the current one: its (lo, hi, stack, key, record, replay)
+    lo, hi, _ = segments[0]
+    # the current segment: a candidate iterator per step reached, and its
+    # memo key with the record being made, or the record being replayed
+    stack, key, record, replay = [], None, None, None
+    counter = mark = 1   # nodes so far, the root included; the count at the last extension
+    if counter > cap:
+        raise SizeCapExceeded("Sd-map enumeration", counter, cap)
+    depth = 0
     while True:
-        counter += 1
-        if counter > caps.max_candidates:
-            raise SizeCapExceeded("Sd-map enumeration", counter, caps.max_candidates)
-        if depth == last:
-            out.append(tuple(assignment))
-            if first_only:
-                return out
-        else:
-            pos, groups, key = steps[depth]
-            cands = groups.get(key(assignment) if key else (), ())
+        if depth < hi:
+            pos, groups, face_key = search[depth]
+            cands = groups.get(face_key(assignment) if face_key else (), ())
             want = prescribed.get(pos) if prescribed else None
             stack.append(iter(cands if want is None else [want] if want in cands else ()))
             depth += 1
-        while depth and (v := next(stack[-1], None)) is None:
-            stack.pop()
-            depth -= 1
-        if not depth:
-            return out
-        assignment[steps[depth - 1][0]] = v
+        else:   # an extension of the current segment
+            if record is not None:
+                record.append((counter - mark, assignment[lo:hi]))
+            mark = counter
+            if len(entered) + 1 == last:
+                out.append(chain_order(assignment))
+                if first_only:
+                    return out
+            else:   # enter the next segment
+                entered.append((lo, hi, stack, key, record, replay))
+                lo, hi, boundary = segments[len(entered)]
+                stack, key = [], boundary and (len(entered), boundary(assignment))
+                replay = memo.get(key)
+                if replay is None:
+                    record = [] if key else None
+                    continue
+                record, replay = None, iter(replay)
+        while True:
+            while stack and (v := next(stack[-1], None)) is None:
+                stack.pop()
+                depth -= 1
+            if stack:
+                assignment[depth - 1] = v
+                counter += 1
+                if counter > cap:
+                    raise SizeCapExceeded("Sd-map enumeration", counter, cap)
+                break
+            # the current segment has no step left to try: replay its next
+            # extension, or end it; a record ends with (its last nodes, None)
+            if replay is not None:
+                nodes, values = next(replay)
+                counter += nodes
+                if counter > cap:   # the plain search stops at node cap + 1
+                    raise SizeCapExceeded("Sd-map enumeration", cap + 1, cap)
+                if values is not None:
+                    assignment[lo:hi] = values
+                    depth = hi
+                    break
+            elif key is not None:
+                record.append((counter - mark, None))
+                memo[key] = record
+            if not entered:
+                return out
+            depth = lo
+            lo, hi, stack, key, record, replay = entered.pop()
+            mark = counter
 
 
 @dataclass(eq=False)
@@ -1002,9 +1105,12 @@ def ex(X: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
 
     m = s_j y forces y = d_j m, so an Sd-map m is degenerate exactly when
     m = s_j d_j m for some j, and its normal form is then d_j m's with alpha∘σ_j.
+    Ex at `cap` reads X's simplices up to `cap`, so `cap` may not exceed X's.
     """
     if cap is None:
         cap = min(X.cap, 3)
+    elif cap > X.cap:
+        raise GcatError(f"Ex at cap {cap} needs X's simplices to dimension {cap}; X has cap {X.cap}")
 
     @functools.cache
     def pulled(beta):   # X's pull along a collapsing surjection beta, on ints
@@ -1180,6 +1286,9 @@ def is_kan_complex_lazy_ex(base: FinSSet, cap=2, caps: SizeCaps = DEFAULT_CAPS) 
     constrained backtracking.  `problems_checked` counts horns (over a point
     each horn is one lifting problem).  `base` must be materialized to `cap`.
     """
+    if cap > base.cap:
+        raise GcatError(f"Kan check of Ex at cap {cap} needs the base's simplices to dimension "
+                        f"{cap}; the base has cap {base.cap}")
     checked = 0
     for n in range(1, cap + 1):
         picks = [_SdData(n - 1).face_positions(i) for i in range(n)] if n > 1 else []

@@ -255,6 +255,17 @@ def test_ex_below_the_input_cap(tmp_path, capsys):
     assert out["unit_injective"] and out["nondegenerate"] == {"0": 4, "1": 26, "2": 663}
 
 
+def test_ex_above_the_input_cap_is_a_usage_error(tmp_path, capsys):
+    # Δ² at cap 1 is its 1-skeleton: Ex at cap 2 of it would be Ex of a
+    # circle, and exited 0 with H₁ = ℤ; the default --cap 3 is above it too
+    path = write(tmp_path, "d2.json", complex_to_sset(standard_simplex_complex(2), 1).to_doc())
+    for argv in (["ex", "--input", path, "--cap", "2"], ["ex", "--input", path]):
+        assert cli.main(argv) == 64, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the cap 1 of the input document" in captured.err
+    assert cli.main(["ex", "--input", path, "--cap", "1"]) == 0
+
+
 def test_sset_stored_above_its_cap_is_violated(tmp_path, capsys):
     doc = complex_to_sset(standard_simplex_complex(2), 2).to_doc()
     doc["cap"] = 1

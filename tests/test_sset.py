@@ -19,6 +19,7 @@ from gcat.config import DEFAULT_CAPS, WIDE_CAPS, SizeCaps
 from gcat.fincat import (
     Functor,
     arrow_category,
+    category_from_doc,
     chain_poset,
     functor_category_data,
     identity_functor,
@@ -591,6 +592,208 @@ def test_sd_map_search_and_ex_count_against_their_caps():
     assert _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=74296), {pos: maps[-1][pos]}, True)
     with pytest.raises(SizeCapExceeded, match="Ex simplices: 477 exceeds cap 476"):
         ex(X, 3, SizeCaps(max_simplices=476))
+
+
+#: per carrier of both emap corpora, per n = 0..3: the node count of the
+#: Sd-map search Sd Δⁿ -> X and the sha256 of its maps in order, computed
+#: at commit c3345eb with the plain depth-first search, before replays
+SEARCH_PINS = {
+    "D0": [(2, "db407f11d7ede59abaab0e98e097ff2dae10a048207b801745d7199ef19c2387"),
+           (6, "7809c754933dd1810accfcf5987678359643e94c8dd991845732ab680c1916c4"),
+           (26, "21a2b967b8ace2c5dd56e7145a18304acf12c9f840b9e46c29f1e2bd08c91e39"),
+           (150, "495d9e9a73f27cdbbb42079a7f8912f960ef6daaa8ace0448507b274182f0e91")],
+    "D1": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
+           (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
+           (449, "9dad00741680bf7bfbc4cffc9ed94fc77c2d6aedaac9e76b8b21c6df135cfada"),
+           (22587, "3becc7981af5800242021150a86860ba3fd5dd085c31fd050983cd917eb1a933")],
+    "bD1": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
+            (21, "d25cc8e9144d3c4e4e23db6e2bb749ec0bc594edef51bd8d16055abec8de3af8"),
+            (93, "9bc16a0d701c48e31b77cf7818dfb9d67aee1eb36e4573dc33d17db638c5d61c"),
+            (417, "631d4148925e71ce862f6ea6bfdbc4be376efe14460a4afd09f4c950fa154920")],
+    "bD2": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
+            (72, "d34de95209d7c6257875c0198c99d4a828832dad1c3706f1f25f2e26dd1334d6"),
+            (3086, "39b5eedc7907506f0b7c581a7662017818a8c70eff01d91899639daefcf90daa"),
+            (186474, "953a4813d6656b9ba5b4c5c13e39e93c8b20965771f9e5373e1d22861ea76405")],
+    "L2_1": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
+             (64, "3bdde6b85fee55d79bb4237acbc729cc36b475f70c33bd8ec9647ed469237d7f"),
+             (1152, "030238831176945c89560a42832073950062392ca9aed1038180540700cffdf0"),
+             (49739, "f41aba10e262825b7236359580ed4b78a65ed38ce63f66305ca3c360ecf91a48")],
+    "N[1]": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
+             (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
+             (449, "9dad00741680bf7bfbc4cffc9ed94fc77c2d6aedaac9e76b8b21c6df135cfada"),
+             (22587, "3becc7981af5800242021150a86860ba3fd5dd085c31fd050983cd917eb1a933")],
+    "N(V)": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
+             (66, "3d6be4ae115b5c60f20bc6e1fa429b284a1301b76a3c702a3a5c370cfbfe6822"),
+             (1516, "83672f772d063167c609e0b91240b7378419c0770f8664a1994ccf081f22234e"),
+             (71822, "ad077711da3ca70db70d6d569f60c0cf4256a660337637d633da5221ecb79abc")],
+    "N(V)-swap": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
+                  (66, "3d6be4ae115b5c60f20bc6e1fa429b284a1301b76a3c702a3a5c370cfbfe6822"),
+                  (1516, "83672f772d063167c609e0b91240b7378419c0770f8664a1994ccf081f22234e"),
+                  (71822, "ad077711da3ca70db70d6d569f60c0cf4256a660337637d633da5221ecb79abc")],
+    "discrete-swap": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
+                      (21, "d25cc8e9144d3c4e4e23db6e2bb749ec0bc594edef51bd8d16055abec8de3af8"),
+                      (93, "9bc16a0d701c48e31b77cf7818dfb9d67aee1eb36e4573dc33d17db638c5d61c"),
+                      (417, "631d4148925e71ce862f6ea6bfdbc4be376efe14460a4afd09f4c950fa154920")],
+    "N[1]-trivial": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
+                     (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
+                     (449, "9dad00741680bf7bfbc4cffc9ed94fc77c2d6aedaac9e76b8b21c6df135cfada"),
+                     (22587, "3becc7981af5800242021150a86860ba3fd5dd085c31fd050983cd917eb1a933")],
+}
+
+
+def emap_carriers(cap=3):
+    return dict(emap_corpus(cap) + [(name, ens.carrier) for name, ens in emap_equivariant_corpus(cap)])
+
+
+def maps_digest(maps):
+    return hashlib.sha256(json.dumps(maps).encode()).hexdigest()
+
+
+def assert_search_pinned(steps, count, digest, prescribed=None, first_only=False):
+    """cap = count - 1 raises at node count; cap = count gives the pinned maps."""
+    with pytest.raises(SizeCapExceeded, match=f"Sd-map enumeration: {count} exceeds cap {count - 1}$"):
+        _enumerate_sd_maps(steps, SizeCaps(max_candidates=count - 1), prescribed, first_only)
+    maps = _enumerate_sd_maps(steps, SizeCaps(max_candidates=count), prescribed, first_only)
+    assert maps_digest(maps) == digest
+    return maps
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_PINS))
+def test_sd_map_search_pinned_on_emap_carriers(name):
+    X = emap_carriers()[name]
+    for n, (count, digest) in enumerate(SEARCH_PINS[name]):
+        assert_search_pinned(_sd_steps(n, X), count, digest)
+
+
+def parallel_arrows():
+    """Two parallel arrows f, g: a -> b.  Unlike the emap carriers, its nerve
+    has 1-simplices that their vertices do not determine."""
+    return category_from_doc({
+        "objects": ["a", "b"], "identity": {"a": "1a", "b": "1b"},
+        "morphisms": [["1a", "a", "a"], ["1b", "b", "b"], ["f", "a", "b"], ["g", "a", "b"]],
+        "compose": [["1a", "1a", "1a"], ["1b", "1b", "1b"], ["f", "1a", "f"], ["g", "1a", "g"],
+                    ["1b", "f", "f"], ["1b", "g", "g"]]})
+
+
+def test_sd_map_search_pinned_on_parallel_arrows():
+    # computed at commit c3345eb; the search of Sd Δ³ walks 2,898,421 nodes
+    X = nerve(parallel_arrows(), 3)
+    pins = [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
+            (33, "e7a4c49c55dc4e09aa9221790044fc6d55cf4c54da4abd737a6a775744ef63db"),
+            (8915, "38a184e4a8e35be4b06c9644a831a6f8cd34a965f4f54a2bd26fc6d00c2ff72b"),
+            (2898421, "c2a4eb3e302e259d8ce3062518c142940ecab28e063fb48361d3728db8649a41")]
+    for n, (count, digest) in enumerate(pins):
+        assert_search_pinned(_sd_steps(n, X), count, digest)
+
+
+def first_only_cases(maps):
+    """Prescriptions for first-only searches of Sd Δ³, read off the maps."""
+    sdd = _SdData(3)
+    at = [pos for pos, _, _ in sdd.search_steps]   # chain positions in search order
+    last, mid = maps[-1], maps[len(maps) // 2]
+    return {
+        "last step, last map": {at[-1]: last[at[-1]]},
+        "last step, middle map": {at[-1]: mid[at[-1]]},
+        "last step of the first triangle": {at[34]: last[at[34]]},
+        "inside the third triangle": {at[52]: mid[at[52]]},
+        "edge": {at[5]: last[at[5]]},
+        "two faces": {p: last[p] for p in sdd.face_positions(0) + sdd.face_positions(1)},
+        "no map": {at[-1]: maps[0][at[-1]], at[0]: last[at[0]]},
+    }
+
+
+#: per carrier and `first_only_cases` label: the node count and the sha256
+#: of the result, computed at commit c3345eb.  Every case but "edge" and
+#: "two faces" replays triangle blocks before its first hit (or its end).
+FIRST_ONLY_PINS = {
+    "bD2": {
+        "last step, last map": (74296, "0e57cee6ee464a63f0c5be8843d21cef329648d58444f03630a5ef39c8335c77"),
+        "last step, middle map": (87004, "b84ced53d126bdd2ec7662847b962d9454c4cd22738f86d64f1413e6f099c7bb"),
+        "last step of the first triangle": (
+            30005, "51e0377b1ca9bd27b3d78fc9b680b861751153af6913358b21491922d081c67b"),
+        "inside the third triangle": (40780, "de26155c22ad36915f50a8a58735548fa7fbea6459b0c44ee8fca294e20857f7"),
+        "edge": (406, "4b01a724514439eff0efaae701b6eb592a46a174e106977eecc1781ab9a14b28"),
+        "two faces": (158, "c4f1c83eac9d7b50d076d39e3865a0acd49da2a39099ffa0ee800b170716b48b"),
+        "no map": (10718, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    },
+    "N(V)": {
+        "last step, last map": (16709, "51a2cfcaa47946ed9481e1224285d7916344bc7ea4a7fc25d8349a81b6821641"),
+        "last step, middle map": (15249, "b9b9654bf4c3e32842482eb4f16763b064a6484bfa53b6bc7da33ecb3ec56317"),
+        "last step of the first triangle": (
+            2795, "05bf2c2c25e10d9a2cce2abfa14a04ed64d7f96c78b990f46adedc32a90309ce"),
+        "inside the third triangle": (4788, "9469be995546d3ae8a5c197e068e4d54299694fb08b834bd0db5ebb4ed24ac20"),
+        "edge": (406, "72c415135953b7a006096e055db150a56f62cb7de40333ddfcc70ce308fe221d"),
+        "two faces": (158, "62208fb1589bdb6f48fad8411f5edef23d00d88a03b0633ae4d894da421c52c7"),
+        "no map": (8487, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    },
+    "L2_1": {
+        "last step, last map": (40958, "47b76b71ac321c35f29e1a5e8a3eadf2db98b42c89f67afe886e80cd17d355e2"),
+        "last step, middle map": (15242, "3f0e4525df16f12fd0f73259c9341b21f50e53e78eb1ff3d361e234b26a40fe1"),
+        "last step of the first triangle": (
+            6798, "86dfba2b71bfc79cb61f0b5128c9c84e298088b1a87af0edd6c9e0c808dcfb28"),
+        "inside the third triangle": (4291, "f6905cb310696ffb6ffd3f13b530700bfa34968cfef6fa1a90e367357ace98b3"),
+        "edge": (505, "ea6138c7d38e2ec1eb98eb82b15021e45b4db7ef0bb2b484d42af3b8cbf4bb91"),
+        "two faces": (158, "62208fb1589bdb6f48fad8411f5edef23d00d88a03b0633ae4d894da421c52c7"),
+        "no map": (3044, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_ONLY_PINS))
+def test_first_only_searches_pinned(name):
+    steps = _sd_steps(3, emap_carriers()[name])
+    maps = _enumerate_sd_maps(steps, DEFAULT_CAPS)
+    for label, prescribed in first_only_cases(maps).items():
+        count, digest = FIRST_ONLY_PINS[name][label]
+        found = assert_search_pinned(steps, count, digest, prescribed, True)
+        assert found == [m for m in maps if all(m[p] == v for p, v in prescribed.items())][:1], label
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_sd_block_plan(n):
+    """Every step is in one block of chains with one top face; a block's
+    candidates read only itself and its boundary, the chains of Sd ∂F, all
+    assigned by earlier blocks; the last block is the chains topped by [n]."""
+    sdd = _SdData(n)
+    order = [sdd.chains[pos] for pos, _, _ in sdd.search_steps]
+    assert [sdd.step_of[sdd.position[c]] for c in order] == list(range(len(order)))
+    covered = []
+    for start, end, boundary in sdd.blocks:
+        covered.extend(range(start, end))
+        top = order[start][-1]
+        assert all(c[-1] == top for c in order[start:end])
+        assert all(b < start for b in boundary)
+        assert {order[b] for b in boundary} == {c for c in sdd.chains if set(c[-1]) < set(top)}
+        for step in range(start, end):
+            faces = [sdd.step_of[f] for f in sdd.search_steps[step][2]]
+            assert all(start <= f < step or f in boundary for f in faces)
+    assert covered == list(range(len(order)))
+    start, end, _ = sdd.blocks[-1]
+    assert {order[i] for i in range(start, end)} == {c for c in sdd.chains if c[-1] == tuple(range(n + 1))}
+    # segments: the replayed blocks, each on its own and keyed by its whole
+    # boundary, and runs of the others
+    probe = list(range(len(order)))
+    replayed = [(start, end) for start, end, key in sdd.segments if key is not None]
+    blocks = {(start, end): boundary for start, end, boundary in sdd.blocks}
+    assert all(key(probe) == blocks[start, end] for start, end, key in sdd.segments if key is not None)
+    assert sdd.segments[0][0] == 0 and sdd.segments[-1][1] == len(order) and sdd.segments[-1][2] is None
+    assert all(a[1] == b[0] for a, b in zip(sdd.segments, sdd.segments[1:]))
+    # which are the blocks of the faces of dimension 2 to n - 1
+    assert replayed == [(s, e) for s, e, _ in sdd.blocks if 3 <= len(order[s][-1]) <= n]
+
+
+def test_ex_refuses_a_cap_above_its_input():
+    # Δ² at cap 1 is its 1-skeleton: Ex at cap 2 of it was Ex of a circle,
+    # with 47 nondegenerate 2-simplices and H₁ = ℤ, and its lazy Kan check
+    # reported "no filler"
+    X1, X2 = (complex_to_sset(standard_simplex_complex(2), cap) for cap in (1, 2))
+    for check in (ex, is_kan_complex_lazy_ex):
+        with pytest.raises(GcatError, match="cap 2 needs .* to dimension 2; .* has cap 1"):
+            check(X1, 2)
+    exd = ex(X2, 2)
+    assert exd.sset.n_nondeg(2) == 123 and homology(exd.sset, 2) == homology(X2, 2)
+    assert is_kan_complex_lazy_ex(X2, 2).passed
+    assert ex(X1, 1).sset.cap == 1
 
 
 def ex_digest(cap=3):
