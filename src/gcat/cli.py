@@ -10,7 +10,8 @@ it), 2 inconclusive (a cap was hit), 64 usage error, 74 IO error. Where the
 errors go:
 
 - a bad argument (an out-of-range number, an unknown group name, `gens
-  --model` or `transfer-check --U`): argparse's usage text on stderr, exit 64;
+  --model` or `transfer-check --U`, an `ex --cap` above its document's
+  cap): argparse's usage text on stderr, exit 64;
 - a malformed document (a missing key or a value of the wrong shape, in a file
   or in the inline JSON of `gens --params` and `transfer-check --phi`): one
   `{"error": "malformed document", ...}` object on stdout, exit 64;

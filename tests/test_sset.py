@@ -778,7 +778,7 @@ def test_sd_block_plan(n):
     assert all(key(probe) == blocks[start, end] for start, end, key in sdd.segments if key is not None)
     assert sdd.segments[0][0] == 0 and sdd.segments[-1][1] == len(order) and sdd.segments[-1][2] is None
     assert all(a[1] == b[0] for a, b in zip(sdd.segments, sdd.segments[1:]))
-    # which are the blocks of the faces of dimension 2 to n - 1
+    # the replayed blocks are those of the faces of dimension 2 to n - 1
     assert replayed == [(s, e) for s, e, _ in sdd.blocks if 3 <= len(order[s][-1]) <= n]
 
 
