@@ -9,7 +9,7 @@ free-action quotients, and equivariant retractions of free right actions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import DEFAULT_CAPS, SizeCaps
 from .errors import (
@@ -43,6 +43,8 @@ class FinMonoid:
     elements: tuple
     table: dict  # (a, b) -> a·b
     unit: str
+    # sorted element tuple -> its validated subgroup, None -> the units group
+    _subgroups: dict = field(default_factory=dict, init=False, repr=False)
 
     def mul(self, a, b):
         return self.table[(a, b)]
@@ -152,21 +154,28 @@ def submonoid_check(M: FinMonoid, subset) -> bool:
 
 
 def subgroup_from_elements(M: FinMonoid, elements) -> FinGroup:
-    """The subset as a FinGroup sharing M's unit; raises NotASubgroup."""
+    """The subset as a FinGroup sharing M's unit; raises NotASubgroup.  Each
+    subgroup is built and validated once, memoized on M; a failure is not."""
     elements = tuple(sorted(set(str(e) for e in elements)))
-    if not submonoid_check(M, elements):
-        raise NotASubgroup(f"{elements} is not closed / missing unit")
-    table = {(a, b): M.mul(a, b) for a in elements for b in elements}
-    try:
-        return FinGroup(elements, table, M.unit).validate()
-    except GcatError as exc:
-        raise NotASubgroup(str(exc)) from exc
+    H = M._subgroups.get(elements)
+    if H is None:
+        if not submonoid_check(M, elements):
+            raise NotASubgroup(f"{elements} is not closed / missing unit")
+        table = {(a, b): M.mul(a, b) for a in elements for b in elements}
+        try:
+            H = M._subgroups[elements] = FinGroup(elements, table, M.unit).validate()
+        except GcatError as exc:
+            raise NotASubgroup(str(exc)) from exc
+    return H
 
 
 def units_group(M: FinMonoid) -> FinGroup:
-    """Maximal subgroup of two-sided invertible elements."""
-    invertible = [a for a in M.elements if M.inverse(a) is not None]
-    return subgroup_from_elements(M, invertible)
+    """Maximal subgroup of two-sided invertible elements, memoized on M."""
+    U = M._subgroups.get(None)
+    if U is None:
+        U = M._subgroups[None] = subgroup_from_elements(
+            M, [a for a in M.elements if M.inverse(a) is not None])
+    return U
 
 
 def is_good_subgroup(M: FinMonoid, H: FinGroup) -> bool:
@@ -393,7 +402,7 @@ def fixed_category(A: MonoidActionCat, H: FinGroup) -> FinCat:
     H must be a subgroup of the units of the acting monoid.
     """
     M = A.monoid
-    units = tuple(sorted(a for a in M.elements if M.inverse(a) is not None))
+    units = units_group(M).elements
     if not set(H.elements) <= set(units):
         raise SubgroupNotInUnits(f"{H.elements} not inside units {units}")
     subgroup_from_elements(M, H.elements)

@@ -2,9 +2,13 @@
 
 A simplex is stored as a normal form (core id, alpha) where the core is a
 nondegenerate simplex and alpha is the monotone surjection expressing the
-degeneracy (identity alpha = the core itself).  All simplicial operators are
-computed by pulling normal forms back along monotone maps, so the simplicial
-identities hold by construction and are also checked exhaustively.
+degeneracy (identity alpha = the core itself).  The faces of each
+nondegenerate simplex are stored.  Simplicial operators pull normal forms
+back along monotone maps through them (`pull`); `faces_of`, the one face
+lookup, reads a nondegenerate simplex's stored faces, which is what the pull
+gives once `validate` has found them well formed, and pulls only a degenerate
+simplex's.  `validate` checks every simplicial identity exhaustively.  A
+nerve builds each face from its chain (`nerve`).
 
 Also here: ordered simplicial complexes with barycentric subdivision and the
 poset-level hSd², nerves of categories (equivariant when an action is
@@ -109,9 +113,6 @@ class FinSSet:
     def nf_of(self, n, sid):
         return (sid, tuple(range(n + 1)))
 
-    def dim_of_nf(self, nf):
-        return len(nf[1]) - 1
-
     def pull(self, nf, f):
         """f*(simplex): pull a normal form back along a monotone map f.
 
@@ -132,8 +133,18 @@ class FinSSet:
             g = tuple(beta[v - (v > s)] for v in g)
             dim = beta[-1]
 
+    def faces_of(self, nf):
+        """The faces d_0, ..., d_n of an n-simplex.  A nondegenerate one's
+        are its stored faces, which is what pulling along each δ_i gives once
+        they are well formed (`validate`); only a degenerate one's are pulled."""
+        core, alpha = nf
+        n = len(alpha) - 1
+        if alpha[-1] == n:
+            return self.faces[(n, core)]
+        return tuple(self.pull(nf, delta(i, n)) for i in range(n + 1))
+
     def face(self, nf, i):
-        return self.pull(nf, delta(i, self.dim_of_nf(nf)))
+        return self.faces_of(nf)[i]
 
     def all_simplices(self, n):
         """All n-simplices (including degenerate) as normal forms."""
@@ -157,7 +168,7 @@ class FinSSet:
                 nfs = tuple(sorted(simplices, key=lambda v: (type(v[0]).__name__, v)))
             number = {v: i for i, v in enumerate(nfs)}
             below = self.face_index(n - 1).number if n else None
-            faces = {number[v]: tuple(below[self.face(v, j)] for j in range(n + 1)) if n else ()
+            faces = {number[v]: tuple(below[f] for f in self.faces_of(v)) if n else ()
                      for v in simplices}
             groups = {}
             for i, fs in faces.items():
@@ -175,9 +186,10 @@ class FinSSet:
         stored face and every simplicial identity d_i d_j = d_{j-1} d_i
         (i < j) of every stored simplex.
 
-        Once the faces are well formed, face j of a stored n-simplex is its
-        stored face, so the identities compare faces of stored face normal
-        forms; each distinct one has its faces pulled once.
+        Once the faces are well formed, the faces of a nondegenerate simplex
+        are its stored ones, so the identities compare the faces of stored
+        face normal forms, each distinct one read once by `faces_of`: a
+        nondegenerate one's are stored, a degenerate one's pulled.
         """
         if any(n > self.cap for n in self.cells) or any(n > self.cap for n, _ in self.faces):
             raise GcatError(f"simplices stored above cap {self.cap}")
@@ -219,14 +231,13 @@ class FinSSet:
         for n in self.dims():
             if n < 2:
                 continue
-            cofaces = [delta(i, n - 1) for i in range(n)]
-            faces_of = {}   # (n-1)-dimensional face normal form -> its faces
+            read = {}   # (n-1)-dimensional face normal form -> its faces
             for sid in self.cells[n]:
                 second = []
                 for f in self.faces[(n, sid)]:
-                    ff = faces_of.get(f)
+                    ff = read.get(f)
                     if ff is None:
-                        ff = faces_of[f] = tuple(self.pull(f, d) for d in cofaces)
+                        ff = read[f] = self.faces_of(f)
                     second.append(ff)
                 for j in range(n + 1):
                     for i in range(j):
@@ -275,23 +286,23 @@ class SSetMap:
     def validate(self):
         """Check that the map is defined on every nondegenerate simplex,
         keeps dimensions, lands on known cores and commutes with every face;
-        each distinct value has its faces pulled once."""
+        each distinct value has its faces read once, by `faces_of`."""
         cores = {n: set(ids) for n, ids in self.target.cells.items()}
-        faces_of = {}   # value in the target -> its faces
+        read = {}   # value in the target -> its faces
         for n in self.source.dims():
             for sid in self.source.cells[n]:
                 v = self.values.get((n, sid))
                 if v is None:
                     raise GcatError(f"map undefined on ({n},{sid})")
-                if self.target.dim_of_nf(v) != n:
-                    raise GcatError(f"map changes dimension on ({n},{sid})")
                 core, alpha = v
+                if len(alpha) != n + 1:
+                    raise GcatError(f"map changes dimension on ({n},{sid})")
                 if core not in cores.get(alpha[-1], ()):
                     raise GcatError(f"map value core unknown on ({n},{sid})")
                 if n >= 1:
-                    rhs = faces_of.get(v)
+                    rhs = read.get(v)
                     if rhs is None:
-                        rhs = faces_of[v] = tuple(self.target.face(v, i) for i in range(n + 1))
+                        rhs = read[v] = self.target.faces_of(v)
                     fs = self.source.faces[(n, sid)]
                     for i in range(n + 1):
                         if self.apply(fs[i]) != rhs[i]:
@@ -502,64 +513,63 @@ def chain_id(chain):
 
 def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
     """N(C): n-simplices are length-n composable chains; nondegenerate ones
-    contain no identities."""
+    contain no identities.
+
+    The faces of a chain are built from it.  d_0 and d_n drop an end arrow and
+    an inner d_i composes arrows i-1 and i; each is a shorter chain, stored
+    once as the normal form its own level made.  An inner d_i is degenerate
+    exactly when the composite is an identity: its core drops both arrows (an
+    empty core is the source object) and its alpha repeats i-1.
+    """
     identities = {m for m in C.morphism_ids if C.is_identity(m)}
     nonid = [m for m in C.morphism_ids if m not in identities]
     by_src = {}
     for m in nonid:
         by_src.setdefault(C.src[m], []).append(m)
-    cells = {0: tuple(sorted(C.objects))}
-    faces = {}
-    shared = {}   # each distinct face normal form once, however many simplices have it
+    src, dst, compose = C.src, C.dst, C.compose
+    cells, faces = {0: tuple(sorted(C.objects))}, {}
+    stored = {}   # chain of a level below -> its normal form (id, identity alpha)
     level = [(m,) for m in sorted(nonid)]
-    n = 1
-    while n <= cap and level:
-        ids = sorted(chain_id(ch) for ch in level)
-        if len(ids) > caps.max_simplices:
-            raise SizeCapExceeded("nerve simplices", len(ids), caps.max_simplices)
-        cells[n] = tuple(ids)
+    for n in range(1, cap + 1):
+        if not level:
+            break
+        if len(level) > caps.max_simplices:
+            raise SizeCapExceeded("nerve simplices", len(level), caps.max_simplices)
+        top, ids = tuple(range(n + 1)), []
+        repeat = [sigma(i - 1, n - 2) for i in range(1, n)]   # the alpha of a degenerate d_i
         for ch in level:
-            fs = (_nerve_face(C, ch, i, identities) for i in range(n + 1))
-            faces[(n, chain_id(ch))] = tuple(shared.setdefault(nf, nf) for nf in fs)
-        nxt = []
-        for ch in level:
-            for m in by_src.get(C.dst[ch[-1]], ()):
-                nxt.append(ch + (m,))
-        level = nxt
-        n += 1
+            sid = chain_id(ch)
+            ids.append(sid)
+            if n == 1:
+                fs = ((dst[ch[0]], (0,)), (src[ch[0]], (0,)))
+            else:
+                fs = [stored[ch[1:]]]
+                for i in range(1, n):
+                    c = compose[(ch[i], ch[i - 1])]
+                    if c in identities:
+                        rest = ch[:i - 1] + ch[i + 1:]
+                        fs.append((stored[rest][0] if rest else src[ch[0]], repeat[i - 1]))
+                    else:
+                        fs.append(stored[ch[:i - 1] + (c,) + ch[i + 1:]])
+                fs.append(stored[ch[:-1]])
+                fs = tuple(fs)
+            faces[(n, sid)] = fs
+            if n < cap:
+                stored[ch] = (sid, top)
+        cells[n] = tuple(sorted(ids))
+        if n < cap:
+            level = [ch + (m,) for ch in level for m in by_src.get(dst[ch[-1]], ())]
     X = FinSSet(cap, cells, faces)
     X.validate(caps)
     return X
 
 
-def _nerve_face(C: FinCat, chain, i, identities):
-    n = len(chain)
-    if i == 0:
-        new = chain[1:]
-        base = C.dst[chain[0]]
-    elif i == n:
-        new = chain[:-1]
-        base = C.src[chain[0]]
-    else:
-        new = chain[:i - 1] + (C.compose[(chain[i], chain[i - 1])],) + chain[i + 1:]
-        base = C.src[chain[0]]
-    return _normalize_chain(C, new, identities, base)
-
-
-def _normalize_chain(C: FinCat, chain, identities, base=None):
-    """identities: the identities of C, a set built once per nerve or map."""
+def _normalize_chain(C: FinCat, chain, identities):
+    """The normal form of a chain of C; identities: the identities of C, a set
+    built once per map.  An all-identity chain's core is its source object."""
     core = tuple(m for m in chain if m not in identities)
-    alpha = [0]
-    v = 0
-    for m in chain:
-        if m not in identities:
-            v += 1
-        alpha.append(v)
-    if core:
-        cid = chain_id(core)
-    else:
-        cid = base if base is not None else C.src[chain[0]]
-    return (cid, tuple(alpha))
+    alpha = tuple(itertools.accumulate((m not in identities for m in chain), initial=0))
+    return (chain_id(core) if core else C.src[chain[0]], alpha)
 
 
 def nerve_functor(F: Functor, NX: FinSSet, NY: FinSSet, cap=3) -> SSetMap:
@@ -652,7 +662,7 @@ def product_sset(X: FinSSet, Y: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS
         cells[n] = tuple(sorted(pairs))
     for n in range(1, cap + 1):
         for pid, (nx, ny) in pairs_at[n].items():
-            faces[(n, pid)] = tuple(_product_nf(X.face(nx, i), Y.face(ny, i)) for i in range(n + 1))
+            faces[(n, pid)] = tuple(_product_nf(fx, fy) for fx, fy in zip(X.faces_of(nx), Y.faces_of(ny)))
     Z = FinSSet(cap, {n: v for n, v in cells.items() if v}, faces)
     Z.validate(caps)
     return Z
@@ -810,9 +820,8 @@ def boundary_matrix(X: FinSSet, n):
     rows = {s: i for i, s in enumerate(X.cells.get(n - 1, ()))}
     entries = {}
     for j, sid in enumerate(X.cells.get(n, ())):
-        for i, nf in enumerate(X.faces[(n, sid)]):
-            core, alpha = nf
-            if is_identity_alpha(alpha):
+        for i, (core, alpha) in enumerate(X.faces[(n, sid)]):
+            if alpha[-1] == n - 1:   # a nondegenerate face
                 key = (rows[core], j)
                 entries[key] = entries.get(key, 0) + (-1) ** i
     return len(rows), X.n_nondeg(n), {k: v for k, v in entries.items() if v}
@@ -868,17 +877,9 @@ def pi0_map(f: SSetMap):
     """Induced map on components; returns (bijective?, mapping)."""
     cs = pi0(f.source)
     ct = pi0(f.target)
-    t_rep = {}
-    for rep, vs in ct.items():
-        for v in vs:
-            t_rep[v] = rep
-    mapping = {}
-    for rep in cs:
-        img_vertex = f.values[(0, rep)][0]
-        mapping[rep] = t_rep[img_vertex]
-    image = set(mapping.values())
-    bij = len(cs) == len(ct) == len(image)
-    return bij, mapping
+    t_rep = {v: rep for rep, vs in ct.items() for v in vs}
+    mapping = {rep: t_rep[f.values[(0, rep)][0]] for rep in cs}
+    return len(cs) == len(ct) == len(set(mapping.values())), mapping
 
 
 # ---------------------------------------------------------------------------
@@ -1321,10 +1322,7 @@ def discrete_sset(elements, cap=3) -> FinSSet:
 
 def coset_space(G, H):
     """Left cosets gH named by least member, with the left G-action."""
-    cosets = {}
-    for g in G.elements:
-        c = min(G.mul(g, h) for h in H.elements)
-        cosets[g] = c
+    cosets = {g: min(G.mul(g, h) for h in H.elements) for g in G.elements}
     els = sorted(set(cosets.values()))
     action = {k: {c: cosets[G.mul(k, c)] for c in els} for k in G.elements}
     return els, action

@@ -12,6 +12,7 @@ from gcat.fincat import (
     terminal_category,
 )
 from gcat.actions import (
+    FinGroup,
     MonoidActionCat,
     cell_category,
     chaotic_action,
@@ -59,6 +60,29 @@ def test_units_idempotent_monoid():
 
 def test_units_zero_monoid():
     assert units_group(zero_monoid()).elements == ("1", "g")
+
+
+def test_subgroups_are_built_and_validated_once(monkeypatch):
+    """A subgroup is validated when it is first asked for, and the same
+    group is handed out after; a subset that is no subgroup is refused each
+    time and not remembered."""
+    calls = 0
+    validate = FinGroup.validate
+
+    def counting_validate(self):
+        nonlocal calls
+        calls += 1
+        return validate(self)
+
+    monkeypatch.setattr(FinGroup, "validate", counting_validate)
+    M = zero_monoid()
+    H = subgroup_from_elements(M, ["g", "1"])
+    assert subgroup_from_elements(M, ["1", "g", "g"]) is H and units_group(M) is H
+    assert units_group(M) is H and calls == 1
+    for _ in range(2):
+        with pytest.raises(NotASubgroup):
+            subgroup_from_elements(M, ["1", "z", "g"])   # z has no inverse
+    assert calls == 3 and ("1", "g", "z") not in M._subgroups
 
 
 def test_good_subgroups():

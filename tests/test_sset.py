@@ -21,6 +21,7 @@ from gcat.fincat import (
     arrow_category,
     category_from_doc,
     chain_poset,
+    discrete_category,
     functor_category_data,
     identity_functor,
     product_category,
@@ -184,6 +185,9 @@ def as_edge_doc(doc):
     pytest.param(lambda d: corrupt_face(corrupt_face(d, "0,1,2", 0, ["0,2", [0, 1]]),
                                         "0,1,2", 1, ["1,2", [0, 1]]),
                  "simplicial identity fails at (2,0,1,2,d0,d2)", id="broken-identity"),
+    # d_0 the degenerate edge on 1, whose faces are pulled: d_0 d_1 = 2 but d_0 d_0 = 1
+    pytest.param(lambda d: corrupt_face(d, "0,1,2", 0, ["1", [0, 0]]),
+                 "simplicial identity fails at (2,0,1,2,d0,d1)", id="broken-identity-degenerate-face"),
     pytest.param(lambda d: corrupt_face(d.update(cap=1) or d, "0,1,2", 0, ["nope", [0, 1]]),
                  "simplices stored above cap 1", id="above-cap"),
     pytest.param(lambda d: (d.update(cap=1), d["cells"].pop("2")),
@@ -224,31 +228,43 @@ def test_sset_map_validate_rejects_each_broken_map(change, message):
 
 
 def test_validate_pulls_each_distinct_face_once(monkeypatch):
-    """`validate` pulls the n faces of each distinct stored (n-1)-dimensional
-    face normal form once, and nothing else."""
+    """`validate` reads the n faces of each distinct stored (n-1)-dimensional
+    face normal form once, with `faces_of`: a nondegenerate one's are its
+    stored faces, so only the faces of a degenerate one are pulled."""
     Z2 = cyclic_group(2)
     gm = generating_maps(GeneratorSpec("g_global_thin", 1, params={
         "H": Z2, "G": Z2, "phi": {h: h for h in Z2.elements}}))
     fun = functor_category_data(chaotic_category(Z2.elements), gm.functor.source, WIDE_CAPS).cat
     builds = [nerve(delooping(symmetric_group(3)), 4), nerve(fun, 3, WIDE_CAPS)]
-    calls = 0
-    pull = FinSSet.pull
+    reads = pulls = 0
+    faces_of, pull = FinSSet.faces_of, FinSSet.pull
+
+    def counting_faces_of(self, nf):
+        nonlocal reads
+        reads += 1
+        return faces_of(self, nf)
 
     def counting_pull(self, nf, f):
-        nonlocal calls
-        calls += 1
+        nonlocal pulls
+        pulls += 1
         return pull(self, nf, f)
 
+    monkeypatch.setattr(FinSSet, "faces_of", counting_faces_of)
     monkeypatch.setattr(FinSSet, "pull", counting_pull)
     counts = []
     for X in builds:
-        calls = 0
+        reads = pulls = 0
         X.validate(WIDE_CAPS)
         distinct = {n: {nf for sid in X.cells[n] for nf in X.faces[(n, sid)]}
                     for n in X.dims() if n >= 2}
-        assert calls == sum(n * len(faces) for n, faces in distinct.items())
-        counts.append(calls)
-    assert counts == [917, 424]
+        degenerate = {n: {nf for nf in faces if nf[1][-1] < n - 1} for n, faces in distinct.items()}
+        assert reads == sum(len(faces) for faces in distinct.values())
+        assert pulls == sum(n * len(faces) for n, faces in degenerate.items())
+        counts.append((reads, pulls, sum(n * len(faces) for n, faces in distinct.items())))
+    # the last entry is the n faces of every distinct face, read stored or
+    # pulled: the 917 and 424 faces that were all pulled before stored faces
+    # were read
+    assert counts == [(241, 332, 917), (152, 160, 424)]
 
 
 def test_pull_against_composite_chains():
@@ -477,6 +493,30 @@ def test_smith_invariants_match_the_pinned_digest():
             rows.append([name, n, r, c, len(entries), smith_invariants(r, c, entries)])
     assert len(rows) == 51 and max(row[4] for row in rows) == 8328
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SMITH_DIGEST
+
+
+#: sha256 of the document of every nerve of `nerve_digest_nerves`, computed at
+#: commit a1ed049, where each face was a composed chain put in normal form
+NERVE_DIGEST = "92db94fd8f28f10ea17d064be43e8f7c3704b62fded440dd2e1098908b457e14"
+
+
+def nerve_digest_nerves():
+    """The nerves of `smith_digest_nerves`, N[1] and N(V) at cap 4, the
+    discrete category on three objects and two parallel arrows at cap 3."""
+    out = smith_digest_nerves()
+    out += [(name, X) for name, X in emap_corpus(4) if name.startswith("N")]
+    out.append(("discrete", nerve(discrete_category(["a", "b", "c"]), 3)))
+    out.append(("parallel", nerve(parallel_arrows(), 3)))
+    return out
+
+
+def test_nerves_match_the_pinned_digest():
+    """Faces built from the chain give the documents that normalizing each
+    composed face chain gave, nerve for nerve."""
+    docs = [[name, X.to_doc()] for name, X in nerve_digest_nerves()]
+    assert len(docs) == 18
+    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+    assert digest == NERVE_DIGEST
 
 
 def test_pi0():
