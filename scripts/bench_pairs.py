@@ -7,9 +7,9 @@ to BENCH_<label>.json at the repository root.
         --workload homology --seconds 5
 
 Each side is the committed tree of its revision (`--head` defaults to HEAD),
-exported with `git archive` into a temporary directory that is removed at
-the end: uncommitted files take no part, and the repository's git metadata
-is not touched.  Pair k runs `run.py --seed <seed + k - 1> --trace 0` on both
+exported with `git archive` into a temporary directory (under $TMPDIR) that
+is removed at the end: uncommitted files take no part, and the repository's
+git metadata is not touched.  Pair k runs `run.py --seed <seed + k - 1> --trace 0` on both
 sides, the base first in odd pairs and the head first in even ones, so a
 slow stretch of a shared host falls on both sides alike.
 
@@ -83,9 +83,8 @@ def main(argv=None):
     p.add_argument("--workload", default="all")
     p.add_argument("--seconds", type=float, default=25)
     p.add_argument("--seed", type=int, default=1, help="the seed of the first pair")
-    p.add_argument("--workdir", default=None, help="where the temporary checkouts go")
     args = p.parse_args(argv)
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         trees, commits = {}, {}
         for side in ("base", "head"):
             trees[side] = Path(tmp) / side
