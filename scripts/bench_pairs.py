@@ -3,15 +3,15 @@
 to BENCH_<label>.json at the repository root.
 
     python3 scripts/bench_pairs.py --base a1ed049 --label nerve
-    python3 scripts/bench_pairs.py --base HEAD~1 --label quick --pairs 3 \\
-        --workload homology --seconds 5
 
 Each side is the committed tree of its revision (`--head` defaults to HEAD),
 exported with `git archive` into a temporary directory (under $TMPDIR) that
 is removed at the end: uncommitted files take no part, and the repository's
-git metadata is not touched.  Pair k runs `run.py --seed <seed + k - 1> --trace 0` on both
-sides, the base first in odd pairs and the head first in even ones, so a
-slow stretch of a shared host falls on both sides alike.
+git metadata is not touched.  There are ten pairs, the number a claimed
+gain is judged on.  Pair k runs `run.py --seed k --trace 0` over all
+workloads on both sides, for the `run_seconds` of the head's BENCHMARK.json,
+the base first in odd pairs and the head first in even ones, so a slow
+stretch of a shared host falls on both sides alike.
 
 For every workload and every end-to-end metric of the head's BENCHMARK.json,
 plus `fail_ratio`, the file holds both sides' medians and quartiles, each
@@ -31,6 +31,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10
 
 
 def export(rev, dest):
@@ -44,14 +45,14 @@ def export(rev, dest):
     return sha
 
 
-def run(tree, workload, seed, seconds):
-    """One `run.py` run in `tree`: workload -> {metric: value}, fail_ratio included."""
+def run(tree, seed, seconds):
+    """One `run.py` run of all workloads in `tree`: workload -> {metric: value},
+    fail_ratio included."""
     proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
-                           "--workload", workload, "--seed", str(seed),
+                           "--workload", "all", "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True, check=True)
-    out = json.loads(proc.stdout.strip().splitlines()[-1])
-    rows = out if workload == "all" else {workload: out}
+    rows = json.loads(proc.stdout.strip().splitlines()[-1])
     values = {}
     for name, row in rows.items():
         if not row["correct"]:
@@ -67,7 +68,7 @@ def summary(pairs, better):
     out = {"better": better}
     for side, values in (("base", [b for b, _ in pairs]), ("head", [h for _, h in pairs])):
         out[f"{side}_median"] = statistics.median(values)
-        q = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        q = statistics.quantiles(values, n=4)
         out[f"{side}_quartiles"] = [q[0], q[2]]
     out["head_wins"] = sum(sign * (h - b) > 0 for b, h in pairs)
     out["pairs"] = [[b, h] for b, h in pairs]
@@ -79,10 +80,6 @@ def main(argv=None):
     p.add_argument("--base", required=True, help="the revision compared against")
     p.add_argument("--head", default="HEAD")
     p.add_argument("--label", required=True, help="the file written is BENCH_<label>.json")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--workload", default="all")
-    p.add_argument("--seconds", type=float, default=25)
-    p.add_argument("--seed", type=int, default=1, help="the seed of the first pair")
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         trees, commits = {}, {}
@@ -90,16 +87,16 @@ def main(argv=None):
             trees[side] = Path(tmp) / side
             commits[side] = export(getattr(args, side), trees[side])
         bench = json.loads((trees["head"] / "BENCHMARK.json").read_text())
+        seconds = bench["run_seconds"]
         better = {m["name"]: m["better"] for m in bench["end_to_end"]}
         better["fail_ratio"] = "lower"
         runs = []   # per pair, {side: workload -> metric -> value}
-        for k in range(args.pairs):
-            seed = args.seed + k
-            order = ("base", "head") if k % 2 == 0 else ("head", "base")
+        for seed in range(1, PAIRS + 1):
+            order = ("base", "head") if seed % 2 else ("head", "base")
             pair = {}
             for side in order:
-                pair[side] = run(trees[side], args.workload, seed, args.seconds)
-                print(f"pair {k + 1}/{args.pairs} seed {seed} {side}: " + "  ".join(
+                pair[side] = run(trees[side], seed, seconds)
+                print(f"pair {seed}/{PAIRS} {side}: " + "  ".join(
                     f"{w} {v['jobs_per_s']:.1f}" for w, v in pair[side].items()) + " jobs/s",
                       file=sys.stderr, flush=True)
             runs.append(pair)
@@ -108,15 +105,15 @@ def main(argv=None):
         workloads[name] = {metric: summary([(r["base"][name][metric], r["head"][name][metric])
                                             for r in runs], direction)
                            for metric, direction in better.items()}
-    doc = {"base": commits["base"], "head": commits["head"], "pairs": args.pairs,
-           "seeds": [args.seed, args.seed + args.pairs - 1], "seconds": args.seconds,
+    doc = {"base": commits["base"], "head": commits["head"], "pairs": PAIRS,
+           "seeds": [1, PAIRS], "seconds": seconds,
            "command": "perfbench/run.py --trace 0", "python": sys.version.split()[0],
            "workloads": workloads}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for name, metrics in workloads.items():
         print(f"{name}: " + "  ".join(f"{m} {s['base_median']:.4g} -> {s['head_median']:.4g} "
-                                      f"({s['head_wins']}/{args.pairs})" for m, s in metrics.items()))
+                                      f"({s['head_wins']}/{PAIRS})" for m, s in metrics.items()))
     print(f"wrote {path}")
 
 

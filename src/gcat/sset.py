@@ -297,6 +297,9 @@ class SSetMap:
                 core, alpha = v
                 if len(alpha) != n + 1:
                     raise GcatError(f"map changes dimension on ({n},{sid})")
+                if (any(a > b for a, b in zip(alpha, alpha[1:]))
+                        or set(alpha) != set(range(alpha[-1] + 1))):
+                    raise GcatError(f"map value alpha not a monotone surjection on ({n},{sid})")
                 if core not in cores.get(alpha[-1], ()):
                     raise GcatError(f"map value core unknown on ({n},{sid})")
                 if n >= 1:
@@ -568,8 +571,17 @@ def _normalize_chain(C: FinCat, chain, identities):
     """The normal form of a chain of C; identities: the identities of C, a set
     built once per map.  An all-identity chain's core is its source object."""
     core = tuple(m for m in chain if m not in identities)
-    alpha = tuple(itertools.accumulate((m not in identities for m in chain), initial=0))
-    return (chain_id(core) if core else C.src[chain[0]], alpha)
+    alpha = [0]
+    v = 0
+    for m in chain:
+        if m not in identities:
+            v += 1
+        alpha.append(v)
+    if core:
+        cid = chain_id(core)
+    else:
+        cid = C.src[chain[0]]
+    return (cid, tuple(alpha))
 
 
 def nerve_functor(F: Functor, NX: FinSSet, NY: FinSSet, cap=3) -> SSetMap:
@@ -877,9 +889,17 @@ def pi0_map(f: SSetMap):
     """Induced map on components; returns (bijective?, mapping)."""
     cs = pi0(f.source)
     ct = pi0(f.target)
-    t_rep = {v: rep for rep, vs in ct.items() for v in vs}
-    mapping = {rep: t_rep[f.values[(0, rep)][0]] for rep in cs}
-    return len(cs) == len(ct) == len(set(mapping.values())), mapping
+    t_rep = {}
+    for rep, vs in ct.items():
+        for v in vs:
+            t_rep[v] = rep
+    mapping = {}
+    for rep in cs:
+        img_vertex = f.values[(0, rep)][0]
+        mapping[rep] = t_rep[img_vertex]
+    image = set(mapping.values())
+    bij = len(cs) == len(ct) == len(image)
+    return bij, mapping
 
 
 # ---------------------------------------------------------------------------
@@ -1322,7 +1342,10 @@ def discrete_sset(elements, cap=3) -> FinSSet:
 
 def coset_space(G, H):
     """Left cosets gH named by least member, with the left G-action."""
-    cosets = {g: min(G.mul(g, h) for h in H.elements) for g in G.elements}
+    cosets = {}
+    for g in G.elements:
+        c = min(G.mul(g, h) for h in H.elements)
+        cosets[g] = c
     els = sorted(set(cosets.values()))
     action = {k: {c: cosets[G.mul(k, c)] for c in els} for k in G.elements}
     return els, action

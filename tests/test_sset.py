@@ -212,6 +212,10 @@ def test_validate_rejects_each_malformed_document(corrupt, message):
                  "map changes dimension on (1,0,2)", id="changes-dimension"),
     pytest.param(lambda v: v.update({(1, "0,2"): ("0,3", (0, 1))}),
                  "map value core unknown on (1,0,2)", id="unknown-core"),
+    pytest.param(lambda v: v.update({(1, "0,1"): ("0,1", (1, 1))}),
+                 "map value alpha not a monotone surjection on (1,0,1)", id="alpha-not-onto"),
+    pytest.param(lambda v: v.update({(2, "0,1,2"): ("0,1", (0, 1, 0))}),
+                 "map value alpha not a monotone surjection on (2,0,1,2)", id="alpha-not-monotone"),
     pytest.param(lambda v: v.update({(1, "0,1"): ("1,2", (0, 1))}),
                  "map breaks face d0 on (1,0,1)", id="breaks-edge-face"),
     pytest.param(lambda v: v.update({(2, "0,1,2"): ("0", (0, 0, 0))}),
