@@ -15,9 +15,16 @@ stretch of a shared host falls on both sides alike.
 
 For every workload and every end-to-end metric of the head's BENCHMARK.json,
 plus `fail_ratio`, the file holds both sides' medians and quartiles, each
-pair's values as [base, head], and the number of pairs the head wins.  A tie
-counts for neither side.  A run that reports itself incorrect stops the
-script.
+pair's values as [base, head], the number of pairs the head wins, and two
+verdicts.  A tie counts for neither side.  A run that reports itself
+incorrect stops the script.
+
+- `worse_than_bound`: the head's median is worse than the base's by more
+  than the metric's `bound`, a fraction of the base's median.  `fail_ratio`
+  has bound 0: any larger share of failed jobs is worse.
+- `gain_shown`: the head wins at least GAIN_WINS of the pairs, and its
+  median is better than the base's by more than the base's quartile
+  distance.
 """
 
 import argparse
@@ -32,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
+GAIN_WINS = 9
 
 
 def export(rev, dest):
@@ -62,16 +70,21 @@ def run(tree, seed, seconds):
     return values
 
 
-def summary(pairs, better):
-    """Medians, quartiles, the pairs and the head's wins for one metric."""
+def summary(pairs, better, bound):
+    """Medians, quartiles, the pairs, the head's wins and both verdicts for
+    one metric."""
     sign = 1 if better == "higher" else -1
-    out = {"better": better}
+    out = {"better": better, "bound": bound}
     for side, values in (("base", [b for b, _ in pairs]), ("head", [h for _, h in pairs])):
         out[f"{side}_median"] = statistics.median(values)
         q = statistics.quantiles(values, n=4)
         out[f"{side}_quartiles"] = [q[0], q[2]]
     out["head_wins"] = sum(sign * (h - b) > 0 for b, h in pairs)
     out["pairs"] = [[b, h] for b, h in pairs]
+    base, head = out["base_median"], out["head_median"]
+    out["worse_than_bound"] = sign * (base - head) > bound * abs(base)
+    q1, q3 = out["base_quartiles"]
+    out["gain_shown"] = out["head_wins"] >= GAIN_WINS and sign * (head - base) > q3 - q1
     return out
 
 
@@ -88,8 +101,8 @@ def main(argv=None):
             commits[side] = export(getattr(args, side), trees[side])
         bench = json.loads((trees["head"] / "BENCHMARK.json").read_text())
         seconds = bench["run_seconds"]
-        better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-        better["fail_ratio"] = "lower"
+        better = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
+        better["fail_ratio"] = ("lower", 0)
         runs = []   # per pair, {side: workload -> metric -> value}
         for seed in range(1, PAIRS + 1):
             order = ("base", "head") if seed % 2 else ("head", "base")
@@ -103,8 +116,8 @@ def main(argv=None):
     workloads = {}
     for name in runs[0]["base"]:
         workloads[name] = {metric: summary([(r["base"][name][metric], r["head"][name][metric])
-                                            for r in runs], direction)
-                           for metric, direction in better.items()}
+                                            for r in runs], direction, bound)
+                           for metric, (direction, bound) in better.items()}
     doc = {"base": commits["base"], "head": commits["head"], "pairs": PAIRS,
            "seeds": [1, PAIRS], "seconds": seconds,
            "command": "perfbench/run.py --trace 0", "python": sys.version.split()[0],
@@ -112,8 +125,10 @@ def main(argv=None):
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for name, metrics in workloads.items():
-        print(f"{name}: " + "  ".join(f"{m} {s['base_median']:.4g} -> {s['head_median']:.4g} "
-                                      f"({s['head_wins']}/{PAIRS})" for m, s in metrics.items()))
+        print(f"{name}: " + "  ".join(
+            f"{m} {s['base_median']:.4g} -> {s['head_median']:.4g} ({s['head_wins']}/{PAIRS}"
+            + ", worse than bound" * s["worse_than_bound"] + ", gain shown" * s["gain_shown"] + ")"
+            for m, s in metrics.items()))
     print(f"wrote {path}")
 
 

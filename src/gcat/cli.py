@@ -1,7 +1,8 @@
 """gcat command line: document IO, checks, and report emission.
 
 Every subcommand is one entry of COMMANDS: its handler and its own flags
-(each also takes --cap). A handler reads its documents with `_load`, runs
+(each also takes --cap, default 3; `ex`'s defaults to min(3, its document's
+cap)). A handler reads its documents with `_load`, runs
 its check and returns (inputs, body, exit code); `main` wraps that in
 `serialize.report`, emits it, and turns every error into an exit code.
 
@@ -152,7 +153,9 @@ def cmd_sd(args):
 def cmd_ex(args):
     from .sset import ex, sset_from_doc, e_map
     doc, X = _load(args.input, sset_from_doc)
-    if args.cap > X.cap:
+    if args.cap is None:
+        args.cap = min(3, X.cap)
+    elif args.cap > X.cap:
         args.usage_error(f"--cap {args.cap} exceeds the cap {X.cap} of the input document")
     try:
         exd = ex(X, args.cap, args.caps)
@@ -425,7 +428,8 @@ COMMANDS = {
     "homology": (cmd_homology, {**_INPUT, "--kind": {"choices": ["category", "sset", "complex"],
                                                      "default": "category"}}),
     "sd": (cmd_sd, _INPUT),
-    "ex": (cmd_ex, _INPUT),
+    "ex": (cmd_ex, {**_INPUT, "--cap": {"type": non_negative_int,
+                                        "help": "default: min(3, the document's cap)"}}),
     "check-dwyer": (cmd_check_dwyer, _INPUT),
     "pushout": (cmd_pushout, {**_INPUT, "--cross-check": {"action": "store_true"},
                               "--word-cap": {"type": positive_int, "default": 16}}),
@@ -463,7 +467,7 @@ def build_parser():
     for name, (_, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
         for flag, options in {**flags, **_CAP}.items():
-            sp.add_argument(flag, **options)
+            sp.add_argument(flag, **flags.get(flag, options))   # a command's own --cap first
         sp.set_defaults(usage_error=sp.error)
     return p
 

@@ -12,6 +12,17 @@ operations would then change nothing else, so the pivot's row and column
 are deleted.  A lazy heap keyed by (entry count, col) takes again each
 column the pivot row touched, so units an elimination creates are found.
 
+The unit pivots' columns P are what `homology` compresses with (the
+"compress" of Bauer, Kerber & Reininghaus, "Clear and compress: computing
+persistent homology in chunks", 2014).  Phase 1 turns the columns P of a
+boundary A into a triangular block with +-1 on its diagonal by row
+operations alone, so they hold a unimodular minor U of A.  A cycle z of A
+then has z_P = -U^-1 N z_rest, an integral function of its other
+coordinates, and forgetting z_P is injective on cycles with a saturated
+image: the next boundary, whose columns are cycles of A, keeps its rank and
+its torsion with the rows P left out.  Phase-2 pivots may not be used so,
+since their column operations mix P with the other columns.
+
 Phase 2, the gcd stage on what is left, pops pivots of least |v|, then
 Markowitz cost, from a lazy heap (Dumas-Saunders-Villard, J. Symb. Comput.
 2001) that takes again only the positions an elimination changed.  A fix-up
@@ -63,11 +74,12 @@ class _Sparse:
             self.set(r, dst, self.get(r, dst) + k * self.rows[r][src])
 
     def eliminate_units(self, n_cols):
-        """Phase 1, until no column holds a +-1: the number of unit pivots."""
+        """Phase 1, until no column holds a +-1: the unit pivots' columns, in
+        the order they were taken."""
         rows, cols = self.rows, self.cols
         heap = [len(rs) * n_cols + c for c, rs in cols.items()]
         heapq.heapify(heap)
-        units = 0
+        pivots = []
         while heap:
             count, c = divmod(heapq.heappop(heap), n_cols)
             rs = cols.get(c, ())
@@ -100,23 +112,27 @@ class _Sparse:
                     heapq.heappush(heap, len(rs2) * n_cols + c2)
                 else:
                     del cols[c2]
-            units += 1
-        return units
+            pivots.append(c)
+        return pivots
 
 
-def smith_invariants(n_rows: int, n_cols: int, entries: dict) -> list:
+def smith_invariants(n_rows: int, n_cols: int, entries: dict, unit_cols=None) -> list:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
     entries: {(row, col): value} with 0 <= row < n_rows and 0 <= col < n_cols;
     zero values are ignored.  entries is left unchanged and let go once the
     rows are built, so a caller that hands over its only reference, as
     `homology` does, has the dict freed before elimination starts.
+    unit_cols, a set if given, receives the columns of the unit pivots.
     """
     if not all(0 <= r < n_rows and 0 <= c < n_cols for r, c in entries):
         raise ValueError("an entry lies outside the n_rows x n_cols matrix")
     m = _Sparse(entries)
     del entries
-    units = m.eliminate_units(n_cols)
+    pivots = m.eliminate_units(n_cols)
+    if unit_cols is not None:
+        unit_cols.update(pivots)
+    units = len(pivots)
     # A key is one int that orders as the tuple (|v|, Markowitz cost, r, c)
     # does, in a third of a tuple's memory: a cost and r * n_cols + c are
     # both below span.

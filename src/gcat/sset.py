@@ -825,18 +825,26 @@ def fixed_sset_map(f: SSetMap, A: MonoidActionSSet, B: MonoidActionSSet, H) -> S
 # homology
 
 
-def boundary_matrix(X: FinSSet, n):
-    """Normalized boundary ∂_n as sparse entries over the nondegenerate bases."""
+def boundary_matrix(X: FinSSet, n, drop=frozenset()):
+    """Normalized boundary ∂_n as sparse entries over the nondegenerate bases.
+
+    The rows of the (n-1)-simplices at the positions `drop` of X.cells[n - 1]
+    are left out and the others are numbered in order.  Entries are summed
+    in one dict, and those that cancel are deleted from it in place.
+    """
     if n <= 0:
         return 0, X.n_nondeg(0), {}
-    rows = {s: i for i, s in enumerate(X.cells.get(n - 1, ()))}
+    kept = (s for i, s in enumerate(X.cells.get(n - 1, ())) if i not in drop)
+    rows = {s: i for i, s in enumerate(kept)}
     entries = {}
     for j, sid in enumerate(X.cells.get(n, ())):
         for i, (core, alpha) in enumerate(X.faces[(n, sid)]):
-            if alpha[-1] == n - 1:   # a nondegenerate face
+            if alpha[-1] == n - 1 and core in rows:   # a nondegenerate face, kept
                 key = (rows[core], j)
                 entries[key] = entries.get(key, 0) + (-1) ** i
-    return len(rows), X.n_nondeg(n), {k: v for k, v in entries.items() if v}
+    for key in [k for k, v in entries.items() if not v]:
+        del entries[key]
+    return len(rows), X.n_nondeg(n), entries
 
 
 def homology(X: FinSSet, cap=None):
@@ -844,15 +852,27 @@ def homology(X: FinSSet, cap=None):
 
     Returns [(betti, sorted torsion invariants > 1)] for degrees 0..cap-1;
     X must be materialized up to `cap` for the top degree to be correct.
+
+    Degrees run bottom-up, and each boundary is reduced without the rows of
+    the simplices that the unit phase of `smith_invariants` took as pivot
+    columns of the boundary below (the "compress" of Bauer, Kerber and
+    Reininghaus, 2014).  Those pivots are +-1, so they form a unimodular
+    minor U of ∂_n, a cycle's coordinates on them are the integral function
+    -U⁻¹N·z_rest of its other coordinates, and leaving them out of ∂_{n+1}
+    keeps its rank and its torsion.  Gcd-stage pivots are not used: their
+    column operations break this argument.
     """
     if cap is None:
         cap = X.cap
     ranks = {}
     invs = {}
+    pivots = set()
     for n in range(1, cap + 1):
+        drop, pivots = pivots, set()
         # no reference to the boundary dict is kept here, so it is freed
         # once smith_invariants has built its rows from it
-        inv = smith_invariants(X.n_nondeg(n - 1), X.n_nondeg(n), boundary_matrix(X, n)[2])
+        inv = smith_invariants(X.n_nondeg(n - 1) - len(drop), X.n_nondeg(n),
+                               boundary_matrix(X, n, drop)[2], pivots)
         ranks[n] = len(inv)
         invs[n] = inv
     out = []

@@ -1,0 +1,45 @@
+"""The verdicts `scripts/bench_pairs.py` records for one metric."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+spec = importlib.util.spec_from_file_location(
+    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def pairs(base, head):
+    return list(zip(base, head))
+
+
+BASE = [100, 98, 102, 101, 99, 100, 97, 103, 100, 101]
+
+
+@pytest.mark.parametrize("head, better, wins, worse, gain", [
+    # 1.2x on every pair: shown
+    ([v * 1.2 for v in BASE], "higher", 10, False, True),
+    # 9 wins, but a median gap of 1.5 inside the base's quartile distance of 2.5
+    ([v + 1.5 for v in BASE[:9]] + [90], "higher", 9, False, False),
+    # a gap of 3.5 beyond the quartile distance, but only 8 wins
+    ([v + 4 for v in BASE[:8]] + [90, 90], "higher", 8, False, False),
+    # 30% slower: worse than a bound of 25%, 20% is not
+    ([v * 0.7 for v in BASE], "higher", 0, True, False),
+    ([v * 0.8 for v in BASE], "higher", 0, False, False),
+    # lower is better: 30% more is worse, 30% less is a gain
+    ([v * 1.3 for v in BASE], "lower", 0, True, False),
+    ([v * 0.7 for v in BASE], "lower", 10, False, True),
+])
+def test_summary_verdicts(head, better, wins, worse, gain):
+    s = bench_pairs.summary(pairs(BASE, head), better, 0.25)
+    assert s["base_quartiles"] == [98.75, 101.25]
+    assert (s["head_wins"], s["worse_than_bound"], s["gain_shown"]) == (wins, worse, gain)
+
+
+def test_fail_ratio_has_bound_zero():
+    same = bench_pairs.summary(pairs([1 / 37] * 10, [1 / 37] * 10), "lower", 0)
+    more = bench_pairs.summary(pairs([1 / 37] * 10, [2 / 37] * 10), "lower", 0)
+    assert not same["worse_than_bound"] and more["worse_than_bound"]
+    assert not same["gain_shown"] and not more["gain_shown"]

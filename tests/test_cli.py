@@ -257,13 +257,27 @@ def test_ex_below_the_input_cap(tmp_path, capsys):
 
 def test_ex_above_the_input_cap_is_a_usage_error(tmp_path, capsys):
     # Δ² at cap 1 is its 1-skeleton: Ex at cap 2 of it would be Ex of a
-    # circle, and exited 0 with H₁ = ℤ; the default --cap 3 is above it too
+    # circle, and exited 0 with H₁ = ℤ
     path = write(tmp_path, "d2.json", complex_to_sset(standard_simplex_complex(2), 1).to_doc())
-    for argv in (["ex", "--input", path, "--cap", "2"], ["ex", "--input", path]):
+    for argv in (["ex", "--input", path, "--cap", "2"], ["ex", "--input", path, "--cap", "3"]):
         assert cli.main(argv) == 64, argv
         captured = capsys.readouterr()
         assert captured.out == "" and "exceeds the cap 1 of the input document" in captured.err
     assert cli.main(["ex", "--input", path, "--cap", "1"]) == 0
+
+
+def test_ex_without_cap_takes_the_input_cap_up_to_3(tmp_path, capsys):
+    """Without --cap, `ex` runs at min(3, the document's cap), as `ex(X)`
+    does: Δ² stored at cap 1 gives the report of an explicit --cap 1."""
+    path = write(tmp_path, "d2.json", complex_to_sset(standard_simplex_complex(2), 1).to_doc())
+    assert cli.main(["ex", "--input", path]) == 0
+    default = capsys.readouterr()
+    assert json.loads(default.out)["cap"] == 1 and default.err == ""
+    assert cli.main(["ex", "--input", path, "--cap", "1"]) == 0
+    assert capsys.readouterr().out == default.out
+    d1 = write(tmp_path, "d1.json", complex_to_sset(standard_simplex_complex(1), 4).to_doc())
+    assert cli.main(["ex", "--input", d1]) == 0
+    assert json.loads(capsys.readouterr().out)["cap"] == 3
 
 
 def test_sset_stored_above_its_cap_is_violated(tmp_path, capsys):

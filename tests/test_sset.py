@@ -24,6 +24,7 @@ from gcat.fincat import (
     discrete_category,
     functor_category_data,
     identity_functor,
+    poset_from_relation,
     product_category,
     terminal_category,
 )
@@ -37,7 +38,7 @@ from gcat.actions import (
     symmetric_group,
     translation_action,
 )
-from gcat.corpus import emap_corpus, emap_equivariant_corpus
+from gcat.corpus import emap_corpus, emap_equivariant_corpus, seeded_category
 from gcat.sset import (
     FinSSet,
     SSetMap,
@@ -56,6 +57,7 @@ from gcat.sset import (
     horn_complex,
     induced_cell,
     induced_cell_sd,
+    make_complex,
     is_kan_complex,
     is_kan_complex_lazy_ex,
     is_kan_fibration,
@@ -383,13 +385,28 @@ def test_homology_bz2_torsion():
     assert homology(N, 4) == [(1, ()), (0, (2,)), (0, ()), (0, (2,))]
 
 
-def test_smith_against_sympy_on_boundaries():
+def test_smith_against_sympy_on_boundaries(monkeypatch):
+    """Each whole boundary, and each boundary as `homology` reduces it, with
+    the rows of the unit pivots of the degree below left out."""
+    reduced = []
+
+    def recording(n_rows, n_cols, entries, unit_cols=None):
+        reduced.append((n_rows, n_cols, dict(entries)))
+        return smith_invariants(n_rows, n_cols, entries, unit_cols)
+
+    monkeypatch.setattr("gcat.sset.smith_invariants", recording)
+    whole = []
     for X in [nerve(delooping(cyclic_group(2)), 3),
               complex_to_sset(boundary_complex(2), 3),
-              nerve(chaotic_category(["a", "b"]), 3)]:
-        for n in range(1, 4):
-            r, c, entries = boundary_matrix(X, n)
-            assert smith_invariants(r, c, entries) == sympy_invariants(r, c, entries)
+              nerve(chaotic_category(["a", "b"]), 3),
+              nerve(delooping(cyclic_group(3)), 3),
+              complex_to_sset(boundary_complex(3), 3)]:
+        whole += [boundary_matrix(X, n) for n in range(1, 4)]
+        homology(X, 3)
+    assert [r for r, _, _ in whole] == [1, 1, 1, 3, 3, 0, 2, 2, 2, 1, 2, 4, 4, 6, 4]
+    assert [r for r, _, _ in reduced] == [1, 1, 1, 3, 1, 0, 2, 1, 1, 1, 2, 3, 4, 3, 1]
+    for r, c, entries in whole + reduced:
+        assert smith_invariants(r, c, entries) == sympy_invariants(r, c, entries)
 
 
 def test_smith_against_sympy_on_random_matrices():
@@ -431,7 +448,7 @@ def test_smith_finds_units_that_elimination_creates():
         n = 1 + max(max(k) for k in entries)
         assert smith_invariants(n, n, entries) == sympy_invariants(n, n, entries)
         m = _Sparse(entries)
-        assert m.eliminate_units(n) == n and not m.rows and not m.cols
+        assert m.eliminate_units(n) == list(range(n)) and not m.rows and not m.cols
 
 
 def test_smith_on_empty_and_zero_lines():
@@ -497,6 +514,76 @@ def test_smith_invariants_match_the_pinned_digest():
             rows.append([name, n, r, c, len(entries), smith_invariants(r, c, entries)])
     assert len(rows) == 51 and max(row[4] for row in rows) == 8328
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == SMITH_DIGEST
+
+
+def uncompressed_homology(X, cap):
+    """`homology` before compression: each degree's factors are those of the
+    whole `boundary_matrix`."""
+    ranks, torsion = {0: 0}, {}
+    for n in range(1, cap + 1):
+        inv = smith_invariants(*boundary_matrix(X, n))
+        ranks[n], torsion[n] = len(inv), tuple(d for d in inv if d > 1)
+    return [(X.n_nondeg(k) - ranks[k] - ranks[k + 1], torsion[k + 1]) for k in range(cap)]
+
+
+def benchmark_cone_posets():
+    """The random posets of the homology benchmark, drawn in its order from
+    random.Random(1): six cones on five elements below a top, then three
+    disjoint unions of three cones on three."""
+    rng = random.Random(1)
+    out = []
+    for count, parts, size in ((6, 1, 5), (3, 3, 3)):
+        for _ in range(count):
+            els, pairs = [], []
+            for p in range(parts):
+                names = [f"q{p}.{j}" for j in range(size)]
+                els += names + [f"q{p}.top"]
+                pairs += [(x, f"q{p}.top") for x in names]
+                pairs += [(names[a], names[b]) for a in range(size) for b in range(a + 1, size)
+                          if rng.random() < 0.35]
+            out.append(poset_from_relation(els, pairs).to_fincat())
+    return out
+
+
+def homology_digest_nerves():
+    """The nerves of `smith_digest_nerves`, BZ6 at cap 4, and the nerves of
+    the homology benchmark's other categories: [1]-[4] at cap 4 and its
+    random cones at cap 3."""
+    out = smith_digest_nerves()
+    out.append(("BZ6", nerve(delooping(cyclic_group(6)), 4)))
+    out += [(f"[{n}]", nerve(chain_poset(n).to_fincat(), 4)) for n in range(1, 5)]
+    out += [(f"cone{i}", nerve(C, 3)) for i, C in enumerate(benchmark_cone_posets())]
+    return out
+
+
+#: sha256 of `homology` of every nerve of `homology_digest_nerves`, computed
+#: at commit 635373c, where each degree reduced the whole boundary
+HOMOLOGY_DIGEST = "c5a606583763214b333c985a31fb5d71293ea480957f0d896da35ede4054a7b5"
+
+
+def test_homology_matches_the_pinned_digest():
+    rows = [[name, X.cap, homology(X)] for name, X in homology_digest_nerves()]
+    assert len(rows) == 28 and sum(len(h) for _, _, h in rows) == 98
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == HOMOLOGY_DIGEST
+
+
+def test_homology_against_the_uncompressed_route():
+    """Random complexes of edges, triangles and tetrahedra (no torsion, but
+    many not contractible) and random categories (deloopings of Z2 and Z3
+    have torsion in every odd degree)."""
+    rng = random.Random(15)
+    not_contractible = 0
+    for _ in range(120):
+        verts = range(rng.randint(4, 7))
+        K = make_complex(rng.sample(verts, rng.randint(2, 4)) for _ in range(rng.randint(4, 12)))
+        X = complex_to_sset(K, 4)
+        h = homology(X, 4)
+        assert h == uncompressed_homology(X, 4), sorted(K.faces)
+        not_contractible += h != [(1, ())] + [(0, ())] * 3
+    assert not_contractible == 51
+    for seed in range(40):
+        X = nerve(seeded_category(random.Random(seed)), 4)
+        assert homology(X, 4) == uncompressed_homology(X, 4), seed
 
 
 #: sha256 of the document of every nerve of `nerve_digest_nerves`, computed at
