@@ -2,9 +2,9 @@
 
 Every subcommand is one entry of COMMANDS: its handler and its own flags
 (each also takes --cap, default 3; `ex`'s defaults to min(3, its document's
-cap)). A handler reads its documents with `_load`, runs
-its check and returns (inputs, body, exit code); `main` wraps that in
-`serialize.report`, emits it, and turns every error into an exit code.
+cap)). A handler reads its documents with `_load`, runs its check and
+returns (inputs, body, exit code); `main` wraps that in `serialize.report`,
+emits it, and turns every error into an exit code.
 
 Exit codes: 0 all properties hold, 1 a property is violated (the report names
 it), 2 inconclusive (a cap was hit), 64 usage error, 74 IO error. Where the

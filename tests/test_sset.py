@@ -57,11 +57,11 @@ from gcat.sset import (
     horn_complex,
     induced_cell,
     induced_cell_sd,
-    make_complex,
     is_kan_complex,
     is_kan_complex_lazy_ex,
     is_kan_fibration,
     lastvertex_map,
+    make_complex,
     nerve,
     nerve_functor,
     pi0,
