@@ -159,9 +159,13 @@ def validate_category(objects, morphisms, identity, compose, caps: SizeCaps = DE
             raise DanglingReference(f"compose defined on non-composable pair ({g!r},{f!r})")
         if src[h] != src[f] or dst[h] != dst[g]:
             raise DanglingReference(f"composite {h!r} of ({g!r},{f!r}) has wrong endpoints")
+    by_src, by_dst = {}, {}   # the morphisms out of and into each object, in `mids` order
+    for m in mids:
+        by_src.setdefault(src[m], []).append(m)
+        by_dst.setdefault(dst[m], []).append(m)
     for g in mids:
-        for f in mids:
-            if dst[f] == src[g] and (g, f) not in compose:
+        for f in by_dst.get(src[g], ()):
+            if (g, f) not in compose:
                 raise DanglingReference(f"compose missing on composable pair ({g!r},{f!r})")
     for m in mids:
         if compose[(m, identity[src[m]])] != m:
@@ -169,9 +173,6 @@ def validate_category(objects, morphisms, identity, compose, caps: SizeCaps = DE
         if compose[(identity[dst[m]], m)] != m:
             raise IdentityViolation(f"left identity law fails for {m!r}")
     # associativity over all composable triples
-    by_src = {}
-    for m in mids:
-        by_src.setdefault(src[m], []).append(m)
     for f in mids:
         for g in by_src.get(dst[f], ()):
             gf = compose[(g, f)]

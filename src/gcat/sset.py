@@ -25,9 +25,11 @@ run on these tables, and both Kan checkers enumerate horns with `_horns`.
 The Sd-map search is depth first, with the chains that share a top face F
 as one block.  A block's candidates depend only on the values on Sd ∂F, so
 when those values recur, the block's recorded extensions and node counts
-are replayed instead of searched again (`_enumerate_sd_maps`).  The maps,
-their order, the node counts and so every cap error are those of the plain
-search.  Ex and the lazy Ex Kan check refuse a cap above their input's.
+are replayed instead of searched again (`_enumerate_sd_maps`); only steps
+with a choice of candidates are stacked.  The maps, their order, the node
+counts and so every cap error are those of the plain search.  Ex builds its
+degenerate simplices from the level below.  Ex and the lazy Ex Kan check
+refuse a cap above their input's.
 """
 
 from __future__ import annotations
@@ -799,7 +801,7 @@ class MonoidActionSSet:
 def equivariant_nerve(A: "_actions.MonoidActionCat", cap=3, caps: SizeCaps = DEFAULT_CAPS) -> MonoidActionSSet:
     """N(C) with each monoid element acting by the nerve of its endofunctor."""
     NX = nerve(A.carrier, cap, caps)
-    act = {m: nerve_functor(A.act[m], NX, NX, cap).validate() for m in A.monoid.elements}
+    act = {m: nerve_functor(A.act[m], NX, NX, cap) for m in A.monoid.elements}
     return MonoidActionSSet(A.monoid, NX, act).validate()
 
 
@@ -1052,6 +1054,15 @@ def _enumerate_sd_maps(steps, caps: SizeCaps, prescribed=None, first_only=False)
     `search_steps`, candidates in `all_simplices` order; every node, the root
     included, counts against `caps.max_candidates`.
 
+    Most steps have one candidate.  A step takes its first candidate at
+    once, and only a step with two or more keeps the rest on the stack as a
+    branch point (the choice points of Warren, *An Abstract Prolog
+    Instruction Set*, 1983); backtracking resumes at the deepest one, so a
+    run of forced steps costs nothing to undo.  Every value taken is still
+    one node, taken in the same order as when every step kept an iterator,
+    so the maps, their order and the node count at each of them are the
+    same.
+
     The block of steps sharing a top face F has the same extensions, in the
     same order and after the same nodes, wherever the values on its boundary
     Sd ∂F recur (good recording: Dechter, *Constraint Processing*, 2003).
@@ -1069,8 +1080,9 @@ def _enumerate_sd_maps(steps, caps: SizeCaps, prescribed=None, first_only=False)
     assignment, memo, out = [None] * len(search), {}, []
     entered = []   # per segment entered before the current one: its (lo, hi, stack, key, record, replay)
     lo, hi, _ = segments[0]
-    # the current segment: a candidate iterator per step reached, and its
-    # memo key with the record being made, or the record being replayed
+    # the current segment: its open branch points, each (step, iterator of
+    # the candidates not yet taken), and its memo key with the record being
+    # made, or the record being replayed
     stack, key, record, replay = [], None, None, None
     counter = mark = 1   # nodes so far, the root included; the count at the last extension
     if counter > cap:
@@ -1080,9 +1092,17 @@ def _enumerate_sd_maps(steps, caps: SizeCaps, prescribed=None, first_only=False)
         if depth < hi:
             pos, groups, face_key = search[depth]
             cands = groups.get(face_key(assignment) if face_key else (), ())
-            want = prescribed.get(pos) if prescribed else None
-            stack.append(iter(cands if want is None else [want] if want in cands else ()))
-            depth += 1
+            if prescribed and (want := prescribed.get(pos)) is not None:
+                cands = (want,) if want in cands else ()
+            if cands:   # take the first candidate; only a choice opens a branch point
+                if len(cands) > 1:
+                    stack.append((depth, itertools.islice(cands, 1, None)))
+                assignment[depth] = cands[0]
+                depth += 1
+                counter += 1
+                if counter > cap:
+                    raise SizeCapExceeded("Sd-map enumeration", counter, cap)
+                continue
         else:   # an extension of the current segment
             if record is not None:
                 record.append((counter - mark, assignment[lo:hi]))
@@ -1100,17 +1120,18 @@ def _enumerate_sd_maps(steps, caps: SizeCaps, prescribed=None, first_only=False)
                     record = [] if key else None
                     continue
                 record, replay = None, iter(replay)
-        while True:
-            while stack and (v := next(stack[-1], None)) is None:
+        while True:   # backtrack to the deepest open branch point
+            while stack and (v := next(stack[-1][1], None)) is None:
                 stack.pop()
-                depth -= 1
             if stack:
-                assignment[depth - 1] = v
+                depth = stack[-1][0]
+                assignment[depth] = v
+                depth += 1
                 counter += 1
                 if counter > cap:
                     raise SizeCapExceeded("Sd-map enumeration", counter, cap)
                 break
-            # the current segment has no step left to try: replay its next
+            # the current segment has no branch point left: replay its next
             # extension, or end it; a record ends with (its last nodes, None)
             if replay is not None:
                 nodes, values = next(replay)
@@ -1126,7 +1147,6 @@ def _enumerate_sd_maps(steps, caps: SizeCaps, prescribed=None, first_only=False)
                 memo[key] = record
             if not entered:
                 return out
-            depth = lo
             lo, hi, stack, key, record, replay = entered.pop()
             mark = counter
 
@@ -1144,8 +1164,8 @@ class ExSSet:
 def ex(X: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
     """Ex(X): n-simplices are simplicial maps Sd Δⁿ -> X, enumerated exhaustively.
 
-    m = s_j y forces y = d_j m, so an Sd-map m is degenerate exactly when
-    m = s_j d_j m for some j, and its normal form is then d_j m's with alpha∘σ_j.
+    The degenerate n-simplices are the s_j y = y∘Sd(σ_j) for the (n-1)-simplices
+    y, built from the level below; the normal form of s_j y is y's with alpha∘σ_j.
     Ex at `cap` reads X's simplices up to `cap`, so `cap` may not exceed X's.
     """
     if cap is None:
@@ -1162,18 +1182,14 @@ def ex(X: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
     for n in range(cap + 1):
         sdd = _SdData(n)
         picks = [sdd.face_positions(i) for i in range(n + 1)] if n else []
-        # per j, the (p, q, table) with (s_j d_j m)[p] = table[m[q]], or m[q]
-        # for no table, leaving out the positions where it is m[p] itself
-        checks = [[(p, q, beta and pulled(beta))
-                   for p, (q, beta) in enumerate(sdd.restriction(compose_tuples(delta(j, n), sigma(j, n - 1))))
-                   if q != p or beta] for j in range(n)]
         level = dict.fromkeys(_enumerate_sd_maps(_sd_steps(n, X), caps))   # Sd-map -> normal form
-        for m in level:
-            for j, check in enumerate(checks):
-                if all(m[p] == (m[q] if t is None else t[m[q]]) for p, q, t in check):
-                    pc, pa = level_nf[n - 1][tuple(m[p] for p in picks[j])]
+        for j in range(n):   # the degenerate s_j y, least j first; a KeyError if the search missed one
+            # (s_j y)[p] = table[y[q]], or y[q] for no table
+            restriction = [(q, beta and pulled(beta)) for q, beta in _SdData(n - 1).restriction(sigma(j, n - 1))]
+            for y, (pc, pa) in level_nf[n - 1].items():
+                m = tuple(y[q] if t is None else t[y[q]] for q, t in restriction)
+                if level[m] is None:
                     level[m] = (pc, compose_tuples(pa, sigma(j, n - 1)))
-                    break
         nondeg = sorted(m for m, nf in level.items() if nf is None)
         if len(nondeg) > caps.max_simplices:
             raise SizeCapExceeded("Ex simplices", len(nondeg), caps.max_simplices)
@@ -1228,7 +1244,7 @@ def ex_map(f: SSetMap, exd_src: ExSSet, exd_dst: ExSSet) -> SSetMap:
 
 
 def ex_action(A: MonoidActionSSet, exd: ExSSet) -> MonoidActionSSet:
-    act = {m: ex_map(A.act[m], exd, exd).validate() for m in A.monoid.elements}
+    act = {m: ex_map(A.act[m], exd, exd) for m in A.monoid.elements}
     return MonoidActionSSet(A.monoid, exd.sset, act).validate()
 
 

@@ -71,6 +71,35 @@ def test_validate_catches_associativity():
     assert "f" in str(exc.value) and "g" in str(exc.value)
 
 
+def three_arrows():
+    """w -f-> x -g-> y -h-> z with every composite table entry filled in."""
+    objs = ["w", "x", "y", "z"]
+    mors = [("iw", "w", "w"), ("ix", "x", "x"), ("iy", "y", "y"), ("iz", "z", "z"),
+            ("f", "w", "x"), ("g", "x", "y"), ("h", "y", "z"), ("gf", "w", "y"), ("hg", "x", "z"),
+            ("hgf", "w", "z")]
+    ident = {"w": "iw", "x": "ix", "y": "iy", "z": "iz"}
+    comp = {}
+    for m, s, t in mors:
+        comp[(m, ident[s])] = m
+        comp[(ident[t], m)] = m
+    comp.update({("g", "f"): "gf", ("h", "g"): "hg", ("h", "gf"): "hgf", ("hg", "f"): "hgf"})
+    return objs, mors, ident, comp
+
+
+@pytest.mark.parametrize("missing, first", [
+    ((("h", "gf"), ("h", "g")), "('h','g')"),     # one g: the first f in morphism order
+    ((("hg", "f"), ("h", "gf")), "('h','gf')"),   # the first g in morphism order
+])
+def test_validate_reports_the_first_missing_composite(missing, first):
+    objs, mors, ident, comp = three_arrows()
+    validate_category(objs, mors, ident, comp)
+    for pair in missing:
+        del comp[pair]
+    with pytest.raises(DanglingReference) as exc:
+        validate_category(objs, mors, ident, comp)
+    assert str(exc.value) == f"compose missing on composable pair {first}"
+
+
 def test_validate_catches_identity_violation():
     objs = ["x"]
     mors = [("ix", "x", "x"), ("e", "x", "x")]

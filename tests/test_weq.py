@@ -120,7 +120,7 @@ def test_certificate_kinds_are_distinguished():
 
 
 def test_sufficient_implies_necessary():
-    # whenever both are computed, a sufficient certificate forces the필 necessary one
+    # whenever both are computed, a sufficient certificate forces the necessary one
     cases = [identity_functor(arrow_category()),
              collapse_to_point(chaotic_category(["a", "b"]))]
     for F in cases:
