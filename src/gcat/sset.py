@@ -1183,13 +1183,14 @@ def ex(X: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
         sdd = _SdData(n)
         picks = [sdd.face_positions(i) for i in range(n + 1)] if n else []
         level = dict.fromkeys(_enumerate_sd_maps(_sd_steps(n, X), caps))   # Sd-map -> normal form
-        for j in range(n):   # the degenerate s_j y, least j first; a KeyError if the search missed one
-            # (s_j y)[p] = table[y[q]], or y[q] for no table
-            restriction = [(q, beta and pulled(beta)) for q, beta in _SdData(n - 1).restriction(sigma(j, n - 1))]
+        for j in range(n):   # the degenerate s_j y = y∘Sd(σ_j), least j first
+            # (s_j y)[p] is table[y[q]], or y[q] for no table; a KeyError if the search missed it
+            sj = sigma(j, n - 1)
+            restriction = [(q, beta and pulled(beta)) for q, beta in _SdData(n - 1).restriction(sj)]
             for y, (pc, pa) in level_nf[n - 1].items():
                 m = tuple(y[q] if t is None else t[y[q]] for q, t in restriction)
                 if level[m] is None:
-                    level[m] = (pc, compose_tuples(pa, sigma(j, n - 1)))
+                    level[m] = (pc, compose_tuples(pa, sj))
         nondeg = sorted(m for m, nf in level.items() if nf is None)
         if len(nondeg) > caps.max_simplices:
             raise SizeCapExceeded("Ex simplices", len(nondeg), caps.max_simplices)
