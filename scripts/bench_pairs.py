@@ -25,6 +25,14 @@ incorrect stops the script.
 - `gain_shown`: the head wins at least GAIN_WINS of the pairs, and its
   median is better than the base's by more than the base's quartile
   distance.
+
+Before the pairs, each side runs `run.py --seed 1 --trace 1` over all
+workloads once, for its deterministic work counters: every per-layer metric
+that is not a time (`trace.*` left out) and, from the span dump of the first
+traced pass, the calls of each traced function during the jobs, as
+`calls.<layer>.<function>`.  The file holds them as `counters`, workload ->
+name -> [base, head], and the names whose two values differ as
+`counters_changed`, which the script prints too.
 """
 
 import argparse
@@ -40,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 GAIN_WINS = 9
+TRACE_SECONDS = 4    # of the traced run's untraced passes; the counters do not depend on it
 
 
 def export(rev, dest):
@@ -68,6 +77,41 @@ def run(tree, seed, seconds):
         values[name] = {k: v["value"] for k, v in row["metrics"].items()}
         values[name]["fail_ratio"] = row["failed"] / row["attempted"]
     return values
+
+
+def work_counters(tree):
+    """One `run.py --seed 1 --trace 1` run of all workloads in `tree`:
+    workload -> {counter: value}, see the module docstring."""
+    proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
+                           "--workload", "all", "--seed", "1",
+                           "--seconds", str(TRACE_SECONDS), "--trace", "1"],
+                          cwd=tree, capture_output=True, text=True, check=True)
+    rows = json.loads(proc.stdout.strip().splitlines()[-1])
+    counters = {}
+    for name, row in rows.items():
+        if not row["correct"]:
+            raise SystemExit(f"{tree}: workload {name} reports an incorrect traced run")
+        found = counters[name] = {k: v["value"] for k, v in row["metrics"].items()
+                                  if v["unit"] != "s" and not k.startswith("trace.")}
+        with open(tree / "perfbench" / "out" / f"trace-{name}-1.jsonl", encoding="utf-8") as fh:
+            for line in fh:
+                layer, function, _, job = json.loads(line)[:4]
+                if layer != "bench" and job != "setup":
+                    key = f"calls.{layer}.{function}"
+                    found[key] = found.get(key, 0) + 1
+    return counters
+
+
+def compare_counters(base, head):
+    """({workload: {counter: [base, head]}}, the 'workload:counter' names
+    whose values differ); a counter only one side reports is None on the
+    other."""
+    table, changed = {}, []
+    for name in sorted(set(base) | set(head)):
+        b, h = base.get(name, {}), head.get(name, {})
+        table[name] = {k: [b.get(k), h.get(k)] for k in sorted(set(b) | set(h))}
+        changed += [f"{name}:{k}" for k, (x, y) in table[name].items() if x != y]
+    return table, changed
 
 
 def summary(pairs, better, bound):
@@ -103,6 +147,7 @@ def main(argv=None):
         seconds = bench["run_seconds"]
         better = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
         better["fail_ratio"] = ("lower", 0)
+        traced = {side: work_counters(trees[side]) for side in ("base", "head")}
         runs = []   # per pair, {side: workload -> metric -> value}
         for seed in range(1, PAIRS + 1):
             order = ("base", "head") if seed % 2 else ("head", "base")
@@ -122,6 +167,7 @@ def main(argv=None):
            "seeds": [1, PAIRS], "seconds": seconds,
            "command": "perfbench/run.py --trace 0", "python": sys.version.split()[0],
            "workloads": workloads}
+    doc["counters"], doc["counters_changed"] = compare_counters(traced["base"], traced["head"])
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for name, metrics in workloads.items():
@@ -129,6 +175,10 @@ def main(argv=None):
             f"{m} {s['base_median']:.4g} -> {s['head_median']:.4g} ({s['head_wins']}/{PAIRS}"
             + ", worse than bound" * s["worse_than_bound"] + ", gain shown" * s["gain_shown"] + ")"
             for m, s in metrics.items()))
+    for key in doc["counters_changed"]:
+        name, counter = key.split(":", 1)
+        base, head = doc["counters"][name][counter]
+        print(f"counter changed: {key} {base} -> {head}")
     print(f"wrote {path}")
 
 

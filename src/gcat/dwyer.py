@@ -18,7 +18,7 @@ have one, rather than searching; its None is a proof that none exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .config import DEFAULT_CAPS, SizeCaps
@@ -114,14 +114,21 @@ class DwyerWitness:
     def __post_init__(self):
         self.validate()
 
+    @classmethod
+    def _of_checked_sieve(cls, *values):
+        """The witness of these values, validated but for the sieve and equivariance of `i`."""
+        w = object.__new__(cls)
+        w.__dict__.update(zip((f.name for f in fields(cls)), values))
+        return w.validate(_i_checked=True)
+
     def is_normalized(self):
         A = self.i.source
         return all(self.unit.components[a] == A.identity[a] for a in A.objects)
 
-    def validate(self):
-        A, B = self.i.source, self.i.target
-        if not is_sieve(self.i):
+    def validate(self, _i_checked=False):
+        if not _i_checked and not is_sieve(self.i):
             raise GcatError("witness functor is not a sieve")
+        A, B = self.i.source, self.i.target
         incl = inclusion_functor(self.X, B)
         if not is_cosieve(incl):
             raise GcatError("witness cosieve is not a cosieve")
@@ -150,13 +157,11 @@ class DwyerWitness:
                              self.unit.components[self.r.object_map[x]])]
             if lhs != A.identity[self.r.object_map[x]]:
                 raise GcatError(f"triangle identity (rε)(ηr) = id fails at {x!r}")
-        if self.group is not None:
-            self._validate_equivariance()
-        return self
-
-    def _validate_equivariance(self):
+        if self.group is None:
+            return self
         G, aA, aB = self.group, self.act_A, self.act_B
-        check_equivariant(self.i, aA, aB)
+        if not _i_checked:
+            check_equivariant(self.i, aA, aB)
         xset = set(self.X.objects)
         for g in G.elements:
             if {aB.ob(g, x) for x in xset} != xset:
@@ -171,6 +176,7 @@ class DwyerWitness:
             for x in self.X.objects:
                 if aB.mor(g, self.counit.components[x]) != self.counit.components[aB.ob(g, x)]:
                     raise EquivarianceViolation("counit not equivariant", witness=(g, x))
+        return self
 
 
 def find_dwyer_witness(i: Functor, equivariance=None) -> Optional[DwyerWitness]:
@@ -186,7 +192,8 @@ def find_dwyer_witness(i: Functor, equivariance=None) -> Optional[DwyerWitness]:
     whose successors have such an arrow.  Cosieves with a witness are closed
     under union, so X is the largest one, and a witness exists exactly when
     X contains i(A).  r(m) for m: s -> t is the unique h with
-    ε_t∘i(h) = m∘ε_s.  The witness is validated, and a failure raises.
+    ε_t∘i(h) = m∘ε_s.  The witness is validated, and a failure raises; the
+    checks of i alone, that it is a sieve and equivariant, run once, here.
     """
     if not is_sieve(i):
         return None
@@ -243,7 +250,8 @@ def find_dwyer_witness(i: Functor, equivariance=None) -> Optional[DwyerWitness]:
                 {m: arrow[t][2][B.compose[(m, arrow[s][1])]] for m, s, t in X.morphisms})
     unit = NatTrans(identity_functor(A), f.then(r), {a: A.identity[a] for a in A.objects})
     counit = NatTrans(r.then(f), identity_functor(X), {x: arrow[x][1] for x in X.objects})
-    return DwyerWitness(i, X.objects, X, f, r, unit, counit, group, act_A, act_B)
+    return DwyerWitness._of_checked_sieve(i, X.objects, X, f, r, unit, counit,
+                                          group, act_A, act_B)
 
 
 def normalize_unit(w: DwyerWitness) -> DwyerWitness:

@@ -20,6 +20,7 @@ of their inputs.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -301,21 +302,22 @@ class Functor:
         return self.morphism_map[m]
 
     def validate(self):
-        target_objects = set(self.target.objects)
-        for x in self.source.objects:
-            if x not in self.object_map or self.object_map[x] not in target_objects:
+        S, T, om, mm = self.source, self.target, self.object_map, self.morphism_map
+        target_objects = set(T.objects)
+        for x in S.objects:
+            if x not in om or om[x] not in target_objects:
                 raise DanglingReference(f"object map undefined/invalid at {x!r}")
-        for m, s, t in self.source.morphisms:
-            fm = self.morphism_map.get(m)
-            if fm is None or fm not in self.target.src:
+        for m, s, t in S.morphisms:
+            fm = mm.get(m)
+            if fm is None or fm not in T.src:
                 raise DanglingReference(f"morphism map undefined/invalid at {m!r}")
-            if self.target.src[fm] != self.object_map[s] or self.target.dst[fm] != self.object_map[t]:
+            if T.src[fm] != om[s] or T.dst[fm] != om[t]:
                 raise DanglingReference(f"functor breaks endpoints at {m!r}")
-        for x in self.source.objects:
-            if self.morphism_map[self.source.identity[x]] != self.target.identity[self.object_map[x]]:
+        for x in S.objects:
+            if mm[S.identity[x]] != T.identity[om[x]]:
                 raise IdentityViolation(f"functor breaks identity at {x!r}")
-        for (g, f), h in self.source.compose.items():
-            if self.target.compose[(self.morphism_map[g], self.morphism_map[f])] != self.morphism_map[h]:
+        for (g, f), h in S.compose.items():
+            if T.compose[(mm[g], mm[f])] != mm[h]:
                 raise AssociativityViolation(f"functor breaks composition on ({g!r},{f!r})")
         return self
 
@@ -342,13 +344,14 @@ class Functor:
         return len(set(vals)) == len(vals)
 
     def is_fully_faithful(self):
-        for x in self.source.objects:
-            for y in self.source.objects:
-                image = [self.morphism_map[m] for m in self.source.hom(x, y)]
-                targeth = self.target.hom(self.object_map[x], self.object_map[y])
-                if len(set(image)) != len(image) or set(image) != set(targeth):
-                    return False
-        return True
+        """Each S(x, y) -> T(Fx, Fy) is a bijection: the images (x, y, F m) are
+        distinct, lie in those hom-sets and fill them, as their sizes sum to |mor_S|."""
+        S, T, om = self.source, self.target, self.object_map
+        image = {(s, t, self.morphism_map[m]) for m, s, t in S.morphisms}
+        fibre = Counter(om[x] for x in S.objects)
+        return (len(image) == len(S.morphisms)
+                and all(T.src.get(fm) == om[s] and T.dst[fm] == om[t] for s, t, fm in image)
+                and len(image) == sum(fibre[a] * fibre[b] * len(ms) for (a, b), ms in T._hom.items()))
 
 
 def identity_functor(cat: FinCat) -> Functor:
@@ -690,21 +693,15 @@ def find_equivalence(F: Functor, caps: SizeCaps = DEFAULT_CAPS) -> Optional[Equi
     C, D = F.source, F.target
     if C.n_objects() > caps.max_objects or D.n_objects() > caps.max_objects:
         raise SizeCapExceeded("equivalence search", max(C.n_objects(), D.n_objects()), caps.max_objects)
-    if not is_ff_eso(F):
+    if not F.is_fully_faithful():
         return None
     isos = D.isos()
-    # lexicographically least choice of (preimage object, iso) per target object
-    choice = {}
-    for d in D.objects:
-        found = None
-        for c in sorted(C.objects):
-            for m in D.hom(F.object_map[c], d):
-                if m in isos:
-                    found = (c, m)
-                    break
-            if found:
-                break
-        choice[d] = found
+    # the lexicographically least (preimage object, iso) per target object;
+    # F is essentially surjective when every target object has one
+    choice = {d: next(((c, m) for c in sorted(C.objects) for m in D.hom(F.object_map[c], d)
+                       if m in isos), None) for d in D.objects}
+    if None in choice.values():
+        return None
     q_ob = {d: choice[d][0] for d in D.objects}
     xi = {d: choice[d][1] for d in D.objects}  # xi_d : F(q(d)) -> d, iso
 
@@ -747,27 +744,37 @@ def is_isomorphism_functor(F: Functor) -> bool:
     return len(set(vals)) == F.target.n_morphisms() and len(vals) == F.source.n_morphisms()
 
 
-def _object_profile(cat: FinCat, x):
-    outs = sorted(len(cat.hom(x, y)) for y in cat.objects)
-    ins = sorted(len(cat.hom(y, x)) for y in cat.objects)
-    return (len(cat.hom(x, x)), tuple(outs), tuple(ins))
+def _object_profiles(cat: FinCat):
+    """x -> (|C(x, x)|, sorted |C(x, y)| and sorted |C(y, x)| over all y), from the hom keys."""
+    n, degrees = len(cat.objects), {x: ([], []) for x in cat.objects}
+    for (s, t), ms in cat._hom.items():
+        degrees[s][0].append(len(ms))
+        degrees[t][1].append(len(ms))
+    return {x: (len(cat.hom(x, x)), *(tuple(sorted(d + [0] * (n - len(d)))) for d in degrees[x]))
+            for x in cat.objects}
 
 
 def find_isomorphism(C: FinCat, D: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> Optional[Functor]:
-    """Exhaustive category-isomorphism search with profile pruning."""
+    """Exhaustive category-isomorphism search with profile pruning: objects, then C's
+    hom-sets in object order, each assignment checking the compose entries it completes."""
     if C.n_objects() != D.n_objects() or C.n_morphisms() != D.n_morphisms():
         return None
-    profC = {x: _object_profile(C, x) for x in C.objects}
-    profD = {y: _object_profile(D, y) for y in D.objects}
+    profC, profD = _object_profiles(C), _object_profiles(D)
     if sorted(profC.values()) != sorted(profD.values()):
         return None
     objs = sorted(C.objects, key=lambda x: (profC[x], x))
+    position = {x: k for k, x in enumerate(C.objects)}
+    pairs = sorted(C._hom, key=lambda p: (position[p[0]], position[p[1]]))
+    level = {m: k for k, p in enumerate(pairs) for m in C._hom[p]}
+    checks = [[] for _ in pairs]
+    for (g, f), h in C.compose.items():
+        checks[max(level[g], level[f], level[h])].append((g, f, h))
     budget = [0]
 
     def extend_morphisms(ob):
         mm = {}
 
-        def match_mor(pairs, k):
+        def match_mor(k):
             if k == len(pairs):
                 F = Functor(C, D, dict(ob), dict(mm))
                 return F if is_isomorphism_functor(F) else None
@@ -782,22 +789,15 @@ def find_isomorphism(C: FinCat, D: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> Opt
                     raise SizeCapExceeded("isomorphism search", budget[0], caps.max_candidates)
                 for m, im in zip(source_h, perm):
                     mm[m] = im
-                ok = True
-                for (g, f), h in C.compose.items():
-                    if g in mm and f in mm and h in mm:
-                        if D.compose[(mm[g], mm[f])] != mm[h]:
-                            ok = False
-                            break
-                if ok:
-                    res = match_mor(pairs, k + 1)
+                if all(D.compose[(mm[g], mm[f])] == mm[h] for g, f, h in checks[k]):
+                    res = match_mor(k + 1)
                     if res is not None:
                         return res
                 for m in source_h:
                     del mm[m]
             return None
 
-        pairs = [(x, y) for x in C.objects for y in C.objects if C.hom(x, y)]
-        return match_mor(pairs, 0)
+        return match_mor(0)
 
     def backtrack(k, ob, used):
         budget[0] += 1

@@ -3,8 +3,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcat.errors import ActionNotFree, NotASubgroup, SubgroupNotInUnits
+from gcat.errors import (
+    ActionNotFree,
+    EquivarianceViolation,
+    GcatError,
+    NotASubgroup,
+    SubgroupNotInUnits,
+)
 from gcat.fincat import (
+    Functor,
     arrow_category,
     find_isomorphism,
     pair_obj,
@@ -13,7 +20,10 @@ from gcat.fincat import (
 )
 from gcat.actions import (
     FinGroup,
+    FinMonoid,
     MonoidActionCat,
+    check_equivariant,
+    chaotic_functor,
     cell_category,
     chaotic_action,
     chaotic_category,
@@ -27,6 +37,7 @@ from gcat.actions import (
     make_monoid,
     product_action,
     quotient_by_free_action,
+    restrict_action,
     subgroup_from_elements,
     subgroups,
     symmetric_group,
@@ -281,3 +292,71 @@ def test_fixed_commutes_with_products():
     assert (lhs.n_objects(), lhs.n_morphisms()) == (rhs.n_objects(), rhs.n_morphisms())
     if lhs.n_objects():
         assert find_isomorphism(lhs, rhs) is not None
+
+
+# -- restriction and equivariance checks -------------------------------------
+
+
+def test_restrict_action_validates_no_functor_of_a_validated_action(monkeypatch):
+    """Every act(h) of a validated action is a validated endofunctor, so the
+    restriction to a subgroup re-validates none; yet it refuses an H whose
+    unit or multiplication disagrees with the action, and one with an element
+    the action lacks."""
+    S3 = symmetric_group(3)
+    act = product_action(translation_action(S3), trivial_action(S3, arrow_category()))
+    validated = []
+    validate = Functor.validate
+    monkeypatch.setattr(Functor, "validate", lambda F: validated.append(F) or validate(F))
+    for H in subgroups(S3):
+        R = restrict_action(act, H)
+        assert R.monoid is H and R.carrier is act.carrier
+        assert all(R.act[h] is act.act[h] for h in H.elements)
+    assert validated == []
+    # s102 is an involution; a table that calls it idempotent disagrees with the action
+    idem = FinMonoid(("s012", "s102"), {("s012", "s012"): "s012", ("s012", "s102"): "s102",
+                                        ("s102", "s012"): "s102", ("s102", "s102"): "s102"},
+                     "s012")
+    with pytest.raises(GcatError, match=r"^act\('s102'·'s102'\) ≠ act\('s102'\)∘act\('s102'\)$"):
+        restrict_action(act, idem)
+    with pytest.raises(GcatError, match=r"^unit does not act as the identity$"):
+        restrict_action(act, FinMonoid(("s102",), {("s102", "s102"): "s102"}, "s102"))
+    with pytest.raises(KeyError):
+        restrict_action(act, make_group(["s012", "x"], {("s012", "s012"): "s012", ("s012", "x"): "x",
+                                                        ("x", "s012"): "x", ("x", "x"): "s012"},
+                                        "s012"))
+    assert validated == []
+
+
+def equivariance_violation_by_composites(F, A, B):
+    """The first m, in monoid order, where act_A(m) then F and F then act_B(m)
+    differ as composite functors, or None; the oracle of `check_equivariant`."""
+    for m in A.monoid.elements:
+        if not A.act[m].then(F).same_maps(F.then(B.act[m])):
+            return m
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_check_equivariant_matches_the_composite_functors(data):
+    S3 = symmetric_group(3)
+    A = translation_action(S3)
+    points = ["p", "q", "r"]
+    perm = {g: {x: points[int(d)] for x, d in zip(points, g[1:])} for g in S3.elements}
+    B = chaotic_action(S3, perm)
+    if data.draw(st.booleans()):    # the orbit map g ↦ g·p, equivariant
+        om = {g: perm[g]["p"] for g in S3.elements}
+    else:
+        om = {x: data.draw(st.sampled_from(points)) for x in A.carrier.objects}
+    F = chaotic_functor(A.carrier, B.carrier, om).validate()
+    if data.draw(st.booleans()):    # one more key than the carrier's objects
+        F = Functor(F.source, F.target, {**F.object_map, "extra": "p"}, F.morphism_map)
+    expected = equivariance_violation_by_composites(F, A, B)
+    if expected is None:
+        assert check_equivariant(F, A, B) is F
+    else:
+        with pytest.raises(EquivarianceViolation) as exc:
+            check_equivariant(F, A, B)
+        assert exc.value.witness == expected
+        assert str(exc.value) == str(EquivarianceViolation(
+            f"functor not equivariant at {expected!r}", witness=expected))

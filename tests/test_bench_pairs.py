@@ -1,4 +1,5 @@
-"""The verdicts `scripts/bench_pairs.py` records for one metric."""
+"""The verdicts `scripts/bench_pairs.py` records for one metric, and the
+work counters it lists as changed."""
 
 import importlib.util
 from pathlib import Path
@@ -43,3 +44,17 @@ def test_fail_ratio_has_bound_zero():
     more = bench_pairs.summary(pairs([1 / 37] * 10, [2 / 37] * 10), "lower", 0)
     assert not same["worse_than_bound"] and more["worse_than_bound"]
     assert not same["gain_shown"] and not more["gain_shown"]
+
+
+def test_changed_counters_are_listed_and_unchanged_ones_are_not():
+    base = {"spans": {"calls.fincat.Functor.validate": 4470, "dwyer.find_dwyer_witness.calls": 99},
+            "cli": {"cli.invocations": 14}}
+    head = {"spans": {"calls.fincat.Functor.validate": 3491, "dwyer.find_dwyer_witness.calls": 99,
+                      "calls.dwyer.new": 1},
+            "cli": {"cli.invocations": 14}}
+    table, changed = bench_pairs.compare_counters(base, head)
+    assert changed == ["spans:calls.dwyer.new", "spans:calls.fincat.Functor.validate"]
+    assert table["spans"]["calls.fincat.Functor.validate"] == [4470, 3491]
+    assert table["spans"]["dwyer.find_dwyer_witness.calls"] == [99, 99]
+    assert table["spans"]["calls.dwyer.new"] == [None, 1]
+    assert table["cli"] == {"cli.invocations": [14, 14]}

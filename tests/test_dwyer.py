@@ -5,7 +5,7 @@ import hashlib
 
 import pytest
 
-from gcat import serialize as ser
+from gcat import dwyer, serialize as ser
 from gcat.config import WIDE_CAPS
 from gcat.errors import WitnessNotNormalized
 from gcat.fincat import (
@@ -287,9 +287,9 @@ def test_each_witness_is_validated_once(monkeypatch):
     validated = []
     validate = DwyerWitness.validate
 
-    def counted(self):
+    def counted(self, **kwargs):
         validated.append(self)
-        return validate(self)
+        return validate(self, **kwargs)
 
     monkeypatch.setattr(DwyerWitness, "validate", counted)
     for span in dwyer_span_corpus(3, 3, "Z2"):
@@ -307,6 +307,36 @@ def test_each_witness_is_validated_once(monkeypatch):
     assert len({id(w) for w in validated}) == len(validated)
     with pytest.raises(dataclasses.FrozenInstanceError):
         w.r = w.r
+
+
+def test_find_dwyer_witness_checks_its_inclusion_once(monkeypatch):
+    """The search checks that i is a subcategory inclusion once, where it
+    tests i for a sieve; the witness it builds does not check i again, but an
+    explicit `validate` and a witness built by hand check everything."""
+    checked = []
+    check = dwyer.check_subcategory_inclusion
+
+    def counted(j):
+        checked.append(j)
+        return check(j)
+
+    monkeypatch.setattr(dwyer, "check_subcategory_inclusion", counted)
+    spans = dwyer_span_corpus(3, 3, "Z2") + dwyer_span_corpus(4, 3, None)
+    for span in spans:
+        del checked[:]
+        equivariance = (span.group, span.act_A, span.act_B) if span.group else None
+        w = find_dwyer_witness(span.i, equivariance)
+        assert sum(j is span.i for j in checked) == 1
+        del checked[:]
+        w.validate()
+        assert sum(j is span.i for j in checked) == 1
+        del checked[:]
+        DwyerWitness(w.i, w.cosieve_objects, w.X, w.f, w.r, w.unit, w.counit,
+                     w.group, w.act_A, w.act_B)
+        assert sum(j is span.i for j in checked) == 1
+    del checked[:]
+    assert find_dwyer_witness(embed_at("1")) is None
+    assert len(checked) == 1
 
 
 def test_nerve_comparison_small():

@@ -18,6 +18,7 @@ from gcat.errors import (
 )
 from gcat.fincat import (
     Functor,
+    _object_profiles,
     arrow_category,
     chain_poset,
     discrete_category,
@@ -27,6 +28,7 @@ from gcat.fincat import (
     find_isomorphism,
     functor_category_data,
     identity_functor,
+    inclusion_functor,
     is_ff_eso,
     poset_from_relation,
     presented_pushout,
@@ -34,7 +36,7 @@ from gcat.fincat import (
     terminal_category,
     validate_category,
 )
-from gcat.actions import chaotic_category, cyclic_group, delooping
+from gcat.actions import chaotic_category, cyclic_group, delooping, make_group
 from gcat.corpus import dwyer_span_corpus
 from gcat.serialize import canonical_json
 
@@ -322,6 +324,10 @@ def test_find_equivalence_arrow_to_point_is_none():
     one = terminal_category()
     F = Functor(arrow, one, {"0": "*", "1": "*"}, {m: "id*" for m in arrow.morphism_ids})
     assert find_equivalence(F) is None
+    # fully faithful, but no object of the point is isomorphic to 1
+    G = Functor(one, arrow, {"*": "0"}, {"id*": "0<=0"}).validate()
+    assert G.is_fully_faithful() and not is_ff_eso(G)
+    assert find_equivalence(G) is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -360,3 +366,125 @@ def test_nat_trans_enumeration_matches_brute_force():
                     ):
                         brute.append(comp)
             assert sorted(map(str, mine)) == sorted(map(str, brute))
+
+
+# -- full faithfulness against the pairwise definition -------------------------
+
+
+def fully_faithful_by_pairs(F):
+    """The definition, pair by pair of source objects: S(x, y) -> T(Fx, Fy) is
+    a bijection.  O(|objects|^2) hom-set lookups; the oracle of
+    `Functor.is_fully_faithful`."""
+    for x in F.source.objects:
+        for y in F.source.objects:
+            image = [F.morphism_map[m] for m in F.source.hom(x, y)]
+            targeth = F.target.hom(F.object_map[x], F.object_map[y])
+            if len(set(image)) != len(image) or set(image) != set(targeth):
+                return False
+    return True
+
+
+def random_poset(data, prefix):
+    n = data.draw(st.integers(1, 4))
+    els = [f"{prefix}{i}" for i in range(n)]
+    return poset_from_relation(
+        els, [(els[i], els[j]) for i in range(n) for j in range(i + 1, n) if data.draw(st.booleans())]
+    ).to_fincat()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fully_faithful_matches_the_pairwise_definition(data):
+    BZ2, BZ4 = delooping(cyclic_group(2)), delooping(cyclic_group(4))
+    pair = data.draw(st.sampled_from(["poset", "BZ2->BZ4", "BZ4->BZ4", "BZ4->BZ2"]))
+    if pair == "poset":
+        S, T = random_poset(data, "p"), random_poset(data, "q")
+    else:
+        S, T = {"BZ2->BZ4": (BZ2, BZ4), "BZ4->BZ4": (BZ4, BZ4), "BZ4->BZ2": (BZ4, BZ2)}[pair]
+    F = data.draw(st.sampled_from(enumerate_functors(S, T)))
+    assert F.is_fully_faithful() == fully_faithful_by_pairs(F)
+
+
+def fully_faithful_functors():
+    """i: A -> B and the cosieve inclusion X -> B of a few witnessed spans,
+    which are thin, and two with hom-sets of several morphisms."""
+    out = []
+    for group in (None, "Z2", "S3"):
+        for span in dwyer_span_corpus(7, 4 if group != "S3" else 2, group):
+            out += [span.i, inclusion_functor(span.witness.X, span.i.target)]
+    P = product_category(chaotic_category(["a", "b", "c"]), delooping(cyclic_group(2)))
+    return out + [identity_functor(delooping(cyclic_group(3))),
+                  inclusion_functor(P.full_subcategory(["(a,*)", "(c,*)"]), P)]
+
+
+def mutants(F):
+    """Functors that agree with the fully faithful F but for one defect:
+    a duplicated image in one hom-set, a morphism sent to a target morphism
+    with other endpoints, and a non-full map, through the identities only."""
+    S, T, om = F.source, F.target, F.object_map
+    for m, s, t in S.morphisms:
+        for n in S.hom(s, t):
+            if n != m:
+                yield "duplicate", Functor(S, T, om, {**F.morphism_map, m: F.morphism_map[n]})
+                break
+        for fm, a, b in T.morphisms:
+            if (a, b) != (om[s], om[t]):
+                yield "endpoints", Functor(S, T, om, {**F.morphism_map, m: fm})
+                break
+    ids = {x: S.identity[x] for x in S.objects}
+    if len(ids) < S.n_morphisms():
+        W = validate_category(S.objects, [(i, x, x) for x, i in ids.items()], ids,
+                              {(i, i): i for i in ids.values()})
+        yield "not full", Functor(W, T, om, {i: F.morphism_map[i] for i in ids.values()})
+
+
+def test_fully_faithful_on_corpus_inclusions_and_their_mutants():
+    kinds = set()
+    for F in fully_faithful_functors():
+        assert F.is_fully_faithful() and fully_faithful_by_pairs(F)
+        for kind, G in mutants(F):
+            kinds.add(kind)
+            assert not G.is_fully_faithful() and not fully_faithful_by_pairs(G), kind
+    assert kinds == {"duplicate", "endpoints", "not full"}
+    # full, not faithful: the images fill T(*, *), but two morphisms share one
+    F = Functor(delooping(cyclic_group(4)), delooping(cyclic_group(2)), {"*": "*"},
+                {"c0": "c0", "c1": "c1", "c2": "c0", "c3": "c1"}).validate()
+    assert not F.is_fully_faithful() and not fully_faithful_by_pairs(F)
+    # the non-full case in its smallest form: S(0, 1) is empty, T(0, 1) is not
+    arrow = arrow_category()
+    two = discrete_category(["0", "1"])
+    F = Functor(two, arrow, {"0": "0", "1": "1"}, {"id:0": "0<=0", "id:1": "1<=1"}).validate()
+    assert not F.is_fully_faithful() and not fully_faithful_by_pairs(F)
+
+
+# -- the isomorphism search ----------------------------------------------------
+
+
+def test_object_profiles_match_their_definition():
+    """(|C(x, x)|, sorted |C(x, y)| over all y, sorted |C(y, x)| over all y),
+    zeros included, as a scan of every pair of objects computes it."""
+    cats = [span.B for group in (None, "Z2") for span in dwyer_span_corpus(5, 3, group)]
+    cats += [arrow_category(), discrete_category(["a", "b", "c"]), delooping(cyclic_group(3)),
+             product_category(chaotic_category(["a", "b"]), arrow_category())]
+    for C in cats:
+        assert _object_profiles(C) == {
+            x: (len(C.hom(x, x)), tuple(sorted(len(C.hom(x, y)) for y in C.objects)),
+                tuple(sorted(len(C.hom(y, x)) for y in C.objects)))
+            for x in C.objects}
+
+
+def test_isomorphism_search_counts_its_nodes_past_dead_ends():
+    """E({a,b}) × BZ4 onto a copy whose group elements sort as e, w = c2,
+    x = c1, y = c3: the first permutations of the first hom-set are no
+    homomorphism.  The search takes 15 nodes, as it did when each node
+    rescanned every compose entry."""
+    Z4 = cyclic_group(4)
+    name = {"c0": "e", "c1": "x", "c2": "w", "c3": "y"}
+    Z4r = make_group(name.values(), {(name[a], name[b]): name[v] for (a, b), v in Z4.table.items()},
+                     "e")
+    E2 = chaotic_category(["a", "b"])
+    C, D = product_category(E2, delooping(Z4)), product_category(E2, delooping(Z4r))
+    with pytest.raises(SizeCapExceeded, match=r"^isomorphism search: 15 exceeds cap 14$"):
+        find_isomorphism(C, D, SizeCaps(max_candidates=14))
+    F = find_isomorphism(C, D, SizeCaps(max_candidates=15))
+    assert (F.morphism_map["(a>a,c1)"], F.morphism_map["(a>a,c2)"]) == ("(a>a,x)", "(a>a,w)")

@@ -17,6 +17,7 @@ from gcat.errors import GcatError, SizeCapExceeded
 from gcat.fincat import (
     Functor,
     arrow_category,
+    chain_poset,
     discrete_category,
     find_isomorphism,
     identity_functor,
@@ -49,6 +50,7 @@ from gcat.sset import (
     standard_simplex_complex,
 )
 from gcat.dwyer import (
+    dwyer_pushout,
     equivariant_dwyer_pushout,
     find_dwyer_witness,
     is_sieve,
@@ -280,6 +282,68 @@ def test_hofix_preserves_products_and_terminal():
     rhs = product_category(a, b)
     assert (lhs.n_objects(), lhs.n_morphisms()) == (rhs.n_objects(), rhs.n_morphisms())
     assert find_isomorphism(lhs, rhs) is not None
+
+
+#: `isomorphism_digest` as the search that rescanned every compose entry at
+#: each node and profiled each object by |objects| hom lookups computed it
+ISOMORPHISM_DIGEST = "2163963d14826c78fbaff3f521929766331ea8fdbdc9b2653d5683604ca2178c"
+
+
+def isomorphism_pairs():
+    """The (C, D) pairs whose isomorphism the tests and the spans benchmark
+    search for: the twisted and materialized homotopy fixed points of the
+    pushout action of each benchmark corpus span and of `hofix_carriers`
+    (whose categories have many automorphisms), for every (H, φ) that the
+    materialized route builds within DEFAULT_CAPS and whose fixed points are
+    non-empty; the hofix pairs of the tests above;
+    the Dwyer pushouts of the arrow's sieve 0 that tests/test_dwyer.py
+    compares."""
+    for offset, (group, count) in enumerate((("1", 30), ("Z2", 24), ("Z3", 18), ("S3", 3))):
+        G = named_group(group)
+        acts = [equivariant_dwyer_pushout(span.act_A, span.act_B, span.act_C, span.i, span.c,
+                                          span.witness)[0]
+                for span in dwyer_span_corpus(10 + offset, count, group)]
+        if group in ("Z2", "Z3"):
+            acts += hofix_carriers(G)
+        for act in acts:
+            for H in subgroups(G):
+                for phi in homomorphisms(H, G):
+                    try:
+                        mat = materialized_hofix(act, H, phi)
+                    except SizeCapExceeded:
+                        continue
+                    twisted = homotopy_fixed_points(act, H, phi).category
+                    if twisted.n_objects():
+                        yield twisted, mat
+    arrow, one = arrow_category(), terminal_category()
+    for act in (trivial_action(trivial_group(), arrow), trivial_action(Z2, arrow)):
+        yield homotopy_fixed_points(act, act.monoid, {g: g for g in act.monoid.elements}).category, arrow
+    for act in (translation_action(Z2), trivial_action(Z2, arrow), swap_action()):
+        yield homotopy_fixed_points(act, Z2, PHI_ID).category, materialized_hofix(act, Z2, PHI_ID)
+    sw, arrow_act = swap_action(), trivial_action(Z2, arrow)
+    yield (homotopy_fixed_points(product_action(sw, arrow_act), Z2, PHI_ID).category,
+           product_category(homotopy_fixed_points(sw, Z2, PHI_ID).category,
+                            homotopy_fixed_points(arrow_act, Z2, PHI_ID).category))
+    at = {x: Functor(one, arrow, {"*": x}, {"id*": f"{x}<={x}"}).validate() for x in "01"}
+    w = find_dwyer_witness(at["0"])
+    yield dwyer_pushout(one, arrow, one, at["0"], identity_functor(one), w).category, arrow
+    yield (dwyer_pushout(one, arrow, arrow, at["0"], at["1"], w).category,
+           chain_poset(2).to_fincat())
+    ident = identity_functor(arrow)
+    yield dwyer_pushout(arrow, arrow, arrow, ident, ident, find_dwyer_witness(ident)).category, arrow
+
+
+def isomorphism_digest():
+    """sha256 over `isomorphism_pairs` of the maps `find_isomorphism` returns."""
+    h = hashlib.sha256()
+    for C, D in isomorphism_pairs():
+        F = find_isomorphism(C, D)
+        h.update(json.dumps(None if F is None else F.signature()).encode())
+    return h.hexdigest()
+
+
+def test_isomorphisms_match_the_pinned_digest():
+    assert isomorphism_digest() == ISOMORPHISM_DIGEST
 
 
 def test_g_global_we_swap_passes_on_homotopy_fixed_points():
