@@ -18,7 +18,7 @@ have one, rather than searching; its None is a proof that none exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass
 from typing import Optional
 
 from .config import DEFAULT_CAPS, SizeCaps
@@ -110,16 +110,10 @@ class DwyerWitness:
     group: Optional[FinGroup] = None
     act_A: Optional[MonoidActionCat] = None
     act_B: Optional[MonoidActionCat] = None
+    _i_checked: InitVar[bool] = False  # i already known to be an equivariant sieve
 
-    def __post_init__(self):
-        self.validate()
-
-    @classmethod
-    def _of_checked_sieve(cls, *values):
-        """The witness of these values, validated but for the sieve and equivariance of `i`."""
-        w = object.__new__(cls)
-        w.__dict__.update(zip((f.name for f in fields(cls)), values))
-        return w.validate(_i_checked=True)
+    def __post_init__(self, _i_checked):
+        self.validate(_i_checked=_i_checked)
 
     def is_normalized(self):
         A = self.i.source
@@ -250,8 +244,8 @@ def find_dwyer_witness(i: Functor, equivariance=None) -> Optional[DwyerWitness]:
                 {m: arrow[t][2][B.compose[(m, arrow[s][1])]] for m, s, t in X.morphisms})
     unit = NatTrans(identity_functor(A), f.then(r), {a: A.identity[a] for a in A.objects})
     counit = NatTrans(r.then(f), identity_functor(X), {x: arrow[x][1] for x in X.objects})
-    return DwyerWitness._of_checked_sieve(i, X.objects, X, f, r, unit, counit,
-                                          group, act_A, act_B)
+    return DwyerWitness(i, X.objects, X, f, r, unit, counit, group, act_A, act_B,
+                        _i_checked=True)
 
 
 def normalize_unit(w: DwyerWitness) -> DwyerWitness:
