@@ -234,7 +234,6 @@ class GraphSubgroup:
     H: FinGroup
     G: FinGroup
     phi: dict
-    ambient: FinMonoid
     group: FinGroup
 
     def pair(self, h):
@@ -248,7 +247,7 @@ def graph_subgroup(H: FinGroup, phi: dict, G: FinGroup) -> GraphSubgroup:
     grp = subgroup_from_elements(ambient, els)
     if grp.elements != tuple(sorted(els)) or len(els) != len(H.elements):
         raise NotASubgroup("graph subgroup has wrong order")
-    return GraphSubgroup(H, G, dict(phi), ambient, grp)
+    return GraphSubgroup(H, G, dict(phi), grp)
 
 
 def subgroup_key(H: FinGroup) -> str:
@@ -499,7 +498,6 @@ class CellCategory:
     category: FinCat
     g_action: MonoidActionCat          # left G-action on the quotient
     kg_action: MonoidActionCat         # discrete left (K×G)-action
-    quotient_functor: Functor
     coherence: dict
 
 
@@ -512,49 +510,31 @@ def cell_category(K: FinGroup, G: FinGroup, H: FinGroup, phi: dict,
     Gd = discrete_category(G.elements)
     EKxG = product_category(EK, Gd, caps)
 
+    def translation(a, b):
+        """The endofunctor (m, g) ↦ (a(m), b(g)) of E(K) × G."""
+        om = {pair_obj(m, g): pair_obj(a(m), b(g)) for m in K.elements for g in G.elements}
+        mm = {pair_mor(chaotic_mor(m1, m2), f"id:{g}"): pair_mor(chaotic_mor(a(m1), a(m2)), f"id:{b(g)}")
+              for m1 in K.elements for m2 in K.elements for g in G.elements}
+        return Functor(EKxG, EKxG, om, mm)
+
     def translate(h):
         """Left-action functor of Γ-element for h (descends the right action by h⁻¹)."""
         hinv = H.inverse(h)
-        om = {pair_obj(m, g): pair_obj(K.mul(m, hinv), G.mul(g, phi[hinv]))
-              for m in K.elements for g in G.elements}
-        mm = {}
-        for m1 in K.elements:
-            for m2 in K.elements:
-                for g in G.elements:
-                    mm[pair_mor(chaotic_mor(m1, m2), f"id:{g}")] = pair_mor(
-                        chaotic_mor(K.mul(m1, hinv), K.mul(m2, hinv)),
-                        f"id:{G.mul(g, phi[hinv])}")
-        return Functor(EKxG, EKxG, om, mm)
+        return translation(lambda m: K.mul(m, hinv), lambda g: G.mul(g, phi[hinv]))
 
     gamma = graph_subgroup(H, phi, G)
     gact = MonoidActionCat(gamma.group, EKxG, {gamma.pair(h): translate(h) for h in H.elements}).validate()
     cell, q = quotient_by_free_action(gact)
 
-    def descend(om_amb, mm_amb):
-        """Endofunctor of the quotient induced by an equivariant endofunctor upstairs."""
-        om = {}
-        mm = {}
-        for x in cell.objects:
-            om[x] = q.object_map[om_amb[x]]
-        for m in cell.morphism_ids:
-            mm[m] = q.morphism_map[mm_amb[m]]
-        return Functor(cell, cell, om, mm)
-
     def left_kg(k, g):
-        om_amb = {pair_obj(m, gg): pair_obj(K.mul(k, m), G.mul(g, gg))
-                  for m in K.elements for gg in G.elements}
-        mm_amb = {}
-        for m1 in K.elements:
-            for m2 in K.elements:
-                for gg in G.elements:
-                    mm_amb[pair_mor(chaotic_mor(m1, m2), f"id:{gg}")] = pair_mor(
-                        chaotic_mor(K.mul(k, m1), K.mul(k, m2)), f"id:{G.mul(g, gg)}")
-        return descend(om_amb, mm_amb)
+        """The endofunctor of the quotient that left translation by (k, g) descends to."""
+        up = translation(lambda m: K.mul(k, m), lambda gg: G.mul(g, gg))
+        return Functor(cell, cell, {x: q.object_map[up.object_map[x]] for x in cell.objects},
+                       {m: q.morphism_map[up.morphism_map[m]] for m in cell.morphism_ids})
 
-    g_act = {g: left_kg(K.unit, g) for g in G.elements}
-    g_action = MonoidActionCat(G, cell, g_act).validate()
     KxG = product_monoid(K, G)
     kg_act = {pair_obj(k, g): left_kg(k, g) for k in K.elements for g in G.elements}
+    g_action = MonoidActionCat(G, cell, {g: kg_act[pair_obj(K.unit, g)] for g in G.elements}).validate()
     kg_action = MonoidActionCat(KxG, cell, kg_act).validate()
 
     coherence = {}
@@ -567,7 +547,7 @@ def cell_category(K: FinGroup, G: FinGroup, H: FinGroup, phi: dict,
                 amb = pair_mor(chaotic_mor(K.mul(k1, m), K.mul(k2, m)), f"id:{g}")
                 comp[x] = q.morphism_map[amb]
             coherence[(k1, k2)] = comp
-    return CellCategory(K, G, H, dict(phi), cell, g_action, kg_action, q, coherence)
+    return CellCategory(K, G, H, dict(phi), cell, g_action, kg_action, coherence)
 
 
 def quotient_by_free_action(A: MonoidActionCat) -> tuple:

@@ -77,9 +77,10 @@ def seeded_poset(rng: random.Random, max_elems=5) -> Poset:
     return poset_from_relation(els, pairs)
 
 
-def seeded_g_poset(rng: random.Random, G: FinGroup, max_total=12):
+def seeded_g_poset(rng: random.Random, G: FinGroup):
     """A G-poset built as copies of a base poset indexed by a G-set, with an
-    optional G-fixed bottom cone point."""
+    optional G-fixed bottom cone point; the copies hold at most 12 elements."""
+    max_total = 12
     base = seeded_poset(rng, 3)
     subs = subgroups(G)
     orbit_subgroups = []

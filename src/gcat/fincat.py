@@ -19,6 +19,7 @@ of their inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
@@ -70,7 +71,7 @@ class FinCat:
 
     # -- basic queries ------------------------------------------------
 
-    @property
+    @functools.cached_property
     def morphism_ids(self):
         return tuple(m for m, _, _ in self.morphisms)
 

@@ -13,7 +13,8 @@ nerve builds each face from its chain (`nerve`).
 Also here: ordered simplicial complexes with barycentric subdivision and the
 poset-level hSd², nerves of categories (equivariant when an action is
 present), Kan's Ex with its unit, integer homology via Smith normal form,
-and capped Kan-fibration verdicts.
+and capped Kan-fibration verdicts.  The strict chains of Sd, of hSd² and of
+the Sd Δⁿ behind Ex all come from one enumerator, `_strict_chains`.
 
 `FinSSet.face_index(d)` numbers the d-simplices, degenerate ones included,
 0, 1, ... in sorted normal-form order.  An n-simplex of Ex(X) is an Sd-map
@@ -431,66 +432,45 @@ def complex_inclusion(K: OrderedComplex, L: OrderedComplex, cap=3) -> SSetMap:
     return SSetMap(XK, XL, vals).validate()
 
 
+def _strict_chains(elements, lt):
+    """Every strict chain x0 < x1 < ... of `elements` under the strict order
+    `lt`, as tuples, shortest first: the one chain enumerator behind Sd, hSd²
+    and Sd Δⁿ."""
+    above = {x: [y for y in elements if lt(x, y)] for x in elements}
+    chains, frontier = [], [(x,) for x in elements]
+    while frontier:
+        chains += frontier
+        frontier = [c + (y,) for c in frontier for y in above[c[-1]]]
+    return chains
+
+
+def _inclusion_poset(items, sep):
+    """The tuples `items` ordered by inclusion of their entries, each named
+    by joining its entries with `sep`."""
+    named = [(sep.join(x), set(x)) for x in items]
+    return Poset(tuple(sorted(name for name, _ in named)),
+                 frozenset((a, b) for a, sa in named for b, sb in named if sa <= sb))
+
+
 def face_poset(K: OrderedComplex) -> Poset:
-    """Nonempty faces ordered by inclusion; elements rendered as joined ids."""
-    els = sorted(K.faces, key=lambda f: (len(f), f))
-    names = {f: ",".join(f) for f in els}
-    leq = set()
-    for a in els:
-        for b in els:
-            if set(a) <= set(b):
-                leq.add((names[a], names[b]))
-    return Poset(tuple(sorted(names.values())), frozenset(leq))
-
-
-def sd(K: OrderedComplex) -> Poset:
-    """Barycentric subdivision as the inclusion poset of nonempty faces."""
-    return face_poset(K)
+    """Barycentric subdivision as the poset of nonempty faces ordered by
+    inclusion; elements rendered as joined ids."""
+    return _inclusion_poset(K.faces, ",")
 
 
 def sd_complex(K: OrderedComplex) -> OrderedComplex:
     """Order complex of the face poset: vertices = faces of K, ordered by
     (dimension, lexicographic); the dimension prefix makes the name order
     agree with that order, so chains are oriented by inclusion."""
-    els = sorted(K.faces, key=lambda f: (len(f), f))
-    names = [f"{len(f) - 1}|{','.join(f)}" for f in els]
-    below = {names[i]: els[i] for i in range(len(els))}
-    chains = []
-
-    def grow(chain):
-        chains.append(tuple(chain))
-        last = below[chain[-1]]
-        for nm in names:
-            f = below[nm]
-            if set(last) < set(f):
-                grow(chain + [nm])
-
-    for nm in names:
-        grow([nm])
-    if not names:
-        return OrderedComplex((), frozenset())
-    return OrderedComplex(tuple(sorted(names)), frozenset(tuple(sorted(c)) for c in chains))
+    name = {f: f"{len(f) - 1}|{','.join(f)}" for f in K.faces}
+    chains = _strict_chains(list(K.faces), lambda a, b: set(a) < set(b))
+    return OrderedComplex(tuple(sorted(name.values())),
+                          frozenset(tuple(sorted(name[f] for f in c)) for c in chains))
 
 
 def chain_poset_of(P: Poset) -> Poset:
     """Poset of nonempty chains of P, ordered by inclusion."""
-    chains = []
-
-    def grow(chain):
-        chains.append(tuple(chain))
-        for e in P.elements:
-            if e != chain[-1] and P.le(chain[-1], e):
-                grow(chain + [e])
-
-    for e in P.elements:
-        grow([e])
-    names = {c: "<".join(c) for c in chains}
-    leq = set()
-    for a in chains:
-        for b in chains:
-            if set(a) <= set(b):
-                leq.add((names[a], names[b]))
-    return Poset(tuple(sorted(names.values())), frozenset(leq))
+    return _inclusion_poset(_strict_chains(P.elements, lambda a, b: a != b and P.le(a, b)), "<")
 
 
 def h_sd2(K: OrderedComplex) -> FinCat:
@@ -944,17 +924,7 @@ class _SdData:
         faces = []
         for k in range(1, n + 2):
             faces.extend(itertools.combinations(range(n + 1), k))
-        faces.sort(key=lambda f: (len(f), f))
-        chains = []
-
-        def grow(chain):
-            chains.append(tuple(chain))
-            for f in faces:
-                if set(chain[-1]) < set(f):
-                    grow(chain + [f])
-
-        for f in faces:
-            grow([f])
+        chains = _strict_chains(faces, lambda a, b: set(a) < set(b))
         chains.sort(key=lambda c: (len(c), c))
         self.chains = tuple(chains)
         self.position = {c: i for i, c in enumerate(chains)}

@@ -362,8 +362,6 @@ def conjugate_pair(H: FinGroup, phi: dict, G: FinGroup, g):
 class RestrictionComparison:
     restriction: Functor
     certificate: WeakEqCertificate
-    fun_big: object
-    fun_small: object
     per_phi: dict
 
 
@@ -432,7 +430,7 @@ def restriction_comparison(C: FinCat, H: FinGroup, Hp: FinGroup,
             gamma = graph_subgroup(H, phi, G)
             rho_fixed = fixed_functor(rho, act_big, act_small, gamma.group)
             per_phi[phi_key(phi)] = equivalence_certificate(rho_fixed, caps=caps)
-    return RestrictionComparison(rho, cert, dBig, dSmall, per_phi)
+    return RestrictionComparison(rho, cert, per_phi)
 
 
 # ---------------------------------------------------------------------------

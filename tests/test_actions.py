@@ -1,5 +1,8 @@
 """Monoids, groups, strict actions, fixed points, quotients, retractions."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -280,6 +283,41 @@ def test_cell_object_count_is_order_of_G():
     ]:
         cell = cell_category(K, G, K, phi)
         assert cell.category.n_objects() == len(G.elements)
+
+
+def cell_cases():
+    """(label, (K, G, H, φ)) for the cells of the four G-global models of
+    `generating_maps`, over Z2 and Z4, and one over Z3 with φ an automorphism."""
+    Z2, Z3, Z4 = cyclic_group(2), cyclic_group(3), cyclic_group(4)
+    one, half = subgroup_from_elements(Z2, ["c0"]), subgroup_from_elements(Z4, ["c0", "c2"])
+    ident = {h: h for h in Z2.elements}
+    return [("g_global_thin", (Z2, Z2, Z2, ident)),
+            ("g_global_thin, trivial phi", (Z2, Z2, Z2, {"c0": "c0", "c1": "c0"})),
+            ("g_global_thick_avatar", (Z4, Z2, half, {"c0": "c0", "c2": "c1"})),
+            ("g_homotopy_fp", (Z2, Z2, Z2, ident)),
+            ("g_homotopy_fp_thick", (Z2, Z2, one, {"c0": "c0"})),
+            ("g_global_thin over Z3", (Z3, Z3, Z3, {"c0": "c0", "c1": "c2", "c2": "c1"}))]
+
+
+def action_doc(A):
+    return [[m, sorted(A.act[m].object_map.items()), sorted(A.act[m].morphism_map.items())]
+            for m in A.monoid.elements]
+
+
+#: sha256 of each cell of `cell_cases`: its category, G- and (K×G)-actions
+#: and coherence, computed at commit a1b147b, when the translations of Γ and
+#: of K×G were built by two copies of the functor builder
+CELL_DIGEST = "63a958f2556afb2388a7596017613dc013101d211e8dc012bab5017197ba136f"
+
+
+def test_cells_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for label, args in cell_cases():
+        cell = cell_category(*args)
+        doc = [label, cell.category.to_doc(), action_doc(cell.g_action), action_doc(cell.kg_action),
+               sorted([list(k), sorted(v.items())] for k, v in cell.coherence.items())]
+        h.update(json.dumps(doc).encode())
+    assert h.hexdigest() == CELL_DIGEST
 
 
 def test_fixed_commutes_with_products():

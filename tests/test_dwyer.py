@@ -7,7 +7,7 @@ import pytest
 
 from gcat import dwyer, serialize as ser
 from gcat.config import WIDE_CAPS
-from gcat.errors import WitnessNotNormalized
+from gcat.errors import EquivarianceViolation, WitnessNotNormalized
 from gcat.fincat import (
     Functor,
     NatTrans,
@@ -16,13 +16,16 @@ from gcat.fincat import (
     discrete_category,
     find_isomorphism,
     identity_functor,
+    pair_obj,
     poset_from_relation,
     terminal_category,
     validate_category,
 )
 from gcat.actions import (
     MonoidActionCat,
+    chaotic_action,
     chaotic_category,
+    delooping,
     cyclic_group,
     fixed_category,
     make_monoid,
@@ -239,6 +242,20 @@ def test_product_witness_with_point_and_chaotic():
     assert wE.i.target.n_objects() == 4
 
 
+def test_product_witness_carries_the_product_actions():
+    """With an action on S, S × i is equivariant for the diagonal actions,
+    and its witness is the one the construction finds for them."""
+    Z2, A, B, i, actA, actB = two_swapped_arrows()
+    w = find_dwyer_witness(i, (Z2, actA, actB))
+    act_S = chaotic_action(Z2, {"c0": {"p": "p", "q": "q"}, "c1": {"p": "q", "q": "p"}})
+    wp = product_witness(act_S.carrier, w, act_S)
+    assert wp.group is Z2
+    assert wp.act_A.carrier is wp.i.source and wp.act_B.carrier is wp.i.target
+    assert wp.act_B.ob("c1", pair_obj("p", "1a")) == pair_obj("q", "1b")
+    found = find_dwyer_witness(wp.i, (Z2, wp.act_A, wp.act_B))
+    assert ser.witness_doc(found) == ser.witness_doc(wp)
+
+
 def test_fun_witness_revalidates():
     E2 = chaotic_category(["x", "y"])
     w = find_dwyer_witness(embed_at("0"))
@@ -409,6 +426,81 @@ def test_witness_of_empty_source():
         w = find_dwyer_witness(Functor(empty, B, {}, {}).validate())
         assert w.cosieve_objects == () and w.X.n_objects() == 0
         assert w.r.object_map == {} and w.counit.components == {}
+
+
+def copies_over(A, apex):
+    """Z/2 swapping two copies x, y of the representable A(-, apex) glued on
+    top of A, on which it acts trivially; A ↪ B is an equivariant Dwyer map
+    whose cosieve is all of B, with r(x) = r(y) = apex."""
+    Z2 = cyclic_group(2)
+    mors = list(A.morphisms) + [("idx", "x", "x"), ("idy", "y", "y")]
+    comp = {**A.compose, ("idx", "idx"): "idx", ("idy", "idy"): "idy"}
+    swap = {"x": "y", "y": "x", "idx": "idy", "idy": "idx"}
+    for c, other in ("xy", "yx"):
+        for m, s, t in A.morphisms:
+            if t == apex:
+                mors.append((f"{c}:{m}", s, c))
+                comp[(f"id{c}", f"{c}:{m}")] = f"{c}:{m}"
+                swap[f"{c}:{m}"] = f"{other}:{m}"
+        for (g, f), h in A.compose.items():
+            if A.dst[g] == apex:
+                comp[(f"{c}:{g}", f)] = f"{c}:{h}"
+    B = validate_category(list(A.objects) + ["x", "y"], mors,
+                          {**A.identity, "x": "idx", "y": "idy"}, comp)
+    swapB = Functor(B, B, {b: swap.get(b, b) for b in B.objects},
+                    {m: swap.get(m, m) for m in B.morphism_ids})
+    actB = MonoidActionCat(Z2, B, {"c0": identity_functor(B), "c1": swapB}).validate()
+    i = Functor(A, B, {a: a for a in A.objects}, {m: m for m in A.morphism_ids}).validate()
+    return find_dwyer_witness(i, (Z2, trivial_action(Z2, A), actB))
+
+
+def with_counit_at(w, x, e):
+    """w with the universal arrow e: f(a) -> x as ε_x and r rebuilt from the
+    counit: r'(x) = a and r'(m) is the h with ε'_t ∘ f(h) = m ∘ ε'_s."""
+    A, X, f = w.i.source, w.X, w.f
+    eps = {**w.counit.components, x: e}
+    preimage = {f.object_map[a]: a for a in A.objects}
+    r_ob = {y: preimage[X.src[eps[y]]] for y in X.objects}
+    r_mor = {m: next(h for h in A.hom(r_ob[s], r_ob[t])
+                     if X.compose[(eps[t], f.morphism_map[h])] == X.compose[(m, eps[s])])
+             for m, s, t in X.morphisms}
+    r = Functor(X, A, r_ob, r_mor)
+    return dict(r=r, unit=NatTrans(identity_functor(A), f.then(r), w.unit.components),
+                counit=NatTrans(r.then(f), identity_functor(X), eps))
+
+
+@pytest.mark.parametrize("A, apex, e, moved", [
+    (chaotic_category(["a", "b"]), "a", "x:b>a", "object"),
+    (delooping(cyclic_group(2)), "*", "x:c1", "morphism")])
+def test_witness_rejects_a_non_equivariant_r(A, apex, e, moved):
+    """Another universal arrow as ε_x gives an r that is still a right
+    adjoint but no longer commutes with the swap of x and y: it moves r(x)
+    (b for a), or keeps r on objects and moves its value on the arrows into
+    x (c1 for c0).  The plain witness validates; the equivariant one raises
+    at r, naming the group element (the counit check would name (g, x))."""
+    w = copies_over(A, apex)
+    mutant = with_counit_at(w, "x", e)
+    assert (mutant["r"].object_map != w.r.object_map) == (moved == "object")
+    assert mutant["r"].morphism_map != w.r.morphism_map
+    dataclasses.replace(w, group=None, act_A=None, act_B=None, **mutant)
+    with pytest.raises(EquivarianceViolation) as failure:
+        dataclasses.replace(w, **mutant)
+    assert failure.value.witness == "c1"
+
+
+def test_witness_rejects_an_unstable_cosieve():
+    """The cosieve must be stable under the action the witness carries.  A
+    valid action that makes i equivariant keeps it stable, as X is every
+    object an arrow from i(A) reaches; so the action here, which fixes A
+    and sends x to a and y to x, is not one."""
+    w = copies_over(chaotic_category(["a", "b"]), "a")
+    swap = w.act_B.act["c1"]
+    moved = Functor(swap.source, swap.target, {**swap.object_map, "x": "a", "y": "x"},
+                    swap.morphism_map)
+    act_B = MonoidActionCat(w.group, w.act_B.carrier, {"c0": w.act_B.act["c0"], "c1": moved})
+    with pytest.raises(EquivarianceViolation, match="cosieve not stable") as failure:
+        dataclasses.replace(w, act_B=act_B)
+    assert failure.value.witness == "c1"
 
 
 #: sha256 of the witness documents (None for a refutation) of `witness_inputs`

@@ -14,6 +14,11 @@ are not checked, and neither are names declared global or nonlocal.
 A parameter is unread when the body of the function that takes it, nested
 functions included, never loads it.  `self`, `cls` and the parameters of
 dunder methods are not checked.
+
+A field of a top-level `@dataclass` class in src/gcat/ is dead when no file
+searched loads it as an attribute.  `InitVar` fields are passed to
+`__post_init__`, not stored, and are not checked; `NamedTuple`s are not
+dataclasses, and are unpacked by position.
 """
 
 import ast
@@ -121,6 +126,35 @@ def unread_parameters(package=PACKAGE):
     return [f"{name}:{line} {function}: {param}" for name, line, function, param in sorted(dead)]
 
 
+def is_dataclass_decorator(node):
+    target = node.func if isinstance(node, ast.Call) else node
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def dataclass_fields(tree):
+    """(class name, field node) for each annotated field of a top-level
+    `@dataclass` class, `InitVar`s left out."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass_decorator, node.decorator_list)):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and not (
+                        "InitVar" in ast.unparse(item.annotation)):
+                    yield node.name, item
+
+
+def unread_fields(package=PACKAGE, searched=SEARCHED):
+    loaded = Counter(node.attr for root in searched if root.is_dir()
+                     for path in sorted(root.rglob("*.py"))
+                     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    dead = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        dead += [f"{path.name}:{field.lineno} {cls}.{field.target.id}"
+                 for cls, field in dataclass_fields(tree) if not loaded[field.target.id]]
+    return dead
+
+
 def test_every_top_level_function_is_referenced():
     assert unreferenced_functions() == []
 
@@ -193,3 +227,40 @@ def test_planted_unread_parameter_is_reported(tmp_path):
         "        return cls(1, 2)\n",
         encoding="utf-8")
     assert unread_parameters(package) == ["mod.py:6 inner: y", "mod.py:12 make: caps"]
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == []
+
+
+def test_planted_unread_field_is_reported(tmp_path):
+    package = tmp_path / "src" / "gcat"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "from dataclasses import InitVar, dataclass, field\n"
+        "from typing import NamedTuple\n"
+        "\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Box:\n"
+        "    read: int\n"
+        "    written: int\n"
+        "    hidden: dict = field(default_factory=dict)\n"
+        "    flag: InitVar[bool] = False\n"
+        "\n"
+        "    def __post_init__(self, flag):\n"
+        "        object.__setattr__(self, 'written', self.read)\n"
+        "\n\n"
+        "@dataclass\n"
+        "class Cell:\n"
+        "    value: int\n"
+        "\n\n"
+        "class Pair(NamedTuple):\n"
+        "    first: int\n"
+        "    second: int\n",
+        encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from gcat.mod import Box, Cell\n\nc = Cell(1)\nc.value = 2\nBox(1, 2).hidden\n",
+        encoding="utf-8")
+    dead = unread_fields(package, [tmp_path / "src", tmp_path / "tests"])
+    assert dead == ["mod.py:8 Box.written", "mod.py:18 Cell.value"]

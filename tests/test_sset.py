@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gcat
+from gcat import serialize as ser
 
 from gcat.errors import GcatError, NotAPosetNerve, SizeCapExceeded
 from gcat.config import DEFAULT_CAPS, WIDE_CAPS, SizeCaps
@@ -43,12 +44,14 @@ from gcat.sset import (
     FinSSet,
     SSetMap,
     boundary_complex,
+    chain_poset_of,
     complex_inclusion,
     complex_to_sset,
     e_map,
     equivariant_nerve,
     ex,
     ex_action,
+    face_poset,
     fixed_sset,
     h_poset_nerve,
     h_sd2,
@@ -67,7 +70,6 @@ from gcat.sset import (
     pi0,
     product_sset,
     pushout_sset,
-    sd,
     sd_complex,
     standard_simplex_complex,
     boundary_matrix,
@@ -315,7 +317,7 @@ def test_standard_cells():
 def test_sd_counts_against_chain_enumeration():
     for K in [standard_simplex_complex(0), standard_simplex_complex(1),
               standard_simplex_complex(2), boundary_complex(2)]:
-        P = sd(K)
+        P = face_poset(K)
         SK = sd_complex(K)
         assert len(P.elements) == len(K.faces)
         # one j-simplex per length-(j+1) chain, via direct chain counting
@@ -347,6 +349,58 @@ def test_h_sd2_sizes():
     assert m.source.n_objects() == 2
     assert all(m.source.is_identity(mm) for mm in m.source.morphism_ids)
     assert m.target.n_objects() == 5
+
+
+def subdivision_complexes():
+    """Δⁿ and ∂Δⁿ for n <= 3, every horn Λⁿ_k for n <= 3, and Sd Sd ∂Δ²."""
+    out = [(f"D{n}", standard_simplex_complex(n)) for n in range(4)]
+    out += [(f"bD{n}", boundary_complex(n)) for n in range(4)]
+    out += [(f"L{n}_{k}", horn_complex(n, k)) for n in range(1, 4) for k in range(n + 1)]
+    out.append(("sd sd bD2", sd_complex(sd_complex(boundary_complex(2)))))
+    return out
+
+
+def poset_doc(P):
+    return [list(P.elements), sorted(P.leq)]
+
+
+def h_sd2_doc(K):
+    try:
+        return h_sd2(K).to_doc()
+    except SizeCapExceeded as exc:   # hSd² of Δ³ and ∂Δ³ exceed the object cap
+        return str(exc)
+
+
+#: sha256 of the face poset, Sd, hSd² and chain poset of the face poset of
+#: every complex of `subdivision_complexes`, computed at commit a1b147b,
+#: when each builder enumerated its chains with its own recursion
+SUBDIVISION_DIGEST = "31f5b11596e04a657d7198bd5cd22916484a01995f5be5eb81a06bad56c8dc26"
+
+
+def test_subdivisions_match_the_pinned_digest():
+    h = hashlib.sha256()
+    for label, K in subdivision_complexes():
+        doc = [label, poset_doc(face_poset(K)), ser.complex_doc(sd_complex(K)),
+               h_sd2_doc(K), poset_doc(chain_poset_of(face_poset(K)))]
+        h.update(json.dumps(doc).encode())
+    assert h.hexdigest() == SUBDIVISION_DIGEST
+
+
+#: sha256 of `_SdData(n)`'s chains, search steps, blocks and segments (each
+#: segment key applied to the step numbers) for n <= 4, computed at commit
+#: a1b147b
+SD_DATA_DIGEST = "9065669dfeb49b8ff1311e98c916ca573f7df3dd9756c1bb8a39a574ce7ba81b"
+
+
+def test_sd_data_matches_the_pinned_digest():
+    h = hashlib.sha256()
+    for n in range(5):
+        sdd = _SdData(n)
+        steps = range(len(sdd.search_steps))
+        doc = [n, sdd.chains, sdd.search_steps, sdd.blocks,
+               [(start, end, None if key is None else key(steps)) for start, end, key in sdd.segments]]
+        h.update(json.dumps(doc).encode())
+    assert h.hexdigest() == SD_DATA_DIGEST
 
 
 def test_subdivision_invariance_of_homology():
