@@ -16,8 +16,9 @@ errors go:
 - a malformed document (a missing key or a value of the wrong shape, in a file
   or in the inline JSON of `gens --params` and `transfer-check --phi`): one
   `{"error": "malformed document", ...}` object on stdout, exit 64;
-- an input file that cannot be read, is not UTF-8 or holds invalid JSON, or
-  an `--output` that cannot be written (the report is still on stdout): one
+- an input file that cannot be read, is not UTF-8 or holds invalid JSON, an
+  `--output` that cannot be written (the report is still on stdout), or a
+  stdout that its reader closed before the report was written: one
   `{"error": ...}` object on stderr, exit 74.
 
 Identical invocation + seed gives a byte-identical report.
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .config import DEFAULT_CAPS, WIDE_CAPS
@@ -474,6 +476,20 @@ def build_parser():
 
 def main(argv=None):
     """Run one gcat invocation and return its exit code."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:   # the reader closed stdout early, as `| head` does
+        # so that the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(json.dumps({"error": "stdout closed before the report was written"}), file=sys.stderr)
+        return EXIT_IO
+
+
+def _run(argv):
     try:
         args = build_parser().parse_args(argv)
         inputs, body, code = COMMANDS[args.command][0](args)

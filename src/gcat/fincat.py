@@ -5,7 +5,11 @@ composition table.  Everything is validated exhaustively: associativity over
 all composable triples, identity laws for every morphism.  On top of that
 this module provides functors, natural transformations, products, functor
 categories, exhaustive equivalence search, and a presentation-based pushout
-oracle that is independent of the explicit Dwyer-pushout construction.  The
+oracle that is independent of the explicit Dwyer-pushout construction.
+Fun(T, C) comes from one depth-first search, `_search`, run by both
+`enumerate_functors` and `enumerate_nat_trans`: each law is filed under the
+position that completes it and checked once per assignment there, as in
+standard backtracking (Dechter, Constraint Processing, 2003).  The
 oracle is coset enumeration (Holt, Eick & O'Brien, Handbook of Computational
 Group Theory, 2005, ch. 5): a coset table of morphism classes named by
 composite words, filled in HLT order by relation scans, coincidences and
@@ -244,7 +248,7 @@ class Poset:
     def le(self, x, y):
         return (x, y) in self.leq
 
-    def to_fincat(self):
+    def to_fincat(self, caps: SizeCaps = DEFAULT_CAPS):
         mors = []
         ident = {}
         for x, y in sorted(self.leq):
@@ -257,7 +261,7 @@ class Poset:
             for z in self.elements:
                 if (y, z) in self.leq:
                     comp[(f"{y}<={z}", f"{x}<={y}")] = f"{x}<={z}"
-        return validate_category(self.elements, mors, ident, comp)
+        return validate_category(self.elements, mors, ident, comp, caps)
 
 
 def poset_from_relation(elements, pairs):
@@ -459,6 +463,7 @@ class FunctorCategoryData:
     functors: list          # index -> Functor; object id is f"F{index:03d}"
     index_of: dict          # Functor.signature() -> index
     trans: dict             # morphism id -> (src index, dst index, components dict)
+    trans_lookup: dict      # (src index, dst index, sorted components) -> morphism id
 
     def object_id(self, F: Functor):
         return f"F{self.index_of[F.signature()]:03d}"
@@ -467,107 +472,95 @@ class FunctorCategoryData:
         return self.functors[int(obj_id[1:])]
 
     def trans_id(self, src_idx, dst_idx, components):
-        key = tuple(sorted(components.items()))
-        return self._trans_lookup[(src_idx, dst_idx, key)]
+        return self.trans_lookup[(src_idx, dst_idx, tuple(sorted(components.items())))]
+
+
+def _search(n, candidates, consistent, what, caps: SizeCaps):
+    """Every assignment of values to positions 0..n-1, depth first: position k
+    takes each value of candidates(k, values) in turn and keeps it when
+    consistent(k, values), which runs the checks that position k completes,
+    so each check runs once per assignment of its positions.  One node per
+    position reached; past caps.max_candidates nodes, SizeCapExceeded(what)."""
+    values, found, nodes = [None] * n, [], 0
+
+    def extend(k):
+        nonlocal nodes
+        nodes += 1
+        if nodes > caps.max_candidates:
+            raise SizeCapExceeded(what, nodes, caps.max_candidates)
+        if k == n:
+            found.append(list(values))
+            return
+        for v in candidates(k, values):
+            values[k] = v
+            if consistent(k, values):
+                extend(k + 1)
+
+    extend(0)
+    return found
 
 
 def enumerate_functors(T: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS):
-    """All functors T -> C by backtracking, in deterministic order."""
-    if T.n_objects() == 0:
-        return [Functor(T, C, {}, {})]
-    objs = list(T.objects)
+    """All functors T -> C, sorted by signature.  Positions are T's objects,
+    then its non-identity morphisms, each drawn from C's hom-set between its
+    endpoints' images.  An object position checks that the hom-sets of the
+    morphisms it completes are non-empty; a morphism position checks each
+    compose entry of non-identities that it completes (entries with an
+    identity factor hold by construction)."""
+    objs = T.objects
     nonid = [m for m in T.morphism_ids if not T.is_identity(m)]
+    # an identity stands at its object's position, which is below len(objs)
+    pos = {T.identity[x]: k for k, x in enumerate(objs)}
+    pos.update((m, len(objs) + k) for k, m in enumerate(nonid))
+    ends = [(pos[T.identity[T.src[m]]], pos[T.identity[T.dst[m]]]) for m in nonid]
+    checks = [[] for _ in pos]
+    for s, t in dict.fromkeys(ends):
+        checks[max(s, t)].append((s, t))
+    for (g, f), h in T.compose.items():
+        if len(objs) <= min(pos[g], pos[f]):
+            checks[max(pos[g], pos[f], pos[h])].append((pos[g], pos[f], pos[h]))
+
+    def candidates(k, v):
+        if k < len(objs):
+            return C.objects
+        s, t = ends[k - len(objs)]
+        return C.hom(v[s], v[t])
+
+    def consistent(k, v):
+        if k < len(objs):
+            return all(C.hom(v[s], v[t]) for s, t in checks[k])
+        return all(C.compose[(v[g], v[f])] == (v[h] if h >= len(objs) else C.identity[v[h]])
+                   for g, f, h in checks[k])
+
     results = []
-    budget = [0]
-
-    def extend_morphisms(om):
-        mm = {m: C.identity[om[T.src[m]]] for m in T.morphism_ids if T.is_identity(m)}
-
-        def backtrack_m(k):
-            budget[0] += 1
-            if budget[0] > caps.max_candidates:
-                raise SizeCapExceeded("functor enumeration", budget[0], caps.max_candidates)
-            if k == len(nonid):
-                results.append(Functor(T, C, dict(om), dict(mm)))
-                return
-            m = nonid[k]
-            for cand in C.hom(om[T.src[m]], om[T.dst[m]]):
-                mm[m] = cand
-                ok = True
-                for other in T.morphism_ids:
-                    if other not in mm:
-                        continue
-                    for g, f in ((m, other), (other, m)):
-                        if T.dst[f] == T.src[g]:
-                            h = T.compose[(g, f)]
-                            if h in mm and C.compose[(mm[g], mm[f])] != mm[h]:
-                                ok = False
-                                break
-                    if not ok:
-                        break
-                if ok:
-                    backtrack_m(k + 1)
-                del mm[m]
-
-        backtrack_m(0)
-
-    def backtrack_o(k, om):
-        budget[0] += 1
-        if budget[0] > caps.max_candidates:
-            raise SizeCapExceeded("functor enumeration", budget[0], caps.max_candidates)
-        if k == len(objs):
-            extend_morphisms(om)
-            return
-        x = objs[k]
-        for c in C.objects:
-            om[x] = c
-            # cheap prune: assigned endpoints must allow nonempty homs
-            ok = True
-            for m in T.morphism_ids:
-                s, t = T.src[m], T.dst[m]
-                if s in om and t in om and not C.hom(om[s], om[t]):
-                    ok = False
-                    break
-            if ok:
-                backtrack_o(k + 1, om)
-            del om[x]
-
-    backtrack_o(0, {})
+    for v in _search(len(checks), candidates, consistent, "functor enumeration", caps):
+        om = dict(zip(objs, v))
+        mm = {T.identity[x]: C.identity[c] for x, c in om.items()}
+        mm.update(zip(nonid, v[len(objs):]))
+        results.append(Functor(T, C, om, mm))
     results.sort(key=lambda F: F.signature())
     return results
 
 
 def enumerate_nat_trans(F: Functor, G: Functor, caps: SizeCaps = DEFAULT_CAPS):
-    """All natural transformations F => G, as component dicts."""
+    """All natural transformations F => G, as component dicts sorted by their
+    items.  Positions are T's objects; naturality at a non-identity m is
+    checked once, at the later of its endpoints' positions."""
     T, C = F.source, F.target
-    objs = list(T.objects)
-    results = []
-    budget = [0]
+    homs = [C.hom(F.object_map[x], G.object_map[x]) for x in T.objects]
+    if not all(homs):
+        return []
+    pos = {x: k for k, x in enumerate(T.objects)}
+    checks = [[] for _ in homs]
+    for m, s, t in T.morphisms:
+        if not T.is_identity(m):
+            checks[max(pos[s], pos[t])].append((pos[s], F.morphism_map[m], G.morphism_map[m], pos[t]))
 
-    def backtrack(k, comp):
-        budget[0] += 1
-        if budget[0] > caps.max_candidates:
-            raise SizeCapExceeded("nat-trans enumeration", budget[0], caps.max_candidates)
-        if k == len(objs):
-            results.append(dict(comp))
-            return
-        x = objs[k]
-        for c in C.hom(F.object_map[x], G.object_map[x]):
-            comp[x] = c
-            ok = True
-            for m in T.morphism_ids:
-                s, t = T.src[m], T.dst[m]
-                if s in comp and t in comp:
-                    if C.compose[(comp[t], F.morphism_map[m])] != C.compose[(G.morphism_map[m], comp[s])]:
-                        ok = False
-                        break
-            if ok:
-                backtrack(k + 1, comp)
-            del comp[x]
+    def natural(k, v):
+        return all(C.compose[(v[t], fm)] == C.compose[(gm, v[s])] for s, fm, gm, t in checks[k])
 
-    backtrack(0, {})
-    results.sort(key=lambda d: tuple(sorted(d.items())))
-    return results
+    found = _search(len(homs), lambda k, v: homs[k], natural, "nat-trans enumeration", caps)
+    return sorted((dict(zip(T.objects, v)) for v in found), key=lambda d: tuple(sorted(d.items())))
 
 
 def functor_category_data(T: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> FunctorCategoryData:
@@ -578,69 +571,58 @@ def functor_category_data(T: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS) -
         raise SizeCapExceeded("functor-category objects", len(functors), caps.max_objects)
     index_of = {F.signature(): i for i, F in enumerate(functors)}
     objects = [f"F{i:03d}" for i in range(len(functors))]
-    morphisms = []
-    trans = {}
-    lookup = {}
-    identity = {}
-    all_trans = {}
-    n_mor = 0
+    morphisms, trans, lookup = [], {}, {}
+    all_trans = {}   # (i, j) -> [(morphism id, components)]
     for i, F in enumerate(functors):
         for j, G in enumerate(functors):
             comps = enumerate_nat_trans(F, G, caps)
-            n_mor += len(comps)
-            if n_mor > caps.max_morphisms:
-                raise SizeCapExceeded("functor-category morphisms", n_mor, caps.max_morphisms)
-            all_trans[(i, j)] = comps
-            for k, comp in enumerate(comps):
-                mid = f"n{i:03d}>{j:03d}#{k:03d}"
+            if len(morphisms) + len(comps) > caps.max_morphisms:
+                raise SizeCapExceeded("functor-category morphisms", len(morphisms) + len(comps),
+                                      caps.max_morphisms)
+            all_trans[(i, j)] = [(f"n{i:03d}>{j:03d}#{k:03d}", comp) for k, comp in enumerate(comps)]
+            for mid, comp in all_trans[(i, j)]:
                 morphisms.append((mid, f"F{i:03d}", f"F{j:03d}"))
                 trans[mid] = (i, j, comp)
                 lookup[(i, j, tuple(sorted(comp.items())))] = mid
+    identity, compose = {}, {}
     for i, F in enumerate(functors):
         comp = {x: C.identity[F.object_map[x]] for x in T.objects}
         identity[f"F{i:03d}"] = lookup[(i, i, tuple(sorted(comp.items())))]
-    compose = {}
     by_src_idx = {}
     for (i, j), alphas in all_trans.items():
         by_src_idx.setdefault(j, []).append((i, alphas))
     for (j, k), betas in all_trans.items():
         for i, alphas in by_src_idx.get(j, ()):
-            for kb, beta in enumerate(betas):
-                bid = f"n{j:03d}>{k:03d}#{kb:03d}"
-                for ka, alpha in enumerate(alphas):
-                    aid = f"n{i:03d}>{j:03d}#{ka:03d}"
+            for bid, beta in betas:
+                for aid, alpha in alphas:
                     comp = {x: C.compose[(beta[x], alpha[x])] for x in T.objects}
                     compose[(bid, aid)] = lookup[(i, k, tuple(sorted(comp.items())))]
     cat = validate_category(objects, morphisms, identity, compose, caps)
-    data = FunctorCategoryData(cat, T, C, functors, index_of, trans)
-    data._trans_lookup = lookup
-    return data
+    return FunctorCategoryData(cat, T, C, functors, index_of, trans, lookup)
+
+
+def _induced_on_fun(data_src: FunctorCategoryData, data_dst: FunctorCategoryData,
+                    image, components) -> Functor:
+    """The functor between functor categories sending F to image(F), each
+    computed once, and a transformation to the one with components(its
+    components)."""
+    idx = [data_dst.index_of[image(F).signature()] for F in data_src.functors]
+    om = {f"F{i:03d}": f"F{j:03d}" for i, j in enumerate(idx)}
+    mm = {mid: data_dst.trans_id(idx[i], idx[j], components(comp))
+          for mid, (i, j, comp) in data_src.trans.items()}
+    return Functor(data_src.cat, data_dst.cat, om, mm)
 
 
 def postcompose_on_fun(data_src: FunctorCategoryData, data_dst: FunctorCategoryData, g: Functor) -> Functor:
     """Fun(T, g): Fun(T,C) -> Fun(T,D) for g: C -> D (same T)."""
-    om, mm = {}, {}
-    for i, F in enumerate(data_src.functors):
-        om[f"F{i:03d}"] = data_dst.object_id(F.then(g))
-    for mid, (i, j, comp) in data_src.trans.items():
-        gi = data_src.functors[i].then(g)
-        gj = data_src.functors[j].then(g)
-        gcomp = {x: g.morphism_map[c] for x, c in comp.items()}
-        mm[mid] = data_dst.trans_id(data_dst.index_of[gi.signature()], data_dst.index_of[gj.signature()], gcomp)
-    return Functor(data_src.cat, data_dst.cat, om, mm)
+    return _induced_on_fun(data_src, data_dst, lambda F: F.then(g),
+                           lambda comp: {x: g.morphism_map[c] for x, c in comp.items()})
 
 
 def precompose_on_fun(data_src: FunctorCategoryData, data_dst: FunctorCategoryData, r: Functor) -> Functor:
     """Fun(r, C): Fun(T,C) -> Fun(S,C) for r: S -> T (same C)."""
-    om, mm = {}, {}
-    for i, F in enumerate(data_src.functors):
-        om[f"F{i:03d}"] = data_dst.object_id(r.then(F))
-    for mid, (i, j, comp) in data_src.trans.items():
-        ri = r.then(data_src.functors[i])
-        rj = r.then(data_src.functors[j])
-        rcomp = {x: comp[r.object_map[x]] for x in r.source.objects}
-        mm[mid] = data_dst.trans_id(data_dst.index_of[ri.signature()], data_dst.index_of[rj.signature()], rcomp)
-    return Functor(data_src.cat, data_dst.cat, om, mm)
+    return _induced_on_fun(data_src, data_dst, r.then,
+                           lambda comp: {x: comp[r.object_map[x]] for x in r.source.objects})
 
 
 # ---------------------------------------------------------------------------

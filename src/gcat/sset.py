@@ -473,16 +473,16 @@ def chain_poset_of(P: Poset) -> Poset:
     return _inclusion_poset(_strict_chains(P.elements, lambda a, b: a != b and P.le(a, b)), "<")
 
 
-def h_sd2(K: OrderedComplex) -> FinCat:
+def h_sd2(K: OrderedComplex, caps: SizeCaps = DEFAULT_CAPS) -> FinCat:
     """hSd²K: the chain poset of the face poset of K, as a finite category."""
-    return chain_poset_of(face_poset(K)).to_fincat()
+    return chain_poset_of(face_poset(K)).to_fincat(caps)
 
 
-def h_sd2_map(K: OrderedComplex, L: OrderedComplex) -> Functor:
+def h_sd2_map(K: OrderedComplex, L: OrderedComplex, caps: SizeCaps = DEFAULT_CAPS) -> Functor:
     """The functor hSd²K -> hSd²L induced by an inclusion K ⊆ L."""
     if not K.faces <= L.faces:
         raise GcatError("K is not a subcomplex of L")
-    CK, CL = h_sd2(K), h_sd2(L)
+    CK, CL = h_sd2(K, caps), h_sd2(L, caps)
     om = {x: x for x in CK.objects}
     mm = {m: m for m in CK.morphism_ids}
     return Functor(CK, CL, om, mm).validate()

@@ -586,7 +586,7 @@ class GeneratedMap:
     act_dst_monoid: Optional[MonoidActionCat] = None
 
 
-def _core_inclusion(spec: GeneratorSpec):
+def _core_inclusion(spec: GeneratorSpec, caps: SizeCaps):
     if spec.acyclic:
         K = horn_complex(spec.n, spec.k)
         tag = f"hSd2(L{spec.n}_{spec.k} -> D{spec.n})"
@@ -594,7 +594,7 @@ def _core_inclusion(spec: GeneratorSpec):
         K = boundary_complex(spec.n)
         tag = f"hSd2(bD{spec.n} -> D{spec.n})"
     L = standard_simplex_complex(spec.n)
-    return h_sd2_map(K, L), tag
+    return h_sd2_map(K, L, caps), tag
 
 
 def _cell_times_map(cell: CellCategory, m: Functor, caps: SizeCaps):
@@ -611,7 +611,7 @@ def _cell_times_map(cell: CellCategory, m: Functor, caps: SizeCaps):
 def generating_maps(spec: GeneratorSpec, caps: SizeCaps = DEFAULT_CAPS) -> GeneratedMap:
     """Emit one generating (acyclic) cofibration for the requested model."""
     spec.validate()
-    m, tag = _core_inclusion(spec)
+    m, tag = _core_inclusion(spec, caps)
     model = spec.model
     if model == "thomason":
         return GeneratedMap(f"thomason:{tag}", m.validate())

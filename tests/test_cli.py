@@ -168,6 +168,19 @@ def test_io_error_is_returned_in_process(tmp_path, capsys):
     assert out == "" and missing in json.loads(err)["error"]
 
 
+def test_closed_stdout_is_an_io_error():
+    # the report (about 250 kB) outgrows the pipe's buffer, so its write meets the closed pipe
+    path = os.pathsep.join(p for p in (GCAT_ROOT, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen([sys.executable, "-m", "gcat.cli", "corpus", "--seed", "1", "--count", "40"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert proc.stdout.read(20) == b'{"command":"corpus",'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 74
+    assert "Traceback" not in err and json.loads(err) == {"error": "stdout closed before the report was written"}
+
+
 def test_unwritable_output_is_an_io_error(tmp_path):
     path = write(tmp_path, "arrow.json", arrow_category().to_doc())
     target = str(tmp_path / "no-such-dir" / "x.json")
@@ -344,6 +357,17 @@ def test_gens_and_saturate(tmp_path):
     ppath = write(tmp_path, "pairs.json", pairs)
     out = json.loads(run_cli(["saturate", "--input", apath, "--pairs", ppath]))
     assert out["report"]["all_passed"]
+
+
+def test_gens_at_n3_needs_the_wide_caps(capsys):
+    # hSd²Δ³ has 149 objects: past the default cap of 64, within the wide cap of 512
+    argv = ["gens", "--model", "thomason", "--n", "3"]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["detail"] == "objects: 74 exceeds cap 64"
+    for flags in ([], ["--acyclic", "--k", "1"]):
+        assert cli.main(["--wide-caps", *argv, *flags]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["dwyer_witness"] and len(out["target"]["objects"]) == 149
 
 
 def test_hofix_and_fixed(tmp_path):

@@ -18,6 +18,7 @@ from gcat.errors import (
 )
 from gcat.fincat import (
     Functor,
+    NatTrans,
     _object_profiles,
     arrow_category,
     chain_poset,
@@ -348,24 +349,89 @@ def test_random_posets_validate_and_equivalence_predicate(data):
     assert (find_equivalence(F) is not None) == is_ff_eso(F)
 
 
-def test_nat_trans_enumeration_matches_brute_force():
-    arrow = arrow_category()
-    E2 = chaotic_category(["a", "b"])
-    fs = enumerate_functors(arrow, E2)
-    for F in fs[:3]:
-        for G in fs[:3]:
-            mine = enumerate_nat_trans(F, G)
-            brute = []
-            for ca in E2.hom(F.object_map["0"], G.object_map["0"]):
-                for cb in E2.hom(F.object_map["1"], G.object_map["1"]):
-                    comp = {"0": ca, "1": cb}
-                    if all(
-                        E2.compose[(comp[arrow.dst[m]], F.morphism_map[m])]
-                        == E2.compose[(G.morphism_map[m], comp[arrow.src[m]])]
-                        for m in arrow.morphism_ids
-                    ):
-                        brute.append(comp)
-            assert sorted(map(str, mine)) == sorted(map(str, brute))
+# -- the functor and transformation enumerators against brute force ------------
+
+
+def composite_line(parallel):
+    """0 -a-> 1 -b-> 2 with b∘a = c1, and with `parallel` a second arrow c2: 0 -> 2."""
+    objs, ident = ["0", "1", "2"], {"0": "i0", "1": "i1", "2": "i2"}
+    mors = [(ident[x], x, x) for x in objs] + [("a", "0", "1"), ("b", "1", "2")]
+    mors += [(c, "0", "2") for c in (("c1", "c2") if parallel else ("c1",))]
+    comp = {(m, ident[s]): m for m, s, _ in mors}
+    comp.update({(ident[t], m): m for m, _, t in mors})
+    comp[("b", "a")] = "c1"
+    return validate_category(objs, mors, ident, comp)
+
+
+def enumerator_categories():
+    BZ2 = delooping(cyclic_group(2))
+    return [terminal_category(), arrow_category(), chain_poset(2).to_fincat(),
+            poset_from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")]).to_fincat(),
+            BZ2, delooping(cyclic_group(3)), chaotic_category(["x", "y"]),
+            product_category(arrow_category(), BZ2), composite_line(False), composite_line(True)]
+
+
+def functors_by_brute_force(T, C):
+    """Every (object map, morphism map) with each morphism sent into the hom-set
+    between its endpoints' images that `Functor.validate` accepts, sorted."""
+    out = []
+    for images in itertools.product(C.objects, repeat=len(T.objects)):
+        om = dict(zip(T.objects, images))
+        homs = [C.hom(om[s], om[t]) for _, s, t in T.morphisms]
+        for mors in itertools.product(*homs):
+            F = Functor(T, C, om, dict(zip(T.morphism_ids, mors)))
+            try:
+                out.append(F.validate().signature())
+            except GcatError:
+                pass
+    return sorted(out)
+
+
+def test_functors_of_the_composite_line_into_parallel_arrows():
+    # b∘a = c1 must go to F(b)∘F(a): 12 functors, though 17 maps respect endpoints and identities
+    T, C = composite_line(False), composite_line(True)
+    fs = enumerate_functors(T, C)
+    assert [F.signature() for F in fs] == functors_by_brute_force(T, C)
+    assert len(fs) == 12 and all(F.validate() for F in fs)
+    data = functor_category_data(T, C)
+    assert data.cat.n_objects() == 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_functor_enumeration_matches_brute_force(data):
+    T = data.draw(st.sampled_from(enumerator_categories()[:-1] + [None]))
+    T = random_poset(data, "p") if T is None else T
+    C = data.draw(st.sampled_from(enumerator_categories()))
+    assert [F.signature() for F in enumerate_functors(T, C)] == functors_by_brute_force(T, C)
+
+
+def test_functor_search_counts_its_nodes():
+    """One node per position reached, for [1] into the discrete category on a
+    and b: the root, both images of 0, the image of 1 that leaves a non-empty
+    hom-set for the arrow (the object position checks it), and the arrow's one
+    image in each: 1 + 2 + 2 + 2 = 7."""
+    args = (arrow_category(), discrete_category(["a", "b"]))
+    with pytest.raises(SizeCapExceeded, match=r"^functor enumeration: 7 exceeds cap 6$"):
+        enumerate_functors(*args, SizeCaps(max_candidates=6))
+    assert len(enumerate_functors(*args, SizeCaps(max_candidates=7))) == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_nat_trans_enumeration_matches_brute_force(data):
+    T = data.draw(st.sampled_from(enumerator_categories()[:-1]))
+    C = data.draw(st.sampled_from(enumerator_categories()))
+    fs = enumerate_functors(T, C)
+    F, G = data.draw(st.sampled_from(fs)), data.draw(st.sampled_from(fs))
+    brute = []
+    for comps in itertools.product(*(C.hom(F.object_map[x], G.object_map[x]) for x in T.objects)):
+        alpha = NatTrans(F, G, dict(zip(T.objects, comps)))
+        try:
+            brute.append(sorted(alpha.validate().components.items()))
+        except GcatError:
+            pass
+    assert [sorted(c.items()) for c in enumerate_nat_trans(F, G)] == sorted(brute)
 
 
 # -- full faithfulness against the pairwise definition -------------------------

@@ -11,6 +11,7 @@ import pytest
 
 import gcat
 
+from gcat import serialize as ser
 from gcat.config import WIDE_CAPS, SizeCaps
 from gcat.corpus import dwyer_span_corpus, named_group
 from gcat.errors import GcatError, SizeCapExceeded
@@ -20,6 +21,7 @@ from gcat.fincat import (
     chain_poset,
     discrete_category,
     find_isomorphism,
+    functor_category_data,
     identity_functor,
     inclusion_functor,
     pair_obj,
@@ -53,6 +55,7 @@ from gcat.dwyer import (
     dwyer_pushout,
     equivariant_dwyer_pushout,
     find_dwyer_witness,
+    fun_witness,
     is_sieve,
     monoid_dwyer_check,
 )
@@ -346,6 +349,74 @@ def test_isomorphisms_match_the_pinned_digest():
     assert isomorphism_digest() == ISOMORPHISM_DIGEST
 
 
+#: `functor_category_digest` as the enumerators that rescanned every morphism
+#: of T at each candidate computed it
+FUNCTOR_CATEGORY_DIGEST = "850b3456c9f3bb72346de71d142640b8e0663a014777a367de8ebbdfd367d7f0"
+
+
+def functor_category_digest():
+    """sha256 over what Fun(T, C) feeds: the homology benchmark's four
+    Fun(E(Z2), D) (category, functors, transformations), `materialized_hofix`
+    on `hofix_carriers` for every (H, φ) over the groups 1, Z2 and Z3, the
+    tests' restriction comparisons, `fun_witness` of the arrow's sieve 0 over
+    E(2) and [1], `homomorphisms` for every pair of subgroups of Z2, Z3, Z4
+    and S3, and `saturation_check` reports of both modes; an error's text in
+    place of its value."""
+    rows = []
+
+    def add(compute):
+        try:
+            rows.append(compute())
+        except GcatError as exc:
+            rows.append([type(exc).__name__, str(exc)])
+
+    EH = chaotic_category(Z2.elements)
+    for n in (0, 1):
+        gm = generating_maps(GeneratorSpec("g_global_thin", n, params={"H": Z2, "G": Z2, "phi": PHI_ID}),
+                             WIDE_CAPS)
+        for D in (gm.functor.source, gm.functor.target):
+            d = functor_category_data(EH, D, WIDE_CAPS)
+            rows.append([d.cat.to_doc(), [F.signature() for F in d.functors],
+                         sorted((mid, i, j, sorted(c.items())) for mid, (i, j, c) in d.trans.items())])
+    for G in (trivial_group(), Z2, Z3):
+        for act in hofix_carriers(G):
+            for H in subgroups(G):
+                for phi in homomorphisms(H, G):
+                    add(lambda: materialized_hofix(act, H, phi).to_doc())
+    arrow, triv, S3 = arrow_category(), subgroup_from_elements(Z2, ["c0"]), symmetric_group(3)
+    cases = [(Z2, Z2, None), (triv, Z2, [{"c0": "e"}])]
+    cases += [(H, Hp, None) for H in subgroups(S3) for Hp in subgroups(S3)
+              if set(H.elements) <= set(Hp.elements) and len(Hp.elements) <= 3]
+    for H, Hp, phis in cases:
+        rc = restriction_comparison(arrow, H, Hp, g_act=trivial_action(trivial_group(), arrow), phis=phis)
+        w = rc.certificate.witness
+        rows.append([ser.functor_doc(rc.restriction), rc.certificate.to_doc(),
+                     ser.maps_doc(w.quasi_inverse), sorted(w.unit.components.items()),
+                     sorted(w.counit.components.items()),
+                     {k: None if c is None else c.to_doc() for k, c in sorted(rc.per_phi.items())}])
+    one = terminal_category()
+    w = find_dwyer_witness(Functor(one, arrow, {"*": "0"}, {"id*": "0<=0"}).validate())
+    for T in (chaotic_category(["x", "y"]), arrow):
+        w2, data = fun_witness(T, w)
+        rows.append([ser.witness_doc(w2), ser.functor_doc(w2.f), *(data[k].cat.to_doc() for k in "ABX")])
+    for G in (Z2, Z3, Z4, S3):
+        for H in subgroups(G):
+            for K in subgroups(G):
+                rows.append(homomorphisms(H, K))
+    phi4 = {g: g for g in Z4.elements}
+    for av, pairs in ((poset_avatar(arrow, Z2, Z2), sat_pairs()),
+                      (cell_avatar(cell_category(Z2, Z2, Z2, PHI_ID)), sat_pairs()),
+                      (cell_avatar(cell_category(Z4, Z4, Z4, phi4)),
+                       [(Z4, phi4), (subgroup_from_elements(Z4, ["c0", "c2"]), {"c0": "c0", "c2": "c2"})]),
+                      (swap_avatar(), [(Z2, {g: "e" for g in Z2.elements}), (triv, {"c0": "e"})])):
+        add(lambda: saturation_check(av, pairs))
+    return hashlib.sha256(ser.canonical_json(rows).encode()).hexdigest()
+
+
+def test_functor_categories_match_the_pinned_digest():
+    assert functor_category_digest() == FUNCTOR_CATEGORY_DIGEST
+
+
 def test_g_global_we_swap_passes_on_homotopy_fixed_points():
     sw = swap_action()
     one_act = trivial_action(Z2, terminal_category())
@@ -454,14 +525,19 @@ def test_cell_avatar_z4():
     assert rep["all_passed"]
 
 
-def test_saturation_failure_for_swap_without_coherence():
+def swap_avatar():
+    """Z2 swapping two discrete objects, with no coherence data to synthesize."""
     disc = discrete_category(["a", "b"])
     swapF = Functor(disc, disc, {"a": "b", "b": "a"}, {"id:a": "id:b", "id:b": "id:a"})
     G1 = trivial_group()
     act = MonoidActionCat(product_monoid(Z2, G1), disc, {
         pair_obj("c0", "e"): identity_functor(disc),
         pair_obj("c1", "e"): swapF}).validate()
-    av = discrete_avatar(Z2, G1, act)
+    return discrete_avatar(Z2, G1, act)
+
+
+def test_saturation_failure_for_swap_without_coherence():
+    av = swap_avatar()
     assert av.coherence is None
     rep = saturation_check(av, [(Z2, {g: "e" for g in Z2.elements})])
     assert not rep["all_passed"]
