@@ -603,9 +603,9 @@ def functor_category_data(T: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS) -
 
 def _induced_on_fun(data_src: FunctorCategoryData, data_dst: FunctorCategoryData,
                     image, components) -> Functor:
-    """The functor between functor categories sending F to image(F), each
-    computed once, and a transformation to the one with components(its
-    components)."""
+    """The functor between functor categories that sends F to image(F), each
+    computed once, and the transformation with components c to the one with
+    components(c)."""
     idx = [data_dst.index_of[image(F).signature()] for F in data_src.functors]
     om = {f"F{i:03d}": f"F{j:03d}" for i, j in enumerate(idx)}
     mm = {mid: data_dst.trans_id(idx[i], idx[j], components(comp))
