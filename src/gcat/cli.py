@@ -148,7 +148,8 @@ def cmd_homology(args):
 def cmd_sd(args):
     from .sset import face_poset, sd_complex
     doc, K = _load(args.input, ser.complex_from_doc)
-    body = {"face_poset": face_poset(K).to_fincat().to_doc(), "sd_complex": ser.complex_doc(sd_complex(K))}
+    body = {"face_poset": face_poset(K).to_fincat(args.caps).to_doc(),
+            "sd_complex": ser.complex_doc(sd_complex(K))}
     return {"complex": doc}, body, EXIT_OK
 
 

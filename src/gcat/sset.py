@@ -4,11 +4,15 @@ A simplex is stored as a normal form (core id, alpha) where the core is a
 nondegenerate simplex and alpha is the monotone surjection expressing the
 degeneracy (identity alpha = the core itself).  The faces of each
 nondegenerate simplex are stored.  Simplicial operators pull normal forms
-back along monotone maps through them (`pull`); `faces_of`, the one face
-lookup, reads a nondegenerate simplex's stored faces, which is what the pull
-gives once `validate` has found them well formed, and pulls only a degenerate
-simplex's.  `validate` checks every simplicial identity exhaustively.  A
-nerve builds each face from its chain (`nerve`).
+back along monotone maps through them (`pull`).  `faces_of`, the one face
+lookup, gives what the pull gives once `validate` has found the stored faces
+well formed, in at most one step per face: a nondegenerate simplex's stored
+faces, and a degenerate one's from its alpha and its core's stored faces
+(the d_i s_j identities).  `validate` checks every simplicial identity
+exhaustively, on tables: an alpha is well formed when it is one of the
+memoized monotone surjections, and the identities of a simplex are one
+comparison of two projections of its faces' faces.  A nerve builds each face
+from its chain (`nerve`).
 
 Also here: ordered simplicial complexes with barycentric subdivision and the
 poset-level hSd², nerves of categories (equivariant when an action is
@@ -74,7 +78,7 @@ def is_identity_alpha(alpha):
 
 def compose_tuples(outer, inner):
     """outer ∘ inner as maps; inner: [k] -> [n], outer: [n] -> [m]."""
-    return tuple(outer[v] for v in inner)
+    return tuple(map(outer.__getitem__, inner))
 
 
 @functools.cache
@@ -83,6 +87,48 @@ def surjections(n, m):
     tuple; memoized.  Each is chosen by the m of n steps where it increases."""
     return tuple(tuple(sum(1 for i in incr if i <= t) for t in range(n + 1))
                  for incr in itertools.combinations(range(1, n + 1), m)) if 0 <= m <= n else ()
+
+
+@functools.cache
+def _alphas(n):
+    """Every monotone surjection out of [n], onto any [m], as a frozenset;
+    memoized.  A tuple is one exactly when it has length n+1, is monotone and
+    is onto [its last entry], so on a hit membership is the whole
+    well-formedness check, and the callers test those three only on a miss.
+    Empty above n = 10, where the table would hold 2^n tuples: there the
+    callers' tests decide every alpha."""
+    if n > 10:
+        return frozenset()
+    return frozenset(itertools.chain.from_iterable(surjections(n, m) for m in range(n + 1)))
+
+
+@functools.cache
+def _degenerate_faces(alpha):
+    """How to read the faces of a degenerate (c, alpha), alpha: [n] ->> [m];
+    memoized.  Face i is a pair (g, s).  With s None, alpha(i) occurs at i-1
+    or i+1 too, and d_i (c, alpha) = (c, g), g being alpha with position i
+    removed.  Otherwise s = alpha(i) occurs at i only, and with the core's
+    stored face d_s = (c', beta), d_i (c, alpha) = (c', beta∘g), where g is
+    alpha with position i removed and each value above s lowered by one."""
+    out = []
+    for i, s in enumerate(alpha):
+        g = alpha[:i] + alpha[i + 1:]
+        if s in g:   # at i-1 or i+1, alpha being monotone
+            out.append((g, None))
+        else:
+            out.append((tuple(v - (v > s) for v in g), s))
+    return tuple(out)
+
+
+@functools.cache
+def _identity_pairs(n):
+    """The simplicial identities d_i d_j = d_{j-1} d_i (i < j) of an n-simplex
+    as positions in its faces' faces laid end to end (n per face): getters
+    of both sides over every pair at once, and the pairs (j, i) in checking
+    order for naming the first that fails.  Memoized."""
+    pairs = [(j, i) for j in range(n + 1) for i in range(j)]
+    return (itemgetter(*[j * n + i for j, i in pairs]),
+            itemgetter(*[i * n + j - 1 for j, i in pairs]), tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +183,25 @@ class FinSSet:
             dim = beta[-1]
 
     def faces_of(self, nf):
-        """The faces d_0, ..., d_n of an n-simplex.  A nondegenerate one's
-        are its stored faces, which is what pulling along each δ_i gives once
-        they are well formed (`validate`); only a degenerate one's are pulled."""
+        """The faces d_0, ..., d_n of an n-simplex: what pulling along each
+        δ_i gives once the stored faces are well formed (`validate`), in at
+        most one step each.  A nondegenerate one's are its stored faces.  A
+        degenerate (c, alpha)'s d_i drops position i of alpha; when alpha(i)
+        occurs only there, the core's stored face d_{alpha(i)} takes c's
+        place (`_degenerate_faces`), as in one turn of `pull`'s loop."""
         core, alpha = nf
-        n = len(alpha) - 1
-        if alpha[-1] == n:
-            return self.faces[(n, core)]
-        return tuple(self.pull(nf, delta(i, n)) for i in range(n + 1))
+        m = alpha[-1]
+        if m == len(alpha) - 1:
+            return self.faces[(m, core)]
+        stored = self.faces[(m, core)] if m else ()
+        out = []
+        for g, s in _degenerate_faces(alpha):
+            if s is None:
+                out.append((core, g))
+            else:
+                c, beta = stored[s]
+                out.append((c, tuple(map(beta.__getitem__, g))))
+        return tuple(out)
 
     def face(self, nf, i):
         return self.faces_of(nf)[i]
@@ -189,16 +246,22 @@ class FinSSet:
         stored face and every simplicial identity d_i d_j = d_{j-1} d_i
         (i < j) of every stored simplex.
 
-        Once the faces are well formed, the faces of a nondegenerate simplex
-        are its stored ones, so the identities compare the faces of stored
-        face normal forms, each distinct one read once by `faces_of`: a
-        nondegenerate one's are stored, a degenerate one's pulled.
+        An alpha is well formed when it is in `_alphas`; the length,
+        monotonicity and surjectivity tests run only on a miss, to name the
+        fault (or, above the table's dimensions, to decide).  Once the faces
+        are well formed, the identities compare the faces of stored face
+        normal forms, each distinct one read once by `faces_of`.  A simplex's
+        faces' faces laid end to end hold both sides of every identity, so
+        one comparison of two projections (`_identity_pairs`) checks them
+        all; only on a mismatch are the pairs scanned, in the order (j, i),
+        to name the first that fails.
         """
         if any(n > self.cap for n in self.cells) or any(n > self.cap for n, _ in self.faces):
             raise GcatError(f"simplices stored above cap {self.cap}")
         if any(n < 0 for n in self.cells):
             raise GcatError(f"cells stored at negative dimension {min(self.cells)}")
         cores = {}   # dim -> set of nondegenerate ids
+        distinct = {}   # dim -> the normal forms of the stored faces of its simplices
         for n in self.dims():
             ids = self.cells[n]
             cores[n] = set(ids)
@@ -208,7 +271,8 @@ class FinSSet:
                 raise SizeCapExceeded("simplices", len(ids), caps.max_simplices)
             if n == 0:
                 continue
-            well_formed = set()   # the (n-1)-dimensional face normal forms checked so far
+            well_formed = distinct[n] = set()   # the face normal forms checked so far
+            alphas = _alphas(n - 1)
             for sid in ids:
                 fs = self.faces.get((n, sid))
                 if fs is None or len(fs) != n + 1:
@@ -217,11 +281,12 @@ class FinSSet:
                     if nf in well_formed:
                         continue
                     core, alpha = nf
-                    if len(alpha) != n or not all(alpha[i] <= alpha[i + 1] for i in range(n - 1)):
-                        raise GcatError(f"bad face normal form on ({n},{sid})")
+                    if alpha not in alphas:
+                        if len(alpha) != n or not all(alpha[i] <= alpha[i + 1] for i in range(n - 1)):
+                            raise GcatError(f"bad face normal form on ({n},{sid})")
+                        if set(alpha) != set(range(alpha[-1] + 1)):
+                            raise GcatError(f"face alpha not surjective on ({n},{sid})")
                     cdim = alpha[-1]
-                    if set(alpha) != set(range(cdim + 1)):
-                        raise GcatError(f"face alpha not surjective on ({n},{sid})")
                     if core not in cores.get(cdim, ()):
                         raise GcatError(f"face core {core!r} unknown at dim {cdim}")
                     well_formed.add(nf)
@@ -234,18 +299,16 @@ class FinSSet:
         for n in self.dims():
             if n < 2:
                 continue
-            read = {}   # (n-1)-dimensional face normal form -> its faces
+            read = {f: self.faces_of(f) for f in distinct[n]}   # a face -> its faces
+            lhs, rhs, pairs = _identity_pairs(n)
             for sid in self.cells[n]:
-                second = []
+                second = []   # d_i d_j at j * n + i
                 for f in self.faces[(n, sid)]:
-                    ff = read.get(f)
-                    if ff is None:
-                        ff = read[f] = self.faces_of(f)
-                    second.append(ff)
-                for j in range(n + 1):
-                    for i in range(j):
-                        if second[j][i] != second[i][j - 1]:
-                            raise GcatError(f"simplicial identity fails at ({n},{sid},d{i},d{j})")
+                    second += read[f]
+                if lhs(second) != rhs(second):
+                    j, i = next((j, i) for j, i in pairs
+                                if second[j * n + i] != second[i * n + j - 1])
+                    raise GcatError(f"simplicial identity fails at ({n},{sid},d{i},d{j})")
         return self
 
     def to_doc(self):
@@ -289,30 +352,33 @@ class SSetMap:
     def validate(self):
         """Check that the map is defined on every nondegenerate simplex,
         keeps dimensions, lands on known cores and commutes with every face;
-        each distinct value has its faces read once, by `faces_of`."""
+        each distinct value has its faces read once, by `faces_of`, and
+        compared with the images of the source faces in one comparison."""
         cores = {n: set(ids) for n, ids in self.target.cells.items()}
         read = {}   # value in the target -> its faces
         for n in self.source.dims():
+            alphas = _alphas(n)
             for sid in self.source.cells[n]:
                 v = self.values.get((n, sid))
                 if v is None:
                     raise GcatError(f"map undefined on ({n},{sid})")
                 core, alpha = v
-                if len(alpha) != n + 1:
-                    raise GcatError(f"map changes dimension on ({n},{sid})")
-                if (any(a > b for a, b in zip(alpha, alpha[1:]))
-                        or set(alpha) != set(range(alpha[-1] + 1))):
-                    raise GcatError(f"map value alpha not a monotone surjection on ({n},{sid})")
+                if alpha not in alphas:
+                    if len(alpha) != n + 1:
+                        raise GcatError(f"map changes dimension on ({n},{sid})")
+                    if (any(a > b for a, b in zip(alpha, alpha[1:]))
+                            or set(alpha) != set(range(alpha[-1] + 1))):
+                        raise GcatError(f"map value alpha not a monotone surjection on ({n},{sid})")
                 if core not in cores.get(alpha[-1], ()):
                     raise GcatError(f"map value core unknown on ({n},{sid})")
                 if n >= 1:
                     rhs = read.get(v)
                     if rhs is None:
                         rhs = read[v] = self.target.faces_of(v)
-                    fs = self.source.faces[(n, sid)]
-                    for i in range(n + 1):
-                        if self.apply(fs[i]) != rhs[i]:
-                            raise GcatError(f"map breaks face d{i} on ({n},{sid})")
+                    lhs = tuple(map(self.apply, self.source.faces[(n, sid)]))
+                    if lhs != rhs:
+                        i = next(i for i in range(n + 1) if lhs[i] != rhs[i])
+                        raise GcatError(f"map breaks face d{i} on ({n},{sid})")
         return self
 
     def then(self, other: "SSetMap") -> "SSetMap":
@@ -597,11 +663,12 @@ def h_poset_nerve(X: FinSSet) -> FinCat:
     except GcatError as exc:
         raise NotAPosetNerve(str(exc)) from exc
     # exactness: the nerve of P must reproduce X on the nose
-    NP = nerve(P.to_fincat(), X.cap)
+    C = P.to_fincat()
+    NP = nerve(C, X.cap)
     for n in set(X.dims()) | set(NP.dims()):
         if X.n_nondeg(n) != NP.n_nondeg(n):
             raise NotAPosetNerve(f"simplex count differs from a poset nerve at dim {n}")
-    return P.to_fincat()
+    return C
 
 
 # ---------------------------------------------------------------------------

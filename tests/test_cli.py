@@ -325,6 +325,18 @@ def test_sd_of_simplex(tmp_path):
     assert len(out["sd_complex"]["faces"]) == 25
 
 
+def test_sd_of_a_5_simplex_needs_the_wide_caps(tmp_path, capsys):
+    # the face poset of Δ⁵ has 63 objects and 665 morphisms: past the default
+    # morphism cap of 512, within the wide caps
+    path = write(tmp_path, "d5.json", ser.complex_doc(standard_simplex_complex(5)))
+    assert cli.main(["sd", "--input", path]) == 2
+    assert json.loads(capsys.readouterr().out)["detail"] == "morphisms: 665 exceeds cap 512"
+    assert cli.main(["--wide-caps", "sd", "--input", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert len(out["face_poset"]["objects"]) == 63
+    assert len(out["face_poset"]["morphisms"]) == 665
+
+
 def test_gglobal_weq_of_contractible_groupoid(tmp_path):
     from gcat.actions import cyclic_group, translation_action, trivial_action
     Z2 = cyclic_group(2)

@@ -76,8 +76,10 @@ from gcat.sset import (
     identity_sset_map,
     sset_from_doc,
     _SdData,
+    _alphas,
     _enumerate_sd_maps,
     _sd_steps,
+    delta,
 )
 from gcat.dwyer import dwyer_pushout, find_dwyer_witness
 from gcat.weq import GeneratorSpec, generating_maps
@@ -210,6 +212,81 @@ def test_validate_rejects_each_malformed_document(corrupt, message):
     assert str(info.value) == message
 
 
+def break_one_identity(n, i, j):
+    """The document of Δⁿ with the identity d_i d_j = d_{j-1} d_i (i < j) of
+    its top simplex broken and every other identity kept: d_j is replaced by
+    a twin whose face i is a twin of the old one, with the same faces."""
+    doc = complex_to_sset(standard_simplex_complex(n), n).to_doc()
+    faces = {sid: fs for _, sid, fs in doc["faces"]}
+    top = doc["cells"][str(n)][0]
+    y = faces[top][j][0]
+    z = faces[y][i][0]
+    doc["cells"][str(n - 2)].append(z + "'")
+    if n > 2:
+        doc["faces"].append([n - 2, z + "'", faces[z]])
+    doc["cells"][str(n - 1)].append(y + "'")
+    doc["faces"].append([n - 1, y + "'", [[z + "'", f[1]] if k == i else f
+                                          for k, f in enumerate(faces[y])]])
+    faces[top][j] = [y + "'", faces[top][j][1]]
+    for ids in doc["cells"].values():
+        ids.sort()
+    return doc, top
+
+
+@pytest.mark.parametrize("n, i, j", [(n, i, j) for n in (2, 3) for j in range(n + 1) for i in range(j)])
+def test_validate_names_each_broken_identity(n, i, j):
+    doc, top = break_one_identity(n, i, j)
+    with pytest.raises(GcatError) as info:
+        sset_from_doc(doc)
+    assert str(info.value) == f"simplicial identity fails at ({n},{top},d{i},d{j})"
+
+
+def test_faces_of_degenerate_simplices_against_pull():
+    """`faces_of` on a degenerate simplex, in one step per face, gives what
+    pulling along each coface gives."""
+    builds = [nerve(delooping(symmetric_group(3)), 4), nerve(chaotic_category(["a", "b", "c", "d"]), 4),
+              complex_to_sset(boundary_complex(2), 3), ex(complex_to_sset(boundary_complex(2), 3), 3).sset]
+    for X in builds:
+        checked = 0
+        for n in range(1, 5):
+            for nf in X.all_simplices(n):
+                if nf[1][-1] < n:
+                    assert X.faces_of(nf) == tuple(X.pull(nf, delta(i, n)) for i in range(n + 1)), nf
+                    checked += 1
+        assert checked
+
+
+def test_alpha_lookup_against_the_predicate():
+    """A tuple is in `_alphas(len - 1)` exactly when it is monotone and onto
+    [its last entry], over every int tuple of length 1 to 5 with entries in -1..5."""
+    for length in range(1, 6):
+        alphas = _alphas(length - 1)
+        for t in itertools.product(range(-1, 6), repeat=length):
+            monotone = all(t[k] <= t[k + 1] for k in range(length - 1))
+            assert (t in alphas) == (monotone and set(t) == set(range(t[-1] + 1))), t
+
+
+def test_validate_above_the_alpha_table():
+    """Above dimension 10 `_alphas` holds no table, and the length,
+    monotonicity and surjectivity tests decide each alpha alone: a 12-simplex
+    whose faces all collapse to one vertex is valid, and so is its identity
+    map; a non-monotone or non-surjective face alpha is still named."""
+    def doc(alpha):
+        return {"cap": 12, "cells": {"0": ["v"], "12": ["x"]},
+                "faces": [[12, "x", [["v", alpha]] + [["v", [0] * 12]] * 12]]}
+    X = sset_from_doc(doc([0] * 12))
+    SSetMap(X, X, dict(identity_sset_map(X).values)).validate()
+    for alpha, message in [([1] + [0] * 11, "bad face normal form on (12,x)"),
+                           ([1] * 12, "face alpha not surjective on (12,x)")]:
+        with pytest.raises(GcatError) as info:
+            sset_from_doc(doc(alpha))
+        assert str(info.value) == message
+    values = {(0, "v"): ("v", (0,)), (12, "x"): ("x", (1,) * 13)}
+    with pytest.raises(GcatError) as info:
+        SSetMap(X, X, values).validate()
+    assert str(info.value) == "map value alpha not a monotone surjection on (12,x)"
+
+
 @pytest.mark.parametrize("change, message", [
     pytest.param(lambda v: v.pop((1, "0,2")), "map undefined on (1,0,2)", id="undefined"),
     pytest.param(lambda v: v.update({(1, "0,2"): ("0,2", (0, 1, 2))}),
@@ -238,7 +315,8 @@ def test_sset_map_validate_rejects_each_broken_map(change, message):
 def test_validate_pulls_each_distinct_face_once(monkeypatch):
     """`validate` reads the n faces of each distinct stored (n-1)-dimensional
     face normal form once, with `faces_of`: a nondegenerate one's are its
-    stored faces, so only the faces of a degenerate one are pulled."""
+    stored faces, and a degenerate one's come in one step each from its
+    core's stored faces, so nothing is pulled."""
     Z2 = cyclic_group(2)
     gm = generating_maps(GeneratorSpec("g_global_thin", 1, params={
         "H": Z2, "G": Z2, "phi": {h: h for h in Z2.elements}}))
@@ -265,14 +343,13 @@ def test_validate_pulls_each_distinct_face_once(monkeypatch):
         X.validate(WIDE_CAPS)
         distinct = {n: {nf for sid in X.cells[n] for nf in X.faces[(n, sid)]}
                     for n in X.dims() if n >= 2}
-        degenerate = {n: {nf for nf in faces if nf[1][-1] < n - 1} for n, faces in distinct.items()}
         assert reads == sum(len(faces) for faces in distinct.values())
-        assert pulls == sum(n * len(faces) for n, faces in degenerate.items())
-        counts.append((reads, pulls, sum(n * len(faces) for n, faces in distinct.items())))
+        assert pulls == 0
+        counts.append((reads, sum(n * len(faces) for n, faces in distinct.items())))
     # the last entry is the n faces of every distinct face, read stored or
-    # pulled: the 917 and 424 faces that were all pulled before stored faces
-    # were read
-    assert counts == [(241, 332, 917), (152, 160, 424)]
+    # built in one step: the 917 and 424 faces that were all pulled before
+    # stored faces were read
+    assert counts == [(241, 917), (152, 424)]
 
 
 def test_pull_against_composite_chains():
