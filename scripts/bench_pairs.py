@@ -27,12 +27,16 @@ incorrect stops the script.
   distance.
 
 Before the pairs, each side runs `run.py --seed 1 --trace 1` over all
-workloads once, for its deterministic work counters: every per-layer metric
-that is not a time (`trace.*` left out) and, from the span dump of the first
-traced pass, the calls of each traced function during the jobs, as
-`calls.<layer>.<function>`.  The file holds them as `counters`, workload ->
-name -> [base, head], and the names whose two values differ as
-`counters_changed`, which the script prints too.
+workloads TRACED_RUNS times, the sides alternating (base first in the first
+and third round).  The first run of each side gives its deterministic work
+counters: every per-layer metric that is not a time (`trace.*` left out)
+and, from the span dump of the first traced pass, the calls of each traced
+function during the jobs, as `calls.<layer>.<function>`.  The file holds
+them as `counters`, workload -> name -> [base, head], and the names whose
+two values differ as `counters_changed`, which the script prints too.  The
+per-layer self times (`*.self_s`) of all the traced runs are kept as
+`self_s`, workload -> name -> each side's runs and median.  They carry no
+verdict: each is one traced pass, and the host's noise on it is large.
 """
 
 import argparse
@@ -49,6 +53,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PAIRS = 10
 GAIN_WINS = 9
 TRACE_SECONDS = 4    # of the traced run's untraced passes; the counters do not depend on it
+TRACED_RUNS = 3      # per side, for the median per-layer self times
 
 
 def export(rev, dest):
@@ -79,27 +84,47 @@ def run(tree, seed, seconds):
     return values
 
 
-def work_counters(tree):
-    """One `run.py --seed 1 --trace 1` run of all workloads in `tree`:
-    workload -> {counter: value}, see the module docstring."""
+def traced_run(tree):
+    """One `run.py --seed 1 --trace 1` run of all workloads in `tree`: its
+    work counters and its self times, each workload -> {name: value}, see
+    the module docstring."""
     proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
                            "--workload", "all", "--seed", "1",
                            "--seconds", str(TRACE_SECONDS), "--trace", "1"],
                           cwd=tree, capture_output=True, text=True, check=True)
     rows = json.loads(proc.stdout.strip().splitlines()[-1])
-    counters = {}
+    counters, self_s = {}, {}
     for name, row in rows.items():
         if not row["correct"]:
             raise SystemExit(f"{tree}: workload {name} reports an incorrect traced run")
         found = counters[name] = {k: v["value"] for k, v in row["metrics"].items()
                                   if v["unit"] != "s" and not k.startswith("trace.")}
+        self_s[name] = {k: v["value"] for k, v in row["metrics"].items() if k.endswith(".self_s")}
         with open(tree / "perfbench" / "out" / f"trace-{name}-1.jsonl", encoding="utf-8") as fh:
             for line in fh:
                 layer, function, _, job = json.loads(line)[:4]
                 if layer != "bench" and job != "setup":
                     key = f"calls.{layer}.{function}"
                     found[key] = found.get(key, 0) + 1
-    return counters
+    return counters, self_s
+
+
+def median_self_times(base, head):
+    """workload -> name -> {"base": [...], "head": [...], "base_median": ...,
+    "head_median": ...} from each side's traced runs, each workload -> name
+    -> seconds; a side that never reports a name has median None."""
+    table = {}
+    for side, runs in (("base", base), ("head", head)):
+        for run in runs:
+            for name, times in run.items():
+                for metric, value in times.items():
+                    row = table.setdefault(name, {})
+                    row.setdefault(metric, {"base": [], "head": []})[side].append(value)
+    for row in table.values():
+        for entry in row.values():
+            for side in ("base", "head"):
+                entry[f"{side}_median"] = statistics.median(entry[side]) if entry[side] else None
+    return table
 
 
 def compare_counters(base, head):
@@ -147,7 +172,10 @@ def main(argv=None):
         seconds = bench["run_seconds"]
         better = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
         better["fail_ratio"] = ("lower", 0)
-        traced = {side: work_counters(trees[side]) for side in ("base", "head")}
+        traced = {"base": [], "head": []}   # per side, (counters, self times) of each run
+        for k in range(TRACED_RUNS):
+            for side in (("base", "head") if k % 2 == 0 else ("head", "base")):
+                traced[side].append(traced_run(trees[side]))
         runs = []   # per pair, {side: workload -> metric -> value}
         for seed in range(1, PAIRS + 1):
             order = ("base", "head") if seed % 2 else ("head", "base")
@@ -167,7 +195,9 @@ def main(argv=None):
            "seeds": [1, PAIRS], "seconds": seconds,
            "command": "perfbench/run.py --trace 0", "python": sys.version.split()[0],
            "workloads": workloads}
-    doc["counters"], doc["counters_changed"] = compare_counters(traced["base"], traced["head"])
+    doc["counters"], doc["counters_changed"] = compare_counters(traced["base"][0][0],
+                                                                traced["head"][0][0])
+    doc["self_s"] = median_self_times(*([t for _, t in traced[side]] for side in ("base", "head")))
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for name, metrics in workloads.items():
@@ -175,6 +205,11 @@ def main(argv=None):
             f"{m} {s['base_median']:.4g} -> {s['head_median']:.4g} ({s['head_wins']}/{PAIRS}"
             + ", worse than bound" * s["worse_than_bound"] + ", gain shown" * s["gain_shown"] + ")"
             for m, s in metrics.items()))
+    for name, row in doc["self_s"].items():
+        print(f"{name} self_s medians: " + "  ".join(
+            f"{m[:-7]} {e['base_median']:.3f} -> {e['head_median']:.3f}"
+            for m, e in sorted(row.items())
+            if m.count(".") == 1 and None not in (e["base_median"], e["head_median"])))
     for key in doc["counters_changed"]:
         name, counter = key.split(":", 1)
         base, head = doc["counters"][name][counter]

@@ -182,7 +182,7 @@ def seeded_dwyer_span(rng: random.Random, G: Optional[FinGroup] = None) -> Optio
         c = constant_functor(A, C, "*").validate()
     elif style == "identity":
         C, act_C = A, act_A
-        c = identity_functor(A)
+        c = identity_functor(A).validate()
     elif style == "cone":
         els = list(A.objects) + ["top"]
         pairs = [(s, t) for m, s, t in A.morphisms] + [(x, "top") for x in A.objects]

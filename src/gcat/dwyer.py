@@ -315,15 +315,15 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
                   w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS) -> DwyerPushout:
     """Explicit pushout of B <-i- A -c-> C along a Dwyer map.
 
-    The witness must be normalized (unit = identity, hence ε·f = id).
-    C-objects keep their ids; V-objects are prefixed 'V:'.
+    The witness must be normalized (unit = identity, hence ε·f = id).  c must
+    be a functor already validated where it was built; it is not checked
+    again here.  C-objects keep their ids; V-objects are prefixed 'V:'.
     """
     if w.i is not i:
         w = DwyerWitness(i, w.cosieve_objects, w.X, w.f, w.r, w.unit, w.counit,
                          w.group, w.act_A, w.act_B)
     if not w.is_normalized():
         raise WitnessNotNormalized("dwyer_pushout requires a unit-identity witness")
-    c.validate()
     if c.source is not A and c.source.objects != A.objects:
         raise GcatError("c must have source A")
     image = set(i.object_map.values())
@@ -406,7 +406,8 @@ def equivariant_dwyer_pushout(act_A: MonoidActionCat, act_B: MonoidActionCat,
                               w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS):
     """dwyer_pushout with the induced G-action; returns (action, pushout).
 
-    All inputs must be equivariant and the witness equivariant and normalized.
+    All inputs must be equivariant, c validated as for dwyer_pushout, and
+    the witness equivariant and normalized.
     """
     if w.group is None:
         raise EquivarianceViolation("witness carries no equivariance data")

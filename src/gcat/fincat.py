@@ -53,6 +53,9 @@ class FinCat:
     identity: object id -> morphism id.
     compose: (g, f) -> g∘f, defined exactly on composable pairs (f: x->y,
     g: y->z gives g∘f: x->z).
+    src, dst and _hom (endpoints -> morphisms in `morphisms` order) are
+    built from `morphisms` unless given; `validate_category` hands over the
+    ones it builds.
     """
 
     objects: tuple
@@ -146,8 +149,13 @@ def validate_category(objects, morphisms, identity, compose, caps: SizeCaps = DE
         if s not in oset or t not in oset:
             raise DanglingReference(f"morphism {m!r} has unknown endpoint {s!r} or {t!r}")
     midset = set(mids)
-    src = {m: s for m, s, _ in morphisms}
-    dst = {m: t for m, _, t in morphisms}
+    src, dst, hom = {}, {}, {}
+    by_src, by_dst = {}, {}   # the morphisms out of and into each object, in `mids` order
+    for m, s, t in morphisms:
+        src[m], dst[m] = s, t
+        by_src.setdefault(s, []).append(m)
+        by_dst.setdefault(t, []).append(m)
+        hom.setdefault((s, t), []).append(m)
     identity = dict(identity)
     for x in objects:
         if x not in identity:
@@ -165,10 +173,6 @@ def validate_category(objects, morphisms, identity, compose, caps: SizeCaps = DE
             raise DanglingReference(f"compose defined on non-composable pair ({g!r},{f!r})")
         if src[h] != src[f] or dst[h] != dst[g]:
             raise DanglingReference(f"composite {h!r} of ({g!r},{f!r}) has wrong endpoints")
-    by_src, by_dst = {}, {}   # the morphisms out of and into each object, in `mids` order
-    for m in mids:
-        by_src.setdefault(src[m], []).append(m)
-        by_dst.setdefault(dst[m], []).append(m)
     for g in mids:
         for f in by_dst.get(src[g], ()):
             if (g, f) not in compose:
@@ -185,7 +189,8 @@ def validate_category(objects, morphisms, identity, compose, caps: SizeCaps = DE
             for h in by_src.get(dst[g], ()):
                 if compose[(h, gf)] != compose[(compose[(h, g)], f)]:
                     raise AssociativityViolation(f"(h∘g)∘f ≠ h∘(g∘f) for ({h!r},{g!r},{f!r})")
-    return FinCat(objects, morphisms, identity, compose)
+    return FinCat(objects, morphisms, identity, compose, src, dst,
+                  {k: tuple(v) for k, v in hom.items()})
 
 
 def category_from_doc(doc, caps: SizeCaps = DEFAULT_CAPS):

@@ -80,11 +80,22 @@ def sset_map_doc(f) -> dict:
     }
 
 
+def _alpha(entries):
+    """The alpha of a face or map value in a document, as a tuple.  An entry
+    that is not an int, a bool included, makes the document malformed:
+    TypeError."""
+    alpha = tuple(entries)
+    for k in alpha:
+        if type(k) is not int:
+            raise TypeError(f"alpha entry {k!r} is not an integer")
+    return alpha
+
+
 def sset_map_from_doc(doc):
     from .sset import SSetMap, sset_from_doc
     src = sset_from_doc(doc["source"])
     dst = sset_from_doc(doc["target"])
-    values = {(int(n), sid): (v[0], tuple(v[1])) for n, sid, v in doc["values"]}
+    values = {(int(n), sid): (v[0], _alpha(v[1])) for n, sid, v in doc["values"]}
     return SSetMap(src, dst, values).validate()
 
 

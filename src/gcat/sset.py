@@ -323,10 +323,11 @@ class FinSSet:
 
 
 def sset_from_doc(doc) -> FinSSet:
+    from .serialize import _alpha
     cells = {int(n): tuple(v) for n, v in doc["cells"].items()}
     faces = {}
     for n, sid, fs in doc["faces"]:
-        faces[(int(n), sid)] = tuple((c, tuple(a)) for c, a in fs)
+        faces[(int(n), sid)] = tuple((c, _alpha(a)) for c, a in fs)
     return FinSSet(int(doc["cap"]), cells, faces).validate()
 
 

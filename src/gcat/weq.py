@@ -9,8 +9,11 @@ equivariant functors (objects determined on orbit representatives), so the
 ambient functor category is never materialized.  The arrows from the base
 point generate the chaotic E(K), so a functor is tested for fixedness on
 them alone, and a transformation between fixed functors on its base
-component alone; `materialized_hofix`, which builds Fun(EH, C) and takes
-its fixed subcategory, is kept to cross-check this on small inputs.
+component alone.  The composition table is filled over composable pairs
+only, walked through each fixed functor's lists of the functors with a
+non-empty hom-set out of it and into it.  `materialized_hofix`, which
+builds Fun(EH, C) and takes its fixed subcategory, is kept to cross-check
+this on small inputs.
 
 The infinite monoid of injections never appears: everything that would
 quantify over its universal subgroups is exposed here as an explicit finite
@@ -220,24 +223,47 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
     between fixed functors is determined by η_b, so it is fixed once
     act(φh) η_{b·h} = η_b for every h.  The cap counts the nodes of a
     depth-first search over the isos, 1 + n₁ + n₁n₂ + … per object choice.
+
+    C's inverses, its iso hom-sets and the orbit cells (x·h, act(φh)⁻¹) are
+    built once, before the search.  The composition table is filled by
+    walking the composable pairs a -> b -> c only, through each fixed
+    functor's ascending lists of the b with a non-empty hom-set out of it
+    and into it, in (b, c, a) order.
     """
     subgroup_from_elements(K, H.elements)
     base = min(K.elements)
-    inv = {m: C.inverse(m) for m in C.isos()}
+    compose, identity = C.compose, C.identity
+    inv = {m: w for m in C.morphism_ids if (w := C.inverse(m)) is not None}
+    iso_hom = {}
+    for m in inv:
+        iso_hom.setdefault((C.src[m], C.dst[m]), []).append(m)
     act = {h: g_action[phi[h]].morphism_map for h in H.elements}
     undo = {h: {g_action[phi[h]].object_map[o]: o for o in C.objects}    # act(φh)⁻¹
             for h in H.elements}
-    shift = [(h, K.mul(base, h), [(y, K.mul(y, h)) for y in K.elements]) for h in H.elements]
-    reps, seen = [], set()
+    free = [x for x in K.elements if x != base]
+    keys = [(base, x) for x in (base, *free)]
+    at = {x: k for k, (_, x) in enumerate(keys)}        # y -> its position in u's values
+    shift = [(act[h], at[K.mul(base, h)], [(at[y], at[K.mul(y, h)]) for y in K.elements])
+             for h in H.elements]
+    cells, seen = [], set()   # per orbit representative x: (x·h, act(φh)⁻¹) for each h
     for x in K.elements:
         if x not in seen:
-            reps.append(x)
-            seen.update(K.mul(x, h) for h in H.elements)
-    free = [x for x in K.elements if x != base]
-    functors, nodes = [], 0
-    for choice in itertools.product(C.objects, repeat=len(reps)):
-        ob = {K.mul(x, h): undo[h][c] for x, c in zip(reps, choice) for h in H.elements}
-        homs = [[m for m in C.hom(ob[base], ob[x]) if m in inv] for x in free]
+            cells.append([(K.mul(x, h), undo[h]) for h in H.elements])
+            seen.update(xh for xh, _ in cells[-1])
+
+    def fixed(us):
+        for act_h, bh, ys in shift:
+            back = inv[us[bh]]
+            for y, yh in ys:
+                if act_h[compose[(us[yh], back)]] != us[y]:
+                    return False
+        return True
+
+    found, nodes = [], 0
+    for choice in itertools.product(C.objects, repeat=len(cells)):
+        ob = {xh: und[c] for row, c in zip(cells, choice) for xh, und in row}
+        b0 = ob[base]
+        homs = [iso_hom.get((b0, ob[x]), ()) for x in free]
         width = 1
         nodes += 1
         for hom in homs:
@@ -247,38 +273,51 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
             raise SizeCapExceeded("twisted functor enumeration", caps.max_candidates + 1,
                                   caps.max_candidates)
         for ms in itertools.product(*homs):
-            u = dict(zip([(base, x) for x in (base, *free)], (C.identity[ob[base]], *ms)))
-            if all(act[h][C.compose[(u[(base, yh)], inv[u[(base, bh)]])]] == u[(base, y)]
-                   for h, bh, ys in shift for y, yh in ys):
-                functors.append((dict(ob), u))
+            us = (identity[b0], *ms)
+            if fixed(us):
+                u = dict(zip(keys, us))
+                found.append((HoFixData.encoding(ob, u), ob, u))
 
-    functors.sort(key=lambda fu: HoFixData.encoding(*fu))
-    if len(functors) > caps.max_objects:
-        raise SizeCapExceeded("homotopy-fixed-point objects", len(functors), caps.max_objects)
-    index_of = {HoFixData.encoding(ob, u): idx for idx, (ob, u) in enumerate(functors)}
-    hom_table, morphisms, mor_component = {}, [], {}
-    for a, (obS, uS) in enumerate(functors):
-        for b, (obD, uD) in enumerate(functors):
-            hom_table[(a, b)] = []
-            for eta0 in C.hom(obS[base], obD[base]):
-                if all(act[h][C.compose[(C.compose[(uD[(base, bh)], eta0)], inv[uS[(base, bh)]])]]
-                       == eta0 for h, bh, _ in shift):
-                    mid = f"t{a:03d}>{b:03d}:{eta0}"
-                    hom_table[(a, b)].append(mid)
+    found.sort(key=lambda e: e[0])
+    if len(found) > caps.max_objects:
+        raise SizeCapExceeded("homotopy-fixed-point objects", len(found), caps.max_objects)
+    functors = [(ob, u) for _, ob, u in found]
+    index_of = {enc: idx for idx, (enc, _, _) in enumerate(found)}
+    acts = [act_h for act_h, _, _ in shift]
+    legs = [(ob[base], [u[keys[bh]] for _, bh, _ in shift])    # (F(b), F(b -> b·h) for each h)
+            for ob, u in functors]
+    reach = {oa: [b for b, (ob_b, _) in enumerate(legs) if C.hom(oa, ob_b)]
+             for oa in {oa for oa, _ in legs}}   # ascending b with C(oa, b's base object) ≠ ∅
+    hom_table, outs, ins = {}, [[] for _ in functors], [[] for _ in functors]
+    morphisms, mor_component = [], {}
+    for a, (oa, ua) in enumerate(legs):
+        backs = [inv[m] for m in ua]
+        for b in reach[oa]:
+            ob_b, ub = legs[b]
+            hom = [(f"t{a:03d}>{b:03d}:{eta0}", eta0) for eta0 in C.hom(oa, ob_b)
+                   if all(act_h[compose[(compose[(v, eta0)], back)]] == eta0
+                          for act_h, v, back in zip(acts, ub, backs))]
+            if hom:
+                hom_table[(a, b)] = hom
+                outs[a].append(b)
+                ins[b].append(a)
+                for mid, eta0 in hom:
                     morphisms.append((mid, f"P{a:03d}", f"P{b:03d}"))
                     mor_component[mid] = eta0
-            if len(morphisms) > caps.max_morphisms:
-                raise SizeCapExceeded("homotopy-fixed-point morphisms", len(morphisms),
-                                      caps.max_morphisms)
-    identity = {f"P{a:03d}": f"t{a:03d}>{a:03d}:{C.identity[ob[base]]}"
-                for a, (ob, _) in enumerate(functors)}
-    compose = {}
-    for b, c, a in itertools.product(range(len(functors)), repeat=3):
-        for beta in hom_table[(b, c)]:
-            for alpha in hom_table[(a, b)]:
-                eta0 = C.compose[(mor_component[beta], mor_component[alpha])]
-                compose[(beta, alpha)] = f"t{a:03d}>{c:03d}:{eta0}"
-    cat = validate_category(list(identity), morphisms, identity, compose, caps)
+                if len(morphisms) > caps.max_morphisms:
+                    raise SizeCapExceeded("homotopy-fixed-point morphisms", len(morphisms),
+                                          caps.max_morphisms)
+    identity_ids = {f"P{a:03d}": f"t{a:03d}>{a:03d}:{identity[oa]}"
+                    for a, (oa, _) in enumerate(legs)}
+    table = {}
+    for b, cs in enumerate(outs):
+        for c in cs:
+            for a in ins[b]:
+                prefix = f"t{a:03d}>{c:03d}:"
+                for beta, eta_beta in hom_table[(b, c)]:
+                    for alpha, eta_alpha in hom_table[(a, b)]:
+                        table[(beta, alpha)] = prefix + compose[(eta_beta, eta_alpha)]
+    cat = validate_category(list(identity_ids), morphisms, identity_ids, table, caps)
     return HoFixData(cat, K, C, base, functors, index_of, mor_component)
 
 
@@ -764,7 +803,7 @@ def check_transfer_conditions(gens_I, gens_J, U, cap=3, caps: SizeCaps = DEFAULT
             EHp = chaotic_category(U[1].elements)
             w2, data = fun_witness(EHp, w, caps)
             dC = functor_category_data(EHp, one, caps)
-            collapse2 = postcompose_on_fun(data["A"], dC, collapse)
+            collapse2 = postcompose_on_fun(data["A"], dC, collapse).validate()
             po2 = dwyer_pushout(data["A"].cat, data["B"].cat, dC.cat, w2.i, collapse2, w2, caps)
             dD = functor_category_data(EHp, D, caps)
             h1, h2 = _nerve_homology_pair(dD.cat, po2.category, cap, caps)

@@ -58,3 +58,17 @@ def test_changed_counters_are_listed_and_unchanged_ones_are_not():
     assert table["spans"]["dwyer.find_dwyer_witness.calls"] == [99, 99]
     assert table["spans"]["calls.dwyer.new"] == [None, 1]
     assert table["cli"] == {"cli.invocations": [14, 14]}
+
+
+def test_self_times_are_medians_of_each_sides_traced_runs():
+    base = [{"spans": {"weq.hofix.self_s": t, "fincat.self_s": 0.2}} for t in (0.07, 0.05, 0.06)]
+    head = [{"spans": {"weq.hofix.self_s": t, "fincat.self_s": 0.2}, "cli": {"cli.self_s": 0.1}}
+            for t in (0.04, 0.06, 0.03)]
+    table = bench_pairs.median_self_times(base, head)
+    assert table["spans"]["weq.hofix.self_s"] == {
+        "base": [0.07, 0.05, 0.06], "head": [0.04, 0.06, 0.03],
+        "base_median": 0.06, "head_median": 0.04}
+    assert table["spans"]["fincat.self_s"]["base_median"] == 0.2
+    # a name only the head reports has no base median, and no entry carries a verdict
+    assert table["cli"]["cli.self_s"] == {"base": [], "head": [0.1, 0.1, 0.1],
+                                          "base_median": None, "head_median": 0.1}

@@ -10,7 +10,12 @@ import pytest
 
 from gcat import cli, serialize as ser
 from gcat.fincat import Functor, arrow_category, terminal_category
-from gcat.sset import boundary_complex, complex_to_sset, standard_simplex_complex
+from gcat.sset import (
+    boundary_complex,
+    complex_to_sset,
+    identity_sset_map,
+    standard_simplex_complex,
+)
 
 
 # the directory gcat was imported from, so a subprocess imports the same tree
@@ -144,6 +149,28 @@ def test_pushout_with_integer_morphism_ids_is_a_usage_error(tmp_path, flags):
             "detail": f"{argv[2]}: TypeError: morphism id 0 is not a string",
             "error": "malformed document"}
         assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("entry", [1.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("command", ["homology", "weq"])
+def test_non_integer_alpha_entry_is_a_usage_error(tmp_path, capsys, command, entry):
+    """An alpha entry that is not an int makes the document malformed: in a
+    face of the simplicial set of `gcat homology --kind sset` and in a value
+    of the map of `gcat weq` (both parsers once stored it as read)."""
+    X = complex_to_sset(standard_simplex_complex(2), 2)
+    if command == "homology":
+        doc = X.to_doc()
+        doc["faces"][-1][2][0][1] = [0, entry]
+        argv = ["homology", "--kind", "sset", "--input", write(tmp_path, "X.json", doc)]
+    else:
+        doc = ser.sset_map_doc(identity_sset_map(X))
+        doc["values"][-1][2][1] = [0, entry, 2]
+        argv = ["weq", "--input", write(tmp_path, "f.json", doc)]
+    assert cli.main(argv) == 64
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out) == {
+        "detail": f"{argv[-1]}: TypeError: alpha entry {entry!r} is not an integer",
+        "error": "malformed document"}
 
 
 def test_missing_input_file_is_an_io_error(tmp_path):

@@ -326,6 +326,35 @@ def test_each_witness_is_validated_once(monkeypatch):
         w.r = w.r
 
 
+def test_each_span_leg_c_is_validated_once(monkeypatch):
+    """c is validated where it is built: by the corpus for each of its four
+    styles, and here for each restriction cH to fixed points.  The
+    equivariant pushout, the per-subgroup pushouts and the cross-check
+    against the presented pushout do not validate it again."""
+    validated = []
+    validate = Functor.validate
+
+    def counted(self):
+        validated.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(Functor, "validate", counted)
+    spans = dwyer_span_corpus(3, 3, "Z2") + dwyer_span_corpus(6, 2, "Z2")
+    assert {span.label for span in spans} == {"collapse", "identity", "cone", "chaotic"}
+    for span in spans:
+        legs = [span.c]
+        equivariant_dwyer_pushout(span.act_A, span.act_B, span.act_C, span.i, span.c, span.witness)
+        pushout_cross_check(span.A, span.B, span.C, span.i, span.c, span.witness)
+        for H in subgroups(span.group):
+            wH = restrict_witness_to_fixed(span.witness, H)
+            CH = fixed_category(restrict_action(span.act_C, H), H)
+            cH = Functor(wH.i.source, CH, {x: span.c.object_map[x] for x in wH.i.source.objects},
+                         {m: span.c.morphism_map[m] for m in wH.i.source.morphism_ids}).validate()
+            dwyer_pushout(wH.i.source, wH.i.target, CH, wH.i, cH, wH)
+            legs.append(cH)
+        assert [sum(F is c for F in validated) for c in legs] == [1] * len(legs), span.label
+
+
 def test_find_dwyer_witness_checks_its_inclusion_once(monkeypatch):
     """The search checks that i is a subcategory inclusion once, where it
     tests i for a sieve; the witness it builds does not check i again, but an

@@ -16,6 +16,7 @@ from gcat.config import WIDE_CAPS, SizeCaps
 from gcat.corpus import dwyer_span_corpus, named_group
 from gcat.errors import GcatError, SizeCapExceeded
 from gcat.fincat import (
+    FinCat,
     Functor,
     arrow_category,
     chain_poset,
@@ -256,6 +257,31 @@ def test_hofix_reports_match_the_pinned_digest():
              for seed in ("0", "1", "2")]
     digests = [proc.communicate(timeout=120)[0].strip() for proc in procs]
     assert digests == [HOFIX_DIGEST] * 3
+
+
+def test_validated_categories_hand_over_the_tables_they_build(monkeypatch):
+    """Every category built by `hofix_computations`, whose spans come from
+    `dwyer_span_corpus` for four groups, carries the src, dst and hom tables
+    that a plain FinCat builds for itself from its morphisms, whether
+    `validate_category` handed them over or not."""
+    built = []
+    post_init = FinCat.__post_init__
+
+    def recorded(self):
+        built.append((self, self.src is not None))
+        post_init(self)
+
+    monkeypatch.setattr(FinCat, "__post_init__", recorded)
+    for compute in hofix_computations():
+        try:
+            compute()
+        except GcatError:
+            pass
+    monkeypatch.undo()
+    assert 0 < sum(handed for _, handed in built) < len(built)
+    for cat, _ in built:
+        plain = FinCat(cat.objects, cat.morphisms, cat.identity, cat.compose)
+        assert (cat.src, cat.dst, cat._hom) == (plain.src, plain.dst, plain._hom)
 
 
 def test_twisted_node_cap_counts_a_depth_first_search():
