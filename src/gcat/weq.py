@@ -226,9 +226,9 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
 
     C's inverses, its iso hom-sets and the orbit cells (x·h, act(φh)⁻¹) are
     built once, before the search.  The composition table is filled by
-    walking the composable pairs a -> b -> c only, through each fixed
-    functor's ascending lists of the b with a non-empty hom-set out of it
-    and into it, in (b, c, a) order.
+    walking the composable pairs a -> b -> c only: for each fixed functor b,
+    the ascending lists of the c with a non-empty hom-set b -> c and of the
+    a with a non-empty a -> b, in (b, c, a) order.
     """
     subgroup_from_elements(K, H.elements)
     base = min(K.elements)
@@ -251,14 +251,6 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
             cells.append([(K.mul(x, h), undo[h]) for h in H.elements])
             seen.update(xh for xh, _ in cells[-1])
 
-    def fixed(us):
-        for act_h, bh, ys in shift:
-            back = inv[us[bh]]
-            for y, yh in ys:
-                if act_h[compose[(us[yh], back)]] != us[y]:
-                    return False
-        return True
-
     found, nodes = [], 0
     for choice in itertools.product(C.objects, repeat=len(cells)):
         ob = {xh: und[c] for row, c in zip(cells, choice) for xh, und in row}
@@ -274,7 +266,8 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
                                   caps.max_candidates)
         for ms in itertools.product(*homs):
             us = (identity[b0], *ms)
-            if fixed(us):
+            if all(act_h[compose[(us[yh], inv[us[bh]])]] == us[y]
+                   for act_h, bh, ys in shift for y, yh in ys):
                 u = dict(zip(keys, us))
                 found.append((HoFixData.encoding(ob, u), ob, u))
 
