@@ -190,22 +190,34 @@ def is_good_subgroup(M: FinMonoid, H: FinGroup) -> bool:
 
 
 def subgroups(G: FinGroup):
-    """All subgroups, as sorted element tuples (exhaustive closure)."""
-    found = set()
-    for seed in range(1 << len(G.elements)):
-        gen = [e for i, e in enumerate(G.elements) if seed >> i & 1]
-        closure = {G.unit, *gen}
-        changed = True
-        while changed:
-            changed = False
-            for a in list(closure):
-                for b in list(closure):
-                    v = G.mul(a, b)
-                    if v not in closure:
-                        closure.add(v)
-                        changed = True
-        found.add(tuple(sorted(closure)))
-    return [subgroup_from_elements(G, els) for els in sorted(found, key=lambda t: (len(t), t))]
+    """All subgroups, sorted by order and then by their sorted elements.  Each
+    is the join of the cyclic subgroups of its elements, so joining the
+    subgroups found in pairs, from the cyclic ones on, until nothing new
+    appears finds them all."""
+    def generated(gens):
+        # in a finite group the products of generators are closed under inverses
+        closure, todo = {G.unit}, [G.unit]
+        while todo:
+            a = todo.pop()
+            for b in gens:
+                v = G.mul(a, b)
+                if v not in closure:
+                    closure.add(v)
+                    todo.append(v)
+        return frozenset(closure)
+
+    found = {generated([g]) for g in G.elements}
+    todo = list(found)
+    while todo:
+        A = todo.pop()
+        for B in list(found):
+            if not (A <= B or B <= A):
+                J = generated(A | B)
+                if J not in found:
+                    found.add(J)
+                    todo.append(J)
+    return [subgroup_from_elements(G, els)
+            for els in sorted((tuple(sorted(H)) for H in found), key=lambda t: (len(t), t))]
 
 
 def homomorphisms(H: FinGroup, G: FinGroup):

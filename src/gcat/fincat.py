@@ -569,9 +569,10 @@ def enumerate_nat_trans(F: Functor, G: Functor, caps: SizeCaps = DEFAULT_CAPS):
 
 
 def functor_category_data(T: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> FunctorCategoryData:
+    """Fun(T, C), validated as a category.  Its objects are the functors of
+    `enumerate_functors`, whose search checked every functor law once, so
+    they are not validated again."""
     functors = enumerate_functors(T, C, caps)
-    for F in functors:
-        F.validate()
     if len(functors) > caps.max_objects:
         raise SizeCapExceeded("functor-category objects", len(functors), caps.max_objects)
     index_of = {F.signature(): i for i, F in enumerate(functors)}

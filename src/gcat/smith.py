@@ -1,6 +1,8 @@
 """Sparse integer Smith normal form: exact Python ints, deterministic
 pivots, and two phases over one structure, rows as {col: value} plus the set
-of row indices of each column.
+of row indices of each column.  The rows are copied from a `Rows`, which
+`sset.boundary_matrix` writes in one pass over the faces, or bucketed from
+any other (row, col) -> value mapping; the columns are derived from the rows.
 
 Phase 1 takes unit pivots with row operations only (Dumas, Heckenbach,
 Saunders & Welker, "Computing simplicial homology based on efficient Smith
@@ -11,6 +13,9 @@ pivot_row clears column c exactly.  Clearing the pivot row by column
 operations would then change nothing else, so the pivot's row and column
 are deleted.  A lazy heap keyed by (entry count, col) takes again each
 column the pivot row touched, so units an elimination creates are found.
+The phase ends when no row is left, since the columns still on the heap
+then hold nothing: on the benchmark's largest boundary, 459 unit pivots
+take every row by pop 927 of the 6,822 that emptying the heap would take.
 
 The unit pivots' columns P are what `homology` compresses with (the
 "compress" of Bauer, Kerber & Reininghaus, "Clear and compress: computing
@@ -32,18 +37,48 @@ makes the diagonal a divisibility chain.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Mapping
 from math import gcd
+
+
+class Rows(Mapping):
+    """A sparse integer matrix held as its rows, {row: {col: value}} with no
+    zero value, and read as the mapping (row, col) -> value that
+    `smith_invariants` takes: given one, it copies the rows as they are."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __getitem__(self, key):
+        r, c = key
+        return self.rows[r][c]
+
+    def __iter__(self):
+        return ((r, c) for r, row in self.rows.items() for c in row)
+
+    def __len__(self):
+        return sum(map(len, self.rows.values()))
 
 
 class _Sparse:
     def __init__(self, entries):
-        self.rows = {}
+        """The rows of `entries`, copied from a `Rows` or bucketed from any
+        other (row, col) -> value mapping with its zero values left out, and
+        the columns derived from them; `entries` is left unchanged."""
+        if isinstance(entries, Rows):
+            self.rows = {r: dict(row) for r, row in entries.rows.items() if row}
+        else:
+            self.rows = {}
+            for (r, c), v in entries.items():
+                if v:
+                    self.rows.setdefault(r, {})[c] = v
         self.cols = {}
-        self.changed = set()   # positions set to a nonzero value since the last clear
-        for (r, c), v in entries.items():
-            if v:
-                self.rows.setdefault(r, {})[c] = v
+        for r, row in self.rows.items():
+            for c in row:
                 self.cols.setdefault(c, set()).add(r)
+        self.changed = set()   # positions set to a nonzero value since the last clear
 
     def get(self, r, c):
         return self.rows.get(r, {}).get(c, 0)
@@ -74,13 +109,13 @@ class _Sparse:
             self.set(r, dst, self.get(r, dst) + k * self.rows[r][src])
 
     def eliminate_units(self, n_cols):
-        """Phase 1, until no column holds a +-1: the unit pivots' columns, in
-        the order they were taken."""
+        """Phase 1, until no column holds a +-1 or no row is left: the unit
+        pivots' columns, in the order they were taken."""
         rows, cols = self.rows, self.cols
         heap = [len(rs) * n_cols + c for c, rs in cols.items()]
         heapq.heapify(heap)
         pivots = []
-        while heap:
+        while heap and rows:
             count, c = divmod(heapq.heappop(heap), n_cols)
             rs = cols.get(c, ())
             if len(rs) != count:
@@ -116,19 +151,21 @@ class _Sparse:
         return pivots
 
 
-def smith_invariants(n_rows: int, n_cols: int, entries: dict, unit_cols=None) -> list:
+def smith_invariants(n_rows: int, n_cols: int, entries, unit_cols=None) -> list:
     """Nonzero invariant factors d1 | d2 | ... of an integer matrix.
 
-    entries: {(row, col): value} with 0 <= row < n_rows and 0 <= col < n_cols;
-    zero values are ignored.  entries is left unchanged and let go once the
-    rows are built, so a caller that hands over its only reference, as
-    `homology` does, has the dict freed before elimination starts.
+    entries: a mapping {(row, col): value} with 0 <= row < n_rows and
+    0 <= col < n_cols for every nonzero value; zero values are ignored.  A
+    `Rows` has its rows copied, any other mapping is bucketed into rows.
+    entries is left unchanged and let go once the rows are built, so a caller
+    that hands over its only reference, as `homology` does, has it freed
+    before elimination starts.
     unit_cols, a set if given, receives the columns of the unit pivots.
     """
-    if not all(0 <= r < n_rows and 0 <= c < n_cols for r, c in entries):
-        raise ValueError("an entry lies outside the n_rows x n_cols matrix")
     m = _Sparse(entries)
     del entries
+    if any(not 0 <= r < n_rows for r in m.rows) or any(not 0 <= c < n_cols for c in m.cols):
+        raise ValueError("an entry lies outside the n_rows x n_cols matrix")
     pivots = m.eliminate_units(n_cols)
     if unit_cols is not None:
         unit_cols.update(pivots)

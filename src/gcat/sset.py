@@ -52,7 +52,7 @@ from .fincat import (
     Functor,
     Poset,
 )
-from .smith import smith_invariants
+from .smith import Rows, smith_invariants
 from . import actions as _actions
 
 
@@ -876,25 +876,29 @@ def fixed_sset_map(f: SSetMap, A: MonoidActionSSet, B: MonoidActionSSet, H) -> S
 
 
 def boundary_matrix(X: FinSSet, n, drop=frozenset()):
-    """Normalized boundary ∂_n as sparse entries over the nondegenerate bases.
+    """Normalized boundary ∂_n over the nondegenerate bases, as (n_rows,
+    n_cols, `Rows`): one pass over the faces writes the rows that
+    `smith_invariants` copies and eliminates.
 
     The rows of the (n-1)-simplices at the positions `drop` of X.cells[n - 1]
-    are left out and the others are numbered in order.  Entries are summed
-    in one dict, and those that cancel are deleted from it in place.
+    are left out and the others are numbered in order.  Faces of one simplex
+    that cancel delete their entry where they meet.
     """
     if n <= 0:
-        return 0, X.n_nondeg(0), {}
+        return 0, X.n_nondeg(0), Rows({})
     kept = (s for i, s in enumerate(X.cells.get(n - 1, ())) if i not in drop)
-    rows = {s: i for i, s in enumerate(kept)}
-    entries = {}
+    rows = {s: {} for s in kept}
+    signs = [(-1) ** i for i in range(n + 1)]
     for j, sid in enumerate(X.cells.get(n, ())):
-        for i, (core, alpha) in enumerate(X.faces[(n, sid)]):
+        for (core, alpha), sign in zip(X.faces[(n, sid)], signs):
             if alpha[-1] == n - 1 and core in rows:   # a nondegenerate face, kept
-                key = (rows[core], j)
-                entries[key] = entries.get(key, 0) + (-1) ** i
-    for key in [k for k, v in entries.items() if not v]:
-        del entries[key]
-    return len(rows), X.n_nondeg(n), entries
+                row = rows[core]
+                v = row.get(j, 0) + sign
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+    return len(rows), X.n_nondeg(n), Rows(dict(enumerate(rows.values())))
 
 
 def homology(X: FinSSet, cap=None):
@@ -910,7 +914,8 @@ def homology(X: FinSSet, cap=None):
     minor U of ∂_n, a cycle's coordinates on them are the integral function
     -U⁻¹N·z_rest of its other coordinates, and leaving them out of ∂_{n+1}
     keeps its rank and its torsion.  Gcd-stage pivots are not used: their
-    column operations break this argument.
+    column operations break this argument.  Each boundary is built once, as
+    the rows that `smith_invariants` copies.
     """
     if cap is None:
         cap = X.cap
@@ -919,8 +924,8 @@ def homology(X: FinSSet, cap=None):
     pivots = set()
     for n in range(1, cap + 1):
         drop, pivots = pivots, set()
-        # no reference to the boundary dict is kept here, so it is freed
-        # once smith_invariants has built its rows from it
+        # no reference to the boundary's rows is kept here, so they are
+        # freed once smith_invariants has copied them
         inv = smith_invariants(X.n_nondeg(n - 1) - len(drop), X.n_nondeg(n),
                                boundary_matrix(X, n, drop)[2], pivots)
         ranks[n] = len(inv)

@@ -39,6 +39,7 @@ from gcat.actions import (
     make_group,
     make_monoid,
     product_action,
+    product_monoid,
     quotient_by_free_action,
     restrict_action,
     subgroup_from_elements,
@@ -97,6 +98,29 @@ def test_subgroups_are_built_and_validated_once(monkeypatch):
         with pytest.raises(NotASubgroup):
             subgroup_from_elements(M, ["1", "z", "g"])   # z has no inverse
     assert calls == 3 and ("1", "g", "z") not in M._subgroups
+
+
+def subgroups_by_brute_force(G):
+    """The subgroups of G as sorted element tuples, in the order of
+    `subgroups`, from the closure of each of the 2^|G| subsets."""
+    found = set()
+    for seed in range(1 << len(G.elements)):
+        closure = {G.unit, *(e for i, e in enumerate(G.elements) if seed >> i & 1)}
+        while True:
+            products = {G.mul(a, b) for a in closure for b in closure}
+            if products <= closure:
+                break
+            closure |= products
+        found.add(tuple(sorted(closure)))
+    return sorted(found, key=lambda t: (len(t), t))
+
+
+def test_subgroups_match_the_closures_of_all_subsets():
+    groups = [cyclic_group(n) for n in range(1, 9)]
+    groups += [symmetric_group(3), product_monoid(cyclic_group(2), cyclic_group(2))]
+    for G in groups:
+        assert [H.elements for H in subgroups(G)] == subgroups_by_brute_force(G)
+    assert len(subgroups(symmetric_group(4))) == 30
 
 
 def test_good_subgroups():

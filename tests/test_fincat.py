@@ -397,6 +397,20 @@ def test_functors_of_the_composite_line_into_parallel_arrows():
     assert data.cat.n_objects() == 12
 
 
+def test_functor_category_data_validates_no_enumerated_functor(monkeypatch):
+    """The functor search checks every law of each functor it returns, once,
+    so `functor_category_data` does not validate them again; they pass
+    validation all the same."""
+    validate = Functor.validate
+    calls = []
+    monkeypatch.setattr(Functor, "validate", lambda F: calls.append(F) or validate(F))
+    cats = enumerator_categories()
+    for T, C in [(cats[-2], cats[-1]), (cats[3], cats[-1]), (cats[6], cats[7]), (cats[4], cats[5])]:
+        data = functor_category_data(T, C)
+        assert calls == [] and data.functors
+        assert all(validate(F) is F for F in data.functors)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_functor_enumeration_matches_brute_force(data):

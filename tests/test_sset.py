@@ -1,12 +1,15 @@
 """Simplicial sets: normal forms, nerves, subdivision, Ex, homology, Kan."""
 
 import hashlib
+import heapq
+import importlib
 import itertools
 import json
 import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -696,6 +699,59 @@ def test_homology_matches_the_pinned_digest():
     rows = [[name, X.cap, homology(X)] for name, X in homology_digest_nerves()]
     assert len(rows) == 28 and sum(len(h) for _, _, h in rows) == 98
     assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == HOMOLOGY_DIGEST
+
+
+def test_smith_leaves_each_boundary_of_homology_unchanged(monkeypatch):
+    """`smith_invariants` copies the rows of each boundary that `homology`
+    hands it, on every nerve of `homology_digest_nerves`: after the call the
+    entries equal a copy taken before it, and the benchmark tracer's
+    `nnz_in`, which reads them after the call returns, counts the same."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    nnz_in = importlib.import_module("tracer").COUNTERS[("smith", "smith_invariants")]
+    counts = []
+
+    def checking(n_rows, n_cols, entries, unit_cols=None):
+        args = (n_rows, n_cols, entries, unit_cols)
+        before, counted = dict(entries), nnz_in(args, {}, [])["nnz_in"]
+        result = smith_invariants(*args)
+        assert dict(entries) == before
+        assert nnz_in(args, {}, result)["nnz_in"] == counted == len(before)
+        counts.append(counted)
+        return result
+
+    monkeypatch.setattr("gcat.sset.smith_invariants", checking)
+    for _, X in homology_digest_nerves():
+        homology(X)
+    assert len(counts) == 98 and sum(counts) == 18556
+
+
+def test_unit_phase_stops_at_the_last_row(monkeypatch):
+    """The largest boundary of the homology benchmark, ∂₃ of N(Fun(E(Z2), D))
+    for D the target of g_global_thin n = 1, as `homology` reduces it: 459 x
+    2,268 with 6,822 entries.  Its 459 unit pivots take every row by the
+    927th pop, and the unit phase stops there; popping on until its heap was
+    empty took 6,822 pops."""
+    reduced = []
+
+    def recording(n_rows, n_cols, entries, unit_cols=None):
+        reduced.append((n_rows, n_cols, entries))
+        return smith_invariants(n_rows, n_cols, entries, unit_cols)
+
+    monkeypatch.setattr("gcat.sset.smith_invariants", recording)
+    Z2 = cyclic_group(2)
+    gm = generating_maps(GeneratorSpec("g_global_thin", 1, params={
+        "H": Z2, "G": Z2, "phi": {h: h for h in Z2.elements}}), WIDE_CAPS)
+    C = functor_category_data(chaotic_category(Z2.elements), gm.functor.target, WIDE_CAPS).cat
+    homology(nerve(C, 3, WIDE_CAPS))
+    n_rows, n_cols, entries = reduced[2]
+    assert (n_rows, n_cols, len(entries)) == (459, 2268, 6822)
+    pops = []
+    monkeypatch.setattr("gcat.smith.heapq", types.SimpleNamespace(
+        heapify=heapq.heapify, heappush=heapq.heappush,
+        heappop=lambda heap: pops.append(None) or heapq.heappop(heap)))
+    m = _Sparse(entries)
+    assert len(m.eliminate_units(n_cols)) == n_rows and not m.rows
+    assert len(pops) <= 1000
 
 
 def test_homology_against_the_uncompressed_route():
