@@ -1,18 +1,22 @@
 """gcat command line: document IO, checks, and report emission.
 
 Every subcommand is one entry of COMMANDS: its handler and its own flags
-(each also takes --cap, default 3; `ex`'s defaults to min(3, its document's
-cap)). A handler reads its documents with `_load`, runs its check and
-returns (inputs, body, exit code); `main` wraps that in `serialize.report`,
-emits it, and turns every error into an exit code.
+(each also takes --cap, default 3).  Where a command reads a simplicial set
+or map, as `ex`, `homology --kind sset` and `weq` on a map document do,
+--cap defaults to min(3, the document's cap), the smaller of source and
+target for a map, and may not exceed it.  A handler reads its documents
+with `_load`, runs its check and returns (inputs, body, exit code); `main`
+wraps that in `serialize.report`, emits it, and turns every error into an
+exit code.
 
 Exit codes: 0 all properties hold, 1 a property is violated (the report names
 it), 2 inconclusive (a cap was hit), 64 usage error, 74 IO error. Where the
 errors go:
 
 - a bad argument (an out-of-range number, an unknown group name, `gens
-  --model` or `transfer-check --U`, an `ex --cap` above its document's
-  cap): argparse's usage text on stderr, exit 64;
+  --model` or `transfer-check --U`, an `ex`, `homology --kind sset` or
+  `weq` --cap above the cap of its simplicial set or map document):
+  argparse's usage text on stderr, exit 64;
 - a malformed document (a missing key or a value of the wrong shape, in a file
   or in the inline JSON of `gens --params` and `transfer-check --phi`): one
   `{"error": "malformed document", ...}` object on stdout, exit 64;
@@ -114,6 +118,16 @@ def _render_text(doc, indent=0):
         yield f"{pad}{doc}"
 
 
+def _document_cap(args, cap=None):
+    """Default args.cap to 3, or to min(3, cap) where the input document is
+    a simplicial set or map of cap `cap`.  A --cap above that cap asks for
+    degrees the document cannot determine: a usage error."""
+    if args.cap is None:
+        args.cap = 3 if cap is None else min(3, cap)
+    elif cap is not None and args.cap > cap:
+        args.usage_error(f"--cap {args.cap} exceeds the cap {cap} of the input document")
+
+
 def cmd_validate(args):
     doc, cat = _load(args.input, lambda d: category_from_doc(d, args.caps))
     body = {"valid": True, "objects": cat.n_objects(), "morphisms": cat.n_morphisms()}
@@ -134,6 +148,7 @@ def cmd_homology(args):
     parse = {"sset": sset_from_doc, "complex": ser.complex_from_doc,
              "category": lambda d: category_from_doc(d, args.caps)}[args.kind]
     doc, X = _load(args.input, parse)
+    _document_cap(args, X.cap if args.kind == "sset" else None)
     if args.kind == "complex":
         X = complex_to_sset(X, args.cap)
     elif args.kind == "category":
@@ -156,10 +171,7 @@ def cmd_sd(args):
 def cmd_ex(args):
     from .sset import ex, sset_from_doc, e_map
     doc, X = _load(args.input, sset_from_doc)
-    if args.cap is None:
-        args.cap = min(3, X.cap)
-    elif args.cap > X.cap:
-        args.usage_error(f"--cap {args.cap} exceeds the cap {X.cap} of the input document")
+    _document_cap(args, X.cap)
     try:
         exd = ex(X, args.cap, args.caps)
     except SizeCapExceeded as exc:
@@ -252,6 +264,7 @@ def cmd_weq(args):
     doc, f = _load(args.input, lambda d: ser.sset_map_from_doc(d) if "values" in d
                    else ser.functor_from_doc(d, args.caps))
     is_sset_map = "values" in doc
+    _document_cap(args, min(f.source.cap, f.target.cap) if is_sset_map else None)
     suff = None if is_sset_map else equivalence_certificate(f, args.caps)
     nec = homology_certificate(f, args.cap, args.caps)
     body = {"sufficient": suff.to_doc() if suff else None, "necessary": nec.to_doc()}
@@ -423,22 +436,25 @@ group_name = _accepted_by(named_group)
 _INPUT = {"--input": {"required": True}}
 _PAIRS = {**_INPUT, "--pairs": {"required": True}}
 _CAP = {"--cap": {"type": non_negative_int, "default": 3}}
+#: --cap of a command that reads a simplicial set or map, see `_document_cap`
+_DOCUMENT_CAP = {"--cap": {"type": non_negative_int,
+                           "help": "default: 3, or min(3, a simplicial set or map's cap)"}}
 
 #: subcommand -> (handler, its own flags as {flag: add_argument options})
 COMMANDS = {
     "validate": (cmd_validate, _INPUT),
     "nerve": (cmd_nerve, _INPUT),
-    "homology": (cmd_homology, {**_INPUT, "--kind": {"choices": ["category", "sset", "complex"],
-                                                     "default": "category"}}),
+    "homology": (cmd_homology, {**_INPUT, **_DOCUMENT_CAP,
+                                "--kind": {"choices": ["category", "sset", "complex"],
+                                           "default": "category"}}),
     "sd": (cmd_sd, _INPUT),
-    "ex": (cmd_ex, {**_INPUT, "--cap": {"type": non_negative_int,
-                                        "help": "default: min(3, the document's cap)"}}),
+    "ex": (cmd_ex, {**_INPUT, **_DOCUMENT_CAP}),
     "check-dwyer": (cmd_check_dwyer, _INPUT),
     "pushout": (cmd_pushout, {**_INPUT, "--cross-check": {"action": "store_true"},
                               "--word-cap": {"type": positive_int, "default": 16}}),
     "fixed": (cmd_fixed, {**_INPUT, "--family": {"required": True}}),
     "hofix": (cmd_hofix, _PAIRS),
-    "weq": (cmd_weq, _INPUT),
+    "weq": (cmd_weq, {**_INPUT, **_DOCUMENT_CAP}),
     "gglobal-weq": (cmd_gglobal_weq, _PAIRS),
     "saturate": (cmd_saturate, _PAIRS),
     "gens": (cmd_gens, {"--model": {"type": _accepted_by(_generator_model), "required": True},

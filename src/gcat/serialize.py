@@ -80,15 +80,19 @@ def sset_map_doc(f) -> dict:
     }
 
 
+def _tuple_of(kind, entries, message):
+    """`entries` as a tuple.  An entry whose type is not `kind` itself (a bool
+    is not an int) makes the document malformed: TypeError(message.format(entry))."""
+    out = tuple(entries)
+    for k in out:
+        if type(k) is not kind:
+            raise TypeError(message.format(k))
+    return out
+
+
 def _alpha(entries):
-    """The alpha of a face or map value in a document, as a tuple.  An entry
-    that is not an int, a bool included, makes the document malformed:
-    TypeError."""
-    alpha = tuple(entries)
-    for k in alpha:
-        if type(k) is not int:
-            raise TypeError(f"alpha entry {k!r} is not an integer")
-    return alpha
+    """The alpha of a face or map value in a document, as a tuple of ints."""
+    return _tuple_of(int, entries, "alpha entry {!r} is not an integer")
 
 
 def sset_map_from_doc(doc):
@@ -104,8 +108,14 @@ def complex_doc(K) -> dict:
 
 
 def complex_from_doc(doc):
+    """The complex of `doc`; a vertex or face entry that is not a string makes
+    the document malformed: TypeError."""
     from .sset import OrderedComplex
-    return OrderedComplex(tuple(doc["vertices"]), frozenset(tuple(f) for f in doc["faces"]))
+
+    def ids(entries):
+        return _tuple_of(str, entries, "vertex {!r} is not a string")
+
+    return OrderedComplex(ids(doc["vertices"]), frozenset(map(ids, doc["faces"])))
 
 
 def witness_doc(w) -> dict:

@@ -320,6 +320,80 @@ def test_ex_without_cap_takes_the_input_cap_up_to_3(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["cap"] == 3
 
 
+def test_homology_of_an_sset_above_its_cap_is_a_usage_error(tmp_path, capsys):
+    """Δ² stored at cap 1 is its 1-skeleton: `homology --kind sset` at cap 3
+    of it exited 0 and claimed H₁ = ℤ.  Without --cap it runs at cap 1."""
+    path = write(tmp_path, "d2.json", complex_to_sset(standard_simplex_complex(2), 1).to_doc())
+    for cap in ("2", "3"):
+        assert cli.main(["homology", "--kind", "sset", "--input", path, "--cap", cap]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the cap 1 of the input document" in captured.err
+    assert cli.main(["homology", "--kind", "sset", "--input", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["cap"] == 1 and out["homology"] == [{"degree": 0, "betti": 1, "torsion": []}]
+    d3 = write(tmp_path, "d3.json", complex_to_sset(standard_simplex_complex(3), 4).to_doc())
+    assert cli.main(["homology", "--kind", "sset", "--input", d3]) == 0
+    assert json.loads(capsys.readouterr().out)["cap"] == 3
+
+
+def test_weq_on_a_map_above_its_cap_is_a_usage_error(tmp_path, capsys):
+    """∂Δ² ↪ Δ² stored at cap 1 is the identity of a circle's 1-skeleton: `weq`
+    at cap 3 of it exited 0 with a passing `necessary` certificate at cap 3.
+    A map's cap is the smaller of its source's and its target's."""
+    from gcat.sset import complex_inclusion
+    at_1 = ser.sset_map_doc(complex_inclusion(boundary_complex(2), standard_simplex_complex(2), 1))
+    at_3 = ser.sset_map_doc(complex_inclusion(boundary_complex(2), standard_simplex_complex(2), 3))
+    target_at_2 = {**at_3, "target": complex_to_sset(standard_simplex_complex(2), 2).to_doc()}
+    for name, doc, cap in (("at_1", at_1, 1), ("target_at_2", target_at_2, 2)):
+        path = write(tmp_path, f"{name}.json", doc)
+        assert cli.main(["weq", "--input", path, "--cap", str(cap + 1)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"exceeds the cap {cap} of the input document" in captured.err
+        code = cli.main(["weq", "--input", path])
+        default = capsys.readouterr().out
+        assert json.loads(default)["necessary"]["cap"] == cap
+        assert cli.main(["weq", "--input", path, "--cap", str(cap)]) == code
+        assert capsys.readouterr().out == default
+    # at cap 2 the certificate sees H₁ of ∂Δ², which Δ²'s 2-skeleton kills
+    assert code == 1
+
+
+def test_cap_of_categories_complexes_and_functors_is_not_bounded(tmp_path, capsys):
+    """Only simplicial set and map documents carry a cap: the nerve of a
+    category, the simplicial set of a complex and a functor's nerves are
+    built at any --cap, default 3."""
+    arrow = write(tmp_path, "arrow.json", arrow_category().to_doc())
+    d2 = write(tmp_path, "d2.json", ser.complex_doc(standard_simplex_complex(2)))
+    one = terminal_category()
+    identity = write(tmp_path, "id.json",
+                     ser.functor_doc(Functor(one, one, {"*": "*"}, {"id*": "id*"})))
+    for argv in (["homology", "--input", arrow], ["homology", "--kind", "complex", "--input", d2]):
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["cap"] == 3
+        assert cli.main([*argv, "--cap", "5"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["homology"]) == 5
+    assert cli.main(["weq", "--input", identity]) == 0
+    assert json.loads(capsys.readouterr().out)["necessary"]["cap"] == 3
+    assert cli.main(["weq", "--input", identity, "--cap", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["necessary"]["cap"] == 5
+
+
+@pytest.mark.parametrize("doc", [{"vertices": [1, 2], "faces": [[1], [2], [1, 2]]},
+                                 {"vertices": ["a", "b"], "faces": [["a"], ["b"], ["a", 2]]},
+                                 {"vertices": ["a", True], "faces": [["a"]]}],
+                         ids=["int vertices", "int in a face", "bool vertex"])
+@pytest.mark.parametrize("command", [["homology", "--kind", "complex"], ["sd"]],
+                         ids=["homology", "sd"])
+def test_complex_with_non_string_ids_is_a_usage_error(tmp_path, command, doc):
+    """Complex ids must be strings: `complex_to_sset` and `sd` sorted mixed
+    ids and crashed with a TypeError traceback."""
+    proc = gcat_process([*command, "--input", write(tmp_path, "K.json", doc)])
+    assert proc.returncode == 64, (proc.stdout, proc.stderr)
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "malformed document"
+    assert "Traceback" not in proc.stderr
+
+
 def test_sset_stored_above_its_cap_is_violated(tmp_path, capsys):
     doc = complex_to_sset(standard_simplex_complex(2), 2).to_doc()
     doc["cap"] = 1

@@ -5,7 +5,9 @@ every parameter it takes, is read.
 A function or method counts as used when its name is loaded (as a name or an
 attribute) anywhere in src/, scripts/, tests/ or perfbench/ outside its own
 definition.  Importing a name does not count as using it.  Dunder methods are
-called by the language and are not checked.
+called by the language and are not checked.  The same rules with tests/ left
+out, tests/test_acceptance.py apart, find the functions that only tests use;
+they are listed in TEST_ONLY, and any other is reported.
 
 A local is dead when a function assigns it with a plain `name = ...` and
 never loads it, nested functions included.  Tuple unpacking and loop targets
@@ -56,9 +58,18 @@ def definitions(tree):
                     yield f"{node.name}.{item.name}", item, False
 
 
+def python_files(searched):
+    """The .py files under each directory of `searched`, and each file of it."""
+    for root in searched:
+        if root.is_dir():
+            yield from sorted(root.rglob("*.py"))
+        elif root.is_file():
+            yield root
+
+
 def unreferenced_functions(package=PACKAGE, searched=SEARCHED):
     trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for root in searched if root.is_dir() for path in sorted(root.rglob("*.py"))}
+             for path in python_files(searched)}
     names, attributes = Counter(), Counter()
     for tree in trees.values():
         tree_names, tree_attributes = used_names(tree)
@@ -143,8 +154,7 @@ def dataclass_fields(tree):
 
 
 def unread_fields(package=PACKAGE, searched=SEARCHED):
-    loaded = Counter(node.attr for root in searched if root.is_dir()
-                     for path in sorted(root.rglob("*.py"))
+    loaded = Counter(node.attr for path in python_files(searched)
                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
                      if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
     dead = []
@@ -175,6 +185,50 @@ def test_planted_unused_function_is_reported(tmp_path):
         "from gcat.mod import Box, recursive, used\n\nused()\nBox().get()\n", encoding="utf-8")
     dead = unreferenced_functions(package, [tmp_path / "src", tmp_path / "tests"])
     assert dead == ["mod.py:5 recursive", "mod.py:16 Box.unused"]
+
+
+#: module.name of each function and method of src/gcat/ that only tests load,
+#: tests/test_acceptance.py apart.  A name that joins them is reported: the
+#: program stopped using it, and it should go or be listed here.
+TEST_ONLY = {
+    "actions.make_monoid", "actions.is_good_subgroup",
+    "dwyer.normalize_unit", "dwyer.product_witness", "dwyer.monoid_dwyer_check",
+    "serialize.sset_map_doc",
+    "sset.FinSSet.face", "sset.OrderedComplex.dim", "sset.induced_cell_sd",
+    "weq.f_weak_equivalence", "weq.conjugate_pair", "weq.discrete_avatar",
+}
+
+
+def functions_only_tests_use(root=ROOT):
+    """module.name of each function and method of root/src/gcat/ that no file
+    loads but those of root/tests/, root/tests/test_acceptance.py apart."""
+    searched = [root / d for d in ("src", "scripts", "perfbench")]
+    unused = unreferenced_functions(root / "src" / "gcat",
+                                    searched + [root / "tests" / "test_acceptance.py"])
+    return {f"{entry.split('.py:')[0]}.{entry.split()[1]}" for entry in unused}
+
+
+def test_only_tests_use_the_listed_functions():
+    assert sorted(functions_only_tests_use() - TEST_ONLY) == []
+    assert sorted(TEST_ONLY - functions_only_tests_use()) == []
+
+
+def test_planted_function_only_tests_use_is_reported(tmp_path):
+    package = tmp_path / "src" / "gcat"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "def used():\n    return 1\n\n\n"
+        "def checked():\n    return 2\n\n\n"
+        "def tested():\n    return used()\n\n\n"
+        "class Box:\n"
+        "    def tested(self):\n        return used()\n",
+        encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from gcat.mod import Box, tested\n\ntested()\nBox().tested()\n", encoding="utf-8")
+    (tmp_path / "tests" / "test_acceptance.py").write_text(
+        "from gcat.mod import checked\n\nchecked()\n", encoding="utf-8")
+    assert functions_only_tests_use(tmp_path) == {"mod.tested", "mod.Box.tested"}
 
 
 def test_every_assigned_local_is_read():

@@ -605,6 +605,36 @@ def test_smith_against_sympy_property(data):
     assert smith_invariants(r, c, entries) == sympy_invariants(r, c, entries)
 
 
+def unit_free_matrix(n):
+    """An n x n matrix with no +-1 entry, drawn from random.Random(5): each
+    entry is nonzero with probability 0.3, one of 2, -2, 4, 6, 3.  The unit
+    phase finds no pivot in it, so the gcd stage reduces all of it."""
+    rng = random.Random(5)
+    return {(i, j): rng.choice((2, -2, 4, 6, 3))
+            for i in range(n) for j in range(n) if rng.random() < 0.3}
+
+
+#: sha256 of json.dumps of sympy's invariant factors of unit_free_matrix(40)
+#: (sorted nonzero |diagonal| of `smith_normal_form`, sympy 1.14, 37 s)
+UNIT_FREE_40_DIGEST = "543593ee67c890c37d330a826cca71e095bced90e2077cb03d41154e8cb9db0f"
+
+
+def test_smith_on_unit_free_matrices(monkeypatch):
+    """Without unit pivots the gcd stage does all the work.  Its entries once
+    grew to 198,162 bits at n = 25, and n = 40 did not finish in 100 s.  It
+    reads each entry through `abs` when it picks a pivot, and at n = 40 none
+    is longer than the largest invariant factor, 111 bits."""
+    for n in (25, 30, 35):
+        entries = unit_free_matrix(n)
+        assert smith_invariants(n, n, entries) == sympy_invariants(n, n, entries), n
+    bits = []
+    monkeypatch.setattr("gcat.smith.abs", lambda v: bits.append(v.bit_length()) or abs(v),
+                        raising=False)
+    invariants = smith_invariants(40, 40, unit_free_matrix(40))
+    assert len(invariants) == 40 and invariants[-1].bit_length() == max(bits) == 111
+    assert hashlib.sha256(json.dumps(invariants).encode()).hexdigest() == UNIT_FREE_40_DIGEST
+
+
 #: sha256 of the shape, nonzero count and invariant factors of every boundary
 #: of `smith_digest_nerves`, computed at commit 1655916 with its one-phase gcd
 #: elimination
