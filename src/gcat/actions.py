@@ -103,14 +103,6 @@ def make_group(elements, table, unit) -> FinGroup:
                     str(unit)).validate()
 
 
-def monoid_from_doc(doc) -> FinMonoid:
-    els = doc["elements"]
-    table = {(a, b): doc["table"][i][j] for i, a in enumerate(els) for j, b in enumerate(els)}
-    m = FinMonoid(tuple(els), table, doc["unit"])
-    m.validate()
-    return FinGroup(m.elements, m.table, m.unit) if m.is_group() else m
-
-
 def trivial_group() -> FinGroup:
     return make_group(["e"], {("e", "e"): "e"}, "e")
 
@@ -408,6 +400,8 @@ def full_subcategory_action(A: MonoidActionCat, sub: FinCat) -> MonoidActionCat:
 
 def check_equivariant(F: Functor, A: MonoidActionCat, B: MonoidActionCat):
     """F: A.carrier -> B.carrier commuting with both actions (same monoid), entry by entry."""
+    if A.monoid is not B.monoid and A.monoid.table != B.monoid.table:
+        raise EquivarianceViolation("the two actions are of different monoids")
     for m in A.monoid.elements:
         a, b = A.act[m], B.act[m]
         for amap, fmap, bmap in ((a.object_map, F.object_map, b.object_map),

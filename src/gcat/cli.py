@@ -1,25 +1,25 @@
 """gcat command line: document IO, checks, and report emission.
 
 Every subcommand is one entry of COMMANDS: its handler and its own flags
-(each also takes --cap, default 3).  Where a command reads a simplicial set
-or map, as `ex`, `homology --kind sset` and `weq` on a map document do,
---cap defaults to min(3, the document's cap), the smaller of source and
-target for a map, and may not exceed it.  A handler reads its documents
-with `_load`, runs its check and returns (inputs, body, exit code); `main`
-wraps that in `serialize.report`, emits it, and turns every error into an
-exit code.
+(each also takes --cap).  A handler reads its documents with `_load` and
+the readers of `serialize`, runs its check and returns (inputs, body, exit
+code); `main` wraps that in `serialize.report`, emits it, and turns every
+error into an exit code.
 
 Exit codes: 0 all properties hold, 1 a property is violated (the report names
 it), 2 inconclusive (a cap was hit), 64 usage error, 74 IO error. Where the
 errors go:
 
 - a bad argument (an out-of-range number, an unknown group name, `gens
-  --model` or `transfer-check --U`, an `ex`, `homology --kind sset` or
-  `weq` --cap above the cap of its simplicial set or map document):
-  argparse's usage text on stderr, exit 64;
-- a malformed document (a missing key or a value of the wrong shape, in a file
-  or in the inline JSON of `gens --params` and `transfer-check --phi`): one
-  `{"error": "malformed document", ...}` object on stdout, exit 64;
+  --model` or `transfer-check --U`, or a --cap above the cap of the
+  simplicial set or map that `ex`, `homology --kind sset` or `weq` reads,
+  the smaller of source's and target's for a map; there --cap defaults to
+  min(3, that cap), elsewhere to 3): argparse's usage text on stderr, exit 64;
+- a malformed document, in a file or in the inline JSON of `gens --params`
+  and `transfer-check --phi`: a missing key, or a value of the wrong type
+  (every id is a string, caps and dimensions are JSON integers, maps are
+  JSON objects): one `{"error": "malformed document", ...}` object on
+  stdout, exit 64;
 - an input file that cannot be read, is not UTF-8 or holds invalid JSON, an
   `--output` that cannot be written (the report is still on stdout), or a
   stdout that its reader closed before the report was written: one
@@ -38,7 +38,7 @@ import sys
 from .config import DEFAULT_CAPS, WIDE_CAPS
 from .errors import GcatError, Inconclusive, SizeCapExceeded
 from . import serialize as ser
-from .fincat import category_from_doc, presented_pushout
+from .fincat import presented_pushout
 from .corpus import (
     dwyer_span_corpus,
     named_group,
@@ -129,14 +129,14 @@ def _document_cap(args, cap=None):
 
 
 def cmd_validate(args):
-    doc, cat = _load(args.input, lambda d: category_from_doc(d, args.caps))
+    doc, cat = _load(args.input, lambda d: ser.category_from_doc(d, args.caps))
     body = {"valid": True, "objects": cat.n_objects(), "morphisms": cat.n_morphisms()}
     return {"category": doc}, body, EXIT_OK
 
 
 def cmd_nerve(args):
     from .sset import nerve
-    doc, cat = _load(args.input, lambda d: category_from_doc(d, args.caps))
+    doc, cat = _load(args.input, lambda d: ser.category_from_doc(d, args.caps))
     N = nerve(cat, args.cap, args.caps)
     body = {"cap": args.cap, "nondegenerate": {str(n): N.n_nondeg(n) for n in range(args.cap + 1)},
             "sset": N.to_doc()}
@@ -144,9 +144,9 @@ def cmd_nerve(args):
 
 
 def cmd_homology(args):
-    from .sset import complex_to_sset, homology, nerve, sset_from_doc
-    parse = {"sset": sset_from_doc, "complex": ser.complex_from_doc,
-             "category": lambda d: category_from_doc(d, args.caps)}[args.kind]
+    from .sset import complex_to_sset, homology, nerve
+    parse = {"sset": ser.sset_from_doc, "complex": ser.complex_from_doc,
+             "category": lambda d: ser.category_from_doc(d, args.caps)}[args.kind]
     doc, X = _load(args.input, parse)
     _document_cap(args, X.cap if args.kind == "sset" else None)
     if args.kind == "complex":
@@ -169,8 +169,8 @@ def cmd_sd(args):
 
 
 def cmd_ex(args):
-    from .sset import ex, sset_from_doc, e_map
-    doc, X = _load(args.input, sset_from_doc)
+    from .sset import ex, e_map
+    doc, X = _load(args.input, ser.sset_from_doc)
     _document_cap(args, X.cap)
     try:
         exd = ex(X, args.cap, args.caps)
@@ -203,7 +203,7 @@ def cmd_pushout(args):
     caps = args.caps
 
     def parse(doc):
-        A, B, C = (category_from_doc(doc[k], caps) for k in "ABC")
+        A, B, C = (ser.category_from_doc(doc[k], caps) for k in "ABC")
         return A, B, C, ser.functor_from_maps(doc["i"], A, B), ser.functor_from_maps(doc["c"], A, C)
 
     doc, (A, B, C, i, c) = _load(args.input, parse)
@@ -292,7 +292,7 @@ def cmd_gglobal_weq(args):
 
 
 def cmd_saturate(args):
-    from .actions import cell_category, subgroup_from_elements
+    from .actions import cell_category
     from .weq import cell_avatar, poset_avatar, saturation_check
     caps = args.caps
 
@@ -300,12 +300,12 @@ def cmd_saturate(args):
         """The avatar, as a function of the pairs document's G and H_group."""
         kind = spec["kind"]
         if kind == "poset":
-            P = category_from_doc(spec["category"], caps)
+            P = ser.category_from_doc(spec["category"], caps)
             return lambda G, Hg: poset_avatar(P, Hg, G)
         if kind == "cell":
             K = named_group(spec["K"])
-            H = subgroup_from_elements(K, spec["H"])
-            phi = dict(spec["phi"])
+            H = ser.subgroup_from_doc(K, spec["H"])
+            phi = ser.phi_from_doc(spec["phi"])
             return lambda G, Hg: cell_avatar(cell_category(K, G, H, phi, caps))
         raise ValueError(f"unknown avatar kind {kind!r}")
 
@@ -322,18 +322,12 @@ def cmd_gens(args):
     from .dwyer import find_dwyer_witness, is_sieve
     from .weq import GeneratorSpec, generating_maps
 
+    # the reader of each parameter that a model reads; no model reads any other key
+    readers = {"H": named_group, "G": named_group, "Hp": named_group, "phi": ser.phi_from_doc,
+               "M": lambda v: ser.monoid_from_doc(v) if isinstance(v, dict) else named_group(v)}
+
     def parse(text):
-        params = {}
-        for key, val in json.loads(text).items():
-            if key in ("H", "G", "Hp"):
-                params[key] = named_group(val)
-            elif key == "phi":
-                params[key] = dict(val)
-            elif key == "M":
-                params[key] = ser.monoid_from_doc(val) if isinstance(val, dict) else named_group(val)
-            else:
-                params[key] = val
-        return params
+        return {key: readers[key](val) for key, val in json.loads(text).items() if key in readers}
 
     spec = GeneratorSpec(args.model, args.n, args.k, args.acyclic)
     try:
@@ -341,7 +335,10 @@ def cmd_gens(args):
     except GcatError as exc:   # a flag combination argparse cannot check alone
         args.usage_error(f"--n/--k/--acyclic: {exc}")
     spec.params = _parse("--params", parse, args.params) if args.params else {}
-    gm = generating_maps(spec, args.caps)
+    try:
+        gm = generating_maps(spec, args.caps)
+    except KeyError as exc:   # a parameter that the model reads is not in --params
+        raise MalformedDocument(f"--params: missing {exc}") from exc
     sieve = is_sieve(gm.functor)
     equivariance = None if gm.group is None else (gm.group, gm.act_src, gm.act_dst)
     w = find_dwyer_witness(gm.functor, equivariance)
@@ -370,7 +367,7 @@ def cmd_transfer_check(args):
     G = named_group(args.G)
     H = named_group(args.H)
     if args.phi:
-        phi = _parse("--phi", lambda text: dict(json.loads(text)), args.phi)
+        phi = _parse("--phi", lambda text: ser.phi_from_doc(json.loads(text)), args.phi)
     else:
         phi = {h: h for h in H.elements}
     I = [generating_maps(GeneratorSpec("g_global_thin", n,

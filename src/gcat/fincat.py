@@ -16,9 +16,9 @@ composite words, filled in HLT order by relation scans, coincidences and
 definitions, with one union-find for object classes, generator classes and
 states, and at most 4 * max_morphisms live states, checked every 128 states.
 
-Ids are strings ordered lexicographically; `category_from_doc` refuses any
-other object or morphism id.  All constructions are deterministic functions
-of their inputs.
+Ids are strings ordered lexicographically; `serialize.category_from_doc`,
+the reader of category documents, refuses any other id.  All constructions
+are deterministic functions of their inputs.
 """
 
 from __future__ import annotations
@@ -191,23 +191,6 @@ def validate_category(objects, morphisms, identity, compose, caps: SizeCaps = DE
                     raise AssociativityViolation(f"(h∘g)∘f ≠ h∘(g∘f) for ({h!r},{g!r},{f!r})")
     return FinCat(objects, morphisms, identity, compose, src, dst,
                   {k: tuple(v) for k, v in hom.items()})
-
-
-def category_from_doc(doc, caps: SizeCaps = DEFAULT_CAPS):
-    """Validate a category document.  An object or morphism id that is not a
-    string makes the document malformed: TypeError."""
-    morphisms = [tuple(m) for m in doc["morphisms"]]
-    for kind, ids in (("object", doc["objects"]), ("morphism", [m[0] for m in morphisms])):
-        for x in ids:
-            if not isinstance(x, str):
-                raise TypeError(f"{kind} id {x!r} is not a string")
-    return validate_category(
-        doc["objects"],
-        morphisms,
-        doc["identity"],
-        {(g, f): h for g, f, h in doc["compose"]},
-        caps,
-    )
 
 
 # -- small builders -------------------------------------------------------

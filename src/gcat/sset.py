@@ -157,7 +157,7 @@ class FinSSet:
         return len(self.cells.get(n, ()))
 
     def dims(self):
-        return [n for n in range(self.cap + 1) if self.cells.get(n)]
+        return sorted(n for n, ids in self.cells.items() if ids and 0 <= n <= self.cap)
 
     def nf_of(self, n, sid):
         return (sid, tuple(range(n + 1)))
@@ -203,9 +203,6 @@ class FinSSet:
                 out.append((c, tuple(map(beta.__getitem__, g))))
         return tuple(out)
 
-    def face(self, nf, i):
-        return self.faces_of(nf)[i]
-
     def all_simplices(self, n):
         """All n-simplices (including degenerate) as normal forms."""
         out = []
@@ -222,10 +219,7 @@ class FinSSet:
         table = self._face_memo.get(n)
         if table is None:
             simplices = self.all_simplices(n)
-            try:
-                nfs = tuple(sorted(simplices))
-            except TypeError:   # a document's ids of types that do not compare
-                nfs = tuple(sorted(simplices, key=lambda v: (type(v[0]).__name__, v)))
+            nfs = tuple(sorted(simplices))
             number = {v: i for i, v in enumerate(nfs)}
             below = self.face_index(n - 1).number if n else None
             faces = {number[v]: tuple(below[f] for f in self.faces_of(v)) if n else ()
@@ -284,7 +278,7 @@ class FinSSet:
                     if alpha not in alphas:
                         if len(alpha) != n or not all(alpha[i] <= alpha[i + 1] for i in range(n - 1)):
                             raise GcatError(f"bad face normal form on ({n},{sid})")
-                        if set(alpha) != set(range(alpha[-1] + 1)):
+                        if set(alpha) != set(range(min(alpha[-1], len(alpha)) + 1)):
                             raise GcatError(f"face alpha not surjective on ({n},{sid})")
                     cdim = alpha[-1]
                     if core not in cores.get(cdim, ()):
@@ -320,15 +314,6 @@ class FinSSet:
                 for n in self.dims() if n >= 1 for sid in self.cells[n]
             ],
         }
-
-
-def sset_from_doc(doc) -> FinSSet:
-    from .serialize import _alpha
-    cells = {int(n): tuple(v) for n, v in doc["cells"].items()}
-    faces = {}
-    for n, sid, fs in doc["faces"]:
-        faces[(int(n), sid)] = tuple((c, _alpha(a)) for c, a in fs)
-    return FinSSet(int(doc["cap"]), cells, faces).validate()
 
 
 def point_sset(cap=3):
@@ -368,7 +353,7 @@ class SSetMap:
                     if len(alpha) != n + 1:
                         raise GcatError(f"map changes dimension on ({n},{sid})")
                     if (any(a > b for a, b in zip(alpha, alpha[1:]))
-                            or set(alpha) != set(range(alpha[-1] + 1))):
+                            or set(alpha) != set(range(min(alpha[-1], len(alpha)) + 1))):
                         raise GcatError(f"map value alpha not a monotone surjection on ({n},{sid})")
                 if core not in cores.get(alpha[-1], ()):
                     raise GcatError(f"map value core unknown on ({n},{sid})")
@@ -434,9 +419,9 @@ class OrderedComplex:
                 for sub in itertools.combinations(f, len(f) - 1):
                     if tuple(sub) not in self.faces:
                         raise GcatError(f"complex not downward closed at {f!r}")
-
-    def dim(self):
-        return max((len(f) - 1 for f in self.faces), default=-1)
+        unnamed = vs.difference(*self.faces)
+        if unnamed:
+            raise GcatError(f"vertex {min(unnamed)!r} is in no face")
 
 
 def make_complex(faces) -> OrderedComplex:
@@ -919,6 +904,8 @@ def homology(X: FinSSet, cap=None):
     """
     if cap is None:
         cap = X.cap
+    elif cap > X.cap:
+        raise GcatError(f"homology at cap {cap} needs X's simplices to dimension {cap}; X has cap {X.cap}")
     ranks = {}
     invs = {}
     pivots = set()

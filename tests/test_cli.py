@@ -1,5 +1,6 @@
 """CLI surface: document round-trips, exit codes, deterministic reports."""
 
+import copy
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gcat import cli, serialize as ser
+from gcat.actions import cyclic_group, translation_action
 from gcat.fincat import Functor, arrow_category, terminal_category
 from gcat.sset import (
     boundary_complex,
@@ -394,6 +396,76 @@ def test_complex_with_non_string_ids_is_a_usage_error(tmp_path, command, doc):
     assert "Traceback" not in proc.stderr
 
 
+def test_complex_vertex_in_no_face_is_violated(tmp_path, capsys):
+    """A vertex that no face names is refused: every command used to drop it."""
+    path = write(tmp_path, "K.json", {"vertices": ["a", "b", "c"], "faces": [["a"], ["b"], ["a", "b"]]})
+    for argv in (["homology", "--kind", "complex", "--input", path], ["sd", "--input", path]):
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().out) == {"detail": "vertex 'c' is in no face",
+                                                       "verdict": "violated"}
+
+
+def ill_typed_inputs():
+    """Well-formed documents of each kind, and the command that reads each."""
+    X = complex_to_sset(standard_simplex_complex(2), 2)
+    functor = Functor(terminal_category(), arrow_category(), {"*": "0"}, {"id*": "0<=0"})
+    return {"category": (["validate"], arrow_category().to_doc()),
+            "sset": (["homology", "--kind", "sset"], X.to_doc()),
+            "map": (["weq"], ser.sset_map_doc(identity_sset_map(X))),
+            "functor": (["check-dwyer"], ser.functor_doc(functor)),
+            "action": (["hofix", "--pairs"], ser.action_doc(translation_action(cyclic_group(2)))),
+            "pairs": (["hofix", "--input"], copy.deepcopy(Z2_PAIRS)),
+            "complex": (["homology", "--kind", "complex"], {"vertices": ["a", "b"],
+                                                           "faces": [["a"], ["b"], ["a", "b"]]})}
+
+
+@pytest.mark.parametrize("kind, corrupt, detail", [
+    # each exited 0 before the readers checked types
+    ("category", lambda d: d.update(objects="01"), "TypeError: object id list '01' is not a list"),
+    ("sset", lambda d: d.update(cap=2.5), "TypeError: cap 2.5 is not an integer"),
+    ("sset", lambda d: d["faces"][0].__setitem__(0, 1.0),
+     "TypeError: face dimension 1.0 is not an integer"),
+    ("pairs", lambda d: d["pairs"][0].update(phi=[["c0", "c0"]]),
+     "TypeError: phi [['c0', 'c0']] is not an object"),
+    ("functor", lambda d: d.update(object_map=[["*", "0"]]),
+     "TypeError: object map [['*', '0']] is not an object"),
+    ("map", lambda d: d["values"][0].__setitem__(0, "0"),
+     "TypeError: map value dimension '0' is not an integer"),
+    ("map", lambda d: d["values"][0][2].append("x"),
+     "ValueError: too many values to unpack (expected 2)"),
+    # each exited 1, as violated, before
+    ("category", lambda d: d["identity"].update({"0": 0}), "TypeError: identity entry 0 is not a string"),
+    ("category", lambda d: d["morphisms"][0].__setitem__(1, 0), "TypeError: object id 0 is not a string"),
+    ("action", lambda d: d["monoid"].update(unit=0), "TypeError: monoid element 0 is not a string"),
+    ("pairs", lambda d: d["pairs"][0].update(H=[0]), "TypeError: subgroup element 0 is not a string"),
+    ("pairs", lambda d: d["pairs"][0]["phi"].update(c1=1), "TypeError: phi entry 1 is not a string"),
+    ("functor", lambda d: d["object_map"].update({"*": 0}),
+     "TypeError: object map entry 0 is not a string"),
+    ("map", lambda d: d["values"][0][2].__setitem__(0, 0), "TypeError: simplex id 0 is not a string"),
+    ("complex", lambda d: d["faces"].__setitem__(2, "ab"), "TypeError: vertex list 'ab' is not a list"),
+], ids=["objects-string", "cap-float", "face-dimension-float", "phi-list", "object-map-list",
+        "map-value-dimension-string", "map-value-of-3", "int-identity", "int-endpoint",
+        "int-monoid-element", "int-subgroup-entry", "int-phi-value", "int-functor-map-value",
+        "int-map-value-core", "complex-face-string"])
+def test_ill_typed_document_is_a_usage_error(tmp_path, capsys, kind, corrupt, detail):
+    """Every id is a string, caps and dimensions are JSON integers and maps
+    are JSON objects: each of these documents is malformed."""
+    inputs = ill_typed_inputs()
+    command, doc = inputs[kind]
+    corrupt(doc)
+    path = write(tmp_path, "doc.json", doc)
+    if kind == "action":
+        argv = [*command, write(tmp_path, "pairs.json", Z2_PAIRS), "--input", path]
+    elif kind == "pairs":
+        argv = [*command, write(tmp_path, "action.json", inputs["action"][1]), "--pairs", path]
+    else:
+        argv = [*command, "--input", path]
+    assert cli.main(argv) == 64
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out) == {"detail": f"{path}: {detail}",
+                                             "error": "malformed document"}
+
+
 def test_sset_stored_above_its_cap_is_violated(tmp_path, capsys):
     doc = complex_to_sset(standard_simplex_complex(2), 2).to_doc()
     doc["cap"] = 1
@@ -452,6 +524,35 @@ def test_gglobal_weq_of_contractible_groupoid(tmp_path):
     assert out["certificate"]["passed"] is True
 
 
+def test_gglobal_weq_of_actions_of_different_monoids_is_violated(tmp_path, capsys):
+    """The functor is checked against both actions element by element, so
+    they must be actions of one monoid (a missing element was a KeyError)."""
+    from gcat.actions import cyclic_group, translation_action, trivial_action, trivial_group
+    src = translation_action(cyclic_group(2))
+    doc = {"source_action": ser.action_doc(src),
+           "target_action": ser.action_doc(trivial_action(trivial_group(), terminal_category())),
+           "functor": {"object_map": {x: "*" for x in src.carrier.objects},
+                       "morphism_map": {m: "id*" for m in src.carrier.morphism_ids}}}
+    argv = ["gglobal-weq", "--input", write(tmp_path, "gg.json", doc),
+            "--pairs", write(tmp_path, "pairs.json", Z2_PAIRS)]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "detail": "the two actions are of different monoids", "verdict": "violated"}
+
+
+@pytest.mark.parametrize("params, detail", [
+    ('{"H": "Z2", "G": "Z2"}', "--params: missing 'phi'"),
+    ('{"H": "Z2", "G": "Z2", "phi": {"c0": [], "c1": "c1"}}', "TypeError: phi entry [] is not a string"),
+])
+def test_gens_params_missing_or_ill_typed_are_malformed(capsys, params, detail):
+    """A parameter that the model needs and --params lacks was a KeyError
+    traceback; a φ entry that is not a string was a TypeError traceback."""
+    argv = ["gens", "--model", "g_global_thin", "--n", "0", "--params", params]
+    assert cli.main(argv) == 64
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["detail"].endswith(detail)
+
+
 def test_transfer_check_names_unchecked_condition():
     out = json.loads(run_cli(["transfer-check", "--U", "identity", "--n-max", "0"]))
     assert "condition2" in out["report"]["not_checked"]
@@ -507,8 +608,8 @@ def test_text_format_renders(tmp_path):
 
 
 def test_documents_round_trip_bit_stable(tmp_path):
-    from gcat.fincat import category_from_doc
-    from gcat.sset import nerve, sset_from_doc
+    from gcat.serialize import category_from_doc, sset_from_doc
+    from gcat.sset import nerve
     cat = arrow_category()
     doc = cat.to_doc()
     assert ser.canonical_json(category_from_doc(doc).to_doc()) == ser.canonical_json(doc)

@@ -17,6 +17,10 @@ A parameter is unread when the body of the function that takes it, nested
 functions included, never loads it.  `self`, `cls` and the parameters of
 dunder methods are not checked.
 
+Every document reader is in serialize.py: a function of src/gcat/ named
+`*_from_doc` defined anywhere else is reported, and so is an import of
+serialize by any module but serialize and cli.
+
 A field of a top-level `@dataclass` class in src/gcat/ is dead when no file
 searched loads it as an attribute.  `InitVar` fields are passed to
 `__post_init__`, not stored, and are not checked; `NamedTuple`s are not
@@ -194,7 +198,7 @@ TEST_ONLY = {
     "actions.make_monoid", "actions.is_good_subgroup",
     "dwyer.normalize_unit", "dwyer.product_witness", "dwyer.monoid_dwyer_check",
     "serialize.sset_map_doc",
-    "sset.FinSSet.face", "sset.OrderedComplex.dim", "sset.induced_cell_sd",
+    "sset.induced_cell_sd",
     "weq.f_weak_equivalence", "weq.conjugate_pair", "weq.discrete_avatar",
 }
 
@@ -318,3 +322,54 @@ def test_planted_unread_field_is_reported(tmp_path):
         encoding="utf-8")
     dead = unread_fields(package, [tmp_path / "src", tmp_path / "tests"])
     assert dead == ["mod.py:8 Box.written", "mod.py:18 Cell.value"]
+
+
+def imported_modules(node):
+    """The gcat modules that an import statement `node` names, by last part."""
+    if isinstance(node, ast.Import):
+        return [alias.name.rpartition(".")[2] for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        if module in ("", "gcat"):   # from . import x, from gcat import x
+            return [alias.name for alias in node.names]
+        return [module.rpartition(".")[2]]
+    return []
+
+
+def document_boundary_faults(package=PACKAGE):
+    """`*_from_doc` functions outside serialize.py, and imports of serialize
+    outside serialize and cli."""
+    faults = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.endswith("_from_doc") and path.name != "serialize.py"):
+                faults.append(f"{path.name}:{node.lineno} defines {node.name}")
+            if "serialize" in imported_modules(node) and path.stem not in ("serialize", "cli"):
+                faults.append(f"{path.name}:{node.lineno} imports serialize")
+    return faults
+
+
+def test_document_readers_are_in_serialize():
+    assert document_boundary_faults() == []
+
+
+def test_planted_reader_outside_serialize_is_reported(tmp_path):
+    package = tmp_path / "gcat"
+    package.mkdir()
+    (package / "serialize.py").write_text(
+        "from .sset import FinSSet\n\n\ndef sset_from_doc(doc):\n    return FinSSet(doc)\n",
+        encoding="utf-8")
+    (package / "cli.py").write_text("from . import serialize as ser\n", encoding="utf-8")
+    (package / "sset.py").write_text(
+        "class FinSSet:\n"
+        "    def from_doc(self):\n        return self\n\n\n"
+        "def sset_from_doc(doc):\n"
+        "    from .serialize import canonical_json\n"
+        "    return canonical_json(doc)\n",
+        encoding="utf-8")
+    (package / "weq.py").write_text("import gcat.serialize\nfrom gcat import serialize\n",
+                                    encoding="utf-8")
+    assert document_boundary_faults(package) == [
+        "sset.py:6 defines sset_from_doc", "sset.py:7 imports serialize",
+        "weq.py:1 imports serialize", "weq.py:2 imports serialize"]

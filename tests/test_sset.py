@@ -23,7 +23,6 @@ from gcat.config import DEFAULT_CAPS, WIDE_CAPS, SizeCaps
 from gcat.fincat import (
     Functor,
     arrow_category,
-    category_from_doc,
     chain_poset,
     discrete_category,
     functor_category_data,
@@ -77,7 +76,6 @@ from gcat.sset import (
     standard_simplex_complex,
     boundary_matrix,
     identity_sset_map,
-    sset_from_doc,
     _SdData,
     _alphas,
     _enumerate_sd_maps,
@@ -85,6 +83,7 @@ from gcat.sset import (
     delta,
 )
 from gcat.dwyer import dwyer_pushout, find_dwyer_witness
+from gcat.serialize import category_from_doc, sset_from_doc
 from gcat.weq import GeneratorSpec, generating_maps
 from gcat.smith import _Sparse, smith_invariants
 
@@ -384,6 +383,24 @@ def test_pull_against_composite_chains():
                         assert N.pull((cid, alpha), f) == expect, (cid, alpha, f)
 
 
+def test_huge_cap_and_alpha_entries_are_read_in_bounded_time():
+    """A document's cap and alpha entries are JSON integers of any size:
+    `dims` ranged over 0..cap, and the surjectivity test of an alpha built the
+    set 0..alpha[-1], so these hung or ran out of memory."""
+    doc = complex_to_sset(standard_simplex_complex(1), 1).to_doc()
+    doc["cap"] = 10 ** 12
+    X = sset_from_doc(doc)
+    assert X.dims() == [0, 1]
+    values = {(0, "0"): ("0", (0,)), (0, "1"): ("1", (0,)), (1, "0,1"): ("0,1", (0, 10 ** 12))}
+    with pytest.raises(GcatError) as info:
+        SSetMap(X, X, values).validate()
+    assert str(info.value) == "map value alpha not a monotone surjection on (1,0,1)"
+    doc["faces"][0][2][0][1] = [10 ** 12]
+    with pytest.raises(GcatError) as info:
+        sset_from_doc(doc)
+    assert str(info.value) == "face alpha not surjective on (1,0,1)"
+
+
 # -- complexes, subdivision, hSd² -------------------------------------------
 
 
@@ -391,7 +408,7 @@ def test_standard_cells():
     assert complex_to_sset(boundary_complex(1)).n_nondeg(0) == 2
     horn = complex_to_sset(horn_complex(2, 1))
     assert horn.n_nondeg(0) == 3 and horn.n_nondeg(1) == 2
-    assert boundary_complex(0).dim() == -1
+    assert max((len(f) - 1 for f in boundary_complex(0).faces), default=-1) == -1
 
 
 def test_sd_counts_against_chain_enumeration():
@@ -506,6 +523,17 @@ def test_homology_simplices_and_sphere():
         [(1, ()), (0, ()), (0, ())]
     assert homology(complex_to_sset(boundary_complex(2), 3), 3) == \
         [(1, ()), (1, ()), (0, ())]
+
+
+def test_homology_above_the_cap_of_its_set_is_refused():
+    """H_k reads the simplices up to dimension k + 1: the filled triangle
+    stored at cap 1 is its 1-skeleton, a circle, so degrees 0..2 are refused
+    (they used to give H_1 = Z)."""
+    X = complex_to_sset(standard_simplex_complex(2), 1)
+    assert homology(X, 1) == homology(X) == [(1, ())]
+    with pytest.raises(GcatError) as info:
+        homology(X, 3)
+    assert str(info.value) == "homology at cap 3 needs X's simplices to dimension 3; X has cap 1"
 
 
 def test_homology_contractible_groupoid():
@@ -864,10 +892,12 @@ def test_ex_point():
 
 
 def test_ex_of_ids_that_do_not_compare():
-    # int vertex ids and a str edge id: the simplex table sorts by type name first
-    X = sset_from_doc({"cap": 2, "cells": {"0": [0, 1], "1": ["e"]},
+    # every simplex id is a string, so ids of types that do not compare never
+    # reach the simplex table: int vertex ids make the document malformed
+    with pytest.raises(TypeError) as info:
+        sset_from_doc({"cap": 2, "cells": {"0": [0, 1], "1": ["e"]},
                        "faces": [[1, "e", [[1, [0]], [0, [0]]]]]})
-    assert [ex(X, 2).sset.n_nondeg(n) for n in range(3)] == [2, 3, 11]
+    assert str(info.value) == "simplex id 0 is not a string"
 
 
 def test_e_map_on_interval():
@@ -878,8 +908,8 @@ def test_e_map_on_interval():
     v = em.values[(1, "0,1")]
     assert v[1] == (0, 1)          # nondegenerate image
     # endpoints are preserved
-    assert exd.sset.face(v, 1) == em.values[(0, "0")]
-    assert exd.sset.face(v, 0) == em.values[(0, "1")]
+    assert exd.sset.faces_of(v)[1] == em.values[(0, "0")]
+    assert exd.sset.faces_of(v)[0] == em.values[(0, "1")]
 
 
 def test_e_map_homology_small():

@@ -111,6 +111,13 @@ def test_homology_certificate_identity_and_contractible():
     assert homology_certificate(collapse_to_point(E2), 3).passed
 
 
+def test_homology_certificate_above_the_cap_of_its_map_is_refused():
+    inc = complex_inclusion(boundary_complex(2), standard_simplex_complex(2), 2)
+    assert homology_certificate(inc, 2).cap == 2
+    with pytest.raises(GcatError):
+        homology_certificate(inc, 3)
+
+
 def test_homology_certificate_detects_sphere():
     inc = complex_inclusion(boundary_complex(2), standard_simplex_complex(2))
     cert = homology_certificate(inc, 3)
