@@ -108,7 +108,8 @@ def action_doc(A: MonoidActionCat) -> dict:
 def action_from_doc(doc, caps: SizeCaps = DEFAULT_CAPS) -> MonoidActionCat:
     M = monoid_from_doc(doc["monoid"])
     cat = category_from_doc(doc["category"], caps)
-    if doc.get("category_hash") and doc["category_hash"] != content_hash(cat.to_doc()):
+    if "category_hash" in doc and (_value(str, doc["category_hash"], "category hash")
+                                   != content_hash(cat.to_doc())):
         raise GcatError("action document category hash mismatch")
     act = {m: Functor(cat, cat, _id_map(doc["object_maps"][m], "object map"),
                       _id_map(doc["morphism_maps"][m], "morphism map"))

@@ -433,6 +433,7 @@ def ill_typed_inputs():
      "TypeError: map value dimension '0' is not an integer"),
     ("map", lambda d: d["values"][0][2].append("x"),
      "ValueError: too many values to unpack (expected 2)"),
+    ("action", lambda d: d.update(category_hash=0), "TypeError: category hash 0 is not a string"),
     # each exited 1, as violated, before
     ("category", lambda d: d["identity"].update({"0": 0}), "TypeError: identity entry 0 is not a string"),
     ("category", lambda d: d["morphisms"][0].__setitem__(1, 0), "TypeError: object id 0 is not a string"),
@@ -444,7 +445,7 @@ def ill_typed_inputs():
     ("map", lambda d: d["values"][0][2].__setitem__(0, 0), "TypeError: simplex id 0 is not a string"),
     ("complex", lambda d: d["faces"].__setitem__(2, "ab"), "TypeError: vertex list 'ab' is not a list"),
 ], ids=["objects-string", "cap-float", "face-dimension-float", "phi-list", "object-map-list",
-        "map-value-dimension-string", "map-value-of-3", "int-identity", "int-endpoint",
+        "map-value-dimension-string", "map-value-of-3", "int-category-hash", "int-identity", "int-endpoint",
         "int-monoid-element", "int-subgroup-entry", "int-phi-value", "int-functor-map-value",
         "int-map-value-core", "complex-face-string"])
 def test_ill_typed_document_is_a_usage_error(tmp_path, capsys, kind, corrupt, detail):

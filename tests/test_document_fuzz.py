@@ -28,10 +28,10 @@ PHI = {"c0": "c0", "c1": "c1"}
 
 
 def cases():
-    """(label, argv, document): each argv holds the placeholder "DOC" where the
-    document goes, as a file path or, for `gens` and `transfer-check`, as the
-    inline JSON itself; "PAIRS", "FAMILY" and "ACTION" stand for unmutated
-    documents."""
+    """The (label, argv, document) of each case, and the unmutated documents
+    by placeholder.  Each argv holds the placeholder "DOC" where the document
+    goes, as a file path or, for `gens` and `transfer-check`, as the inline
+    JSON itself; "PAIRS", "FAMILY" and "ACTION" stand for the unmutated ones."""
     arrow, one = arrow_category(), terminal_category()
     D1 = complex_to_sset(standard_simplex_complex(1), 2)
     translation = translation_action(cyclic_group(2))
