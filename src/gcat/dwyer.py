@@ -1,34 +1,25 @@
-"""Dwyer maps: sieve/cosieve predicates, the witness construction,
-normalization, the explicit pushout construction, and closure under fixed
-points, products, and functor categories.
+"""Dwyer maps: sieve/cosieve predicates, the witness construction, the
+explicit pushout construction, and closure under fixed points, products, and
+functor categories.
 
-A DwyerWitness packages the factorization i = (X ↪ B) ∘ f together with the
-right adjoint r of f and the adjunction transformations.  The pushout
-construction requires the unit to be the identity (so ε·f = id); witnesses
-with invertible units are repaired by `normalize_unit`, never silently.
-
-A witness with identity unit says that A is coreflective in the cosieve X
-(Thomason, "Cat as a closed model category", 1980): every x in X has a
-universal arrow ε_x: f(r x) -> x from f, and these arrows fix r (Mac Lane,
-Categories for the Working Mathematician, IV.1 Thm 2).  Whether x has one
-does not depend on X, so `find_dwyer_witness` builds the witness from the
-first universal arrow of each object and the largest cosieve of objects that
-have one, rather than searching; its None is a proof that none exists.
+A DwyerWitness for a sieve i: A -> B is a retraction r: X -> A of a cosieve
+X ⊇ i(A) with the counit components ε_x: f(r x) -> x, for f: A -> X the
+corestriction of i.  It says that A is coreflective in X (Thomason, "Cat as a
+closed model category", 1980): r∘f = id_A is the unit, every ε_x is a
+universal arrow from f, and these arrows fix r (Mac Lane, Categories for the
+Working Mathematician, IV.1 Thm 2).  Whether x has one does not depend on X,
+so `find_dwyer_witness` builds the witness from the first universal arrow of
+each object and the largest cosieve of objects that have one, rather than
+searching; its None is a proof that none exists.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Optional
 
 from .config import DEFAULT_CAPS, SizeCaps
-from .errors import (
-    EquivarianceViolation,
-    GcatError,
-    NotASubcategoryInclusion,
-    UnitNotInvertible,
-    WitnessNotNormalized,
-)
+from .errors import EquivarianceViolation, GcatError, NotASubcategoryInclusion
 from .fincat import (
     FinCat,
     Functor,
@@ -36,9 +27,11 @@ from .fincat import (
     functor_category_data,
     identity_functor,
     inclusion_functor,
+    is_isomorphism_functor,
     pair_mor,
     pair_obj,
     postcompose_on_fun,
+    presented_pushout,
     product_category,
     product_functor,
     validate_category,
@@ -97,59 +90,44 @@ def is_cosieve(j: Functor) -> bool:
 @dataclass(frozen=True, eq=False)
 class DwyerWitness:
     """Certificate that i: A -> B is a (G-equivariant) Dwyer map, validated
-    once, when it is built."""
+    once, when it is built: r retracts the cosieve X = r.source onto A, and
+    the counit's ε_x: f(r x) -> x are universal arrows from f."""
 
     i: Functor
-    cosieve_objects: tuple     # objects of the cosieve X inside B
-    X: FinCat                  # the cosieve as a full subcategory of B
-    f: Functor                 # A -> X, the corestriction of i
-    r: Functor                 # X -> A
-    unit: NatTrans             # id_A => r∘f
-    counit: NatTrans           # f∘r => id_X
+    r: Functor                 # X -> A with r∘f = id_A, the unit
+    counit: dict               # x -> ε_x: f(r x) -> x, for x in X
     group: Optional[FinGroup] = None
     act_A: Optional[MonoidActionCat] = None
     act_B: Optional[MonoidActionCat] = None
     _i_checked: InitVar[bool] = False  # i already known to be an equivariant sieve
+    X: FinCat = field(init=False)      # the cosieve, a full subcategory of B
+    f: Functor = field(init=False)     # A -> X, i with its target cut down to X
 
     def __post_init__(self, _i_checked):
+        object.__setattr__(self, "X", self.r.source)
+        object.__setattr__(self, "f", Functor(self.i.source, self.X, self.i.object_map,
+                                              self.i.morphism_map))
         self.validate(_i_checked=_i_checked)
-
-    def is_normalized(self):
-        A = self.i.source
-        return all(self.unit.components[a] == A.identity[a] for a in A.objects)
 
     def validate(self, _i_checked=False):
         if not _i_checked and not is_sieve(self.i):
             raise GcatError("witness functor is not a sieve")
-        A, B = self.i.source, self.i.target
-        incl = inclusion_functor(self.X, B)
-        if not is_cosieve(incl):
+        A, X, f, r, counit = self.i.source, self.X, self.f, self.r, self.counit
+        if not is_cosieve(inclusion_functor(X, self.i.target)):
             raise GcatError("witness cosieve is not a cosieve")
-        if set(self.cosieve_objects) != set(self.X.objects):
-            raise GcatError("cosieve object list does not match X")
-        if not set(self.i.object_map.values()) <= set(self.X.objects):
+        if not set(f.object_map.values()) <= set(X.objects):
             raise GcatError("cosieve does not contain the image of i")
-        self.f.validate()
-        self.r.validate()
-        if not self.f.then(incl).same_maps(self.i):
-            raise GcatError("i does not factor as inclusion ∘ f")
-        self.unit.validate()
-        self.counit.validate()
-        if not self.unit.target.same_maps(self.f.then(self.r)):
-            raise GcatError("unit target is not r∘f")
-        if not self.counit.source.same_maps(self.r.then(self.f)):
-            raise GcatError("counit source is not f∘r")
-        # triangle identities
+        r.validate()
+        if not f.then(r).same_maps(identity_functor(A)):
+            raise GcatError("r∘f is not the identity of A")
+        NatTrans(r.then(f), identity_functor(X), counit).validate()
+        # triangle identities, with the identity unit
         for a in A.objects:
-            lhs = self.X.compose[(self.counit.components[self.f.object_map[a]],
-                                  self.f.morphism_map[self.unit.components[a]])]
-            if lhs != self.X.identity[self.f.object_map[a]]:
-                raise GcatError(f"triangle identity (εf)(fη) = id fails at {a!r}")
-        for x in self.X.objects:
-            lhs = A.compose[(self.r.morphism_map[self.counit.components[x]],
-                             self.unit.components[self.r.object_map[x]])]
-            if lhs != A.identity[self.r.object_map[x]]:
-                raise GcatError(f"triangle identity (rε)(ηr) = id fails at {x!r}")
+            if counit[f.object_map[a]] != X.identity[f.object_map[a]]:
+                raise GcatError(f"triangle identity εf = id fails at {a!r}")
+        for x in X.objects:
+            if r.morphism_map[counit[x]] != A.identity[r.object_map[x]]:
+                raise GcatError(f"triangle identity rε = id fails at {x!r}")
         if self.group is None:
             return self
         G, aA, aB = self.group, self.act_A, self.act_B
@@ -157,20 +135,17 @@ class DwyerWitness:
             check_equivariant(self.i, aA, aB)
         # f is i with its target cut down to X, so i's check covers it; r is
         # checked against act_B on X, once X is known to be stable
-        rob, rmor = self.r.object_map, self.r.morphism_map
-        xset = set(self.X.objects)
+        rob, rmor = r.object_map, r.morphism_map
+        xset = set(X.objects)
         for g in G.elements:
             if {aB.ob(g, x) for x in xset} != xset:
                 raise EquivarianceViolation("cosieve not stable under the action", witness=g)
             if any(rob[aB.ob(g, x)] != aA.ob(g, rob[x]) for x in xset) or any(
-                    rmor[aB.mor(g, m)] != aA.mor(g, rmor[m]) for m in self.X.morphism_ids):
+                    rmor[aB.mor(g, m)] != aA.mor(g, rmor[m]) for m in X.morphism_ids):
                 raise EquivarianceViolation(f"r not equivariant at {g!r}", witness=g)
         for g in G.elements:
-            for a in self.i.source.objects:
-                if aA.mor(g, self.unit.components[a]) != self.unit.components[aA.ob(g, a)]:
-                    raise EquivarianceViolation("unit not equivariant", witness=(g, a))
-            for x in self.X.objects:
-                if aB.mor(g, self.counit.components[x]) != self.counit.components[aB.ob(g, x)]:
+            for x in X.objects:
+                if aB.mor(g, counit[x]) != counit[aB.ob(g, x)]:
                     raise EquivarianceViolation("counit not equivariant", witness=(g, x))
         return self
 
@@ -241,50 +216,10 @@ def find_dwyer_witness(i: Functor, equivariance=None) -> Optional[DwyerWitness]:
     if any(i.object_map[a] in lacking for a in A.objects):
         return None
     X = B.full_subcategory([x for x in B.objects if x not in lacking])
-    f = Functor(A, X, dict(i.object_map), dict(i.morphism_map))
     r = Functor(X, A, {x: arrow[x][0] for x in X.objects},
                 {m: arrow[t][2][B.compose[(m, arrow[s][1])]] for m, s, t in X.morphisms})
-    unit = NatTrans(identity_functor(A), f.then(r), {a: A.identity[a] for a in A.objects})
-    counit = NatTrans(r.then(f), identity_functor(X), {x: arrow[x][1] for x in X.objects})
-    return DwyerWitness(i, X.objects, X, f, r, unit, counit, group, act_A, act_B,
+    return DwyerWitness(i, r, {x: arrow[x][1] for x in X.objects}, group, act_A, act_B,
                         _i_checked=True)
-
-
-def normalize_unit(w: DwyerWitness) -> DwyerWitness:
-    """Massage a witness with invertible unit into one with identity unit.
-
-    Redefines r on image objects, conjugates its morphism action along the
-    comparison isomorphism, and re-verifies everything (including
-    equivariance when tagged).
-    """
-    if w.is_normalized():
-        return w
-    A, X = w.i.source, w.X
-    isos = A.isos()
-    if any(w.unit.components[a] not in isos for a in A.objects):
-        raise UnitNotInvertible("unit has a non-invertible component")
-    preimage = {w.f.object_map[a]: a for a in A.objects}
-    r_ob = {}
-    phi = {}  # phi_x : r_new(x) -> r_old(x) in A
-    for x in X.objects:
-        if x in preimage:
-            c = preimage[x]
-            r_ob[x] = c
-            phi[x] = w.unit.components[c]
-        else:
-            r_ob[x] = w.r.object_map[x]
-            phi[x] = A.identity[w.r.object_map[x]]
-    r_mor = {}
-    for m in X.morphism_ids:
-        x, y = X.src[m], X.dst[m]
-        r_mor[m] = A.compose[(A.compose[(A.inverse(phi[y]), w.r.morphism_map[m])], phi[x])]
-    r = Functor(X, A, r_ob, r_mor)
-    eps = {x: X.compose[(w.counit.components[x], w.f.morphism_map[phi[x]])]
-           for x in X.objects}
-    unit = NatTrans(identity_functor(A), w.f.then(r), {a: A.identity[a] for a in A.objects})
-    counit = NatTrans(r.then(w.f), identity_functor(X), eps)
-    return DwyerWitness(w.i, w.cosieve_objects, X, w.f, r, unit, counit,
-                        w.group, w.act_A, w.act_B)
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +248,16 @@ class DwyerPushout:
 
 def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
                   w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS) -> DwyerPushout:
-    """Explicit pushout of B <-i- A -c-> C along a Dwyer map.
+    """Explicit pushout of B <-i- A -c-> C along a Dwyer map with witness w.
 
-    The witness must be normalized (unit = identity, hence ε·f = id).  c must
-    be a functor already validated where it was built; it is not checked
-    again here.  C-objects keep their ids; V-objects are prefixed 'V:'.
+    A cross morphism x -> V:y, for y in X outside i(A), is a C-morphism
+    x -> c(r y), as r∘f = id_A and ε·f = id.  A witness of a functor other
+    than i is validated again for i.  c must be a functor already validated
+    where it was built; it is not checked again here.  C-objects keep their
+    ids; V-objects are prefixed 'V:'.
     """
     if w.i is not i:
-        w = DwyerWitness(i, w.cosieve_objects, w.X, w.f, w.r, w.unit, w.counit,
-                         w.group, w.act_A, w.act_B)
-    if not w.is_normalized():
-        raise WitnessNotNormalized("dwyer_pushout requires a unit-identity witness")
+        w = replace(w, i=i)
     if c.source is not A and c.source.objects != A.objects:
         raise GcatError("c must have source A")
     image = set(i.object_map.values())
@@ -331,7 +265,7 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
     preimage_mor = {i.morphism_map[m]: m for m in A.morphism_ids}
     V = [b for b in B.objects if b not in image]
     vset = set(V)
-    xset = set(w.cosieve_objects)
+    xset = set(w.X.objects)
     vx = [b for b in V if b in xset]
 
     def cr(y):
@@ -407,7 +341,7 @@ def equivariant_dwyer_pushout(act_A: MonoidActionCat, act_B: MonoidActionCat,
     """dwyer_pushout with the induced G-action; returns (action, pushout).
 
     All inputs must be equivariant, c validated as for dwyer_pushout, and
-    the witness equivariant and normalized.
+    the witness equivariant.
     """
     if w.group is None:
         raise EquivarianceViolation("witness carries no equivariance data")
@@ -447,7 +381,7 @@ def equivariant_dwyer_pushout(act_A: MonoidActionCat, act_B: MonoidActionCat,
 
 
 def restrict_witness_to_fixed(w: DwyerWitness, H: FinGroup) -> DwyerWitness:
-    """The witness (X^H, f^H, r^H, ε^H) for i^H: A^H -> B^H."""
+    """The witness (r^H, ε^H) for i^H: A^H -> B^H."""
     if w.group is None:
         raise EquivarianceViolation("witness carries no equivariance data")
     AH = fixed_category(restrict_action(w.act_A, H), H)
@@ -456,38 +390,25 @@ def restrict_witness_to_fixed(w: DwyerWitness, H: FinGroup) -> DwyerWitness:
     XH = BH.full_subcategory([x for x in BH.objects if x in xset])
     iH = Functor(AH, BH, {a: w.i.object_map[a] for a in AH.objects},
                  {m: w.i.morphism_map[m] for m in AH.morphism_ids})
-    fH = Functor(AH, XH, {a: w.f.object_map[a] for a in AH.objects},
-                 {m: w.f.morphism_map[m] for m in AH.morphism_ids})
     rH = Functor(XH, AH, {x: w.r.object_map[x] for x in XH.objects},
                  {m: w.r.morphism_map[m] for m in XH.morphism_ids})
-    unit = NatTrans(identity_functor(AH), fH.then(rH),
-                    {a: w.unit.components[a] for a in AH.objects})
-    counit = NatTrans(rH.then(fH), identity_functor(XH),
-                      {x: w.counit.components[x] for x in XH.objects})
-    return DwyerWitness(iH, tuple(sorted(XH.objects)), XH, fH, rH, unit, counit)
+    return DwyerWitness(iH, rH, {x: w.counit[x] for x in XH.objects})
 
 
 def product_witness(S: FinCat, w: DwyerWitness, act_S: Optional[MonoidActionCat] = None,
                     caps: SizeCaps = DEFAULT_CAPS) -> DwyerWitness:
     """Witness for S × i : S × A -> S × B."""
-    A, B = w.i.source, w.i.target
-    SA = product_category(S, A, caps)
-    SB = product_category(S, B, caps)
+    SA = product_category(S, w.i.source, caps)
+    SB = product_category(S, w.i.target, caps)
     SX = SB.full_subcategory([pair_obj(s, x) for s in S.objects for x in w.X.objects])
-    ids = identity_functor(S)
-    i2 = product_functor(ids, w.i, SA, SB)
-    f2 = Functor(SA, SX, i2.object_map, i2.morphism_map)
+    i2 = product_functor(identity_functor(S), w.i, SA, SB)
     r2 = Functor(SX, SA,
                  {pair_obj(s, x): pair_obj(s, w.r.object_map[x])
                   for s in S.objects for x in w.X.objects},
                  {pair_mor(m, n): pair_mor(m, w.r.morphism_map[n])
                   for m in S.morphism_ids for n in w.X.morphism_ids})
-    unit = NatTrans(identity_functor(SA), f2.then(r2),
-                    {pair_obj(s, a): pair_mor(S.identity[s], w.unit.components[a])
-                     for s in S.objects for a in A.objects})
-    counit = NatTrans(r2.then(f2), identity_functor(SX),
-                      {pair_obj(s, x): pair_mor(S.identity[s], w.counit.components[x])
-                       for s in S.objects for x in w.X.objects})
+    counit = {pair_obj(s, x): pair_mor(S.identity[s], w.counit[x])
+              for s in S.objects for x in w.X.objects}
     group = act_A2 = act_B2 = None
     if w.group is not None and act_S is not None:
         group = w.group
@@ -495,8 +416,7 @@ def product_witness(S: FinCat, w: DwyerWitness, act_S: Optional[MonoidActionCat]
         actB2 = {g: product_functor(act_S.act[g], w.act_B.act[g], SB, SB) for g in group.elements}
         act_A2 = MonoidActionCat(group, SA, actA2).validate()
         act_B2 = MonoidActionCat(group, SB, actB2).validate()
-    return DwyerWitness(i2, tuple(sorted(SX.objects)), SX, f2, r2, unit, counit,
-                        group, act_A2, act_B2)
+    return DwyerWitness(i2, r2, counit, group, act_A2, act_B2)
 
 
 def fun_witness(T: FinCat, w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS) -> tuple:
@@ -505,32 +425,24 @@ def fun_witness(T: FinCat, w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS) -> tu
     A, B, X = w.i.source, w.i.target, w.X
     dA, dB, dX = (functor_category_data(T, C, caps) for C in (A, B, X))
     data = {"A": dA, "B": dB, "X": dX}
-    incl = inclusion_functor(X, B)
     i2 = postcompose_on_fun(dA, dB, w.i)
-    f2 = postcompose_on_fun(dA, dX, w.f)
     r2 = postcompose_on_fun(dX, dA, w.r)
-    inc2 = postcompose_on_fun(dX, dB, incl)
+    inc2 = postcompose_on_fun(dX, dB, inclusion_functor(X, B))
     # the cosieve: functors through X, as a full subcategory of Fun(T,B)
-    x_objs = sorted(inc2.object_map.values())
-    X2 = dB.cat.full_subcategory(x_objs)
-    f2X = Functor(dA.cat, X2, {k: inc2.object_map[v] for k, v in f2.object_map.items()},
-                  {k: inc2.morphism_map[v] for k, v in f2.morphism_map.items()})
+    X2 = dB.cat.full_subcategory(inc2.object_map.values())
     rename_ob = {inc2.object_map[x]: x for x in dX.cat.objects}
     rename_mor = {inc2.morphism_map[m]: m for m in dX.cat.morphism_ids}
     r2X = Functor(X2, dA.cat, {x: r2.object_map[rename_ob[x]] for x in X2.objects},
                   {m: r2.morphism_map[rename_mor[m]] for m in X2.morphism_ids})
-    unit = NatTrans(identity_functor(dA.cat), f2X.then(r2X),
-                    {o: dA.cat.identity[o] for o in dA.cat.objects})
     eps = {}
     for x2 in X2.objects:
         F = dX.functor_of(rename_ob[x2])
-        comp = {t: w.counit.components[F.object_map[t]] for t in T.objects}
+        comp = {t: w.counit[F.object_map[t]] for t in T.objects}
         src_idx = dX.index_of[F.then(w.r).then(w.f).signature()]
         dst_idx = dX.index_of[F.signature()]
         mid = dX.trans_id(src_idx, dst_idx, comp)
         eps[x2] = inc2.morphism_map[mid]
-    counit = NatTrans(r2X.then(f2X), identity_functor(X2), eps)
-    return DwyerWitness(i2, tuple(x_objs), X2, f2X, r2X, unit, counit), data
+    return DwyerWitness(i2, r2X, eps), data
 
 
 def monoid_dwyer_check(i: Functor, act_A: MonoidActionCat,
@@ -555,8 +467,6 @@ def pushout_cross_check(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
     Returns (agree: bool, DwyerPushout, PresentedPushout); raises Inconclusive
     when the oracle does not close.
     """
-    from .fincat import is_isomorphism_functor, presented_pushout
-
     po = dwyer_pushout(A, B, C, i, c, w, caps)
     res = presented_pushout(A, B, C, i, c, word_cap, caps)
     D1, D2 = res.category, po.category

@@ -54,14 +54,6 @@ class SubgroupNotInUnits(GcatError):
     pass
 
 
-class WitnessNotNormalized(GcatError):
-    """dwyer_pushout refuses witnesses whose unit is not the identity."""
-
-
-class UnitNotInvertible(GcatError):
-    pass
-
-
 class EquivarianceViolation(GcatError):
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -155,15 +155,16 @@ def complex_from_doc(doc) -> OrderedComplex:
 
 
 def witness_doc(w) -> dict:
+    A = w.i.source
     return {
         "i": functor_doc(w.i),
-        "cosieve_objects": list(w.cosieve_objects),
+        "cosieve_objects": list(w.X.objects),
         "f": maps_doc(w.f),
         "r": maps_doc(w.r),
-        "unit": dict(sorted(w.unit.components.items())),
-        "counit": dict(sorted(w.counit.components.items())),
+        "unit": {a: A.identity[a] for a in sorted(A.objects)},
+        "counit": dict(sorted(w.counit.items())),
         "equivariant": w.group is not None,
-        "source_hash": content_hash(w.i.source.to_doc()),
+        "source_hash": content_hash(A.to_doc()),
         "target_hash": content_hash(w.i.target.to_doc()),
     }
 

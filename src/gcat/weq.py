@@ -34,6 +34,7 @@ from .fincat import (
     NatTrans,
     EquivalenceWitness,
     constant_functor,
+    discrete_category,
     enumerate_functors,
     find_equivalence,
     functor_category_data,
@@ -657,7 +658,6 @@ def generating_maps(spec: GeneratorSpec, caps: SizeCaps = DEFAULT_CAPS) -> Gener
     if model == "f_model":
         M = spec.params["M"]
         H = spec.params["H"]
-        from .fincat import discrete_category
         els = sorted({min(M.mul(x, h) for h in H.elements) for x in M.elements})
         MH = discrete_category(els)
         src = product_category(MH, m.source, caps)

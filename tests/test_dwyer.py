@@ -1,16 +1,16 @@
-"""Sieves, witnesses, normalization, explicit pushouts, closure transports."""
+"""Sieves, witnesses, explicit pushouts, closure transports."""
 
 import dataclasses
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
 from gcat import dwyer, serialize as ser
 from gcat.config import WIDE_CAPS
-from gcat.errors import EquivarianceViolation, WitnessNotNormalized
+from gcat.errors import DanglingReference, EquivarianceViolation, GcatError
 from gcat.fincat import (
     Functor,
-    NatTrans,
     arrow_category,
     chain_poset,
     discrete_category,
@@ -53,7 +53,6 @@ from gcat.dwyer import (
     is_cosieve,
     is_sieve,
     monoid_dwyer_check,
-    normalize_unit,
     product_witness,
     pushout_cross_check,
     restrict_witness_to_fixed,
@@ -82,8 +81,8 @@ def test_hsd2_inclusions_are_sieves():
 def test_witness_for_embedding_at_source():
     w = find_dwyer_witness(embed_at("0"))
     assert w is not None
-    assert set(w.cosieve_objects) == {"0", "1"}
-    assert w.is_normalized()
+    assert w.X.objects == ("0", "1")
+    assert w.counit == {"0": "0<=0", "1": "0<=1"}
     # the adjunction bijection Hom([1])(0, y) ≅ Hom(1)(*, r y) holds per object
     for y in ("0", "1"):
         assert len(w.X.hom("0", y)) == 1
@@ -108,7 +107,8 @@ def test_hsd2_witnesses_up_to_dim_2():
 
 
 def disjoint_union_with_point():
-    """E({a,b}) ⊔ 1, with the witness whose retraction is the swap."""
+    """E({a,b}) ⊔ 1, with the swap as a retraction r of X = E({a,b}) and
+    the counit that makes (r, ε) an adjunction with unit a <-> b."""
     E2 = chaotic_category(["a", "b"])
     objs = ["a", "b", "z"]
     mors = list(E2.morphisms) + [("idz", "z", "z")]
@@ -118,37 +118,24 @@ def disjoint_union_with_point():
     D = validate_category(objs, mors, ident, comp)
     iE = Functor(E2, D, {"a": "a", "b": "b"}, {m: m for m in E2.morphism_ids})
     X = D.full_subcategory(["a", "b"])
-    f = Functor(E2, X, {"a": "a", "b": "b"}, {m: m for m in E2.morphism_ids})
     swap = Functor(X, E2, {"a": "b", "b": "a"},
                    {"a>a": "b>b", "a>b": "b>a", "b>a": "a>b", "b>b": "a>a"})
-    unit = NatTrans(identity_functor(E2), f.then(swap), {"a": "a>b", "b": "b>a"})
-    counit = NatTrans(swap.then(f), identity_functor(X), {"a": "b>a", "b": "a>b"})
-    return DwyerWitness(iE, ("a", "b"), X, f, swap, unit, counit)
+    return SimpleNamespace(i=iE, r=swap, counit={"a": "b>a", "b": "a>b"})
 
 
-def test_normalize_unit_identity_case():
-    w = find_dwyer_witness(embed_at("0"))
-    assert normalize_unit(w) is w
-
-
-def test_normalize_unit_swap_retraction():
-    w = disjoint_union_with_point()
-    w.validate()
-    assert not w.is_normalized()
-    fixed = normalize_unit(w)
-    assert fixed.is_normalized()
-    assert fixed.r.object_map == {"a": "a", "b": "b"}
-    fixed.validate()
-
-
-def test_pushout_refuses_non_normalized():
-    w = disjoint_union_with_point()
-    E2 = chaotic_category(["a", "b"])
+def test_witness_refuses_a_non_identity_unit():
+    """A retraction with r∘f ≅ id_A but not equal to it is refused when the
+    witness is built; the retraction that is the identity on A gives the
+    witness and its pushout."""
+    data = disjoint_union_with_point()
+    with pytest.raises(GcatError, match="r∘f is not the identity of A"):
+        DwyerWitness(data.i, data.r, data.counit)
+    E2 = data.i.source
+    r = Functor(data.r.source, E2, {x: x for x in E2.objects}, {m: m for m in E2.morphism_ids})
+    w = DwyerWitness(data.i, r, {"a": "a>a", "b": "b>b"})
     one = terminal_category()
     c = Functor(E2, one, {"a": "*", "b": "*"}, {m: "id*" for m in E2.morphism_ids})
-    with pytest.raises(WitnessNotNormalized):
-        dwyer_pushout(E2, w.i.target, one, w.i, c, w)
-    po = dwyer_pushout(E2, w.i.target, one, w.i, c, normalize_unit(w))
+    po = dwyer_pushout(E2, w.i.target, one, w.i, c, w)
     assert po.category.n_objects() == 2
 
 
@@ -228,7 +215,7 @@ def test_trivial_restriction_returns_same_shape():
     triv = subgroup_from_elements(Z2, ["c0"])
     w1 = restrict_witness_to_fixed(w, triv)
     assert w1.i.source.objects == A.objects
-    assert w1.cosieve_objects == w.cosieve_objects
+    assert w1.X.objects == w.X.objects
 
 
 def test_product_witness_with_point_and_chaotic():
@@ -293,8 +280,7 @@ def test_trivial_action_always_admits_equivariant_witness():
 def test_witness_revalidates_from_raw_data():
     for span in dwyer_span_corpus(3, 4, "Z2"):
         w = span.witness
-        rebuilt = DwyerWitness(w.i, w.cosieve_objects, w.X, w.f, w.r, w.unit,
-                               w.counit, w.group, w.act_A, w.act_B)
+        rebuilt = DwyerWitness(w.i, w.r, w.counit, w.group, w.act_A, w.act_B)
         rebuilt.validate()
 
 
@@ -377,8 +363,7 @@ def test_find_dwyer_witness_checks_its_inclusion_once(monkeypatch):
         w.validate()
         assert sum(j is span.i for j in checked) == 1
         del checked[:]
-        DwyerWitness(w.i, w.cosieve_objects, w.X, w.f, w.r, w.unit, w.counit,
-                     w.group, w.act_A, w.act_B)
+        DwyerWitness(w.i, w.r, w.counit, w.group, w.act_A, w.act_B)
         assert sum(j is span.i for j in checked) == 1
     del checked[:]
     assert find_dwyer_witness(embed_at("1")) is None
@@ -431,8 +416,8 @@ def test_stabilizer_must_fix_the_universal_arrow():
     Z2, i, actA, actB = swapped_cone()
     assert find_dwyer_witness(i, (Z2, actA, actB)) is None
     w = find_dwyer_witness(i)
-    assert w.cosieve_objects == ("a", "b", "x")
-    assert w.r.object_map["x"] == "a" and w.counit.components["x"] == "ax"
+    assert w.X.objects == ("a", "b", "x")
+    assert w.r.object_map["x"] == "a" and w.counit["x"] == "ax"
     assert w.r.morphism_map["bx"] == "b>a"
 
 
@@ -443,7 +428,7 @@ def test_witness_beyond_any_cosieve_count():
     A = B.full_subcategory(["a0"])
     i = Functor(A, B, {"a0": "a0"}, {m: m for m in A.morphism_ids}).validate()
     w = find_dwyer_witness(i)
-    assert w.cosieve_objects == ("a0", "a1")
+    assert w.X.objects == ("a0", "a1")
     assert w.r.object_map == {"a0": "a0", "a1": "a0"}
     w.validate()
 
@@ -453,8 +438,8 @@ def test_witness_of_empty_source():
     empty = discrete_category([])
     for B in (arrow_category(), discrete_category(["p", "q"])):
         w = find_dwyer_witness(Functor(empty, B, {}, {}).validate())
-        assert w.cosieve_objects == () and w.X.n_objects() == 0
-        assert w.r.object_map == {} and w.counit.components == {}
+        assert w.X.objects == ()
+        assert w.r.object_map == {} and w.counit == {}
 
 
 def copies_over(A, apex):
@@ -487,15 +472,14 @@ def with_counit_at(w, x, e):
     """w with the universal arrow e: f(a) -> x as ε_x and r rebuilt from the
     counit: r'(x) = a and r'(m) is the h with ε'_t ∘ f(h) = m ∘ ε'_s."""
     A, X, f = w.i.source, w.X, w.f
-    eps = {**w.counit.components, x: e}
+    eps = {**w.counit, x: e}
     preimage = {f.object_map[a]: a for a in A.objects}
     r_ob = {y: preimage[X.src[eps[y]]] for y in X.objects}
     r_mor = {m: next(h for h in A.hom(r_ob[s], r_ob[t])
                      if X.compose[(eps[t], f.morphism_map[h])] == X.compose[(m, eps[s])])
              for m, s, t in X.morphisms}
     r = Functor(X, A, r_ob, r_mor)
-    return dict(r=r, unit=NatTrans(identity_functor(A), f.then(r), w.unit.components),
-                counit=NatTrans(r.then(f), identity_functor(X), eps))
+    return dict(r=r, counit=eps)
 
 
 @pytest.mark.parametrize("A, apex, e, moved", [
@@ -530,6 +514,77 @@ def test_witness_rejects_an_unstable_cosieve():
     with pytest.raises(EquivarianceViolation, match="cosieve not stable") as failure:
         dataclasses.replace(w, act_B=act_B)
     assert failure.value.witness == "c1"
+
+
+def idempotent_under_x():
+    """a with an idempotent e and one arrow p: a -> x, with p∘e = p.  With
+    r(x) = a and r(p) = e, ε_x = p is natural and ε_a = id_a, but r(ε_x) = e:
+    the second triangle identity fails."""
+    objs = ["a", "x"]
+    mors = [("ida", "a", "a"), ("e", "a", "a"), ("p", "a", "x"), ("idx", "x", "x")]
+    comp = {("ida", "ida"): "ida", ("e", "ida"): "e", ("ida", "e"): "e", ("e", "e"): "e",
+            ("p", "ida"): "p", ("p", "e"): "p", ("idx", "p"): "p", ("idx", "idx"): "idx"}
+    B = validate_category(objs, mors, {"a": "ida", "x": "idx"}, comp)
+    A = B.full_subcategory(["a"])
+    i = Functor(A, B, {"a": "a"}, {"ida": "ida", "e": "e"}).validate()
+    r = Functor(B, A, {"a": "a", "x": "a"}, {"ida": "ida", "e": "e", "p": "e", "idx": "ida"})
+    return DwyerWitness(i, r, {"a": "ida", "x": "p"})
+
+
+def at0_with(objects, counit=None, r_morphisms=None):
+    """The witness of the point at 0 in [1], with the cosieve on `objects`,
+    r collapsing it (on `r_morphisms`, all of its morphisms by default) and
+    ε the arrows from 0 (or `counit`)."""
+    X = arrow_category().full_subcategory(objects)
+    r = Functor(X, terminal_category(), {x: "*" for x in objects},
+                {m: "id*" for m in (X.morphism_ids if r_morphisms is None else r_morphisms)})
+    return DwyerWitness(embed_at("0"), r, counit or {x: f"0<={x}" for x in objects})
+
+
+def with_counit(w, **components):
+    return dataclasses.replace(w, group=None, act_A=None, act_B=None,
+                               counit={**w.counit, **components})
+
+
+def swapped_source(w):
+    """w with A swapped by c1, which i, fixed by act_B, does not commute with."""
+    swap = chaotic_action(w.group, {"c0": {"a": "a", "b": "b"}, "c1": {"a": "b", "b": "a"}})
+    return dataclasses.replace(w, act_A=swap)
+
+
+BZ2 = delooping(cyclic_group(2))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(lambda: dataclasses.replace(find_dwyer_witness(embed_at("0")), i=embed_at("1")),
+                 GcatError, "witness functor is not a sieve", id="sieve"),
+    pytest.param(lambda: at0_with(["0"]),
+                 GcatError, "witness cosieve is not a cosieve", id="cosieve"),
+    pytest.param(lambda: at0_with(["1"], {"1": "1<=1"}),
+                 GcatError, "cosieve does not contain the image of i", id="image"),
+    pytest.param(lambda: at0_with(["0", "1"], r_morphisms=["0<=0", "1<=1"]),
+                 DanglingReference, "morphism map undefined/invalid at '0<=1'", id="r-functor"),
+    pytest.param(lambda: at0_with(["0", "1"], {"0": "0<=0"}),
+                 DanglingReference, "component missing/invalid at '1'", id="counit-missing"),
+    pytest.param(lambda: at0_with(["0", "1"], {"0": "0<=0", "1": "1<=1"}),
+                 DanglingReference, "component at '1' has wrong endpoints", id="counit-endpoints"),
+    pytest.param(lambda: with_counit(copies_over(BZ2, "*"), x="x:c1"),
+                 GcatError, "naturality fails at 'x:c0'", id="counit-natural"),
+    pytest.param(lambda: with_counit(find_dwyer_witness(identity_functor(BZ2)), **{"*": "c1"}),
+                 GcatError, "triangle identity εf = id fails at '\\*'", id="triangle-f"),
+    pytest.param(idempotent_under_x,
+                 GcatError, "triangle identity rε = id fails at 'x'", id="triangle-r"),
+    pytest.param(lambda: swapped_source(copies_over(chaotic_category(["a", "b"]), "a")),
+                 EquivarianceViolation, "functor not equivariant at 'c1'", id="i-equivariant"),
+])
+def test_each_witness_check_refuses_its_mutant(build, error, message):
+    """Each check of `DwyerWitness.validate` refuses a witness that breaks
+    only what it checks.  The check of r∘f = id_A has its own test above, as
+    have a stable cosieve and an equivariant r.  No mutant reaches the
+    counit's equivariance: with the identity unit, ε_x is the one arrow
+    f(r x) -> x that r sends to an identity, so an equivariant r fixes it."""
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
 
 
 #: sha256 of the witness documents (None for a refutation) of `witness_inputs`
@@ -582,3 +637,40 @@ def test_witnesses_match_the_pinned_digest():
     docs = [None if w is None else ser.witness_doc(w) for w in witness_inputs()]
     assert sum(d is None for d in docs) == 3
     assert hashlib.sha256(ser.canonical_json(docs).encode()).hexdigest() == WITNESS_DIGEST
+
+
+#: sha256 of the documents of the witnesses in `built_witnesses`
+BUILDER_DIGEST = "90cbce26cc880db63669ee376d4973767dad4c6e32ab17ccf9cd90c781a21fab"
+
+
+def built_witnesses():
+    """The witnesses that `restrict_witness_to_fixed` builds for every
+    subgroup on the Z2, Z3 and S3 span corpora, that `fun_witness` builds
+    for Fun(E(Z2), -), and that `product_witness` builds with the point and
+    with E(2), with and without an action on them."""
+    out = [restrict_witness_to_fixed(span.witness, H)
+           for group, count in (("Z2", 10), ("Z3", 10), ("S3", 3)) for seed in range(1, 6)
+           for span in dwyer_span_corpus(seed, count, group) for H in subgroups(span.group)]
+    Z2 = cyclic_group(2)
+    plain = [find_dwyer_witness(embed_at("0")),
+             find_dwyer_witness(h_sd2_map(boundary_complex(1), standard_simplex_complex(1)))]
+    plain += [span.witness for span in dwyer_span_corpus(1, 5)]
+    out += [fun_witness(chaotic_category(Z2.elements), w)[0] for w in plain]
+    _, _, _, i, actA, actB = two_swapped_arrows()
+    equivariant = [find_dwyer_witness(i, (Z2, actA, actB))]
+    equivariant += [span.witness for span in dwyer_span_corpus(1, 3, "Z2")]
+    swap = chaotic_action(Z2, {"c0": {"p": "p", "q": "q"}, "c1": {"p": "q", "q": "p"}})
+    point = trivial_action(Z2, terminal_category())
+    out += [product_witness(act.carrier, w) for act in (point, swap)
+            for w in plain[:2] + equivariant]
+    out += [product_witness(act.carrier, w, act) for act in (point, swap) for w in equivariant]
+    return out
+
+
+def test_built_witnesses_match_the_pinned_digest():
+    """Fixed points, functor categories and products of witnesses build the
+    same witnesses, object for object, as when the witness stored its
+    corestriction f, its unit and its cosieve's object list."""
+    docs = [ser.witness_doc(w) for w in built_witnesses()]
+    assert sum(d["equivariant"] for d in docs) == 8
+    assert hashlib.sha256(ser.canonical_json(docs).encode()).hexdigest() == BUILDER_DIGEST

@@ -196,7 +196,7 @@ def test_planted_unused_function_is_reported(tmp_path):
 #: program stopped using it, and it should go or be listed here.
 TEST_ONLY = {
     "actions.make_monoid", "actions.is_good_subgroup",
-    "dwyer.normalize_unit", "dwyer.product_witness", "dwyer.monoid_dwyer_check",
+    "dwyer.product_witness", "dwyer.monoid_dwyer_check",
     "serialize.sset_map_doc",
     "sset.induced_cell_sd",
     "weq.f_weak_equivalence", "weq.conjugate_pair", "weq.discrete_avatar",
