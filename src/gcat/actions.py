@@ -2,8 +2,8 @@
 
 Actions are stored as one explicit endofunctor per monoid element and
 verified exhaustively (unit acts as identity, act(mn) = act(m)∘act(n)).
-Also here: chaotic categories, deloopings, graph subgroups, good subgroups,
-free-action quotients, and equivariant retractions of free right actions.
+Also here: chaotic categories, deloopings, graph subgroups, free-action
+quotients, and equivariant retractions of free right actions.
 """
 
 from __future__ import annotations
@@ -91,12 +91,6 @@ class FinGroup(FinMonoid):
         return self
 
 
-def make_monoid(elements, table, unit) -> FinMonoid:
-    return FinMonoid(tuple(sorted(str(e) for e in elements)),
-                     {(str(a), str(b)): str(v) for (a, b), v in table.items()},
-                     str(unit)).validate()
-
-
 def make_group(elements, table, unit) -> FinGroup:
     return FinGroup(tuple(sorted(str(e) for e in elements)),
                     {(str(a), str(b)): str(v) for (a, b), v in table.items()},
@@ -168,17 +162,6 @@ def units_group(M: FinMonoid) -> FinGroup:
         U = M._subgroups[None] = subgroup_from_elements(
             M, [a for a in M.elements if M.inverse(a) is not None])
     return U
-
-
-def is_good_subgroup(M: FinMonoid, H: FinGroup) -> bool:
-    """True iff right multiplication by H on M is free."""
-    if not submonoid_check(M, H.elements) or H.unit != M.unit:
-        raise NotASubgroup("H is not a subgroup of M")
-    for m in M.elements:
-        for h in H.elements:
-            if h != H.unit and M.mul(m, h) == m:
-                return False
-    return True
 
 
 def subgroups(G: FinGroup):

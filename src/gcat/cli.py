@@ -36,7 +36,7 @@ import os
 import sys
 
 from .config import DEFAULT_CAPS, WIDE_CAPS
-from .errors import GcatError, Inconclusive, SizeCapExceeded
+from .errors import GcatError, Inconclusive, NotAHomomorphism, SizeCapExceeded
 from . import serialize as ser
 from .fincat import presented_pushout
 from .corpus import (
@@ -362,6 +362,7 @@ def _transfer_u(text):
 
 
 def cmd_transfer_check(args):
+    from .actions import check_homomorphism
     from .weq import GeneratorSpec, check_transfer_conditions, generating_maps
     caps = WIDE_CAPS
     G = named_group(args.G)
@@ -370,6 +371,10 @@ def cmd_transfer_check(args):
         phi = _parse("--phi", lambda text: ser.phi_from_doc(json.loads(text)), args.phi)
     else:
         phi = {h: h for h in H.elements}
+    try:
+        check_homomorphism(H, G, phi)
+    except NotAHomomorphism as exc:
+        args.usage_error(f"--phi: {exc}")
     I = [generating_maps(GeneratorSpec("g_global_thin", n,
                                        params={"H": H, "G": G, "phi": phi}), caps)
          for n in range(0, args.n_max + 1)]

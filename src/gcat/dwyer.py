@@ -1,6 +1,6 @@
 """Dwyer maps: sieve/cosieve predicates, the witness construction, the
-explicit pushout construction, and closure under fixed points, products, and
-functor categories.
+explicit pushout construction, and closure under fixed points and functor
+categories.
 
 A DwyerWitness for a sieve i: A -> B is a retraction r: X -> A of a cosieve
 X ⊇ i(A) with the counit components ε_x: f(r x) -> x, for f: A -> X the
@@ -28,12 +28,8 @@ from .fincat import (
     identity_functor,
     inclusion_functor,
     is_isomorphism_functor,
-    pair_mor,
-    pair_obj,
     postcompose_on_fun,
     presented_pushout,
-    product_category,
-    product_functor,
     validate_category,
 )
 from .actions import (
@@ -42,7 +38,6 @@ from .actions import (
     check_equivariant,
     fixed_category,
     restrict_action,
-    units_group,
 )
 
 
@@ -395,30 +390,6 @@ def restrict_witness_to_fixed(w: DwyerWitness, H: FinGroup) -> DwyerWitness:
     return DwyerWitness(iH, rH, {x: w.counit[x] for x in XH.objects})
 
 
-def product_witness(S: FinCat, w: DwyerWitness, act_S: Optional[MonoidActionCat] = None,
-                    caps: SizeCaps = DEFAULT_CAPS) -> DwyerWitness:
-    """Witness for S × i : S × A -> S × B."""
-    SA = product_category(S, w.i.source, caps)
-    SB = product_category(S, w.i.target, caps)
-    SX = SB.full_subcategory([pair_obj(s, x) for s in S.objects for x in w.X.objects])
-    i2 = product_functor(identity_functor(S), w.i, SA, SB)
-    r2 = Functor(SX, SA,
-                 {pair_obj(s, x): pair_obj(s, w.r.object_map[x])
-                  for s in S.objects for x in w.X.objects},
-                 {pair_mor(m, n): pair_mor(m, w.r.morphism_map[n])
-                  for m in S.morphism_ids for n in w.X.morphism_ids})
-    counit = {pair_obj(s, x): pair_mor(S.identity[s], w.counit[x])
-              for s in S.objects for x in w.X.objects}
-    group = act_A2 = act_B2 = None
-    if w.group is not None and act_S is not None:
-        group = w.group
-        actA2 = {g: product_functor(act_S.act[g], w.act_A.act[g], SA, SA) for g in group.elements}
-        actB2 = {g: product_functor(act_S.act[g], w.act_B.act[g], SB, SB) for g in group.elements}
-        act_A2 = MonoidActionCat(group, SA, actA2).validate()
-        act_B2 = MonoidActionCat(group, SB, actB2).validate()
-    return DwyerWitness(i2, r2, counit, group, act_A2, act_B2)
-
-
 def fun_witness(T: FinCat, w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS) -> tuple:
     """Witness for Fun(T, i): Fun(T,A) -> Fun(T,B); returns (witness, data),
     data the FunctorCategoryData of Fun(T, -) on A, B and X by those keys."""
@@ -443,16 +414,6 @@ def fun_witness(T: FinCat, w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS) -> tu
         mid = dX.trans_id(src_idx, dst_idx, comp)
         eps[x2] = inc2.morphism_map[mid]
     return DwyerWitness(i2, r2X, eps), data
-
-
-def monoid_dwyer_check(i: Functor, act_A: MonoidActionCat,
-                       act_B: MonoidActionCat) -> Optional[DwyerWitness]:
-    """Dwyer witness equivariant for the maximal subgroup of the acting monoid."""
-    M = act_A.monoid
-    core = units_group(M)
-    rA = restrict_action(act_A, core)
-    rB = restrict_action(act_B, core)
-    return find_dwyer_witness(i, (core, rA, rB))
 
 
 # ---------------------------------------------------------------------------

@@ -127,14 +127,6 @@ def sset_from_doc(doc) -> FinSSet:
     return FinSSet(_value(int, doc["cap"], "cap"), cells, faces).validate()
 
 
-def sset_map_doc(f) -> dict:
-    return {
-        "source": f.source.to_doc(),
-        "target": f.target.to_doc(),
-        "values": sorted([n, sid, [v[0], list(v[1])]] for (n, sid), v in f.values.items()),
-    }
-
-
 def sset_map_from_doc(doc) -> SSetMap:
     src = sset_from_doc(doc["source"])
     dst = sset_from_doc(doc["target"])

@@ -51,6 +51,7 @@ from .fincat import (
     FinCat,
     Functor,
     Poset,
+    _search,
 )
 from .smith import Rows, smith_invariants
 from . import actions as _actions
@@ -658,79 +659,7 @@ def h_poset_nerve(X: FinSSet) -> FinCat:
 
 
 # ---------------------------------------------------------------------------
-# products, pushouts, subobjects
-
-
-def _product_nf(nx, ny):
-    """The normal form of the product simplex (nx, ny): the id of its
-    nondegenerate core and the degeneracy common to both factors."""
-    ax, ay = nx[1], ny[1]
-    n = len(ax) - 1
-    keep = [0] + [t for t in range(1, n + 1) if ax[t] != ax[t - 1] or ay[t] != ay[t - 1]]
-    beta = []
-    v = 0
-    for t in range(n + 1):
-        if t in keep[1:]:
-            v += 1
-        beta.append(v)
-    sub = tuple(keep)
-    cx = (nx[0], compose_tuples(ax, sub))
-    cy = (ny[0], compose_tuples(ay, sub))
-    pid = f"{cx[0]}[{','.join(map(str, cx[1]))}]*{cy[0]}[{','.join(map(str, cy[1]))}]"
-    return pid, tuple(beta)
-
-
-def _parse_product_id(pid):
-    """The two factor normal forms named by a product simplex id."""
-    left, right = pid.split("]*")
-    cx, ax = left.rsplit("[", 1)
-    cy, ay = right[:-1].rsplit("[", 1)
-    return (cx, tuple(int(v) for v in ax.split(","))), (cy, tuple(int(v) for v in ay.split(",")))
-
-
-def product_sset(X: FinSSet, Y: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
-    """X × Y; nondegenerate simplices are pairs of normal forms sharing no
-    common degeneracy position (Eilenberg-Zilber)."""
-    if cap is None:
-        cap = min(X.cap, Y.cap)
-    cells = {}
-    faces = {}
-    pairs_at = {}
-    for n in range(cap + 1):
-        pairs = {}
-        for nx in X.all_simplices(n):
-            for ny in Y.all_simplices(n):
-                pid, beta = _product_nf(nx, ny)
-                if is_identity_alpha(beta):
-                    pairs[pid] = (nx, ny)
-        if len(pairs) > caps.max_simplices:
-            raise SizeCapExceeded("product simplices", len(pairs), caps.max_simplices)
-        pairs_at[n] = pairs
-        cells[n] = tuple(sorted(pairs))
-    for n in range(1, cap + 1):
-        for pid, (nx, ny) in pairs_at[n].items():
-            faces[(n, pid)] = tuple(_product_nf(fx, fy) for fx, fy in zip(X.faces_of(nx), Y.faces_of(ny)))
-    Z = FinSSet(cap, {n: v for n, v in cells.items() if v}, faces)
-    Z.validate(caps)
-    return Z
-
-
-def product_projections_sset(X: FinSSet, Y: FinSSet, P: FinSSet):
-    vx, vy = {}, {}
-    for n in P.dims():
-        for pid in P.cells[n]:
-            nx, ny = _parse_product_id(pid)
-            vx[(n, pid)] = nx
-            vy[(n, pid)] = ny
-    return SSetMap(P, X, vx), SSetMap(P, Y, vy)
-
-
-def pair_into_product(f: SSetMap, g: SSetMap, P: FinSSet) -> SSetMap:
-    """(f, g): W -> X × Y for maps with common source."""
-    W = f.source
-    vals = {(n, s): _product_nf(f.values[(n, s)], g.values[(n, s)])
-            for n in W.dims() for s in W.cells[n]}
-    return SSetMap(W, P, vals)
+# pushouts, subobjects
 
 
 def pushout_sset(f: SSetMap, g: SSetMap, caps: SizeCaps = DEFAULT_CAPS):
@@ -1295,12 +1224,13 @@ class KanVerdict:
 
 
 def _horns(candidates: dict, n, k, caps: SizeCaps):
-    """All horns Λⁿ_k: dicts j -> x_j (j != k) of (n-1)-simplices with
-    d_i x_j = d_{j-1} x_i for i < j.
+    """All horns Λⁿ_k: lists of the (n-1)-simplices x_j, j != k in
+    increasing order, with d_i x_j = d_{j-1} x_i for i < j.
 
     `candidates` maps each (n-1)-simplex to its face tuple, in enumeration
-    order; horns come out in the lexicographic order this induces.  Every
-    search node counts against `caps.max_candidates`.
+    order; horns come out in the lexicographic order this induces.  The
+    search is fincat's `_search`, so every search node counts against
+    `caps.max_candidates`.
     """
     idx = [j for j in range(n + 1) if j != k]
     # at step pos, the candidates grouped by the faces the earlier x_i pin
@@ -1310,26 +1240,11 @@ def _horns(candidates: dict, n, k, caps: SizeCaps):
         for v, fs in candidates.items():
             group.setdefault(tuple(fs[i] for i in idx[:pos]), []).append(v)
         by_pos.append(group)
-    out = []
-    chosen = {}
-    counter = 0
 
-    def backtrack(pos):
-        nonlocal counter
-        counter += 1
-        if counter > caps.max_candidates:
-            raise SizeCapExceeded("horn enumeration", counter, caps.max_candidates)
-        if pos == len(idx):
-            out.append(dict(chosen))
-            return
-        j = idx[pos]
-        for v in by_pos[pos].get(tuple(candidates[chosen[i]][j - 1] for i in idx[:pos]), ()):
-            chosen[j] = v
-            backtrack(pos + 1)
-        chosen.pop(j, None)
+    def fitting(pos, xs):
+        return by_pos[pos].get(tuple(candidates[x][idx[pos] - 1] for x in xs[:pos]), ())
 
-    backtrack(0)
-    return out
+    return _search(len(idx), fitting, lambda pos, xs: True, "horn enumeration", caps)
 
 
 def is_kan_fibration(f: SSetMap, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdict:
@@ -1350,11 +1265,11 @@ def is_kan_fibration(f: SSetMap, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVer
                 ys.setdefault(tuple(fs[j] for j in idx), []).append(y)
             lifts = {(f_top[z], tuple(fs[j] for j in idx)) for z, fs in x_t.faces.items()}
             for horn in _horns(horn_t.faces, n, k, caps):
-                xs = tuple(horn[j] for j in idx)
+                xs = tuple(horn)
                 for y in ys.get(tuple(f_horn[x] for x in xs), ()):
                     checked += 1
                     if (y, xs) not in lifts:
-                        horn_nfs = sorted((j, horn_t.nfs[x]) for j, x in horn.items())
+                        horn_nfs = [(j, horn_t.nfs[x]) for j, x in zip(idx, xs)]
                         return KanVerdict(False, cap, checked, (n, k, horn_nfs, y_t.nfs[y]))
     return KanVerdict(True, cap, checked)
 
@@ -1385,12 +1300,13 @@ def is_kan_complex_lazy_ex(base: FinSSet, cap=2, caps: SizeCaps = DEFAULT_CAPS) 
         into = [_SdData(n).face_positions(j) for j in range(n + 1)]
         steps = _sd_steps(n, base)
         for k in range(n + 1):
+            into_horn = into[:k] + into[k + 1:]
             for horn in _horns(cands, n, k, caps):
                 checked += 1
                 # the filler's values on the chains of each horn face
                 prescribed = {}
-                for j, psi in horn.items():
-                    for pos, v in zip(into[j], psi):
+                for face, psi in zip(into_horn, horn):
+                    for pos, v in zip(face, psi):
                         if prescribed.setdefault(pos, v) != v:
                             return KanVerdict(False, cap, checked, (n, k, "inconsistent horn"))
                 if not _enumerate_sd_maps(steps, caps, prescribed, first_only=True):
@@ -1399,37 +1315,7 @@ def is_kan_complex_lazy_ex(base: FinSSet, cap=2, caps: SizeCaps = DEFAULT_CAPS) 
 
 
 # ---------------------------------------------------------------------------
-# discrete simplicial sets and induced cells
-
-
-def discrete_sset(elements, cap=3) -> FinSSet:
-    els = tuple(sorted(str(e) for e in elements))
-    return FinSSet(cap, {0: els} if els else {}, {})
-
-
-def coset_space(G, H):
-    """Left cosets gH named by least member, with the left G-action."""
-    cosets = {}
-    for g in G.elements:
-        c = min(G.mul(g, h) for h in H.elements)
-        cosets[g] = c
-    els = sorted(set(cosets.values()))
-    action = {k: {c: cosets[G.mul(k, c)] for c in els} for k in G.elements}
-    return els, action
-
-
-def induced_cell(G, H, K: OrderedComplex, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> MonoidActionSSet:
-    """G/H × K with the left translation action on the coset factor."""
-    els, action = coset_space(G, H)
-    D = discrete_sset(els, cap)
-    KX = complex_to_sset(K, cap)
-    P = product_sset(D, KX, cap, caps)
-    pd, pk = product_projections_sset(D, KX, P)
-    act = {}
-    for g in G.elements:
-        dmap = SSetMap(D, D, {(0, c): (action[g][c], (0,)) for c in els})
-        act[g] = pair_into_product(pd.then(dmap), pk, P).validate()
-    return MonoidActionSSet(G, P, act).validate()
+# the last-vertex map
 
 
 def lastvertex_map(K: OrderedComplex, cap=3) -> SSetMap:
@@ -1451,14 +1337,3 @@ def lastvertex_map(K: OrderedComplex, cap=3) -> SSetMap:
         vals[(n, ",".join(f))] = (",".join(sorted(strict, key=lambda v: vorder[v])), alpha)
     return SSetMap(src, dst, vals).validate()
 
-
-def induced_cell_sd(G, H, K: OrderedComplex, cap=3, caps: SizeCaps = DEFAULT_CAPS):
-    """(G/H × sd_complex(K), action) with the equivariant comparison to G/H × K."""
-    cell_sd = induced_cell(G, H, sd_complex(K), cap, caps)
-    cell = induced_cell(G, H, K, cap, caps)
-    lv = lastvertex_map(K, cap)
-    els, _ = coset_space(G, H)
-    D = discrete_sset(els, cap)
-    pd, pk = product_projections_sset(D, lv.source, cell_sd.carrier)
-    comparison = pair_into_product(pd, pk.then(lv), cell.carrier).validate()
-    return cell_sd, cell, comparison

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .config import DEFAULT_CAPS, SizeCaps
-from .errors import GcatError, SizeCapExceeded, SubgroupNotInUnits
+from .errors import GcatError, SizeCapExceeded
 from .fincat import (
     FinCat,
     Functor,
@@ -71,9 +71,7 @@ from .actions import (
     restrict_action,
     right_translation_functor,
     subgroup_from_elements,
-    subgroup_key,
     trivial_action,
-    units_group,
 )
 from .sset import (
     boundary_complex,
@@ -161,22 +159,6 @@ def equivalence_certificate(F: Functor,
         return None
     details = {"isomorphism": is_isomorphism_functor(F)}
     return WeakEqCertificate("sufficient", True, None, details, witness=w)
-
-
-def f_weak_equivalence(F: Functor, act_C: MonoidActionCat, act_D: MonoidActionCat,
-                       family, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> WeakEqCertificate:
-    """Per-subgroup homology certificates for f^H, H in the family."""
-    check_equivariant(F, act_C, act_D)
-    units = units_group(act_C.monoid)
-    table = {}
-    for H in family:
-        if not set(H.elements) <= set(units.elements):
-            raise SubgroupNotInUnits(f"{H.elements} not inside units of the acting monoid")
-        FH = fixed_functor(F, act_C, act_D, H)
-        table[subgroup_key(H)] = homology_certificate(FH, cap, caps)
-    passed = all(c.passed for c in table.values())
-    return WeakEqCertificate("necessary", passed, cap, {"family_size": len(table)},
-                             per_subgroup=table)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +363,6 @@ def g_global_we(F: Functor, act_C: MonoidActionCat, act_D: MonoidActionCat,
                              per_subgroup=table)
 
 
-def conjugate_pair(H: FinGroup, phi: dict, G: FinGroup, g):
-    """(H, c_g ∘ φ): the conjugate pair for invariance checks."""
-    ginv = G.inverse(g)
-    return {h: G.mul(G.mul(g, phi[h]), ginv) for h in H.elements}
-
-
 # ---------------------------------------------------------------------------
 # the restriction comparison (finite avatar of the reduction to EH)
 
@@ -492,32 +468,6 @@ def poset_avatar(P: FinCat, Hp: FinGroup, G: FinGroup) -> SaturationAvatar:
 def cell_avatar(cell: CellCategory) -> SaturationAvatar:
     return SaturationAvatar(cell.K, cell.G, cell.kg_action, cell.coherence,
                             label="cell")
-
-
-def discrete_avatar(Hp: FinGroup, G: FinGroup, action: MonoidActionCat) -> SaturationAvatar:
-    """Attempt coherence synthesis; leaves coherence None when impossible."""
-    C = action.carrier
-    coherence = {}
-    for k1 in Hp.elements:
-        for k2 in Hp.elements:
-            F1 = action.act[pair_obj(k1, G.unit)]
-            F2 = action.act[pair_obj(k2, G.unit)]
-            comp = {}
-            ok = True
-            for x in C.objects:
-                cands = [m for m in C.hom(F1.object_map[x], F2.object_map[x])]
-                if len(cands) != 1:
-                    ok = False
-                    break
-                comp[x] = cands[0]
-            if not ok:
-                return SaturationAvatar(Hp, G, action, None, label="discrete-no-coherence")
-            try:
-                NatTrans(F1, F2, comp).validate()
-            except GcatError:
-                return SaturationAvatar(Hp, G, action, None, label="discrete-no-coherence")
-            coherence[(k1, k2)] = comp
-    return SaturationAvatar(Hp, G, action, coherence, label="discrete-synthesized")
 
 
 def _find_any_equivalence(C1: FinCat, C2: FinCat, caps: SizeCaps) -> bool:

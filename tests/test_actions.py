@@ -35,9 +35,7 @@ from gcat.actions import (
     equivariant_retraction,
     fixed_category,
     graph_subgroup,
-    is_good_subgroup,
     make_group,
-    make_monoid,
     product_action,
     product_monoid,
     quotient_by_free_action,
@@ -51,15 +49,7 @@ from gcat.actions import (
     units_group,
 )
 
-
-def zero_monoid():
-    """{1, g, z} with g² = 1 and z absorbing."""
-    return make_monoid(
-        ["1", "g", "z"],
-        {("1", "1"): "1", ("1", "g"): "g", ("1", "z"): "z",
-         ("g", "1"): "g", ("g", "g"): "1", ("g", "z"): "z",
-         ("z", "1"): "z", ("z", "g"): "z", ("z", "z"): "z"},
-        "1")
+from helpers import zero_monoid
 
 
 def test_units_of_group_is_group():
@@ -68,8 +58,8 @@ def test_units_of_group_is_group():
 
 
 def test_units_idempotent_monoid():
-    M = make_monoid(["1", "a"], {("1", "1"): "1", ("1", "a"): "a",
-                                 ("a", "1"): "a", ("a", "a"): "a"}, "1")
+    M = FinMonoid(("1", "a"), {("1", "1"): "1", ("1", "a"): "a",
+                               ("a", "1"): "a", ("a", "a"): "a"}, "1").validate()
     assert units_group(M).elements == ("1",)
 
 
@@ -121,6 +111,11 @@ def test_subgroups_match_the_closures_of_all_subsets():
     for G in groups:
         assert [H.elements for H in subgroups(G)] == subgroups_by_brute_force(G)
     assert len(subgroups(symmetric_group(4))) == 30
+
+
+def is_good_subgroup(M, H):
+    """True iff right multiplication by the subgroup H on M is free."""
+    return all(M.mul(m, h) != m for m in M.elements for h in H.elements if h != H.unit)
 
 
 def test_good_subgroups():

@@ -19,6 +19,8 @@ from gcat.sset import (
     standard_simplex_complex,
 )
 
+from helpers import sset_map_doc
+
 
 # the directory gcat was imported from, so a subprocess imports the same tree
 GCAT_ROOT = str(Path(cli.__file__).resolve().parents[1])
@@ -97,6 +99,21 @@ def test_negative_cap_is_a_usage_error(tmp_path, capsys):
     assert out["nondegenerate"] == {"0": 2}
 
 
+def test_transfer_check_phi_not_a_homomorphism_is_a_usage_error(capsys):
+    """The default φ, H's names sent to themselves, and a given --phi are
+    both checked to be homomorphisms H -> G before any generator is built."""
+    for argv, detail in [(["--G", "Z2", "--H", "1"], "--phi: phi undefined/invalid at 'e'"),
+                         (["--phi", '{"c0": "c1", "c1": "c0"}'],
+                          "--phi: phi does not preserve the unit")]:
+        code = cli.main(["transfer-check", "--n-max", "0", *argv])
+        out, err = capsys.readouterr()
+        assert code == 64 and out == "" and detail in err, argv
+    code = cli.main(["transfer-check", "--G", "Z2", "--H", "1", "--phi", '{"e": "c0"}',
+                     "--n-max", "0"])
+    out, _ = capsys.readouterr()
+    assert code == 0 and json.loads(out)["report"]["all_passed"]
+
+
 Z2_PAIRS = {"G": "Z2", "H_group": "Z2",
             "pairs": [{"H": ["c0", "c1"], "phi": {"c0": "c0", "c1": "c1"}}]}
 
@@ -165,7 +182,7 @@ def test_non_integer_alpha_entry_is_a_usage_error(tmp_path, capsys, command, ent
         doc["faces"][-1][2][0][1] = [0, entry]
         argv = ["homology", "--kind", "sset", "--input", write(tmp_path, "X.json", doc)]
     else:
-        doc = ser.sset_map_doc(identity_sset_map(X))
+        doc = sset_map_doc(identity_sset_map(X))
         doc["values"][-1][2][1] = [0, entry, 2]
         argv = ["weq", "--input", write(tmp_path, "f.json", doc)]
     assert cli.main(argv) == 64
@@ -343,8 +360,8 @@ def test_weq_on_a_map_above_its_cap_is_a_usage_error(tmp_path, capsys):
     at cap 3 of it exited 0 with a passing `necessary` certificate at cap 3.
     A map's cap is the smaller of its source's and its target's."""
     from gcat.sset import complex_inclusion
-    at_1 = ser.sset_map_doc(complex_inclusion(boundary_complex(2), standard_simplex_complex(2), 1))
-    at_3 = ser.sset_map_doc(complex_inclusion(boundary_complex(2), standard_simplex_complex(2), 3))
+    at_1 = sset_map_doc(complex_inclusion(boundary_complex(2), standard_simplex_complex(2), 1))
+    at_3 = sset_map_doc(complex_inclusion(boundary_complex(2), standard_simplex_complex(2), 3))
     target_at_2 = {**at_3, "target": complex_to_sset(standard_simplex_complex(2), 2).to_doc()}
     for name, doc, cap in (("at_1", at_1, 1), ("target_at_2", target_at_2, 2)):
         path = write(tmp_path, f"{name}.json", doc)
@@ -411,7 +428,7 @@ def ill_typed_inputs():
     functor = Functor(terminal_category(), arrow_category(), {"*": "0"}, {"id*": "0<=0"})
     return {"category": (["validate"], arrow_category().to_doc()),
             "sset": (["homology", "--kind", "sset"], X.to_doc()),
-            "map": (["weq"], ser.sset_map_doc(identity_sset_map(X))),
+            "map": (["weq"], sset_map_doc(identity_sset_map(X))),
             "functor": (["check-dwyer"], ser.functor_doc(functor)),
             "action": (["hofix", "--pairs"], ser.action_doc(translation_action(cyclic_group(2)))),
             "pairs": (["hofix", "--input"], copy.deepcopy(Z2_PAIRS)),
@@ -622,7 +639,7 @@ def test_documents_round_trip_bit_stable(tmp_path):
 def test_weq_on_sset_inclusion_names_h1_mismatch(tmp_path):
     from gcat.sset import complex_inclusion
     inc = complex_inclusion(boundary_complex(2), standard_simplex_complex(2), 3)
-    path = write(tmp_path, "inc.json", ser.sset_map_doc(inc))
+    path = write(tmp_path, "inc.json", sset_map_doc(inc))
     out = json.loads(run_cli(["weq", "--input", path], expect=1))
     nec = out["necessary"]
     assert nec["passed"] is False

@@ -23,6 +23,8 @@ from gcat.sset import (
     standard_simplex_complex,
 )
 
+from helpers import sset_map_doc
+
 EXIT_CODES = {0, 1, 2, 64, 74}
 PHI = {"c0": "c0", "c1": "c1"}
 
@@ -59,7 +61,7 @@ def cases():
         ("hofix", ["hofix", "--input", "DOC", "--pairs", "PAIRS"], ser.action_doc(translation)),
         ("hofix-pairs", ["hofix", "--input", "ACTION", "--pairs", "DOC"], pairs),
         ("weq-functor", ["weq", "--input", "DOC"], ser.functor_doc(i0)),
-        ("weq-map", ["weq", "--input", "DOC"], ser.sset_map_doc(identity_sset_map(D1))),
+        ("weq-map", ["weq", "--input", "DOC"], sset_map_doc(identity_sset_map(D1))),
         ("gglobal-weq", ["gglobal-weq", "--input", "DOC", "--pairs", "PAIRS"],
          {"source_action": ser.action_doc(translation), "target_action": ser.action_doc(point),
           "functor": {"object_map": {x: "*" for x in translation.carrier.objects},

@@ -16,8 +16,11 @@ from gcat.fincat import (
     discrete_category,
     find_isomorphism,
     identity_functor,
+    pair_mor,
     pair_obj,
     poset_from_relation,
+    product_category,
+    product_functor,
     terminal_category,
     validate_category,
 )
@@ -28,7 +31,6 @@ from gcat.actions import (
     delooping,
     cyclic_group,
     fixed_category,
-    make_monoid,
     restrict_action,
     subgroup_from_elements,
     subgroups,
@@ -52,13 +54,13 @@ from gcat.dwyer import (
     fun_witness,
     is_cosieve,
     is_sieve,
-    monoid_dwyer_check,
-    product_witness,
     pushout_cross_check,
     restrict_witness_to_fixed,
 )
 from gcat.corpus import dwyer_span_corpus
 from gcat.weq import GeneratorSpec, generating_maps
+
+from helpers import monoid_dwyer_check, zero_monoid
 
 
 def embed_at(obj):
@@ -218,6 +220,28 @@ def test_trivial_restriction_returns_same_shape():
     assert w1.X.objects == w.X.objects
 
 
+def product_witness(S, w, act_S=None):
+    """Witness for S × i: S × A -> S × B, equivariant for the diagonal
+    actions when w is equivariant and S carries the action act_S."""
+    SA = product_category(S, w.i.source)
+    SB = product_category(S, w.i.target)
+    SX = SB.full_subcategory([pair_obj(s, x) for s in S.objects for x in w.X.objects])
+    i2 = product_functor(identity_functor(S), w.i, SA, SB)
+    r2 = Functor(SX, SA,
+                 {pair_obj(s, x): pair_obj(s, w.r.object_map[x])
+                  for s in S.objects for x in w.X.objects},
+                 {pair_mor(m, n): pair_mor(m, w.r.morphism_map[n])
+                  for m in S.morphism_ids for n in w.X.morphism_ids})
+    counit = {pair_obj(s, x): pair_mor(S.identity[s], w.counit[x])
+              for s in S.objects for x in w.X.objects}
+    if w.group is None or act_S is None:
+        return DwyerWitness(i2, r2, counit)
+    acts = [MonoidActionCat(w.group, P, {g: product_functor(act_S.act[g], act.act[g], P, P)
+                                         for g in w.group.elements}).validate()
+            for P, act in ((SA, w.act_A), (SB, w.act_B))]
+    return DwyerWitness(i2, r2, counit, w.group, *acts)
+
+
 def test_product_witness_with_point_and_chaotic():
     one = terminal_category()
     w = find_dwyer_witness(embed_at("0"))
@@ -254,11 +278,7 @@ def test_fun_witness_revalidates():
 
 
 def test_monoid_dwyer_check_uses_core():
-    M = make_monoid(
-        ["1", "g", "z"],
-        {("1", "1"): "1", ("1", "g"): "g", ("1", "z"): "z",
-         ("g", "1"): "g", ("g", "g"): "1", ("g", "z"): "z",
-         ("z", "1"): "z", ("z", "g"): "z", ("z", "z"): "z"}, "1")
+    M = zero_monoid()
     one = terminal_category()
     arrow = arrow_category()
     i = embed_at("0")
@@ -597,11 +617,7 @@ def witness_inputs():
     Z2, Z3 = cyclic_group(2), cyclic_group(3)
     out = [span.witness for group, count in ((None, 10), ("Z2", 10), ("Z3", 10), ("S3", 3))
            for seed in range(1, 6) for span in dwyer_span_corpus(seed, count, group)]
-    M = make_monoid(
-        ["1", "g", "z"],
-        {("1", "1"): "1", ("1", "g"): "g", ("1", "z"): "z",
-         ("g", "1"): "g", ("g", "g"): "1", ("g", "z"): "z",
-         ("z", "1"): "z", ("z", "g"): "z", ("z", "z"): "z"}, "1")
+    M = zero_monoid()
     models = [("thomason", {}, 2), ("global", {"H": Z2}, 2), ("global", {"H": Z3}, 2),
               ("g_global_thin", {"H": Z2, "G": Z2, "phi": {h: h for h in Z2.elements}}, 1),
               ("g_homotopy_fp", {"H": Z2, "G": Z2}, 1),

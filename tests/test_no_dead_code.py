@@ -5,9 +5,16 @@ every parameter it takes, is read.
 A function or method counts as used when its name is loaded (as a name or an
 attribute) anywhere in src/, scripts/, tests/ or perfbench/ outside its own
 definition.  Importing a name does not count as using it.  Dunder methods are
-called by the language and are not checked.  The same rules with tests/ left
-out, tests/test_acceptance.py apart, find the functions that only tests use;
-they are listed in TEST_ONLY, and any other is reported.
+called by the language and are not checked.
+
+Every function and method of src/gcat/ is also reached from what runs gcat:
+`main` (the console script gcat.cli:main), the module-level code of the
+package, scripts/, perfbench/ and tests/test_acceptance.py.  The walk goes
+through the names each reached function's body loads, to every function,
+method and class of that name, and from a class to its dunder methods.  It
+is name-based, so it errs towards reaching too much, never too little.  A
+function that only tests reach, directly or through other such
+functions, is reported: it belongs in the tests that use it.
 
 A local is dead when a function assigns it with a plain `name = ...` and
 never loads it, nested functions included.  Tuple unpacking and loop targets
@@ -34,6 +41,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gcat"
 SEARCHED = [ROOT / d for d in ("src", "scripts", "tests", "perfbench")]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def used_names(tree):
@@ -51,14 +63,12 @@ def definitions(tree):
     """Top-level functions and the non-dunder methods of top-level classes,
     as (qualified name, node, whether bare-name loads count as uses).  A
     method is reached only through an attribute, so only attributes count."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        if isinstance(node, functions):
+        if isinstance(node, FUNCTIONS):
             yield node.name, node, True
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, functions) and not (
-                        item.name.startswith("__") and item.name.endswith("__")):
+                if isinstance(item, FUNCTIONS) and not is_dunder(item.name):
                     yield f"{node.name}.{item.name}", item, False
 
 
@@ -99,7 +109,7 @@ def own_nodes(function):
     while stack:
         node = stack.pop()
         yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+        if not isinstance(node, (*FUNCTIONS, ast.Lambda, ast.ClassDef)):
             stack.extend(ast.iter_child_nodes(node))
 
 
@@ -108,7 +118,7 @@ def unread_locals(package=PACKAGE):
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for function in ast.walk(tree):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not isinstance(function, FUNCTIONS):
                 continue
             loaded = {node.id for node in ast.walk(function)
                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -128,8 +138,7 @@ def unread_parameters(package=PACKAGE):
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for function in ast.walk(tree):
-            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)) or (
-                    function.name.startswith("__") and function.name.endswith("__")):
+            if not isinstance(function, FUNCTIONS) or is_dunder(function.name):
                 continue
             loaded = {node.id for statement in function.body for node in ast.walk(statement)
                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
@@ -191,48 +200,102 @@ def test_planted_unused_function_is_reported(tmp_path):
     assert dead == ["mod.py:5 recursive", "mod.py:16 Box.unused"]
 
 
-#: module.name of each function and method of src/gcat/ that only tests load,
-#: tests/test_acceptance.py apart.  A name that joins them is reported: the
-#: program stopped using it, and it should go or be listed here.
-TEST_ONLY = {
-    "actions.make_monoid", "actions.is_good_subgroup",
-    "dwyer.product_witness", "dwyer.monoid_dwyer_check",
-    "serialize.sset_map_doc",
-    "sset.induced_cell_sd",
-    "weq.f_weak_equivalence", "weq.conjugate_pair", "weq.discrete_avatar",
-}
+def loads(nodes):
+    """The names that `nodes` load, as bare names and as attributes alike."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in nodes
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
-def functions_only_tests_use(root=ROOT):
-    """module.name of each function and method of root/src/gcat/ that no file
-    loads but those of root/tests/, root/tests/test_acceptance.py apart."""
-    searched = [root / d for d in ("src", "scripts", "perfbench")]
-    unused = unreferenced_functions(root / "src" / "gcat",
-                                    searched + [root / "tests" / "test_acceptance.py"])
-    return {f"{entry.split('.py:')[0]}.{entry.split()[1]}" for entry in unused}
+def walk(nodes):
+    """`nodes` and everything in them."""
+    return (node for top in nodes for node in ast.walk(top))
 
 
-def test_only_tests_use_the_listed_functions():
-    assert sorted(functions_only_tests_use() - TEST_ONLY) == []
-    assert sorted(TEST_ONLY - functions_only_tests_use()) == []
+def module_level_nodes(tree):
+    """The nodes of `tree` that run when it is imported: everything but the
+    bodies of functions and methods, whose decorators and defaults do run."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, FUNCTIONS):
+            stack += [*node.decorator_list, *node.args.defaults,
+                      *(d for d in node.args.kw_defaults if d is not None)]
+        else:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
 
 
-def test_planted_function_only_tests_use_is_reported(tmp_path):
+def unreachable_functions(root=ROOT):
+    """Each function and method of root/src/gcat/ that no chain of loaded
+    names reaches from the entry points: `main` (the console script
+    gcat.cli:main), the module-level code of the package, and all of
+    root/scripts/, root/perfbench/ and root/tests/test_acceptance.py.  A
+    loaded name, bare or as an attribute, reaches every function and method
+    of that name, and a class name the dunder methods of its class."""
+    package = root / "src" / "gcat"
+    targets, calls, seen = {}, {}, {"main"}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        seen |= loads(module_level_nodes(tree))
+        for node in tree.body:
+            # (the name that reaches it, its report name, its node)
+            if isinstance(node, FUNCTIONS):
+                defined = [(node.name, node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                defined = [(node.name if is_dunder(item.name) else item.name,
+                            f"{node.name}.{item.name}", item)
+                           for item in node.body if isinstance(item, FUNCTIONS)]
+            else:
+                defined = []
+            for name, qualified, item in defined:
+                key = (path.name, item.lineno, qualified)
+                targets.setdefault(name, []).append(key)
+                calls[key] = loads(walk(item.body))
+    for path in [*python_files([root / "scripts", root / "perfbench"]),
+                 root / "tests" / "test_acceptance.py"]:
+        seen |= loads(ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))))
+    reached, todo = set(), list(seen)
+    while todo:
+        for key in targets.get(todo.pop(), ()):
+            if key not in reached:
+                reached.add(key)
+                todo += calls[key] - seen
+                seen |= calls[key]
+    return [f"{name}:{line} {qualified}" for name, line, qualified in sorted(calls.keys() - reached)]
+
+
+def test_every_function_is_reached_from_an_entry_point():
+    assert unreachable_functions() == []
+
+
+def test_planted_unreachable_function_is_reported(tmp_path):
     package = tmp_path / "src" / "gcat"
     package.mkdir(parents=True)
+    (package / "cli.py").write_text(
+        "from .mod import Box, run\n\n\n"
+        "def main():\n    return Box(run()).get()\n", encoding="utf-8")
     (package / "mod.py").write_text(
-        "def used():\n    return 1\n\n\n"
-        "def checked():\n    return 2\n\n\n"
-        "def tested():\n    return used()\n\n\n"
+        "def run():\n    return 1\n\n\n"
+        "def scripted():\n    return 2\n\n\n"
+        "def helper():\n    return helper() + run()\n\n\n"
+        "def tested():\n    return helper()\n\n\n"
         "class Box:\n"
-        "    def tested(self):\n        return used()\n",
+        "    def __init__(self, v):\n        self.v = v\n\n"
+        "    def get(self):\n        return self.v\n\n"
+        "    def tested(self):\n        return self.v\n\n\n"
+        "class Unused:\n"
+        "    def __len__(self):\n        return 0\n",
         encoding="utf-8")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "s.py").write_text(
+        "from gcat.mod import scripted\n\nscripted()\n", encoding="utf-8")
     (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_acceptance.py").write_text("", encoding="utf-8")
     (tmp_path / "tests" / "test_mod.py").write_text(
-        "from gcat.mod import Box, tested\n\ntested()\nBox().tested()\n", encoding="utf-8")
-    (tmp_path / "tests" / "test_acceptance.py").write_text(
-        "from gcat.mod import checked\n\nchecked()\n", encoding="utf-8")
-    assert functions_only_tests_use(tmp_path) == {"mod.tested", "mod.Box.tested"}
+        "from gcat.mod import Box, Unused, tested\n\ntested()\nBox(1).tested()\nlen(Unused())\n",
+        encoding="utf-8")
+    assert unreachable_functions(tmp_path) == [
+        "mod.py:9 helper", "mod.py:13 tested", "mod.py:24 Box.tested", "mod.py:29 Unused.__len__"]
 
 
 def test_every_assigned_local_is_read():
@@ -342,7 +405,7 @@ def document_boundary_faults(package=PACKAGE):
     faults = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if (isinstance(node, FUNCTIONS)
                     and node.name.endswith("_from_doc") and path.name != "serialize.py"):
                 faults.append(f"{path.name}:{node.lineno} defines {node.name}")
             if "serialize" in imported_modules(node) and path.stem not in ("serialize", "cli"):

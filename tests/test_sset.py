@@ -44,11 +44,13 @@ from gcat.actions import (
 from gcat.corpus import emap_corpus, emap_equivariant_corpus, seeded_category
 from gcat.sset import (
     FinSSet,
+    MonoidActionSSet,
     SSetMap,
     boundary_complex,
     chain_poset_of,
     complex_inclusion,
     complex_to_sset,
+    compose_tuples,
     e_map,
     equivariant_nerve,
     ex,
@@ -60,8 +62,7 @@ from gcat.sset import (
     h_sd2_map,
     homology,
     horn_complex,
-    induced_cell,
-    induced_cell_sd,
+    is_identity_alpha,
     is_kan_complex,
     is_kan_complex_lazy_ex,
     is_kan_fibration,
@@ -70,7 +71,6 @@ from gcat.sset import (
     nerve,
     nerve_functor,
     pi0,
-    product_sset,
     pushout_sset,
     sd_complex,
     standard_simplex_complex,
@@ -1257,7 +1257,87 @@ def test_ex2_of_contractible_groupoid_is_kan_cap2():
     assert v.passed
 
 
-# -- induced cells ------------------------------------------------------------
+# -- products and induced cells ---------------------------------------------------
+
+
+def product_nf(nx, ny):
+    """The normal form of the product simplex (nx, ny): the id of its
+    nondegenerate core and the degeneracy common to both factors."""
+    (cx, ax), (cy, ay) = nx, ny
+    keep = (0, *(t for t in range(1, len(ax)) if ax[t] != ax[t - 1] or ay[t] != ay[t - 1]))
+    beta = tuple(sum(1 for k in keep[1:] if k <= t) for t in range(len(ax)))
+    fx, fy = compose_tuples(ax, keep), compose_tuples(ay, keep)
+    return f"{cx}[{','.join(map(str, fx))}]*{cy}[{','.join(map(str, fy))}]", beta
+
+
+def parse_product_id(pid):
+    """The two factor normal forms named by a product simplex id."""
+    left, right = pid.split("]*")
+    cx, ax = left.rsplit("[", 1)
+    cy, ay = right[:-1].rsplit("[", 1)
+    return (cx, tuple(int(v) for v in ax.split(","))), (cy, tuple(int(v) for v in ay.split(",")))
+
+
+def product_sset(X, Y, cap=None):
+    """X × Y; nondegenerate simplices are pairs of normal forms sharing no
+    common degeneracy position (Eilenberg-Zilber)."""
+    cap = min(X.cap, Y.cap) if cap is None else cap
+    pairs = {n: {} for n in range(cap + 1)}
+    for n, at_n in pairs.items():
+        for nx in X.all_simplices(n):
+            for ny in Y.all_simplices(n):
+                pid, beta = product_nf(nx, ny)
+                if is_identity_alpha(beta):
+                    at_n[pid] = (nx, ny)
+    faces = {(n, pid): tuple(product_nf(fx, fy) for fx, fy in zip(X.faces_of(nx), Y.faces_of(ny)))
+             for n in range(1, cap + 1) for pid, (nx, ny) in pairs[n].items()}
+    return FinSSet(cap, {n: tuple(sorted(at_n)) for n, at_n in pairs.items() if at_n},
+                   faces).validate()
+
+
+def product_projections(X, Y, P):
+    """The projections of P = X × Y onto X and onto Y."""
+    values = {(n, pid): parse_product_id(pid) for n in P.dims() for pid in P.cells[n]}
+    return (SSetMap(P, X, {key: v[0] for key, v in values.items()}),
+            SSetMap(P, Y, {key: v[1] for key, v in values.items()}))
+
+
+def pair_into_product(f, g, P):
+    """(f, g): W -> X × Y for maps with common source."""
+    W = f.source
+    return SSetMap(W, P, {(n, s): product_nf(f.values[(n, s)], g.values[(n, s)])
+                          for n in W.dims() for s in W.cells[n]})
+
+
+def cosets(G, H, cap):
+    """G/H as a discrete simplicial set, its points the left cosets gH named
+    by least member, with the left G-action on their names."""
+    coset = {g: min(G.mul(g, h) for h in H.elements) for g in G.elements}
+    names = sorted(set(coset.values()))
+    action = {k: {c: coset[G.mul(k, c)] for c in names} for k in G.elements}
+    return FinSSet(cap, {0: tuple(names)}, {}), action
+
+
+def induced_cell(G, H, K, cap):
+    """G/H × K with the left translation action on the coset factor."""
+    D, action = cosets(G, H, cap)
+    KX = complex_to_sset(K, cap)
+    P = product_sset(D, KX, cap)
+    pd, pk = product_projections(D, KX, P)
+    act = {g: pair_into_product(pd.then(SSetMap(D, D, {(0, c): (action[g][c], (0,))
+                                                        for c in action[g]})), pk, P).validate()
+           for g in G.elements}
+    return MonoidActionSSet(G, P, act).validate()
+
+
+def induced_cell_sd(G, H, K, cap):
+    """(G/H × sd_complex(K), action) with the equivariant comparison to G/H × K."""
+    cell_sd = induced_cell(G, H, sd_complex(K), cap)
+    cell = induced_cell(G, H, K, cap)
+    lv = lastvertex_map(K, cap)
+    pd, pk = product_projections(cosets(G, H, cap)[0], lv.source, cell_sd.carrier)
+    comparison = pair_into_product(pd, pk.then(lv), cell.carrier).validate()
+    return cell_sd, cell, comparison
 
 
 def test_induced_cell_free_count():

@@ -18,6 +18,7 @@ from gcat.errors import GcatError, SizeCapExceeded
 from gcat.fincat import (
     FinCat,
     Functor,
+    NatTrans,
     arrow_category,
     chain_poset,
     discrete_category,
@@ -35,12 +36,15 @@ from gcat.actions import (
     cell_category,
     chaotic_action,
     chaotic_category,
+    check_equivariant,
     cyclic_group,
     delooping,
+    fixed_functor,
     homomorphisms,
     product_action,
     product_monoid,
     subgroup_from_elements,
+    subgroup_key,
     subgroups,
     symmetric_group,
     translation_action,
@@ -58,17 +62,13 @@ from gcat.dwyer import (
     find_dwyer_witness,
     fun_witness,
     is_sieve,
-    monoid_dwyer_check,
 )
 from gcat.weq import (
     GeneratedMap,
     GeneratorSpec,
     cell_avatar,
     check_transfer_conditions,
-    conjugate_pair,
-    discrete_avatar,
     equivalence_certificate,
-    f_weak_equivalence,
     g_global_we,
     generating_maps,
     homology_certificate,
@@ -77,8 +77,12 @@ from gcat.weq import (
     poset_avatar,
     restriction_comparison,
     saturation_check,
+    SaturationAvatar,
+    WeakEqCertificate,
     twisted_fun_fixed,
 )
+
+from helpers import monoid_dwyer_check, zero_monoid
 
 
 Z2 = cyclic_group(2)
@@ -140,6 +144,16 @@ def test_sufficient_implies_necessary():
         suff = equivalence_certificate(F)
         if suff is not None:
             assert homology_certificate(F, 3).passed
+
+
+def f_weak_equivalence(F, act_C, act_D, family, cap):
+    """Per-subgroup homology certificates for F^H, H in the family: the
+    fixed-point side of the paper's proper G-equivariant weak equivalences."""
+    check_equivariant(F, act_C, act_D)
+    table = {subgroup_key(H): homology_certificate(fixed_functor(F, act_C, act_D, H), cap)
+             for H in family}
+    return WeakEqCertificate("necessary", all(c.passed for c in table.values()), cap,
+                             {"family_size": len(table)}, per_subgroup=table)
 
 
 def test_f_weak_equivalence_swap_fails_on_fixed_points():
@@ -475,7 +489,7 @@ def test_g_global_we_conjugation_invariance():
     one_act = trivial_action(Z2, terminal_category())
     F = collapse_to_point(sw.carrier)
     for g in Z2.elements:
-        phi2 = conjugate_pair(Z2, PHI_ID, Z2, g)
+        phi2 = {h: Z2.mul(Z2.mul(g, PHI_ID[h]), Z2.inverse(g)) for h in Z2.elements}
         a = g_global_we(F, sw, one_act, [(Z2, PHI_ID)], 3).passed
         b = g_global_we(F, sw, one_act, [(Z2, phi2)], 3).passed
         assert a == b
@@ -558,6 +572,27 @@ def test_cell_avatar_z4():
     assert rep["all_passed"]
 
 
+def discrete_avatar(Hp, G, action):
+    """The avatar of an (H′ × G)-action on a discrete category, with the
+    coherence data synthesized, or None where some hom-set is not a point or
+    the components are not natural."""
+    C = action.carrier
+    coherence = {}
+    for k1 in Hp.elements:
+        for k2 in Hp.elements:
+            F1, F2 = (action.act[pair_obj(k, G.unit)] for k in (k1, k2))
+            homs = {x: C.hom(F1.object_map[x], F2.object_map[x]) for x in C.objects}
+            if any(len(h) != 1 for h in homs.values()):
+                return SaturationAvatar(Hp, G, action, None, label="discrete-no-coherence")
+            comp = {x: h[0] for x, h in homs.items()}
+            try:
+                NatTrans(F1, F2, comp).validate()
+            except GcatError:
+                return SaturationAvatar(Hp, G, action, None, label="discrete-no-coherence")
+            coherence[(k1, k2)] = comp
+    return SaturationAvatar(Hp, G, action, coherence, label="discrete-synthesized")
+
+
 def swap_avatar():
     """Z2 swapping two discrete objects, with no coherence data to synthesize."""
     disc = discrete_category(["a", "b"])
@@ -627,12 +662,7 @@ def test_every_emitted_generator_is_equivariant_dwyer():
 
 
 def test_f_model_generator_with_core_equivariance():
-    from gcat.actions import make_monoid
-    M = make_monoid(
-        ["1", "g", "z"],
-        {("1", "1"): "1", ("1", "g"): "g", ("1", "z"): "z",
-         ("g", "1"): "g", ("g", "g"): "1", ("g", "z"): "z",
-         ("z", "1"): "z", ("z", "g"): "z", ("z", "z"): "z"}, "1")
+    M = zero_monoid()
     H = subgroup_from_elements(M, ["1"])
     gm = generating_maps(GeneratorSpec("f_model", 0, params={"M": M, "H": H}))
     w = monoid_dwyer_check(gm.functor, gm.act_src_monoid, gm.act_dst_monoid)
