@@ -26,6 +26,12 @@ incorrect stops the script.
   median is better than the base's by more than the base's quartile
   distance.
 
+The file also holds `job_runs`, workload -> each pair's [base, head] count
+of job runs, read from the `workload <name>: ... (<N> job runs)` line that
+`run.py` prints.  It carries no verdict: a faster side runs its jobs more
+often, and the benchmark's memory grows with that count, so a `peak_rss_mb`
+rise can be read against it.
+
 Before the pairs, each side runs `run.py --seed 1 --trace 1` over all
 workloads TRACED_RUNS times, the sides alternating (base first in the first
 and third round).  The first run of each side gives its deterministic work
@@ -42,6 +48,7 @@ verdict: each is one traced pass, and the host's noise on it is large.
 import argparse
 import io
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -54,6 +61,7 @@ PAIRS = 10
 GAIN_WINS = 9
 TRACE_SECONDS = 4    # of the traced run's untraced passes; the counters do not depend on it
 TRACED_RUNS = 3      # per side, for the median per-layer self times
+JOB_RUNS_LINE = re.compile(r"^workload (\S+): .*\((\d+) job runs\)", re.MULTILINE)
 
 
 def export(rev, dest):
@@ -67,20 +75,32 @@ def export(rev, dest):
     return sha
 
 
+def job_runs(stdout, names):
+    """workload -> job runs, for each workload of `names`, from the output of
+    `run.py --workload all`; a workload without its line stops the script."""
+    counts = {name: int(n) for name, n in JOB_RUNS_LINE.findall(stdout)}
+    missing = [name for name in names if name not in counts]
+    if missing:
+        raise SystemExit(f"run.py printed no job-run count for {', '.join(missing)}")
+    return counts
+
+
 def run(tree, seed, seconds):
     """One `run.py` run of all workloads in `tree`: workload -> {metric: value},
-    fail_ratio included."""
+    fail_ratio and job_runs included."""
     proc = subprocess.run([sys.executable, str(tree / "perfbench" / "run.py"),
                            "--workload", "all", "--seed", str(seed),
                            "--seconds", str(seconds), "--trace", "0"],
                           cwd=tree, capture_output=True, text=True, check=True)
     rows = json.loads(proc.stdout.strip().splitlines()[-1])
+    counts = job_runs(proc.stdout, rows)
     values = {}
     for name, row in rows.items():
         if not row["correct"]:
             raise SystemExit(f"{tree}: workload {name} at seed {seed} reports an incorrect run")
         values[name] = {k: v["value"] for k, v in row["metrics"].items()}
         values[name]["fail_ratio"] = row["failed"] / row["attempted"]
+        values[name]["job_runs"] = counts[name]
     return values
 
 
@@ -194,7 +214,9 @@ def main(argv=None):
     doc = {"base": commits["base"], "head": commits["head"], "pairs": PAIRS,
            "seeds": [1, PAIRS], "seconds": seconds,
            "command": "perfbench/run.py --trace 0", "python": sys.version.split()[0],
-           "workloads": workloads}
+           "workloads": workloads,
+           "job_runs": {name: [[r["base"][name]["job_runs"], r["head"][name]["job_runs"]]
+                               for r in runs] for name in workloads}}
     doc["counters"], doc["counters_changed"] = compare_counters(traced["base"][0][0],
                                                                 traced["head"][0][0])
     doc["self_s"] = median_self_times(*([t for _, t in traced[side]] for side in ("base", "head")))

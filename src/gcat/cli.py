@@ -4,7 +4,8 @@ Every subcommand is one entry of COMMANDS: its handler and its own flags
 (each also takes --cap).  A handler reads its documents with `_load` and
 the readers of `serialize`, runs its check and returns (inputs, body, exit
 code); `main` wraps that in `serialize.report`, emits it, and turns every
-error into an exit code.
+error into an exit code.  The argument parser is built once per process, on
+the first `main` call.
 
 Exit codes: 0 all properties hold, 1 a property is violated (the report names
 it), 2 inconclusive (a cap was hit), 64 usage error, 74 IO error. Where the
@@ -31,6 +32,7 @@ Identical invocation + seed gives a byte-identical report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -476,7 +478,11 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built on the first `main` call and
+    reused by every later one in this process: parsing leaves no state in
+    it, each call gets a new namespace."""
     p = argparse.ArgumentParser(prog="gcat",
                                 description="exact finite-category toolkit "
                                             "(Dwyer pushouts, nerves, Ex, certificates)")

@@ -9,8 +9,15 @@ type: every id is a string, and caps, dimensions and alpha entries are ints.
 
 from __future__ import annotations
 
-import hashlib
 import json
+
+try:   # CPython's own SHA-256, so that hashlib does not load OpenSSL for one digest
+    from _sha2 import sha256            # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .config import DEFAULT_CAPS, SizeCaps
@@ -26,7 +33,7 @@ def canonical_json(doc) -> str:
 
 
 def content_hash(doc) -> str:
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    return sha256(canonical_json(doc).encode("utf-8")).hexdigest()
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", list: "a list", dict: "an object"}

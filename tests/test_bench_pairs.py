@@ -1,5 +1,5 @@
-"""The verdicts `scripts/bench_pairs.py` records for one metric, and the
-work counters it lists as changed."""
+"""The verdicts `scripts/bench_pairs.py` records for one metric, the work
+counters it lists as changed, and the job-run counts it reads."""
 
 import importlib.util
 from pathlib import Path
@@ -72,3 +72,22 @@ def test_self_times_are_medians_of_each_sides_traced_runs():
     # a name only the head reports has no base median, and no entry carries a verdict
     assert table["cli"]["cli.self_s"] == {"base": [], "head": [0.1, 0.1, 0.1],
                                           "base_median": None, "head_median": 0.1}
+
+
+# the shape of `run.py --workload all` output, cut short
+RUN_OUTPUT = """workload spans: seed 3, 71 jobs, 12 passes (7104 job runs), 3 set-ups
+  job_p50_ms and job_tail_ms over the 71 per-job median latencies; the tail is p97.2
+workload cli: seed 3, 29 jobs, 210 passes (57312 job runs), 3 set-ups
+  jobs_per_s=1178.2 jobs/s  peak_rss_mb=32.1 MB
+workload       jobs_per_s
+{"cli": {}, "spans": {}}
+"""
+
+
+def test_job_runs_are_read_from_each_workloads_line():
+    assert bench_pairs.job_runs(RUN_OUTPUT, ["spans", "cli"]) == {"spans": 7104, "cli": 57312}
+
+
+def test_a_workload_without_its_job_runs_line_stops_the_script():
+    with pytest.raises(SystemExit, match="no job-run count for homology, ex_kan"):
+        bench_pairs.job_runs(RUN_OUTPUT, ["spans", "homology", "ex_kan", "cli"])

@@ -1,6 +1,8 @@
 """CLI surface: document round-trips, exit codes, deterministic reports."""
 
 import copy
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -26,11 +28,16 @@ from helpers import sset_map_doc
 GCAT_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
+def gcat_env():
+    """The environment with GCAT_ROOT first on PYTHONPATH."""
+    path = os.pathsep.join(p for p in (GCAT_ROOT, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def gcat_process(args):
     """`python -m gcat.cli *args` in a subprocess, with its output captured."""
-    path = os.pathsep.join(p for p in (GCAT_ROOT, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "gcat.cli", *args], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+                          text=True, env=gcat_env())
 
 
 def run_cli(args, expect=0):
@@ -216,10 +223,8 @@ def test_io_error_is_returned_in_process(tmp_path, capsys):
 
 def test_closed_stdout_is_an_io_error():
     # the report (about 250 kB) outgrows the pipe's buffer, so its write meets the closed pipe
-    path = os.pathsep.join(p for p in (GCAT_ROOT, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.Popen([sys.executable, "-m", "gcat.cli", "corpus", "--seed", "1", "--count", "40"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            env={**os.environ, "PYTHONPATH": path})
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=gcat_env())
     assert proc.stdout.read(20) == b'{"command":"corpus",'
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -646,3 +651,57 @@ def test_weq_on_sset_inclusion_names_h1_mismatch(tmp_path):
     src_h1 = nec["details"]["source_homology"][1]
     dst_h1 = nec["details"]["target_homology"][1]
     assert src_h1 != dst_h1 and src_h1 == {"betti": 1, "torsion": []}
+
+
+def test_a_reused_parser_keeps_no_state(tmp_path, capsys, monkeypatch):
+    """`main` builds its parser once per process.  Over one list of argvs,
+    run twice in one process, each call's exit code, stdout and stderr are
+    those of the first pass, and of a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps its help to the terminal's width
+    arrow = write(tmp_path, "arrow.json", arrow_category().to_doc())
+    d5 = write(tmp_path, "d5.json", ser.complex_doc(standard_simplex_complex(5)))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{}", encoding="utf-8")
+    argvs = [["--wide-caps", "sd", "--input", d5],
+             ["sd", "--input", d5],                     # past the default morphism cap
+             ["nerve", "--input", arrow, "--cap", "-1"],
+             ["--help"],
+             ["--format", "text", "validate", "--input", arrow],
+             ["validate", "--input", str(malformed)],
+             ["validate", "--input", arrow]]
+    passes = []
+    for _ in range(2):
+        passes.append([(cli.main(argv), *capsys.readouterr()) for argv in argvs])
+    assert passes[1] == passes[0]
+    assert [code for code, _, _ in passes[0]] == [0, 2, 64, 0, 0, 64, 0]
+    usage = passes[0][2]
+    assert usage[1] == "" and usage[2].startswith("usage: gcat nerve") and "--cap" in usage[2]
+    assert passes[0][3][1].startswith("usage: gcat") and passes[0][3][2] == ""
+    for index in (1, 2, 3, 4, 5):
+        proc = gcat_process(argvs[index])
+        assert (proc.returncode, proc.stdout, proc.stderr) == passes[0][index], argvs[index]
+
+
+def test_content_hash_is_the_sha256_of_the_canonical_json():
+    docs = {kind: doc for kind, (_, doc) in ill_typed_inputs().items()}
+    docs["span"] = span_doc()
+    for kind, doc in docs.items():
+        expected = hashlib.sha256(ser.canonical_json(doc).encode()).hexdigest()
+        assert ser.content_hash(doc) == expected, kind
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="this Python has no built-in SHA-256 module")
+def test_gcat_hashes_reports_without_loading_openssl(tmp_path):
+    """Where CPython's own SHA-256 module exists, a report is hashed without
+    hashlib's OpenSSL module `_hashlib`."""
+    path = write(tmp_path, "arrow.json", arrow_category().to_doc())
+    script = ("import sys\nfrom gcat import cli\n"
+              f"code = cli.main(['validate', '--input', {path!r}])\n"
+              "print(code, '_hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=gcat_env())
+    report, last = proc.stdout.splitlines()
+    assert last == "0 False", proc.stderr
+    assert json.loads(report)["input_hashes"]["category"] == hashlib.sha256(
+        ser.canonical_json(arrow_category().to_doc()).encode()).hexdigest()

@@ -1,13 +1,8 @@
 """Every top-level function, and every method of a top-level class, in
-src/gcat/ is used somewhere, and every local a function there assigns, and
-every parameter it takes, is read.
+src/gcat/ is reached from what runs gcat, and every local a function there
+assigns, and every parameter it takes, is read.
 
-A function or method counts as used when its name is loaded (as a name or an
-attribute) anywhere in src/, scripts/, tests/ or perfbench/ outside its own
-definition.  Importing a name does not count as using it.  Dunder methods are
-called by the language and are not checked.
-
-Every function and method of src/gcat/ is also reached from what runs gcat:
+Every function and method of src/gcat/ is reached from what runs gcat:
 `main` (the console script gcat.cli:main), the module-level code of the
 package, scripts/, perfbench/ and tests/test_acceptance.py.  The walk goes
 through the names each reached function's body loads, to every function,
@@ -48,30 +43,6 @@ def is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def used_names(tree):
-    """Multisets of the names `tree` loads as bare names and as attributes."""
-    names, attributes = Counter(), Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            attributes[node.attr] += 1
-    return names, attributes
-
-
-def definitions(tree):
-    """Top-level functions and the non-dunder methods of top-level classes,
-    as (qualified name, node, whether bare-name loads count as uses).  A
-    method is reached only through an attribute, so only attributes count."""
-    for node in tree.body:
-        if isinstance(node, FUNCTIONS):
-            yield node.name, node, True
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, FUNCTIONS) and not is_dunder(item.name):
-                    yield f"{node.name}.{item.name}", item, False
-
-
 def python_files(searched):
     """The .py files under each directory of `searched`, and each file of it."""
     for root in searched:
@@ -79,27 +50,6 @@ def python_files(searched):
             yield from sorted(root.rglob("*.py"))
         elif root.is_file():
             yield root
-
-
-def unreferenced_functions(package=PACKAGE, searched=SEARCHED):
-    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
-             for path in python_files(searched)}
-    names, attributes = Counter(), Counter()
-    for tree in trees.values():
-        tree_names, tree_attributes = used_names(tree)
-        names.update(tree_names)
-        attributes.update(tree_attributes)
-    dead = []
-    for path in sorted(package.glob("*.py")):
-        tree = trees.get(path) or ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for qualified, node, bare in definitions(tree):
-            inside_names, inside_attributes = used_names(node)
-            uses = attributes[node.name] - inside_attributes[node.name]
-            if bare:
-                uses += names[node.name] - inside_names[node.name]
-            if uses <= 0:
-                dead.append(f"{path.name}:{node.lineno} {qualified}")
-    return dead
 
 
 def own_nodes(function):
@@ -176,28 +126,6 @@ def unread_fields(package=PACKAGE, searched=SEARCHED):
         dead += [f"{path.name}:{field.lineno} {cls}.{field.target.id}"
                  for cls, field in dataclass_fields(tree) if not loaded[field.target.id]]
     return dead
-
-
-def test_every_top_level_function_is_referenced():
-    assert unreferenced_functions() == []
-
-
-def test_planted_unused_function_is_reported(tmp_path):
-    package = tmp_path / "src" / "gcat"
-    package.mkdir(parents=True)
-    (package / "mod.py").write_text(
-        "def used():\n    return 1\n\n\n"
-        "def recursive(n):\n    return recursive(n - 1) if n else used()\n\n\n"
-        "class Box:\n"
-        "    def __init__(self):\n        self.v = used()\n\n"
-        "    def get(self):\n        return self.v\n\n"
-        "    def unused(self, n):\n        return self.unused(n - 1) if n else self.get()\n",
-        encoding="utf-8")
-    (tmp_path / "tests").mkdir()
-    (tmp_path / "tests" / "test_mod.py").write_text(
-        "from gcat.mod import Box, recursive, used\n\nused()\nBox().get()\n", encoding="utf-8")
-    dead = unreferenced_functions(package, [tmp_path / "src", tmp_path / "tests"])
-    assert dead == ["mod.py:5 recursive", "mod.py:16 Box.unused"]
 
 
 def loads(nodes):
@@ -282,7 +210,8 @@ def test_planted_unreachable_function_is_reported(tmp_path):
         "class Box:\n"
         "    def __init__(self, v):\n        self.v = v\n\n"
         "    def get(self):\n        return self.v\n\n"
-        "    def tested(self):\n        return self.v\n\n\n"
+        "    def tested(self):\n        return self.v\n\n"
+        "    def spin(self, n):\n        return self.spin(n - 1) if n else n\n\n\n"
         "class Unused:\n"
         "    def __len__(self):\n        return 0\n",
         encoding="utf-8")
@@ -295,7 +224,8 @@ def test_planted_unreachable_function_is_reported(tmp_path):
         "from gcat.mod import Box, Unused, tested\n\ntested()\nBox(1).tested()\nlen(Unused())\n",
         encoding="utf-8")
     assert unreachable_functions(tmp_path) == [
-        "mod.py:9 helper", "mod.py:13 tested", "mod.py:24 Box.tested", "mod.py:29 Unused.__len__"]
+        "mod.py:9 helper", "mod.py:13 tested", "mod.py:24 Box.tested", "mod.py:27 Box.spin",
+        "mod.py:32 Unused.__len__"]
 
 
 def test_every_assigned_local_is_read():
