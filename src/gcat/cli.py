@@ -341,9 +341,10 @@ def cmd_gens(args):
         gm = generating_maps(spec, args.caps)
     except KeyError as exc:   # a parameter that the model reads is not in --params
         raise MalformedDocument(f"--params: missing {exc}") from exc
+    except NotAHomomorphism as exc:
+        args.usage_error(f"--params: {exc}")
     sieve = is_sieve(gm.functor)
-    equivariance = None if gm.group is None else (gm.group, gm.act_src, gm.act_dst)
-    w = find_dwyer_witness(gm.functor, equivariance)
+    w = find_dwyer_witness(gm.functor, gm.equivariance)
     body = {"name": gm.name, "sieve": sieve, "dwyer_witness": w is not None,
             "source": gm.functor.source.to_doc(), "target": gm.functor.target.to_doc(),
             **ser.maps_doc(gm.functor)}
@@ -489,7 +490,8 @@ def build_parser():
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.add_argument("--output", help="also write the report to this path")
     p.add_argument("--wide-caps", dest="caps", action="store_const", const=WIDE_CAPS,
-                   default=DEFAULT_CAPS, help="use roomier enumeration caps")
+                   default=DEFAULT_CAPS,
+                   help="use roomier enumeration caps (transfer-check always does)")
     sub = p.add_subparsers(dest="command", required=True)
     for name, (_, flags) in COMMANDS.items():
         sp = sub.add_parser(name)

@@ -52,7 +52,6 @@ from .fincat import (
 from .actions import (
     CellCategory,
     FinGroup,
-    FinMonoid,
     MonoidActionCat,
     cell_category,
     chaotic_category,
@@ -190,6 +189,15 @@ class HoFixData:
         """The canonical key of an object (ob, u) in `index_of`."""
         return (tuple(sorted(ob.items())), tuple(sorted(u.items())))
 
+    def functor_from(self, source: FinCat, objects, component) -> Functor:
+        """The validated functor source -> this category that sends an object
+        x to the fixed functor objects(x) = (ob, u), and a morphism m to the
+        transformation with base component component(m)."""
+        idx = {x: self.index_of[self.encoding(*objects(x))] for x in source.objects}
+        mm = {m: f"t{idx[s]:03d}>{idx[t]:03d}:{component(m)}" for m, s, t in source.morphisms}
+        return Functor(source, self.category, {x: self.object_id(i) for x, i in idx.items()},
+                       mm).validate()
+
 
 def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
                       C: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> HoFixData:
@@ -308,18 +316,12 @@ def homotopy_fixed_points(act_C: MonoidActionCat, H: FinGroup, phi: dict,
 
 def hofix_functor(F: Functor, src: HoFixData, dst: HoFixData) -> Functor:
     """The induced functor on homotopy fixed points (postcomposition by F)."""
-    om = {}
-    for idx, (ob, u) in enumerate(src.functors):
-        ob2 = {x: F.object_map[v] for x, v in ob.items()}
-        u2 = {k: F.morphism_map[v] for k, v in u.items()}
-        om[f"P{idx:03d}"] = dst.object_id(dst.index_of[dst.encoding(ob2, u2)])
-    mm = {}
-    for mid, (s, t) in ((m, (s, t)) for m, s, t in src.category.morphisms):
-        eta0 = src.mor_component[mid]
-        a2 = int(om[s][1:])
-        b2 = int(om[t][1:])
-        mm[mid] = f"t{a2:03d}>{b2:03d}:{F.morphism_map[eta0]}"
-    return Functor(src.category, dst.category, om, mm).validate()
+    fixed = {src.object_id(idx): obu for idx, obu in enumerate(src.functors)}
+    return dst.functor_from(
+        src.category,
+        lambda x: ({k: F.object_map[v] for k, v in fixed[x][0].items()},
+                   {k: F.morphism_map[v] for k, v in fixed[x][1].items()}),
+        lambda m: F.morphism_map[src.mor_component[m]])
 
 
 def _act_on_fun(data, K: FinGroup, h, post: Functor) -> Functor:
@@ -397,14 +399,12 @@ def restriction_comparison(C: FinCat, H: FinGroup, Hp: FinGroup,
 
     def unit_component(i, F):
         # F => F∘E(i∘r): apply F to the unique morphism x -> i(r(x))
-        ir = {x: r_map[x] for x in Hp.elements}
-        comp = {x: F.morphism_map[f"{x}>{ir[x]}"] for x in Hp.elements}
+        comp = {x: F.morphism_map[f"{x}>{r_map[x]}"] for x in Hp.elements}
         tgt = Er.then(incl).then(F)
         return dBig.trans_id(i, dBig.index_of[tgt.signature()], comp)
 
     def counit_component(i, P):
-        ri = {x: r_map[x] for x in H.elements}
-        comp = {x: P.morphism_map[f"{ri[x]}>{x}"] for x in H.elements}
+        comp = {x: P.morphism_map[f"{r_map[x]}>{x}"] for x in H.elements}
         src = incl.then(Er).then(P)
         return dSmall.trans_id(dSmall.index_of[src.signature()], i, comp)
 
@@ -502,18 +502,11 @@ def saturation_check(avatar: SaturationAvatar, pairs, caps: SizeCaps = DEFAULT_C
                              "kind": "none" if not equivalent else "abstract"}
             continue
         base = fun_fixed.base
-        om = {}
-        for x in c_fixed.objects:
-            ob = {k: avatar.action.ob(pair_obj(k, G.unit), x) for k in Hp.elements}
-            u = {(base, k): avatar.coherence[(base, k)][x] for k in Hp.elements}
-            om[x] = fun_fixed.object_id(fun_fixed.index_of[fun_fixed.encoding(ob, u)])
-        mm = {}
-        for m in c_fixed.morphism_ids:
-            a2 = int(om[c_fixed.src[m]][1:])
-            b2 = int(om[c_fixed.dst[m]][1:])
-            base_act = avatar.action.act[pair_obj(base, G.unit)]
-            mm[m] = f"t{a2:03d}>{b2:03d}:{base_act.morphism_map[m]}"
-        eta = Functor(c_fixed, fun_fixed.category, om, mm).validate()
+        eta = fun_fixed.functor_from(
+            c_fixed,
+            lambda x: ({k: avatar.action.ob(pair_obj(k, G.unit), x) for k in Hp.elements},
+                       {(base, k): avatar.coherence[(base, k)][x] for k in Hp.elements}),
+            avatar.action.act[pair_obj(base, G.unit)].morphism_map.__getitem__)
         cert = equivalence_certificate(eta, caps=caps)
         if cert is None:
             per_pair[key] = {"mode": "eta", "passed": False, "kind": "none"}
@@ -559,90 +552,70 @@ class GeneratorSpec:
 
 @dataclass
 class GeneratedMap:
+    """A generating map and the actions on its ends: of `group` for the
+    G-models, of the monoid M for f_model, whose `group` is None."""
+
     name: str
     functor: Functor
     group: Optional[FinGroup] = None
     act_src: Optional[MonoidActionCat] = None
     act_dst: Optional[MonoidActionCat] = None
-    monoid: Optional[FinMonoid] = None
-    act_src_monoid: Optional[MonoidActionCat] = None
-    act_dst_monoid: Optional[MonoidActionCat] = None
+
+    @property
+    def equivariance(self):
+        """(group, act_src, act_dst) for `find_dwyer_witness`, or None without a group."""
+        return None if self.group is None else (self.group, self.act_src, self.act_dst)
 
 
 def _core_inclusion(spec: GeneratorSpec, caps: SizeCaps):
     if spec.acyclic:
-        K = horn_complex(spec.n, spec.k)
-        tag = f"hSd2(L{spec.n}_{spec.k} -> D{spec.n})"
+        K, tag = horn_complex(spec.n, spec.k), f"hSd2(L{spec.n}_{spec.k} -> D{spec.n})"
     else:
-        K = boundary_complex(spec.n)
-        tag = f"hSd2(bD{spec.n} -> D{spec.n})"
-    L = standard_simplex_complex(spec.n)
-    return h_sd2_map(K, L, caps), tag
+        K, tag = boundary_complex(spec.n), f"hSd2(bD{spec.n} -> D{spec.n})"
+    return h_sd2_map(K, standard_simplex_complex(spec.n), caps), tag
 
 
-def _cell_times_map(cell: CellCategory, m: Functor, caps: SizeCaps):
-    G = cell.G
-    src_prod = product_category(cell.category, m.source, caps)
-    dst_prod = product_category(cell.category, m.target, caps)
-    idc = identity_functor(cell.category)
-    fun = product_functor(idc, m, src_prod, dst_prod)
-    act_src = product_action(cell.g_action, trivial_action(G, m.source), caps)
-    act_dst = product_action(cell.g_action, trivial_action(G, m.target), caps)
-    return fun, act_src, act_dst
+def _times(X: FinCat, m: Functor, caps: SizeCaps) -> Functor:
+    """The validated id_X × m : X × m.source -> X × m.target."""
+    return product_functor(identity_functor(X), m, product_category(X, m.source, caps),
+                           product_category(X, m.target, caps)).validate()
 
 
 def generating_maps(spec: GeneratorSpec, caps: SizeCaps = DEFAULT_CAPS) -> GeneratedMap:
     """Emit one generating (acyclic) cofibration for the requested model."""
     spec.validate()
     m, tag = _core_inclusion(spec, caps)
-    model = spec.model
+    model, params = spec.model, spec.params
+
+    def acted(act_X: MonoidActionCat, group=None) -> GeneratedMap:
+        """id_X × m for X the carrier of act_X, which acts on X and trivially on m's ends."""
+        M = act_X.monoid
+        return GeneratedMap(f"{model}:{tag}", _times(act_X.carrier, m, caps), group,
+                            product_action(act_X, trivial_action(M, m.source), caps),
+                            product_action(act_X, trivial_action(M, m.target), caps))
+
     if model == "thomason":
         return GeneratedMap(f"thomason:{tag}", m.validate())
     if model == "global":
-        H = spec.params["H"]
-        BH = delooping(H)
-        src = product_category(BH, m.source, caps)
-        dst = product_category(BH, m.target, caps)
-        fun = product_functor(identity_functor(BH), m, src, dst)
-        return GeneratedMap(f"global[BH={'/'.join(H.elements)}]:{tag}", fun.validate())
+        H = params["H"]
+        return GeneratedMap(f"global[BH={'/'.join(H.elements)}]:{tag}",
+                            _times(delooping(H), m, caps))
     if model == "f_model":
-        M = spec.params["M"]
-        H = spec.params["H"]
+        M, H = params["M"], params["H"]
         els = sorted({min(M.mul(x, h) for h in H.elements) for x in M.elements})
         MH = discrete_category(els)
-        src = product_category(MH, m.source, caps)
-        dst = product_category(MH, m.target, caps)
-        fun = product_functor(identity_functor(MH), m, src, dst)
 
         def coset_act(mm):
             om = {x: min(M.mul(M.mul(mm, x), h) for h in H.elements) for x in els}
             return Functor(MH, MH, om, {f"id:{x}": f"id:{om[x]}" for x in els})
 
-        mh_act = MonoidActionCat(M, MH, {mm: coset_act(mm) for mm in M.elements}).validate()
-        act_src = product_action(mh_act, trivial_action(M, m.source), caps)
-        act_dst = product_action(mh_act, trivial_action(M, m.target), caps)
-        return GeneratedMap(f"f_model:{tag}", fun.validate(), monoid=M,
-                            act_src_monoid=act_src, act_dst_monoid=act_dst)
+        return acted(MonoidActionCat(M, MH, {mm: coset_act(mm) for mm in M.elements}).validate())
     if model in ("g_global_thin", "g_global_thick_avatar", "g_homotopy_fp", "g_homotopy_fp_thick"):
-        G = spec.params["G"]
-        if model == "g_global_thin":
-            H = spec.params["H"]
-            phi = spec.params["phi"]
-            cell = cell_category(H, G, H, phi, caps)
-        elif model == "g_global_thick_avatar":
-            H, Hp, phi = spec.params["H"], spec.params["Hp"], spec.params["phi"]
-            cell = cell_category(Hp, G, H, phi, caps)
-        elif model == "g_homotopy_fp":
-            H = spec.params["H"]
-            incl = {h: h for h in H.elements}
-            cell = cell_category(H, G, H, incl, caps)
-        else:
-            H = spec.params["H"]
-            incl = {h: h for h in H.elements}
-            cell = cell_category(G, G, H, incl, caps)
-        fun, act_src, act_dst = _cell_times_map(cell, m, caps)
-        return GeneratedMap(f"{model}:{tag}", fun.validate(), group=G,
-                            act_src=act_src, act_dst=act_dst)
+        # the cell (E(K) × G)/Γ_{H,φ}: K is H, H′, H or G, and φ is given or the inclusion
+        G, H = params["G"], params["H"]
+        K = params[{"g_global_thick_avatar": "Hp", "g_homotopy_fp_thick": "G"}.get(model, "H")]
+        phi = params["phi"] if model.startswith("g_global") else {h: h for h in H.elements}
+        return acted(cell_category(K, G, H, phi, caps).g_action, G)
     raise GcatError(f"unknown model tag {model!r}")
 
 
@@ -721,24 +694,17 @@ def check_transfer_conditions(gens_I, gens_J, U, cap=3, caps: SizeCaps = DEFAULT
     one = terminal_category()
     for gm in gens_I:
         F = gm.functor
-        A, B = F.source, F.target
-        collapse = constant_functor(A, one, "*").validate()
-        if gm.group is not None:
-            triv = trivial_action(gm.group, one)
-            w = find_dwyer_witness(F, (gm.group, gm.act_src, gm.act_dst))
-            if w is None:
-                report["condition2"].append({"generator": gm.name, "passed": False,
-                                             "reason": "no equivariant Dwyer witness"})
-                continue
-            act_D, po = equivariant_dwyer_pushout(gm.act_src, gm.act_dst, triv, F, collapse, w, caps)
+        collapse = constant_functor(F.source, one, "*").validate()
+        w = find_dwyer_witness(F, gm.equivariance)
+        if w is None:
+            reason = "no Dwyer witness" if gm.group is None else "no equivariant Dwyer witness"
+            report["condition2"].append({"generator": gm.name, "passed": False, "reason": reason})
+            continue
+        if gm.group is None:
+            act_D, po = None, dwyer_pushout(F.source, F.target, one, F, collapse, w, caps)
         else:
-            w = find_dwyer_witness(F)
-            if w is None:
-                report["condition2"].append({"generator": gm.name, "passed": False,
-                                             "reason": "no Dwyer witness"})
-                continue
-            po = dwyer_pushout(A, B, one, F, collapse, w, caps)
-            act_D = None
+            pt = trivial_action(gm.group, one)
+            act_D, po = equivariant_dwyer_pushout(gm.act_src, gm.act_dst, pt, F, collapse, w, caps)
         D = po.category
         if U[0] == "identity":
             report["condition2"].append({"generator": gm.name, "passed": True})
@@ -757,7 +723,7 @@ def check_transfer_conditions(gens_I, gens_J, U, cap=3, caps: SizeCaps = DEFAULT
             H = U[1]
             wH = restrict_witness_to_fixed(w, H)
             DH = fixed_category(restrict_action(act_D, H), H)
-            CH = fixed_category(restrict_action(trivial_action(gm.group, one), H), H)
+            CH = fixed_category(restrict_action(pt, H), H)
             cH = constant_functor(wH.i.source, CH, "*").validate()
             poH = dwyer_pushout(wH.i.source, wH.i.target, CH, wH.i, cH, wH, caps)
             h1, h2 = _nerve_homology_pair(DH, poH.category, cap, caps)

@@ -121,7 +121,27 @@ def test_transfer_check_phi_not_a_homomorphism_is_a_usage_error(capsys):
     assert code == 0 and json.loads(out)["report"]["all_passed"]
 
 
-Z2_PAIRS = {"G": "Z2", "H_group": "Z2",
+@pytest.mark.parametrize("model, params, detail", [
+    ("g_global_thin", '{"H": "Z2", "G": "Z2", "phi": {"c0": "c1", "c1": "c0"}}',
+     "--params: phi does not preserve the unit"),
+    ("g_homotopy_fp", '{"H": "Z2", "G": "Z3"}',    # φ sends H's names to themselves
+     "--params: phi breaks multiplication on ('c1','c1')"),
+])
+def test_gens_params_phi_not_a_homomorphism_is_a_usage_error(capsys, model, params, detail):
+    """A --params φ that is not a homomorphism H -> G is a usage error, as
+    `transfer-check --phi` is; it was reported as violated, exit 1."""
+    code = cli.main(["gens", "--model", model, "--n", "0", "--params", params])
+    out, err = capsys.readouterr()
+    assert code == 64 and out == "" and detail in err
+
+
+def test_wide_caps_help_says_transfer_check_always_uses_them(capsys):
+    assert cli.main(["--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "use roomier enumeration caps (transfer-check always does)" in help_text
+
+
+Z2_PAIRS ={"G": "Z2", "H_group": "Z2",
             "pairs": [{"H": ["c0", "c1"], "phi": {"c0": "c0", "c1": "c1"}}]}
 
 

@@ -628,12 +628,10 @@ def witness_inputs():
         for n, k in shapes:
             gm = generating_maps(GeneratorSpec(model, n, k, k is not None, dict(params)),
                                  WIDE_CAPS)
-            if gm.monoid is not None:
-                out.append(monoid_dwyer_check(gm.functor, gm.act_src_monoid, gm.act_dst_monoid))
-            elif gm.group is not None:
-                out.append(find_dwyer_witness(gm.functor, (gm.group, gm.act_src, gm.act_dst)))
+            if model == "f_model":
+                out.append(monoid_dwyer_check(gm.functor, gm.act_src, gm.act_dst))
             else:
-                out.append(find_dwyer_witness(gm.functor))
+                out.append(find_dwyer_witness(gm.functor, gm.equivariance))
     V = poset_from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")]).to_fincat()
     ab = V.full_subcategory(["a", "b"])
     Z2c, i, actA, actB = swapped_cone()

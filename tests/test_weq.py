@@ -64,6 +64,7 @@ from gcat.dwyer import (
     is_sieve,
 )
 from gcat.weq import (
+    GENERATOR_MODELS,
     GeneratedMap,
     GeneratorSpec,
     cell_avatar,
@@ -636,7 +637,7 @@ def test_thin_generator_cell_size_and_witness():
     # source is empty at n = 0; the cell itself has |G| = 2 objects
     assert gm.functor.source.n_objects() == 0
     assert gm.functor.target.n_objects() == 2
-    w = find_dwyer_witness(gm.functor, (gm.group, gm.act_src, gm.act_dst))
+    w = find_dwyer_witness(gm.functor, gm.equivariance)
     assert w is not None
 
 
@@ -654,10 +655,7 @@ def test_every_emitted_generator_is_equivariant_dwyer():
     for spec in specs:
         gm = generating_maps(spec, WIDE_CAPS)
         assert is_sieve(gm.functor), gm.name
-        if gm.group is not None:
-            w = find_dwyer_witness(gm.functor, (gm.group, gm.act_src, gm.act_dst))
-        else:
-            w = find_dwyer_witness(gm.functor)
+        w = find_dwyer_witness(gm.functor, gm.equivariance)
         assert w is not None, gm.name
 
 
@@ -665,7 +663,7 @@ def test_f_model_generator_with_core_equivariance():
     M = zero_monoid()
     H = subgroup_from_elements(M, ["1"])
     gm = generating_maps(GeneratorSpec("f_model", 0, params={"M": M, "H": H}))
-    w = monoid_dwyer_check(gm.functor, gm.act_src_monoid, gm.act_dst_monoid)
+    w = monoid_dwyer_check(gm.functor, gm.act_src, gm.act_dst)
     assert w is not None and set(w.group.elements) == {"1", "g"}
 
 
@@ -676,7 +674,71 @@ def test_generator_sources_saturated_where_applicable():
     assert rep["all_passed"]
 
 
+#: sha256 of `generator_docs`, computed with the generator layer that built
+#: id × m three times and kept f_model's monoid actions in fields of their own
+GENERATOR_DIGEST = "41182d4c1d8a354d47c3b201f8e461ecbb58434f4c820c15c73706c205425c8c"
+
+
+def generator_docs():
+    """Per model and parameter set, Z2 and Z3 among them, and per boundary or
+    horn at n <= 2: the name, functor, group and the actions on both ends."""
+    M = zero_monoid()
+    Z2e = subgroup_from_elements(Z2, ["c0"])
+    params = [("thomason", {}), ("global", {"H": Z2}), ("global", {"H": Z3}),
+              ("f_model", {"M": Z2, "H": Z2e}), ("f_model", {"M": Z3, "H": Z3}),
+              ("f_model", {"M": M, "H": subgroup_from_elements(M, ["1"])}),
+              ("g_global_thin", {"H": Z2, "G": Z2, "phi": PHI_ID}),
+              ("g_global_thin", {"H": Z3, "G": Z3, "phi": {"c0": "c0", "c1": "c2", "c2": "c1"}}),
+              ("g_global_thick_avatar", {"H": Z2e, "Hp": Z2, "G": Z3, "phi": {"c0": "c0"}}),
+              ("g_global_thick_avatar", {"H": Z2, "Hp": Z2, "G": Z2, "phi": PHI_ID}),
+              ("g_homotopy_fp", {"H": Z2, "G": Z2}), ("g_homotopy_fp", {"H": Z3, "G": Z3}),
+              ("g_homotopy_fp_thick", {"H": Z3, "G": Z3}),
+              ("g_homotopy_fp_thick", {"H": Z2e, "G": Z2})]
+    assert {model for model, _ in params} == set(GENERATOR_MODELS)
+    shapes = [(n, None) for n in range(3)] + [(n, k) for n in (1, 2) for k in range(n + 1)]
+    for model, p in params:
+        for n, k in shapes:
+            gm = generating_maps(GeneratorSpec(model, n, k, k is not None, dict(p)), WIDE_CAPS)
+            yield [gm.name, ser.functor_doc(gm.functor),
+                   None if gm.group is None else gm.group.to_doc(),
+                   None if gm.act_src is None else ser.action_doc(gm.act_src),
+                   None if gm.act_dst is None else ser.action_doc(gm.act_dst)]
+
+
+def test_generators_match_the_pinned_digest():
+    docs = list(generator_docs())
+    assert hashlib.sha256(ser.canonical_json(docs).encode()).hexdigest() == GENERATOR_DIGEST
+
+
 # -- transfer harness ------------------------------------------------------------
+
+
+#: sha256 of `transfer_reports`, computed with condition 2's two witness
+#: searches, one per branch
+TRANSFER_DIGEST = "e8b213a0b45cd49f3c5a7c634391489a40cf6e144661f7c50c37502ba7771dc1"
+
+
+def transfer_reports():
+    """The reports for U = identity, Z2-fixed points and Fun(E(Z2), -) on the
+    thin generators at G = H = Z2, n <= 1, and for Ex² N at G = H = 1, n = 0,
+    built as `transfer-check` builds them."""
+    def gens(H, n_max):
+        p = {"H": H, "G": H, "phi": {h: h for h in H.elements}}
+        I = [generating_maps(GeneratorSpec("g_global_thin", n, params=dict(p)), WIDE_CAPS)
+             for n in range(n_max + 1)]
+        J = [generating_maps(GeneratorSpec("g_global_thin", n, k, True, dict(p)), WIDE_CAPS)
+             for n in range(1, n_max + 1) for k in range(n + 1)]
+        return I, J
+
+    I, J = gens(Z2, 1)
+    for U in [("identity",), ("fixed", Z2), ("fun_e", Z2)]:
+        yield check_transfer_conditions(I, J, U, 3, WIDE_CAPS)
+    yield check_transfer_conditions(*gens(trivial_group(), 0), ("ex2_nerve",), 3, WIDE_CAPS)
+
+
+def test_transfer_reports_match_the_pinned_digest():
+    docs = list(transfer_reports())
+    assert hashlib.sha256(ser.canonical_json(docs).encode()).hexdigest() == TRANSFER_DIGEST
 
 
 def test_transfer_identity_trivial():
