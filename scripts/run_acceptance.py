@@ -10,7 +10,10 @@ import time
 import traceback
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+# the checkout's tests and its src, as pyproject.toml's `pythonpath` gives
+# pytest, so that a plain checkout runs without an install
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
 
 import test_acceptance as acc  # noqa: E402
 

@@ -38,7 +38,7 @@ import os
 import sys
 
 from .config import DEFAULT_CAPS, WIDE_CAPS
-from .errors import GcatError, Inconclusive, NotAHomomorphism, SizeCapExceeded
+from .errors import GcatError, Inconclusive, NotAHomomorphism, NotASubgroup, SizeCapExceeded
 from . import serialize as ser
 from .fincat import presented_pushout
 from .corpus import (
@@ -321,6 +321,7 @@ def cmd_saturate(args):
 
 
 def cmd_gens(args):
+    from .actions import subgroup_from_elements
     from .dwyer import find_dwyer_witness, is_sieve
     from .weq import GeneratorSpec, generating_maps
 
@@ -337,6 +338,19 @@ def cmd_gens(args):
     except GcatError as exc:   # a flag combination argparse cannot check alone
         args.usage_error(f"--n/--k/--acyclic: {exc}")
     spec.params = _parse("--params", parse, args.params) if args.params else {}
+    # H must be a subgroup of the group (the monoid, for f_model) that the
+    # model takes it in: an element outside it fails a table lookup, which is
+    # not a missing key, and a subset that is no subgroup is bad input, not a
+    # violated property
+    ambient = {"f_model": "M", "g_global_thick_avatar": "Hp", "g_homotopy_fp_thick": "G"}.get(args.model)
+    if {"H", ambient} <= spec.params.keys():
+        K, H = spec.params[ambient], spec.params["H"]
+        if outside := [h for h in H.elements if h not in K.elements]:
+            args.usage_error(f"--params: H's elements {outside} are not in {ambient}")
+        try:
+            subgroup_from_elements(K, H.elements)
+        except NotASubgroup as exc:
+            args.usage_error(f"--params: H is not a subgroup of {ambient}: {exc}")
     try:
         gm = generating_maps(spec, args.caps)
     except KeyError as exc:   # a parameter that the model reads is not in --params

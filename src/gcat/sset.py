@@ -27,14 +27,16 @@ Sd Δⁿ -> X, stored as a tuple of these ints in the chain order of
 their normal forms do.  The Sd-map search, Ex, Ex(f) and both Kan checkers
 run on these tables, and both Kan checkers enumerate horns with `_horns`.
 
-The Sd-map search is depth first, with the chains that share a top face F
-as one block.  A block's candidates depend only on the values on Sd ∂F, so
-when those values recur, the block's recorded extensions and node counts
-are replayed instead of searched again (`_enumerate_sd_maps`); only steps
-with a choice of candidates are stacked.  The maps, their order, the node
-counts and so every cap error are those of the plain search.  Ex builds its
-degenerate simplices from the level below.  Ex and the lazy Ex Kan check
-refuse a cap above their input's.
+The Sd-map search is depth first, over the faces of Δⁿ in an order where
+each comes after its own faces, with the chains that share a top face F as
+one block, and the chains topped by [n] split into one block per facet.  A
+block's candidates depend only on the values on its boundary, the face
+steps outside it, so when those values recur, the block's recorded
+extensions and node counts are replayed instead of searched again
+(`_enumerate_sd_maps`); only steps with a choice of candidates are stacked.
+The maps, their order, the node counts and so every cap error are those of
+the plain search.  Ex builds its degenerate simplices from the level below.
+Ex and the lazy Ex Kan check refuse a cap above their input's.
 """
 
 from __future__ import annotations
@@ -917,10 +919,24 @@ class _SdData:
         chains.sort(key=lambda c: (len(c), c))
         self.chains = tuple(chains)
         self.position = {c: i for i, c in enumerate(chains)}
-        # search order groups chains by their top face so constraints bind
-        # early; each step is (position, dimension, positions of its faces)
+        # the search order: faces by (last vertex, size, lex), so that each
+        # face comes after its own faces, and per face F a block of the chains
+        # topped by F, each (..., G, F) by (G, length, chain), the apex (F,)
+        # first.  The chains topped by [n] form one block per facet of [n],
+        # the first facet that holds G, and the apex goes to the first.  So
+        # every step comes after its faces and is checked as soon as they are
+        # assigned.  Each step is (position, dimension, positions of its faces).
+        faces.sort(key=lambda f: (f[-1], len(f), f))
         face_pos = {f: i for i, f in enumerate(faces)}
-        order = sorted(chains, key=lambda c: (face_pos[c[-1]], len(c), c))
+        facets = [f for f in faces if len(f) == n]
+
+        def placement(c):   # (block, rank in the block) of a chain
+            below = c[-2] if len(c) > 1 else ()
+            part = 0 if len(c[-1]) <= n else next(
+                (i for i, facet in enumerate(facets) if set(below) <= set(facet)), 0)
+            return (face_pos[c[-1]], part), (face_pos.get(below, -1), len(c), c)
+
+        order = sorted(chains, key=placement)
         self.search_steps = tuple(
             (self.position[c], len(c) - 1,
              tuple(self.position[c[:j] + c[j + 1:]] for j in range(len(c))) if len(c) > 1 else ())
@@ -932,24 +948,23 @@ class _SdData:
         self.chain_order = itemgetter(*self.step_of) if n else tuple
         self.face_keys = tuple(itemgetter(*(self.step_of[f] for f in faces)) if faces else None
                                for _, _, faces in self.search_steps)
-        # the block plan: the steps sharing a top face F are one block
-        # (start, end, boundary), steps start..end-1, whose candidates read
-        # only earlier steps of the block and the boundary steps, which hold
-        # the chains of Sd ∂F
+        # the block plan: (start, end, boundary) per block, steps start..end-1,
+        # whose candidates read only earlier steps of the block and its
+        # boundary, the face steps outside the block, all before it
         self.blocks = []
-        for _, block in itertools.groupby(range(len(order)), key=lambda i: order[i][-1]):
+        for _, block in itertools.groupby(range(len(order)), key=lambda i: placement(order[i])[0]):
             block = list(block)
             self.blocks.append((block[0], block[-1] + 1, tuple(sorted(
-                {step[order[i][:-1]] for i in block if len(order[i]) > 1}))))
+                {self.step_of[f] for i in block for f in self.search_steps[i][2]} - set(block)))))
         # the segments of `_enumerate_sd_maps`: (start, end, key of the
         # boundary) per replayed block, (start, end, None) per run of other
-        # blocks.  A block is replayed when its face has dimension 2 or more
-        # and its boundary is not all of the steps before it, whose values
-        # do not recur.  A vertex's or an edge's block has 1 or 3 steps: a
-        # replay saves too few nodes to pay for the visit around it.
+        # blocks.  A block is replayed when it has more than 6 steps and its
+        # boundary is not all of the steps before it, whose values do not
+        # recur.  A smaller block (a vertex's 1 step, an edge's 3, the parts of
+        # [2]'s 6, 4 and 3) saves too few nodes to pay for the visit around it.
         self.segments = []
         for start, end, boundary in self.blocks:
-            if end - start > 3 and len(boundary) < start:
+            if end - start > 6 and len(boundary) < start:
                 self.segments.append((start, end, itemgetter(*boundary)))
             elif self.segments and self.segments[-1][2] is None:
                 self.segments[-1] = (self.segments[-1][0], end, None)
@@ -1022,9 +1037,10 @@ def _enumerate_sd_maps(steps, caps: SizeCaps, prescribed=None, first_only=False)
     so the maps, their order and the node count at each of them are the
     same.
 
-    The block of steps sharing a top face F has the same extensions, in the
-    same order and after the same nodes, wherever the values on its boundary
-    Sd ∂F recur (good recording: Dechter, *Constraint Processing*, 2003).
+    A block of `_SdData.blocks` has the same extensions, in the same order
+    and after the same nodes, wherever the values on its boundary, the face
+    steps outside it, recur (good recording: Dechter, *Constraint
+    Processing*, 2003).
     So the first visit of a replayed block (see `_SdData.segments`) runs the
     search and records each extension with the block's nodes since the one
     before, then the nodes after the last.  A block is entered again only

@@ -3,7 +3,11 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -344,3 +348,14 @@ def test_criterion_9_transfer_harness():
            f"(1):{[e['passed'] for e in rep['condition1']]} "
            f"(2):{[e['passed'] for e in rep['condition2']]} "
            f"(3):{[e['passed'] for e in rep['condition3']]} {elapsed:.1f}s")
+
+
+def test_the_script_runs_from_a_plain_checkout(tmp_path):
+    """`scripts/run_acceptance.py` finds gcat in the checkout's src, with no
+    install and no PYTHONPATH, and runs every criterion."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_acceptance.py"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "acceptance: 9/9 criteria passed" in proc.stdout

@@ -135,6 +135,28 @@ def test_gens_params_phi_not_a_homomorphism_is_a_usage_error(capsys, model, para
     assert code == 64 and out == "" and detail in err
 
 
+@pytest.mark.parametrize("model, params, detail", [
+    ("f_model", '{"M": "Z2", "H": "Z3"}', "--params: H's elements ['c2'] are not in M"),
+    ("g_global_thick_avatar", '{"H": "1", "Hp": "Z2", "G": "Z2", "phi": {"e": "c0"}}',
+     "--params: H's elements ['e'] are not in Hp"),
+    ("g_global_thick_avatar", '{"H": "Z2", "Hp": "Z4", "G": "Z2", "phi": {"c0": "c0", "c1": "c1"}}',
+     "--params: H is not a subgroup of Hp: ('c0', 'c1') is not closed / missing unit"),
+])
+def test_gens_params_h_not_a_subgroup_is_a_usage_error(capsys, model, params, detail):
+    """An H whose elements are not all in the group (or monoid) that the
+    model takes it in read as a missing parameter, `missing ('c0', 'c2')`;
+    an H that is not a subgroup there was reported as violated, exit 1."""
+    code = cli.main(["gens", "--model", model, "--n", "0", "--params", params])
+    out, err = capsys.readouterr()
+    assert code == 64 and out == "" and detail in err
+
+
+def test_gens_params_missing_key_keeps_its_message(capsys):
+    code = cli.main(["gens", "--model", "g_global_thin", "--n", "0", "--params", '{"H": "Z2"}'])
+    out, err = capsys.readouterr()
+    assert code == 64 and err == "" and json.loads(out)["detail"] == "--params: missing 'G'"
+
+
 def test_wide_caps_help_says_transfer_check_always_uses_them(capsys):
     assert cli.main(["--help"]) == 0
     help_text = " ".join(capsys.readouterr().out.split())

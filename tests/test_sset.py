@@ -25,6 +25,7 @@ from gcat.fincat import (
     arrow_category,
     chain_poset,
     discrete_category,
+    enumerate_functors,
     functor_category_data,
     identity_functor,
     poset_from_relation,
@@ -79,6 +80,7 @@ from gcat.sset import (
     _SdData,
     _alphas,
     _enumerate_sd_maps,
+    _normalize_chain,
     _sd_steps,
     delta,
 )
@@ -484,9 +486,9 @@ def test_subdivisions_match_the_pinned_digest():
 
 
 #: sha256 of `_SdData(n)`'s chains, search steps, blocks and segments (each
-#: segment key applied to the step numbers) for n <= 4, computed at commit
-#: a1b147b
-SD_DATA_DIGEST = "9065669dfeb49b8ff1311e98c916ca573f7df3dd9756c1bb8a39a574ce7ba81b"
+#: segment key applied to the step numbers) for n <= 4, computed at the
+#: face-complete plan with a block per facet of [n]
+SD_DATA_DIGEST = "17bbdd821999191d5773eaea08ecfd7337b19162ad55d5ad68a46aebc8417258"
 
 
 def test_sd_data_matches_the_pinned_digest():
@@ -944,78 +946,82 @@ def test_e_map_equivariant():
 
 
 def test_sd_map_search_on_boundary_of_triangle():
-    """Sd Δ³ -> ∂Δ²: 654 maps, in the order (hashed as normal forms) of the
-    normal-form search the int tables replaced; Ex keeps 477 nondegenerate."""
+    """Sd Δ³ -> ∂Δ²: 654 maps, in search order (hashed as normal forms);
+    Ex keeps 477 nondegenerate."""
     X = complex_to_sset(boundary_complex(2), 3)
     maps = _enumerate_sd_maps(_sd_steps(3, X), DEFAULT_CAPS)
     assert len(maps) == 654
     nfs = [X.face_index(len(c) - 1).nfs for c in _SdData(3).chains]
     as_nfs = [[list(table[v]) for table, v in zip(nfs, m)] for m in maps]
     assert hashlib.sha256(json.dumps(as_nfs).encode()).hexdigest() == (
-        "32422407dd55f0418ac7c0fff5d540bd8b8dddab57608541b728123b2b7495bf")
+        "79b87549f07c35734aaaff7a902fb10da485b94054f822381b71512d89c81bfe")
+    # the maps as a set, which no search order changes; computed at commit c5f41ce
+    assert hashlib.sha256(json.dumps(sorted(as_nfs)).encode()).hexdigest() == (
+        "0bb9dc93dd8f5360b42d145a875ddeea51c062a1e3d09d42d135bda421ae6fee")
     assert [ex(X, 3).sset.n_nondeg(n) for n in range(4)] == [3, 11, 47, 477]
 
 
 def test_sd_map_search_and_ex_count_against_their_caps():
     # every node of the Sd Δ³ -> ∂Δ² search, the root included, counts; a
     # first-only search pinned at its last step to the last map's value
-    # backtracks through 74,296 nodes; Ex ∂Δ² has 477 nondegenerate 3-simplices
+    # backtracks through 11,114 nodes; Ex ∂Δ² has 477 nondegenerate 3-simplices
     X = complex_to_sset(boundary_complex(2), 3)
-    with pytest.raises(SizeCapExceeded, match="Sd-map enumeration: 186474 exceeds cap 186473"):
-        _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=186473))
-    maps = _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=186474))
+    with pytest.raises(SizeCapExceeded, match="Sd-map enumeration: 147302 exceeds cap 147301"):
+        _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=147301))
+    maps = _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=147302))
     pos = _SdData(3).search_steps[-1][0]
-    with pytest.raises(SizeCapExceeded, match="Sd-map enumeration: 74296 exceeds cap 74295"):
-        _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=74295), {pos: maps[-1][pos]}, True)
-    assert _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=74296), {pos: maps[-1][pos]}, True)
+    with pytest.raises(SizeCapExceeded, match="Sd-map enumeration: 11114 exceeds cap 11113"):
+        _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=11113), {pos: maps[-1][pos]}, True)
+    assert _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=11114), {pos: maps[-1][pos]}, True)
     with pytest.raises(SizeCapExceeded, match="Ex simplices: 477 exceeds cap 476"):
         ex(X, 3, SizeCaps(max_simplices=476))
 
 
 #: per carrier of both emap corpora, per n = 0..3: the node count of the
-#: Sd-map search Sd Δⁿ -> X and the sha256 of its maps in order, computed
-#: at commit c3345eb with the plain depth-first search, before replays
+#: Sd-map search Sd Δⁿ -> X and the sha256 of its maps in order, at the
+#: face-complete plan; the plain search, with no replay, gives the same
+#: (`test_replays_match_the_plain_search`)
 SEARCH_PINS = {
     "D0": [(2, "db407f11d7ede59abaab0e98e097ff2dae10a048207b801745d7199ef19c2387"),
-           (6, "7809c754933dd1810accfcf5987678359643e94c8dd991845732ab680c1916c4"),
-           (26, "21a2b967b8ace2c5dd56e7145a18304acf12c9f840b9e46c29f1e2bd08c91e39"),
-           (150, "495d9e9a73f27cdbbb42079a7f8912f960ef6daaa8ace0448507b274182f0e91")],
+         (6, "7809c754933dd1810accfcf5987678359643e94c8dd991845732ab680c1916c4"),
+         (26, "21a2b967b8ace2c5dd56e7145a18304acf12c9f840b9e46c29f1e2bd08c91e39"),
+         (150, "495d9e9a73f27cdbbb42079a7f8912f960ef6daaa8ace0448507b274182f0e91")],
     "D1": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
-           (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
-           (449, "9dad00741680bf7bfbc4cffc9ed94fc77c2d6aedaac9e76b8b21c6df135cfada"),
-           (22587, "3becc7981af5800242021150a86860ba3fd5dd085c31fd050983cd917eb1a933")],
+         (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
+         (453, "f54aba169f9ce74d63c23e48e6366ae0450bc5ecb9348c7a70a92e11f06f2996"),
+         (22635, "765e6bf5eb55a14fa0aee8e87e453fc41cf76ed8f08dbfecb390e3ce93acdb9f")],
     "bD1": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
-            (21, "d25cc8e9144d3c4e4e23db6e2bb749ec0bc594edef51bd8d16055abec8de3af8"),
-            (93, "9bc16a0d701c48e31b77cf7818dfb9d67aee1eb36e4573dc33d17db638c5d61c"),
-            (417, "631d4148925e71ce862f6ea6bfdbc4be376efe14460a4afd09f4c950fa154920")],
+          (21, "d25cc8e9144d3c4e4e23db6e2bb749ec0bc594edef51bd8d16055abec8de3af8"),
+          (75, "9bc16a0d701c48e31b77cf7818dfb9d67aee1eb36e4573dc33d17db638c5d61c"),
+          (345, "631d4148925e71ce862f6ea6bfdbc4be376efe14460a4afd09f4c950fa154920")],
     "bD2": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
-            (72, "d34de95209d7c6257875c0198c99d4a828832dad1c3706f1f25f2e26dd1334d6"),
-            (3086, "39b5eedc7907506f0b7c581a7662017818a8c70eff01d91899639daefcf90daa"),
-            (186474, "953a4813d6656b9ba5b4c5c13e39e93c8b20965771f9e5373e1d22861ea76405")],
+          (72, "d34de95209d7c6257875c0198c99d4a828832dad1c3706f1f25f2e26dd1334d6"),
+          (3154, "8258a604d397addc6fc1e73733d12ab237f5cfa2c0b517f17f2c6c7a3261d2a8"),
+          (147302, "5d2e48d17be84e67d25f7ffc78bb878d92ab7f5ee3992df9b4b4bda4c8244623")],
     "L2_1": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
-             (64, "3bdde6b85fee55d79bb4237acbc729cc36b475f70c33bd8ec9647ed469237d7f"),
-             (1152, "030238831176945c89560a42832073950062392ca9aed1038180540700cffdf0"),
-             (49739, "f41aba10e262825b7236359580ed4b78a65ed38ce63f66305ca3c360ecf91a48")],
+           (64, "3bdde6b85fee55d79bb4237acbc729cc36b475f70c33bd8ec9647ed469237d7f"),
+           (1094, "ab177dee4a45e6e286b1b3c79ee85e2838351ea6bdbab0186bd96b8b9ce12d70"),
+           (48282, "d0988c356d3dbdd43daf052e0aae0ccd87a473a2d69f637cde5cd890832ba153")],
     "N[1]": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
-             (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
-             (449, "9dad00741680bf7bfbc4cffc9ed94fc77c2d6aedaac9e76b8b21c6df135cfada"),
-             (22587, "3becc7981af5800242021150a86860ba3fd5dd085c31fd050983cd917eb1a933")],
+           (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
+           (453, "f54aba169f9ce74d63c23e48e6366ae0450bc5ecb9348c7a70a92e11f06f2996"),
+           (22635, "765e6bf5eb55a14fa0aee8e87e453fc41cf76ed8f08dbfecb390e3ce93acdb9f")],
     "N(V)": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
-             (66, "3d6be4ae115b5c60f20bc6e1fa429b284a1301b76a3c702a3a5c370cfbfe6822"),
-             (1516, "83672f772d063167c609e0b91240b7378419c0770f8664a1994ccf081f22234e"),
-             (71822, "ad077711da3ca70db70d6d569f60c0cf4256a660337637d633da5221ecb79abc")],
+           (66, "3d6be4ae115b5c60f20bc6e1fa429b284a1301b76a3c702a3a5c370cfbfe6822"),
+           (1466, "ce668b2f6a22bee2fede2cddc71cac3bf4efad6094c531e9e00d770fb251af00"),
+           (69252, "623632d0d3348f2acfb700d3ad87c73c9421f2d6afa1b2f9ba07205aa8e16ad4")],
     "N(V)-swap": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
-                  (66, "3d6be4ae115b5c60f20bc6e1fa429b284a1301b76a3c702a3a5c370cfbfe6822"),
-                  (1516, "83672f772d063167c609e0b91240b7378419c0770f8664a1994ccf081f22234e"),
-                  (71822, "ad077711da3ca70db70d6d569f60c0cf4256a660337637d633da5221ecb79abc")],
+                (66, "3d6be4ae115b5c60f20bc6e1fa429b284a1301b76a3c702a3a5c370cfbfe6822"),
+                (1466, "ce668b2f6a22bee2fede2cddc71cac3bf4efad6094c531e9e00d770fb251af00"),
+                (69252, "623632d0d3348f2acfb700d3ad87c73c9421f2d6afa1b2f9ba07205aa8e16ad4")],
     "discrete-swap": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
-                      (21, "d25cc8e9144d3c4e4e23db6e2bb749ec0bc594edef51bd8d16055abec8de3af8"),
-                      (93, "9bc16a0d701c48e31b77cf7818dfb9d67aee1eb36e4573dc33d17db638c5d61c"),
-                      (417, "631d4148925e71ce862f6ea6bfdbc4be376efe14460a4afd09f4c950fa154920")],
+                    (21, "d25cc8e9144d3c4e4e23db6e2bb749ec0bc594edef51bd8d16055abec8de3af8"),
+                    (75, "9bc16a0d701c48e31b77cf7818dfb9d67aee1eb36e4573dc33d17db638c5d61c"),
+                    (345, "631d4148925e71ce862f6ea6bfdbc4be376efe14460a4afd09f4c950fa154920")],
     "N[1]-trivial": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
-                     (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
-                     (449, "9dad00741680bf7bfbc4cffc9ed94fc77c2d6aedaac9e76b8b21c6df135cfada"),
-                     (22587, "3becc7981af5800242021150a86860ba3fd5dd085c31fd050983cd917eb1a933")],
+                   (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
+                   (453, "f54aba169f9ce74d63c23e48e6366ae0450bc5ecb9348c7a70a92e11f06f2996"),
+                   (22635, "765e6bf5eb55a14fa0aee8e87e453fc41cf76ed8f08dbfecb390e3ce93acdb9f")],
 }
 
 
@@ -1054,14 +1060,108 @@ def parallel_arrows():
 
 
 def test_sd_map_search_pinned_on_parallel_arrows():
-    # computed at commit c3345eb; the search of Sd Δ³ walks 2,898,421 nodes
+    # the search of Sd Δ³ walks 297,835 nodes (2,898,421 before the face-complete plan)
     X = nerve(parallel_arrows(), 3)
     pins = [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
             (33, "e7a4c49c55dc4e09aa9221790044fc6d55cf4c54da4abd737a6a775744ef63db"),
-            (8915, "38a184e4a8e35be4b06c9644a831a6f8cd34a965f4f54a2bd26fc6d00c2ff72b"),
-            (2898421, "c2a4eb3e302e259d8ce3062518c142940ecab28e063fb48361d3728db8649a41")]
+            (5629, "0ca68f71dbab31a0eeb502aebeb8442a7e9424893b8abba2ce1622abc8677c80"),
+            (297835, "48b4558f932c1f08864cc8181d8c6df09c760e8bfdf72195f2a2bf8c99bbee91")]
     for n, (count, digest) in enumerate(pins):
         assert_search_pinned(_sd_steps(n, X), count, digest)
+
+
+#: the Sd-maps of the searches of `SEARCH_PINS` and of the parallel arrows,
+#: as sets: per carrier, per n = 0..3, the sha256 of the maps sorted, which no
+#: search order changes; computed at commit c5f41ce.  The carriers with equal
+#: int tables share their digests.
+_D1_SET = ["9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae",
+           "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f",
+           "2b45fea2309b6fdfe6f0575c6dfb88ac4cbb0b5e4a5b85090fa462cc6d5887f7",
+           "70d97a115a6e2b05b64ef826bc9752fd88d22472651ccd4726b8657e194d7010"]
+_BD1_SET = ["9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae",
+            "d25cc8e9144d3c4e4e23db6e2bb749ec0bc594edef51bd8d16055abec8de3af8",
+            "9bc16a0d701c48e31b77cf7818dfb9d67aee1eb36e4573dc33d17db638c5d61c",
+            "631d4148925e71ce862f6ea6bfdbc4be376efe14460a4afd09f4c950fa154920"]
+_NV_SET = ["e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f",
+           "2154739a64bbe344e6f9b94bb538d2b09ce555bec40bdde6f771d7b07e38110b",
+           "63b10820408a0037c0bf8b35a9d5d096a08729a731a096ba38d35dd988fa633b",
+           "27b78affcb8e40e4d4da7931269ce7afa49af63c0f45c88b2d54e9666ce69ce0"]
+MAP_SET_PINS = {
+    "D0": ["db407f11d7ede59abaab0e98e097ff2dae10a048207b801745d7199ef19c2387",
+           "7809c754933dd1810accfcf5987678359643e94c8dd991845732ab680c1916c4",
+           "21a2b967b8ace2c5dd56e7145a18304acf12c9f840b9e46c29f1e2bd08c91e39",
+           "495d9e9a73f27cdbbb42079a7f8912f960ef6daaa8ace0448507b274182f0e91"],
+    "D1": _D1_SET, "N[1]": _D1_SET, "N[1]-trivial": _D1_SET,
+    "bD1": _BD1_SET, "discrete-swap": _BD1_SET,
+    "N(V)": _NV_SET, "N(V)-swap": _NV_SET,
+    "bD2": ["e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f",
+            "9fc6b0b5919357207784f6f08a2fd2af9697ecf109310c87094aef9c2ad6c59d",
+            "cc27f6191ddfa72420f00bbe509d0ec36061cfbe35a2d8fedb554105940fe278",
+            "4f9e1826ba66874f75378546cd4f5367300742a1c2c559b11033501d050f4e70"],
+    "L2_1": ["e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f",
+             "3bdde6b85fee55d79bb4237acbc729cc36b475f70c33bd8ec9647ed469237d7f",
+             "7e5fc15d50bbb1ae591105b71cd328f9d52dbc3ccf3558476b96da15031b6864",
+             "43981393a39aa90a41d80161627c19d687027b47049d3aafcec02eea897d485b"],
+    "parallel arrows": ["9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae",
+                        "e7a4c49c55dc4e09aa9221790044fc6d55cf4c54da4abd737a6a775744ef63db",
+                        "b7b308062fe9286f7a531fd09cbc3813fbd7d4874fcaad8d20478e24426dd3b9",
+                        "0466244d163539dabb820dbc59625727c92b54c5f95232b51a8f70b568557dd1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MAP_SET_PINS))
+def test_sd_map_sets_pinned(name):
+    X = nerve(parallel_arrows(), 3) if name == "parallel arrows" else emap_carriers()[name]
+    for n, digest in enumerate(MAP_SET_PINS[name]):
+        assert maps_digest(sorted(_enumerate_sd_maps(_sd_steps(n, X), WIDE_CAPS))) == digest
+
+
+def functor_sd_maps(C, n, caps=DEFAULT_CAPS):
+    """Ex N(C)_n as the functors from the face poset of Δⁿ into C, since N is
+    fully faithful and Sd Δⁿ is the nerve of that poset: each functor's
+    Sd-map, an int tuple of N(C)'s tables in chain order, sorted."""
+    X, P = nerve(C, 3), face_poset(standard_simplex_complex(n)).to_fincat(caps)
+    identities = {m for m in C.morphism_ids if C.is_identity(m)}
+    chains = _SdData(n).chains
+    name = {c[0]: ",".join(map(str, c[0])) for c in chains if len(c) == 1}
+    # a chain's arrows in P; a vertex's is its identity, whose image is read
+    # as the image of the vertex
+    arrows = [[f"{name[a]}<={name[b]}" for a, b in zip(c, c[1:])] or [f"{name[c[0]]}<={name[c[0]]}"]
+              for c in chains]
+    ints = {}   # (d, the image of a d-chain) -> its int in N(C)'s table
+
+    def int_of(d, image):
+        if (d, image) not in ints:
+            nf = (C.src[image[0]], (0,)) if d == 0 else _normalize_chain(C, image, identities)
+            ints[d, image] = X.face_index(d).number[nf]
+        return ints[d, image]
+
+    maps = []
+    for F in enumerate_functors(P, C, caps):
+        mm = F.morphism_map
+        maps.append(tuple(int_of(len(c) - 1, tuple(map(mm.__getitem__, arr))) for c, arr in zip(chains, arrows)))
+    return X, sorted(maps)
+
+
+def oracle_categories():
+    vposet = poset_from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")]).to_fincat()
+    return {"[1]": arrow_category(), "V": vposet, "E(2)": chaotic_category(["a", "b"]),
+            "BZ2": delooping(cyclic_group(2)), "BZ3": delooping(cyclic_group(3)), "parallel": parallel_arrows()}
+
+
+@pytest.mark.parametrize("name, n", [(name, n) for name in oracle_categories() for n in range(3)]
+                         + [("[1]", 3), ("V", 3)])
+def test_sd_map_search_against_the_functor_oracle(name, n):
+    X, functors = functor_sd_maps(oracle_categories()[name], n)
+    assert sorted(_enumerate_sd_maps(_sd_steps(n, X), DEFAULT_CAPS)) == functors
+    assert len(functors) == {("[1]", 3): 167, ("V", 3): 489}.get((name, n), len(functors))
+
+
+def test_sd_map_search_of_bz2_at_n3_against_the_functor_oracle():
+    # the search stopped at the 5,000,000-node cap before the face-complete plan
+    X, functors = functor_sd_maps(delooping(cyclic_group(2)), 3, WIDE_CAPS)
+    assert len(functors) == 16384
+    assert sorted(_enumerate_sd_maps(_sd_steps(3, X), WIDE_CAPS)) == functors
 
 
 def first_only_cases(maps):
@@ -1069,50 +1169,52 @@ def first_only_cases(maps):
     sdd = _SdData(3)
     at = [pos for pos, _, _ in sdd.search_steps]   # chain positions in search order
     last, mid = maps[-1], maps[len(maps) // 2]
+    # the blocks of the edges and of the triangles, by their top faces
+    edges, triangles = ([(start, end) for start, end, _ in sdd.blocks if len(sdd.chains[at[start]][-1]) == k]
+                        for k in (2, 3))
+    edge, tri1, tri3 = at[edges[0][0] + 1], at[triangles[0][1] - 1], at[triangles[2][0] + 4]
     return {
         "last step, last map": {at[-1]: last[at[-1]]},
         "last step, middle map": {at[-1]: mid[at[-1]]},
-        "last step of the first triangle": {at[34]: last[at[34]]},
-        "inside the third triangle": {at[52]: mid[at[52]]},
-        "edge": {at[5]: last[at[5]]},
+        "last step of the first triangle": {tri1: last[tri1]},
+        "inside the third triangle": {tri3: mid[tri3]},
+        "edge": {edge: last[edge]},
         "two faces": {p: last[p] for p in sdd.face_positions(0) + sdd.face_positions(1)},
         "no map": {at[-1]: maps[0][at[-1]], at[0]: last[at[0]]},
     }
 
 
 #: per carrier and `first_only_cases` label: the node count and the sha256
-#: of the result, computed at commit c3345eb.  Every case but "edge" and
-#: "two faces" replays triangle blocks before its first hit (or its end).
+#: of the result, at the face-complete plan.  Every case but "last step of
+#: the first triangle", "edge" and "two faces" replays blocks before its
+#: first hit (or its end).
 FIRST_ONLY_PINS = {
     "bD2": {
-        "last step, last map": (74296, "0e57cee6ee464a63f0c5be8843d21cef329648d58444f03630a5ef39c8335c77"),
-        "last step, middle map": (87004, "b84ced53d126bdd2ec7662847b962d9454c4cd22738f86d64f1413e6f099c7bb"),
-        "last step of the first triangle": (
-            30005, "51e0377b1ca9bd27b3d78fc9b680b861751153af6913358b21491922d081c67b"),
-        "inside the third triangle": (40780, "de26155c22ad36915f50a8a58735548fa7fbea6459b0c44ee8fca294e20857f7"),
-        "edge": (406, "4b01a724514439eff0efaae701b6eb592a46a174e106977eecc1781ab9a14b28"),
+        "last step, last map": (11114, "0e57cee6ee464a63f0c5be8843d21cef329648d58444f03630a5ef39c8335c77"),
+        "last step, middle map": (54686, "b84ced53d126bdd2ec7662847b962d9454c4cd22738f86d64f1413e6f099c7bb"),
+        "last step of the first triangle": (610, "51e0377b1ca9bd27b3d78fc9b680b861751153af6913358b21491922d081c67b"),
+        "inside the third triangle": (11573, "519a68c73897cc818a4c1d0343da86b25349825f289d6263d7f84f12fdc06fbb"),
+        "edge": (190, "4b01a724514439eff0efaae701b6eb592a46a174e106977eecc1781ab9a14b28"),
         "two faces": (158, "c4f1c83eac9d7b50d076d39e3865a0acd49da2a39099ffa0ee800b170716b48b"),
-        "no map": (10718, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        "no map": (8728, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     },
     "N(V)": {
-        "last step, last map": (16709, "51a2cfcaa47946ed9481e1224285d7916344bc7ea4a7fc25d8349a81b6821641"),
-        "last step, middle map": (15249, "b9b9654bf4c3e32842482eb4f16763b064a6484bfa53b6bc7da33ecb3ec56317"),
-        "last step of the first triangle": (
-            2795, "05bf2c2c25e10d9a2cce2abfa14a04ed64d7f96c78b990f46adedc32a90309ce"),
-        "inside the third triangle": (4788, "9469be995546d3ae8a5c197e068e4d54299694fb08b834bd0db5ebb4ed24ac20"),
-        "edge": (406, "72c415135953b7a006096e055db150a56f62cb7de40333ddfcc70ce308fe221d"),
+        "last step, last map": (3192, "51a2cfcaa47946ed9481e1224285d7916344bc7ea4a7fc25d8349a81b6821641"),
+        "last step, middle map": (12729, "cfab09b70d03147078a5de07a0cf20071a5de8baf7ed2f6c63617fbf9ff73c25"),
+        "last step of the first triangle": (320, "05bf2c2c25e10d9a2cce2abfa14a04ed64d7f96c78b990f46adedc32a90309ce"),
+        "inside the third triangle": (7179, "f7ff6e793fd814d8ecad56ce08e64973b96418e1054037852b4fa458e6a32c30"),
+        "edge": (190, "72c415135953b7a006096e055db150a56f62cb7de40333ddfcc70ce308fe221d"),
         "two faces": (158, "62208fb1589bdb6f48fad8411f5edef23d00d88a03b0633ae4d894da421c52c7"),
-        "no map": (8487, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        "no map": (7627, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     },
     "L2_1": {
-        "last step, last map": (40958, "47b76b71ac321c35f29e1a5e8a3eadf2db98b42c89f67afe886e80cd17d355e2"),
-        "last step, middle map": (15242, "3f0e4525df16f12fd0f73259c9341b21f50e53e78eb1ff3d361e234b26a40fe1"),
-        "last step of the first triangle": (
-            6798, "86dfba2b71bfc79cb61f0b5128c9c84e298088b1a87af0edd6c9e0c808dcfb28"),
-        "inside the third triangle": (4291, "f6905cb310696ffb6ffd3f13b530700bfa34968cfef6fa1a90e367357ace98b3"),
-        "edge": (505, "ea6138c7d38e2ec1eb98eb82b15021e45b4db7ef0bb2b484d42af3b8cbf4bb91"),
+        "last step, last map": (27174, "47b76b71ac321c35f29e1a5e8a3eadf2db98b42c89f67afe886e80cd17d355e2"),
+        "last step, middle map": (3005, "3f0e4525df16f12fd0f73259c9341b21f50e53e78eb1ff3d361e234b26a40fe1"),
+        "last step of the first triangle": (838, "86dfba2b71bfc79cb61f0b5128c9c84e298088b1a87af0edd6c9e0c808dcfb28"),
+        "inside the third triangle": (4713, "c687112e2d31f40f8583a67766245d988b66220ff9cc39cb32e06eaa38d690e9"),
+        "edge": (209, "ea6138c7d38e2ec1eb98eb82b15021e45b4db7ef0bb2b484d42af3b8cbf4bb91"),
         "two faces": (158, "62208fb1589bdb6f48fad8411f5edef23d00d88a03b0633ae4d894da421c52c7"),
-        "no map": (3044, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+        "no map": (2678, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
     },
 }
 
@@ -1127,37 +1229,56 @@ def test_first_only_searches_pinned(name):
         assert found == [m for m in maps if all(m[p] == v for p, v in prescribed.items())][:1], label
 
 
+@pytest.mark.parametrize("name", sorted(SEARCH_PINS))
+def test_replays_match_the_plain_search(name):
+    """The search as one segment, with no replay, walks the pinned nodes to
+    the pinned maps at n = 3, first-only searches included."""
+    steps = _sd_steps(3, emap_carriers()[name])
+    plain = steps._replace(segments=[(0, len(steps.steps), None)])
+    maps = assert_search_pinned(plain, *SEARCH_PINS[name][3])
+    for label, prescribed in first_only_cases(maps).items() if name in FIRST_ONLY_PINS else ():
+        assert_search_pinned(plain, *FIRST_ONLY_PINS[name][label], prescribed, True)
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_sd_block_plan(n):
-    """Every step is in one block of chains with one top face; a block's
-    candidates read only itself and its boundary, the chains of Sd ∂F, all
-    assigned by earlier blocks; the last block is the chains topped by [n]."""
+    """Every step comes after its faces.  The blocks cover the steps in
+    order, and each reads only itself and its boundary, the face steps
+    outside it.  A block holds the chains topped by one face, except that
+    [n] has one block per facet, at the end: the apex goes to the first,
+    and each (..., G, [n]) to the first facet, in search order, that holds
+    G.  The replayed blocks are those of more than 6 steps whose boundary is
+    not every step before them."""
     sdd = _SdData(n)
     order = [sdd.chains[pos] for pos, _, _ in sdd.search_steps]
     assert [sdd.step_of[sdd.position[c]] for c in order] == list(range(len(order)))
-    covered = []
+    faces_of = [{sdd.step_of[f] for f in faces} for _, _, faces in sdd.search_steps]
+    assert all(f < step for step, faces in enumerate(faces_of) for f in faces)
+    assert [start for start, _, _ in sdd.blocks] == [0] + [end for _, end, _ in sdd.blocks[:-1]]
+    assert sdd.blocks[-1][1] == len(order)
     for start, end, boundary in sdd.blocks:
-        covered.extend(range(start, end))
-        top = order[start][-1]
-        assert all(c[-1] == top for c in order[start:end])
-        assert all(b < start for b in boundary)
-        assert {order[b] for b in boundary} == {c for c in sdd.chains if set(c[-1]) < set(top)}
-        for step in range(start, end):
-            faces = [sdd.step_of[f] for f in sdd.search_steps[step][2]]
-            assert all(start <= f < step or f in boundary for f in faces)
-    assert covered == list(range(len(order)))
-    start, end, _ = sdd.blocks[-1]
-    assert {order[i] for i in range(start, end)} == {c for c in sdd.chains if c[-1] == tuple(range(n + 1))}
+        block = set(range(start, end))
+        assert boundary == tuple(sorted(set().union(*(faces_of[i] for i in block)) - block))
+    blocks = [order[start:end] for start, end, _ in sdd.blocks]
+    top = tuple(range(n + 1))
+    tops = [block[0][-1] for block in blocks[:-(n + 1)]]
+    assert all(c[-1] == F for F, block in zip(tops, blocks) for c in block)
+    assert sorted(tops) == sorted({c[-1] for c in sdd.chains} - {top})
+    facets = [F for F in tops if len(F) == n]
+    parts = [set() for _ in range(n + 1)]
+    for c in sdd.chains:
+        if c[-1] == top:
+            parts[0 if len(c) == 1 else next(i for i, F in enumerate(facets) if set(c[-2]) <= set(F))].add(c)
+    assert [set(block) for block in blocks[-(n + 1):]] == parts
     # segments: the replayed blocks, each on its own and keyed by its whole
     # boundary, and runs of the others
     probe = list(range(len(order)))
     replayed = [(start, end) for start, end, key in sdd.segments if key is not None]
-    blocks = {(start, end): boundary for start, end, boundary in sdd.blocks}
-    assert all(key(probe) == blocks[start, end] for start, end, key in sdd.segments if key is not None)
-    assert sdd.segments[0][0] == 0 and sdd.segments[-1][1] == len(order) and sdd.segments[-1][2] is None
+    boundaries = {(start, end): boundary for start, end, boundary in sdd.blocks}
+    assert all(key(probe) == boundaries[start, end] for start, end, key in sdd.segments if key is not None)
+    assert sdd.segments[0][0] == 0 and sdd.segments[-1][1] == len(order)
     assert all(a[1] == b[0] for a, b in zip(sdd.segments, sdd.segments[1:]))
-    # the replayed blocks are those of the faces of dimension 2 to n - 1
-    assert replayed == [(s, e) for s, e, _ in sdd.blocks if 3 <= len(order[s][-1]) <= n]
+    assert replayed == [(s, e) for s, e, b in sdd.blocks if e - s > 6 and len(b) < s]
 
 
 def test_ex_refuses_a_cap_above_its_input():
@@ -1176,7 +1297,7 @@ def test_ex_refuses_a_cap_above_its_input():
 
 def ex_digest(cap=3):
     """sha256, over both emap corpora, of Ex's document, the normal forms of
-    its Sd-maps in search order, e's values and Ex's action."""
+    its Sd-maps in the order of the maps, e's values and Ex's action."""
     def values(f):
         return sorted([n, s, c, list(a)] for (n, s), (c, a) in f.values.items())
 
@@ -1185,7 +1306,7 @@ def ex_digest(cap=3):
     cases += [(name, ens.carrier, ens) for name, ens in emap_equivariant_corpus(cap)]
     for name, X, ens in cases:
         exd = ex(X, cap, WIDE_CAPS)
-        searched = [[[c, list(a)] for c, a in exd.level_nf[n].values()] for n in range(cap + 1)]
+        searched = [[[c, list(a)] for _, (c, a) in sorted(exd.level_nf[n].items())] for n in range(cap + 1)]
         act = ex_action(ens, exd).act if ens else {}
         h.update(json.dumps([name, exd.sset.to_doc(), searched, values(e_map(X, exd)),
                              [[m, values(act[m])] for m in sorted(act)]]).encode())
@@ -1193,14 +1314,15 @@ def ex_digest(cap=3):
 
 
 def test_ex_reports_match_the_normal_form_search():
-    # the digest the normal-form Ex gave, under three hash seeds
+    # under three hash seeds, the digest the normal-form Ex gave with each
+    # level in search order; recomputed at commit c5f41ce with each level sorted
     path = os.pathsep.join([str(Path(gcat.__file__).resolve().parents[1]), str(Path(__file__).parent)])
     code = "import test_sset; print(test_sset.ex_digest())"
     procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True,
                               env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed})
              for seed in ("0", "1", "2")]
     digests = [proc.communicate(timeout=120)[0].strip() for proc in procs]
-    assert digests == ["3ae46c7282365f0e86086029716c55a99803c742364b4392268784afd6cb8438"] * 3
+    assert digests == ["7317baa6d74ff4f8d8648eb16f52c0dd517861bce622c4fa88a14cd33e0d6b3e"] * 3
 
 
 # -- Kan --------------------------------------------------------------------
