@@ -3,11 +3,15 @@
 directory, one JSON file per span plus an index with content hashes."""
 
 import argparse
-import json
+import sys
 from pathlib import Path
 
-from gcat import serialize as ser
-from gcat.corpus import dwyer_span_corpus
+# the checkout's src, as pyproject.toml's `pythonpath` gives pytest, so that
+# a plain checkout runs without an install
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from gcat import serialize as ser  # noqa: E402
+from gcat.corpus import dwyer_span_corpus  # noqa: E402
 
 
 def main():
@@ -25,10 +29,8 @@ def main():
         doc = {
             "label": span.label,
             "A": span.A.to_doc(), "B": span.B.to_doc(), "C": span.C.to_doc(),
-            "i": {"object_map": dict(sorted(span.i.object_map.items())),
-                  "morphism_map": dict(sorted(span.i.morphism_map.items()))},
-            "c": {"object_map": dict(sorted(span.c.object_map.items())),
-                  "morphism_map": dict(sorted(span.c.morphism_map.items()))},
+            "i": ser.maps_doc(span.i),
+            "c": ser.maps_doc(span.c),
             "witness": ser.witness_doc(span.witness),
         }
         path = out / f"span_{idx:03d}.json"

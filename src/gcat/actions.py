@@ -26,10 +26,11 @@ from .fincat import (
     discrete_category,
     enumerate_functors,
     identity_functor,
-    pair_mor,
     pair_obj,
     product_category,
     product_functor,
+    thin_category,
+    thin_functor,
     validate_category,
 )
 
@@ -256,30 +257,10 @@ def pair_key(H: FinGroup, phi: dict) -> str:
 # chaotic categories and deloopings
 
 
-def chaotic_mor(x, y):
-    return f"{x}>{y}"
-
-
 def chaotic_category(X) -> FinCat:
-    """E(X): exactly one morphism per ordered pair; empty X gives the empty category."""
-    X = sorted(str(x) for x in X)
-    morphisms = [(chaotic_mor(x, y), x, y) for x in X for y in X]
-    identity = {x: chaotic_mor(x, x) for x in X}
-    compose = {}
-    for x, y, z in itertools.product(X, repeat=3):
-        compose[(chaotic_mor(y, z), chaotic_mor(x, y))] = chaotic_mor(x, z)
-    if not X:
-        return FinCat((), (), {}, {})
-    return validate_category(X, morphisms, identity, compose)
-
-
-def chaotic_functor(E_src: FinCat, E_dst: FinCat, object_map: dict) -> Functor:
-    """The unique functor E(X) -> E(Y) extending a map of sets."""
-    mm = {}
-    for x in E_src.objects:
-        for y in E_src.objects:
-            mm[chaotic_mor(x, y)] = chaotic_mor(object_map[x], object_map[y])
-    return Functor(E_src, E_dst, dict(object_map), mm)
+    """E(X): exactly one morphism x>y per ordered pair; empty X gives the empty category."""
+    X = [str(x) for x in X]
+    return thin_category(X, itertools.product(X, repeat=2), lambda x, y: f"{x}>{y}")
 
 
 def delooping(H: FinMonoid) -> FinCat:
@@ -343,7 +324,7 @@ def chaotic_action(M: FinMonoid, element_action: dict) -> MonoidActionCat:
     """
     X = sorted(element_action[M.unit])
     E = chaotic_category(X)
-    act = {m: chaotic_functor(E, E, dict(element_action[m])) for m in M.elements}
+    act = {m: thin_functor(E, E, element_action[m]) for m in M.elements}
     return MonoidActionCat(M, E, act).validate()
 
 
@@ -466,11 +447,6 @@ def equivariant_retraction(H: FinGroup, elements, act) -> dict:
     return r
 
 
-def right_translation_functor(E: FinCat, K: FinGroup, h) -> Functor:
-    """E(K) -> E(K), x ↦ x·h (right translation)."""
-    return chaotic_functor(E, E, {x: K.mul(x, h) for x in K.elements})
-
-
 @dataclass(eq=False)
 class CellCategory:
     """(E(K) ×_φ G) := (E(K) × G)/Γ_{H,φ} with its left G-action.
@@ -500,11 +476,9 @@ def cell_category(K: FinGroup, G: FinGroup, H: FinGroup, phi: dict,
     EKxG = product_category(EK, Gd, caps)
 
     def translation(a, b):
-        """The endofunctor (m, g) ↦ (a(m), b(g)) of E(K) × G."""
-        om = {pair_obj(m, g): pair_obj(a(m), b(g)) for m in K.elements for g in G.elements}
-        mm = {pair_mor(chaotic_mor(m1, m2), f"id:{g}"): pair_mor(chaotic_mor(a(m1), a(m2)), f"id:{b(g)}")
-              for m1 in K.elements for m2 in K.elements for g in G.elements}
-        return Functor(EKxG, EKxG, om, mm)
+        """The endofunctor (m, g) ↦ (a(m), b(g)) of E(K) × G, which is thin."""
+        return thin_functor(EKxG, EKxG, {pair_obj(m, g): pair_obj(a(m), b(g))
+                                         for m in K.elements for g in G.elements})
 
     def translate(h):
         """Left-action functor of Γ-element for h (descends the right action by h⁻¹)."""
@@ -533,8 +507,8 @@ def cell_category(K: FinGroup, G: FinGroup, H: FinGroup, phi: dict,
             for x in cell.objects:
                 # x is the least orbit member (m, g); act the morphism k1 -> k2 at it
                 m, g = x[1:-1].split(",")
-                amb = pair_mor(chaotic_mor(K.mul(k1, m), K.mul(k2, m)), f"id:{g}")
-                comp[x] = q.morphism_map[amb]
+                amb = EKxG.hom(pair_obj(K.mul(k1, m), g), pair_obj(K.mul(k2, m), g))
+                comp[x] = q.morphism_map[amb[0]]
             coherence[(k1, k2)] = comp
     return CellCategory(K, G, H, dict(phi), cell, g_action, kg_action, coherence)
 

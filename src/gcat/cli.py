@@ -320,8 +320,21 @@ def cmd_saturate(args):
             EXIT_OK if rep["all_passed"] else EXIT_VIOLATED)
 
 
-def cmd_gens(args):
+def _require_subgroup(args, flag, name, H, ambient, K):
+    """A usage error on `flag` unless H, called `name`, is a subgroup of K,
+    called `ambient`: an element outside K fails a table lookup, which is not
+    a missing key, and a subset that is no subgroup is bad input, not a
+    violated property."""
     from .actions import subgroup_from_elements
+    if outside := [h for h in H.elements if h not in K.elements]:
+        args.usage_error(f"{flag}: {name}'s elements {outside} are not in {ambient}")
+    try:
+        subgroup_from_elements(K, H.elements)
+    except NotASubgroup as exc:
+        args.usage_error(f"{flag}: {name} is not a subgroup of {ambient}: {exc}")
+
+
+def cmd_gens(args):
     from .dwyer import find_dwyer_witness, is_sieve
     from .weq import GeneratorSpec, generating_maps
 
@@ -338,19 +351,10 @@ def cmd_gens(args):
     except GcatError as exc:   # a flag combination argparse cannot check alone
         args.usage_error(f"--n/--k/--acyclic: {exc}")
     spec.params = _parse("--params", parse, args.params) if args.params else {}
-    # H must be a subgroup of the group (the monoid, for f_model) that the
-    # model takes it in: an element outside it fails a table lookup, which is
-    # not a missing key, and a subset that is no subgroup is bad input, not a
-    # violated property
+    # H must be a subgroup of the group (the monoid, for f_model) that the model takes it in
     ambient = {"f_model": "M", "g_global_thick_avatar": "Hp", "g_homotopy_fp_thick": "G"}.get(args.model)
     if {"H", ambient} <= spec.params.keys():
-        K, H = spec.params[ambient], spec.params["H"]
-        if outside := [h for h in H.elements if h not in K.elements]:
-            args.usage_error(f"--params: H's elements {outside} are not in {ambient}")
-        try:
-            subgroup_from_elements(K, H.elements)
-        except NotASubgroup as exc:
-            args.usage_error(f"--params: H is not a subgroup of {ambient}: {exc}")
+        _require_subgroup(args, "--params", "H", spec.params["H"], ambient, spec.params[ambient])
     try:
         gm = generating_maps(spec, args.caps)
     except KeyError as exc:   # a parameter that the model reads is not in --params
@@ -392,13 +396,16 @@ def cmd_transfer_check(args):
         check_homomorphism(H, G, phi)
     except NotAHomomorphism as exc:
         args.usage_error(f"--phi: {exc}")
+    U = _transfer_u(args.U)
+    if U[0] == "fixed":   # the fixed points of K ⊆ G, which acts on every generator
+        _require_subgroup(args, "--U", args.U, U[1], "G", G)
     I = [generating_maps(GeneratorSpec("g_global_thin", n,
                                        params={"H": H, "G": G, "phi": phi}), caps)
          for n in range(0, args.n_max + 1)]
     J = [generating_maps(GeneratorSpec("g_global_thin", n, k=k, acyclic=True,
                                        params={"H": H, "G": G, "phi": phi}), caps)
          for n in range(1, args.n_max + 1) for k in range(n + 1)]
-    rep = check_transfer_conditions(I, J, _transfer_u(args.U), args.cap, caps)
+    rep = check_transfer_conditions(I, J, U, args.cap, caps)
     inputs = {"spec": {"U": args.U, "G": args.G, "H": args.H, "n_max": args.n_max}}
     return inputs, {"report": rep}, EXIT_OK if rep["all_passed"] else EXIT_VIOLATED
 

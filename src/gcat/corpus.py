@@ -21,13 +21,13 @@ from .fincat import (
     identity_functor,
     poset_from_relation,
     terminal_category,
+    thin_functor,
 )
 from .actions import (
     FinGroup,
     MonoidActionCat,
     chaotic_action,
     chaotic_category,
-    chaotic_mor,
     cyclic_group,
     full_subcategory_action,
     subgroups,
@@ -125,10 +125,7 @@ def seeded_g_poset(rng: random.Random, G: FinGroup):
                 om[f"{s}.{p}"] = f"{sheet_act[g][s]}.{p}"
         if cone:
             om["bot"] = "bot"
-        mm = {}
-        for m, s, t in cat.morphisms:
-            mm[m] = f"{om[s]}<={om[t]}"
-        return Functor(cat, cat, om, mm)
+        return thin_functor(cat, cat, om)
 
     action = MonoidActionCat(G, cat, {g: act_fun(g) for g in G.elements}).validate()
     return action
@@ -167,7 +164,7 @@ def seeded_dwyer_span(rng: random.Random, G: Optional[FinGroup] = None) -> Optio
         return None
     act_A = full_subcategory_action(act_B, B.full_subcategory(a_objs))
     A = act_A.carrier
-    i = Functor(A, B, {x: x for x in A.objects}, {m: m for m in A.morphism_ids}).validate()
+    i = thin_functor(A, B, {x: x for x in A.objects})
     w = find_dwyer_witness(i, (group, act_A, act_B))
     if w is None:
         return None
@@ -190,19 +187,14 @@ def seeded_dwyer_span(rng: random.Random, G: Optional[FinGroup] = None) -> Optio
         C = P.to_fincat()
         funs = {}
         for g in group.elements:
-            om = {x: act_A.ob(g, x) for x in A.objects}
-            om["top"] = "top"
-            mm = {m: f"{om[s]}<={om[t]}" for m, s, t in C.morphisms}
-            funs[g] = Functor(C, C, om, mm)
+            funs[g] = thin_functor(C, C, {**{x: act_A.ob(g, x) for x in A.objects}, "top": "top"})
         act_C = MonoidActionCat(group, C, funs).validate()
-        c = Functor(A, C, {x: x for x in A.objects},
-                    {m: f"{s}<={t}" for m, s, t in A.morphisms}).validate()
+        c = thin_functor(A, C, {x: x for x in A.objects})
     else:
         elem_act = {g: {x: act_A.ob(g, x) for x in A.objects} for g in group.elements}
         act_C = chaotic_action(group, elem_act)
         C = act_C.carrier
-        c = Functor(A, C, {x: x for x in A.objects},
-                    {m: chaotic_mor(s, t) for m, s, t in A.morphisms}).validate()
+        c = thin_functor(A, C, {x: x for x in A.objects})
 
     from .actions import check_equivariant
     check_equivariant(c, act_A, act_C)
@@ -231,12 +223,12 @@ def curated_spans():
 
     one = terminal_category()
     arrow = arrow_category()
-    i0 = Functor(one, arrow, {"*": "0"}, {"id*": "0<=0"}).validate()
+    i0 = thin_functor(one, arrow, {"*": "0"})
     w = find_dwyer_witness(i0)
     spans = []
-    c_at1 = Functor(one, arrow, {"*": "1"}, {"id*": "1<=1"}).validate()
+    c_at1 = thin_functor(one, arrow, {"*": "1"})
     spans.append(("glue-[2]", DwyerSpan(one, arrow, arrow, i0, c_at1, w), chain_poset(2).to_fincat()))
-    c_cl = Functor(one, one, {"*": "*"}, {"id*": "id*"}).validate()
+    c_cl = thin_functor(one, one, {"*": "*"})
     spans.append(("collapse-[1]", DwyerSpan(one, arrow, one, i0, c_cl, w), arrow))
     return spans
 
@@ -284,14 +276,13 @@ def emap_equivariant_corpus(cap=3):
     out = []
     vposet = poset_from_relation(["a", "b", "c"], [("a", "c"), ("b", "c")])
     cat = vposet.to_fincat()
-    om = {"a": "b", "b": "a", "c": "c"}
-    swap = Functor(cat, cat, om, {m: f"{om[s]}<={om[t]}" for m, s, t in cat.morphisms})
+    swap = thin_functor(cat, cat, {"a": "b", "b": "a", "c": "c"})
     actV = MonoidActionCat(Z2, cat, {"c0": identity_functor(cat), "c1": swap}).validate()
     out.append(("N(V)-swap", equivariant_nerve(actV, cap)))
     # free swap on the discrete two-point set (nerve of the discrete category)
     from .fincat import discrete_category
     dc = discrete_category(["a", "b"])
-    sw = Functor(dc, dc, {"a": "b", "b": "a"}, {"id:a": "id:b", "id:b": "id:a"})
+    sw = thin_functor(dc, dc, {"a": "b", "b": "a"})
     actD = MonoidActionCat(Z2, dc, {"c0": identity_functor(dc), "c1": sw}).validate()
     out.append(("discrete-swap", equivariant_nerve(actD, cap)))
     arrow = poset_from_relation(["0", "1"], [("0", "1")]).to_fincat()

@@ -61,7 +61,7 @@ def is_sieve(i: Functor) -> bool:
     im_obj = set(i.object_map.values())
     im_mor = set(i.morphism_map.values())
     for m, s, t in D.morphisms:
-        if t in im_obj and (s not in im_obj or m not in im_mor):
+        if t in im_obj and m not in im_mor:
             return False
     return True
 
@@ -73,7 +73,7 @@ def is_cosieve(j: Functor) -> bool:
     im_obj = set(j.object_map.values())
     im_mor = set(j.morphism_map.values())
     for m, s, t in D.morphisms:
-        if s in im_obj and (t not in im_obj or m not in im_mor):
+        if s in im_obj and m not in im_mor:
             return False
     return True
 

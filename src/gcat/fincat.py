@@ -6,6 +6,9 @@ all composable triples, identity laws for every morphism.  On top of that
 this module provides functors, natural transformations, products, functor
 categories, exhaustive equivalence search, and a presentation-based pushout
 oracle that is independent of the explicit Dwyer-pushout construction.
+Thin categories (posets, chaotic and discrete categories) come from one
+builder, `thin_category`, and a functor into a thin category from its object
+map alone, by `thin_functor`.
 Fun(T, C) comes from one depth-first search, `_search`, run by both
 `enumerate_functors` and `enumerate_nat_trans`: each law is filed under the
 position that completes it and checked once per assignment there, as in
@@ -200,11 +203,26 @@ def terminal_category():
     return validate_category(["*"], [("id*", "*", "*")], {"*": "id*"}, {("id*", "id*"): "id*"})
 
 
+def thin_category(objects, relation, name, caps: SizeCaps = DEFAULT_CAPS):
+    """The thin category of a reflexive, transitive relation on `objects`:
+    one morphism name(x, y): x -> y for each pair (x, y) of `relation`, the
+    identity of x is name(x, x), and name(y, z)∘name(x, y) = name(x, z).
+    The composites are read off the pairs above each object.  The tables
+    still go through `validate_category`, so a relation that is not
+    reflexive or transitive is refused there."""
+    ids = {(x, y): name(x, y) for x, y in relation}
+    above = {}
+    for x, y in ids:
+        above.setdefault(x, []).append(y)
+    comp = {(ids[y, z], xy): ids.get((x, z))
+            for (x, y), xy in ids.items() for z in above.get(y, ())}
+    return validate_category(objects, [(m, x, y) for (x, y), m in ids.items()],
+                             {x: ids.get((x, x)) for x in objects}, comp, caps)
+
+
 def discrete_category(elements):
-    elements = sorted(str(e) for e in elements)
-    mors = [(f"id:{x}", x, x) for x in elements]
-    comp = {(f"id:{x}", f"id:{x}"): f"id:{x}" for x in elements}
-    return validate_category(elements, mors, {x: f"id:{x}" for x in elements}, comp)
+    return thin_category([str(e) for e in elements], [(str(e), str(e)) for e in elements],
+                         lambda x, _: f"id:{x}")
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +255,7 @@ class Poset:
         return (x, y) in self.leq
 
     def to_fincat(self, caps: SizeCaps = DEFAULT_CAPS):
-        mors = []
-        ident = {}
-        for x, y in sorted(self.leq):
-            mid = f"{x}<={y}"
-            mors.append((mid, x, y))
-            if x == y:
-                ident[x] = mid
-        comp = {}
-        for x, y in self.leq:
-            for z in self.elements:
-                if (y, z) in self.leq:
-                    comp[(f"{y}<={z}", f"{x}<={y}")] = f"{x}<={z}"
-        return validate_category(self.elements, mors, ident, comp, caps)
+        return thin_category(self.elements, self.leq, lambda x, y: f"{x}<={y}", caps)
 
 
 def poset_from_relation(elements, pairs):
@@ -345,6 +351,26 @@ class Functor:
         return (len(image) == len(S.morphisms)
                 and all(T.src.get(fm) == om[s] and T.dst[fm] == om[t] for s, t, fm in image)
                 and len(image) == sum(fibre[a] * fibre[b] * len(ms) for (a, b), ms in T._hom.items()))
+
+
+def thin_functor(source: FinCat, target: FinCat, object_map) -> Functor:
+    """The functor that sends each m: s -> t of `source` to the one morphism
+    object_map[s] -> object_map[t] of `target`; DanglingReference unless
+    that hom-set has exactly one morphism.
+
+    This check is the functor's whole validation: every object has an
+    identity, so the object map is checked at each, and the image of an
+    identity or of g∘f lies in a one-morphism hom-set that also holds the
+    target's identity or the composite of the images."""
+    om = dict(object_map)
+    mm = {}
+    for m, s, t in source.morphisms:
+        hom = target.hom(om.get(s), om.get(t))
+        if len(hom) != 1:
+            raise DanglingReference(f"{m!r}: {s!r} -> {t!r} has {len(hom)} images "
+                                    f"{om.get(s)!r} -> {om.get(t)!r}, not one")
+        mm[m] = hom[0]
+    return Functor(source, target, om, mm)
 
 
 def identity_functor(cat: FinCat) -> Functor:

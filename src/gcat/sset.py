@@ -54,6 +54,8 @@ from .fincat import (
     Functor,
     Poset,
     _search,
+    _uf_find,
+    thin_functor,
 )
 from .smith import Rows, smith_invariants
 from . import actions as _actions
@@ -537,10 +539,8 @@ def h_sd2_map(K: OrderedComplex, L: OrderedComplex, caps: SizeCaps = DEFAULT_CAP
     """The functor hSd²K -> hSd²L induced by an inclusion K ⊆ L."""
     if not K.faces <= L.faces:
         raise GcatError("K is not a subcomplex of L")
-    CK, CL = h_sd2(K, caps), h_sd2(L, caps)
-    om = {x: x for x in CK.objects}
-    mm = {m: m for m in CK.morphism_ids}
-    return Functor(CK, CL, om, mm).validate()
+    CK = h_sd2(K, caps)
+    return thin_functor(CK, h_sd2(L, caps), {x: x for x in CK.objects})
 
 
 # ---------------------------------------------------------------------------
@@ -859,22 +859,14 @@ def homology(X: FinSSet, cap=None):
 def pi0(X: FinSSet):
     """Connected components: partition of vertices by 1-simplices."""
     parent = {v: v for v in X.cells.get(0, ())}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for e in X.cells.get(1, ()):
         fs = X.faces[(1, e)]
-        a, b = fs[1][0], fs[0][0]
-        ra, rb = find(a), find(b)
+        ra, rb = _uf_find(parent, fs[1][0]), _uf_find(parent, fs[0][0])
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
     comp = {}
     for v in X.cells.get(0, ()):
-        comp.setdefault(find(v), set()).add(v)
+        comp.setdefault(_uf_find(parent, v), set()).add(v)
     return {min(vs): vs for vs in comp.values()}
 
 

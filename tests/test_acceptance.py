@@ -3,6 +3,7 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from gcat import serialize as ser
 from gcat.config import WIDE_CAPS
 from gcat.errors import Inconclusive
 from gcat.fincat import (
@@ -359,3 +361,19 @@ def test_the_script_runs_from_a_plain_checkout(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "acceptance: 9/9 criteria passed" in proc.stdout
+
+
+def test_make_corpus_runs_from_a_plain_checkout(tmp_path):
+    """`scripts/make_corpus.py` finds gcat in the checkout's src, with no
+    install and no PYTHONPATH, and its index hashes each span's document."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_corpus.py"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run([sys.executable, str(script), "--seed", "1", "--count", "2",
+                           "--group", "Z2", "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    index = json.loads((tmp_path / "index.json").read_text(encoding="utf-8"))
+    assert len(index["spans"]) == 2
+    for entry in index["spans"]:
+        doc = json.loads((tmp_path / entry["file"]).read_text(encoding="utf-8"))
+        assert entry["hash"] == ser.content_hash(doc)

@@ -20,13 +20,13 @@ from gcat.fincat import (
     pair_obj,
     product_category,
     terminal_category,
+    thin_functor,
 )
 from gcat.actions import (
     FinGroup,
     FinMonoid,
     MonoidActionCat,
     check_equivariant,
-    chaotic_functor,
     cell_category,
     chaotic_action,
     chaotic_category,
@@ -405,7 +405,7 @@ def test_check_equivariant_matches_the_composite_functors(data):
         om = {g: perm[g]["p"] for g in S3.elements}
     else:
         om = {x: data.draw(st.sampled_from(points)) for x in A.carrier.objects}
-    F = chaotic_functor(A.carrier, B.carrier, om).validate()
+    F = thin_functor(A.carrier, B.carrier, om).validate()
     if data.draw(st.booleans()):    # one more key than the carrier's objects
         F = Functor(F.source, F.target, {**F.object_map, "extra": "p"}, F.morphism_map)
     expected = equivariance_violation_by_composites(F, A, B)

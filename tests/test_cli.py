@@ -121,6 +121,30 @@ def test_transfer_check_phi_not_a_homomorphism_is_a_usage_error(capsys):
     assert code == 0 and json.loads(out)["report"]["all_passed"]
 
 
+@pytest.mark.parametrize("argv, code, detail", [
+    (["--U", "fixed:1"], 64, "--U: fixed:1's elements ['e'] are not in G"),
+    (["--U", "fixed:S3"], 64, "--U: fixed:S3's elements ['s012', 's021', 's102', 's120', 's201', "
+                              "'s210'] are not in G"),
+    (["--G", "S3", "--H", "Z2", "--phi", '{"c0": "s012", "c1": "s021"}', "--U", "fixed:Z2"], 64,
+     "--U: fixed:Z2's elements ['c0', 'c1'] are not in G"),
+    (["--G", "Z3", "--H", "Z3", "--U", "fixed:Z2"], 64,
+     "--U: fixed:Z2 is not a subgroup of G: ('c0', 'c1') is not closed / missing unit"),
+    (["--U", "fixed:Z1"], 0, None),
+    (["--U", "fixed:Z2"], 0, None),
+])
+def test_transfer_check_fixed_u_must_be_a_subgroup_of_g(capsys, argv, code, detail):
+    """`--U fixed:<K>` takes fixed points of K ⊆ G: a K with elements outside G
+    ended in a KeyError traceback, and a K that is no subgroup of G was
+    reported as violated, exit 1.  Both are usage errors; {c0} and Z2 in Z2
+    still pass."""
+    assert cli.main(["transfer-check", "--n-max", "0", *argv]) == code
+    out, err = capsys.readouterr()
+    if detail is None:
+        assert json.loads(out)["report"]["all_passed"] and err == ""
+    else:
+        assert out == "" and detail in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("model, params, detail", [
     ("g_global_thin", '{"H": "Z2", "G": "Z2", "phi": {"c0": "c1", "c1": "c0"}}',
      "--params: phi does not preserve the unit"),

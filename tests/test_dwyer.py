@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gcat import dwyer, serialize as ser
+from gcat import corpus, dwyer, serialize as ser
 from gcat.config import WIDE_CAPS
 from gcat.errors import DanglingReference, EquivarianceViolation, GcatError
 from gcat.fincat import (
@@ -334,17 +334,23 @@ def test_each_witness_is_validated_once(monkeypatch):
 
 def test_each_span_leg_c_is_validated_once(monkeypatch):
     """c is validated where it is built: by the corpus for each of its four
-    styles, and here for each restriction cH to fixed points.  The
+    styles (the cone and chaotic legs by `thin_functor`, whose build is its
+    whole check), and here for each restriction cH to fixed points.  The
     equivariant pushout, the per-subgroup pushouts and the cross-check
     against the presented pushout do not validate it again."""
     validated = []
-    validate = Functor.validate
+    validate, thin = Functor.validate, corpus.thin_functor
 
     def counted(self):
         validated.append(self)
         return validate(self)
 
+    def counted_thin(*args):
+        validated.append(thin(*args))
+        return validated[-1]
+
     monkeypatch.setattr(Functor, "validate", counted)
+    monkeypatch.setattr(corpus, "thin_functor", counted_thin)
     spans = dwyer_span_corpus(3, 3, "Z2") + dwyer_span_corpus(6, 2, "Z2")
     assert {span.label for span in spans} == {"collapse", "identity", "cone", "chaotic"}
     for span in spans:

@@ -3,6 +3,7 @@ presentation oracle."""
 
 import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,10 +36,12 @@ from gcat.fincat import (
     presented_pushout,
     product_category,
     terminal_category,
+    thin_category,
+    thin_functor,
     validate_category,
 )
 from gcat.actions import chaotic_category, cyclic_group, delooping, make_group
-from gcat.corpus import dwyer_span_corpus
+from gcat.corpus import dwyer_span_corpus, seeded_poset
 from gcat.serialize import canonical_json
 
 
@@ -347,6 +350,48 @@ def test_random_posets_validate_and_equivalence_predicate(data):
     fs = enumerate_functors(P, C)
     F = data.draw(st.sampled_from(fs))
     assert (find_equivalence(F) is not None) == is_ff_eso(F)
+
+
+# -- thin categories and the functors between them ----------------------------
+
+
+def test_thin_category_refuses_a_relation_that_is_not_a_preorder():
+    """The thin tables still go through `validate_category`: a pair without
+    its identity, or a composite with no morphism, is refused there."""
+    name = "{}<={}".format
+    with pytest.raises(DanglingReference):
+        thin_category(["0", "1"], [("0", "0"), ("0", "1")], name)
+    with pytest.raises(DanglingReference):
+        thin_category(["0", "1", "2"], [(x, x) for x in "012"] + [("0", "1"), ("1", "2")], name)
+
+
+def test_thin_functor_refuses_a_map_with_no_single_image():
+    arrow, one = arrow_category(), terminal_category()
+    with pytest.raises(DanglingReference, match="has 0 images '1' -> '0'"):
+        thin_functor(arrow, arrow, {"0": "1", "1": "0"})        # the swap of [1]
+    with pytest.raises(DanglingReference, match="has 2 images"):
+        thin_functor(one, delooping(cyclic_group(2)), {"*": "*"})
+    with pytest.raises(DanglingReference, match="has 0 images '0' -> None"):
+        thin_functor(arrow, arrow, {"0": "0"})                  # 1 is not mapped
+    assert thin_functor(arrow, one, {"0": "*", "1": "*"}).morphism_map == \
+        {"0<=0": "id*", "0<=1": "id*", "1<=1": "id*"}
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_thin_functor_exists_exactly_on_monotone_maps(data):
+    """Between two posets, `thin_functor` builds a functor exactly when the
+    object map is monotone, and what it builds passes `Functor.validate`."""
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+    P, Q = seeded_poset(rng, 4), seeded_poset(rng, 4)
+    om = {x: data.draw(st.sampled_from(Q.elements)) for x in P.elements}
+    S, T = P.to_fincat(), Q.to_fincat()
+    if all(Q.le(om[x], om[y]) for x, y in P.leq):
+        F = thin_functor(S, T, om)
+        assert F.validate() is F
+    else:
+        with pytest.raises(DanglingReference):
+            thin_functor(S, T, om)
 
 
 # -- the functor and transformation enumerators against brute force ------------

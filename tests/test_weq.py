@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -776,6 +777,29 @@ def test_transfer_fixed_points_on_free_cells():
                                        params={"H": Z2, "G": Z2, "phi": phi}))]
     rep = check_transfer_conditions(I, J, ("fixed", Z2), 3)
     assert rep["all_passed"]
+
+
+def test_transfer_fixed_points_compare_the_tables(monkeypatch):
+    """Condition 2 for U = fixed holds when D^H and the Dwyer pushout of the
+    fixed points are the same tables.  Under the trivial subgroup both are
+    the whole pushout; a fixed-point pushout one object short fails every
+    entry, and condition 1 does not move."""
+    p = {"H": Z2, "G": Z2, "phi": PHI_ID}
+    I = [generating_maps(GeneratorSpec("g_global_thin", n, params=dict(p))) for n in (0, 1)]
+    J = [generating_maps(GeneratorSpec("g_global_thin", 1, k=0, acyclic=True, params=dict(p)))]
+    U = ("fixed", subgroup_from_elements(Z2, ["c0"]))
+    rep = check_transfer_conditions(I, J, U, 3)
+    assert rep["condition2"] == [{"generator": gm.name, "passed": True} for gm in I]
+    pushout = gcat.weq.dwyer_pushout
+
+    def one_object_short(*args):
+        P = pushout(*args).category
+        return SimpleNamespace(category=P.full_subcategory(P.objects[1:]))
+
+    monkeypatch.setattr(gcat.weq, "dwyer_pushout", one_object_short)
+    short = check_transfer_conditions(I, J, U, 3)
+    assert short["condition2"] == [{"generator": gm.name, "passed": False} for gm in I]
+    assert short["condition1"] == rep["condition1"] and not short["all_passed"]
 
 
 def test_transfer_ex2_nerve_tiny():
