@@ -24,15 +24,16 @@ the Sd Δⁿ behind Ex all come from one enumerator, `_strict_chains`.
 0, 1, ... in sorted normal-form order.  An n-simplex of Ex(X) is an Sd-map
 Sd Δⁿ -> X, stored as a tuple of these ints in the chain order of
 `_SdData(n).chains` (a d-chain holds a d-simplex), so int Sd-maps sort as
-their normal forms do.  The Sd-map search, Ex, Ex(f) and both Kan checkers
-run on these tables, and both Kan checkers enumerate horns with `_horns`.
+their normal forms do.  The Sd-map search, Ex, Ex(f), the action check of
+`ex_action` and both Kan checkers run on these tables, and both Kan checkers
+enumerate horns with `_horns`.
 
 The Sd-map search is depth first, over the faces of Δⁿ in an order where
 each comes after its own faces, with the chains that share a top face F as
 one block, and the chains topped by [n] split into one block per facet.  A
-block's candidates depend only on the values on its boundary, the face
-steps outside it, so when those values recur, the block's recorded
-extensions and node counts are replayed instead of searched again
+unit (a large block, or a run of small ones) depends only on the values on
+its maximal boundary steps, so when those recur, its recorded extensions
+and node counts are replayed instead of searched again
 (`_enumerate_sd_maps`); only steps with a choice of candidates are stacked.
 The maps, their order, the node counts and so every cap error are those of
 the plain search.  Ex builds its degenerate simplices from the level below.
@@ -44,7 +45,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .config import DEFAULT_CAPS, SizeCaps
@@ -943,26 +944,30 @@ class _SdData:
         # the block plan: (start, end, boundary) per block, steps start..end-1,
         # whose candidates read only earlier steps of the block and its
         # boundary, the face steps outside the block, all before it
-        self.blocks = []
-        for _, block in itertools.groupby(range(len(order)), key=lambda i: placement(order[i])[0]):
-            block = list(block)
-            self.blocks.append((block[0], block[-1] + 1, tuple(sorted(
-                {self.step_of[f] for i in block for f in self.search_steps[i][2]} - set(block)))))
-        # the segments of `_enumerate_sd_maps`: (start, end, key of the
-        # boundary) per replayed block, (start, end, None) per run of other
-        # blocks.  A block is replayed when it has more than 6 steps and its
-        # boundary is not all of the steps before it, whose values do not
-        # recur.  A smaller block (a vertex's 1 step, an edge's 3, the parts of
-        # [2]'s 6, 4 and 3) saves too few nodes to pay for the visit around it.
+        def boundary(steps):
+            return tuple(sorted({self.step_of[f] for i in steps for f in self.search_steps[i][2]} - set(steps)))
+
+        runs = [list(b) for _, b in itertools.groupby(range(len(order)), key=lambda i: placement(order[i])[0])]
+        self.blocks = [(b[0], b[-1] + 1, boundary(b)) for b in runs]
+        # the segments of `_enumerate_sd_maps`: (start, end, key) per replayed
+        # unit, (start, end, None) per run of the others.  A unit is a block of
+        # more than 6 steps or a maximal run of smaller ones, each too small to pay
+        # for the visit around it; it is replayed when it has more than 6 steps and
+        # its boundary is not all of the steps before it, whose values do not recur.
+        # Its key reads the boundary steps that are a face of no other; they fix the rest.
         self.segments = []
-        for start, end, boundary in self.blocks:
-            if end - start > 6 and len(boundary) < start:
-                self.segments.append((start, end, itemgetter(*boundary)))
-            elif self.segments and self.segments[-1][2] is None:
-                self.segments[-1] = (self.segments[-1][0], end, None)
-            else:
-                self.segments.append((start, end, None))
+        for big, blocks in itertools.groupby(runs, key=lambda b: len(b) > 6):
+            for unit in blocks if big else [sum(blocks, [])]:
+                bd = boundary(unit)
+                top = [b for b in bd if not any(set(order[b]) < set(order[c]) for c in bd)]
+                key = itemgetter(*top) if len(unit) > 6 and len(bd) < unit[0] else None
+                if key is None and self.segments and self.segments[-1][2] is None:
+                    self.segments[-1] = (self.segments[-1][0], unit[-1] + 1, None)
+                else:
+                    self.segments.append((unit[0], unit[-1] + 1, key))
         self._restrictions = {}
+        picks = map(self.face_positions, range(n + 1)) if n else ()   # face getters; 1-slices stay tuples
+        self.face_picks = tuple(itemgetter(*p) if len(p) > 1 else itemgetter(slice(*p, p[0] + 1)) for p in picks)
         cls._cache[n] = self
         return self
 
@@ -1029,15 +1034,15 @@ def _enumerate_sd_maps(steps, caps: SizeCaps, prescribed=None, first_only=False)
     so the maps, their order and the node count at each of them are the
     same.
 
-    A block of `_SdData.blocks` has the same extensions, in the same order
-    and after the same nodes, wherever the values on its boundary, the face
-    steps outside it, recur (good recording: Dechter, *Constraint
-    Processing*, 2003).
-    So the first visit of a replayed block (see `_SdData.segments`) runs the
-    search and records each extension with the block's nodes since the one
-    before, then the nodes after the last.  A block is entered again only
+    A unit of blocks of `_SdData.blocks` has the same extensions, in the
+    same order and after the same nodes, wherever the values on its
+    boundary, the face steps outside it, recur (good recording: Dechter,
+    *Constraint Processing*, 2003); its maximal boundary steps fix the rest.
+    So the first visit of a replayed unit (see `_SdData.segments`) runs the
+    search and records each extension with the unit's nodes since the one
+    before, then the nodes after the last.  A unit is entered again only
     once its visit has run out of extensions, and a later visit with the
-    same boundary values replays the record, counting its nodes.  The maps,
+    same key values replays the record, counting its nodes.  The maps,
     their order and the node count at each of them, hence every cap error,
     are those of the plain search.  The record lives for one call, in which
     `prescribed` is fixed.
@@ -1146,16 +1151,18 @@ def ex(X: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
         return [number[(c, compose_tuples(a, beta))] for c, a in X.face_index(beta[-1]).nfs]
 
     level_nf, level_assign, cells, faces = {}, {}, {}, {}
+    ident = [range(len(X.face_index(d).nfs)) for d in range(cap + 1)]   # the identity tables
     for n in range(cap + 1):
         sdd = _SdData(n)
-        picks = [sdd.face_positions(i) for i in range(n + 1)] if n else []
         level = dict.fromkeys(_enumerate_sd_maps(_sd_steps(n, X), caps))   # Sd-map -> normal form
         for j in range(n):   # the degenerate s_j y = y∘Sd(σ_j), least j first
-            # (s_j y)[p] is table[y[q]], or y[q] for no table; a KeyError if the search missed it
+            # (s_j y)[p] is table[y[q]] (a range where nothing collapses); a KeyError if not found
             sj = sigma(j, n - 1)
-            restriction = [(q, beta and pulled(beta)) for q, beta in _SdData(n - 1).restriction(sj)]
+            restr = _SdData(n - 1).restriction(sj)
+            pick = itemgetter(*(q for q, _ in restr))
+            tables = [pulled(beta) if beta else ident[len(c) - 1] for (_, beta), c in zip(restr, sdd.chains)]
             for y, (pc, pa) in level_nf[n - 1].items():
-                m = tuple(y[q] if t is None else t[y[q]] for q, t in restriction)
+                m = tuple(map(getitem, tables, pick(y)))
                 if level[m] is None:
                     level[m] = (pc, compose_tuples(pa, sj))
         nondeg = sorted(m for m, nf in level.items() if nf is None)
@@ -1165,7 +1172,7 @@ def ex(X: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
         for m, sid in ids.items():
             level[m] = (sid, tuple(range(n + 1)))
             if n > 0:
-                faces[(n, sid)] = tuple(level_nf[n - 1][tuple(m[p] for p in pick)] for pick in picks)
+                faces[(n, sid)] = tuple(level_nf[n - 1][pick(m)] for pick in sdd.face_picks)
         level_nf[n] = level
         level_assign[n] = {sid: m for m, sid in ids.items()}
         cells[n] = tuple(sorted(ids.values()))
@@ -1204,16 +1211,29 @@ def ex_map(f: SSetMap, exd_src: ExSSet, exd_dst: ExSSet) -> SSetMap:
     vals = {}
     for n in exd_src.sset.dims():
         tables = [f_at[len(chain) - 1] for chain in _SdData(n).chains]
-        level = exd_dst.level_nf[n]
+        level, assign = exd_dst.level_nf[n], exd_src.level_assign[n]
         for sid in exd_src.sset.cells[n]:
-            psi = exd_src.level_assign[n][sid]
-            vals[(n, sid)] = level[tuple(t[v] for t, v in zip(tables, psi))]
+            vals[(n, sid)] = level[tuple(map(getitem, tables, assign[sid]))]
     return SSetMap(exd_src.sset, exd_dst.sset, vals)
 
 
 def ex_action(A: MonoidActionSSet, exd: ExSSet) -> MonoidActionSSet:
-    act = {m: ex_map(A.act[m], exd, exd) for m in A.monoid.elements}
-    return MonoidActionSSet(A.monoid, exd.sset, act).validate()
+    """Ex of an action on X = exd.base by `ex_map`, checked once on X's int
+    tables t_m up to Ex's cap and X's top dimension (above it, t_m is fixed by
+    degeneracies): each commutes with X's face tables, the unit's is the
+    identity and t_m∘t_n = t_mn, so Ex(t) is an action on Ex(X)."""
+    X, M, dims = exd.base, A.monoid, range(min(exd.sset.cap, max(exd.base.dims(), default=0)) + 1)
+    t = {m: [_int_values(A.act[m], d, X, X) for d in dims] for m in M.elements}
+    for (m, tm), d in itertools.product(t.items(), dims[1:]):
+        if any(X.face_index(d).faces[tm[d][v]] != tuple(map(tm[d - 1].__getitem__, fs))
+               for v, fs in X.face_index(d).faces.items()):
+            raise GcatError(f"act({m!r}) breaks a face of a {d}-simplex")
+    if any(table != list(range(len(table))) for table in t[M.unit]):
+        raise GcatError("unit does not act as the identity")
+    for m, n in itertools.product(M.elements, repeat=2):
+        if any(list(map(tm.__getitem__, tn)) != tmn for tm, tn, tmn in zip(t[m], t[n], t[M.mul(m, n)])):
+            raise GcatError(f"simplicial act({m!r}·{n!r}) ≠ act({m!r})∘act({n!r})")
+    return MonoidActionSSet(M, exd.sset, {m: ex_map(A.act[m], exd, exd) for m in M.elements})
 
 
 # ---------------------------------------------------------------------------
@@ -1302,8 +1322,8 @@ def is_kan_complex_lazy_ex(base: FinSSet, cap=2, caps: SizeCaps = DEFAULT_CAPS) 
                         f"{cap}; the base has cap {base.cap}")
     checked = 0
     for n in range(1, cap + 1):
-        picks = [_SdData(n - 1).face_positions(i) for i in range(n)] if n > 1 else []
-        cands = {psi: tuple(tuple(psi[p] for p in pick) for pick in picks)
+        picks = _SdData(n - 1).face_picks
+        cands = {psi: tuple(pick(psi) for pick in picks)
                  for psi in _enumerate_sd_maps(_sd_steps(n - 1, base), caps)}
         into = [_SdData(n).face_positions(j) for j in range(n + 1)]
         steps = _sd_steps(n, base)

@@ -52,10 +52,12 @@ from gcat.sset import (
     complex_inclusion,
     complex_to_sset,
     compose_tuples,
+    constant_sset_map,
     e_map,
     equivariant_nerve,
     ex,
     ex_action,
+    ex_map,
     face_poset,
     fixed_sset,
     h_poset_nerve,
@@ -487,8 +489,9 @@ def test_subdivisions_match_the_pinned_digest():
 
 #: sha256 of `_SdData(n)`'s chains, search steps, blocks and segments (each
 #: segment key applied to the step numbers) for n <= 4, computed at the
-#: face-complete plan with a block per facet of [n]
-SD_DATA_DIGEST = "17bbdd821999191d5773eaea08ecfd7337b19162ad55d5ad68a46aebc8417258"
+#: face-complete plan with a block per facet of [n], its small blocks in
+#: runs and each replay keyed on its maximal boundary steps
+SD_DATA_DIGEST = "283129790a5fc8838936c44cf5e78883fbb291f4d85e0a87253a48719bd44836"
 
 
 def test_sd_data_matches_the_pinned_digest():
@@ -945,6 +948,40 @@ def test_e_map_equivariant():
         assert ens.act[g].then(em).same_values(em.then(exact.act[g]))
 
 
+def test_ex_action_agrees_with_the_normal_form_check():
+    """`ex_action` checks the action once on X's int tables; on Ex's normal
+    forms, each Ex(act(m)) is `ex_map` of act(m) and the action passes
+    `MonoidActionSSet.validate`."""
+    for name, ens in emap_equivariant_corpus(3):
+        exd = ex(ens.carrier, 3, WIDE_CAPS)
+        exact = ex_action(ens, exd)
+        for m in ens.monoid.elements:
+            assert exact.act[m].same_values(ex_map(ens.act[m], exd, exd)), (name, m)
+        assert exact.validate() is exact
+
+
+def test_ex_action_refuses_a_planted_fault():
+    """A table that breaks a face, a unit that is not the identity and a
+    pair with t_m∘t_n ≠ t_mn are each refused on X's int tables."""
+    Z2 = cyclic_group(2)
+    sw = chaotic_action(Z2, {"c0": {"a": "a", "b": "b"}, "c1": {"a": "b", "b": "a"}})
+    ens = equivariant_nerve(sw, 2)
+    X, ident, swap = ens.carrier, ens.act["c0"], ens.act["c1"]
+    exd = ex(X, 2)
+    edge = X.cells[1][0]
+    broken = dict(ident.values)
+    broken[(1, edge)] = (X.faces[(1, edge)][1][0], (0, 0))   # the degenerate edge on its source
+    faults = {
+        "breaks a face of a 1-simplex": {"c0": ident, "c1": SSetMap(X, X, broken)},
+        "unit does not act as the identity": {"c0": swap, "c1": swap},
+        r"act\('c1'·'c1'\) ≠": {"c0": ident, "c1": constant_sset_map(X, X)},
+    }
+    for message, act in faults.items():
+        with pytest.raises(GcatError, match=message):
+            ex_action(MonoidActionSSet(Z2, X, act), exd)
+    assert ex_action(ens, exd).act["c1"].same_values(ex_map(swap, exd, exd))
+
+
 def test_sd_map_search_on_boundary_of_triangle():
     """Sd Δ³ -> ∂Δ²: 654 maps, in search order (hashed as normal forms);
     Ex keeps 477 nondegenerate."""
@@ -1247,8 +1284,10 @@ def test_sd_block_plan(n):
     outside it.  A block holds the chains topped by one face, except that
     [n] has one block per facet, at the end: the apex goes to the first,
     and each (..., G, [n]) to the first facet, in search order, that holds
-    G.  The replayed blocks are those of more than 6 steps whose boundary is
-    not every step before them."""
+    G.  A replay unit is a block of more than 6 steps or a maximal run of
+    smaller blocks; the replayed units are those of more than 6 steps whose
+    boundary is not every step before them, and each is keyed on its
+    maximal boundary steps, of which every other boundary step is a face."""
     sdd = _SdData(n)
     order = [sdd.chains[pos] for pos, _, _ in sdd.search_steps]
     assert [sdd.step_of[sdd.position[c]] for c in order] == list(range(len(order)))
@@ -1270,15 +1309,30 @@ def test_sd_block_plan(n):
         if c[-1] == top:
             parts[0 if len(c) == 1 else next(i for i, F in enumerate(facets) if set(c[-2]) <= set(F))].add(c)
     assert [set(block) for block in blocks[-(n + 1):]] == parts
-    # segments: the replayed blocks, each on its own and keyed by its whole
-    # boundary, and runs of the others
+    # segments: the replay units, each a block of more than 6 steps or a
+    # maximal run of smaller ones; a unit is replayed when it has more than 6
+    # steps and its boundary is not every step before it, and is keyed on the
+    # boundary steps that are a face of no other, which fix the rest
+    units = []
+    for start, end, _ in sdd.blocks:
+        if end - start > 6 or not units or units[-1][2]:
+            units.append([start, end, end - start > 6])
+        else:
+            units[-1][1] = end
     probe = list(range(len(order)))
-    replayed = [(start, end) for start, end, key in sdd.segments if key is not None]
-    boundaries = {(start, end): boundary for start, end, boundary in sdd.blocks}
-    assert all(key(probe) == boundaries[start, end] for start, end, key in sdd.segments if key is not None)
+    replayed = []
+    for start, end, _ in units:
+        bd = set().union(*faces_of[start:end]) - set(range(start, end))
+        if end - start > 6 and len(bd) < start:
+            kept = {b for b in bd if not any(set(order[b]) < set(order[c]) for c in bd)}
+            assert all(any(set(order[b]) < set(order[c]) for c in kept) for b in bd - kept)
+            replayed.append((start, end, tuple(sorted(kept))))
+    keyed = [(start, end, key(probe)) for start, end, key in sdd.segments if key is not None]
+    assert keyed == [(s, e, k if len(k) > 1 else k[0]) for s, e, k in replayed]
     assert sdd.segments[0][0] == 0 and sdd.segments[-1][1] == len(order)
     assert all(a[1] == b[0] for a, b in zip(sdd.segments, sdd.segments[1:]))
-    assert replayed == [(s, e) for s, e, b in sdd.blocks if e - s > 6 and len(b) < s]
+    assert all(a[2] or b[2] for a, b in zip(sdd.segments, sdd.segments[1:]))
+    assert len(replayed) == [0, 0, 0, 8, 20][n]
 
 
 def test_ex_refuses_a_cap_above_its_input():
