@@ -97,6 +97,7 @@ class DwyerWitness:
     _i_checked: InitVar[bool] = False  # i already known to be an equivariant sieve
     X: FinCat = field(init=False)      # the cosieve, a full subcategory of B
     f: Functor = field(init=False)     # A -> X, i with its target cut down to X
+    _checked: bool = field(default=False, init=False, repr=False)   # validated in full
 
     def __post_init__(self, _i_checked):
         object.__setattr__(self, "X", self.r.source)
@@ -105,6 +106,14 @@ class DwyerWitness:
         self.validate(_i_checked=_i_checked)
 
     def validate(self, _i_checked=False):
+        """Check the witness in full, once: the mark set on success makes a
+        later call return at once."""
+        if not self._checked:
+            self._check(_i_checked)
+            object.__setattr__(self, "_checked", True)
+        return self
+
+    def _check(self, _i_checked):
         if not _i_checked and not is_sieve(self.i):
             raise GcatError("witness functor is not a sieve")
         A, X, f, r, counit = self.i.source, self.X, self.f, self.r, self.counit
@@ -124,7 +133,7 @@ class DwyerWitness:
             if r.morphism_map[counit[x]] != A.identity[r.object_map[x]]:
                 raise GcatError(f"triangle identity rε = id fails at {x!r}")
         if self.group is None:
-            return self
+            return
         G, aA, aB = self.group, self.act_A, self.act_B
         if not _i_checked:
             check_equivariant(self.i, aA, aB)
@@ -142,7 +151,6 @@ class DwyerWitness:
             for x in X.objects:
                 if aB.mor(g, counit[x]) != counit[aB.ob(g, x)]:
                     raise EquivarianceViolation("counit not equivariant", witness=(g, x))
-        return self
 
 
 def find_dwyer_witness(i: Functor, equivariance=None) -> Optional[DwyerWitness]:

@@ -1,8 +1,10 @@
 """Finite categories as explicit tables.
 
 A FinCat stores its objects, morphisms, identity assignment, and the full
-composition table.  Everything is validated exhaustively: associativity over
-all composable triples, identity laws for every morphism.  On top of that
+composition table.  Everything is validated exhaustively: identity laws for
+every morphism, then associativity over the composable triples that they do
+not imply, those with no identity factor.  A functor is validated once: it
+carries a mark from then on.  On top of that
 this module provides functors, natural transformations, products, functor
 categories, exhaustive equivalence search, and a presentation-based pushout
 oracle that is independent of the explicit Dwyer-pushout construction.
@@ -99,14 +101,18 @@ class FinCat:
 
     def isos(self):
         """Set of invertible morphism ids."""
-        return {m for m in self.morphism_ids if self.inverse(m) is not None}
+        return set(self.inverses)
 
-    def inverse(self, m):
-        s, t = self.src[m], self.dst[m]
-        for w in self.hom(t, s):
-            if self.compose[(w, m)] == self.identity[s] and self.compose[(m, w)] == self.identity[t]:
-                return w
-        return None
+    @functools.cached_property
+    def inverses(self):
+        """Invertible morphism id -> its inverse, in `morphisms` order."""
+        compose, identity, out = self.compose, self.identity, {}
+        for m, s, t in self.morphisms:
+            for w in self.hom(t, s):
+                if compose[(w, m)] == identity[s] and compose[(m, w)] == identity[t]:
+                    out[m] = w
+                    break
+        return out
 
     def full_subcategory(self, objs):
         objs = sorted(objs)
@@ -135,6 +141,14 @@ def validate_category(objects, morphisms, identity, compose, caps: SizeCaps = DE
 
     Raises DanglingReference / IdentityViolation / AssociativityViolation with
     the offending ids, and SizeCapExceeded past the configured caps.
+
+    Associativity is checked on the triples with no identity factor only.
+    The identity laws are checked first, for every morphism, composites
+    included, and they imply the rest: with f = id, both sides are h∘g; with
+    g = id, both are h∘f; with h = id, both are g∘f.  So a table that fails
+    associativity at a triple with an identity factor has already raised
+    IdentityViolation, and every message and its precedence are those of the
+    check over all triples.
     """
     objects = tuple(sorted(objects))
     if len(set(objects)) != len(objects):
@@ -185,11 +199,15 @@ def validate_category(objects, morphisms, identity, compose, caps: SizeCaps = DE
             raise IdentityViolation(f"right identity law fails for {m!r}")
         if compose[(identity[dst[m]], m)] != m:
             raise IdentityViolation(f"left identity law fails for {m!r}")
-    # associativity over all composable triples
+    # associativity over the composable triples with no identity factor
+    ids = {identity[x] for x in objects}
+    out = {x: [m for m in ms if m not in ids] for x, ms in by_src.items()}
     for f in mids:
-        for g in by_src.get(dst[f], ()):
+        if f in ids:
+            continue
+        for g in out[dst[f]]:
             gf = compose[(g, f)]
-            for h in by_src.get(dst[g], ()):
+            for h in out[dst[g]]:
                 if compose[(h, gf)] != compose[(compose[(h, g)], f)]:
                     raise AssociativityViolation(f"(h∘g)∘f ≠ h∘(g∘f) for ({h!r},{g!r},{f!r})")
     return FinCat(objects, morphisms, identity, compose, src, dst,
@@ -293,6 +311,7 @@ class Functor:
     target: FinCat
     object_map: dict
     morphism_map: dict
+    _checked: bool = field(default=False, init=False, repr=False)   # validated in full
 
     def ob(self, x):
         return self.object_map[x]
@@ -301,6 +320,19 @@ class Functor:
         return self.morphism_map[m]
 
     def validate(self):
+        """Check every functor law, once: the mark set on success makes a
+        later call return at once.
+
+        Composition is checked on the compose entries of the source with no
+        identity factor only.  The endpoints and the identities are checked
+        first, for every morphism and object, and with the laws of source
+        and target they imply the rest: for g∘id = g, F(g)∘F(id) =
+        F(g)∘id = F(g), and likewise for id∘f = f.  So a map that breaks an
+        entry with an identity factor has already raised DanglingReference
+        or IdentityViolation, and every message and its precedence are those
+        of the check over all entries."""
+        if self._checked:
+            return self
         S, T, om, mm = self.source, self.target, self.object_map, self.morphism_map
         target_objects = set(T.objects)
         for x in S.objects:
@@ -312,12 +344,16 @@ class Functor:
                 raise DanglingReference(f"morphism map undefined/invalid at {m!r}")
             if T.src[fm] != om[s] or T.dst[fm] != om[t]:
                 raise DanglingReference(f"functor breaks endpoints at {m!r}")
+        ids = set()
         for x in S.objects:
-            if mm[S.identity[x]] != T.identity[om[x]]:
+            i = S.identity[x]
+            ids.add(i)
+            if mm[i] != T.identity[om[x]]:
                 raise IdentityViolation(f"functor breaks identity at {x!r}")
         for (g, f), h in S.compose.items():
-            if T.compose[(mm[g], mm[f])] != mm[h]:
+            if g not in ids and f not in ids and T.compose[(mm[g], mm[f])] != mm[h]:
                 raise AssociativityViolation(f"functor breaks composition on ({g!r},{f!r})")
+        self._checked = True
         return self
 
     def same_maps(self, other: "Functor"):
@@ -358,10 +394,11 @@ def thin_functor(source: FinCat, target: FinCat, object_map) -> Functor:
     object_map[s] -> object_map[t] of `target`; DanglingReference unless
     that hom-set has exactly one morphism.
 
-    This check is the functor's whole validation: every object has an
-    identity, so the object map is checked at each, and the image of an
-    identity or of g∘f lies in a one-morphism hom-set that also holds the
-    target's identity or the composite of the images."""
+    This check is the functor's whole validation, so the functor carries the
+    mark that `Functor.validate` sets: every object has an identity, so the
+    object map is checked at each, and the image of an identity or of g∘f
+    lies in a one-morphism hom-set that also holds the target's identity or
+    the composite of the images."""
     om = dict(object_map)
     mm = {}
     for m, s, t in source.morphisms:
@@ -370,7 +407,9 @@ def thin_functor(source: FinCat, target: FinCat, object_map) -> Functor:
             raise DanglingReference(f"{m!r}: {s!r} -> {t!r} has {len(hom)} images "
                                     f"{om.get(s)!r} -> {om.get(t)!r}, not one")
         mm[m] = hom[0]
-    return Functor(source, target, om, mm)
+    F = Functor(source, target, om, mm)
+    F._checked = True
+    return F
 
 
 def identity_functor(cat: FinCat) -> Functor:
@@ -713,13 +752,13 @@ def find_equivalence(F: Functor, caps: SizeCaps = DEFAULT_CAPS) -> Optional[Equi
     q_mor = {}
     for g in D.morphism_ids:
         d1, d2 = D.src[g], D.dst[g]
-        conj = D.compose[(D.inverse(xi[d2]), D.compose[(g, xi[d1])])]
+        conj = D.compose[(D.inverses[xi[d2]], D.compose[(g, xi[d1])])]
         q_mor[g] = preimage(q_ob[d1], q_ob[d2], conj)
     Q = Functor(D, C, q_ob, q_mor).validate()
     counit = NatTrans(Q.then(F), identity_functor(D), dict(xi))
     eta = {}
     for c in C.objects:
-        eta[c] = preimage(c, q_ob[F.object_map[c]], D.inverse(xi[F.object_map[c]]))
+        eta[c] = preimage(c, q_ob[F.object_map[c]], D.inverses[xi[F.object_map[c]]])
     unit = NatTrans(identity_functor(C), F.then(Q), eta)
     return EquivalenceWitness(F, Q, unit, counit).validate()
 
@@ -754,7 +793,10 @@ def _object_profiles(cat: FinCat):
 
 def find_isomorphism(C: FinCat, D: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> Optional[Functor]:
     """Exhaustive category-isomorphism search with profile pruning: objects, then C's
-    hom-sets in object order, each assignment checking the compose entries it completes."""
+    hom-sets in object order, each assignment checking the compose entries it completes.
+    Depth first on explicit stacks of candidate iterators, one per assigned object or
+    hom-set, so no recursion limit bounds the size of C.  The budget counts the root, each
+    object assignment and each hom-set permutation tried."""
     if C.n_objects() != D.n_objects() or C.n_morphisms() != D.n_morphisms():
         return None
     profC, profD = _object_profiles(C), _object_profiles(D)
@@ -767,56 +809,66 @@ def find_isomorphism(C: FinCat, D: FinCat, caps: SizeCaps = DEFAULT_CAPS) -> Opt
     checks = [[] for _ in pairs]
     for (g, f), h in C.compose.items():
         checks[max(level[g], level[f], level[h])].append((g, f, h))
-    budget = [0]
+    budget, cap = 0, caps.max_candidates
 
-    def extend_morphisms(ob):
-        mm = {}
-
-        def match_mor(k):
+    def match_morphisms(ob):
+        nonlocal budget
+        mm, stack = {}, []   # stack[k]: the permutations left for the hom-set pairs[k]
+        while True:
+            k = len(stack)
             if k == len(pairs):
                 F = Functor(C, D, dict(ob), dict(mm))
-                return F if is_isomorphism_functor(F) else None
-            x, y = pairs[k]
-            source_h = C.hom(x, y)
-            target_h = D.hom(ob[x], ob[y])
-            if len(source_h) != len(target_h):
+                if is_isomorphism_functor(F):
+                    return F
+            else:
+                x, y = pairs[k]
+                target_h = D.hom(ob[x], ob[y])
+                if len(C.hom(x, y)) == len(target_h):
+                    stack.append(itertools.permutations(target_h))
+            while stack:
+                k = len(stack) - 1
+                source_h, check = C.hom(*pairs[k]), checks[k]
+                for perm in stack[-1]:
+                    budget += 1
+                    if budget > cap:
+                        raise SizeCapExceeded("isomorphism search", budget, cap)
+                    mm.update(zip(source_h, perm))
+                    if all(D.compose[(mm[g], mm[f])] == mm[h] for g, f, h in check):
+                        break
+                else:
+                    stack.pop()
+                    continue
+                break
+            else:
                 return None
-            for perm in itertools.permutations(target_h):
-                budget[0] += 1
-                if budget[0] > caps.max_candidates:
-                    raise SizeCapExceeded("isomorphism search", budget[0], caps.max_candidates)
-                for m, im in zip(source_h, perm):
-                    mm[m] = im
-                if all(D.compose[(mm[g], mm[f])] == mm[h] for g, f, h in checks[k]):
-                    res = match_mor(k + 1)
-                    if res is not None:
-                        return res
-                for m in source_h:
-                    del mm[m]
-            return None
 
-        return match_mor(0)
-
-    def backtrack(k, ob, used):
-        budget[0] += 1
-        if budget[0] > caps.max_candidates:
-            raise SizeCapExceeded("isomorphism search", budget[0], caps.max_candidates)
-        if k == len(objs):
-            return extend_morphisms(ob)
-        x = objs[k]
-        for y in D.objects:
-            if y in used or profD[y] != profC[x]:
+    ob, used, stack = {}, set(), []   # stack[k]: the images left to try for objs[k]
+    while True:
+        budget += 1
+        if budget > cap:
+            raise SizeCapExceeded("isomorphism search", budget, cap)
+        if len(stack) == len(objs):
+            found = match_morphisms(ob)
+            if found is not None:
+                return found
+        else:
+            x = objs[len(stack)]
+            stack.append(iter([y for y in D.objects if profD[y] == profC[x]]))
+        while stack:
+            x = objs[len(stack) - 1]
+            if x in ob:
+                used.discard(ob.pop(x))
+            for y in stack[-1]:
+                if y not in used:
+                    ob[x] = y
+                    used.add(y)
+                    break
+            else:
+                stack.pop()
                 continue
-            ob[x] = y
-            used.add(y)
-            res = backtrack(k + 1, ob, used)
-            if res is not None:
-                return res
-            used.discard(y)
-            del ob[x]
-        return None
-
-    return backtrack(0, {}, set())
+            break
+        else:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -854,10 +906,11 @@ class _CosetTable:
     States are ints indexing parallel lists: word[s], the composite word that
     named s when it was defined (letters applied first to last); its object
     classes src[s] and dst[s]; parent[s], for `_uf_find`; and act[s], the
-    table row letter -> state, kept on representatives.  The first states are
-    the identities of `objects`, in order.  A definition whose word would be
-    longer than word_cap raises Inconclusive; when the state count reaches a
-    multiple of 128, more than max_live live states raise SizeCapExceeded.
+    table row letter -> state, kept on representatives; ending[x] lists the
+    states with dst x, in state order.  The first states are the identities
+    of `objects`, in order.  A definition whose word would be longer than
+    word_cap raises Inconclusive; when the state count reaches a multiple of
+    128, more than max_live live states raise SizeCapExceeded.
     """
 
     def __init__(self, objects, letter_dst, word_cap, max_live):
@@ -867,6 +920,7 @@ class _CosetTable:
         self.dst = list(objects)
         self.parent = list(range(len(objects)))
         self.act = [{} for _ in objects]
+        self.ending = {x: [s] for s, x in enumerate(objects)}
         self.live = len(objects)
         self.letter_dst, self.word_cap, self.max_live = letter_dst, word_cap, max_live
 
@@ -880,6 +934,7 @@ class _CosetTable:
         self.dst.append(dst)
         self.parent.append(s)
         self.act.append({})
+        self.ending[dst].append(s)
         self.live += 1
         if len(self.parent) % 128 == 0 and self.live > self.max_live:
             raise SizeCapExceeded("pushout oracle states", self.live, self.max_live)
@@ -925,7 +980,8 @@ class _CosetTable:
         representatives ending at that object, merging where the two walks
         part, until a pass merges nothing; then define the first missing
         entry in state and letter order, and repeat.  Returns the number of
-        relation instances walked.
+        relation instances walked.  A scan visits only the states of
+        `ending` at its object.
 
         Each relation's scan, and the search for a missing entry, resumes
         where it stopped.  That is exact because classes only coarsen: a
@@ -933,8 +989,8 @@ class _CosetTable:
         a representative again, dst never changes, and a complete
         representative stays complete.
         """
-        parent, dst, act = self.parent, self.dst, self.act
-        scanned = [0] * len(relations)   # relation r has been scanned at states below scanned[r]
+        parent, dst, act, ending = self.parent, self.dst, self.act, self.ending
+        scanned = [0] * len(relations)   # relation r has been scanned at ending[at][:scanned[r]]
         complete = 0                     # states below it are merged away or complete
         scans = 0
         while True:
@@ -942,9 +998,10 @@ class _CosetTable:
             while changed:
                 changed = False
                 for r, (lhs, rhs, at) in enumerate(relations):
-                    end = len(parent)
-                    for s in range(scanned[r], end):
-                        if parent[s] != s or dst[s] != at:
+                    states = ending[at]
+                    end = len(states)
+                    for s in states[scanned[r]:end]:
+                        if parent[s] != s:
                             continue
                         scans += 1
                         left, right = self.walk(lhs, s), self.walk(rhs, s)

@@ -1207,7 +1207,13 @@ def e_map(X: FinSSet, exd: ExSSet) -> SSetMap:
 
 def ex_map(f: SSetMap, exd_src: ExSSet, exd_dst: ExSSet) -> SSetMap:
     """Ex(f) by postcomposition of Sd-maps, with f as one int table per dimension."""
-    f_at = [_int_values(f, d, exd_src.base, exd_dst.base) for d in range(exd_src.sset.cap + 1)]
+    return _ex_of_tables([_int_values(f, d, exd_src.base, exd_dst.base)
+                          for d in range(exd_src.sset.cap + 1)], exd_src, exd_dst)
+
+
+def _ex_of_tables(f_at, exd_src: ExSSet, exd_dst: ExSSet) -> SSetMap:
+    """Ex of the map whose int table on the d-simplices is f_at[d], for each d
+    up to Ex's cap."""
     vals = {}
     for n in exd_src.sset.dims():
         tables = [f_at[len(chain) - 1] for chain in _SdData(n).chains]
@@ -1218,11 +1224,14 @@ def ex_map(f: SSetMap, exd_src: ExSSet, exd_dst: ExSSet) -> SSetMap:
 
 
 def ex_action(A: MonoidActionSSet, exd: ExSSet) -> MonoidActionSSet:
-    """Ex of an action on X = exd.base by `ex_map`, checked once on X's int
-    tables t_m up to Ex's cap and X's top dimension (above it, t_m is fixed by
-    degeneracies): each commutes with X's face tables, the unit's is the
-    identity and t_m∘t_n = t_mn, so Ex(t) is an action on Ex(X)."""
-    X, M, dims = exd.base, A.monoid, range(min(exd.sset.cap, max(exd.base.dims(), default=0)) + 1)
+    """Ex of an action on X = exd.base by postcomposition, as `ex_map`, checked
+    once on X's int tables t_m up to Ex's cap and X's top dimension (above it,
+    t_m is fixed by degeneracies): each commutes with X's face tables, the
+    unit's is the identity and t_m∘t_n = t_mn, so Ex(t) is an action on
+    Ex(X).  Ex(act(m)) postcomposes with those checked tables, and with t_m
+    above X's top dimension up to Ex's cap."""
+    X, M, cap = exd.base, A.monoid, exd.sset.cap
+    dims = range(min(cap, max(X.dims(), default=0)) + 1)
     t = {m: [_int_values(A.act[m], d, X, X) for d in dims] for m in M.elements}
     for (m, tm), d in itertools.product(t.items(), dims[1:]):
         if any(X.face_index(d).faces[tm[d][v]] != tuple(map(tm[d - 1].__getitem__, fs))
@@ -1233,7 +1242,9 @@ def ex_action(A: MonoidActionSSet, exd: ExSSet) -> MonoidActionSSet:
     for m, n in itertools.product(M.elements, repeat=2):
         if any(list(map(tm.__getitem__, tn)) != tmn for tm, tn, tmn in zip(t[m], t[n], t[M.mul(m, n)])):
             raise GcatError(f"simplicial act({m!r}·{n!r}) ≠ act({m!r})∘act({n!r})")
-    return MonoidActionSSet(M, exd.sset, {m: ex_map(A.act[m], exd, exd) for m in M.elements})
+    return MonoidActionSSet(M, exd.sset, {
+        m: _ex_of_tables(tm + [_int_values(A.act[m], d, X, X) for d in range(len(tm), cap + 1)],
+                         exd, exd) for m, tm in t.items()})
 
 
 # ---------------------------------------------------------------------------

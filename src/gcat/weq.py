@@ -203,7 +203,8 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
     """Fixed points of Fun(E(K), C) under Γ_{H,φ} ⊂ K × G.
 
     g_action: G-element -> endofunctor of C (the action through which φ acts);
-    H must be a subgroup of K, φ: H -> G a homomorphism (as a dict).
+    H must be a subgroup of K, which is checked unless H is K, and φ: H -> G
+    a homomorphism (as a dict).
 
     (h, φh) sends F to act(φh)∘F∘(− · h), so a fixed F has
     F(x·h) = act(φh)⁻¹ F(x) and is chosen on the first element of each right
@@ -214,16 +215,17 @@ def twisted_fun_fixed(K: FinGroup, g_action: dict, H: FinGroup, phi: dict,
     act(φh) η_{b·h} = η_b for every h.  The cap counts the nodes of a
     depth-first search over the isos, 1 + n₁ + n₁n₂ + … per object choice.
 
-    C's inverses, its iso hom-sets and the orbit cells (x·h, act(φh)⁻¹) are
-    built once, before the search.  The composition table is filled by
+    C's inverses are read from `FinCat.inverses`, built once per category;
+    its iso hom-sets and the orbit cells (x·h, act(φh)⁻¹) are built once,
+    before the search.  The composition table is filled by
     walking the composable pairs a -> b -> c only: for each fixed functor b,
     the ascending lists of the c with a non-empty hom-set b -> c and of the
     a with a non-empty a -> b, in (b, c, a) order.
     """
-    subgroup_from_elements(K, H.elements)
+    if H is not K:
+        subgroup_from_elements(K, H.elements)
     base = min(K.elements)
-    compose, identity = C.compose, C.identity
-    inv = {m: w for m in C.morphism_ids if (w := C.inverse(m)) is not None}
+    compose, identity, inv = C.compose, C.identity, C.inverses
     iso_hom = {}
     for m in inv:
         iso_hom.setdefault((C.src[m], C.dst[m]), []).append(m)

@@ -2,11 +2,12 @@
 
 import dataclasses
 import hashlib
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
-from gcat import corpus, dwyer, serialize as ser
+from gcat import actions, corpus, dwyer, fincat, sset, weq, serialize as ser
 from gcat.config import WIDE_CAPS
 from gcat.errors import DanglingReference, EquivarianceViolation, GcatError
 from gcat.fincat import (
@@ -31,6 +32,7 @@ from gcat.actions import (
     delooping,
     cyclic_group,
     fixed_category,
+    homomorphisms,
     restrict_action,
     subgroup_from_elements,
     subgroups,
@@ -58,7 +60,7 @@ from gcat.dwyer import (
     restrict_witness_to_fixed,
 )
 from gcat.corpus import dwyer_span_corpus
-from gcat.weq import GeneratorSpec, generating_maps
+from gcat.weq import GeneratorSpec, generating_maps, homotopy_fixed_points
 
 from helpers import monoid_dwyer_check, zero_monoid
 
@@ -367,10 +369,63 @@ def test_each_span_leg_c_is_validated_once(monkeypatch):
         assert [sum(F is c for F in validated) for c in legs] == [1] * len(legs), span.label
 
 
+def test_spans_pipeline_checks_each_functor_and_witness_once(monkeypatch):
+    """Over the spans benchmark's pipeline (corpus, witness search, the
+    equivariant pushout, the cross-check, fixed points and homotopy fixed
+    points), each functor and witness is checked in full exactly once: by
+    `validate`, whose mark makes every later call return at once, or by
+    `thin_functor`, whose build is a full check.  The inclusions, legs,
+    action functors and witnesses that the pipeline builds are all among
+    them, so a check can neither repeat nor vanish."""
+    checks, kept = Counter(), []   # id -> full checks; kept alive, so no id is reused
+    thin = fincat.thin_functor
+
+    def count(value):
+        checks[id(value)] += 1
+        kept.append(value)
+
+    def counted(validate):
+        def run(value, **kwargs):
+            if not value._checked:   # a full check, not a call that returns at once
+                count(value)
+            return validate(value, **kwargs)
+        return run
+
+    def counted_thin(*args):
+        F = thin(*args)
+        count(F)
+        return F
+
+    for cls in (Functor, DwyerWitness):
+        monkeypatch.setattr(cls, "validate", counted(cls.validate))
+    for module in (fincat, actions, corpus, sset, weq):
+        monkeypatch.setattr(module, "thin_functor", counted_thin)
+    built = []
+    for span in dwyer_span_corpus(3, 3, "Z2") + dwyer_span_corpus(4, 2, "1"):
+        w = find_dwyer_witness(span.i, (span.group, span.act_A, span.act_B))
+        w.validate()
+        actD, po = equivariant_dwyer_pushout(span.act_A, span.act_B, span.act_C, span.i, span.c, w)
+        _, po2, res = pushout_cross_check(span.A, span.B, span.C, span.i, span.c, w)
+        built += [span.i, span.c, span.witness, w, *actD.act.values()]
+        built += [leg for p in (po, po2, res) for leg in (p.leg_from_b, p.leg_from_c)]
+        for H in subgroups(span.group):
+            wH = restrict_witness_to_fixed(w, H)
+            CH = fixed_category(restrict_action(span.act_C, H), H)
+            cH = Functor(wH.i.source, CH, {x: span.c.object_map[x] for x in wH.i.source.objects},
+                         {m: span.c.morphism_map[m] for m in wH.i.source.morphism_ids}).validate()
+            poH = dwyer_pushout(wH.i.source, wH.i.target, CH, wH.i, cH, wH)
+            built += [wH, wH.r, cH, poH.leg_from_b, poH.leg_from_c]
+            for phi in homomorphisms(H, span.group):
+                homotopy_fixed_points(actD, H, phi)
+    assert set(checks.values()) == {1}
+    assert [checks[id(v)] for v in built] == [1] * len(built)
+
+
 def test_find_dwyer_witness_checks_its_inclusion_once(monkeypatch):
     """The search checks that i is a subcategory inclusion once, where it
-    tests i for a sieve; the witness it builds does not check i again, but an
-    explicit `validate` and a witness built by hand check everything."""
+    tests i for a sieve; the witness it builds does not check i again, nor
+    does an explicit `validate` of that validated witness, but a witness
+    built by hand checks everything."""
     checked = []
     check = dwyer.check_subcategory_inclusion
 
@@ -387,7 +442,7 @@ def test_find_dwyer_witness_checks_its_inclusion_once(monkeypatch):
         assert sum(j is span.i for j in checked) == 1
         del checked[:]
         w.validate()
-        assert sum(j is span.i for j in checked) == 1
+        assert sum(j is span.i for j in checked) == 0
         del checked[:]
         DwyerWitness(w.i, w.r, w.counit, w.group, w.act_A, w.act_B)
         assert sum(j is span.i for j in checked) == 1

@@ -1,6 +1,7 @@
 """Tables, functors, products, functor categories, equivalences, and the
 presentation oracle."""
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -8,7 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcat.config import SizeCaps
+from gcat.config import WIDE_CAPS, SizeCaps
 from gcat.errors import (
     AssociativityViolation,
     DanglingReference,
@@ -32,6 +33,7 @@ from gcat.fincat import (
     identity_functor,
     inclusion_functor,
     is_ff_eso,
+    is_isomorphism_functor,
     poset_from_relation,
     presented_pushout,
     product_category,
@@ -104,6 +106,44 @@ def test_validate_reports_the_first_missing_composite(missing, first):
     with pytest.raises(DanglingReference) as exc:
         validate_category(objs, mors, ident, comp)
     assert str(exc.value) == f"compose missing on composable pair {first}"
+
+
+def test_validate_checks_associativity_where_no_factor_is_an_identity():
+    """Associativity is checked on the triples with no identity factor, and
+    the identity laws, checked first, imply it on the rest.  A table broken
+    only at (h, g, f) raises the message of the check over all triples; a
+    table whose gf∘iw is k breaks associativity at (g, f, iw) too, but the
+    right identity law at gf raises first."""
+    objs = ["w", "x", "y", "z"]
+    ident = {"w": "iw", "x": "ix", "y": "iy", "z": "iz"}
+    mors = [(i, x, x) for x, i in ident.items()] + [
+        ("f", "w", "x"), ("g", "x", "y"), ("h", "y", "z"), ("gf", "w", "y"), ("hg", "x", "z"),
+        ("a", "w", "z"), ("b", "w", "z"), ("k", "w", "y")]
+    comp = {(m, ident[s]): m for m, s, _ in mors}
+    comp.update({(ident[t], m): m for m, _, t in mors})
+    comp.update({("g", "f"): "gf", ("h", "g"): "hg", ("h", "gf"): "a", ("h", "k"): "a",
+                 ("hg", "f"): "a"})
+    validate_category(objs, mors, ident, comp)
+    with pytest.raises(AssociativityViolation, match=r"^\(h∘g\)∘f ≠ h∘\(g∘f\) for \('h','g','f'\)$"):
+        validate_category(objs, mors, ident, {**comp, ("hg", "f"): "b"})
+    with pytest.raises(IdentityViolation, match=r"^right identity law fails for 'gf'$"):
+        validate_category(objs, mors, ident, {**comp, ("gf", "iw"): "k"})
+
+
+def test_functor_checks_composition_where_no_factor_is_an_identity():
+    """Composition is checked on the source's entries with no identity
+    factor, and the identities, checked first, imply it on the rest.  A map
+    that breaks only b∘a raises the message of the check over all entries;
+    one that sends the identity of BZ2 to c1 breaks c1∘e too, but raises
+    at the identity first."""
+    T, C = composite_line(False), composite_line(True)
+    mm = {m: m for m in T.morphism_ids}
+    Functor(T, C, {x: x for x in T.objects}, mm).validate()
+    with pytest.raises(AssociativityViolation, match=r"^functor breaks composition on \('b','a'\)$"):
+        Functor(T, C, {x: x for x in T.objects}, {**mm, "c1": "c2"}).validate()
+    BZ2 = delooping(cyclic_group(2))
+    with pytest.raises(IdentityViolation, match=r"^functor breaks identity at '\*'$"):
+        Functor(BZ2, BZ2, {"*": "*"}, {"c0": "c1", "c1": "c1"}).validate()
 
 
 def test_validate_catches_identity_violation():
@@ -596,6 +636,23 @@ def test_object_profiles_match_their_definition():
             x: (len(C.hom(x, x)), tuple(sorted(len(C.hom(x, y)) for y in C.objects)),
                 tuple(sorted(len(C.hom(y, x)) for y in C.objects)))
             for x in C.objects}
+
+
+def test_isomorphism_search_needs_no_recursion():
+    """E(32) has 1,024 hom-sets and fits WIDE_CAPS.  The search keeps its
+    branch points on explicit stacks, so it is not bounded by Python's
+    recursion limit, which one frame per hom-set passed.  It takes 1,057
+    nodes: the root, 32 object assignments and one permutation per hom-set."""
+    def chaotic(prefix):
+        X = [f"{prefix}{k:02d}" for k in range(32)]
+        return thin_category(X, itertools.product(X, repeat=2), lambda x, y: f"{x}>{y}", WIDE_CAPS)
+
+    C, D = chaotic("a"), chaotic("b")
+    with pytest.raises(SizeCapExceeded, match=r"^isomorphism search: 1057 exceeds cap 1056$"):
+        find_isomorphism(C, D, dataclasses.replace(WIDE_CAPS, max_candidates=1056))
+    F = find_isomorphism(C, D, WIDE_CAPS)
+    assert F.object_map == {f"a{k:02d}": f"b{k:02d}" for k in range(32)}
+    assert is_isomorphism_functor(F)
 
 
 def test_isomorphism_search_counts_its_nodes_past_dead_ends():
