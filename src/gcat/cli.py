@@ -110,14 +110,12 @@ def _render_text(doc, indent=0):
                 yield from _render_text(v, indent + 1)
             else:
                 yield f"{pad}{k}: {v}"
-    elif isinstance(doc, list):
+    else:   # a list
         for v in doc:
             if isinstance(v, (dict, list)):
                 yield from _render_text(v, indent + 1)
             else:
                 yield f"{pad}- {v}"
-    else:
-        yield f"{pad}{doc}"
 
 
 def _document_cap(args, cap=None):
@@ -550,8 +548,6 @@ def _run(argv):
         return EXIT_IO
     except MalformedDocument as exc:
         error, code = {"error": "malformed document", "detail": str(exc)}, EXIT_USAGE
-    except Inconclusive as exc:
-        error, code = {"verdict": "inconclusive", "detail": str(exc)}, EXIT_INCONCLUSIVE
     except SizeCapExceeded as exc:
         error, code = ({"verdict": "inconclusive", "cap": exc.cap, "count": exc.count,
                         "detail": str(exc)}, EXIT_INCONCLUSIVE)

@@ -24,6 +24,7 @@ from .fincat import (
     FinCat,
     Functor,
     NatTrans,
+    free_tag,
     functor_category_data,
     identity_functor,
     inclusion_functor,
@@ -229,14 +230,6 @@ def find_dwyer_witness(i: Functor, equivariance=None) -> Optional[DwyerWitness]:
 # the explicit pushout
 
 
-def _v_obj(b):
-    return f"V:{b}"
-
-
-def _v_mor(m):
-    return f"V:{m}"
-
-
 def _cross_mor(alpha, y):
     return f"[{alpha}@{y}]"
 
@@ -257,7 +250,8 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
     x -> c(r y), as r∘f = id_A and ε·f = id.  A witness of a functor other
     than i is validated again for i.  c must be a functor already validated
     where it was built; it is not checked again here.  C-objects keep their
-    ids; V-objects are prefixed 'V:'.
+    ids; V's objects and morphisms are tagged 'V:', primed by `free_tag`
+    where that would give one of C's ids.
     """
     if w.i is not i:
         w = replace(w, i=i)
@@ -270,35 +264,34 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
     vset = set(V)
     xset = set(w.X.objects)
     vx = [b for b in V if b in xset]
+    vmors = [(m, s, t) for m, s, t in B.morphisms if s in vset and t in vset]
+    tag = free_tag("V", [(set(C.objects), V), (set(C.morphism_ids), [m for m, _, _ in vmors])])
+
+    def v_id(x):
+        return f"{tag}:{x}"
 
     def cr(y):
         return c.object_map[w.r.object_map[y]]
 
-    objects = list(C.objects) + [_v_obj(b) for b in V]
-    morphisms = []
+    objects = list(C.objects) + [v_id(b) for b in V]
+    morphisms = list(C.morphisms) + [(v_id(m), v_id(s), v_id(t)) for m, s, t in vmors]
     identity = {x: C.identity[x] for x in C.objects}
-    for m, s, t in C.morphisms:
-        morphisms.append((m, s, t))
-    for m, s, t in B.morphisms:
-        if s in vset and t in vset:
-            morphisms.append((_v_mor(m), _v_obj(s), _v_obj(t)))
     for b in V:
-        identity[_v_obj(b)] = _v_mor(B.identity[b])
+        identity[v_id(b)] = v_id(B.identity[b])
     cross = {}
     for y in vx:
         for x in C.objects:
             for alpha in C.hom(x, cr(y)):
-                morphisms.append((_cross_mor(alpha, y), x, _v_obj(y)))
+                morphisms.append((_cross_mor(alpha, y), x, v_id(y)))
                 cross[_cross_mor(alpha, y)] = (alpha, y)
 
     compose = {}
     for (g, f2), h in C.compose.items():
         compose[(g, f2)] = h
-    vmors = [(m, s, t) for m, s, t in B.morphisms if s in vset and t in vset]
     for (m1, s1, t1) in vmors:
         for (m2, s2, t2) in vmors:
             if t1 == s2:
-                compose[(_v_mor(m2), _v_mor(m1))] = _v_mor(B.compose[(m2, m1)])
+                compose[(v_id(m2), v_id(m1))] = v_id(B.compose[(m2, m1)])
     # cross ∘ C
     for y in vx:
         for x in C.objects:
@@ -313,18 +306,18 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
             crm = c.morphism_map[w.r.morphism_map[m]]
             for x in C.objects:
                 for alpha in C.hom(x, cr(s)):
-                    compose[(_v_mor(m), _cross_mor(alpha, s))] = \
+                    compose[(v_id(m), _cross_mor(alpha, s))] = \
                         _cross_mor(C.compose[(crm, alpha)], t)
     D = validate_category(objects, morphisms, identity, compose, caps)
 
     j = Functor(C, D, {x: x for x in C.objects}, {m: m for m in C.morphism_ids}).validate()
     d_ob = {}
     for b in B.objects:
-        d_ob[b] = c.object_map[preimage_obj[b]] if b in image else _v_obj(b)
+        d_ob[b] = c.object_map[preimage_obj[b]] if b in image else v_id(b)
     d_mor = {}
     for m, s, t in B.morphisms:
         if s in vset and t in vset:
-            d_mor[m] = _v_mor(m)
+            d_mor[m] = v_id(m)
         elif m in preimage_mor:
             d_mor[m] = c.morphism_map[preimage_mor[m]]
         else:
@@ -356,6 +349,7 @@ def equivariant_dwyer_pushout(act_A: MonoidActionCat, act_B: MonoidActionCat,
     B, C = act_B.carrier, act_C.carrier
     image = set(i.object_map.values())
     vset = {b for b in B.objects if b not in image}
+    d_ob, d_mor = po.leg_from_b.object_map, po.leg_from_b.morphism_map   # V's ids in D
 
     def act_functor(g):
         om = {}
@@ -363,12 +357,12 @@ def equivariant_dwyer_pushout(act_A: MonoidActionCat, act_B: MonoidActionCat,
         for x in C.objects:
             om[x] = act_C.ob(g, x)
         for b in vset:
-            om[_v_obj(b)] = _v_obj(act_B.ob(g, b))
+            om[d_ob[b]] = d_ob[act_B.ob(g, b)]
         for m in C.morphism_ids:
             mm[m] = act_C.mor(g, m)
         for m, s, t in B.morphisms:
             if s in vset and t in vset:
-                mm[_v_mor(m)] = _v_mor(act_B.mor(g, m))
+                mm[d_mor[m]] = d_mor[act_B.mor(g, m)]
         for mid, (alpha, y) in po.cross.items():
             mm[mid] = _cross_mor(act_C.mor(g, alpha), act_B.ob(g, y))
         return Functor(D, D, om, mm)

@@ -313,12 +313,6 @@ class Functor:
     morphism_map: dict
     _checked: bool = field(default=False, init=False, repr=False)   # validated in full
 
-    def ob(self, x):
-        return self.object_map[x]
-
-    def mor(self, m):
-        return self.morphism_map[m]
-
     def validate(self):
         """Check every functor law, once: the mark set on success makes a
         later call return at once.
@@ -518,9 +512,6 @@ class FunctorCategoryData:
     trans: dict             # morphism id -> (src index, dst index, components dict)
     trans_lookup: dict      # (src index, dst index, sorted components) -> morphism id
 
-    def object_id(self, F: Functor):
-        return f"F{self.index_of[F.signature()]:03d}"
-
     def functor_of(self, obj_id):
         return self.functors[int(obj_id[1:])]
 
@@ -533,24 +524,30 @@ def _search(n, candidates, consistent, what, caps: SizeCaps):
     takes each value of candidates(k, values) in turn and keeps it when
     consistent(k, values), which runs the checks that position k completes,
     so each check runs once per assignment of its positions.  One node per
-    position reached; past caps.max_candidates nodes, SizeCapExceeded(what)."""
-    values, found, nodes = [None] * n, [], 0
-
-    def extend(k):
-        nonlocal nodes
+    position reached; past caps.max_candidates nodes, SizeCapExceeded(what).
+    The values left to try are kept on an explicit stack, one iterator per
+    assigned position, so no recursion limit bounds n."""
+    values, found, nodes, stack = [None] * n, [], 0, []
+    while True:
         nodes += 1
         if nodes > caps.max_candidates:
             raise SizeCapExceeded(what, nodes, caps.max_candidates)
-        if k == n:
+        if len(stack) == n:
             found.append(list(values))
-            return
-        for v in candidates(k, values):
-            values[k] = v
-            if consistent(k, values):
-                extend(k + 1)
-
-    extend(0)
-    return found
+        else:
+            stack.append(iter(candidates(len(stack), values)))
+        while stack:
+            k = len(stack) - 1
+            for v in stack[-1]:
+                values[k] = v
+                if consistent(k, values):
+                    break
+            else:
+                stack.pop()
+                continue
+            break
+        else:
+            return found
 
 
 def enumerate_functors(T: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS):
@@ -742,23 +739,18 @@ def find_equivalence(F: Functor, caps: SizeCaps = DEFAULT_CAPS) -> Optional[Equi
     q_ob = {d: choice[d][0] for d in D.objects}
     xi = {d: choice[d][1] for d in D.objects}  # xi_d : F(q(d)) -> d, iso
 
-    def preimage(x, y, dm):
-        """Unique m: x->y in C with F(m) = dm (full faithfulness)."""
-        for m in C.hom(x, y):
-            if F.morphism_map[m] == dm:
-                return m
-        raise GcatError("full faithfulness lookup failed")
-
+    # (x, y, F(m)) -> m: one entry per morphism of D(Fx, Fy), as F is fully faithful
+    preimage = {(s, t, F.morphism_map[m]): m for m, s, t in C.morphisms}
     q_mor = {}
     for g in D.morphism_ids:
         d1, d2 = D.src[g], D.dst[g]
         conj = D.compose[(D.inverses[xi[d2]], D.compose[(g, xi[d1])])]
-        q_mor[g] = preimage(q_ob[d1], q_ob[d2], conj)
+        q_mor[g] = preimage[(q_ob[d1], q_ob[d2], conj)]
     Q = Functor(D, C, q_ob, q_mor).validate()
     counit = NatTrans(Q.then(F), identity_functor(D), dict(xi))
     eta = {}
     for c in C.objects:
-        eta[c] = preimage(c, q_ob[F.object_map[c]], D.inverses[xi[F.object_map[c]]])
+        eta[c] = preimage[(c, q_ob[F.object_map[c]], D.inverses[xi[F.object_map[c]]])]
     unit = NatTrans(identity_functor(C), F.then(Q), eta)
     return EquivalenceWitness(F, Q, unit, counit).validate()
 
@@ -882,6 +874,16 @@ class PresentedPushout:
     leg_from_c: Functor   # j : C -> D
     word_of: dict         # morphism id -> canonical generator word
     relation_scans: int   # relation instances walked (lhs and rhs) by the closure
+
+
+def free_tag(tag, clashes):
+    """The tag that a pushout puts before the names n of one side's new
+    ids, f"{tag}:{n}": `tag` itself unless such an id clashes with one that
+    the pushout keeps, and otherwise `tag` with as few primes appended as
+    avoid every clash.  `clashes` lists (ids kept, names to tag) pairs."""
+    while any(f"{tag}:{n}" in taken for taken, names in clashes for n in names):
+        tag += "'"
+    return tag
 
 
 def _uf_find(parent, x):
@@ -1037,7 +1039,9 @@ def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
     Inconclusive with that word; more than 4 * caps.max_morphisms live
     states, checked each time the state count reaches a multiple of 128,
     raise SizeCapExceeded.  The closed table is assembled into a validated
-    category with its two legs.
+    category with its two legs.  C's objects keep their ids, and B's objects
+    outside i(A) are tagged 'B:', primed by `free_tag` where that would give
+    one of C's ids.
     """
     if not i.is_injective_on_objects():
         raise GcatError("presented_pushout requires i injective on objects")
@@ -1082,18 +1086,21 @@ def presented_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
     table = _CosetTable(sorted(set(oclass.values())), {x: ends[x][1] for x in letter_of.values()},
                         word_cap, caps.max_morphisms * 4)
     scans = table.close(sorted(relations), out_letters)
-    return _assemble_pushout(table, oclass, letter_of, (A, B, C, i, c), caps, scans)
+    image = set(i.object_map.values())
+    tag = free_tag("B", [(set(C.objects), [b for b in B.objects if b not in image])])
+    return _assemble_pushout(table, oclass, letter_of, (A, B, C, i, c), caps, scans, tag)
 
 
-def _assemble_pushout(table, oclass, letter_of, span, caps, relation_scans):
+def _assemble_pushout(table, oclass, letter_of, span, caps, relation_scans, b_tag):
     """The quotient category of a closed table with its legs from B and C,
-    checked to be a cocone on the span that the legs generate."""
+    checked to be a cocone on the span that the legs generate.  A class of
+    B's objects outside i(A) is named by its object tagged with `b_tag`."""
     A, B, C, i, c = span
     parent, word = table.parent, table.word
 
     def obj_id(oc):
         tag, x = oc
-        return x if tag == "C" else f"B:{x}"
+        return x if tag == "C" else f"{b_tag}:{x}"
 
     reps = sorted((s for s in range(len(parent)) if parent[s] == s),
                   key=lambda s: (len(word[s]), word[s]))

@@ -549,7 +549,10 @@ def h_sd2_map(K: OrderedComplex, L: OrderedComplex, caps: SizeCaps = DEFAULT_CAP
 
 
 def chain_id(chain):
-    return "|".join(chain)
+    """The id of a chain of morphism ids: the ids joined by "|", each with a
+    backslash put before each of its own backslashes and bars, so distinct
+    chains get distinct ids; an id with neither is kept as it is."""
+    return "|".join(m.replace("\\", "\\\\").replace("|", "\\|") for m in chain)
 
 
 def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
@@ -570,7 +573,8 @@ def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
     src, dst, compose = C.src, C.dst, C.compose
     cells, faces = {0: tuple(sorted(C.objects))}, {}
     stored = {}   # chain of a level below -> its normal form (id, identity alpha)
-    level = [(m,) for m in sorted(nonid)]
+    name = {m: chain_id((m,)) for m in nonid}
+    level = [((m,), name[m]) for m in sorted(nonid)]   # (chain, its chain_id)
     for n in range(1, cap + 1):
         if not level:
             break
@@ -578,8 +582,7 @@ def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
             raise SizeCapExceeded("nerve simplices", len(level), caps.max_simplices)
         top, ids = tuple(range(n + 1)), []
         repeat = [sigma(i - 1, n - 2) for i in range(1, n)]   # the alpha of a degenerate d_i
-        for ch in level:
-            sid = chain_id(ch)
+        for ch, sid in level:
             ids.append(sid)
             if n == 1:
                 fs = ((dst[ch[0]], (0,)), (src[ch[0]], (0,)))
@@ -599,7 +602,8 @@ def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
                 stored[ch] = (sid, top)
         cells[n] = tuple(sorted(ids))
         if n < cap:
-            level = [ch + (m,) for ch in level for m in by_src.get(dst[ch[-1]], ())]
+            level = [(ch + (m,), f"{sid}|{name[m]}") for ch, sid in level
+                     for m in by_src.get(dst[ch[-1]], ())]
     X = FinSSet(cap, cells, faces)
     X.validate(caps)
     return X
@@ -623,17 +627,23 @@ def _normalize_chain(C: FinCat, chain, identities):
 
 
 def nerve_functor(F: Functor, NX: FinSSet, NY: FinSSet, cap=3) -> SSetMap:
-    """N(F) on already-built nerves."""
-    D = F.target
+    """N(F) on already-built nerves.  The image of an n-simplex's chain is
+    read off its faces, not its id: the image of d_n's chain, then the last
+    arrow of d_0's."""
+    D, mm = F.target, F.morphism_map
     identities = {m for m in D.morphism_ids if D.is_identity(m)}
     vals = {}
     for sid in NX.cells.get(0, ()):
         vals[(0, sid)] = (F.object_map[sid], (0,))
+    images = {chain_id((m,)): (mm[m],) for m in F.source.morphism_ids}   # of level n's chains
     for n in range(1, cap + 1):
+        if n > 1:
+            below, images = images, {}
+            for sid in NX.cells.get(n, ()):
+                fs = NX.faces[(n, sid)]
+                images[sid] = below[fs[-1][0]] + below[fs[0][0]][-1:]
         for sid in NX.cells.get(n, ()):
-            chain = tuple(sid.split("|"))
-            image = tuple(F.morphism_map[m] for m in chain)
-            vals[(n, sid)] = _normalize_chain(D, image, identities)
+            vals[(n, sid)] = _normalize_chain(D, images[sid], identities)
     return SSetMap(NX, NY, vals)
 
 
@@ -662,7 +672,7 @@ def h_poset_nerve(X: FinSSet) -> FinCat:
 
 
 # ---------------------------------------------------------------------------
-# pushouts, subobjects
+# pushouts
 
 
 def pushout_sset(f: SSetMap, g: SSetMap, caps: SizeCaps = DEFAULT_CAPS):
@@ -715,28 +725,6 @@ def pushout_sset(f: SSetMap, g: SSetMap, caps: SizeCaps = DEFAULT_CAPS):
     return P, from_b, from_c
 
 
-def sub_sset(X: FinSSet, keep) -> FinSSet:
-    """Simplicial subset on a face-closed set of nondegenerate simplices.
-
-    keep: set of (dim, id).
-    """
-    cells = {}
-    faces = {}
-    for n in X.dims():
-        ids = [s for s in X.cells[n] if (n, s) in keep]
-        if ids:
-            cells[n] = tuple(sorted(ids))
-        for s in ids:
-            if n >= 1:
-                faces[(n, s)] = X.faces[(n, s)]
-    Y = FinSSet(X.cap, cells, faces)
-    for (n, s), fs in faces.items():
-        for core, alpha in fs:
-            if (alpha[-1], core) not in keep:
-                raise GcatError("sub_sset: kept set is not face-closed")
-    return Y
-
-
 # ---------------------------------------------------------------------------
 # actions on simplicial sets
 
@@ -771,14 +759,20 @@ def equivariant_nerve(A: "_actions.MonoidActionCat", cap=3, caps: SizeCaps = DEF
 
 
 def fixed_sset(A: MonoidActionSSet, H) -> FinSSet:
-    """X^H: the simplicial subset of simplices fixed by every h in H."""
-    keep = set()
-    for n in A.carrier.dims():
-        for s in A.carrier.cells[n]:
-            nf = A.carrier.nf_of(n, s)
+    """X^H: the simplicial subset of simplices fixed by every h in H.  It is
+    face-closed, as each h acts by a validated simplicial map: h fixes the
+    faces of a simplex it fixes."""
+    X, cells, faces = A.carrier, {}, {}
+    for n in X.dims():
+        ids = []
+        for s in X.cells[n]:
+            nf = X.nf_of(n, s)
             if all(A.act[h].apply(nf) == nf for h in H.elements):
-                keep.add((n, s))
-    return sub_sset(A.carrier, keep)
+                ids.append(s)
+        if ids:
+            cells[n] = tuple(ids)
+        faces.update(((n, s), X.faces[(n, s)]) for s in ids if n)
+    return FinSSet(X.cap, cells, faces)
 
 
 def fixed_sset_map(f: SSetMap, A: MonoidActionSSet, B: MonoidActionSSet, H) -> SSetMap:
@@ -793,7 +787,7 @@ def fixed_sset_map(f: SSetMap, A: MonoidActionSSet, B: MonoidActionSSet, H) -> S
 
 
 def boundary_matrix(X: FinSSet, n, drop=frozenset()):
-    """Normalized boundary ∂_n over the nondegenerate bases, as (n_rows,
+    """Normalized boundary ∂_n, n >= 1, over the nondegenerate bases, as (n_rows,
     n_cols, `Rows`): one pass over the faces writes the rows that
     `smith_invariants` copies and eliminates.
 
@@ -801,8 +795,6 @@ def boundary_matrix(X: FinSSet, n, drop=frozenset()):
     are left out and the others are numbered in order.  Faces of one simplex
     that cancel delete their entry where they meet.
     """
-    if n <= 0:
-        return 0, X.n_nondeg(0), Rows({})
     kept = (s for i, s in enumerate(X.cells.get(n - 1, ())) if i not in drop)
     rows = {s: {} for s in kept}
     signs = [(-1) ** i for i in range(n + 1)]
@@ -1133,16 +1125,14 @@ class ExSSet:
     level_assign: dict  # n -> {nondeg id: int Sd-map}
 
 
-def ex(X: FinSSet, cap=None, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
+def ex(X: FinSSet, cap, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
     """Ex(X): n-simplices are simplicial maps Sd Δⁿ -> X, enumerated exhaustively.
 
     The degenerate n-simplices are the s_j y = y∘Sd(σ_j) for the (n-1)-simplices
     y, built from the level below; the normal form of s_j y is y's with alpha∘σ_j.
     Ex at `cap` reads X's simplices up to `cap`, so `cap` may not exceed X's.
     """
-    if cap is None:
-        cap = min(X.cap, 3)
-    elif cap > X.cap:
+    if cap > X.cap:
         raise GcatError(f"Ex at cap {cap} needs X's simplices to dimension {cap}; X has cap {X.cap}")
 
     @functools.cache
@@ -1258,9 +1248,6 @@ class KanVerdict:
     problems_checked: int
     failure: object = None  # (n, k, horn description) for the first failure
 
-    def __bool__(self):
-        return self.passed
-
 
 def _horns(candidates: dict, n, k, caps: SizeCaps):
     """All horns Λⁿ_k: lists of the (n-1)-simplices x_j, j != k in
@@ -1314,9 +1301,6 @@ def is_kan_fibration(f: SSetMap, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVer
 
 
 def is_kan_complex(X: FinSSet, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdict:
-    dims = X.dims()
-    if not dims:
-        return KanVerdict(True, cap, 0)
     pt = point_sset(max(X.cap, cap))
     return is_kan_fibration(constant_sset_map(X, pt), cap, caps)
 
@@ -1342,12 +1326,10 @@ def is_kan_complex_lazy_ex(base: FinSSet, cap=2, caps: SizeCaps = DEFAULT_CAPS) 
             into_horn = into[:k] + into[k + 1:]
             for horn in _horns(cands, n, k, caps):
                 checked += 1
-                # the filler's values on the chains of each horn face
-                prescribed = {}
-                for face, psi in zip(into_horn, horn):
-                    for pos, v in zip(face, psi):
-                        if prescribed.setdefault(pos, v) != v:
-                            return KanVerdict(False, cap, checked, (n, k, "inconsistent horn"))
+                # the filler's values on the chains of each horn face; two faces
+                # i < j share the chains of Sd(δ_i δ_{j-1}) = Sd(δ_j δ_i) only,
+                # where `_horns` has made d_{j-1} x_i = d_i x_j, so they agree
+                prescribed = {pos: v for face, psi in zip(into_horn, horn) for pos, v in zip(face, psi)}
                 if not _enumerate_sd_maps(steps, caps, prescribed, first_only=True):
                     return KanVerdict(False, cap, checked, (n, k, "no filler"))
     return KanVerdict(True, cap, checked)

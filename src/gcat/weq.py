@@ -377,8 +377,7 @@ class RestrictionComparison:
     per_phi: dict
 
 
-def restriction_comparison(C: FinCat, H: FinGroup, Hp: FinGroup,
-                           g_act: Optional[MonoidActionCat] = None,
+def restriction_comparison(C: FinCat, H: FinGroup, Hp: FinGroup, g_act: MonoidActionCat,
                            phis=None, caps: SizeCaps = DEFAULT_CAPS) -> RestrictionComparison:
     """Fun(E(H′), C) -> Fun(EH, C) with a sufficient equivariant certificate.
 
@@ -416,13 +415,10 @@ def restriction_comparison(C: FinCat, H: FinGroup, Hp: FinGroup,
     witness = EquivalenceWitness(rho, Q, unit, counit).validate()
 
     # equivariance of the witness for the (H × G)-action
-    G = g_act.monoid if g_act is not None else None
-    HxG = product_monoid(H, G) if G is not None else H
+    G = g_act.monoid
+    HxG = product_monoid(H, G)
 
     def fun_action(data, K):
-        if G is None:
-            acts = {h: _act_on_fun(data, K, h, identity_functor(C)) for h in H.elements}
-            return MonoidActionCat(H, data.cat, acts).validate()
         acts = {pair_obj(h, g): _act_on_fun(data, K, h, g_act.act[g])
                 for h in H.elements for g in G.elements}
         return MonoidActionCat(HxG, data.cat, acts).validate()

@@ -13,11 +13,19 @@ import pytest
 
 from gcat import cli, serialize as ser
 from gcat.actions import cyclic_group, translation_action
-from gcat.fincat import Functor, arrow_category, terminal_category
+from gcat.fincat import (
+    Functor,
+    arrow_category,
+    identity_functor,
+    terminal_category,
+    thin_category,
+    validate_category,
+)
 from gcat.sset import (
     boundary_complex,
     complex_to_sset,
     identity_sset_map,
+    nerve,
     standard_simplex_complex,
 )
 
@@ -397,8 +405,8 @@ def test_ex_above_the_input_cap_is_a_usage_error(tmp_path, capsys):
 
 
 def test_ex_without_cap_takes_the_input_cap_up_to_3(tmp_path, capsys):
-    """Without --cap, `ex` runs at min(3, the document's cap), as `ex(X)`
-    does: Δ² stored at cap 1 gives the report of an explicit --cap 1."""
+    """Without --cap, `ex` runs at min(3, the document's cap): Δ² stored at
+    cap 1 gives the report of an explicit --cap 1."""
     path = write(tmp_path, "d2.json", complex_to_sset(standard_simplex_complex(2), 1).to_doc())
     assert cli.main(["ex", "--input", path]) == 0
     default = capsys.readouterr()
@@ -771,3 +779,235 @@ def test_gcat_hashes_reports_without_loading_openssl(tmp_path):
     assert last == "0 False", proc.stderr
     assert json.loads(report)["input_hashes"]["category"] == hashlib.sha256(
         ser.canonical_json(arrow_category().to_doc()).encode()).hexdigest()
+
+
+def named_thin_category(names):
+    """The thin category on the pairs of `names` (x, y) -> morphism id, each
+    object's identity named id:x."""
+    objects = sorted({x for pair in names for x in pair})
+    relation = [*names, *((x, x) for x in objects)]
+    return thin_category(objects, relation, lambda x, y: names.get((x, y), f"id:{x}"))
+
+
+def test_nerve_of_morphism_ids_with_a_bar(tmp_path, capsys):
+    """Nerve simplex ids join a chain's morphism ids with "|", and N(F) used to
+    split them back.  So a morphism id holding "|" gave wrong verdicts: `weq` on
+    the identity of {a: x->y, b: y->z, a|b = b∘a} exited 1 with "map changes
+    dimension on (1,a|b)", and `homology` of a category with the 2-chains
+    (a, b|c) and (a|b, c) exited 1 with "simplex ids at dim 2 not
+    sorted/unique".  Chain ids now escape "|" and N(F) reads chains off faces."""
+    C = named_thin_category({("x", "y"): "a", ("y", "z"): "b", ("x", "z"): "a|b"})
+    path = write(tmp_path, "identity.json", ser.functor_doc(identity_functor(C)))
+    assert cli.main(["weq", "--input", path]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == "" and report["sufficient"]["passed"] and report["necessary"]["passed"]
+    diamond = named_thin_category({("0", "1"): "a", ("1", "3"): "b|c", ("0", "2"): "a|b",
+                                   ("2", "3"): "c", ("0", "3"): "d"})
+    path = write(tmp_path, "diamond.json", diamond.to_doc())
+    assert cli.main(["homology", "--kind", "category", "--input", path, "--cap", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and [(h["betti"], h["torsion"]) for h in json.loads(out)["homology"]] == [
+        (1, []), (0, [])]
+    X = nerve(diamond, 2)
+    assert X.cells[2] == ("a\\|b|c", "a|b\\|c")
+
+
+@pytest.mark.parametrize("name, objects", [
+    ("V:1", ["V':1", "V:1"]),   # the Dwyer pushout's tag for B's objects outside i(A) is primed
+    ("B:1", ["B:1", "V:1"]),    # the oracle's is, which only --cross-check runs
+])
+def test_pushout_keeps_its_new_ids_apart_from_those_of_c(tmp_path, capsys, name, objects):
+    """A = 1, B = [1], i(*) = 0, and C one object: the pushouts tag B's object
+    1 outside i(A), `dwyer_pushout` with "V:" and `presented_pushout` with
+    "B:", and keep C's ids.  C's object named V:1 gave "duplicate object
+    ids" (exit 1) with or without --cross-check, and named B:1 under
+    --cross-check.  Each tag is now primed where it would clash with C."""
+    C = validate_category([name], [(f"id:{name}", name, name)], {name: f"id:{name}"},
+                          {(f"id:{name}", f"id:{name}"): f"id:{name}"})
+    doc = {"A": terminal_category().to_doc(), "B": arrow_category().to_doc(), "C": C.to_doc(),
+           "i": {"object_map": {"*": "0"}, "morphism_map": {"id*": "0<=0"}},
+           "c": {"object_map": {"*": name}, "morphism_map": {"id*": f"id:{name}"}}}
+    path = write(tmp_path, "span.json", doc)
+    for argv in (["pushout", "--input", path], ["pushout", "--input", path, "--cross-check"]):
+        assert cli.main(argv) == 0, capsys.readouterr()
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == "" and report["pushout"]["objects"] == objects
+    assert report["cross_check"] is True and report["oracle_morphisms"] == 3
+
+
+def arrow_doc_with(change):
+    """The document of [1] = {x -> y}, its morphisms idx, idy and f, changed in place by `change`."""
+    doc = {"objects": ["x", "y"], "morphisms": [["f", "x", "y"], ["idx", "x", "x"], ["idy", "y", "y"]],
+           "identity": {"x": "idx", "y": "idy"},
+           "compose": [["f", "idx", "f"], ["idx", "idx", "idx"], ["idy", "f", "f"], ["idy", "idy", "idy"]]}
+    change(doc)
+    return doc
+
+
+@pytest.mark.parametrize("change, detail", [
+    (lambda d: d["objects"].append("x"), "duplicate object ids"),
+    (lambda d: d["identity"].pop("y"), "object 'y' has no identity"),
+    (lambda d: d["morphisms"].append(["f", "x", "y"]), "duplicate morphism ids"),
+    (lambda d: d["identity"].update(x="f"), "identity 'f' of 'x' is not an endomorphism of 'x'"),
+    (lambda d: d["compose"].append(["f", "f", "f"]), "compose defined on non-composable pair ('f','f')"),
+    (lambda d: d["compose"].__setitem__(0, ["f", "idx", "idy"]),
+     "composite 'idy' of ('f','idx') has wrong endpoints"),
+])
+def test_validate_refuses_a_malformed_table(tmp_path, capsys, change, detail):
+    """Each table check of `validate_category` that no other test reached,
+    through `gcat validate`: exit 1 with the check's own message."""
+    path = write(tmp_path, "bad.json", arrow_doc_with(change))
+    assert cli.main(["validate", "--input", path]) == 1
+    assert json.loads(capsys.readouterr().out) == {"detail": detail, "verdict": "violated"}
+
+
+@pytest.mark.parametrize("table, unit, detail", [
+    ([["e", "a"], ["a", "e"]], "u", "unit not an element"),
+    ([["e", "a"], ["a", "z"]], "e", "multiplication undefined/invalid on ('a','a')"),
+    ([["e", "e"], ["a", "a"]], "e", "unit law fails at 'a'"),
+])
+def test_gens_refuses_a_monoid_that_is_not_one(capsys, table, unit, detail):
+    """`gens --params` reads M as a monoid document, and FinMonoid.validate
+    refuses a table that is not a monoid's: exit 1 with its message."""
+    M = {"elements": ["e", "a"], "table": table, "unit": unit}
+    argv = ["gens", "--model", "f_model", "--n", "0", "--params", json.dumps({"M": M, "H": "Z1"})]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {"detail": detail, "verdict": "violated"}
+
+
+def test_gens_refuses_a_monoid_that_is_not_associative(capsys):
+    """e, a, b with unit e, a·a = b, a·b = b and b·a = a: (a·a)·a = a but
+    a·(a·a) = b."""
+    M = {"elements": ["e", "a", "b"], "unit": "e",
+         "table": [["e", "a", "b"], ["a", "b", "b"], ["b", "a", "e"]]}
+    argv = ["gens", "--model", "f_model", "--n", "0", "--params", json.dumps({"M": M, "H": "Z1"})]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "detail": "associativity fails on ('a','a','a')", "verdict": "violated"}
+
+
+def test_action_document_with_a_stale_category_hash(tmp_path, capsys):
+    """An action document whose category_hash is not the hash of its
+    category is refused: exit 1."""
+    doc = ser.action_doc(translation_action(cyclic_group(2)))
+    doc["category_hash"] = "0" * 64
+    path = write(tmp_path, "action.json", doc)
+    family = write(tmp_path, "family.json", {"group": "Z2", "subgroups": [["c0"]]})
+    assert cli.main(["fixed", "--input", path, "--family", family]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "detail": "action document category hash mismatch", "verdict": "violated"}
+
+
+def non_dwyer_span():
+    """1 -> [1] at the object 1, which is no sieve, and 1 -> 1."""
+    return {"A": terminal_category().to_doc(), "B": arrow_category().to_doc(),
+            "C": terminal_category().to_doc(),
+            "i": {"object_map": {"*": "1"}, "morphism_map": {"id*": "1<=1"}},
+            "c": {"object_map": {"*": "*"}, "morphism_map": {"id*": "id*"}}}
+
+
+def test_pushout_along_a_map_that_is_not_dwyer_runs_the_oracle(tmp_path, capsys):
+    """No witness: the report says so and gives the oracle's pushout, [1]
+    with B's object 0 tagged B:."""
+    path = write(tmp_path, "span.json", non_dwyer_span())
+    assert cli.main(["pushout", "--input", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["dwyer"], report["oracle"]) == ("not applicable", "closed")
+    assert report["pushout"]["objects"] == ["*", "B:0"]
+    assert report["pushout"]["morphisms"] == [["id:*", "*", "*"], ["id:B:0", "B:0", "B:0"],
+                                              ["w:B:0<=1", "B:0", "*"]]
+
+
+def test_text_format_renders_lists_and_output_is_written(tmp_path, capsys):
+    """--format text puts each entry of a list on its own "- " line, one
+    level in; --output writes the canonical JSON report as well."""
+    path = write(tmp_path, "span.json", non_dwyer_span())
+    target = tmp_path / "report.json"
+    assert cli.main(["--format", "text", "--output", str(target), "pushout", "--input", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[lines.index("  objects:") - 3:] == [
+        "      - w:B:0<=1", "      - B:0", "      - *", "  objects:", "    - *", "    - B:0"]
+    assert lines[:3] == ["command: pushout", "dwyer: not applicable", "input_hashes:"]
+    assert cli.main(["pushout", "--input", path]) == 0
+    assert target.read_text(encoding="utf-8") + "\n" == capsys.readouterr().out
+
+
+def test_saturate_on_a_poset_avatar(tmp_path, capsys):
+    """The poset avatar: [1] with the trivial (Z2 × Z2)-action and identity
+    coherence; both pairs pass with an isomorphism."""
+    avatar = write(tmp_path, "avatar.json", {"kind": "poset", "category": arrow_category().to_doc()})
+    pairs = write(tmp_path, "pairs.json", {
+        "G": "Z2", "H_group": "Z2",
+        "pairs": [{"H": ["c0", "c1"], "phi": {"c0": "c0", "c1": "c1"}}, {"H": ["c0"], "phi": {"c0": "c0"}}]})
+    assert cli.main(["saturate", "--input", avatar, "--pairs", pairs]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["avatar"] == "poset-trivial" and report["report"]["all_passed"]
+    assert report["report"]["pairs"] == {
+        "{c0,c1}->c0:c0,c1:c1": {"kind": "isomorphism", "mode": "eta", "passed": True},
+        "{c0}->c0:c0": {"kind": "isomorphism", "mode": "eta", "passed": True}}
+
+
+@pytest.mark.parametrize("change, detail", [
+    (lambda d: d["object_map"].pop("1"), "object map undefined/invalid at '1'"),
+    (lambda d: d["morphism_map"].update({"0<=1": "0<=0"}), "functor breaks endpoints at '0<=1'"),
+])
+def test_weq_refuses_a_map_that_is_no_functor(tmp_path, capsys, change, detail):
+    """`functor_from_maps` validates the maps of a functor document: one
+    that misses an object, or sends a morphism between the wrong images,
+    exits 1 with Functor.validate's message."""
+    doc = ser.functor_doc(identity_functor(arrow_category()))
+    change(doc)
+    assert cli.main(["weq", "--input", write(tmp_path, "functor.json", doc)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"detail": detail, "verdict": "violated"}
+
+
+def test_complex_document_that_is_not_downward_closed(tmp_path, capsys):
+    """A complex document whose edge 0-1 lacks the vertex 1 among its faces
+    exits 1."""
+    doc = {"vertices": ["0", "1"], "faces": [["0"], ["0", "1"]]}
+    assert cli.main(["homology", "--kind", "complex", "--input", write(tmp_path, "k.json", doc)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "detail": "complex not downward closed at ('0', '1')", "verdict": "violated"}
+
+
+def test_gens_refuses_an_h_without_the_unit_of_m(capsys):
+    """H = Z1 = {c0} inside M = {e, c0} with c0·c0 = c0, whose unit is e: H
+    is closed but misses M's unit, so it is no subgroup of M, a usage error."""
+    M = {"elements": ["e", "c0"], "table": [["e", "c0"], ["c0", "c0"]], "unit": "e"}
+    argv = ["gens", "--model", "f_model", "--n", "0", "--params", json.dumps({"M": M, "H": "Z1"})]
+    assert cli.main(argv) == 64
+    out, err = capsys.readouterr()
+    assert out == "" and err.rstrip().endswith(
+        "--params: H is not a subgroup of M: ('c0',) is not closed / missing unit")
+
+
+def test_pushout_cross_check_with_an_oracle_that_does_not_close(tmp_path, capsys):
+    """At --word-cap 1 the oracle of span_doc's pushout needs a word of
+    length 2: the report gives the Dwyer pushout, "inconclusive" and that
+    length, and exits 2."""
+    path = write(tmp_path, "span.json", span_doc())
+    assert cli.main(["pushout", "--input", path, "--cross-check", "--word-cap", "1"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["cross_check"], report["non_closing_word_length"]) == ("inconclusive", 2)
+    assert report["pushout"]["objects"] == ["0", "1", "V:1"]
+
+
+def test_check_dwyer_refuses_a_functor_that_is_not_injective_on_objects(tmp_path, capsys):
+    """[1] -> 1 sends both objects to *: no subcategory inclusion, exit 1."""
+    one, arrow = terminal_category(), arrow_category()
+    F = Functor(arrow, one, {x: "*" for x in arrow.objects}, {m: "id*" for m in arrow.morphism_ids})
+    assert cli.main(["check-dwyer", "--input", write(tmp_path, "f.json", ser.functor_doc(F))]) == 1
+    assert json.loads(capsys.readouterr().out) == {"detail": "not injective on objects",
+                                                   "verdict": "violated"}
+
+
+def test_ex_at_the_node_cap_is_inconclusive(tmp_path, capsys):
+    """Ex(Δ²) at cap 3 needs more than the default 1,000,000 Sd-map search
+    nodes (the replayed blocks count theirs at once, so it stops fast): the
+    report says so and exits 2."""
+    path = write(tmp_path, "d2.json", complex_to_sset(standard_simplex_complex(2), 3).to_doc())
+    assert cli.main(["ex", "--input", path, "--cap", "3"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["inconclusive"] == "Sd-map enumeration: 1000001 exceeds cap 1000000"

@@ -24,6 +24,7 @@ from gcat.fincat import (
     _object_profiles,
     arrow_category,
     chain_poset,
+    constant_functor,
     discrete_category,
     enumerate_functors,
     enumerate_nat_trans,
@@ -42,7 +43,14 @@ from gcat.fincat import (
     thin_functor,
     validate_category,
 )
-from gcat.actions import chaotic_category, cyclic_group, delooping, make_group
+from gcat.actions import (
+    chaotic_category,
+    cyclic_group,
+    delooping,
+    make_group,
+    product_monoid,
+    trivial_group,
+)
 from gcat.corpus import dwyer_span_corpus, seeded_poset
 from gcat.serialize import canonical_json
 
@@ -216,6 +224,11 @@ def test_fun_bz2_bz2_hom_structure():
             assert len(data.cat.hom(x, y)) == expected
 
 
+def object_id(data, F):
+    """The object of the functor category `data` that is the functor F."""
+    return f"F{data.index_of[F.signature()]:03d}"
+
+
 def test_exponential_law_exact():
     # Fun(S×T, C) ≅ Fun(S, Fun(T, C)) via explicit currying
     S = arrow_category()
@@ -233,7 +246,7 @@ def test_exponential_law_exact():
             Fs = Functor(T, C,
                          {t: F.object_map[pair_obj(s, t)] for t in T.objects},
                          {m: F.morphism_map[pair_mor(S.identity[s], m)] for m in T.morphism_ids})
-            om[s] = inner.object_id(Fs)
+            om[s] = object_id(inner, Fs)
         for ms in S.morphism_ids:
             comp = {t: F.morphism_map[pair_mor(ms, T.identity[t])] for t in T.objects}
             src_idx = int(om[S.src[ms]][1:])
@@ -241,7 +254,7 @@ def test_exponential_law_exact():
             mm[ms] = inner.trans_id(src_idx, dst_idx, comp)
         return Functor(S, inner.cat, om, mm).validate()
 
-    curried_ids = {right.object_id(curry(F)) for F in left.functors}
+    curried_ids = {object_id(right, curry(F)) for F in left.functors}
     assert len(curried_ids) == len(left.functors) == len(right.functors)
 
 
@@ -655,6 +668,19 @@ def test_isomorphism_search_needs_no_recursion():
     assert is_isomorphism_functor(F)
 
 
+def test_functor_search_needs_no_recursion():
+    """E(32) -> 1 has 1,024 positions (32 objects and 992 non-identity
+    morphisms), each with one candidate, so the search takes 1,025 nodes.
+    `_search` keeps its branch points on an explicit stack; with one frame
+    per position it ended in RecursionError, while E(31) worked."""
+    X = [f"x{k:02d}" for k in range(32)]
+    E = thin_category(X, itertools.product(X, repeat=2), lambda x, y: f"{x}>{y}", WIDE_CAPS)
+    with pytest.raises(SizeCapExceeded, match=r"^functor enumeration: 1025 exceeds cap 1024$"):
+        enumerate_functors(E, terminal_category(), dataclasses.replace(WIDE_CAPS, max_candidates=1024))
+    [F] = enumerate_functors(E, terminal_category(), WIDE_CAPS)
+    assert set(F.object_map.values()) == {"*"}
+
+
 def test_isomorphism_search_counts_its_nodes_past_dead_ends():
     """E({a,b}) × BZ4 onto a copy whose group elements sort as e, w = c2,
     x = c1, y = c3: the first permutations of the first hom-set are no
@@ -670,3 +696,103 @@ def test_isomorphism_search_counts_its_nodes_past_dead_ends():
         find_isomorphism(C, D, SizeCaps(max_candidates=14))
     F = find_isomorphism(C, D, SizeCaps(max_candidates=15))
     assert (F.morphism_map["(a>a,c1)"], F.morphism_map["(a>a,c2)"]) == ("(a>a,x)", "(a>a,w)")
+
+
+def one_object_categories(groups):
+    """The disjoint union of B(G) over the (object, G) pairs of `groups`,
+    the morphisms of object x named x:g."""
+    mors = [(f"{x}:{g}", x, x) for x, G in groups for g in G.elements]
+    compose = {(f"{x}:{g}", f"{x}:{f}"): f"{x}:{G.mul(g, f)}"
+               for x, G in groups for g in G.elements for f in G.elements}
+    return validate_category([x for x, _ in groups], mors, {x: f"{x}:{G.unit}" for x, G in groups},
+                             compose)
+
+
+def brute_force_isomorphisms(C, D):
+    """Every isomorphism C -> D, from all bijections of the objects and of
+    each hom-set."""
+    found = []
+    for images in itertools.permutations(D.objects):
+        ob = dict(zip(C.objects, images))
+        homs = [(C.hom(x, y), D.hom(ob[x], ob[y])) for x in C.objects for y in C.objects]
+        if any(len(h) != len(k) for h, k in homs):
+            continue
+        for perms in itertools.product(*(itertools.permutations(k) for _, k in homs)):
+            mm = {m: v for (h, _), perm in zip(homs, perms) for m, v in zip(h, perm)}
+            if all(D.compose[(mm[g], mm[f])] == mm[h] for (g, f), h in C.compose.items()):
+                found.append(Functor(C, D, ob, mm))
+    return found
+
+
+def test_isomorphism_search_backtracks_over_objects_and_hom_sets():
+    """BZ4 ⊔ B(Z2×Z2) onto a copy whose objects sort the other way: both
+    objects have the same profile, so the search first sends p to a, whose
+    hom-set is Z2×Z2.  Every permutation of p's hom-set fails there and is
+    popped; then p is reassigned to b, and q to a.  BZ4 ⊔ BZ4 against
+    BZ4 ⊔ B(Z2×Z2) has equal profiles and no isomorphism, so every object
+    assignment is undone and the search returns None.  Both agree with a
+    brute force over all bijections."""
+    Z4, V4 = cyclic_group(4), product_monoid(cyclic_group(2), cyclic_group(2))
+    C = one_object_categories([("p", Z4), ("q", V4)])
+    D = one_object_categories([("a", V4), ("b", Z4)])
+    F = find_isomorphism(C, D)
+    assert F.object_map == {"p": "b", "q": "a"} and is_isomorphism_functor(F)
+    assert any(F.same_maps(G) for G in brute_force_isomorphisms(C, D))
+    E = one_object_categories([("p", Z4), ("q", Z4)])
+    assert find_isomorphism(E, D) is None and brute_force_isomorphisms(E, D) == []
+    with pytest.raises(SizeCapExceeded, match=r"^isomorphism search: 1 exceeds cap 0$"):
+        find_isomorphism(E, D, SizeCaps(max_candidates=0))
+    assert sorted(_object_profiles(E).values()) == sorted(_object_profiles(D).values())
+
+
+def test_isomorphism_search_refuses_unequal_counts_and_profiles():
+    """Unequal object or morphism counts, and equal counts with unequal
+    object profiles, give None before any search: BZ2 ⊔ 1 and [1] both have
+    two objects and three morphisms."""
+    Z2 = cyclic_group(2)
+    assert find_isomorphism(arrow_category(), terminal_category()) is None
+    assert find_isomorphism(delooping(Z2), delooping(cyclic_group(3))) is None
+    C = one_object_categories([("p", Z2), ("q", trivial_group())])
+    assert find_isomorphism(C, arrow_category(), SizeCaps(max_candidates=0)) is None
+    assert brute_force_isomorphisms(C, arrow_category()) == []
+
+
+def test_equivalence_witness_refuses_planted_transformations():
+    """A witness found for id: E({a,b}) -> E({a,b}) validates.  Each planted
+    change below is a natural isomorphism with the wrong source or target,
+    and is refused with its own message; so is a natural transformation of
+    [1] that is not an isomorphism."""
+    E = chaotic_category(["a", "b"])
+    F = identity_functor(E)
+    w = find_equivalence(F)
+    swap = thin_functor(E, E, {"a": "b", "b": "a"})
+
+    def to(S, T):   # the one transformation S => T of functors into a chaotic category
+        return NatTrans(S, T, {x: E.hom(S.object_map[x], T.object_map[x])[0] for x in E.objects})
+
+    planted = [
+        (dict(unit=to(swap, swap)), "unit source is not the identity functor"),
+        (dict(unit=to(F, swap)), "unit target is not QF"),
+        (dict(counit=to(swap, F)), "counit source is not FQ"),
+        (dict(counit=to(w.counit.source, swap)), "counit target is not the identity functor"),
+    ]
+    for change, message in planted:
+        with pytest.raises(GcatError, match=f"^{message}$"):
+            dataclasses.replace(w, **change).validate()
+    assert dataclasses.replace(w).validate()
+    A = arrow_category()
+    up = NatTrans(constant_functor(A, A, "0"), constant_functor(A, A, "1"), {"0": "0<=1", "1": "0<=1"})
+    with pytest.raises(GcatError, match="^equivalence witness transformations are not isomorphisms$"):
+        dataclasses.replace(find_equivalence(identity_functor(A)), unit=up).validate()
+
+
+def test_product_and_equivalence_caps_are_enforced():
+    """[1] × [1] has 4 objects and 9 morphisms, and the equivalence search
+    refuses a side with more objects than its cap."""
+    A = arrow_category()
+    with pytest.raises(SizeCapExceeded, match="^product morphisms: 9 exceeds cap 8$"):
+        product_category(A, A, SizeCaps(max_morphisms=8))
+    with pytest.raises(SizeCapExceeded, match="^product objects: 4 exceeds cap 3$"):
+        product_category(A, A, SizeCaps(max_objects=3))
+    with pytest.raises(SizeCapExceeded, match="^equivalence search: 2 exceeds cap 1$"):
+        find_equivalence(identity_functor(A), SizeCaps(max_objects=1))

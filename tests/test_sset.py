@@ -1592,3 +1592,70 @@ def test_e_map_is_natural():
     lhs = nf.then(e_map(NY, ex_dst))
     rhs = e_map(NX, ex_src).then(ex_map(nf, ex_src, ex_dst))
     assert lhs.same_values(rhs)
+
+
+def test_lazy_ex_kan_check_reports_a_horn_with_no_filler():
+    """Ex(∂Δ²) is not Kan at cap 2: the first horn Λ²_0 with no filler is
+    found after 15 horns, and the materialized Ex agrees."""
+    X = complex_to_sset(boundary_complex(2), 2)
+    v = is_kan_complex_lazy_ex(X, 2)
+    assert (v.passed, v.failure, v.problems_checked) == (False, (2, 0, "no filler"), 15)
+    assert not is_kan_complex(ex(X, 2).sset, 2).passed
+    assert is_kan_complex_lazy_ex(X, 1).passed
+
+
+def test_is_injective_refuses_equal_and_degenerate_values():
+    """The two vertices of ∂Δ¹ go to one point; the loop of N(BZ2) at cap 1
+    goes to a degenerate edge of the point, though its one vertex does not
+    collide."""
+    pt = complex_to_sset(standard_simplex_complex(0), 1)
+    assert not constant_sset_map(complex_to_sset(boundary_complex(1), 1), pt).is_injective()
+    loop = nerve(delooping(cyclic_group(2)), 1)
+    assert [len(loop.cells[n]) for n in (0, 1)] == [1, 1]
+    assert not constant_sset_map(loop, pt).is_injective()
+    assert identity_sset_map(loop).is_injective()
+
+
+def test_h_of_a_nerve_refuses_what_is_no_poset_nerve():
+    """The horn Λ²_1 has edges 0 -> 1 -> 2 and none 0 -> 2, so its edges
+    are no transitive relation; ∂Δ² has the relation of [2], whose nerve
+    has a 2-simplex that ∂Δ² lacks."""
+    with pytest.raises(NotAPosetNerve, match=r"^poset not transitive on \('0','1','2'\)$"):
+        h_poset_nerve(complex_to_sset(horn_complex(2, 1), 2))
+    with pytest.raises(NotAPosetNerve, match="^simplex count differs from a poset nerve at dim 2$"):
+        h_poset_nerve(complex_to_sset(boundary_complex(2), 2))
+
+
+def test_simplicial_caps_are_enforced():
+    """Each simplicial cap that no other input reached refuses one more
+    than it allows."""
+    X = complex_to_sset(boundary_complex(1), 1)
+    with pytest.raises(SizeCapExceeded, match="^simplices: 2 exceeds cap 1$"):
+        X.validate(SizeCaps(max_simplices=1))
+    with pytest.raises(SizeCapExceeded, match="^nerve simplices: 6 exceeds cap 5$"):
+        nerve(chaotic_category(["a", "b", "c"]), 3, SizeCaps(max_simplices=5))
+    D1 = complex_to_sset(standard_simplex_complex(1), 1)
+    with pytest.raises(SizeCapExceeded, match="^Sd-map enumeration: 4 exceeds cap 3$"):
+        ex(D1, 1, SizeCaps(max_candidates=3))
+    with pytest.raises(SizeCapExceeded, match="^Sd-map enumeration: 1 exceeds cap 0$"):   # the root
+        ex(D1, 1, SizeCaps(max_candidates=0))
+
+
+def test_simplicial_action_refuses_what_is_no_action():
+    """On the two points of ∂Δ¹: Z2 with c1 undefined, Z2 with the unit
+    acting by the swap, and Z3 with c1 and c2 both the swap, where
+    c1·c1 = c2 would need the identity."""
+    X = complex_to_sset(boundary_complex(1), 1)
+    ident = identity_sset_map(X)
+    swap = SSetMap(X, X, {(0, "0"): ("1", (0,)), (0, "1"): ("0", (0,))})
+    Z2, Z3 = cyclic_group(2), cyclic_group(3)
+    planted = [
+        (Z2, {"c0": ident}, "simplicial action undefined at 'c1'"),
+        (Z2, {"c0": swap, "c1": swap}, "unit does not act as the identity"),
+        (Z3, {"c0": ident, "c1": swap, "c2": swap}, "simplicial act('c1'·'c1') ≠ act('c1')∘act('c1')"),
+    ]
+    for M, act, message in planted:
+        with pytest.raises(GcatError) as refused:
+            MonoidActionSSet(M, X, act).validate()
+        assert str(refused.value) == message
+    assert MonoidActionSSet(Z2, X, {"c0": ident, "c1": swap}).validate()
