@@ -230,10 +230,6 @@ def find_dwyer_witness(i: Functor, equivariance=None) -> Optional[DwyerWitness]:
 # the explicit pushout
 
 
-def _cross_mor(alpha, y):
-    return f"[{alpha}@{y}]"
-
-
 @dataclass(eq=False)
 class DwyerPushout:
     category: FinCat
@@ -251,7 +247,8 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
     than i is validated again for i.  c must be a functor already validated
     where it was built; it is not checked again here.  C-objects keep their
     ids; V's objects and morphisms are tagged 'V:', primed by `free_tag`
-    where that would give one of C's ids.
+    where that would give one of C's ids, and a cross morphism is named
+    "[alpha@y]", primed where one such name is a morphism id of C.
     """
     if w.i is not i:
         w = replace(w, i=i)
@@ -273,17 +270,25 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
     def cr(y):
         return c.object_map[w.r.object_map[y]]
 
+    # the cross morphisms alpha: x -> c(r y), named "[alpha@y]", primed as few
+    # times as keeps the names apart from C's ids
+    crossing = [(alpha, x, y) for y in vx for x in C.objects for alpha in C.hom(x, cr(y))]
+    taken, prime = set(C.morphism_ids), ""
+    while any(f"[{alpha}@{y}]{prime}" in taken for alpha, _, y in crossing):
+        prime += "'"
+
+    def cross_id(alpha, y):
+        return f"[{alpha}@{y}]{prime}"
+
     objects = list(C.objects) + [v_id(b) for b in V]
     morphisms = list(C.morphisms) + [(v_id(m), v_id(s), v_id(t)) for m, s, t in vmors]
     identity = {x: C.identity[x] for x in C.objects}
     for b in V:
         identity[v_id(b)] = v_id(B.identity[b])
     cross = {}
-    for y in vx:
-        for x in C.objects:
-            for alpha in C.hom(x, cr(y)):
-                morphisms.append((_cross_mor(alpha, y), x, v_id(y)))
-                cross[_cross_mor(alpha, y)] = (alpha, y)
+    for alpha, x, y in crossing:
+        morphisms.append((cross_id(alpha, y), x, v_id(y)))
+        cross[cross_id(alpha, y)] = (alpha, y)
 
     compose = {}
     for (g, f2), h in C.compose.items():
@@ -298,16 +303,16 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
             for alpha in C.hom(x, cr(y)):
                 for x0 in C.objects:
                     for beta in C.hom(x0, x):
-                        compose[(_cross_mor(alpha, y), beta)] = \
-                            _cross_mor(C.compose[(alpha, beta)], y)
+                        compose[(cross_id(alpha, y), beta)] = \
+                            cross_id(C.compose[(alpha, beta)], y)
     # V ∘ cross: β: y -> z in B with y, z in V∩X
     for (m, s, t) in vmors:
         if s in xset:
             crm = c.morphism_map[w.r.morphism_map[m]]
             for x in C.objects:
                 for alpha in C.hom(x, cr(s)):
-                    compose[(v_id(m), _cross_mor(alpha, s))] = \
-                        _cross_mor(C.compose[(crm, alpha)], t)
+                    compose[(v_id(m), cross_id(alpha, s))] = \
+                        cross_id(C.compose[(crm, alpha)], t)
     D = validate_category(objects, morphisms, identity, compose, caps)
 
     j = Functor(C, D, {x: x for x in C.objects}, {m: m for m in C.morphism_ids}).validate()
@@ -323,7 +328,7 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
         else:
             # s in image, t in V∩X; value is c(r(m)) tagged at t
             alpha = c.morphism_map[w.r.morphism_map[m]]
-            d_mor[m] = _cross_mor(alpha, t)
+            d_mor[m] = cross_id(alpha, t)
     d = Functor(B, D, d_ob, d_mor).validate()
     for a in A.morphism_ids:
         if d.morphism_map[i.morphism_map[a]] != j.morphism_map[c.morphism_map[a]]:
@@ -350,6 +355,7 @@ def equivariant_dwyer_pushout(act_A: MonoidActionCat, act_B: MonoidActionCat,
     image = set(i.object_map.values())
     vset = {b for b in B.objects if b not in image}
     d_ob, d_mor = po.leg_from_b.object_map, po.leg_from_b.morphism_map   # V's ids in D
+    cross_ids = {pair: mid for mid, pair in po.cross.items()}
 
     def act_functor(g):
         om = {}
@@ -364,7 +370,7 @@ def equivariant_dwyer_pushout(act_A: MonoidActionCat, act_B: MonoidActionCat,
             if s in vset and t in vset:
                 mm[d_mor[m]] = d_mor[act_B.mor(g, m)]
         for mid, (alpha, y) in po.cross.items():
-            mm[mid] = _cross_mor(act_C.mor(g, alpha), act_B.ob(g, y))
+            mm[mid] = cross_ids[(act_C.mor(g, alpha), act_B.ob(g, y))]
         return Functor(D, D, om, mm)
 
     action = MonoidActionCat(G, D, {g: act_functor(g) for g in G.elements}).validate()

@@ -519,21 +519,26 @@ class FunctorCategoryData:
         return self.trans_lookup[(src_idx, dst_idx, tuple(sorted(components.items())))]
 
 
-def _search(n, candidates, consistent, what, caps: SizeCaps):
-    """Every assignment of values to positions 0..n-1, depth first: position k
-    takes each value of candidates(k, values) in turn and keeps it when
+def _search(n, candidates, consistent, what, caps: SizeCaps, spent=0, first=False):
+    """Every assignment of values to positions 0..n-1, depth first, or with
+    `first` only the first, and the nodes counted: position k takes each
+    value of candidates(k, values) in turn and keeps it when
     consistent(k, values), which runs the checks that position k completes,
     so each check runs once per assignment of its positions.  One node per
-    position reached; past caps.max_candidates nodes, SizeCapExceeded(what).
-    The values left to try are kept on an explicit stack, one iterator per
-    assigned position, so no recursion limit bounds n."""
-    values, found, nodes, stack = [None] * n, [], 0, []
+    position reached, counted on from `spent`, the nodes of earlier searches
+    that share the budget; past caps.max_candidates nodes,
+    SizeCapExceeded(what).  The values left to try are kept on an explicit
+    stack, one iterator per assigned position, so no recursion limit bounds
+    n."""
+    values, found, nodes, stack = [None] * n, [], spent, []
     while True:
         nodes += 1
         if nodes > caps.max_candidates:
             raise SizeCapExceeded(what, nodes, caps.max_candidates)
         if len(stack) == n:
             found.append(list(values))
+            if first:
+                return found, nodes
         else:
             stack.append(iter(candidates(len(stack), values)))
         while stack:
@@ -547,7 +552,7 @@ def _search(n, candidates, consistent, what, caps: SizeCaps):
                 continue
             break
         else:
-            return found
+            return found, nodes
 
 
 def enumerate_functors(T: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS):
@@ -583,7 +588,7 @@ def enumerate_functors(T: FinCat, C: FinCat, caps: SizeCaps = DEFAULT_CAPS):
                    for g, f, h in checks[k])
 
     results = []
-    for v in _search(len(checks), candidates, consistent, "functor enumeration", caps):
+    for v in _search(len(checks), candidates, consistent, "functor enumeration", caps)[0]:
         om = dict(zip(objs, v))
         mm = {T.identity[x]: C.identity[c] for x, c in om.items()}
         mm.update(zip(nonid, v[len(objs):]))
@@ -609,7 +614,7 @@ def enumerate_nat_trans(F: Functor, G: Functor, caps: SizeCaps = DEFAULT_CAPS):
     def natural(k, v):
         return all(C.compose[(v[t], fm)] == C.compose[(gm, v[s])] for s, fm, gm, t in checks[k])
 
-    found = _search(len(homs), lambda k, v: homs[k], natural, "nat-trans enumeration", caps)
+    found, _ = _search(len(homs), lambda k, v: homs[k], natural, "nat-trans enumeration", caps)
     return sorted((dict(zip(T.objects, v)) for v in found), key=lambda d: tuple(sorted(d.items())))
 
 
@@ -1102,9 +1107,20 @@ def _assemble_pushout(table, oclass, letter_of, span, caps, relation_scans, b_ta
         tag, x = oc
         return x if tag == "C" else f"{b_tag}:{x}"
 
+    # a word's letters tag:id are joined with ".".  While no id of B or C
+    # holds ":", the colons of a name are its tags' and mark its letters, so
+    # names stay apart; otherwise each id has "\", "." and ":" escaped with a
+    # backslash, as `chain_id` escapes its ids
+    escape = any(":" in m for cat in (B, C) for m in cat.morphism_ids)
+
+    def letter(tag, m):
+        if escape:
+            m = m.replace("\\", "\\\\").replace(".", "\\.").replace(":", "\\:")
+        return f"{tag}:{m}"
+
     reps = sorted((s for s in range(len(parent)) if parent[s] == s),
                   key=lambda s: (len(word[s]), word[s]))
-    name = {r: "w:" + ".".join(f"{t}:{m}" for t, m in word[r]) if word[r]
+    name = {r: "w:" + ".".join(letter(t, m) for t, m in word[r]) if word[r]
             else f"id:{obj_id(table.src[r])}" for r in reps}
     objects = [obj_id(oc) for oc in table.identity]
     morphisms = [(name[r], obj_id(table.src[r]), obj_id(table.dst[r])) for r in reps]

@@ -24,20 +24,17 @@ the Sd Δⁿ behind Ex all come from one enumerator, `_strict_chains`.
 0, 1, ... in sorted normal-form order.  An n-simplex of Ex(X) is an Sd-map
 Sd Δⁿ -> X, stored as a tuple of these ints in the chain order of
 `_SdData(n).chains` (a d-chain holds a d-simplex), so int Sd-maps sort as
-their normal forms do.  The Sd-map search, Ex, Ex(f), the action check of
-`ex_action` and both Kan checkers run on these tables, and both Kan checkers
+their normal forms do.  The Sd-maps, Ex, Ex(f), the action check of
+`ex_action` and both Kan checkers run on these tables, and all of them
 enumerate horns with `_horns`.
 
-The Sd-map search is depth first, over the faces of Δⁿ in an order where
-each comes after its own faces, with the chains that share a top face F as
-one block, and the chains topped by [n] split into one block per facet.  A
-unit (a large block, or a run of small ones) depends only on the values on
-its maximal boundary steps, so when those recur, its recorded extensions
-and node counts are replayed instead of searched again
-(`_enumerate_sd_maps`); only steps with a choice of candidates are stacked.
-The maps, their order, the node counts and so every cap error are those of
-the plain search.  Ex builds its degenerate simplices from the level below.
-Ex and the lazy Ex Kan check refuse a cap above their input's.
+Ex is built level by level by décalage (`_sd_maps`): Sd Δⁿ is the cone on
+Sd ∂Δⁿ with apex the barycentre [n], so an n-simplex of Ex(X) is a vertex v
+of X and a sphere, n+1 compatible (n-1)-simplices, of Ex(X/v), the slice of
+X over v (`_slices`); the spheres are horns with no face left out.  The lazy
+Kan check fills each horn of Ex(X) over the same slices (`_filler`).
+Ex builds its degenerate simplices from the level below.  Ex and the lazy
+Ex Kan check refuse a cap above their input's.
 """
 
 from __future__ import annotations
@@ -889,7 +886,9 @@ class _SdData:
     the face poset of Δⁿ.
 
     `chains` fixes the chain order (by dimension, then lexicographic) in which
-    every Sd-map Sd Δⁿ -> X is stored, as a tuple of ints of X's tables."""
+    every Sd-map Sd Δⁿ -> X is stored, as a tuple of ints of X's tables.
+    For n >= 1, `join` reads an Sd-map off v + zz_0 + ... + zz_n, each zz_j an
+    Sd-map of Sd Δⁿ⁻¹ followed by its image (`_sd_maps`)."""
 
     _cache = {}
 
@@ -904,59 +903,20 @@ class _SdData:
         chains.sort(key=lambda c: (len(c), c))
         self.chains = tuple(chains)
         self.position = {c: i for i, c in enumerate(chains)}
-        # the search order: faces by (last vertex, size, lex), so that each
-        # face comes after its own faces, and per face F a block of the chains
-        # topped by F, each (..., G, F) by (G, length, chain), the apex (F,)
-        # first.  The chains topped by [n] form one block per facet of [n],
-        # the first facet that holds G, and the apex goes to the first.  So
-        # every step comes after its faces and is checked as soon as they are
-        # assigned.  Each step is (position, dimension, positions of its faces).
-        faces.sort(key=lambda f: (f[-1], len(f), f))
-        face_pos = {f: i for i, f in enumerate(faces)}
-        facets = [f for f in faces if len(f) == n]
+        if n:   # the décalage `join`, for `_sd_maps`
+            below = _SdData(n - 1)
+            size, top = len(below.chains), tuple(range(n + 1))
 
-        def placement(c):   # (block, rank in the block) of a chain
-            below = c[-2] if len(c) > 1 else ()
-            part = 0 if len(c[-1]) <= n else next(
-                (i for i, facet in enumerate(facets) if set(below) <= set(facet)), 0)
-            return (face_pos[c[-1]], part), (face_pos.get(below, -1), len(c), c)
+            def read(c):   # where c's value sits in (v,) + zz_0 + ... + zz_n
+                if c == (top,):
+                    return 0
+                cone = c[-1] == top
+                rest = c[:-1] if cone else c
+                j = min(set(range(n + 1)).difference(rest[-1]))   # the first facet that holds rest
+                p = below.position[tuple(tuple(t - (t > j) for t in F) for F in rest)]
+                return 1 + 2 * size * j + (0 if cone else size) + p
 
-        order = sorted(chains, key=placement)
-        self.search_steps = tuple(
-            (self.position[c], len(c) - 1,
-             tuple(self.position[c[:j] + c[j + 1:]] for j in range(len(c))) if len(c) > 1 else ())
-            for c in order)
-        # the search runs on an assignment indexed by step: `step_of` maps a
-        # chain position to its step, `face_keys` read a step's faces off it
-        step = {c: i for i, c in enumerate(order)}
-        self.step_of = tuple(step[c] for c in chains)
-        self.chain_order = itemgetter(*self.step_of) if n else tuple
-        self.face_keys = tuple(itemgetter(*(self.step_of[f] for f in faces)) if faces else None
-                               for _, _, faces in self.search_steps)
-        # the block plan: (start, end, boundary) per block, steps start..end-1,
-        # whose candidates read only earlier steps of the block and its
-        # boundary, the face steps outside the block, all before it
-        def boundary(steps):
-            return tuple(sorted({self.step_of[f] for i in steps for f in self.search_steps[i][2]} - set(steps)))
-
-        runs = [list(b) for _, b in itertools.groupby(range(len(order)), key=lambda i: placement(order[i])[0])]
-        self.blocks = [(b[0], b[-1] + 1, boundary(b)) for b in runs]
-        # the segments of `_enumerate_sd_maps`: (start, end, key) per replayed
-        # unit, (start, end, None) per run of the others.  A unit is a block of
-        # more than 6 steps or a maximal run of smaller ones, each too small to pay
-        # for the visit around it; it is replayed when it has more than 6 steps and
-        # its boundary is not all of the steps before it, whose values do not recur.
-        # Its key reads the boundary steps that are a face of no other; they fix the rest.
-        self.segments = []
-        for big, blocks in itertools.groupby(runs, key=lambda b: len(b) > 6):
-            for unit in blocks if big else [sum(blocks, [])]:
-                bd = boundary(unit)
-                top = [b for b in bd if not any(set(order[b]) < set(order[c]) for c in bd)]
-                key = itemgetter(*top) if len(unit) > 6 and len(bd) < unit[0] else None
-                if key is None and self.segments and self.segments[-1][2] is None:
-                    self.segments[-1] = (self.segments[-1][0], unit[-1] + 1, None)
-                else:
-                    self.segments.append((unit[0], unit[-1] + 1, key))
+            self.join = itemgetter(*map(read, chains))
         self._restrictions = {}
         picks = map(self.face_positions, range(n + 1)) if n else ()   # face getters; 1-slices stay tuples
         self.face_picks = tuple(itemgetter(*p) if len(p) > 1 else itemgetter(slice(*p, p[0] + 1)) for p in picks)
@@ -982,8 +942,7 @@ class _SdData:
 
 def _strictify(seq):
     """Collapse equal consecutive entries; returns (strict tuple, surjection)."""
-    strict = [seq[0]]
-    beta = [0]
+    strict, beta = [seq[0]], [0]
     for v in seq[1:]:
         if v != strict[-1]:
             strict.append(v)
@@ -991,128 +950,57 @@ def _strictify(seq):
     return tuple(strict), tuple(beta)
 
 
-class _SdSearch(NamedTuple):
-    """The Sd-map search of Sd Δⁿ -> X, on an assignment indexed by step."""
-
-    steps: list       # (chain position, X's candidates grouped by faces, key of the face steps)
-    segments: list    # `_SdData(n).segments`
-    chain_order: object   # assignment -> int Sd-map in chain order
-
-
-def _sd_steps(n, X: FinSSet):
-    """The search `_enumerate_sd_maps` runs for Sd-maps Sd Δⁿ -> X: per step
-    of `_SdData(n).search_steps`, its chain position, X's candidates grouped
-    by faces, and the key that reads the faces off an assignment."""
-    sdd = _SdData(n)
-    return _SdSearch([(pos, X.face_index(d).groups, key)
-                      for (pos, d, _), key in zip(sdd.search_steps, sdd.face_keys)],
-                     sdd.segments, sdd.chain_order)
+def _slices(levels):
+    """The slices Y/v over the vertices v of the simplicial set with int face
+    tables `levels` (levels[d]: each d-simplex, degenerate ones included, ->
+    its faces): (Y/v)_k holds the (k+1)-simplices of Y whose last vertex is
+    v, keeping their ints, with the faces d_0, ..., d_k that keep it."""
+    out, last = {v: [] for v in levels[0]}, {v: v for v in levels[0]}
+    for faces in levels[1:]:
+        last = {s: last[fs[0]] for s, fs in faces.items()}
+        for S in out.values():
+            S.append({})
+        for s, fs in faces.items():
+            out[last[s]][-1][s] = fs[:-1]
+    return out
 
 
-def _enumerate_sd_maps(steps, caps: SizeCaps, prescribed=None, first_only=False):
-    """All simplicial maps Sd Δⁿ -> X, as int tuples in chain order, for
-    `steps` = `_sd_steps(n, X)`.
+def _cones(levels, n, caps: SizeCaps, spent=0):
+    """Per vertex v of Y (int face tables `levels`, as in `_slices`), the
+    (n-1)-simplices z of Ex(Y/v), each extended by its image in Ex(Y)
+    (d_last at every chain), -> the faces of z; and the nodes spent."""
+    below, out = _SdData(n - 1), {}
+    dlast = [{s: fs[-1] for s, fs in faces.items()} for faces in levels[1:n + 1]]
+    lower = [dlast[len(c) - 1] for c in below.chains]
+    for v, S in _slices(levels[:n + 1]).items():
+        zs, spent = _sd_maps(S, n - 1, caps, spent)
+        out[v] = {z + tuple(map(getitem, lower, z)): tuple(pick(z) for pick in below.face_picks) for z in zs}
+    return out, spent
 
-    `prescribed` pins the ints at some chain positions.  Depth first over
-    `search_steps`, candidates in `all_simplices` order; every node, the root
-    included, counts against `caps.max_candidates`.
 
-    Most steps have one candidate.  A step takes its first candidate at
-    once, and only a step with two or more keeps the rest on the stack as a
-    branch point (the choice points of Warren, *An Abstract Prolog
-    Instruction Set*, 1983); backtracking resumes at the deepest one, so a
-    run of forced steps costs nothing to undo.  Every value taken is still
-    one node, taken in the same order as when every step kept an iterator,
-    so the maps, their order and the node count at each of them are the
-    same.
+def _sd_maps(levels, n, caps: SizeCaps, spent=0):
+    """All simplicial maps Sd Δⁿ -> Y, the n-simplices of Ex(Y), as int
+    tuples in chain order, for Y with int face tables `levels`; and the
+    nodes spent, counted on from `spent`.
 
-    A unit of blocks of `_SdData.blocks` has the same extensions, in the
-    same order and after the same nodes, wherever the values on its
-    boundary, the face steps outside it, recur (good recording: Dechter,
-    *Constraint Processing*, 2003); its maximal boundary steps fix the rest.
-    So the first visit of a replayed unit (see `_SdData.segments`) runs the
-    search and records each extension with the unit's nodes since the one
-    before, then the nodes after the last.  A unit is entered again only
-    once its visit has run out of extensions, and a later visit with the
-    same key values replays the record, counting its nodes.  The maps,
-    their order and the node count at each of them, hence every cap error,
-    are those of the plain search.  The record lives for one call, in which
-    `prescribed` is fixed.
-    """
-    search, segments, chain_order = steps
-    cap, last = caps.max_candidates, len(segments)
-    assignment, memo, out = [None] * len(search), {}, []
-    entered = []   # per segment entered before the current one: its (lo, hi, stack, key, record, replay)
-    lo, hi, _ = segments[0]
-    # the current segment: its open branch points, each (step, iterator of
-    # the candidates not yet taken), and its memo key with the record being
-    # made, or the record being replayed
-    stack, key, record, replay = [], None, None, None
-    counter = mark = 1   # nodes so far, the root included; the count at the last extension
-    if counter > cap:
-        raise SizeCapExceeded("Sd-map enumeration", counter, cap)
-    depth = 0
-    while True:
-        if depth < hi:
-            pos, groups, face_key = search[depth]
-            cands = groups.get(face_key(assignment) if face_key else (), ())
-            if prescribed and (want := prescribed.get(pos)) is not None:
-                cands = (want,) if want in cands else ()
-            if cands:   # take the first candidate; only a choice opens a branch point
-                if len(cands) > 1:
-                    stack.append((depth, itertools.islice(cands, 1, None)))
-                assignment[depth] = cands[0]
-                depth += 1
-                counter += 1
-                if counter > cap:
-                    raise SizeCapExceeded("Sd-map enumeration", counter, cap)
-                continue
-        else:   # an extension of the current segment
-            if record is not None:
-                record.append((counter - mark, assignment[lo:hi]))
-            mark = counter
-            if len(entered) + 1 == last:
-                out.append(chain_order(assignment))
-                if first_only:
-                    return out
-            else:   # enter the next segment
-                entered.append((lo, hi, stack, key, record, replay))
-                lo, hi, boundary = segments[len(entered)]
-                stack, key = [], boundary and (len(entered), boundary(assignment))
-                replay = memo.get(key)
-                if replay is None:
-                    record = [] if key else None
-                    continue
-                record, replay = None, iter(replay)
-        while True:   # backtrack to the deepest open branch point
-            while stack and (v := next(stack[-1][1], None)) is None:
-                stack.pop()
-            if stack:
-                depth = stack[-1][0]
-                assignment[depth] = v
-                depth += 1
-                counter += 1
-                if counter > cap:
-                    raise SizeCapExceeded("Sd-map enumeration", counter, cap)
-                break
-            # the current segment has no branch point left: replay its next
-            # extension, or end it; a record ends with (its last nodes, None)
-            if replay is not None:
-                nodes, values = next(replay)
-                counter += nodes
-                if counter > cap:   # the plain search stops at node cap + 1
-                    raise SizeCapExceeded("Sd-map enumeration", cap + 1, cap)
-                if values is not None:
-                    assignment[lo:hi] = values
-                    depth = hi
-                    break
-            elif key is not None:
-                record.append((counter - mark, None))
-                memo[key] = record
-            if not entered:
-                return out
-            lo, hi, stack, key, record, replay = entered.pop()
-            mark = counter
+    By décalage: Sd Δⁿ is the cone Sd ∂Δⁿ ⋆ Δ⁰ with the barycentre [n] as
+    apex, a map out of a cone is a vertex v and a map into the slice Y/v
+    (Joyal, 2002), and a map out of Sd ∂Δⁿ is a sphere of Ex, so
+
+        Ex_n Y = ∐_v {(z_0, ..., z_n) ∈ Ex_{n-1}(Y/v)^{n+1} : d_i z_j = d_{j-1} z_i, i < j}.
+
+    The spheres are `_horns` with no face left out; `_SdData(n).join` reads
+    each map off v and the z_j with their images (`_cones`): a chain
+    c ∪ {[n]} takes z_j at c, a chain c of Sd ∂Δⁿ that value's d_last, the
+    apex v.  Every root and z placed, at every depth, counts as a node."""
+    if n == 0:
+        return [(v,) for v in levels[0]], spent
+    cones, spent = _cones(levels, n, caps, spent)
+    join, maps = _SdData(n).join, []
+    for v, cands in cones.items():
+        spheres, spent = _horns(cands, n, None, caps, spent, "Sd-map enumeration")
+        maps += [join((v, *itertools.chain.from_iterable(s))) for s in spheres]
+    return maps, spent
 
 
 @dataclass(eq=False)
@@ -1121,12 +1009,13 @@ class ExSSet:
 
     base: FinSSet
     sset: FinSSet
-    level_nf: dict      # n -> {int Sd-map: normal form}, in search order
+    level_nf: dict      # n -> {int Sd-map: normal form}, in `_sd_maps` order
     level_assign: dict  # n -> {nondeg id: int Sd-map}
 
 
 def ex(X: FinSSet, cap, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
-    """Ex(X): n-simplices are simplicial maps Sd Δⁿ -> X, enumerated exhaustively.
+    """Ex(X): n-simplices are simplicial maps Sd Δⁿ -> X, enumerated
+    exhaustively by décalage (`_sd_maps`), one node budget per level.
 
     The degenerate n-simplices are the s_j y = y∘Sd(σ_j) for the (n-1)-simplices
     y, built from the level below; the normal form of s_j y is y's with alpha∘σ_j.
@@ -1142,9 +1031,10 @@ def ex(X: FinSSet, cap, caps: SizeCaps = DEFAULT_CAPS) -> ExSSet:
 
     level_nf, level_assign, cells, faces = {}, {}, {}, {}
     ident = [range(len(X.face_index(d).nfs)) for d in range(cap + 1)]   # the identity tables
+    levels = [X.face_index(d).faces for d in range(cap + 1)]
     for n in range(cap + 1):
         sdd = _SdData(n)
-        level = dict.fromkeys(_enumerate_sd_maps(_sd_steps(n, X), caps))   # Sd-map -> normal form
+        level = dict.fromkeys(_sd_maps(levels[:n + 1], n, caps)[0])   # Sd-map -> normal form
         for j in range(n):   # the degenerate s_j y = y∘Sd(σ_j), least j first
             # (s_j y)[p] is table[y[q]] (a range where nothing collapses); a KeyError if not found
             sj = sigma(j, n - 1)
@@ -1249,28 +1139,63 @@ class KanVerdict:
     failure: object = None  # (n, k, horn description) for the first failure
 
 
-def _horns(candidates: dict, n, k, caps: SizeCaps):
-    """All horns Λⁿ_k: lists of the (n-1)-simplices x_j, j != k in
-    increasing order, with d_i x_j = d_{j-1} x_i for i < j.
+def _horns(candidates: dict, n, k, caps: SizeCaps, spent=0, what="horn enumeration"):
+    """All horns Λⁿ_k, or with k None all spheres ∂Δⁿ: lists of the
+    (n-1)-simplices x_j, j != k in increasing order, with
+    d_i x_j = d_{j-1} x_i for i < j; and the nodes counted.
 
     `candidates` maps each (n-1)-simplex to its face tuple, in enumeration
     order; horns come out in the lexicographic order this induces.  The
     search is fincat's `_search`, so every search node counts against
-    `caps.max_candidates`.
+    `caps.max_candidates`, on from `spent`.
     """
     idx = [j for j in range(n + 1) if j != k]
-    # at step pos, the candidates grouped by the faces the earlier x_i pin
-    by_pos = []
-    for pos in range(len(idx)):
-        group = {}
-        for v, fs in candidates.items():
-            group.setdefault(tuple(fs[i] for i in idx[:pos]), []).append(v)
-        by_pos.append(group)
+    by_pos = [{} for _ in idx]
+    for v, fs in candidates.items():   # per step, by the faces the earlier x_i pin; 0-simplices have none
+        for pos, group in enumerate(by_pos):
+            group.setdefault(tuple(fs[i] for i in idx[:pos]) if n > 1 else (), []).append(v)
 
     def fitting(pos, xs):
-        return by_pos[pos].get(tuple(candidates[x][idx[pos] - 1] for x in xs[:pos]), ())
+        return by_pos[pos].get(tuple(candidates[x][idx[pos] - 1] for x in xs[:pos]) if n > 1 else (), ())
 
-    return _search(len(idx), fitting, lambda pos, xs: True, "horn enumeration", caps)
+    return _search(len(idx), fitting, lambda pos, xs: True, what, caps, spent)
+
+
+def _filler(cones, n, k, caps: SizeCaps):
+    """The test of whether a horn (x_j)_{j≠k} of Ex(Y) has a filler, for
+    cones = `_cones` of Y at n.  A filler (v; z_0, ..., z_n) of `_sd_maps`
+    has the image of z_j as its face d_j, so the horn fills exactly when,
+    for some v, there are z_j over x_j in Ex(Y/v), j != k, with
+    d_i z_j = d_{j-1} z_i for i < j, and a z_k with the faces they fix:
+    d_i z_k = d_{k-1} z_i for i < k, d_{j-1} z_k = d_k z_j for j > k.  The
+    z_j are a search that stops at the first such family, over the z
+    grouped per step by their image and the faces the earlier z_i pin; it
+    and z_k are dict lookups.  The searches of one horn share a node budget."""
+    idx, size, per_v = [j for j in range(n + 1) if j != k], len(_SdData(n - 1).chains), []
+    for cands in cones.values():
+        by_pos = [{} for _ in idx]
+        for z, fs in cands.items():
+            for pos, group in enumerate(by_pos):
+                group.setdefault((z[size:], tuple(fs[i] for i in idx[:pos]) if n > 1 else ()), []).append(z)
+        per_v.append((cands, by_pos, set(cands.values())))
+
+    def fills(horn):
+        spent = 0
+        for cands, by_pos, present in per_v:
+            def fitting(pos, zs):
+                pinned = tuple(cands[z][idx[pos] - 1] for z in zs[:pos]) if n > 1 else ()
+                return by_pos[pos].get((horn[pos], pinned), ())
+
+            def completes(pos, zs):   # z_k's faces, once the last z_j is placed; a 0-simplex has none
+                return pos < n - 1 or n == 1 or (
+                    tuple(cands[z][k - 1] for z in zs[:k]) + tuple(cands[z][k] for z in zs[k:])) in present
+
+            found, spent = _search(n, fitting, completes, "Sd-map enumeration", caps, spent, first=True)
+            if found:
+                return True
+        return False
+
+    return fills
 
 
 def is_kan_fibration(f: SSetMap, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdict:
@@ -1290,7 +1215,7 @@ def is_kan_fibration(f: SSetMap, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVer
             for y, fs in y_t.faces.items():
                 ys.setdefault(tuple(fs[j] for j in idx), []).append(y)
             lifts = {(f_top[z], tuple(fs[j] for j in idx)) for z, fs in x_t.faces.items()}
-            for horn in _horns(horn_t.faces, n, k, caps):
+            for horn in _horns(horn_t.faces, n, k, caps)[0]:
                 xs = tuple(horn)
                 for y in ys.get(tuple(f_horn[x] for x in xs), ()):
                     checked += 1
@@ -1306,31 +1231,25 @@ def is_kan_complex(X: FinSSet, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdi
 
 
 def is_kan_complex_lazy_ex(base: FinSSet, cap=2, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdict:
-    """Kan check of Ex(base) without materializing it.
-
-    Simplices of Ex(base) are handled as int Sd-maps; fillers are found by
-    constrained backtracking.  `problems_checked` counts horns (over a point
-    each horn is one lifting problem).  `base` must be materialized to `cap`.
-    """
+    """Kan check of Ex(base) without materializing it: at each n, the
+    (n-1)-simplices of Ex(base/v) are built once per vertex v and each
+    horn's filler is looked for over them (`_filler`).  `problems_checked`
+    counts horns (over a point each is one lifting problem)."""
     if cap > base.cap:
         raise GcatError(f"Kan check of Ex at cap {cap} needs the base's simplices to dimension "
                         f"{cap}; the base has cap {base.cap}")
+    levels = [base.face_index(d).faces for d in range(cap + 1)]
     checked = 0
     for n in range(1, cap + 1):
         picks = _SdData(n - 1).face_picks
-        cands = {psi: tuple(pick(psi) for pick in picks)
-                 for psi in _enumerate_sd_maps(_sd_steps(n - 1, base), caps)}
-        into = [_SdData(n).face_positions(j) for j in range(n + 1)]
-        steps = _sd_steps(n, base)
+        cands = {psi: tuple(pick(psi) for pick in picks)   # in normal-form order
+                 for psi in sorted(_sd_maps(levels[:n], n - 1, caps)[0])}
+        cones = _cones(levels, n, caps)[0]
         for k in range(n + 1):
-            into_horn = into[:k] + into[k + 1:]
-            for horn in _horns(cands, n, k, caps):
+            fills = _filler(cones, n, k, caps)
+            for horn in _horns(cands, n, k, caps)[0]:
                 checked += 1
-                # the filler's values on the chains of each horn face; two faces
-                # i < j share the chains of Sd(δ_i δ_{j-1}) = Sd(δ_j δ_i) only,
-                # where `_horns` has made d_{j-1} x_i = d_i x_j, so they agree
-                prescribed = {pos: v for face, psi in zip(into_horn, horn) for pos, v in zip(face, psi)}
-                if not _enumerate_sd_maps(steps, caps, prescribed, first_only=True):
+                if not fills(horn):
                     return KanVerdict(False, cap, checked, (n, k, "no filler"))
     return KanVerdict(True, cap, checked)
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from gcat import cli, serialize as ser
-from gcat.actions import cyclic_group, translation_action
+from gcat.actions import chaotic_category, cyclic_group, translation_action
 from gcat.fincat import (
     Functor,
     arrow_category,
@@ -24,6 +24,7 @@ from gcat.fincat import (
 from gcat.sset import (
     boundary_complex,
     complex_to_sset,
+    ex,
     identity_sset_map,
     nerve,
     standard_simplex_complex,
@@ -608,7 +609,7 @@ def test_sd_of_a_5_simplex_needs_the_wide_caps(tmp_path, capsys):
 
 
 def test_gglobal_weq_of_contractible_groupoid(tmp_path):
-    from gcat.actions import cyclic_group, translation_action, trivial_action
+    from gcat.actions import chaotic_category, cyclic_group, translation_action, trivial_action
     Z2 = cyclic_group(2)
     src = translation_action(Z2)
     doc = {"source_action": ser.action_doc(src),
@@ -624,7 +625,7 @@ def test_gglobal_weq_of_contractible_groupoid(tmp_path):
 def test_gglobal_weq_of_actions_of_different_monoids_is_violated(tmp_path, capsys):
     """The functor is checked against both actions element by element, so
     they must be actions of one monoid (a missing element was a KeyError)."""
-    from gcat.actions import cyclic_group, translation_action, trivial_action, trivial_group
+    from gcat.actions import chaotic_category, cyclic_group, translation_action, trivial_action, trivial_group
     src = translation_action(cyclic_group(2))
     doc = {"source_action": ser.action_doc(src),
            "target_action": ser.action_doc(trivial_action(trivial_group(), terminal_category())),
@@ -1004,10 +1005,64 @@ def test_check_dwyer_refuses_a_functor_that_is_not_injective_on_objects(tmp_path
 
 
 def test_ex_at_the_node_cap_is_inconclusive(tmp_path, capsys):
-    """Ex(Δ²) at cap 3 needs more than the default 1,000,000 Sd-map search
-    nodes (the replayed blocks count theirs at once, so it stops fast): the
-    report says so and exits 2."""
-    path = write(tmp_path, "d2.json", complex_to_sset(standard_simplex_complex(2), 3).to_doc())
-    assert cli.main(["ex", "--input", path, "--cap", "3"]) == 2
+    """Ex² N(E(2)) at cap 2, the Ex of the document of Ex N(E(2)), needs
+    more than the default 1,000,000 Sd-map search nodes: the report says so
+    and exits 2.  Ex(Δ²) at cap 3, which passed that cap before the search
+    ran by décalage, now decides."""
+    path = write(tmp_path, "ex.json", ex(nerve(chaotic_category(["a", "b"]), 2), 2).sset.to_doc())
+    assert cli.main(["ex", "--input", path, "--cap", "2"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["inconclusive"] == "Sd-map enumeration: 1000001 exceeds cap 1000000"
+    path = write(tmp_path, "d2.json", complex_to_sset(standard_simplex_complex(2), 3).to_doc())
+    assert cli.main(["ex", "--input", path, "--cap", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["nondegenerate"] == {"0": 3, "1": 11, "2": 123, "3": 7008} and report["unit_injective"]
+
+
+def test_pushout_keeps_its_cross_ids_apart_from_those_of_c(tmp_path, capsys):
+    """A = 1, B = [1] with i(*) = 0, and C with objects * and w, the
+    identity of w named [id*@1], c(*) = *: the Dwyer pushout names its cross
+    morphism * -> V:1 "[id*@1]" too, which gave "duplicate morphism ids"
+    (exit 1).  The cross names are now primed where one is C's."""
+    C = validate_category(["*", "w"], [("id*", "*", "*"), ("[id*@1]", "w", "w")],
+                          {"*": "id*", "w": "[id*@1]"},
+                          {("id*", "id*"): "id*", ("[id*@1]", "[id*@1]"): "[id*@1]"})
+    doc = {"A": terminal_category().to_doc(), "B": arrow_category().to_doc(), "C": C.to_doc(),
+           "i": {"object_map": {"*": "0"}, "morphism_map": {"id*": "0<=0"}},
+           "c": {"object_map": {"*": "*"}, "morphism_map": {"id*": "id*"}}}
+    path = write(tmp_path, "span.json", doc)
+    for argv in (["pushout", "--input", path], ["pushout", "--input", path, "--cross-check"]):
+        assert cli.main(argv) == 0, capsys.readouterr()
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == "" and report["pushout"]["objects"] == ["*", "V:1", "w"]
+        names = sorted(m for m, _, _ in report["pushout"]["morphisms"])
+        assert names == ["V:1<=1", "[id*@1]", "[id*@1]'", "id*"]
+    assert report["cross_check"] is True
+
+
+def test_pushout_oracle_keeps_word_names_apart(tmp_path, capsys):
+    """B with objects 0 and 1 and parallel arrows a and a.C:x: 0 -> 1, i(*) = 1,
+    and C = {x: p -> q} with c(*) = p.  i(A) is no sieve, so `pushout` runs
+    the presented-pushout oracle, whose words (B:a, C:x) and (B:a.C:x) were
+    both named "w:B:a.C:x" and gave "duplicate morphism ids" (exit 1).  An
+    id holding "." or ":" now has its ids escaped in word names."""
+    B = validate_category(["0", "1"],
+                          [("id0", "0", "0"), ("id1", "1", "1"), ("a", "0", "1"), ("a.C:x", "0", "1")],
+                          {"0": "id0", "1": "id1"},
+                          {("id0", "id0"): "id0", ("id1", "id1"): "id1", ("a", "id0"): "a", ("id1", "a"): "a",
+                           ("a.C:x", "id0"): "a.C:x", ("id1", "a.C:x"): "a.C:x"})
+    C = validate_category(["p", "q"], [("idp", "p", "p"), ("idq", "q", "q"), ("x", "p", "q")],
+                          {"p": "idp", "q": "idq"},
+                          {("idp", "idp"): "idp", ("idq", "idq"): "idq", ("x", "idp"): "x", ("idq", "x"): "x"})
+    doc = {"A": terminal_category().to_doc(), "B": B.to_doc(), "C": C.to_doc(),
+           "i": {"object_map": {"*": "1"}, "morphism_map": {"id*": "id1"}},
+           "c": {"object_map": {"*": "p"}, "morphism_map": {"id*": "idp"}}}
+    path = write(tmp_path, "span.json", doc)
+    for argv in (["pushout", "--input", path], ["pushout", "--input", path, "--cross-check"]):
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, ""), (argv, err)
+        report = json.loads(out)
+        names = sorted(m for m, _, _ in report["pushout"]["morphisms"] if m.startswith("w:"))
+        assert names == ["w:B:a", "w:B:a.C:x", "w:B:a\\.C\\:x", "w:B:a\\.C\\:x.C:x", "w:C:x"], argv

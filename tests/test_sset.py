@@ -81,9 +81,11 @@ from gcat.sset import (
     identity_sset_map,
     _SdData,
     _alphas,
-    _enumerate_sd_maps,
+    _cones,
+    _filler,
+    _horns,
     _normalize_chain,
-    _sd_steps,
+    _sd_maps,
     delta,
 )
 from gcat.dwyer import dwyer_pushout, find_dwyer_witness
@@ -485,24 +487,6 @@ def test_subdivisions_match_the_pinned_digest():
                h_sd2_doc(K), poset_doc(chain_poset_of(face_poset(K)))]
         h.update(json.dumps(doc).encode())
     assert h.hexdigest() == SUBDIVISION_DIGEST
-
-
-#: sha256 of `_SdData(n)`'s chains, search steps, blocks and segments (each
-#: segment key applied to the step numbers) for n <= 4, computed at the
-#: face-complete plan with a block per facet of [n], its small blocks in
-#: runs and each replay keyed on its maximal boundary steps
-SD_DATA_DIGEST = "283129790a5fc8838936c44cf5e78883fbb291f4d85e0a87253a48719bd44836"
-
-
-def test_sd_data_matches_the_pinned_digest():
-    h = hashlib.sha256()
-    for n in range(5):
-        sdd = _SdData(n)
-        steps = range(len(sdd.search_steps))
-        doc = [n, sdd.chains, sdd.search_steps, sdd.blocks,
-               [(start, end, None if key is None else key(steps)) for start, end, key in sdd.segments]]
-        h.update(json.dumps(doc).encode())
-    assert h.hexdigest() == SD_DATA_DIGEST
 
 
 def test_subdivision_invariance_of_homology():
@@ -982,16 +966,19 @@ def test_ex_action_refuses_a_planted_fault():
     assert ex_action(ens, exd).act["c1"].same_values(ex_map(swap, exd, exd))
 
 
+def sd_maps(n, X, caps=DEFAULT_CAPS):
+    """Ex(X)_n as `ex` enumerates it: the int Sd-maps and the nodes counted."""
+    return _sd_maps([X.face_index(d).faces for d in range(n + 1)], n, caps)
+
+
 def test_sd_map_search_on_boundary_of_triangle():
-    """Sd Δ³ -> ∂Δ²: 654 maps, in search order (hashed as normal forms);
-    Ex keeps 477 nondegenerate."""
+    """Sd Δ³ -> ∂Δ²: 654 maps (hashed as normal forms, sorted); Ex keeps
+    477 nondegenerate."""
     X = complex_to_sset(boundary_complex(2), 3)
-    maps = _enumerate_sd_maps(_sd_steps(3, X), DEFAULT_CAPS)
+    maps = sd_maps(3, X)[0]
     assert len(maps) == 654
     nfs = [X.face_index(len(c) - 1).nfs for c in _SdData(3).chains]
     as_nfs = [[list(table[v]) for table, v in zip(nfs, m)] for m in maps]
-    assert hashlib.sha256(json.dumps(as_nfs).encode()).hexdigest() == (
-        "79b87549f07c35734aaaff7a902fb10da485b94054f822381b71512d89c81bfe")
     # the maps as a set, which no search order changes; computed at commit c5f41ce
     assert hashlib.sha256(json.dumps(sorted(as_nfs)).encode()).hexdigest() == (
         "0bb9dc93dd8f5360b42d145a875ddeea51c062a1e3d09d42d135bda421ae6fee")
@@ -999,66 +986,34 @@ def test_sd_map_search_on_boundary_of_triangle():
 
 
 def test_sd_map_search_and_ex_count_against_their_caps():
-    # every node of the Sd Δ³ -> ∂Δ² search, the root included, counts; a
-    # first-only search pinned at its last step to the last map's value
-    # backtracks through 11,114 nodes; Ex ∂Δ² has 477 nondegenerate 3-simplices
+    # every root and every z placed by the joins of Sd Δ³ -> ∂Δ², at every
+    # depth, counts; so do those of the cones that the lazy Kan check's
+    # filler reads at n = 3; Ex ∂Δ² has 477 nondegenerate 3-simplices
     X = complex_to_sset(boundary_complex(2), 3)
-    with pytest.raises(SizeCapExceeded, match="Sd-map enumeration: 147302 exceeds cap 147301"):
-        _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=147301))
-    maps = _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=147302))
-    pos = _SdData(3).search_steps[-1][0]
-    with pytest.raises(SizeCapExceeded, match="Sd-map enumeration: 11114 exceeds cap 11113"):
-        _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=11113), {pos: maps[-1][pos]}, True)
-    assert _enumerate_sd_maps(_sd_steps(3, X), SizeCaps(max_candidates=11114), {pos: maps[-1][pos]}, True)
+    with pytest.raises(SizeCapExceeded, match="^Sd-map enumeration: 1904 exceeds cap 1903$"):
+        sd_maps(3, X, SizeCaps(max_candidates=1903))
+    assert len(sd_maps(3, X, SizeCaps(max_candidates=1904))[0]) == 654
+    levels = [X.face_index(d).faces for d in range(4)]
+    with pytest.raises(SizeCapExceeded, match="^Sd-map enumeration: 200 exceeds cap 199$"):
+        _cones(levels, 3, SizeCaps(max_candidates=199))
+    assert _cones(levels, 3, SizeCaps(max_candidates=200))[1] == 200
     with pytest.raises(SizeCapExceeded, match="Ex simplices: 477 exceeds cap 476"):
         ex(X, 3, SizeCaps(max_simplices=476))
 
 
 #: per carrier of both emap corpora, per n = 0..3: the node count of the
-#: Sd-map search Sd Δⁿ -> X and the sha256 of its maps in order, at the
-#: face-complete plan; the plain search, with no replay, gives the same
-#: (`test_replays_match_the_plain_search`)
+#: Sd-map search Sd Δⁿ -> X (level 0 has no join, so no node)
 SEARCH_PINS = {
-    "D0": [(2, "db407f11d7ede59abaab0e98e097ff2dae10a048207b801745d7199ef19c2387"),
-         (6, "7809c754933dd1810accfcf5987678359643e94c8dd991845732ab680c1916c4"),
-         (26, "21a2b967b8ace2c5dd56e7145a18304acf12c9f840b9e46c29f1e2bd08c91e39"),
-         (150, "495d9e9a73f27cdbbb42079a7f8912f960ef6daaa8ace0448507b274182f0e91")],
-    "D1": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
-         (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
-         (453, "f54aba169f9ce74d63c23e48e6366ae0450bc5ecb9348c7a70a92e11f06f2996"),
-         (22635, "765e6bf5eb55a14fa0aee8e87e453fc41cf76ed8f08dbfecb390e3ce93acdb9f")],
-    "bD1": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
-          (21, "d25cc8e9144d3c4e4e23db6e2bb749ec0bc594edef51bd8d16055abec8de3af8"),
-          (75, "9bc16a0d701c48e31b77cf7818dfb9d67aee1eb36e4573dc33d17db638c5d61c"),
-          (345, "631d4148925e71ce862f6ea6bfdbc4be376efe14460a4afd09f4c950fa154920")],
-    "bD2": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
-          (72, "d34de95209d7c6257875c0198c99d4a828832dad1c3706f1f25f2e26dd1334d6"),
-          (3154, "8258a604d397addc6fc1e73733d12ab237f5cfa2c0b517f17f2c6c7a3261d2a8"),
-          (147302, "5d2e48d17be84e67d25f7ffc78bb878d92ab7f5ee3992df9b4b4bda4c8244623")],
-    "L2_1": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
-           (64, "3bdde6b85fee55d79bb4237acbc729cc36b475f70c33bd8ec9647ed469237d7f"),
-           (1094, "ab177dee4a45e6e286b1b3c79ee85e2838351ea6bdbab0186bd96b8b9ce12d70"),
-           (48282, "d0988c356d3dbdd43daf052e0aae0ccd87a473a2d69f637cde5cd890832ba153")],
-    "N[1]": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
-           (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
-           (453, "f54aba169f9ce74d63c23e48e6366ae0450bc5ecb9348c7a70a92e11f06f2996"),
-           (22635, "765e6bf5eb55a14fa0aee8e87e453fc41cf76ed8f08dbfecb390e3ce93acdb9f")],
-    "N(V)": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
-           (66, "3d6be4ae115b5c60f20bc6e1fa429b284a1301b76a3c702a3a5c370cfbfe6822"),
-           (1466, "ce668b2f6a22bee2fede2cddc71cac3bf4efad6094c531e9e00d770fb251af00"),
-           (69252, "623632d0d3348f2acfb700d3ad87c73c9421f2d6afa1b2f9ba07205aa8e16ad4")],
-    "N(V)-swap": [(4, "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
-                (66, "3d6be4ae115b5c60f20bc6e1fa429b284a1301b76a3c702a3a5c370cfbfe6822"),
-                (1466, "ce668b2f6a22bee2fede2cddc71cac3bf4efad6094c531e9e00d770fb251af00"),
-                (69252, "623632d0d3348f2acfb700d3ad87c73c9421f2d6afa1b2f9ba07205aa8e16ad4")],
-    "discrete-swap": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
-                    (21, "d25cc8e9144d3c4e4e23db6e2bb749ec0bc594edef51bd8d16055abec8de3af8"),
-                    (75, "9bc16a0d701c48e31b77cf7818dfb9d67aee1eb36e4573dc33d17db638c5d61c"),
-                    (345, "631d4148925e71ce862f6ea6bfdbc4be376efe14460a4afd09f4c950fa154920")],
-    "N[1]-trivial": [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
-                   (26, "8b0e9bc63e49a46723097ca8d3ed88d07523cfea2e4fc763478b87b995ed075f"),
-                   (453, "f54aba169f9ce74d63c23e48e6366ae0450bc5ecb9348c7a70a92e11f06f2996"),
-                   (22635, "765e6bf5eb55a14fa0aee8e87e453fc41cf76ed8f08dbfecb390e3ce93acdb9f")],
+    "D0": [0, 3, 7, 12],
+    "D1": [0, 10, 54, 482],
+    "bD1": [0, 6, 14, 24],
+    "bD2": [0, 23, 179, 1904],
+    "L2_1": [0, 17, 101, 952],
+    "N[1]": [0, 10, 54, 482],
+    "N(V)": [0, 19, 139, 1446],
+    "N(V)-swap": [0, 19, 139, 1446],
+    "discrete-swap": [0, 6, 14, 24],
+    "N[1]-trivial": [0, 10, 54, 482],
 }
 
 
@@ -1070,20 +1025,20 @@ def maps_digest(maps):
     return hashlib.sha256(json.dumps(maps).encode()).hexdigest()
 
 
-def assert_search_pinned(steps, count, digest, prescribed=None, first_only=False):
-    """cap = count - 1 raises at node count; cap = count gives the pinned maps."""
-    with pytest.raises(SizeCapExceeded, match=f"Sd-map enumeration: {count} exceeds cap {count - 1}$"):
-        _enumerate_sd_maps(steps, SizeCaps(max_candidates=count - 1), prescribed, first_only)
-    maps = _enumerate_sd_maps(steps, SizeCaps(max_candidates=count), prescribed, first_only)
-    assert maps_digest(maps) == digest
-    return maps
+def assert_search_pinned(n, X, count):
+    """cap = count - 1 raises at node count; cap = count gives the maps of the wide caps."""
+    if count:
+        with pytest.raises(SizeCapExceeded, match=f"^Sd-map enumeration: {count} exceeds cap {count - 1}$"):
+            sd_maps(n, X, SizeCaps(max_candidates=count - 1))
+    maps, nodes = sd_maps(n, X, SizeCaps(max_candidates=count))
+    assert nodes == count and maps == sd_maps(n, X, WIDE_CAPS)[0]
 
 
 @pytest.mark.parametrize("name", sorted(SEARCH_PINS))
 def test_sd_map_search_pinned_on_emap_carriers(name):
     X = emap_carriers()[name]
-    for n, (count, digest) in enumerate(SEARCH_PINS[name]):
-        assert_search_pinned(_sd_steps(n, X), count, digest)
+    for n, count in enumerate(SEARCH_PINS[name]):
+        assert_search_pinned(n, X, count)
 
 
 def parallel_arrows():
@@ -1097,14 +1052,10 @@ def parallel_arrows():
 
 
 def test_sd_map_search_pinned_on_parallel_arrows():
-    # the search of Sd Δ³ walks 297,835 nodes (2,898,421 before the face-complete plan)
+    # the joins of Sd Δ³ count 1,434 nodes
     X = nerve(parallel_arrows(), 3)
-    pins = [(3, "9c731319e6f8d3c3e5b97bcf0eb502cf8f79bcd332c8da9fe2d1f69ebb19a9ae"),
-            (33, "e7a4c49c55dc4e09aa9221790044fc6d55cf4c54da4abd737a6a775744ef63db"),
-            (5629, "0ca68f71dbab31a0eeb502aebeb8442a7e9424893b8abba2ce1622abc8677c80"),
-            (297835, "48b4558f932c1f08864cc8181d8c6df09c760e8bfdf72195f2a2bf8c99bbee91")]
-    for n, (count, digest) in enumerate(pins):
-        assert_search_pinned(_sd_steps(n, X), count, digest)
+    for n, count in enumerate([0, 16, 132, 1434]):
+        assert_search_pinned(n, X, count)
 
 
 #: the Sd-maps of the searches of `SEARCH_PINS` and of the parallel arrows,
@@ -1150,7 +1101,7 @@ MAP_SET_PINS = {
 def test_sd_map_sets_pinned(name):
     X = nerve(parallel_arrows(), 3) if name == "parallel arrows" else emap_carriers()[name]
     for n, digest in enumerate(MAP_SET_PINS[name]):
-        assert maps_digest(sorted(_enumerate_sd_maps(_sd_steps(n, X), WIDE_CAPS))) == digest
+        assert maps_digest(sorted(sd_maps(n, X, WIDE_CAPS)[0])) == digest
 
 
 def functor_sd_maps(C, n, caps=DEFAULT_CAPS):
@@ -1190,7 +1141,7 @@ def oracle_categories():
                          + [("[1]", 3), ("V", 3)])
 def test_sd_map_search_against_the_functor_oracle(name, n):
     X, functors = functor_sd_maps(oracle_categories()[name], n)
-    assert sorted(_enumerate_sd_maps(_sd_steps(n, X), DEFAULT_CAPS)) == functors
+    assert sorted(sd_maps(n, X)[0]) == functors
     assert len(functors) == {("[1]", 3): 167, ("V", 3): 489}.get((name, n), len(functors))
 
 
@@ -1198,141 +1149,96 @@ def test_sd_map_search_of_bz2_at_n3_against_the_functor_oracle():
     # the search stopped at the 5,000,000-node cap before the face-complete plan
     X, functors = functor_sd_maps(delooping(cyclic_group(2)), 3, WIDE_CAPS)
     assert len(functors) == 16384
-    assert sorted(_enumerate_sd_maps(_sd_steps(3, X), WIDE_CAPS)) == functors
+    assert sorted(sd_maps(3, X, WIDE_CAPS)[0]) == functors
 
 
-def first_only_cases(maps):
-    """Prescriptions for first-only searches of Sd Δ³, read off the maps."""
-    sdd = _SdData(3)
-    at = [pos for pos, _, _ in sdd.search_steps]   # chain positions in search order
-    last, mid = maps[-1], maps[len(maps) // 2]
-    # the blocks of the edges and of the triangles, by their top faces
-    edges, triangles = ([(start, end) for start, end, _ in sdd.blocks if len(sdd.chains[at[start]][-1]) == k]
-                        for k in (2, 3))
-    edge, tri1, tri3 = at[edges[0][0] + 1], at[triangles[0][1] - 1], at[triangles[2][0] + 4]
-    return {
-        "last step, last map": {at[-1]: last[at[-1]]},
-        "last step, middle map": {at[-1]: mid[at[-1]]},
-        "last step of the first triangle": {tri1: last[tri1]},
-        "inside the third triangle": {tri3: mid[tri3]},
-        "edge": {edge: last[edge]},
-        "two faces": {p: last[p] for p in sdd.face_positions(0) + sdd.face_positions(1)},
-        "no map": {at[-1]: maps[0][at[-1]], at[0]: last[at[0]]},
-    }
+def naive_sd_maps(X, n):
+    """Ex(X)_n with no plan: chain by chain over Sd Δⁿ, each chain after
+    its faces (by its top face's last vertex, size and vertices, then its
+    length), a chain taking each normal form of X whose faces are the values
+    at the chain's faces; as int tuples in chain order, sorted."""
+    chains = _SdData(n).chains
+    fitting = {}   # (dimension, faces) -> the normal forms of X with those faces
+    for d in range(n + 1):
+        for nf in X.all_simplices(d):
+            fitting.setdefault((d, X.faces_of(nf) if d else ()), []).append(nf)
+    order = sorted(chains, key=lambda c: (c[-1][-1], len(c[-1]), c[-1], len(c)))
+    at = {c: i for i, c in enumerate(order)}
+    faces = [[at[c[:i] + c[i + 1:]] for i in range(len(c))] if len(c) > 1 else [] for c in order]
+    numbers = [X.face_index(len(c) - 1).number for c in chains]
+    values, maps = [None] * len(order), []
+
+    def extend(i):   # depth first: values[:i] are set
+        if i == len(order):
+            maps.append(tuple(number[values[at[c]]] for number, c in zip(numbers, chains)))
+            return
+        for nf in fitting.get((len(order[i]) - 1, tuple(values[f] for f in faces[i])), ()):
+            values[i] = nf
+            extend(i + 1)
+
+    extend(0)
+    return sorted(maps)
 
 
-#: per carrier and `first_only_cases` label: the node count and the sha256
-#: of the result, at the face-complete plan.  Every case but "last step of
-#: the first triangle", "edge" and "two faces" replays blocks before its
-#: first hit (or its end).
-FIRST_ONLY_PINS = {
-    "bD2": {
-        "last step, last map": (11114, "0e57cee6ee464a63f0c5be8843d21cef329648d58444f03630a5ef39c8335c77"),
-        "last step, middle map": (54686, "b84ced53d126bdd2ec7662847b962d9454c4cd22738f86d64f1413e6f099c7bb"),
-        "last step of the first triangle": (610, "51e0377b1ca9bd27b3d78fc9b680b861751153af6913358b21491922d081c67b"),
-        "inside the third triangle": (11573, "519a68c73897cc818a4c1d0343da86b25349825f289d6263d7f84f12fdc06fbb"),
-        "edge": (190, "4b01a724514439eff0efaae701b6eb592a46a174e106977eecc1781ab9a14b28"),
-        "two faces": (158, "c4f1c83eac9d7b50d076d39e3865a0acd49da2a39099ffa0ee800b170716b48b"),
-        "no map": (8728, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    },
-    "N(V)": {
-        "last step, last map": (3192, "51a2cfcaa47946ed9481e1224285d7916344bc7ea4a7fc25d8349a81b6821641"),
-        "last step, middle map": (12729, "cfab09b70d03147078a5de07a0cf20071a5de8baf7ed2f6c63617fbf9ff73c25"),
-        "last step of the first triangle": (320, "05bf2c2c25e10d9a2cce2abfa14a04ed64d7f96c78b990f46adedc32a90309ce"),
-        "inside the third triangle": (7179, "f7ff6e793fd814d8ecad56ce08e64973b96418e1054037852b4fa458e6a32c30"),
-        "edge": (190, "72c415135953b7a006096e055db150a56f62cb7de40333ddfcc70ce308fe221d"),
-        "two faces": (158, "62208fb1589bdb6f48fad8411f5edef23d00d88a03b0633ae4d894da421c52c7"),
-        "no map": (7627, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    },
-    "L2_1": {
-        "last step, last map": (27174, "47b76b71ac321c35f29e1a5e8a3eadf2db98b42c89f67afe886e80cd17d355e2"),
-        "last step, middle map": (3005, "3f0e4525df16f12fd0f73259c9341b21f50e53e78eb1ff3d361e234b26a40fe1"),
-        "last step of the first triangle": (838, "86dfba2b71bfc79cb61f0b5128c9c84e298088b1a87af0edd6c9e0c808dcfb28"),
-        "inside the third triangle": (4713, "c687112e2d31f40f8583a67766245d988b66220ff9cc39cb32e06eaa38d690e9"),
-        "edge": (209, "ea6138c7d38e2ec1eb98eb82b15021e45b4db7ef0bb2b484d42af3b8cbf4bb91"),
-        "two faces": (158, "62208fb1589bdb6f48fad8411f5edef23d00d88a03b0633ae4d894da421c52c7"),
-        "no map": (2678, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    },
-}
+@pytest.mark.parametrize("name", sorted(SEARCH_PINS) + ["parallel arrows"])
+def test_sd_maps_match_the_naive_oracle(name):
+    X = nerve(parallel_arrows(), 3) if name == "parallel arrows" else emap_carriers()[name]
+    for n in range(4):
+        assert sorted(sd_maps(n, X)[0]) == naive_sd_maps(X, n), n
 
 
-@pytest.mark.parametrize("name", sorted(FIRST_ONLY_PINS))
-def test_first_only_searches_pinned(name):
-    steps = _sd_steps(3, emap_carriers()[name])
-    maps = _enumerate_sd_maps(steps, DEFAULT_CAPS)
-    for label, prescribed in first_only_cases(maps).items():
-        count, digest = FIRST_ONLY_PINS[name][label]
-        found = assert_search_pinned(steps, count, digest, prescribed, True)
-        assert found == [m for m in maps if all(m[p] == v for p, v in prescribed.items())][:1], label
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=3), min_size=1, max_size=4))
+def test_sd_maps_of_drawn_complexes_match_the_naive_oracle(faces):
+    X = complex_to_sset(make_complex(faces), 2)
+    for n in range(3):
+        assert sorted(sd_maps(n, X)[0]) == naive_sd_maps(X, n), n
 
 
-@pytest.mark.parametrize("name", sorted(SEARCH_PINS))
-def test_replays_match_the_plain_search(name):
-    """The search as one segment, with no replay, walks the pinned nodes to
-    the pinned maps at n = 3, first-only searches included."""
-    steps = _sd_steps(3, emap_carriers()[name])
-    plain = steps._replace(segments=[(0, len(steps.steps), None)])
-    maps = assert_search_pinned(plain, *SEARCH_PINS[name][3])
-    for label, prescribed in first_only_cases(maps).items() if name in FIRST_ONLY_PINS else ():
-        assert_search_pinned(plain, *FIRST_ONLY_PINS[name][label], prescribed, True)
-
-
-@pytest.mark.parametrize("n", range(5))
-def test_sd_block_plan(n):
-    """Every step comes after its faces.  The blocks cover the steps in
-    order, and each reads only itself and its boundary, the face steps
-    outside it.  A block holds the chains topped by one face, except that
-    [n] has one block per facet, at the end: the apex goes to the first,
-    and each (..., G, [n]) to the first facet, in search order, that holds
-    G.  A replay unit is a block of more than 6 steps or a maximal run of
-    smaller blocks; the replayed units are those of more than 6 steps whose
-    boundary is not every step before them, and each is keyed on its
-    maximal boundary steps, of which every other boundary step is a face."""
-    sdd = _SdData(n)
-    order = [sdd.chains[pos] for pos, _, _ in sdd.search_steps]
-    assert [sdd.step_of[sdd.position[c]] for c in order] == list(range(len(order)))
-    faces_of = [{sdd.step_of[f] for f in faces} for _, _, faces in sdd.search_steps]
-    assert all(f < step for step, faces in enumerate(faces_of) for f in faces)
-    assert [start for start, _, _ in sdd.blocks] == [0] + [end for _, end, _ in sdd.blocks[:-1]]
-    assert sdd.blocks[-1][1] == len(order)
-    for start, end, boundary in sdd.blocks:
-        block = set(range(start, end))
-        assert boundary == tuple(sorted(set().union(*(faces_of[i] for i in block)) - block))
-    blocks = [order[start:end] for start, end, _ in sdd.blocks]
+@pytest.mark.parametrize("n", range(1, 5))
+def test_decalage_join(n):
+    """`_SdData(n).join` reads the apex off v, and every other chain c of
+    Sd Δⁿ off a facet j that holds it: c ∪ {[n]} off z_j and c off z_j's
+    image, each at the chain of Sd Δⁿ⁻¹ that Sd(δ_j) sends to c."""
+    sdd, size = _SdData(n), len(_SdData(n - 1).chains)
+    flat = ["v"] + [(part, j, p) for j in range(n + 1) for part in ("z", "image") for p in range(size)]
     top = tuple(range(n + 1))
-    tops = [block[0][-1] for block in blocks[:-(n + 1)]]
-    assert all(c[-1] == F for F, block in zip(tops, blocks) for c in block)
-    assert sorted(tops) == sorted({c[-1] for c in sdd.chains} - {top})
-    facets = [F for F in tops if len(F) == n]
-    parts = [set() for _ in range(n + 1)]
-    for c in sdd.chains:
-        if c[-1] == top:
-            parts[0 if len(c) == 1 else next(i for i, F in enumerate(facets) if set(c[-2]) <= set(F))].add(c)
-    assert [set(block) for block in blocks[-(n + 1):]] == parts
-    # segments: the replay units, each a block of more than 6 steps or a
-    # maximal run of smaller ones; a unit is replayed when it has more than 6
-    # steps and its boundary is not every step before it, and is keyed on the
-    # boundary steps that are a face of no other, which fix the rest
-    units = []
-    for start, end, _ in sdd.blocks:
-        if end - start > 6 or not units or units[-1][2]:
-            units.append([start, end, end - start > 6])
-        else:
-            units[-1][1] = end
-    probe = list(range(len(order)))
-    replayed = []
-    for start, end, _ in units:
-        bd = set().union(*faces_of[start:end]) - set(range(start, end))
-        if end - start > 6 and len(bd) < start:
-            kept = {b for b in bd if not any(set(order[b]) < set(order[c]) for c in bd)}
-            assert all(any(set(order[b]) < set(order[c]) for c in kept) for b in bd - kept)
-            replayed.append((start, end, tuple(sorted(kept))))
-    keyed = [(start, end, key(probe)) for start, end, key in sdd.segments if key is not None]
-    assert keyed == [(s, e, k if len(k) > 1 else k[0]) for s, e, k in replayed]
-    assert sdd.segments[0][0] == 0 and sdd.segments[-1][1] == len(order)
-    assert all(a[1] == b[0] for a, b in zip(sdd.segments, sdd.segments[1:]))
-    assert all(a[2] or b[2] for a, b in zip(sdd.segments, sdd.segments[1:]))
-    assert len(replayed) == [0, 0, 0, 8, 20][n]
+    for c, read in zip(sdd.chains, sdd.join(flat)):
+        if c == (top,):
+            assert read == "v"
+            continue
+        part, j, p = read
+        assert part == ("z" if c[-1] == top else "image")
+        assert sdd.chains[sdd.restriction(delta(j, n))[p][0]] == (c[:-1] if c[-1] == top else c)
+
+
+def filler_carriers():
+    return {**{name: nerve(C, 2) for name, C in oracle_categories().items()},
+            "bD2": complex_to_sset(boundary_complex(2), 2), "L2_1": complex_to_sset(horn_complex(2, 1), 2)}
+
+
+@pytest.mark.parametrize("name", sorted(filler_carriers()))
+def test_fillers_against_materialized_ex(name):
+    """For each horn of Ex(X) at n <= 2, `_filler` says it fills
+    exactly when the materialized Ex(X) has a simplex with those faces, and
+    the lazy Kan check agrees with the exhaustive one on Ex(X)."""
+    X = filler_carriers()[name]
+    exd = ex(X, 2)
+    levels = [X.face_index(d).faces for d in range(3)]
+    unfilled = 0
+    for n in (1, 2):
+        below, top = _SdData(n - 1).face_picks, _SdData(n).face_picks
+        cands = {m: tuple(pick(m) for pick in below) for m in sorted(exd.level_nf[n - 1])}
+        filled = [tuple(pick(m) for pick in top) for m in exd.level_nf[n]]
+        cones = _cones(levels, n, DEFAULT_CAPS)[0]
+        for k in range(n + 1):
+            fills, filled_horns = _filler(cones, n, k, DEFAULT_CAPS), {fs[:k] + fs[k + 1:] for fs in filled}
+            for horn in _horns(cands, n, k, DEFAULT_CAPS)[0]:
+                assert fills(horn) == (tuple(horn) in filled_horns), (n, k, horn)
+                unfilled += not fills(horn)
+    lazy, exhaustive = is_kan_complex_lazy_ex(X, 2), is_kan_complex(exd.sset, 2)
+    assert lazy.passed == exhaustive.passed == (unfilled == 0)
+    assert unfilled == {"bD2": 54, "L2_1": 12, "parallel": 54}.get(name, 0)
 
 
 def test_ex_refuses_a_cap_above_its_input():
@@ -1405,11 +1311,10 @@ def test_nerve_of_groupoid_is_kan():
 def test_lazy_and_materialized_ex_kan_checks_agree(C, horns):
     # the lazy checker counts one problem per horn of Ex N; the same horns,
     # enumerated by the shared _horns on the materialized Ex N, must agree
-    from gcat.sset import _horns
     N = nerve(C, 2)
     lazy = is_kan_complex_lazy_ex(N, 2)
     S = ex(N, 2).sset
-    enumerated = sum(len(_horns(S.face_index(n - 1)[0], n, k, DEFAULT_CAPS))
+    enumerated = sum(len(_horns(S.face_index(n - 1)[0], n, k, DEFAULT_CAPS)[0])
                      for n in (1, 2) for k in range(n + 1))
     assert lazy.passed and lazy.problems_checked == enumerated == horns
     materialized = is_kan_complex(S, 2)
@@ -1596,10 +1501,11 @@ def test_e_map_is_natural():
 
 def test_lazy_ex_kan_check_reports_a_horn_with_no_filler():
     """Ex(∂Δ²) is not Kan at cap 2: the first horn Λ²_0 with no filler is
-    found after 15 horns, and the materialized Ex agrees."""
+    found after 16 horns, the candidates taken in normal-form order, and
+    the materialized Ex agrees."""
     X = complex_to_sset(boundary_complex(2), 2)
     v = is_kan_complex_lazy_ex(X, 2)
-    assert (v.passed, v.failure, v.problems_checked) == (False, (2, 0, "no filler"), 15)
+    assert (v.passed, v.failure, v.problems_checked) == (False, (2, 0, "no filler"), 16)
     assert not is_kan_complex(ex(X, 2).sset, 2).passed
     assert is_kan_complex_lazy_ex(X, 1).passed
 
