@@ -87,6 +87,7 @@ from gcat.sset import (
     _normalize_chain,
     _sd_maps,
     delta,
+    sigma,
 )
 from gcat.dwyer import dwyer_pushout, find_dwyer_witness
 from gcat.serialize import category_from_doc, sset_from_doc
@@ -487,6 +488,24 @@ def test_subdivisions_match_the_pinned_digest():
                h_sd2_doc(K), poset_doc(chain_poset_of(face_poset(K)))]
         h.update(json.dumps(doc).encode())
     assert h.hexdigest() == SUBDIVISION_DIGEST
+
+
+#: sha256 of `_SdData(n)`'s chains, the restrictions along its cofaces and
+#: the restrictions of `_SdData(n - 1)` along the codegeneracies into [n - 1],
+#: for n <= 4: the chain order every Sd-map is stored in and the tables `ex`
+#: reads faces and degeneracies with; computed at commit 485b3e5, before the
+#: décalage, and unchanged by it
+SD_DATA_DIGEST = "9a895b1093eb7f0b978870ac8d13cfc26a3d090e71a7a0b9a03bc7d8548725b0"
+
+
+def test_sd_data_matches_the_pinned_digest():
+    h = hashlib.sha256()
+    for n in range(5):
+        sdd = _SdData(n)
+        doc = [n, sdd.chains, [sdd.restriction(delta(i, n)) for i in range(n + 1)] if n else [],
+               [_SdData(n - 1).restriction(sigma(j, n - 1)) for j in range(n)] if n else []]
+        h.update(json.dumps(doc).encode())
+    assert h.hexdigest() == SD_DATA_DIGEST
 
 
 def test_subdivision_invariance_of_homology():
@@ -1195,21 +1214,29 @@ def test_sd_maps_of_drawn_complexes_match_the_naive_oracle(faces):
         assert sorted(sd_maps(n, X)[0]) == naive_sd_maps(X, n), n
 
 
-@pytest.mark.parametrize("n", range(1, 5))
-def test_decalage_join(n):
-    """`_SdData(n).join` reads the apex off v, and every other chain c of
-    Sd Δⁿ off a facet j that holds it: c ∪ {[n]} off z_j and c off z_j's
-    image, each at the chain of Sd Δⁿ⁻¹ that Sd(δ_j) sends to c."""
-    sdd, size = _SdData(n), len(_SdData(n - 1).chains)
+@pytest.mark.parametrize("n", range(5))
+def test_sd_block_plan(n):
+    """`_SdData(n).join` reads Sd Δⁿ in blocks: the apex off v, then for
+    each facet j a block off z_j and a block off z_j's image.  Every chain c
+    other than the apex is read off the first facet j that holds it: c ∪ {[n]}
+    off z_j and c off z_j's image, each at the chain of Sd Δⁿ⁻¹ that Sd(δ_j)
+    sends to c.  Sd Δ⁰ is the apex alone, read off the vertices with no join."""
+    sdd, top = _SdData(n), tuple(range(n + 1))
+    if n == 0:
+        assert sdd.chains == ((top,),) and not hasattr(sdd, "join")
+        assert sd_maps(0, emap_carriers()["bD2"])[0] == [(0,), (1,), (2,)]
+        return
+    size = len(_SdData(n - 1).chains)
     flat = ["v"] + [(part, j, p) for j in range(n + 1) for part in ("z", "image") for p in range(size)]
-    top = tuple(range(n + 1))
     for c, read in zip(sdd.chains, sdd.join(flat)):
         if c == (top,):
             assert read == "v"
             continue
         part, j, p = read
+        rest = c[:-1] if c[-1] == top else c
         assert part == ("z" if c[-1] == top else "image")
-        assert sdd.chains[sdd.restriction(delta(j, n))[p][0]] == (c[:-1] if c[-1] == top else c)
+        assert j == min(i for i in range(n + 1) if i not in rest[-1])
+        assert sdd.chains[sdd.restriction(delta(j, n))[p][0]] == rest
 
 
 def filler_carriers():
