@@ -463,7 +463,7 @@ class CellCategory:
 def cell_category(K: FinGroup, G: FinGroup, H: FinGroup, phi: dict,
                   caps: SizeCaps = DEFAULT_CAPS) -> CellCategory:
     """Build (E(K) × G)/Γ_{H,φ} for H a subgroup of K and φ: H -> G."""
-    check_homomorphism(H, G, phi)
+    gamma = graph_subgroup(H, phi, G)
     subgroup_from_elements(K, H.elements)
     EK = chaotic_category(K.elements)
     Gd = discrete_category(G.elements)
@@ -479,7 +479,6 @@ def cell_category(K: FinGroup, G: FinGroup, H: FinGroup, phi: dict,
         hinv = H.inverse(h)
         return translation(lambda m: K.mul(m, hinv), lambda g: G.mul(g, phi[hinv]))
 
-    gamma = graph_subgroup(H, phi, G)
     gact = MonoidActionCat(gamma.group, EKxG, {gamma.pair(h): translate(h) for h in H.elements}).validate()
     cell, q = quotient_by_free_action(gact)
 

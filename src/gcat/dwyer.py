@@ -55,28 +55,23 @@ def check_subcategory_inclusion(i: Functor):
     return i
 
 
+def _closed(i: Functor, end) -> bool:
+    """Whether the image of the inclusion i holds every morphism of the
+    target whose end, read off `end` (the target's dst or src table), is an
+    object of the image."""
+    check_subcategory_inclusion(i)
+    im_obj, im_mor = set(i.object_map.values()), set(i.morphism_map.values())
+    return all(m in im_mor for m, e in end.items() if e in im_obj)
+
+
 def is_sieve(i: Functor) -> bool:
     """Every morphism of the target landing in the image lies in the image."""
-    check_subcategory_inclusion(i)
-    D = i.target
-    im_obj = set(i.object_map.values())
-    im_mor = set(i.morphism_map.values())
-    for m, s, t in D.morphisms:
-        if t in im_obj and m not in im_mor:
-            return False
-    return True
+    return _closed(i, i.target.dst)
 
 
 def is_cosieve(j: Functor) -> bool:
     """Dual: every morphism of the target starting in the image lies in it."""
-    check_subcategory_inclusion(j)
-    D = j.target
-    im_obj = set(j.object_map.values())
-    im_mor = set(j.morphism_map.values())
-    for m, s, t in D.morphisms:
-        if s in im_obj and m not in im_mor:
-            return False
-    return True
+    return _closed(j, j.target.src)
 
 
 # ---------------------------------------------------------------------------

@@ -709,21 +709,6 @@ class EquivalenceWitness:
         return self
 
 
-def is_ff_eso(F: Functor):
-    """Exhaustive fully-faithful + essentially-surjective predicate."""
-    if not F.is_fully_faithful():
-        return False
-    C, D = F.source, F.target
-    isos = D.isos()
-    image = {F.object_map[x] for x in C.objects}
-    for d in D.objects:
-        if not any(
-            m in isos for c in image for m in D.hom(c, d)
-        ):
-            return False
-    return True
-
-
 def find_equivalence(F: Functor, caps: SizeCaps = DEFAULT_CAPS) -> Optional[EquivalenceWitness]:
     """Equivalence witness iff F is fully faithful and essentially surjective.
 

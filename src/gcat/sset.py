@@ -17,15 +17,15 @@ from its chain (`nerve`).
 Also here: ordered simplicial complexes with barycentric subdivision and the
 poset-level hSd², nerves of categories (equivariant when an action is
 present), Kan's Ex with its unit, integer homology via Smith normal form,
-and capped Kan-fibration verdicts.  The strict chains of Sd, of hSd² and of
+and capped Kan-complex verdicts.  The strict chains of Sd, of hSd² and of
 the Sd Δⁿ behind Ex all come from one enumerator, `_strict_chains`.
 
 `FinSSet.face_index(d)` numbers the d-simplices, degenerate ones included,
 0, 1, ... in sorted normal-form order.  An n-simplex of Ex(X) is an Sd-map
 Sd Δⁿ -> X, stored as a tuple of these ints in the chain order of
 `_SdData(n).chains` (a d-chain holds a d-simplex), so int Sd-maps sort as
-their normal forms do.  The Sd-maps, Ex, Ex(f), the action check of
-`ex_action` and both Kan checkers run on these tables, and all of them
+their normal forms do.  The Sd-maps, Ex, Ex(f) (and so Ex of an action)
+and both Kan checkers run on these tables; the Sd-maps and the Kan checkers
 enumerate horns with `_horns`.
 
 Ex is built level by level by décalage (`_sd_maps`): Sd Δⁿ is the cone on
@@ -142,7 +142,6 @@ class _SimplexTable(NamedTuple):
     """A FinSSet's n-simplices, degenerate ones included, as 0, 1, ... in sorted normal-form order."""
 
     faces: dict    # int -> int face tuple, in `all_simplices` order
-    groups: dict   # int face tuple -> the ints with those faces, in `all_simplices` order
     nfs: tuple     # int -> normal form
     number: dict   # normal form -> int
 
@@ -217,8 +216,8 @@ class FinSSet:
 
     def face_index(self, n):
         """The `_SimplexTable` of the n-simplices, memoized; face tuples hold
-        ints of the (n-1)-table (a 0-simplex has the empty one).  `faces` and
-        `groups` follow `all_simplices` order, every search's candidate order."""
+        ints of the (n-1)-table (a 0-simplex has the empty one).  `faces`
+        follows `all_simplices` order, every search's candidate order."""
         table = self._face_memo.get(n)
         if table is None:
             simplices = self.all_simplices(n)
@@ -227,10 +226,7 @@ class FinSSet:
             below = self.face_index(n - 1).number if n else None
             faces = {number[v]: tuple(below[f] for f in self.faces_of(v)) if n else ()
                      for v in simplices}
-            groups = {}
-            for i, fs in faces.items():
-                groups.setdefault(fs, []).append(i)
-            table = self._face_memo[n] = _SimplexTable(faces, groups, nfs, number)
+            table = self._face_memo[n] = _SimplexTable(faces, nfs, number)
         return table
 
     def total_count(self, n):
@@ -317,10 +313,6 @@ class FinSSet:
                 for n in self.dims() if n >= 1 for sid in self.cells[n]
             ],
         }
-
-
-def point_sset(cap=3):
-    return FinSSet(cap, {0: ("*",)}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -606,21 +598,18 @@ def nerve(C: FinCat, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> FinSSet:
     return X
 
 
-def _normalize_chain(C: FinCat, chain, identities):
-    """The normal form of a chain of C; identities: the identities of C, a set
-    built once per map.  An all-identity chain's core is its source object."""
-    core = tuple(m for m in chain if m not in identities)
+def _normalize_chain(C: FinCat, chain, name):
+    """The normal form of a chain of C; name: each non-identity morphism of C
+    -> its `chain_id`, a table built once per map, whose entries the core's
+    id joins.  An all-identity chain's core is its source object."""
+    core = [name[m] for m in chain if m in name]
     alpha = [0]
     v = 0
     for m in chain:
-        if m not in identities:
+        if m in name:
             v += 1
         alpha.append(v)
-    if core:
-        cid = chain_id(core)
-    else:
-        cid = C.src[chain[0]]
-    return (cid, tuple(alpha))
+    return ("|".join(core) if core else C.src[chain[0]], tuple(alpha))
 
 
 def nerve_functor(F: Functor, NX: FinSSet, NY: FinSSet, cap=3) -> SSetMap:
@@ -628,7 +617,7 @@ def nerve_functor(F: Functor, NX: FinSSet, NY: FinSSet, cap=3) -> SSetMap:
     read off its faces, not its id: the image of d_n's chain, then the last
     arrow of d_0's."""
     D, mm = F.target, F.morphism_map
-    identities = {m for m in D.morphism_ids if D.is_identity(m)}
+    name = {m: chain_id((m,)) for m in D.morphism_ids if not D.is_identity(m)}
     vals = {}
     for sid in NX.cells.get(0, ()):
         vals[(0, sid)] = (F.object_map[sid], (0,))
@@ -640,7 +629,7 @@ def nerve_functor(F: Functor, NX: FinSSet, NY: FinSSet, cap=3) -> SSetMap:
                 fs = NX.faces[(n, sid)]
                 images[sid] = below[fs[-1][0]] + below[fs[0][0]][-1:]
         for sid in NX.cells.get(n, ()):
-            vals[(n, sid)] = _normalize_chain(D, images[sid], identities)
+            vals[(n, sid)] = _normalize_chain(D, images[sid], name)
     return SSetMap(NX, NY, vals)
 
 
@@ -731,8 +720,13 @@ class MonoidActionSSet:
     monoid: object
     carrier: FinSSet
     act: dict  # element -> SSetMap (endomap of carrier)
+    _checked: bool = field(default=False, init=False, repr=False)   # validated in full
 
     def validate(self):
+        """Check every action law, once: the mark set on success makes a
+        later call return at once."""
+        if self._checked:
+            return self
         ident = identity_sset_map(self.carrier)
         for m in self.monoid.elements:
             f = self.act.get(m)
@@ -745,6 +739,7 @@ class MonoidActionSSet:
             for n in self.monoid.elements:
                 if not self.act[n].then(self.act[m]).same_values(self.act[self.monoid.mul(m, n)]):
                     raise GcatError(f"simplicial act({m!r}·{n!r}) ≠ act({m!r})∘act({n!r})")
+        self._checked = True
         return self
 
 
@@ -1086,14 +1081,9 @@ def e_map(X: FinSSet, exd: ExSSet) -> SSetMap:
 
 
 def ex_map(f: SSetMap, exd_src: ExSSet, exd_dst: ExSSet) -> SSetMap:
-    """Ex(f) by postcomposition of Sd-maps, with f as one int table per dimension."""
-    return _ex_of_tables([_int_values(f, d, exd_src.base, exd_dst.base)
-                          for d in range(exd_src.sset.cap + 1)], exd_src, exd_dst)
-
-
-def _ex_of_tables(f_at, exd_src: ExSSet, exd_dst: ExSSet) -> SSetMap:
-    """Ex of the map whose int table on the d-simplices is f_at[d], for each d
-    up to Ex's cap."""
+    """Ex(f) by postcomposition of Sd-maps, with f as one int table per
+    dimension up to Ex's cap."""
+    f_at = [_int_values(f, d, exd_src.base, exd_dst.base) for d in range(exd_src.sset.cap + 1)]
     vals = {}
     for n in exd_src.sset.dims():
         tables = [f_at[len(chain) - 1] for chain in _SdData(n).chains]
@@ -1104,31 +1094,16 @@ def _ex_of_tables(f_at, exd_src: ExSSet, exd_dst: ExSSet) -> SSetMap:
 
 
 def ex_action(A: MonoidActionSSet, exd: ExSSet) -> MonoidActionSSet:
-    """Ex of an action on X = exd.base by postcomposition, as `ex_map`, checked
-    once on X's int tables t_m up to Ex's cap and X's top dimension (above it,
-    t_m is fixed by degeneracies): each commutes with X's face tables, the
-    unit's is the identity and t_m∘t_n = t_mn, so Ex(t) is an action on
-    Ex(X).  Ex(act(m)) postcomposes with those checked tables, and with t_m
-    above X's top dimension up to Ex's cap."""
-    X, M, cap = exd.base, A.monoid, exd.sset.cap
-    dims = range(min(cap, max(X.dims(), default=0)) + 1)
-    t = {m: [_int_values(A.act[m], d, X, X) for d in dims] for m in M.elements}
-    for (m, tm), d in itertools.product(t.items(), dims[1:]):
-        if any(X.face_index(d).faces[tm[d][v]] != tuple(map(tm[d - 1].__getitem__, fs))
-               for v, fs in X.face_index(d).faces.items()):
-            raise GcatError(f"act({m!r}) breaks a face of a {d}-simplex")
-    if any(table != list(range(len(table))) for table in t[M.unit]):
-        raise GcatError("unit does not act as the identity")
-    for m, n in itertools.product(M.elements, repeat=2):
-        if any(list(map(tm.__getitem__, tn)) != tmn for tm, tn, tmn in zip(t[m], t[n], t[M.mul(m, n)])):
-            raise GcatError(f"simplicial act({m!r}·{n!r}) ≠ act({m!r})∘act({n!r})")
-    return MonoidActionSSet(M, exd.sset, {
-        m: _ex_of_tables(tm + [_int_values(A.act[m], d, X, X) for d in range(len(tm), cap + 1)],
-                         exd, exd) for m, tm in t.items()})
+    """Ex of an action on X = exd.base: each element acts by `ex_map` of its
+    map.  The action is validated first, at once when it carries the mark
+    (as `equivariant_nerve`'s do); Ex is a functor, so Ex of a validated
+    action is an action on Ex(X)."""
+    A.validate()
+    return MonoidActionSSet(A.monoid, exd.sset, {m: ex_map(A.act[m], exd, exd) for m in A.monoid.elements})
 
 
 # ---------------------------------------------------------------------------
-# Kan fibration checks
+# Kan checks
 
 
 @dataclass
@@ -1198,36 +1173,22 @@ def _filler(cones, n, k, caps: SizeCaps):
     return fills
 
 
-def is_kan_fibration(f: SSetMap, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdict:
-    """Exhaustive horn-lifting check for n <= cap; the verdict carries its cap.
-
-    `problems_checked` counts lifting problems: pairs of a horn in X and an
-    n-simplex y of Y with d_j y = f(x_j) for every j != k.
-    """
-    X, Y = f.source, f.target
+def is_kan_complex(X: FinSSet, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdict:
+    """Exhaustive horn-filling check for n <= cap; the verdict carries its
+    cap.  Each horn Λⁿ_k of X (`_horns`) is one problem, and it fills when
+    some n-simplex of X, degenerate ones included, has the horn's faces with
+    face k left out.  A failure names the horn's faces as (j, normal form)."""
     checked = 0
     for n in range(1, cap + 1):
-        horn_t, x_t, y_t = X.face_index(n - 1), X.face_index(n), Y.face_index(n)
-        f_horn, f_top = _int_values(f, n - 1, X, Y), _int_values(f, n, X, Y)
+        horn_t, tops = X.face_index(n - 1), X.face_index(n).faces.values()
         for k in range(n + 1):
-            idx = [j for j in range(n + 1) if j != k]
-            ys = {}
-            for y, fs in y_t.faces.items():
-                ys.setdefault(tuple(fs[j] for j in idx), []).append(y)
-            lifts = {(f_top[z], tuple(fs[j] for j in idx)) for z, fs in x_t.faces.items()}
+            filled = {fs[:k] + fs[k + 1:] for fs in tops}
             for horn in _horns(horn_t.faces, n, k, caps)[0]:
-                xs = tuple(horn)
-                for y in ys.get(tuple(f_horn[x] for x in xs), ()):
-                    checked += 1
-                    if (y, xs) not in lifts:
-                        horn_nfs = [(j, horn_t.nfs[x]) for j, x in zip(idx, xs)]
-                        return KanVerdict(False, cap, checked, (n, k, horn_nfs, y_t.nfs[y]))
+                checked += 1
+                if tuple(horn) not in filled:
+                    faces = [(pos + (pos >= k), horn_t.nfs[x]) for pos, x in enumerate(horn)]
+                    return KanVerdict(False, cap, checked, (n, k, faces))
     return KanVerdict(True, cap, checked)
-
-
-def is_kan_complex(X: FinSSet, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdict:
-    pt = point_sset(max(X.cap, cap))
-    return is_kan_fibration(constant_sset_map(X, pt), cap, caps)
 
 
 def is_kan_complex_lazy_ex(base: FinSSet, cap=2, caps: SizeCaps = DEFAULT_CAPS) -> KanVerdict:

@@ -39,7 +39,6 @@ from .fincat import (
     find_equivalence,
     functor_category_data,
     identity_functor,
-    is_ff_eso,
     is_isomorphism_functor,
     pair_obj,
     postcompose_on_fun,
@@ -470,10 +469,7 @@ def cell_avatar(cell: CellCategory) -> SaturationAvatar:
 def _find_any_equivalence(C1: FinCat, C2: FinCat, caps: SizeCaps) -> bool:
     if C1.n_objects() == 0 or C2.n_objects() == 0:
         return C1.n_objects() == C2.n_objects()
-    for F in enumerate_functors(C1, C2, caps):
-        if is_ff_eso(F):
-            return True
-    return False
+    return any(find_equivalence(F, caps) is not None for F in enumerate_functors(C1, C2, caps))
 
 
 def saturation_check(avatar: SaturationAvatar, pairs, caps: SizeCaps = DEFAULT_CAPS) -> dict:

@@ -33,7 +33,6 @@ from gcat.fincat import (
     functor_category_data,
     identity_functor,
     inclusion_functor,
-    is_ff_eso,
     is_isomorphism_functor,
     poset_from_relation,
     presented_pushout,
@@ -383,8 +382,18 @@ def test_find_equivalence_arrow_to_point_is_none():
     assert find_equivalence(F) is None
     # fully faithful, but no object of the point is isomorphic to 1
     G = Functor(one, arrow, {"*": "0"}, {"id*": "0<=0"}).validate()
-    assert G.is_fully_faithful() and not is_ff_eso(G)
+    assert G.is_fully_faithful() and not is_fully_faithful_and_essentially_surjective(G)
     assert find_equivalence(G) is None
+
+
+def is_fully_faithful_and_essentially_surjective(F):
+    """The definition, checked on the tables: each hom-set map is a bijection,
+    and each object of the target is isomorphic to one in the image."""
+    C, D, om, mm = F.source, F.target, F.object_map, F.morphism_map
+    isos = D.isos()
+    return (all(sorted(mm[m] for m in C.hom(x, y)) == sorted(D.hom(om[x], om[y]))
+                for x in C.objects for y in C.objects)
+            and all(any(m in isos for x in C.objects for m in D.hom(om[x], d)) for d in D.objects))
 
 
 @settings(max_examples=30, deadline=None)
@@ -402,7 +411,7 @@ def test_random_posets_validate_and_equivalence_predicate(data):
     C = data.draw(st.sampled_from([P, terminal_category()]))
     fs = enumerate_functors(P, C)
     F = data.draw(st.sampled_from(fs))
-    assert (find_equivalence(F) is not None) == is_ff_eso(F)
+    assert (find_equivalence(F) is not None) == is_fully_faithful_and_essentially_surjective(F)
 
 
 # -- thin categories and the functors between them ----------------------------

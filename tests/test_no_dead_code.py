@@ -23,10 +23,10 @@ Every document reader is in serialize.py: a function of src/gcat/ named
 `*_from_doc` defined anywhere else is reported, and so is an import of
 serialize by any module but serialize and cli.
 
-A field of a top-level `@dataclass` class in src/gcat/ is dead when no file
-searched loads it as an attribute.  `InitVar` fields are passed to
-`__post_init__`, not stored, and are not checked; `NamedTuple`s are not
-dataclasses, and are unpacked by position.
+A field of a top-level `@dataclass` or `NamedTuple` class in src/gcat/ is
+dead when no file searched loads it as an attribute: the library reads the
+fields of both by name.  `InitVar` fields are passed to `__post_init__`, not
+stored, and are not checked.
 """
 
 import ast
@@ -105,11 +105,16 @@ def is_dataclass_decorator(node):
     return isinstance(target, ast.Name) and target.id == "dataclass"
 
 
+def is_named_tuple_base(node):
+    return isinstance(node, ast.Name) and node.id == "NamedTuple"
+
+
 def dataclass_fields(tree):
     """(class name, field node) for each annotated field of a top-level
-    `@dataclass` class, `InitVar`s left out."""
+    `@dataclass` or `NamedTuple` class, `InitVar`s left out."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and any(map(is_dataclass_decorator, node.decorator_list)):
+        if isinstance(node, ast.ClassDef) and (any(map(is_dataclass_decorator, node.decorator_list))
+                                               or any(map(is_named_tuple_base, node.bases))):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and not (
                         "InitVar" in ast.unparse(item.annotation)):
@@ -311,10 +316,11 @@ def test_planted_unread_field_is_reported(tmp_path):
         encoding="utf-8")
     (tmp_path / "tests").mkdir()
     (tmp_path / "tests" / "test_mod.py").write_text(
-        "from gcat.mod import Box, Cell\n\nc = Cell(1)\nc.value = 2\nBox(1, 2).hidden\n",
+        "from gcat.mod import Box, Cell, Pair\n\nc = Cell(1)\nc.value = 2\nBox(1, 2).hidden\n"
+        "first, second = Pair(1, 2)\nPair(1, 2).first\n",
         encoding="utf-8")
     dead = unread_fields(package, [tmp_path / "src", tmp_path / "tests"])
-    assert dead == ["mod.py:8 Box.written", "mod.py:18 Cell.value"]
+    assert dead == ["mod.py:8 Box.written", "mod.py:18 Cell.value", "mod.py:23 Pair.second"]
 
 
 def imported_modules(node):
