@@ -293,13 +293,10 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
             if t1 == s2:
                 compose[(v_id(m2), v_id(m1))] = v_id(B.compose[(m2, m1)])
     # cross ∘ C
-    for y in vx:
-        for x in C.objects:
-            for alpha in C.hom(x, cr(y)):
-                for x0 in C.objects:
-                    for beta in C.hom(x0, x):
-                        compose[(cross_id(alpha, y), beta)] = \
-                            cross_id(C.compose[(alpha, beta)], y)
+    for alpha, x, y in crossing:
+        for x0 in C.objects:
+            for beta in C.hom(x0, x):
+                compose[(cross_id(alpha, y), beta)] = cross_id(C.compose[(alpha, beta)], y)
     # V ∘ cross: β: y -> z in B with y, z in V∩X
     for (m, s, t) in vmors:
         if s in xset:
@@ -331,6 +328,20 @@ def dwyer_pushout(A: FinCat, B: FinCat, C: FinCat, i: Functor, c: Functor,
     return DwyerPushout(D, j, d, cross)
 
 
+def induced_functor(po: DwyerPushout, w: DwyerWitness, u: Functor, v: Functor) -> Functor:
+    """The functor D -> E, not validated, out of the pushout po built with
+    the witness w, that u: B -> E and v: C -> E with u∘i = v∘c induce: u on
+    d's image, v on j's, and u(ε_y)∘v(α) on a cross [α@y] = d(ε_y)∘j(α)."""
+    d, j = po.leg_from_b, po.leg_from_c
+    om = {d.object_map[b]: x for b, x in u.object_map.items()}
+    mm = {d.morphism_map[m]: f for m, f in u.morphism_map.items()}
+    om.update((j.object_map[x], y) for x, y in v.object_map.items())
+    mm.update((j.morphism_map[m], f) for m, f in v.morphism_map.items())
+    for mid, (alpha, y) in po.cross.items():
+        mm[mid] = u.target.compose[(u.morphism_map[w.counit[y]], v.morphism_map[alpha])]
+    return Functor(po.category, u.target, om, mm)
+
+
 def equivariant_dwyer_pushout(act_A: MonoidActionCat, act_B: MonoidActionCat,
                               act_C: MonoidActionCat, i: Functor, c: Functor,
                               w: DwyerWitness, caps: SizeCaps = DEFAULT_CAPS):
@@ -341,36 +352,14 @@ def equivariant_dwyer_pushout(act_A: MonoidActionCat, act_B: MonoidActionCat,
     """
     if w.group is None:
         raise EquivarianceViolation("witness carries no equivariance data")
-    G = w.group
     check_equivariant(i, act_A, act_B)
     check_equivariant(c, act_A, act_C)
     po = dwyer_pushout(act_A.carrier, act_B.carrier, act_C.carrier, i, c, w, caps)
-    D = po.category
-    B, C = act_B.carrier, act_C.carrier
-    image = set(i.object_map.values())
-    vset = {b for b in B.objects if b not in image}
-    d_ob, d_mor = po.leg_from_b.object_map, po.leg_from_b.morphism_map   # V's ids in D
-    cross_ids = {pair: mid for mid, pair in po.cross.items()}
-
-    def act_functor(g):
-        om = {}
-        mm = {}
-        for x in C.objects:
-            om[x] = act_C.ob(g, x)
-        for b in vset:
-            om[d_ob[b]] = d_ob[act_B.ob(g, b)]
-        for m in C.morphism_ids:
-            mm[m] = act_C.mor(g, m)
-        for m, s, t in B.morphisms:
-            if s in vset and t in vset:
-                mm[d_mor[m]] = d_mor[act_B.mor(g, m)]
-        for mid, (alpha, y) in po.cross.items():
-            mm[mid] = cross_ids[(act_C.mor(g, alpha), act_B.ob(g, y))]
-        return Functor(D, D, om, mm)
-
-    action = MonoidActionCat(G, D, {g: act_functor(g) for g in G.elements}).validate()
-    check_equivariant(po.leg_from_c, act_C, action)
-    check_equivariant(po.leg_from_b, act_B, action)
+    d, j = po.leg_from_b, po.leg_from_c
+    act = {g: induced_functor(po, w, act_B.act[g].then(d), act_C.act[g].then(j))
+           for g in w.group.elements}
+    action = MonoidActionCat(w.group, po.category, act).validate()
+    check_equivariant(d, act_B, action)
     return action, po
 
 

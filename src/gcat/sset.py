@@ -634,16 +634,14 @@ def nerve_functor(F: Functor, NX: FinSSet, NY: FinSSet, cap=3) -> SSetMap:
 
 
 def h_poset_nerve(X: FinSSet) -> FinCat:
-    """h on the nerve of a poset: rebuild the poset; refuse anything else."""
+    """h on the nerve of a poset P, rebuilt from the edges; anything else is
+    refused.  X is N(P) when it has N(P)'s simplex counts and the vertices of
+    its nondegenerate simplices are distinct strict chains of P."""
     if not X.cells.get(0):
         return FinCat((), (), {}, {})
     verts = X.cells[0]
-    leq = {(v, v) for v in verts}
-    for e in X.cells.get(1, ()):
-        fs = X.faces[(1, e)]
-        x = fs[1][0]
-        y = fs[0][0]
-        leq.add((x, y))
+    leq = {(v, v) for v in verts} | {(X.faces[(1, e)][1][0], X.faces[(1, e)][0][0])
+                                     for e in X.cells.get(1, ())}
     try:
         P = Poset(tuple(verts), frozenset(leq))
     except GcatError as exc:
@@ -654,6 +652,14 @@ def h_poset_nerve(X: FinSSet) -> FinCat:
     for n in set(X.dims()) | set(NP.dims()):
         if X.n_nondeg(n) != NP.n_nondeg(n):
             raise NotAPosetNerve(f"simplex count differs from a poset nerve at dim {n}")
+        chains = set()
+        for sid in X.cells.get(n, ()):
+            vs = tuple(X.pull(X.nf_of(n, sid), (k,))[0] for k in range(n + 1))
+            if any(a == b or (a, b) not in leq for a, b in zip(vs, vs[1:])):
+                raise NotAPosetNerve(f"vertices of ({n},{sid}) are no strict chain: {vs}")
+            if vs in chains:
+                raise NotAPosetNerve(f"two simplices at dim {n} have the vertices {vs}")
+            chains.add(vs)
     return C
 
 

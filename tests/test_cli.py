@@ -656,6 +656,15 @@ def test_transfer_check_names_unchecked_condition():
     assert "condition2" in out["report"]["not_checked"]
 
 
+def test_transfer_check_ex2_nerve_decides_without_ex2(capsys):
+    """`--U ex2_nerve` certifies Thomason's map in condition 2 and never
+    builds Ex², which stopped every --n-max at the node cap (exit 2)."""
+    assert cli.main(["transfer-check", "--U", "ex2_nerve", "--n-max", "1"]) == 0
+    rep = json.loads(capsys.readouterr().out)["report"]
+    assert rep["all_passed"] and "ex2" in rep["not_checked"]
+    assert [e["certificate"]["cap"] for e in rep["condition2"]] == [3, 3]
+
+
 def test_gens_and_saturate(tmp_path):
     out = json.loads(run_cli([
         "gens", "--model", "g_global_thin", "--n", "0",

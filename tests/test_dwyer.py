@@ -54,6 +54,7 @@ from gcat.dwyer import (
     equivariant_dwyer_pushout,
     find_dwyer_witness,
     fun_witness,
+    induced_functor,
     is_cosieve,
     is_sieve,
     pushout_cross_check,
@@ -211,6 +212,19 @@ def test_equivariant_witness_and_pushout():
     # fixed-point commutation degenerates to the empty pushout
     wH = restrict_witness_to_fixed(w, Z2)
     assert wH.i.source.n_objects() == 0 and wH.i.target.n_objects() == 0
+
+
+def test_the_legs_induce_the_identity_of_the_pushout():
+    """By the universal property, the functor out of D that D's own legs d
+    and j induce is the identity; a cross morphism [α@y] = d(ε_y)∘j(α)."""
+    spans = dwyer_span_corpus(1, 20) + dwyer_span_corpus(2, 10, "Z2")
+    crossed = 0
+    for span in spans:
+        po = dwyer_pushout(span.A, span.B, span.C, span.i, span.c, span.witness)
+        F = induced_functor(po, span.witness, po.leg_from_b, po.leg_from_c).validate()
+        assert F.same_maps(identity_functor(po.category))
+        crossed += bool(po.cross)
+    assert crossed > len(spans) // 2
 
 
 def test_trivial_restriction_returns_same_shape():

@@ -1555,6 +1555,48 @@ def test_h_of_a_nerve_refuses_what_is_no_poset_nerve():
         h_poset_nerve(complex_to_sset(boundary_complex(2), 2))
 
 
+def edge(s, t):
+    """The faces (d0, d1) of an edge s -> t."""
+    return ((t, (0,)), (s, (0,)))
+
+
+def test_h_of_a_nerve_checks_the_vertices_of_each_simplex():
+    """Simplex counts are not enough.  With the edges of a < b < c and one
+    2-simplex t whose faces are (ab, ab, s0 a), X has N([2])'s counts but
+    H_1 = Z; t's vertices are (a, a, b).  Over a < b < c and a < b < d, two
+    copies of the triangle abc have the counts of the nerve, but nothing
+    fills abd, so H_1 = Z."""
+    X = FinSSet(2, {0: ("a", "b", "c"), 1: ("ab", "ac", "bc"), 2: ("t",)},
+                {(1, "ab"): edge("a", "b"), (1, "ac"): edge("a", "c"), (1, "bc"): edge("b", "c"),
+                 (2, "t"): (("ab", (0, 1)), ("ab", (0, 1)), ("a", (0, 0)))}).validate()
+    assert homology(X, 2) == [(1, ()), (1, ())]
+    with pytest.raises(NotAPosetNerve, match=r"^vertices of \(2,t\) are no strict chain: "
+                                             r"\('a', 'a', 'b'\)$"):
+        h_poset_nerve(X)
+    tri = (("bc", (0, 1)), ("ac", (0, 1)), ("ab", (0, 1)))
+    pairs = ["ab", "ac", "ad", "bc", "bd"]
+    Y = FinSSet(2, {0: ("a", "b", "c", "d"), 1: tuple(pairs), 2: ("t", "u")},
+                {**{(1, p): edge(*p) for p in pairs}, (2, "t"): tri, (2, "u"): tri}).validate()
+    assert homology(Y, 2) == [(1, ()), (1, ())]
+    with pytest.raises(NotAPosetNerve, match=r"^two simplices at dim 2 have the vertices "
+                                             r"\('a', 'b', 'c'\)$"):
+        h_poset_nerve(Y)
+
+
+def test_argument_checks_of_the_complex_and_pushout_builders():
+    """A horn needs 0 <= k <= n and n >= 1, hSd² of an inclusion needs a
+    subcomplex, and the pushout of simplicial sets an injective first leg."""
+    for n, k in [(2, 3), (0, 0), (2, -1)]:
+        with pytest.raises(GcatError, match=rf"^bad horn indices \({n},{k}\)$"):
+            horn_complex(n, k)
+    with pytest.raises(GcatError, match="^K is not a subcomplex of L$"):
+        h_sd2_map(standard_simplex_complex(1), boundary_complex(1))
+    two = complex_to_sset(boundary_complex(1), 1)
+    point = constant_sset_map(two, complex_to_sset(standard_simplex_complex(0), 1))
+    with pytest.raises(GcatError, match="^pushout_sset requires an injective first leg$"):
+        pushout_sset(point, identity_sset_map(two))
+
+
 def test_simplicial_caps_are_enforced():
     """Each simplicial cap that no other input reached refuses one more
     than it allows."""

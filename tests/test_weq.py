@@ -14,7 +14,7 @@ import gcat
 
 from gcat import serialize as ser
 from gcat.config import WIDE_CAPS, SizeCaps
-from gcat.corpus import dwyer_span_corpus, named_group
+from gcat.corpus import curated_spans, dwyer_span_corpus, named_group
 from gcat.errors import GcatError, SizeCapExceeded
 from gcat.fincat import (
     FinCat,
@@ -22,6 +22,7 @@ from gcat.fincat import (
     NatTrans,
     arrow_category,
     chain_poset,
+    constant_functor,
     discrete_category,
     find_isomorphism,
     functor_category_data,
@@ -55,6 +56,12 @@ from gcat.actions import (
 from gcat.sset import (
     boundary_complex,
     complex_inclusion,
+    ex,
+    ex_map,
+    homology,
+    nerve,
+    nerve_functor,
+    pushout_sset,
     standard_simplex_complex,
 )
 from gcat.dwyer import (
@@ -81,6 +88,7 @@ from gcat.weq import (
     saturation_check,
     SaturationAvatar,
     WeakEqCertificate,
+    thomason_map,
     twisted_fun_fixed,
 )
 
@@ -714,9 +722,9 @@ def test_generators_match_the_pinned_digest():
 # -- transfer harness ------------------------------------------------------------
 
 
-#: sha256 of `transfer_reports`, computed with condition 2's two witness
-#: searches, one per branch
-TRANSFER_DIGEST = "e8b213a0b45cd49f3c5a7c634391489a40cf6e144661f7c50c37502ba7771dc1"
+#: sha256 of `transfer_reports`, computed with condition 2's canonical maps:
+#: the induced functor for Fun(E(Z2), -) and Thomason's map for Ex² N
+TRANSFER_DIGEST = "b871aebd7df017a7387032e6ac9e4fc120d31f7479772896522d08171129c3d0"
 
 
 def transfer_reports():
@@ -765,7 +773,7 @@ def test_transfer_report_names_unchecked_conditions():
         [(I[0].name, True), ("ab->V", False)]
     assert not rep["all_passed"]
     rep = check_transfer_conditions(I[:1], J, ("ex2_nerve",), 1, WIDE_CAPS)
-    assert rep["condition3"] == [] and sorted(rep["not_checked"]) == ["condition3"]
+    assert rep["condition3"] == [] and sorted(rep["not_checked"]) == ["condition3", "ex2"]
     assert rep["all_passed"]
 
 
@@ -803,9 +811,98 @@ def test_transfer_fixed_points_compare_the_tables(monkeypatch):
 
 
 def test_transfer_ex2_nerve_tiny():
-    # Ex² is doubly exponential: beyond trivial inputs only cap 1 is feasible,
-    # and the certificates carry that cap
+    """Ex² is never built: condition 1 certifies N of each acyclic generator
+    and condition 2 Thomason's map, at the cap asked for, and the report
+    names the reduction under not_checked."""
     I = [generating_maps(GeneratorSpec("thomason", 0))]
     J = [generating_maps(GeneratorSpec("thomason", 1, k=1, acyclic=True))]
-    rep = check_transfer_conditions(I, J, ("ex2_nerve",), 1, WIDE_CAPS)
+    rep = check_transfer_conditions(I, J, ("ex2_nerve",), 3, WIDE_CAPS)
+    assert rep["all_passed"] and "ex2" in rep["not_checked"]
+    assert [e["certificate"]["cap"] for e in rep["condition1"] + rep["condition2"]] == [3, 3]
+
+
+def trivial_thin_generator(n, k=None):
+    triv = trivial_group()
+    return generating_maps(GeneratorSpec("g_global_thin", n, k, k is not None,
+                                         {"H": triv, "G": triv, "phi": {"e": "e"}}))
+
+
+@pytest.mark.parametrize("n, cap", [(0, 1), (0, 2), (1, 1)])
+def test_ex2_nerve_agrees_with_ex2_where_ex2_is_small(n, cap):
+    """Where Ex² fits the wide caps (the trivial group, n <= 1, cap <= 2),
+    the Ex² route agrees with the reduced one: Ex² N of the pushout and the
+    pushout of the Ex² N-images have the same homology, and Ex² N of an
+    acyclic generator gets the certificate's verdict on N."""
+    def ex2_nerve(cat):
+        N = nerve(cat, cap, WIDE_CAPS)
+        e1 = ex(N, cap, WIDE_CAPS)
+        return N, e1, ex(e1.sset, cap, WIDE_CAPS)
+
+    def ex2_nerve_map(F):
+        NX, e1s, e2s = ex2_nerve(F.source)
+        NY, e1t, e2t = ex2_nerve(F.target)
+        return ex_map(ex_map(nerve_functor(F, NX, NY, cap), e1s, e1t), e2s, e2t).validate()
+
+    gm = trivial_thin_generator(n)
+    J = [trivial_thin_generator(n, 0)] if n else []
+    rep = check_transfer_conditions([gm], J, ("ex2_nerve",), cap, WIDE_CAPS)
+    F, one = gm.functor, terminal_category()
+    collapse = constant_functor(F.source, one, "*").validate()
+    D = dwyer_pushout(F.source, F.target, one, F, collapse, find_dwyer_witness(F)).category
+    P, _, _ = pushout_sset(ex2_nerve_map(F), ex2_nerve_map(collapse), WIDE_CAPS)
+    assert rep["condition2"][0]["passed"]
+    assert homology(P, cap) == homology(ex2_nerve(D)[2].sset, cap)
+    assert [e["passed"] for e in rep["condition1"]] == \
+        [homology_certificate(ex2_nerve_map(j.functor), cap).passed for j in J]
+
+
+def test_transfer_refuses_an_unknown_tag_with_no_generators():
+    """The tag is checked before any generator: with no acyclic generators
+    an unknown tag was never looked at, and the report passed."""
+    I = [generating_maps(GeneratorSpec("thomason", 0))]
+    with pytest.raises(GcatError, match="^unknown U tag 'bogus'$"):
+        check_transfer_conditions(I, [], ("bogus",))
+
+
+def test_fun_e_condition2_is_exact_on_an_isomorphism_and_certified_otherwise(monkeypatch):
+    """The comparison functor from the pushout of the Fun(E(Z2), -)-images
+    is an isomorphism on the thin generators, so condition 2 passes with no
+    certificate and no nerve; one that is not an isomorphism goes to the
+    homology certificate."""
+    p = {"H": Z2, "G": Z2, "phi": PHI_ID}
+    I = [generating_maps(GeneratorSpec("g_global_thin", n, params=dict(p))) for n in (0, 1)]
+    rep = check_transfer_conditions(I, [], ("fun_e", Z2), 3)
+    assert rep["condition2"] == [{"generator": gm.name, "isomorphism": True, "passed": True}
+                                 for gm in I]
+    monkeypatch.setattr(gcat.weq, "is_isomorphism_functor", lambda F: False)
+    rep = check_transfer_conditions(I, [], ("fun_e", Z2), 3)
+    for e in rep["condition2"]:
+        assert not e["isomorphism"] and e["passed"]
+        assert e["certificate"]["kind"] == "necessary" and e["certificate"]["passed"]
+        assert e["certificate"]["cap"] == 3
     assert rep["all_passed"]
+
+
+def corpus_spans():
+    """(label, span) for the 32 spans of the seeded and curated corpora."""
+    for seed, count, group in [(1, 20, None), (2, 10, "Z2")]:
+        for k, span in enumerate(dwyer_span_corpus(seed, count, group)):
+            yield f"{seed}/{group}/{k}", span
+    for label, span, _ in curated_spans():
+        yield label, span
+
+
+def test_thomason_map_is_certified_on_every_corpus_span():
+    """φ: N(B) ∪_{N(A)} N(C) -> N(B ∪_A C) passes the homology certificate
+    on every span.  On glue-[2] it is no isomorphism: its source, the two
+    edges 0 -> 1 -> 2, lacks the edge 0 -> 2 and the 2-simplex of N([2])."""
+    labels = []
+    for label, span in corpus_spans():
+        po = dwyer_pushout(span.A, span.B, span.C, span.i, span.c, span.witness)
+        phi = thomason_map(span.i, span.c, po, 3)
+        assert homology_certificate(phi, 3).passed, label
+        labels.append(label)
+        if label == "glue-[2]":
+            assert [phi.source.n_nondeg(n) for n in range(3)] == [3, 2, 0]
+            assert [phi.target.n_nondeg(n) for n in range(3)] == [3, 3, 1]
+    assert len(labels) == 32 and "glue-[2]" in labels
