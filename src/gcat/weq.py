@@ -619,9 +619,10 @@ def generating_maps(spec: GeneratorSpec, caps: SizeCaps = DEFAULT_CAPS) -> Gener
 
 def thomason_map(i: Functor, c: Functor, po, cap=3, caps: SizeCaps = DEFAULT_CAPS) -> SSetMap:
     """Thomason's map φ: N(B) ∪_{N(A)} N(C) -> N(D) for the pushout po of
-    B <-i- A -c-> C, validated: a simplex of `pushout_sset` along N(i) goes
-    where N(d) or N(j) sends the simplex of N(B) or N(C) onto it.  Along a
-    Dwyer map i it is a weak equivalence (Thomason, 1980, Prop. 4.3)."""
+    B <-i- A -c-> C, validated.  Each nondegenerate simplex of `pushout_sset`
+    along N(i) is `from_b` or `from_c` of one of N(B) or N(C), and goes where
+    N(d) or N(j) sends that one.  Along a Dwyer map i, φ is a weak
+    equivalence (Thomason, 1980, Prop. 4.3)."""
     NA, NB, NC, ND = (nerve(X, cap, caps) for X in (i.source, i.target, c.target, po.category))
     P, from_b, from_c = pushout_sset(nerve_functor(i, NA, NB, cap), nerve_functor(c, NA, NC, cap),
                                      caps)
